@@ -1,0 +1,992 @@
+//! The shareable data plane of a cloud server: certificate-authority
+//! handle, policy versions, the proof cache and proof evaluation — one
+//! proof at a time ([`DataPlane::evaluate_one`]) or a whole server round
+//! at once ([`BatchEval`]).
+
+use crate::catalog::{ResourcePolicyMap, SharedCatalog};
+use crate::validation::VersionMap;
+use safetx_policy::{
+    evaluate_proof, AccessRequest, CaRegistry, Credential, CredentialStatus, Engine, FactBase,
+    ProofContext, ProofOfAuthorization, ProofOutcome, StatusOracle, SyntacticCheck,
+};
+use safetx_txn::QuerySpec;
+use safetx_types::{CredentialId, PolicyId, PolicyVersion, ServerId, Timestamp, UserId};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
+
+/// Shared handle to the deployment's certificate authorities.
+///
+/// The paper assumes "each CA offers an online method that allows any server
+/// to check the current status of a particular credential"; this handle is
+/// that online method. Workloads revoke credentials through it mid-run.
+///
+/// The handle also maintains a **revocation epoch**: a counter bumped on
+/// every mutation of CA state (issue, revoke, register). Proof caches key
+/// their validity on this epoch, so any oracle state change — however
+/// small — flushes every cached authorization decision that might have
+/// depended on it. This is what preserves the paper's time-dependent
+/// semantic validity check under caching: a credential revoked in
+/// `[ti, t]` can never be served from a pre-revocation cache entry.
+#[derive(Debug, Clone, Default)]
+pub struct SharedCas {
+    inner: Arc<RwLock<CaRegistry>>,
+    epoch: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl SharedCas {
+    /// Wraps a registry.
+    #[must_use]
+    pub fn new(registry: CaRegistry) -> Self {
+        SharedCas {
+            inner: Arc::new(RwLock::new(registry)),
+            epoch: Arc::default(),
+        }
+    }
+
+    /// Runs `f` with mutable access (issue/revoke operations). Always bumps
+    /// the revocation epoch: callers get mutable registry access only
+    /// through here, so every possible oracle state change is covered.
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut CaRegistry) -> R) -> R {
+        let result = f(&mut self.inner.write().expect("CA lock poisoned"));
+        self.epoch.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        result
+    }
+
+    /// The current revocation epoch. Two equal observations bracket a span
+    /// with no CA state change.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// The recorded revocation instant for `credential`, including
+    /// future-dated revocations not yet visible to `status`.
+    #[must_use]
+    pub fn revocation_instant(&self, credential: CredentialId) -> Option<Timestamp> {
+        self.inner
+            .read()
+            .expect("CA lock poisoned")
+            .revocation_instant(credential)
+    }
+}
+
+impl StatusOracle for SharedCas {
+    fn status(&self, credential: CredentialId, at: Timestamp) -> CredentialStatus {
+        self.inner
+            .read()
+            .expect("CA lock poisoned")
+            .status(credential, at)
+    }
+
+    fn verify(&self, credential: &Credential, at: Timestamp) -> SyntacticCheck {
+        self.inner
+            .read()
+            .expect("CA lock poisoned")
+            .verify(credential, at)
+    }
+}
+
+/// Cache key for one proof-of-authorization decision. Everything the
+/// outcome depends on is either in the key (policy identity and version,
+/// requester, the exact credential list in presentation order, the request)
+/// or guarded by an invalidation signal (CA revocation epoch, ambient
+/// facts, resource→policy mapping).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ProofCacheKey {
+    policy: PolicyId,
+    version: PolicyVersion,
+    user: UserId,
+    /// Presentation order matters: evaluation short-circuits on the first
+    /// invalid credential, so a reordered list is a different computation.
+    credentials: Vec<CredentialId>,
+    action: String,
+    resource: String,
+}
+
+/// One cached decision and the time window it provably covers.
+#[derive(Debug, Clone)]
+struct CachedProof {
+    outcome: ProofOutcome,
+    /// First instant the entry answers for (the original evaluation time).
+    valid_from: Timestamp,
+    /// Exclusive horizon: the earliest instant at which some credential's
+    /// status can flip without a CA mutation (its validity-window start or
+    /// end, or an already-recorded future revocation instant).
+    valid_until: Timestamp,
+}
+
+/// Per-server proof cache with whole-cache epoch invalidation.
+#[derive(Debug, Default)]
+struct ProofCache {
+    entries: HashMap<ProofCacheKey, CachedProof>,
+    /// The CA revocation epoch the entries were computed under.
+    epoch: u64,
+    /// Bumped on every `invalidate_all`. Lets an evaluation that released
+    /// the cache lock mid-computation detect a concurrent flush and discard
+    /// its (possibly stale) result instead of inserting it.
+    flush_seq: u64,
+    stats: safetx_metrics::ProofCacheStats,
+    disabled: bool,
+}
+
+impl ProofCache {
+    /// Drops every entry, counting them as invalidations.
+    fn invalidate_all(&mut self) {
+        self.stats.invalidations += self.entries.len() as u64;
+        self.entries.clear();
+        self.flush_seq += 1;
+    }
+
+    /// Aligns the cache with the oracle's revocation epoch, flushing stale
+    /// entries when CA state changed since they were computed.
+    fn sync_epoch(&mut self, epoch: u64) {
+        if epoch != self.epoch {
+            self.invalidate_all();
+            self.epoch = epoch;
+        }
+    }
+
+    /// Looks up a decision valid at `now`.
+    fn get(&mut self, key: &ProofCacheKey, now: Timestamp) -> Option<ProofOutcome> {
+        if self.disabled {
+            return None;
+        }
+        match self.entries.get(key) {
+            Some(entry) if entry.valid_from <= now && now < entry.valid_until => {
+                self.stats.hits += 1;
+                Some(entry.outcome.clone())
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+}
+
+/// A consistent snapshot of one transaction's proof-evaluation inputs,
+/// extracted on the server thread and safe to ship to a worker.
+///
+/// All payloads are `Arc`-shared with the server's transaction state, so
+/// taking a snapshot is refcount traffic, not a deep copy.
+#[derive(Debug, Clone)]
+pub struct EvalSnapshot {
+    /// The requesting user.
+    pub user: UserId,
+    /// The credentials presented at Begin.
+    pub credentials: Arc<[Credential]>,
+    /// The queries registered at this server: `(index, spec)`.
+    pub queries: Vec<(usize, Arc<QuerySpec>)>,
+}
+
+/// The shareable data plane of one cloud server: everything proof
+/// evaluation touches, behind interior mutability so a runtime worker pool
+/// can evaluate proofs for distinct transactions concurrently while the
+/// server thread keeps exclusive ownership of the protocol plane (locks
+/// decisions, WAL forces, 2PVC votes, per-transaction state).
+///
+/// In the single-threaded simulator the same structure is driven from one
+/// thread through [`crate::ServerCore`]'s `&mut self` handlers; the locks below
+/// are then uncontended and behavior is bit-identical to the pre-split
+/// code.
+pub struct DataPlane {
+    id: ServerId,
+    catalog: SharedCatalog,
+    cas: SharedCas,
+    engine: Engine,
+    resource_map: RwLock<ResourcePolicyMap>,
+    ambient: RwLock<FactBase>,
+    /// Versions of each policy currently installed at this replica.
+    installed: RwLock<VersionMap>,
+    proof_cache: Mutex<ProofCache>,
+    /// Mirrors `proof_cache.disabled` so the evaluation fast path can skip
+    /// key construction and the cache mutex entirely when caching is off.
+    cache_enabled: AtomicBool,
+    /// Proof evaluations performed (cache hits included).
+    proofs: AtomicU64,
+    /// Full engine evaluations: cache misses that actually ran the
+    /// credential checks and the inference engine. Excludes cache hits and
+    /// within-batch dedup reuse — the regression guard for the
+    /// redundant-evaluation fix (see [`BatchEval`]).
+    engine_evals: AtomicU64,
+}
+
+impl std::fmt::Debug for DataPlane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DataPlane").field("id", &self.id).finish()
+    }
+}
+
+impl DataPlane {
+    pub(crate) fn new(
+        id: ServerId,
+        catalog: SharedCatalog,
+        resource_map: ResourcePolicyMap,
+        cas: SharedCas,
+    ) -> Self {
+        DataPlane {
+            id,
+            catalog,
+            cas,
+            engine: Engine::new(),
+            resource_map: RwLock::new(resource_map),
+            ambient: RwLock::new(FactBase::new()),
+            installed: RwLock::new(VersionMap::new()),
+            proof_cache: Mutex::new(ProofCache::default()),
+            cache_enabled: AtomicBool::new(true),
+            proofs: AtomicU64::new(0),
+            engine_evals: AtomicU64::new(0),
+        }
+    }
+
+    /// Full engine evaluations performed so far (cache misses that ran the
+    /// credential checks and the engine; cache hits and within-batch dedup
+    /// reuse excluded). Instrumentation only — the paper's proof count is
+    /// [`crate::ServerCounters::proofs`].
+    #[must_use]
+    pub fn engine_evaluations(&self) -> u64 {
+        self.engine_evals.load(Ordering::Relaxed)
+    }
+
+    /// This server's id.
+    #[must_use]
+    pub fn id(&self) -> ServerId {
+        self.id
+    }
+
+    /// Proof evaluations performed so far (cache hits included).
+    pub(crate) fn proofs(&self) -> u64 {
+        self.proofs.load(Ordering::Relaxed)
+    }
+
+    /// Installs an initial policy version at the replica.
+    pub fn install_policy(&self, policy: PolicyId, version: PolicyVersion) {
+        use std::collections::btree_map::Entry;
+        let mut installed = self.installed.write().expect("installed lock poisoned");
+        match installed.entry(policy) {
+            Entry::Vacant(slot) => {
+                slot.insert(version);
+                drop(installed);
+                self.invalidate_proof_cache();
+            }
+            Entry::Occupied(mut slot) => {
+                if version > *slot.get() {
+                    slot.insert(version);
+                    drop(installed);
+                    self.invalidate_proof_cache();
+                }
+            }
+        }
+    }
+
+    /// The replica's installed versions (owned copy).
+    #[must_use]
+    pub fn installed_versions(&self) -> VersionMap {
+        self.installed
+            .read()
+            .expect("installed lock poisoned")
+            .clone()
+    }
+
+    /// Enables or disables the proof cache (enabled by default).
+    pub fn set_proof_cache(&self, enabled: bool) {
+        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
+        cache.disabled = !enabled;
+        if !enabled {
+            cache.entries.clear();
+            cache.flush_seq += 1;
+        }
+        // Publish the flag after the cache state: a racing evaluation that
+        // still sees the cache as enabled re-checks `disabled` (and the
+        // flush sequence) under the lock before inserting.
+        self.cache_enabled.store(enabled, Ordering::Release);
+    }
+
+    /// Runs `f` with mutable access to the ambient fact base (e.g. observed
+    /// locations). Invalidates cached proofs: ambient facts feed every
+    /// evaluation.
+    pub fn with_ambient<R>(&self, f: impl FnOnce(&mut FactBase) -> R) -> R {
+        let result = f(&mut self.ambient.write().expect("ambient lock poisoned"));
+        self.invalidate_proof_cache();
+        result
+    }
+
+    /// Runs `f` with mutable access to the resource → policy mapping
+    /// (multi-domain deployments). Invalidates cached proofs: the mapping
+    /// picks which policy governs each resource.
+    pub fn with_resource_map<R>(&self, f: impl FnOnce(&mut ResourcePolicyMap) -> R) -> R {
+        let result = f(&mut self
+            .resource_map
+            .write()
+            .expect("resource map lock poisoned"));
+        self.invalidate_proof_cache();
+        result
+    }
+
+    fn invalidate_proof_cache(&self) {
+        self.proof_cache
+            .lock()
+            .expect("proof cache poisoned")
+            .invalidate_all();
+    }
+
+    pub(crate) fn proof_cache_stats(&self) -> safetx_metrics::ProofCacheStats {
+        self.proof_cache.lock().expect("proof cache poisoned").stats
+    }
+
+    /// Fast-forwards the replica toward target versions available in the
+    /// catalog. Never moves backward. Any actual version movement is a
+    /// policy install and flushes the proof cache.
+    pub fn fast_forward(&self, targets: &VersionMap) {
+        let mut installed_any = false;
+        {
+            let mut installed = self.installed.write().expect("installed lock poisoned");
+            for (&policy, &version) in targets {
+                match installed.entry(policy) {
+                    std::collections::btree_map::Entry::Vacant(slot) => {
+                        slot.insert(version);
+                        installed_any = true;
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut slot) => {
+                        if version > *slot.get() && self.catalog.fetch(policy, version).is_ok() {
+                            slot.insert(version);
+                            installed_any = true;
+                        }
+                    }
+                }
+            }
+        }
+        if installed_any {
+            self.invalidate_proof_cache();
+        }
+    }
+
+    /// Evaluates the proof of authorization for one query at the currently
+    /// installed policy version.
+    ///
+    /// Consults the per-server proof cache first: a hit returns the cached
+    /// decision without running the Datalog engine or the credential status
+    /// oracle, but still counts as a proof evaluation in
+    /// [`crate::ServerCounters::proofs`] — the paper's Table I cost model is about
+    /// *how many* proofs each scheme demands, not how fast one is computed.
+    ///
+    /// The cache lock is **not** held across the engine run: a flush that
+    /// lands mid-evaluation is detected via the cache's flush sequence,
+    /// discarding the stale insert. Concurrent misses on the same key from
+    /// *different* rounds still evaluate redundantly (benign — same
+    /// answer); misses within one server round are deduplicated by
+    /// [`BatchEval`], which evaluates each distinct key once and serves the
+    /// rest of the round from its result.
+    pub fn evaluate_one(
+        &self,
+        now: Timestamp,
+        user: UserId,
+        credentials: &[Credential],
+        query: &QuerySpec,
+    ) -> ProofOfAuthorization {
+        let (policy_id, version) = self.governing(&query.resource);
+        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
+        // When the cache is disabled, skip its machinery entirely — no key
+        // construction, no cache mutex, no validity-horizon lookups.
+        let lookup = if self.cache_enabled.load(Ordering::Acquire) {
+            let key = ProofCacheKey {
+                policy: policy_id,
+                version,
+                user,
+                credentials: credential_ids.clone(),
+                action: query.action.clone(),
+                resource: query.resource.clone(),
+            };
+            match self.cache_lookup(&key, now) {
+                Ok(outcome) => {
+                    self.proofs.fetch_add(1, Ordering::Relaxed);
+                    return ProofOfAuthorization {
+                        request: AccessRequest::new(
+                            user,
+                            query.action.clone(),
+                            query.resource.clone(),
+                        ),
+                        server: self.id,
+                        policy_id,
+                        policy_version: version,
+                        evaluated_at: now,
+                        credentials: credential_ids,
+                        outcome,
+                    };
+                }
+                Err(flush_token) => Some((key, flush_token)),
+            }
+        } else {
+            None
+        };
+        let request = AccessRequest::new(user, query.action.clone(), query.resource.clone());
+        let proof = match self.catalog.fetch_shared(policy_id, version) {
+            Ok(policy) => {
+                self.engine_evals.fetch_add(1, Ordering::Relaxed);
+                let proof = {
+                    let ambient = self.ambient.read().expect("ambient lock poisoned");
+                    let pctx = ProofContext {
+                        policy: policy.as_ref(),
+                        oracle: &self.cas,
+                        engine: &self.engine,
+                        ambient_facts: &ambient,
+                    };
+                    evaluate_proof(&pctx, self.id, &request, credentials, now).unwrap_or_else(
+                        |_| ProofOfAuthorization {
+                            request: request.clone(),
+                            server: self.id,
+                            policy_id,
+                            policy_version: version,
+                            evaluated_at: now,
+                            credentials: credential_ids.clone(),
+                            outcome: ProofOutcome::NotDerivable,
+                        },
+                    )
+                };
+                if let Some((key, flush_token)) = lookup {
+                    self.cache_insert(key, &proof.outcome, now, credentials, flush_token);
+                }
+                proof
+            }
+            // A policy version missing from the catalog can appear at any
+            // later instant without an invalidation signal, so this denial
+            // is never cached.
+            Err(_) => ProofOfAuthorization {
+                request,
+                server: self.id,
+                policy_id,
+                policy_version: version,
+                evaluated_at: now,
+                credentials: credential_ids,
+                outcome: ProofOutcome::NotDerivable,
+            },
+        };
+        self.proofs.fetch_add(1, Ordering::Relaxed);
+        proof
+    }
+
+    /// The policy governing `resource` and the version of it installed at
+    /// this replica.
+    fn governing(&self, resource: &str) -> (PolicyId, PolicyVersion) {
+        let policy_id = self
+            .resource_map
+            .read()
+            .expect("resource map lock poisoned")
+            .policy_for(resource)
+            .unwrap_or_else(|| panic!("resource `{resource}` bound to no policy"));
+        let version = self
+            .installed
+            .read()
+            .expect("installed lock poisoned")
+            .get(&policy_id)
+            .copied()
+            .unwrap_or(PolicyVersion::INITIAL);
+        (policy_id, version)
+    }
+
+    /// The lookup half of the proof-cache guard: aligns the cache with the
+    /// CA revocation epoch, then looks `key` up at `now`. A miss returns
+    /// the cache's flush sequence — the token [`DataPlane::cache_insert`]
+    /// needs to detect a flush that lands while the caller evaluates with
+    /// the cache lock released.
+    fn cache_lookup(&self, key: &ProofCacheKey, now: Timestamp) -> Result<ProofOutcome, u64> {
+        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
+        cache.sync_epoch(self.cas.epoch());
+        cache.get(key, now).ok_or(cache.flush_seq)
+    }
+
+    /// The insert half of the proof-cache guard: caches `outcome` up to the
+    /// credentials' validity horizon, unless the cache was disabled or
+    /// flushed (or the revocation epoch moved) since the lookup that
+    /// returned `flush_token` — the result may predate that invalidation
+    /// signal.
+    fn cache_insert(
+        &self,
+        key: ProofCacheKey,
+        outcome: &ProofOutcome,
+        now: Timestamp,
+        credentials: &[Credential],
+        flush_token: u64,
+    ) {
+        let valid_until = self.validity_horizon(now, credentials);
+        if now >= valid_until {
+            return;
+        }
+        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
+        if !cache.disabled && cache.flush_seq == flush_token && cache.epoch == self.cas.epoch() {
+            cache.entries.insert(
+                key,
+                CachedProof {
+                    outcome: outcome.clone(),
+                    valid_from: now,
+                    valid_until,
+                },
+            );
+        }
+    }
+
+    /// Opens a batched-evaluation context for one server round: all proofs
+    /// evaluated through it share one catalog fetch per `(policy, version)`,
+    /// one credential check + rule saturation per `(policy, version,
+    /// credential list)`, and identical requests are evaluated exactly once
+    /// (the within-round dedup that fixes the redundant-evaluation race).
+    ///
+    /// Every evaluation in the batch happens at the single instant `now` —
+    /// the round's evaluation time.
+    #[must_use]
+    pub fn begin_batch(&self, now: Timestamp) -> BatchEval<'_> {
+        BatchEval {
+            data: self,
+            now,
+            policies: HashMap::new(),
+            saturations: HashMap::new(),
+            computed: HashMap::new(),
+        }
+    }
+
+    /// The earliest instant after `now` at which any of `credentials` can
+    /// change status *without* a CA mutation (which would bump the epoch):
+    /// a validity window opening or closing, or an already-recorded
+    /// future-dated revocation taking effect. Cached decisions are unsound
+    /// at or beyond this horizon.
+    fn validity_horizon(&self, now: Timestamp, credentials: &[Credential]) -> Timestamp {
+        let mut horizon = Timestamp::MAX;
+        for cred in credentials {
+            if now < cred.issued_at() {
+                horizon = horizon.min(cred.issued_at());
+            } else if now < cred.expires_at() {
+                horizon = horizon.min(cred.expires_at());
+            }
+            if let Some(revoked_at) = self.cas.revocation_instant(cred.id()) {
+                if revoked_at > now {
+                    horizon = horizon.min(revoked_at);
+                }
+            }
+        }
+        horizon
+    }
+
+    /// Fabricates the granted proof a capability shortcut stands for —
+    /// recorded with the replica's installed version but with *no* fresh
+    /// policy or credential evaluation (hence unsafe).
+    pub(crate) fn proof_from_capability(
+        &self,
+        now: Timestamp,
+        user: UserId,
+        capability: &safetx_policy::AccessCapability,
+        query: &QuerySpec,
+    ) -> ProofOfAuthorization {
+        let (policy_id, version) = self.governing(&query.resource);
+        // The capability itself is the only "credential" consulted.
+        let _ = capability;
+        ProofOfAuthorization {
+            request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
+            server: self.id,
+            policy_id,
+            policy_version: version,
+            evaluated_at: now,
+            credentials: vec![],
+            outcome: ProofOutcome::Granted,
+        }
+    }
+}
+
+/// Shared evaluation state for one `(policy, version, credential list)`
+/// group within a batch.
+enum SaturationEntry {
+    /// Valid wallet: the fact base saturated under the policy's rules,
+    /// ready for per-goal lookups.
+    Saturated(FactBase),
+    /// Every query under this key short-circuits with this outcome — an
+    /// invalid/revoked credential, or a blown derivation budget (mapped to
+    /// `NotDerivable`, exactly as the unbatched path does).
+    Fixed(ProofOutcome),
+}
+
+/// Batched proof evaluation over one server round.
+///
+/// Mirrors [`DataPlane::evaluate_one`] decision for decision — same policy
+/// resolution, same cache lookups and flush-token-guarded inserts, same
+/// counters — but amortizes the expensive middle across the batch:
+///
+/// * **one catalog fetch** per `(policy, version)`;
+/// * **one credential check + rule saturation** per `(policy, version,
+///   credential list)` — every query presenting the same wallet under the
+///   same policy probes one shared saturated [`FactBase`] instead of
+///   cloning the ambient facts and re-running the fixpoint;
+/// * **one full evaluation** per distinct request: identical cache-miss
+///   keys within the batch reuse the first evaluation's outcome (counted
+///   as cache hits when the cache is enabled), closing the window in which
+///   concurrent misses on one key redundantly re-evaluated.
+///
+/// Dropped at the end of the round; nothing here outlives the batch except
+/// what the regular proof cache retains.
+pub struct BatchEval<'a> {
+    data: &'a DataPlane,
+    now: Timestamp,
+    /// One catalog fetch per (policy, version); `None` caches a missing
+    /// version (denied, never inserted into the proof cache — same as the
+    /// unbatched path).
+    policies: HashMap<(PolicyId, PolicyVersion), Option<Arc<safetx_policy::Policy>>>,
+    /// One credential check + saturation per (policy, version, wallet).
+    saturations: HashMap<(PolicyId, PolicyVersion, Vec<CredentialId>), SaturationEntry>,
+    /// Within-batch dedup: outcome of every distinct request evaluated so
+    /// far this round.
+    computed: HashMap<ProofCacheKey, ProofOutcome>,
+}
+
+impl BatchEval<'_> {
+    /// Evaluates one proof through the batch context. Outcome-identical to
+    /// [`DataPlane::evaluate_one`] at the same instant and cache state.
+    pub fn evaluate_one(
+        &mut self,
+        user: UserId,
+        credentials: &[Credential],
+        query: &QuerySpec,
+    ) -> ProofOfAuthorization {
+        let data = self.data;
+        let now = self.now;
+        let (policy_id, version) = data.governing(&query.resource);
+        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
+        // The key is built even with the cache disabled: within-batch dedup
+        // needs it (the unbatched path skips it then, but has no dedup).
+        let key = ProofCacheKey {
+            policy: policy_id,
+            version,
+            user,
+            credentials: credential_ids.clone(),
+            action: query.action.clone(),
+            resource: query.resource.clone(),
+        };
+        let finish = move |outcome: ProofOutcome| {
+            data.proofs.fetch_add(1, Ordering::Relaxed);
+            ProofOfAuthorization {
+                request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
+                server: data.id,
+                policy_id,
+                policy_version: version,
+                evaluated_at: now,
+                credentials: credential_ids,
+                outcome,
+            }
+        };
+        let cache_enabled = data.cache_enabled.load(Ordering::Acquire);
+        // Within-batch dedup first: an identical request already evaluated
+        // this round reuses its outcome. Counted as a cache hit (a reuse is
+        // a wall-clock saving, and the paper's proof count still advances).
+        if let Some(outcome) = self.computed.get(&key) {
+            if cache_enabled {
+                data.proof_cache
+                    .lock()
+                    .expect("proof cache poisoned")
+                    .stats
+                    .hits += 1;
+            }
+            return finish(outcome.clone());
+        }
+        let lookup = if cache_enabled {
+            match data.cache_lookup(&key, now) {
+                Ok(outcome) => return finish(outcome),
+                Err(flush_token) => Some(flush_token),
+            }
+        } else {
+            None
+        };
+        // One catalog fetch per (policy, version) for the whole batch.
+        let policy = self
+            .policies
+            .entry((policy_id, version))
+            .or_insert_with(|| data.catalog.fetch_shared(policy_id, version).ok())
+            .clone();
+        let Some(policy) = policy else {
+            // Missing catalog version: denied, never cached and never
+            // recorded for dedup — it can appear at any later instant
+            // without an invalidation signal (same as the unbatched path).
+            return finish(ProofOutcome::NotDerivable);
+        };
+        // One credential check + saturation per (policy, version, wallet).
+        let entry = self
+            .saturations
+            .entry((policy_id, version, key.credentials.clone()))
+            .or_insert_with(|| {
+                let ambient = data.ambient.read().expect("ambient lock poisoned");
+                match safetx_policy::credential_fact_base(&data.cas, &ambient, credentials, now) {
+                    Ok(safetx_policy::CredentialCheck::Valid(facts)) => {
+                        match data.engine.saturate(policy.rules().as_slice(), &facts) {
+                            Ok(saturated) => SaturationEntry::Saturated(saturated),
+                            Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
+                        }
+                    }
+                    Ok(safetx_policy::CredentialCheck::Refused(outcome)) => {
+                        SaturationEntry::Fixed(outcome)
+                    }
+                    Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
+                }
+            });
+        let outcome = match entry {
+            SaturationEntry::Saturated(saturated) => {
+                let goal =
+                    AccessRequest::new(user, query.action.clone(), query.resource.clone()).goal();
+                if Engine::holds(saturated, &goal) {
+                    ProofOutcome::Granted
+                } else {
+                    ProofOutcome::NotDerivable
+                }
+            }
+            SaturationEntry::Fixed(outcome) => outcome.clone(),
+        };
+        data.engine_evals.fetch_add(1, Ordering::Relaxed);
+        self.computed.insert(key.clone(), outcome.clone());
+        if let Some(flush_token) = lookup {
+            data.cache_insert(key, &outcome, now, credentials, flush_token);
+        }
+        finish(outcome)
+    }
+
+    /// (Re-)evaluates proofs for a snapshot of a transaction's queries
+    /// through the batch context. Returns `(truth, versions, proofs)` —
+    /// the body of a 2PV reply.
+    #[must_use]
+    pub fn evaluate_snapshot(
+        &mut self,
+        snapshot: &EvalSnapshot,
+    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
+        let mut truth = true;
+        let mut versions = VersionMap::new();
+        let mut proofs = Vec::new();
+        for (_, query) in &snapshot.queries {
+            let proof = self.evaluate_one(snapshot.user, &snapshot.credentials, query);
+            truth &= proof.truth();
+            versions.insert(proof.policy_id, proof.policy_version);
+            proofs.push(proof);
+        }
+        (truth, versions, proofs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::Msg;
+    use crate::server::fixture::*;
+    use safetx_policy::PolicyBuilder;
+    use safetx_txn::Operation;
+    use safetx_types::{AdminDomain, CaId, DataItemId, TxnId};
+
+    #[test]
+    fn proof_cache_hit_still_counts_as_a_proof() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        exec_query(&mut fx, txn, true);
+        let out = exec_query(&mut fx, txn, true);
+        assert!(matches!(
+            &out[0].1,
+            Msg::QueryDone { proof: Some(p), .. } if p.truth()
+        ));
+        let counters = fx.core.counters();
+        assert_eq!(counters.proofs, 2, "Table I accounting unchanged by cache");
+        assert_eq!(counters.proof_cache.hits, 1);
+        assert_eq!(counters.proof_cache.misses, 1);
+    }
+
+    #[test]
+    fn revocation_epoch_flushes_cache_and_denies() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        let out = exec_query(&mut fx, txn, true);
+        assert!(matches!(
+            &out[0].1,
+            Msg::QueryDone { proof: Some(p), .. } if p.truth()
+        ));
+        let cred_id = fx.credential.id();
+        fx.cas.with_mut(|registry| {
+            registry.revoke(CaId::new(0), cred_id, Timestamp::from_millis(2));
+        });
+        let out = validate(&mut fx, txn, Timestamp::from_millis(3));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ValidateReply { reply, .. } if !reply.truth
+        ));
+        let counters = fx.core.counters();
+        assert_eq!(counters.proof_cache.hits, 0, "stale grant never served");
+        assert_eq!(counters.proof_cache.invalidations, 1);
+    }
+
+    #[test]
+    fn future_dated_revocation_bounds_cached_validity() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        let cred_id = fx.credential.id();
+        // Revocation recorded before any evaluation, effective at t=5ms —
+        // so no epoch change happens between the two evaluations below.
+        fx.cas.with_mut(|registry| {
+            registry.revoke(CaId::new(0), cred_id, Timestamp::from_millis(5));
+        });
+        // t=1ms: still good — granted and cached.
+        let out = exec_query(&mut fx, txn, true);
+        assert!(matches!(
+            &out[0].1,
+            Msg::QueryDone { proof: Some(p), .. } if p.truth()
+        ));
+        // t=9ms: the entry's validity horizon (5ms) has passed.
+        let out = validate(&mut fx, txn, Timestamp::from_millis(9));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ValidateReply { reply, .. } if !reply.truth
+        ));
+        assert_eq!(fx.core.counters().proof_cache.hits, 0);
+    }
+
+    #[test]
+    fn policy_install_invalidates_cache() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        exec_query(&mut fx, txn, true);
+        let v2 = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+            .version(PolicyVersion(2))
+            .rules_text("grant(write, records) :- role(U, admin).")
+            .unwrap()
+            .build();
+        fx.catalog.publish(v2);
+        fx.core.handle(
+            Timestamp::from_millis(2),
+            TM,
+            Msg::PolicyGossip {
+                policy_id: PolicyId::new(0),
+                version: PolicyVersion(2),
+            },
+        );
+        assert_eq!(fx.core.counters().proof_cache.invalidations, 1);
+        let out = validate(&mut fx, txn, Timestamp::from_millis(3));
+        assert!(matches!(
+            &out[0].1,
+            Msg::ValidateReply { reply, .. } if !reply.truth
+        ));
+        assert_eq!(fx.core.counters().proof_cache.hits, 0);
+    }
+
+    #[test]
+    fn disabled_cache_is_inert() {
+        let mut fx = fixture();
+        fx.core.set_proof_cache(false);
+        let txn = TxnId::new(1);
+        exec_query(&mut fx, txn, true);
+        exec_query(&mut fx, txn, true);
+        let counters = fx.core.counters();
+        assert_eq!(counters.proofs, 2);
+        assert_eq!(
+            counters.proof_cache,
+            safetx_metrics::ProofCacheStats::default()
+        );
+    }
+
+    fn eval_query(action: &str) -> Arc<QuerySpec> {
+        Arc::new(QuerySpec::new(
+            ServerId::new(0),
+            action,
+            "records",
+            vec![Operation::Read(DataItemId::new(0))],
+        ))
+    }
+
+    #[test]
+    fn batch_dedups_identical_requests_within_a_round() {
+        // Regression for the documented redundant-evaluation race: before
+        // batching, N concurrent misses on one key all ran the engine.
+        let fx = fixture();
+        let data = fx.core.data_plane();
+        let query = eval_query("write");
+        let creds = [fx.credential.clone()];
+        let mut batch = data.begin_batch(Timestamp::from_millis(1));
+        let proofs: Vec<_> = (0..4)
+            .map(|_| batch.evaluate_one(UserId::new(1), &creds, &query))
+            .collect();
+        drop(batch);
+        assert!(proofs
+            .iter()
+            .all(safetx_policy::ProofOfAuthorization::truth));
+        assert_eq!(
+            data.engine_evaluations(),
+            1,
+            "identical requests in one round must evaluate once"
+        );
+        let counters = fx.core.counters();
+        assert_eq!(counters.proofs, 4, "Table I accounting unchanged");
+        assert_eq!(counters.proof_cache.misses, 1);
+        assert_eq!(counters.proof_cache.hits, 3, "dedup reuse counts as hits");
+    }
+
+    #[test]
+    fn batch_dedups_even_with_the_cache_disabled() {
+        let mut fx = fixture();
+        fx.core.set_proof_cache(false);
+        let data = fx.core.data_plane();
+        let query = eval_query("write");
+        let creds = [fx.credential.clone()];
+        let mut batch = data.begin_batch(Timestamp::from_millis(1));
+        for _ in 0..3 {
+            assert!(batch.evaluate_one(UserId::new(1), &creds, &query).truth());
+        }
+        drop(batch);
+        assert_eq!(data.engine_evaluations(), 1);
+        let counters = fx.core.counters();
+        assert_eq!(counters.proofs, 3);
+        assert_eq!(
+            counters.proof_cache,
+            safetx_metrics::ProofCacheStats::default(),
+            "disabled cache stays inert under batching too"
+        );
+    }
+
+    #[test]
+    fn batch_outcomes_match_unbatched_evaluation() {
+        // Same data plane, cache off so both paths do full evaluations:
+        // the batch must reproduce the unbatched proofs field for field.
+        let mut fx = fixture();
+        fx.core.set_proof_cache(false);
+        let data = fx.core.data_plane();
+        let creds = [fx.credential.clone()];
+        let queries = [eval_query("write"), eval_query("read"), eval_query("drop")];
+        let now = Timestamp::from_millis(1);
+        let unbatched: Vec<_> = queries
+            .iter()
+            .map(|q| data.evaluate_one(now, UserId::new(1), &creds, q))
+            .collect();
+        let mut batch = data.begin_batch(now);
+        let batched: Vec<_> = queries
+            .iter()
+            .map(|q| batch.evaluate_one(UserId::new(1), &creds, q))
+            .collect();
+        drop(batch);
+        assert_eq!(batched, unbatched);
+        assert!(batched[0].truth() && batched[1].truth());
+        assert!(
+            !batched[2].truth(),
+            "underivable action denied in batch too"
+        );
+    }
+
+    #[test]
+    fn batch_snapshot_evaluation_matches_the_inline_path() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        exec_query(&mut fx, txn, false);
+        let snapshot = fx.core.snapshot_txn(txn).expect("registered");
+        let now = Timestamp::from_millis(2);
+        let batched = fx
+            .core
+            .data_plane()
+            .begin_batch(now)
+            .evaluate_snapshot(&snapshot);
+        let inline = validate(&mut fx, txn, now);
+        let Msg::ValidateReply { reply, .. } = &inline[0].1 else {
+            panic!("expected a 2PV reply, got {inline:?}");
+        };
+        assert_eq!(
+            batched,
+            (reply.truth, reply.versions.clone(), reply.proofs.clone())
+        );
+        assert_eq!(batched.2.len(), 1);
+    }
+}

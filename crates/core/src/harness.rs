@@ -9,10 +9,11 @@
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::concurrency::ConcurrencyMode;
 use crate::consistency::ConsistencyLevel;
+use crate::data_plane::SharedCas;
 use crate::master::MasterActor;
 use crate::messages::{AddressBook, Msg};
 use crate::scheme::ProofScheme;
-use crate::server::{CloudServerActor, SharedCas};
+use crate::sim_actor::CloudServerActor;
 use crate::tm::{TmActor, TxnRecord};
 use safetx_metrics::ProtocolMetrics;
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential, Policy};
@@ -664,6 +665,12 @@ mod tests {
         let report = exp.report();
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.commits(), 1);
+        // The experiment's mode follows SAFETX_CONCURRENCY_MODE: contention
+        // surfaces at the query under 2PL and at the vote under OCC.
+        let expected = match ConcurrencyMode::from_env() {
+            ConcurrencyMode::Locking => AbortReason::LockConflict,
+            ConcurrencyMode::Occ => AbortReason::ValidationConflict,
+        };
         assert_eq!(
             report
                 .records
@@ -672,7 +679,7 @@ mod tests {
                 .unwrap()
                 .outcome
                 .abort_reason(),
-            Some(AbortReason::LockConflict)
+            Some(expected)
         );
     }
 

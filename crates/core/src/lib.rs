@@ -27,6 +27,11 @@
 //!   lifecycle — scheme pipelines, version pinning, 2PV, 2PVC, timeouts —
 //!   as a pure `step(Event) -> Vec<Effect>` state machine shared by every
 //!   runtime.
+//! * **The drivers of both cores**: [`drive_tm`] is the blocking TM loop
+//!   over a [`TmIo`] transport, [`ServerCore::run_round`] the server round
+//!   (protocol plane inline under one WAL group, proof evaluation handed
+//!   back as a [`DeferredEval`]); the threaded and socket runtimes are
+//!   transports around them.
 //! * **Simulation actors**: [`TmActor`], [`CloudServerActor`] and
 //!   [`MasterActor`] run the protocols on the
 //!   [`safetx_sim`] discrete-event world; [`Experiment`] wires complete
@@ -39,14 +44,18 @@ mod catalog;
 pub mod complexity;
 mod concurrency;
 mod consistency;
+mod data_plane;
 mod harness;
 mod master;
 mod messages;
 mod outcome;
+mod round;
 mod scheme;
 mod server;
+mod sim_actor;
 mod tm;
 pub mod tm_core;
+mod tm_loop;
 pub mod trusted;
 mod two_pvc;
 mod validation;
@@ -58,19 +67,21 @@ pub use consistency::{
     consistent_at, phi_consistent, phi_consistent_by_admin, psi_consistent, ConsistencyLevel,
     VersionAuthority,
 };
+pub use data_plane::{BatchEval, DataPlane, EvalSnapshot, SharedCas};
 pub use harness::{Experiment, ExperimentConfig, ExperimentReport};
 pub use master::MasterActor;
 pub use messages::coalesce_replies;
 pub use messages::AddressBook;
-pub use messages::Msg;
+pub use messages::{Msg, MsgKind};
 pub use outcome::{AbortReason, TxnOutcome};
+pub use round::{DeferredEval, Round};
 pub use scheme::ProofScheme;
-pub use server::{
-    BatchEval, CloudServerActor, DataPlane, EvalSnapshot, ServerCore, ServerCounters, SharedCas,
-};
+pub use server::{ServerCore, ServerCounters};
+pub use sim_actor::CloudServerActor;
 pub use tm::TmActor;
 pub use tm::TxnRecord;
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
+pub use tm_loop::{drive_tm, terminate_leftover, TmCrashPoint, TmIo, TmRun};
 pub use two_pvc::{TwoPvc, TwoPvcAction, TwoPvcState};
 pub use validation::{
     ValidationAction, ValidationConfig, ValidationOutcome, ValidationReply, ValidationRound,

@@ -202,6 +202,69 @@ pub enum Msg {
     },
 }
 
+/// Protocol message kinds: the protocol moments fault rules and crash
+/// points are pinned to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgKind {
+    /// TM → server query execution request.
+    ExecQuery,
+    /// Server → TM query completion.
+    QueryDone,
+    /// TM → server 2PV collection request.
+    PrepareToValidate,
+    /// Server → TM 2PV reply.
+    ValidateReply,
+    /// TM → server 2PVC voting request.
+    PrepareToCommit,
+    /// Server → TM 2PVC vote.
+    CommitReply,
+    /// TM → server policy-version update round.
+    Update,
+    /// TM → server global decision.
+    Decision,
+    /// Server → TM decision acknowledgment.
+    Ack,
+    /// Anything else (policy gossip, inquiries, …).
+    Other,
+}
+
+impl MsgKind {
+    /// Classifies a wire message.
+    #[must_use]
+    pub fn of(msg: &Msg) -> MsgKind {
+        match msg {
+            Msg::ExecQuery { .. } => MsgKind::ExecQuery,
+            Msg::QueryDone { .. } => MsgKind::QueryDone,
+            Msg::PrepareToValidate { .. } => MsgKind::PrepareToValidate,
+            Msg::ValidateReply { .. } => MsgKind::ValidateReply,
+            Msg::PrepareToCommit { .. } => MsgKind::PrepareToCommit,
+            Msg::CommitReply { .. } => MsgKind::CommitReply,
+            Msg::Update { .. } => MsgKind::Update,
+            Msg::Decision { .. } => MsgKind::Decision,
+            Msg::Ack { .. } => MsgKind::Ack,
+            _ => MsgKind::Other,
+        }
+    }
+
+    /// Stable per-kind salt folded into every seeded fault roll, so
+    /// identical edges hash identically across runtimes.
+    #[must_use]
+    pub fn salt(self) -> u64 {
+        match self {
+            MsgKind::ExecQuery => 1,
+            MsgKind::QueryDone => 2,
+            MsgKind::PrepareToValidate => 3,
+            MsgKind::ValidateReply => 4,
+            MsgKind::PrepareToCommit => 5,
+            MsgKind::CommitReply => 6,
+            MsgKind::Update => 7,
+            MsgKind::Decision => 8,
+            MsgKind::Ack => 9,
+            MsgKind::Other => 10,
+        }
+    }
+}
+
 /// Groups a round's outputs by destination, coalescing multiple messages
 /// to the same destination into one [`Msg::Batch`] envelope — one send
 /// (and one fabric or socket crossing) per destination per round.
@@ -233,6 +296,10 @@ pub fn coalesce_replies<A: Clone>(
     outputs: Vec<(A, Msg)>,
     key: impl Fn(&A) -> u64,
 ) -> Vec<(A, Msg)> {
+    // At most one output: nothing to group (the common round).
+    if outputs.len() <= 1 {
+        return outputs;
+    }
     let mut order: Vec<A> = Vec::new();
     let mut groups: std::collections::HashMap<u64, Vec<Msg>> = std::collections::HashMap::new();
     for (to, msg) in outputs {

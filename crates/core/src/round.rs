@@ -1,0 +1,411 @@
+//! One server round: the only way a runtime feeds a [`ServerCore`].
+//!
+//! [`ServerCore::run_round`] takes the messages a server loop drained in
+//! one iteration and splits each between the two planes. The protocol
+//! plane — registration, locks, write sets, votes, decisions, WAL — runs
+//! inline, in arrival order, under **one** WAL group, so the round's forced
+//! appends share a single physical sync and no reply that acknowledges a
+//! force exists before that sync has happened. Proof evaluation — the
+//! data plane, and under Punctual/Continuous the round's entire cost — is
+//! collected into a [`DeferredEval`] the runtime may ship to a worker:
+//! it touches only the shareable [`DataPlane`], evaluates the whole round
+//! through one [`crate::BatchEval`], and involves no forces.
+
+use crate::data_plane::{DataPlane, EvalSnapshot};
+use crate::messages::Msg;
+use crate::server::ServerCore;
+use crate::validation::ValidationReply;
+use safetx_policy::Credential;
+use safetx_txn::{QuerySpec, Vote};
+use safetx_types::{Timestamp, TxnId, UserId};
+use std::sync::Arc;
+
+/// One proof-evaluation work item deferred out of a round. Its
+/// protocol-plane half already ran on the server thread; evaluating the
+/// proofs and building the reply is pure data-plane work.
+enum EvalTask<A> {
+    /// An `ExecQuery` whose data operations succeeded: evaluate the proof
+    /// and reply `QueryDone`.
+    Query {
+        to: A,
+        txn: TxnId,
+        query_index: usize,
+        query: Arc<QuerySpec>,
+        user: UserId,
+        credentials: Arc<[Credential]>,
+    },
+    /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
+    /// evaluate the snapshot and reply `ValidateReply`.
+    Snapshot {
+        to: A,
+        txn: TxnId,
+        snapshot: EvalSnapshot,
+    },
+}
+
+/// The data-plane half of a round: its proof evaluations, still to run.
+/// `Send` (for `A: Send`), so a runtime can hand it to a worker thread.
+pub struct DeferredEval<A> {
+    data: Arc<DataPlane>,
+    tasks: Vec<EvalTask<A>>,
+}
+
+impl<A> DeferredEval<A> {
+    /// Evaluates the round's proofs at the single instant `now` through
+    /// one [`crate::BatchEval`] — shared policy fetches, credential
+    /// saturations and within-round dedup — and returns the replies they
+    /// feed, in the order the round received the requests.
+    #[must_use]
+    pub fn run(self, now: Timestamp) -> Vec<(A, Msg)> {
+        let mut batch = self.data.begin_batch(now);
+        let mut replies = Vec::with_capacity(self.tasks.len());
+        for task in self.tasks {
+            replies.push(match task {
+                EvalTask::Query {
+                    to,
+                    txn,
+                    query_index,
+                    query,
+                    user,
+                    credentials,
+                } => {
+                    let proof = batch.evaluate_one(user, &credentials, &query);
+                    (
+                        to,
+                        Msg::QueryDone {
+                            txn,
+                            query_index,
+                            ok: true,
+                            proof: Some(proof),
+                            capability: None,
+                        },
+                    )
+                }
+                EvalTask::Snapshot { to, txn, snapshot } => {
+                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
+                    let reply = ValidationReply {
+                        vote: Vote::Yes,
+                        truth,
+                        versions,
+                        proofs,
+                        conflict: false,
+                    };
+                    (to, Msg::ValidateReply { txn, reply })
+                }
+            });
+        }
+        replies
+    }
+}
+
+/// What one [`ServerCore::run_round`] produced.
+pub struct Round<A> {
+    /// The protocol plane's replies. The round's WAL group has closed:
+    /// every force they acknowledge is durable.
+    pub replies: Vec<(A, Msg)>,
+    /// The round's proof evaluations, when it deferred any.
+    pub deferred: Option<DeferredEval<A>>,
+}
+
+impl<A: Clone> ServerCore<A> {
+    /// Processes one round of messages, each with the peer it came from.
+    /// A [`Msg::Batch`] envelope is its inner messages in order.
+    ///
+    /// Equivalent, reply for reply, to calling [`ServerCore::handle`] on
+    /// each message in turn — except that the round's forces cost one
+    /// physical sync and its proofs are evaluated by
+    /// [`DeferredEval::run`] rather than here.
+    pub fn run_round(
+        &mut self,
+        now: Timestamp,
+        msgs: impl IntoIterator<Item = (A, Msg)>,
+    ) -> Round<A> {
+        let mut replies = Vec::new();
+        let mut tasks = Vec::new();
+        self.begin_wal_group();
+        for (from, msg) in msgs {
+            match msg {
+                Msg::Batch(inner) => {
+                    for msg in inner {
+                        self.round_msg(now, from.clone(), msg, &mut replies, &mut tasks);
+                    }
+                }
+                msg => self.round_msg(now, from, msg, &mut replies, &mut tasks),
+            }
+        }
+        // The group closes — performing the round's one physical sync —
+        // before any reply is released, so a vote never outruns the force
+        // it acknowledges.
+        self.end_wal_group();
+        let deferred = (!tasks.is_empty()).then(|| DeferredEval {
+            data: self.data_plane(),
+            tasks,
+        });
+        Round { replies, deferred }
+    }
+
+    /// Runs the protocol-plane half of one message, deferring its proof
+    /// evaluation (if it asks for one) to `tasks`. Messages whose handling
+    /// is pure protocol — voting, decisions, recovery — go through
+    /// [`ServerCore::handle`]'s path unchanged.
+    fn round_msg(
+        &mut self,
+        now: Timestamp,
+        from: A,
+        msg: Msg,
+        replies: &mut Vec<(A, Msg)>,
+        tasks: &mut Vec<EvalTask<A>>,
+    ) {
+        // The unsafe baseline measures capability-shortcut hazards that
+        // depend on exact interleavings: keep it fully inline.
+        if self.unsafe_baseline() {
+            self.handle_into(now, from, msg, replies);
+            return;
+        }
+        match msg {
+            Msg::ExecQuery {
+                txn,
+                query_index,
+                query,
+                user,
+                credentials,
+                evaluate_proof: true,
+                pin_versions,
+                capabilities: _,
+            } => match self.execute_query(
+                txn,
+                (query_index, &query),
+                user,
+                &credentials,
+                &pin_versions,
+                from.clone(),
+            ) {
+                // Already decided here: no reply owed.
+                None => {}
+                // Lock conflict: the proof is moot.
+                Some(false) => replies.push((
+                    from,
+                    Msg::QueryDone {
+                        txn,
+                        query_index,
+                        ok: false,
+                        proof: None,
+                        capability: None,
+                    },
+                )),
+                Some(true) => tasks.push(EvalTask::Query {
+                    to: from,
+                    txn,
+                    query_index,
+                    query,
+                    user,
+                    credentials,
+                }),
+            },
+            Msg::PrepareToValidate {
+                txn,
+                new_query,
+                user,
+                credentials,
+            } => {
+                // `None`: a duplicated or delayed round for a transaction
+                // already decided here — no reply owed.
+                if let Some(snapshot) =
+                    self.register_validation(txn, new_query, user, credentials, from.clone())
+                {
+                    tasks.push(EvalTask::Snapshot {
+                        to: from,
+                        txn,
+                        snapshot,
+                    });
+                }
+            }
+            // In-commit updates touch the participant state machine and
+            // stay inline.
+            Msg::Update {
+                txn,
+                targets,
+                in_commit: false,
+            } => {
+                self.fast_forward(&targets);
+                match self.snapshot_txn(txn) {
+                    Some(snapshot) => tasks.push(EvalTask::Snapshot {
+                        to: from,
+                        txn,
+                        snapshot,
+                    }),
+                    // No state here: the vacuous reply `handle` gives.
+                    None => replies.push((
+                        from,
+                        Msg::ValidateReply {
+                            txn,
+                            reply: ValidationReply::empty_true(),
+                        },
+                    )),
+                }
+            }
+            other => self.handle_into(now, from, other, replies),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::fixture::*;
+    use crate::validation::VersionMap;
+    use safetx_txn::{Decision, Operation};
+    use safetx_types::{DataItemId, ServerId};
+
+    const NOW: Timestamp = Timestamp::from_millis(1);
+    /// A second coordinator, so rounds have two destinations.
+    const TM2: u8 = 43;
+
+    fn exec(fx: &Fixture, txn: u64, evaluate_proof: bool) -> Msg {
+        Msg::ExecQuery {
+            txn: TxnId::new(txn),
+            query_index: 0,
+            query: Arc::new(QuerySpec::new(
+                ServerId::new(0),
+                "write",
+                "records",
+                vec![Operation::Add(DataItemId::new(txn), 1)],
+            )),
+            user: UserId::new(1),
+            credentials: Arc::from([fx.credential.clone()]),
+            evaluate_proof,
+            pin_versions: VersionMap::new(),
+            capabilities: vec![],
+        }
+    }
+
+    fn prepare_to_commit(txn: u64) -> Msg {
+        Msg::PrepareToCommit {
+            txn: TxnId::new(txn),
+            validate: true,
+            expected_queries: vec![0],
+        }
+    }
+
+    fn commit(txn: u64) -> Msg {
+        Msg::Decision {
+            txn: TxnId::new(txn),
+            decision: Decision::Commit,
+        }
+    }
+
+    /// A mixed round: TM drives transaction 1 through the deferring
+    /// messages (proof at the query, a 2PV contact, a standalone update),
+    /// TM2 drives transaction 2 through the forcing ones (vote, decision).
+    fn mixed_round(fx: &Fixture) -> Vec<(u8, Msg)> {
+        vec![
+            (TM, exec(fx, 1, true)),
+            (TM2, exec(fx, 2, false)),
+            (
+                TM,
+                Msg::PrepareToValidate {
+                    txn: TxnId::new(1),
+                    new_query: None,
+                    user: UserId::new(1),
+                    credentials: Arc::from([fx.credential.clone()]),
+                },
+            ),
+            (TM2, prepare_to_commit(2)),
+            (
+                TM,
+                Msg::Update {
+                    txn: TxnId::new(1),
+                    targets: VersionMap::new(),
+                    in_commit: false,
+                },
+            ),
+            (TM2, commit(2)),
+        ]
+    }
+
+    /// Runs `rounds` one after the other; returns each destination's
+    /// replies in order (as debug text — `Msg` has no `PartialEq`).
+    fn run(fx: &mut Fixture, rounds: Vec<Vec<(u8, Msg)>>) -> [Vec<String>; 2] {
+        let mut per_dest = [Vec::new(), Vec::new()];
+        for round in rounds {
+            let out = fx.core.run_round(NOW, round);
+            let deferred = out.deferred.map(|d| d.run(NOW)).unwrap_or_default();
+            for (to, msg) in out.replies.into_iter().chain(deferred) {
+                per_dest[usize::from(to - TM)].push(format!("{msg:?}"));
+            }
+        }
+        per_dest
+    }
+
+    #[test]
+    fn one_round_of_n_messages_equals_n_rounds_of_one() {
+        let (mut together, mut apart) = (fixture(), fixture());
+        let round = mixed_round(&together);
+        let singles = mixed_round(&apart).into_iter().map(|m| vec![m]).collect();
+        let replies_together = run(&mut together, vec![round]);
+        let replies_apart = run(&mut apart, singles);
+        assert_eq!(replies_together, replies_apart);
+        assert_eq!(replies_together[0].len(), 3, "{replies_together:?}");
+        assert_eq!(replies_together[1].len(), 3, "{replies_together:?}");
+
+        // Same counters but for the syncs: the vote and the decision are
+        // two forces, one sync in one round, one sync each apart.
+        let (a, b) = (together.core.counters(), apart.core.counters());
+        assert_eq!((a.proofs, a.forced_logs), (b.proofs, b.forced_logs));
+        assert_eq!(a.proof_cache, b.proof_cache);
+        assert_eq!(
+            together.core.wal().forced_count(),
+            apart.core.wal().forced_count()
+        );
+        assert_eq!(
+            (a.forced_logs, a.physical_syncs, b.physical_syncs),
+            (2, 1, 2)
+        );
+        for item in 0..3 {
+            let item = DataItemId::new(item);
+            assert_eq!(
+                together.core.store().read_int(item),
+                apart.core.store().read_int(item)
+            );
+        }
+        assert_eq!(together.core.store().read_int(DataItemId::new(2)), Some(1));
+        assert_eq!(together.core.active_txn_ids(), apart.core.active_txn_ids());
+    }
+
+    #[test]
+    fn a_vote_is_released_only_after_the_rounds_wal_group_closed() {
+        let mut fx = fixture();
+        exec_query(&mut fx, TxnId::new(0), false);
+        let out = fx.core.run_round(NOW, vec![(TM, prepare_to_commit(0))]);
+        assert!(
+            matches!(&out.replies[..], [(_, Msg::CommitReply { reply, .. })] if reply.vote.is_yes())
+        );
+        // The YES vote acknowledges the forced prepare record: by the time
+        // the round hands it out, the force has been synced …
+        let counters = fx.core.counters();
+        assert_eq!((counters.forced_logs, counters.physical_syncs), (1, 1));
+        assert!(out.deferred.is_none(), "votes are never deferred");
+        // … and the group is closed, not left open: a force outside any
+        // round syncs at once.
+        fx.core.handle(NOW, TM, commit(0));
+        assert_eq!(fx.core.counters().physical_syncs, 2);
+    }
+
+    #[test]
+    fn a_batch_envelope_in_a_round_is_its_inner_messages_in_order() {
+        let (mut enveloped, mut bare) = (fixture(), fixture());
+        let inner = |fx: &Fixture| vec![exec(fx, 0, true), prepare_to_commit(0), commit(0)];
+        let envelope = vec![(TM, Msg::Batch(inner(&enveloped)))];
+        let messages = inner(&bare).into_iter().map(|m| (TM, m)).collect();
+        let replies = run(&mut enveloped, vec![envelope]);
+        assert_eq!(replies, run(&mut bare, vec![messages]));
+        // Vote and ack inline, in order; then the query's deferred proof.
+        let kinds: Vec<&str> = replies[0]
+            .iter()
+            .map(|m| m.split_once(' ').map_or(m.as_str(), |(kind, _)| kind))
+            .collect();
+        assert_eq!(kinds, ["CommitReply", "Ack", "QueryDone"]);
+        assert_eq!(enveloped.core.store().read_int(DataItemId::new(0)), Some(6));
+        assert_eq!(enveloped.core.counters(), bare.core.counters());
+    }
+}

@@ -1,21 +1,20 @@
-//! The cloud server: query execution, proof evaluation, participant side of
-//! 2PV/2PVC, and crash recovery.
+//! The cloud server: query execution, participant side of 2PV/2PVC, and
+//! crash recovery.
 //!
 //! The protocol logic lives in [`ServerCore`], a sans-io handler generic
 //! over the address type `A` of its peers: `handle` consumes one message
-//! and returns the messages to send. [`CloudServerActor`] adapts it to the
-//! discrete-event simulator (`A = NodeId`); the `safetx-runtime` crate
-//! adapts the same core to crossbeam channels.
+//! and returns the messages to send; [`ServerCore::run_round`] (see
+//! [`crate::round`]) feeds it a whole batch. Proof evaluation lives in the
+//! shareable [`DataPlane`]; [`crate::CloudServerActor`] adapts the core to
+//! the discrete-event simulator (`A = NodeId`), the `safetx-runtime` and
+//! `safetx-net` crates to channels and sockets.
 
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::concurrency::ConcurrencyMode;
-use crate::messages::{AddressBook, Msg};
+use crate::data_plane::{DataPlane, EvalSnapshot, SharedCas};
+use crate::messages::Msg;
 use crate::validation::{ValidationReply, VersionMap};
-use safetx_policy::{
-    evaluate_proof, AccessRequest, CaRegistry, Credential, CredentialStatus, Engine, FactBase,
-    ProofContext, ProofOfAuthorization, ProofOutcome, StatusOracle, SyntacticCheck,
-};
-use safetx_sim::{Actor, Context, NodeId};
+use safetx_policy::{Credential, FactBase, ProofOfAuthorization};
 use safetx_store::{
     ConstraintSet, LocalStore, LockMode, MvccOverlay, ReadSet, ShardedLockManager, SnapshotId, Wal,
     WriteSet,
@@ -24,82 +23,9 @@ use safetx_txn::{
     CommitVariant, Operation, Participant, ParticipantOutput, ParticipantRecord, ParticipantState,
     QuerySpec, Vote,
 };
-use safetx_types::{CredentialId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
+use safetx_types::{PolicyVersion, ServerId, Timestamp, TxnId, UserId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-
-/// Shared handle to the deployment's certificate authorities.
-///
-/// The paper assumes "each CA offers an online method that allows any server
-/// to check the current status of a particular credential"; this handle is
-/// that online method. Workloads revoke credentials through it mid-run.
-///
-/// The handle also maintains a **revocation epoch**: a counter bumped on
-/// every mutation of CA state (issue, revoke, register). Proof caches key
-/// their validity on this epoch, so any oracle state change — however
-/// small — flushes every cached authorization decision that might have
-/// depended on it. This is what preserves the paper's time-dependent
-/// semantic validity check under caching: a credential revoked in
-/// `[ti, t]` can never be served from a pre-revocation cache entry.
-#[derive(Debug, Clone, Default)]
-pub struct SharedCas {
-    inner: Arc<RwLock<CaRegistry>>,
-    epoch: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl SharedCas {
-    /// Wraps a registry.
-    #[must_use]
-    pub fn new(registry: CaRegistry) -> Self {
-        SharedCas {
-            inner: Arc::new(RwLock::new(registry)),
-            epoch: Arc::default(),
-        }
-    }
-
-    /// Runs `f` with mutable access (issue/revoke operations). Always bumps
-    /// the revocation epoch: callers get mutable registry access only
-    /// through here, so every possible oracle state change is covered.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut CaRegistry) -> R) -> R {
-        let result = f(&mut self.inner.write().expect("CA lock poisoned"));
-        self.epoch.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        result
-    }
-
-    /// The current revocation epoch. Two equal observations bracket a span
-    /// with no CA state change.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// The recorded revocation instant for `credential`, including
-    /// future-dated revocations not yet visible to `status`.
-    #[must_use]
-    pub fn revocation_instant(&self, credential: CredentialId) -> Option<Timestamp> {
-        self.inner
-            .read()
-            .expect("CA lock poisoned")
-            .revocation_instant(credential)
-    }
-}
-
-impl StatusOracle for SharedCas {
-    fn status(&self, credential: CredentialId, at: Timestamp) -> CredentialStatus {
-        self.inner
-            .read()
-            .expect("CA lock poisoned")
-            .status(credential, at)
-    }
-
-    fn verify(&self, credential: &Credential, at: Timestamp) -> SyntacticCheck {
-        self.inner
-            .read()
-            .expect("CA lock poisoned")
-            .verify(credential, at)
-    }
-}
+use std::sync::Arc;
 
 /// Per-transaction state at one server.
 #[derive(Debug)]
@@ -141,741 +67,12 @@ pub struct ServerCounters {
     pub proof_cache: safetx_metrics::ProofCacheStats,
 }
 
-/// Cache key for one proof-of-authorization decision. Everything the
-/// outcome depends on is either in the key (policy identity and version,
-/// requester, the exact credential list in presentation order, the request)
-/// or guarded by an invalidation signal (CA revocation epoch, ambient
-/// facts, resource→policy mapping).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ProofCacheKey {
-    policy: safetx_types::PolicyId,
-    version: PolicyVersion,
-    user: UserId,
-    /// Presentation order matters: evaluation short-circuits on the first
-    /// invalid credential, so a reordered list is a different computation.
-    credentials: Vec<CredentialId>,
-    action: String,
-    resource: String,
-}
-
-/// One cached decision and the time window it provably covers.
-#[derive(Debug, Clone)]
-struct CachedProof {
-    outcome: ProofOutcome,
-    /// First instant the entry answers for (the original evaluation time).
-    valid_from: Timestamp,
-    /// Exclusive horizon: the earliest instant at which some credential's
-    /// status can flip without a CA mutation (its validity-window start or
-    /// end, or an already-recorded future revocation instant).
-    valid_until: Timestamp,
-}
-
-/// Per-server proof cache with whole-cache epoch invalidation.
-#[derive(Debug, Default)]
-struct ProofCache {
-    entries: HashMap<ProofCacheKey, CachedProof>,
-    /// The CA revocation epoch the entries were computed under.
-    epoch: u64,
-    /// Bumped on every `invalidate_all`. Lets an evaluation that released
-    /// the cache lock mid-computation detect a concurrent flush and discard
-    /// its (possibly stale) result instead of inserting it.
-    flush_seq: u64,
-    stats: safetx_metrics::ProofCacheStats,
-    disabled: bool,
-}
-
-impl ProofCache {
-    /// Drops every entry, counting them as invalidations.
-    fn invalidate_all(&mut self) {
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-        self.flush_seq += 1;
-    }
-
-    /// Aligns the cache with the oracle's revocation epoch, flushing stale
-    /// entries when CA state changed since they were computed.
-    fn sync_epoch(&mut self, epoch: u64) {
-        if epoch != self.epoch {
-            self.invalidate_all();
-            self.epoch = epoch;
-        }
-    }
-
-    /// Looks up a decision valid at `now`.
-    fn get(&mut self, key: &ProofCacheKey, now: Timestamp) -> Option<ProofOutcome> {
-        if self.disabled {
-            return None;
-        }
-        match self.entries.get(key) {
-            Some(entry) if entry.valid_from <= now && now < entry.valid_until => {
-                self.stats.hits += 1;
-                Some(entry.outcome.clone())
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-}
-
 /// Derives a server's capability-signing key from its id (the deployment's
 /// shared key ring: every server can verify every other server's
 /// capabilities, as the paper's Section III-A assumes).
 #[must_use]
 pub fn capability_key(server: ServerId) -> u64 {
     0xCAB1_11E7_0000_0000 ^ server.index().wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// A consistent snapshot of one transaction's proof-evaluation inputs,
-/// extracted on the server thread and safe to ship to a worker.
-///
-/// All payloads are `Arc`-shared with the server's transaction state, so
-/// taking a snapshot is refcount traffic, not a deep copy.
-#[derive(Debug, Clone)]
-pub struct EvalSnapshot {
-    /// The requesting user.
-    pub user: UserId,
-    /// The credentials presented at Begin.
-    pub credentials: Arc<[Credential]>,
-    /// The queries registered at this server: `(index, spec)`.
-    pub queries: Vec<(usize, Arc<QuerySpec>)>,
-}
-
-/// The shareable data plane of one cloud server: everything proof
-/// evaluation touches, behind interior mutability so a runtime worker pool
-/// can evaluate proofs for distinct transactions concurrently while the
-/// server thread keeps exclusive ownership of the protocol plane (locks
-/// decisions, WAL forces, 2PVC votes, per-transaction state).
-///
-/// In the single-threaded simulator the same structure is driven from one
-/// thread through [`ServerCore`]'s `&mut self` handlers; the locks below
-/// are then uncontended and behavior is bit-identical to the pre-split
-/// code.
-pub struct DataPlane {
-    id: ServerId,
-    catalog: SharedCatalog,
-    cas: SharedCas,
-    engine: Engine,
-    resource_map: RwLock<ResourcePolicyMap>,
-    ambient: RwLock<FactBase>,
-    /// Versions of each policy currently installed at this replica.
-    installed: RwLock<VersionMap>,
-    proof_cache: Mutex<ProofCache>,
-    /// Mirrors `proof_cache.disabled` so the evaluation fast path can skip
-    /// key construction and the cache mutex entirely when caching is off.
-    cache_enabled: AtomicBool,
-    /// Proof evaluations performed (cache hits included).
-    proofs: AtomicU64,
-    /// Full engine evaluations: cache misses that actually ran the
-    /// credential checks and the inference engine. Excludes cache hits and
-    /// within-batch dedup reuse — the regression guard for the
-    /// redundant-evaluation fix (see [`BatchEval`]).
-    engine_evals: AtomicU64,
-}
-
-impl std::fmt::Debug for DataPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DataPlane").field("id", &self.id).finish()
-    }
-}
-
-impl DataPlane {
-    fn new(
-        id: ServerId,
-        catalog: SharedCatalog,
-        resource_map: ResourcePolicyMap,
-        cas: SharedCas,
-    ) -> Self {
-        DataPlane {
-            id,
-            catalog,
-            cas,
-            engine: Engine::new(),
-            resource_map: RwLock::new(resource_map),
-            ambient: RwLock::new(FactBase::new()),
-            installed: RwLock::new(VersionMap::new()),
-            proof_cache: Mutex::new(ProofCache::default()),
-            cache_enabled: AtomicBool::new(true),
-            proofs: AtomicU64::new(0),
-            engine_evals: AtomicU64::new(0),
-        }
-    }
-
-    /// Full engine evaluations performed so far (cache misses that ran the
-    /// credential checks and the engine; cache hits and within-batch dedup
-    /// reuse excluded). Instrumentation only — the paper's proof count is
-    /// [`ServerCounters::proofs`].
-    #[must_use]
-    pub fn engine_evaluations(&self) -> u64 {
-        self.engine_evals.load(Ordering::Relaxed)
-    }
-
-    /// This server's id.
-    #[must_use]
-    pub fn id(&self) -> ServerId {
-        self.id
-    }
-
-    /// Installs an initial policy version at the replica.
-    pub fn install_policy(&self, policy: safetx_types::PolicyId, version: PolicyVersion) {
-        use std::collections::btree_map::Entry;
-        let mut installed = self.installed.write().expect("installed lock poisoned");
-        match installed.entry(policy) {
-            Entry::Vacant(slot) => {
-                slot.insert(version);
-                drop(installed);
-                self.invalidate_proof_cache();
-            }
-            Entry::Occupied(mut slot) => {
-                if version > *slot.get() {
-                    slot.insert(version);
-                    drop(installed);
-                    self.invalidate_proof_cache();
-                }
-            }
-        }
-    }
-
-    /// The replica's installed versions (owned copy).
-    #[must_use]
-    pub fn installed_versions(&self) -> VersionMap {
-        self.installed
-            .read()
-            .expect("installed lock poisoned")
-            .clone()
-    }
-
-    /// Enables or disables the proof cache (enabled by default).
-    pub fn set_proof_cache(&self, enabled: bool) {
-        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-        cache.disabled = !enabled;
-        if !enabled {
-            cache.entries.clear();
-            cache.flush_seq += 1;
-        }
-        // Publish the flag after the cache state: a racing evaluation that
-        // still sees the cache as enabled re-checks `disabled` (and the
-        // flush sequence) under the lock before inserting.
-        self.cache_enabled.store(enabled, Ordering::Release);
-    }
-
-    /// Runs `f` with mutable access to the ambient fact base (e.g. observed
-    /// locations). Invalidates cached proofs: ambient facts feed every
-    /// evaluation.
-    pub fn with_ambient<R>(&self, f: impl FnOnce(&mut FactBase) -> R) -> R {
-        let result = f(&mut self.ambient.write().expect("ambient lock poisoned"));
-        self.invalidate_proof_cache();
-        result
-    }
-
-    /// Runs `f` with mutable access to the resource → policy mapping
-    /// (multi-domain deployments). Invalidates cached proofs: the mapping
-    /// picks which policy governs each resource.
-    pub fn with_resource_map<R>(&self, f: impl FnOnce(&mut ResourcePolicyMap) -> R) -> R {
-        let result = f(&mut self
-            .resource_map
-            .write()
-            .expect("resource map lock poisoned"));
-        self.invalidate_proof_cache();
-        result
-    }
-
-    fn invalidate_proof_cache(&self) {
-        self.proof_cache
-            .lock()
-            .expect("proof cache poisoned")
-            .invalidate_all();
-    }
-
-    fn proof_cache_stats(&self) -> safetx_metrics::ProofCacheStats {
-        self.proof_cache.lock().expect("proof cache poisoned").stats
-    }
-
-    /// Fast-forwards the replica toward target versions available in the
-    /// catalog. Never moves backward. Any actual version movement is a
-    /// policy install and flushes the proof cache.
-    pub fn fast_forward(&self, targets: &VersionMap) {
-        let mut installed_any = false;
-        {
-            let mut installed = self.installed.write().expect("installed lock poisoned");
-            for (&policy, &version) in targets {
-                match installed.entry(policy) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(version);
-                        installed_any = true;
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        if version > *slot.get() && self.catalog.fetch(policy, version).is_ok() {
-                            slot.insert(version);
-                            installed_any = true;
-                        }
-                    }
-                }
-            }
-        }
-        if installed_any {
-            self.invalidate_proof_cache();
-        }
-    }
-
-    /// Evaluates the proof of authorization for one query at the currently
-    /// installed policy version.
-    ///
-    /// Consults the per-server proof cache first: a hit returns the cached
-    /// decision without running the Datalog engine or the credential status
-    /// oracle, but still counts as a proof evaluation in
-    /// [`ServerCounters::proofs`] — the paper's Table I cost model is about
-    /// *how many* proofs each scheme demands, not how fast one is computed.
-    ///
-    /// The cache lock is **not** held across the engine run: a flush that
-    /// lands mid-evaluation is detected via the cache's flush sequence,
-    /// discarding the stale insert. Concurrent misses on the same key from
-    /// *different* rounds still evaluate redundantly (benign — same
-    /// answer); misses within one server round are deduplicated by
-    /// [`BatchEval`], which evaluates each distinct key once and serves the
-    /// rest of the round from its result.
-    pub fn evaluate_one(
-        &self,
-        now: Timestamp,
-        user: UserId,
-        credentials: &[Credential],
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        let policy_id = self
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = self
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
-        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
-        // When the cache is disabled, skip its machinery entirely — no key
-        // construction, no cache mutex, no validity-horizon lookups.
-        let lookup = if self.cache_enabled.load(Ordering::Acquire) {
-            let key = ProofCacheKey {
-                policy: policy_id,
-                version,
-                user,
-                credentials: credential_ids.clone(),
-                action: query.action.clone(),
-                resource: query.resource.clone(),
-            };
-            let (cached, flush_token) = {
-                let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-                cache.sync_epoch(self.cas.epoch());
-                (cache.get(&key, now), cache.flush_seq)
-            };
-            if let Some(outcome) = cached {
-                self.proofs.fetch_add(1, Ordering::Relaxed);
-                return ProofOfAuthorization {
-                    request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
-                    server: self.id,
-                    policy_id,
-                    policy_version: version,
-                    evaluated_at: now,
-                    credentials: credential_ids,
-                    outcome,
-                };
-            }
-            Some((key, flush_token))
-        } else {
-            None
-        };
-        let request = AccessRequest::new(user, query.action.clone(), query.resource.clone());
-        let proof = match self.catalog.fetch_shared(policy_id, version) {
-            Ok(policy) => {
-                self.engine_evals.fetch_add(1, Ordering::Relaxed);
-                let proof = {
-                    let ambient = self.ambient.read().expect("ambient lock poisoned");
-                    let pctx = ProofContext {
-                        policy: policy.as_ref(),
-                        oracle: &self.cas,
-                        engine: &self.engine,
-                        ambient_facts: &ambient,
-                    };
-                    evaluate_proof(&pctx, self.id, &request, credentials, now).unwrap_or_else(
-                        |_| ProofOfAuthorization {
-                            request: request.clone(),
-                            server: self.id,
-                            policy_id,
-                            policy_version: version,
-                            evaluated_at: now,
-                            credentials: credential_ids.clone(),
-                            outcome: ProofOutcome::NotDerivable,
-                        },
-                    )
-                };
-                if let Some((key, flush_token)) = lookup {
-                    let valid_until = self.validity_horizon(now, credentials);
-                    if now < valid_until {
-                        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-                        // Skip the insert when the cache was flushed (or the
-                        // revocation epoch moved) while we evaluated: the
-                        // result may predate the invalidation signal.
-                        if !cache.disabled
-                            && cache.flush_seq == flush_token
-                            && cache.epoch == self.cas.epoch()
-                        {
-                            cache.entries.insert(
-                                key,
-                                CachedProof {
-                                    outcome: proof.outcome.clone(),
-                                    valid_from: now,
-                                    valid_until,
-                                },
-                            );
-                        }
-                    }
-                }
-                proof
-            }
-            // A policy version missing from the catalog can appear at any
-            // later instant without an invalidation signal, so this denial
-            // is never cached.
-            Err(_) => ProofOfAuthorization {
-                request,
-                server: self.id,
-                policy_id,
-                policy_version: version,
-                evaluated_at: now,
-                credentials: credential_ids,
-                outcome: ProofOutcome::NotDerivable,
-            },
-        };
-        self.proofs.fetch_add(1, Ordering::Relaxed);
-        proof
-    }
-
-    /// (Re-)evaluates proofs for a snapshot of a transaction's queries.
-    /// Returns `(truth, versions, proofs)` — the body of a 2PV reply.
-    #[must_use]
-    pub fn evaluate_snapshot(
-        &self,
-        now: Timestamp,
-        snapshot: &EvalSnapshot,
-    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let mut truth = true;
-        let mut versions = VersionMap::new();
-        let mut proofs = Vec::new();
-        for (_, query) in &snapshot.queries {
-            let proof = self.evaluate_one(now, snapshot.user, &snapshot.credentials, query);
-            truth &= proof.truth();
-            versions.insert(proof.policy_id, proof.policy_version);
-            proofs.push(proof);
-        }
-        (truth, versions, proofs)
-    }
-
-    /// Opens a batched-evaluation context for one server round: all proofs
-    /// evaluated through it share one catalog fetch per `(policy, version)`,
-    /// one credential check + rule saturation per `(policy, version,
-    /// credential list)`, and identical requests are evaluated exactly once
-    /// (the within-round dedup that fixes the redundant-evaluation race).
-    ///
-    /// Every evaluation in the batch happens at the single instant `now` —
-    /// the round's evaluation time.
-    #[must_use]
-    pub fn begin_batch(&self, now: Timestamp) -> BatchEval<'_> {
-        BatchEval {
-            data: self,
-            now,
-            policies: HashMap::new(),
-            saturations: HashMap::new(),
-            computed: HashMap::new(),
-        }
-    }
-
-    /// Evaluates a whole round of transaction snapshots through one
-    /// [`BatchEval`] context. Outcome-equivalent to calling
-    /// [`DataPlane::evaluate_snapshot`] per snapshot, but policy fetches,
-    /// credential checks and saturations are shared across the batch.
-    #[must_use]
-    pub fn evaluate_batch(
-        &self,
-        now: Timestamp,
-        snapshots: &[EvalSnapshot],
-    ) -> Vec<(bool, VersionMap, Vec<ProofOfAuthorization>)> {
-        let mut batch = self.begin_batch(now);
-        snapshots
-            .iter()
-            .map(|snapshot| batch.evaluate_snapshot(snapshot))
-            .collect()
-    }
-
-    /// The earliest instant after `now` at which any of `credentials` can
-    /// change status *without* a CA mutation (which would bump the epoch):
-    /// a validity window opening or closing, or an already-recorded
-    /// future-dated revocation taking effect. Cached decisions are unsound
-    /// at or beyond this horizon.
-    fn validity_horizon(&self, now: Timestamp, credentials: &[Credential]) -> Timestamp {
-        let mut horizon = Timestamp::MAX;
-        for cred in credentials {
-            if now < cred.issued_at() {
-                horizon = horizon.min(cred.issued_at());
-            } else if now < cred.expires_at() {
-                horizon = horizon.min(cred.expires_at());
-            }
-            if let Some(revoked_at) = self.cas.revocation_instant(cred.id()) {
-                if revoked_at > now {
-                    horizon = horizon.min(revoked_at);
-                }
-            }
-        }
-        horizon
-    }
-
-    /// Fabricates the granted proof a capability shortcut stands for —
-    /// recorded with the replica's installed version but with *no* fresh
-    /// policy or credential evaluation (hence unsafe).
-    fn proof_from_capability(
-        &self,
-        now: Timestamp,
-        user: UserId,
-        capability: &safetx_policy::AccessCapability,
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        let policy_id = self
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = self
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
-        // The capability itself is the only "credential" consulted.
-        let _ = capability;
-        ProofOfAuthorization {
-            request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
-            server: self.id,
-            policy_id,
-            policy_version: version,
-            evaluated_at: now,
-            credentials: vec![],
-            outcome: ProofOutcome::Granted,
-        }
-    }
-}
-
-/// Shared evaluation state for one `(policy, version, credential list)`
-/// group within a batch.
-enum SaturationEntry {
-    /// Valid wallet: the fact base saturated under the policy's rules,
-    /// ready for per-goal lookups.
-    Saturated(FactBase),
-    /// Every query under this key short-circuits with this outcome — an
-    /// invalid/revoked credential, or a blown derivation budget (mapped to
-    /// `NotDerivable`, exactly as the unbatched path does).
-    Fixed(ProofOutcome),
-}
-
-/// Batched proof evaluation over one server round.
-///
-/// Mirrors [`DataPlane::evaluate_one`] decision for decision — same policy
-/// resolution, same cache lookups and flush-token-guarded inserts, same
-/// counters — but amortizes the expensive middle across the batch:
-///
-/// * **one catalog fetch** per `(policy, version)`;
-/// * **one credential check + rule saturation** per `(policy, version,
-///   credential list)` — every query presenting the same wallet under the
-///   same policy probes one shared saturated [`FactBase`] instead of
-///   cloning the ambient facts and re-running the fixpoint;
-/// * **one full evaluation** per distinct request: identical cache-miss
-///   keys within the batch reuse the first evaluation's outcome (counted
-///   as cache hits when the cache is enabled), closing the window in which
-///   concurrent misses on one key redundantly re-evaluated.
-///
-/// Dropped at the end of the round; nothing here outlives the batch except
-/// what the regular proof cache retains.
-pub struct BatchEval<'a> {
-    data: &'a DataPlane,
-    now: Timestamp,
-    /// One catalog fetch per (policy, version); `None` caches a missing
-    /// version (denied, never inserted into the proof cache — same as the
-    /// unbatched path).
-    policies: HashMap<(safetx_types::PolicyId, PolicyVersion), Option<Arc<safetx_policy::Policy>>>,
-    /// One credential check + saturation per (policy, version, wallet).
-    saturations:
-        HashMap<(safetx_types::PolicyId, PolicyVersion, Vec<CredentialId>), SaturationEntry>,
-    /// Within-batch dedup: outcome of every distinct request evaluated so
-    /// far this round.
-    computed: HashMap<ProofCacheKey, ProofOutcome>,
-}
-
-impl BatchEval<'_> {
-    /// Evaluates one proof through the batch context. Outcome-identical to
-    /// [`DataPlane::evaluate_one`] at the same instant and cache state.
-    pub fn evaluate_one(
-        &mut self,
-        user: UserId,
-        credentials: &[Credential],
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        let data = self.data;
-        let now = self.now;
-        let policy_id = data
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = data
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
-        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
-        // The key is built even with the cache disabled: within-batch dedup
-        // needs it (the unbatched path skips it then, but has no dedup).
-        let key = ProofCacheKey {
-            policy: policy_id,
-            version,
-            user,
-            credentials: credential_ids.clone(),
-            action: query.action.clone(),
-            resource: query.resource.clone(),
-        };
-        let finish = |outcome: ProofOutcome| {
-            data.proofs.fetch_add(1, Ordering::Relaxed);
-            ProofOfAuthorization {
-                request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
-                server: data.id,
-                policy_id,
-                policy_version: version,
-                evaluated_at: now,
-                credentials: credential_ids.clone(),
-                outcome,
-            }
-        };
-        let cache_enabled = data.cache_enabled.load(Ordering::Acquire);
-        // Within-batch dedup first: an identical request already evaluated
-        // this round reuses its outcome. Counted as a cache hit (a reuse is
-        // a wall-clock saving, and the paper's proof count still advances).
-        if let Some(outcome) = self.computed.get(&key) {
-            if cache_enabled {
-                data.proof_cache
-                    .lock()
-                    .expect("proof cache poisoned")
-                    .stats
-                    .hits += 1;
-            }
-            return finish(outcome.clone());
-        }
-        let lookup = if cache_enabled {
-            let (cached, flush_token) = {
-                let mut cache = data.proof_cache.lock().expect("proof cache poisoned");
-                cache.sync_epoch(data.cas.epoch());
-                (cache.get(&key, now), cache.flush_seq)
-            };
-            if let Some(outcome) = cached {
-                return finish(outcome);
-            }
-            Some(flush_token)
-        } else {
-            None
-        };
-        // One catalog fetch per (policy, version) for the whole batch.
-        let policy = self
-            .policies
-            .entry((policy_id, version))
-            .or_insert_with(|| data.catalog.fetch_shared(policy_id, version).ok())
-            .clone();
-        let Some(policy) = policy else {
-            // Missing catalog version: denied, never cached and never
-            // recorded for dedup — it can appear at any later instant
-            // without an invalidation signal (same as the unbatched path).
-            return finish(ProofOutcome::NotDerivable);
-        };
-        // One credential check + saturation per (policy, version, wallet).
-        let entry = self
-            .saturations
-            .entry((policy_id, version, credential_ids.clone()))
-            .or_insert_with(|| {
-                let ambient = data.ambient.read().expect("ambient lock poisoned");
-                match safetx_policy::credential_fact_base(&data.cas, &ambient, credentials, now) {
-                    Ok(safetx_policy::CredentialCheck::Valid(facts)) => {
-                        match data.engine.saturate(policy.rules().as_slice(), &facts) {
-                            Ok(saturated) => SaturationEntry::Saturated(saturated),
-                            Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
-                        }
-                    }
-                    Ok(safetx_policy::CredentialCheck::Refused(outcome)) => {
-                        SaturationEntry::Fixed(outcome)
-                    }
-                    Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
-                }
-            });
-        let outcome = match entry {
-            SaturationEntry::Saturated(saturated) => {
-                let goal =
-                    AccessRequest::new(user, query.action.clone(), query.resource.clone()).goal();
-                if Engine::holds(saturated, &goal) {
-                    ProofOutcome::Granted
-                } else {
-                    ProofOutcome::NotDerivable
-                }
-            }
-            SaturationEntry::Fixed(outcome) => outcome.clone(),
-        };
-        data.engine_evals.fetch_add(1, Ordering::Relaxed);
-        self.computed.insert(key.clone(), outcome.clone());
-        if let Some(flush_token) = lookup {
-            let valid_until = data.validity_horizon(now, credentials);
-            if now < valid_until {
-                let mut cache = data.proof_cache.lock().expect("proof cache poisoned");
-                // Same guard as the unbatched path: skip the insert when
-                // the cache was flushed (or the revocation epoch moved)
-                // while we evaluated.
-                if !cache.disabled
-                    && cache.flush_seq == flush_token
-                    && cache.epoch == data.cas.epoch()
-                {
-                    cache.entries.insert(
-                        key,
-                        CachedProof {
-                            outcome: outcome.clone(),
-                            valid_from: now,
-                            valid_until,
-                        },
-                    );
-                }
-            }
-        }
-        finish(outcome)
-    }
-
-    /// (Re-)evaluates proofs for a snapshot of a transaction's queries
-    /// through the batch context. Returns `(truth, versions, proofs)` —
-    /// the body of a 2PV reply.
-    #[must_use]
-    pub fn evaluate_snapshot(
-        &mut self,
-        snapshot: &EvalSnapshot,
-    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let mut truth = true;
-        let mut versions = VersionMap::new();
-        let mut proofs = Vec::new();
-        for (_, query) in &snapshot.queries {
-            let proof = self.evaluate_one(snapshot.user, &snapshot.credentials, query);
-            truth &= proof.truth();
-            versions.insert(proof.policy_id, proof.policy_version);
-            proofs.push(proof);
-        }
-        (truth, versions, proofs)
-    }
 }
 
 /// The sans-io participant logic of one cloud server.
@@ -886,9 +83,9 @@ impl BatchEval<'_> {
 /// Internally split into the protocol plane (per-transaction state, write
 /// sets, participant state machines, WAL — owned exclusively by this
 /// struct) and a shareable [`DataPlane`] (policy engine, proof cache,
-/// installed versions), so a threaded runtime can dispatch proof
-/// evaluation to workers via [`ServerCore::data_plane`] while all `&mut
-/// self` handlers stay on the server thread.
+/// installed versions), so a threaded runtime can ship a round's proof
+/// evaluations ([`crate::DeferredEval`]) to workers while all `&mut self`
+/// handlers stay on the server thread.
 pub struct ServerCore<A> {
     id: ServerId,
     data: Arc<DataPlane>,
@@ -985,7 +182,7 @@ impl<A: Clone> ServerCore<A> {
     /// runtime keeps baseline servers fully single-threaded (the hazard
     /// measurements depend on exact interleavings).
     #[must_use]
-    pub fn unsafe_baseline(&self) -> bool {
+    pub(crate) fn unsafe_baseline(&self) -> bool {
         self.issue_capabilities || self.honor_capabilities
     }
 
@@ -1059,7 +256,7 @@ impl<A: Clone> ServerCore<A> {
     #[must_use]
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
-            proofs: self.data.proofs.load(Ordering::Relaxed),
+            proofs: self.data.proofs(),
             forced_logs: self.forced_logs,
             physical_syncs: self.wal.physical_sync_count(),
             proof_cache: self.data.proof_cache_stats(),
@@ -1079,14 +276,14 @@ impl<A: Clone> ServerCore<A> {
     /// Opens a WAL group-commit window: every force issued by handlers
     /// until [`ServerCore::end_wal_group`] shares one physical sync. The
     /// logical force count — the paper's metric — is unaffected.
-    pub fn begin_wal_group(&mut self) {
+    pub(crate) fn begin_wal_group(&mut self) {
         self.wal.begin_group();
     }
 
     /// Closes the WAL group-commit window, performing the round's single
     /// physical sync. Must be called before any reply that depends on a
     /// force in the window (votes, decision acks) is released.
-    pub fn end_wal_group(&mut self) {
+    pub(crate) fn end_wal_group(&mut self) {
         self.wal.end_group();
     }
 
@@ -1103,7 +300,7 @@ impl<A: Clone> ServerCore<A> {
 
     /// Fast-forwards the replica toward target versions available in the
     /// catalog. Never moves backward.
-    fn fast_forward(&mut self, targets: &VersionMap) {
+    pub(crate) fn fast_forward(&mut self, targets: &VersionMap) {
         self.data.fast_forward(targets);
     }
 
@@ -1143,10 +340,10 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// A snapshot of `txn`'s evaluation inputs for off-thread proof work
-    /// ([`DataPlane::evaluate_snapshot`] on the returned value reproduces
-    /// what [`ServerCore::handle`] would compute inline).
+    /// ([`crate::BatchEval::evaluate_snapshot`] on the returned value
+    /// reproduces what [`ServerCore::handle`] would compute inline).
     #[must_use]
-    pub fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
+    pub(crate) fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
         self.txns.get(&txn).map(|state| EvalSnapshot {
             user: state.user,
             credentials: Arc::clone(&state.credentials),
@@ -1162,7 +359,7 @@ impl<A: Clone> ServerCore<A> {
     /// Returns `None` for a transaction already decided here (a duplicated
     /// or delayed round): registering it again would resurrect ghost state,
     /// and the coordinator that sent the original round is long gone.
-    pub fn register_validation(
+    pub(crate) fn register_validation(
         &mut self,
         txn: TxnId,
         new_query: Option<(usize, Arc<QuerySpec>)>,
@@ -1173,7 +370,7 @@ impl<A: Clone> ServerCore<A> {
         if self.decided.contains_key(&txn) {
             return None;
         }
-        self.ensure_txn(txn, user, credentials, coordinator);
+        self.ensure_txn(txn, user, &credentials, coordinator);
         let state = self.txns.get_mut(&txn).expect("just ensured");
         if let Some((index, query)) = new_query {
             if !state.queries.iter().any(|(i, _)| *i == index) {
@@ -1312,11 +509,11 @@ impl<A: Clone> ServerCore<A> {
         self.store.validate(&state.reads)
     }
 
-    fn ensure_txn(&mut self, txn: TxnId, user: UserId, credentials: Arc<[Credential]>, coord: A) {
+    fn ensure_txn(&mut self, txn: TxnId, user: UserId, credentials: &Arc<[Credential]>, coord: A) {
         let variant = self.variant;
         self.txns.entry(txn).or_insert_with(|| ServerTxn {
             user,
-            credentials,
+            credentials: Arc::clone(credentials),
             queries: Vec::new(),
             executed: std::collections::BTreeSet::new(),
             writes: WriteSet::new(),
@@ -1393,11 +590,64 @@ impl<A: Clone> ServerCore<A> {
         }
     }
 
+    /// The protocol-plane half of [`Msg::ExecQuery`]: registers the
+    /// transaction and the query, then runs the query's data operations —
+    /// once: a duplicate of an already-executed query re-replies (and
+    /// re-proves when asked) but must not re-run them, `Add` deltas are
+    /// not idempotent.
+    ///
+    /// Returns `None` for a transaction already decided here (a duplicated
+    /// or delayed query: re-registering would resurrect ghost state and
+    /// leak locks, and the TM's wait for this reply is over); otherwise
+    /// whether the operations ran (`false` on a lock conflict).
+    pub(crate) fn execute_query(
+        &mut self,
+        txn: TxnId,
+        (query_index, query): (usize, &Arc<QuerySpec>),
+        user: UserId,
+        credentials: &Arc<[Credential]>,
+        pin_versions: &VersionMap,
+        coordinator: A,
+    ) -> Option<bool> {
+        if self.decided.contains_key(&txn) {
+            return None;
+        }
+        self.fast_forward(pin_versions);
+        self.ensure_txn(txn, user, credentials, coordinator);
+        let state = self.txns.get_mut(&txn).expect("just ensured");
+        if !state.queries.iter().any(|(i, _)| *i == query_index) {
+            state.queries.push((query_index, Arc::clone(query)));
+        }
+        if !state.executed.contains(&query_index) {
+            if !self.execute_ops(txn, &query.ops) {
+                return Some(false);
+            }
+            self.txns
+                .get_mut(&txn)
+                .expect("just ensured")
+                .executed
+                .insert(query_index);
+        }
+        Some(true)
+    }
+
     /// Handles one protocol message arriving from `from` at instant `now`.
     /// Returns the messages to send.
-    #[allow(clippy::too_many_lines)]
     pub fn handle(&mut self, now: Timestamp, from: A, msg: Msg) -> Vec<(A, Msg)> {
         let mut out = Vec::new();
+        self.handle_into(now, from, msg, &mut out);
+        out
+    }
+
+    /// [`ServerCore::handle`], appending the messages to send to `out`.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn handle_into(
+        &mut self,
+        now: Timestamp,
+        from: A,
+        msg: Msg,
+        out: &mut Vec<(A, Msg)>,
+    ) {
         match msg {
             Msg::ExecQuery {
                 txn,
@@ -1409,26 +659,16 @@ impl<A: Clone> ServerCore<A> {
                 pin_versions,
                 capabilities,
             } => {
-                // A duplicated/delayed query for an already-decided
-                // transaction: re-registering would resurrect ghost state
-                // and leak locks; the TM's wait for this reply is over.
-                if self.decided.contains_key(&txn) {
-                    return out;
-                }
-                self.fast_forward(&pin_versions);
-                self.ensure_txn(txn, user, credentials, from.clone());
-                let already_executed = {
-                    let state = self.txns.get_mut(&txn).expect("just ensured");
-                    if !state.queries.iter().any(|(i, _)| *i == query_index) {
-                        state.queries.push((query_index, Arc::clone(&query)));
-                    }
-                    state.executed.contains(&query_index)
-                };
-                // A duplicate of an already-executed query re-replies (and
-                // re-proves when asked) but must not re-run the data
-                // operations: `Add` deltas are not idempotent.
-                if !already_executed {
-                    if !self.execute_ops(txn, &query.ops) {
+                match self.execute_query(
+                    txn,
+                    (query_index, &query),
+                    user,
+                    &credentials,
+                    &pin_versions,
+                    from.clone(),
+                ) {
+                    None => return,
+                    Some(false) => {
                         out.push((
                             from,
                             Msg::QueryDone {
@@ -1439,13 +679,9 @@ impl<A: Clone> ServerCore<A> {
                                 capability: None,
                             },
                         ));
-                        return out;
+                        return;
                     }
-                    self.txns
-                        .get_mut(&txn)
-                        .expect("just ensured")
-                        .executed
-                        .insert(query_index);
+                    Some(true) => {}
                 }
                 // Unsafe baseline: a previously issued capability passes
                 // for a proof — no policy evaluation, no credential status
@@ -1515,7 +751,7 @@ impl<A: Clone> ServerCore<A> {
                     .is_none()
                 {
                     // Already decided here: a stale round, no reply owed.
-                    return out;
+                    return;
                 }
                 let (truth, versions, proofs) = self.evaluate_all(now, txn);
                 out.push((
@@ -1542,7 +778,7 @@ impl<A: Clone> ServerCore<A> {
                 // state machine already resolved; re-preparing would build
                 // a ghost participant the coordinator never decides.
                 if self.decided.contains_key(&txn) {
-                    return out;
+                    return;
                 }
                 let known = self.txns.contains_key(&txn);
                 // Compare the TM's manifest against the queries actually
@@ -1585,7 +821,7 @@ impl<A: Clone> ServerCore<A> {
                     (true, VersionMap::new(), Vec::new())
                 };
                 if !known {
-                    self.ensure_txn(txn, UserId::default(), Arc::from([]), from.clone());
+                    self.ensure_txn(txn, UserId::default(), &Arc::from([]), from.clone());
                 }
                 let outputs = {
                     let state = self.txns.get_mut(&txn).expect("ensured");
@@ -1603,7 +839,7 @@ impl<A: Clone> ServerCore<A> {
                     proofs,
                     conflict: occ_conflict,
                 };
-                self.apply_participant_outputs(now, txn, outputs, Some(reply), from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
             }
 
             Msg::Update {
@@ -1615,7 +851,7 @@ impl<A: Clone> ServerCore<A> {
                 let (truth, versions, proofs) = self.evaluate_all(now, txn);
                 if in_commit {
                     if !self.txns.contains_key(&txn) {
-                        return out;
+                        return;
                     }
                     let (vote, outputs) = {
                         let state = self.txns.get_mut(&txn).expect("checked");
@@ -1635,7 +871,7 @@ impl<A: Clone> ServerCore<A> {
                         proofs,
                         conflict: false,
                     };
-                    self.apply_participant_outputs(now, txn, outputs, Some(reply), from, &mut out);
+                    self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
                 } else {
                     out.push((
                         from,
@@ -1660,13 +896,13 @@ impl<A: Clone> ServerCore<A> {
                     if self.variant.participant_acks(decision) {
                         out.push((from, Msg::Ack { txn }));
                     }
-                    return out;
+                    return;
                 }
                 let outputs = {
                     let state = self.txns.get_mut(&txn).expect("checked");
                     state.participant.on_decision(decision)
                 };
-                self.apply_participant_outputs(now, txn, outputs, None, from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, None, from, out);
             }
 
             Msg::PolicyGossip { policy_id, version } => {
@@ -1681,7 +917,7 @@ impl<A: Clone> ServerCore<A> {
                     let state = self.txns.get_mut(&txn).expect("guard checked");
                     state.participant.on_decision(decision)
                 };
-                self.apply_participant_outputs(now, txn, outputs, None, from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, None, from, out);
             }
 
             // A coalesced envelope is the inner messages in order. The
@@ -1689,13 +925,12 @@ impl<A: Clone> ServerCore<A> {
             // server normally never sees one; handled for completeness.
             Msg::Batch(msgs) => {
                 for inner in msgs {
-                    out.extend(self.handle(now, from.clone(), inner));
+                    self.handle_into(now, from.clone(), inner, out);
                 }
             }
 
             _ => {}
         }
-        out
     }
 
     /// Crash: volatile state is lost. Prepared(YES) transactions survive —
@@ -1839,181 +1074,31 @@ impl<A: Clone> ServerCore<A> {
     }
 }
 
-/// Simulator adapter around [`ServerCore`].
-pub struct CloudServerActor {
-    core: ServerCore<NodeId>,
-    last: ServerCounters,
-    /// Simulated compute time per proof evaluation (covers proof-tree
-    /// construction and the online credential status check, which the
-    /// paper models as an OCSP round trip).
-    proof_eval_delay: safetx_types::Duration,
-}
-
-impl CloudServerActor {
-    /// Creates a server actor.
-    #[must_use]
-    pub fn new(
-        id: ServerId,
-        book: AddressBook,
-        catalog: SharedCatalog,
-        resource_map: ResourcePolicyMap,
-        cas: SharedCas,
-        variant: CommitVariant,
-    ) -> Self {
-        let _ = book; // addresses come from message senders
-        CloudServerActor {
-            core: ServerCore::new(id, catalog, resource_map, cas, variant),
-            last: ServerCounters::default(),
-            proof_eval_delay: safetx_types::Duration::ZERO,
-        }
-    }
-
-    /// Sets the simulated compute time charged per proof evaluation.
-    #[must_use]
-    pub fn with_proof_eval_delay(mut self, delay: safetx_types::Duration) -> Self {
-        self.proof_eval_delay = delay;
-        self
-    }
-
-    /// The wrapped sans-io core.
-    #[must_use]
-    pub fn core(&self) -> &ServerCore<NodeId> {
-        &self.core
-    }
-
-    /// Mutable access to the wrapped core (harness seeding).
-    pub fn core_mut(&mut self) -> &mut ServerCore<NodeId> {
-        &mut self.core
-    }
-
-    /// This server's id.
-    #[must_use]
-    pub fn id(&self) -> ServerId {
-        self.core.id()
-    }
-
-    /// Installs an initial policy version at the replica.
-    pub fn install_policy(&mut self, policy: safetx_types::PolicyId, version: PolicyVersion) {
-        self.core.install_policy(policy, version);
-    }
-
-    /// The replica's installed versions.
-    #[must_use]
-    pub fn installed_versions(&self) -> VersionMap {
-        self.core.installed_versions()
-    }
-
-    /// Mutable access to the local data store (harness seeding).
-    pub fn store_mut(&mut self) -> &mut LocalStore {
-        self.core.store_mut()
-    }
-
-    /// Read access to the local data store.
-    #[must_use]
-    pub fn store(&self) -> &LocalStore {
-        self.core.store()
-    }
-
-    /// Mutable access to the integrity constraints (harness seeding).
-    pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
-        self.core.constraints_mut()
-    }
-
-    /// Runs `f` with mutable access to the ambient fact base.
-    pub fn with_ambient<R>(&mut self, f: impl FnOnce(&mut FactBase) -> R) -> R {
-        self.core.with_ambient(f)
-    }
-
-    /// The participant write-ahead log.
-    #[must_use]
-    pub fn wal(&self) -> &Wal<ParticipantRecord> {
-        self.core.wal()
-    }
-
-    /// Publishes counter deltas and marks accumulated by the core since the
-    /// previous call.
-    fn flush_counters(&mut self, ctx: &mut Context<'_, Msg>) {
-        let counters = self.core.counters();
-        let proofs = counters.proofs - self.last.proofs;
-        let forced = counters.forced_logs - self.last.forced_logs;
-        if proofs > 0 {
-            ctx.count("proofs", proofs);
-            for _ in 0..proofs {
-                ctx.mark(format!("proof:{}", self.core.id()));
-            }
-        }
-        if forced > 0 {
-            ctx.count("forced_logs", forced);
-            for _ in 0..forced {
-                ctx.mark("log:forced");
-            }
-        }
-        let cache = counters.proof_cache;
-        let last = self.last.proof_cache;
-        if cache.hits > last.hits {
-            ctx.count("proof_cache_hits", cache.hits - last.hits);
-        }
-        if cache.misses > last.misses {
-            ctx.count("proof_cache_misses", cache.misses - last.misses);
-        }
-        if cache.invalidations > last.invalidations {
-            ctx.count(
-                "proof_cache_invalidations",
-                cache.invalidations - last.invalidations,
-            );
-        }
-        self.last = counters;
-    }
-}
-
-impl Actor<Msg> for CloudServerActor {
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
-        let before = self.core.counters().proofs;
-        let outgoing = self.core.handle(ctx.now(), from, msg);
-        let proofs_now = self.core.counters().proofs - before;
-        self.flush_counters(ctx);
-        // Proof evaluation costs compute time: replies leave only after it.
-        let delay = self.proof_eval_delay.saturating_mul(proofs_now);
-        for (to, msg) in outgoing {
-            if delay.is_zero() {
-                ctx.send(to, msg);
-            } else {
-                ctx.send_after(to, msg, delay);
-            }
-        }
-    }
-
-    fn on_crash(&mut self) {
-        self.core.crash();
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
-        for (to, msg) in self.core.restart() {
-            ctx.send(to, msg);
-        }
-    }
-}
-
+/// The unit-test fixture shared by this module, [`crate::data_plane`] and
+/// [`crate::round`]: one seeded [`ServerCore`] and the messages that drive
+/// a transaction through it.
 #[cfg(test)]
-mod tests {
+pub(crate) mod fixture {
     use super::*;
-    use crate::catalog::{ResourcePolicyMap, SharedCatalog};
-    use safetx_policy::{CertificateAuthority, PolicyBuilder};
+    use safetx_policy::{CaRegistry, CertificateAuthority, PolicyBuilder};
     use safetx_store::Value;
-    use safetx_txn::{Decision, Operation};
     use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId};
 
     /// A ServerCore driven directly with `u8` addresses: the sans-io core
     /// is agnostic to how peers are named.
-    type Core = ServerCore<u8>;
-    const TM: u8 = 42;
+    pub(crate) type Core = ServerCore<u8>;
+    pub(crate) const TM: u8 = 42;
 
-    struct Fixture {
-        core: Core,
-        credential: Credential,
+    pub(crate) struct Fixture {
+        pub(crate) core: Core,
+        pub(crate) credential: Credential,
+        /// Handles onto the catalog and CAs the core was built over, so
+        /// tests can publish versions and revoke credentials mid-run.
+        pub(crate) catalog: SharedCatalog,
+        pub(crate) cas: SharedCas,
     }
 
-    fn fixture() -> Fixture {
+    pub(crate) fn fixture() -> Fixture {
         let catalog = SharedCatalog::new();
         catalog.publish(
             PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
@@ -2039,20 +1124,26 @@ mod tests {
             Timestamp::MAX,
         );
         registry.register(ca);
+        let cas = SharedCas::new(registry);
         let mut core = Core::new(
             ServerId::new(0),
-            catalog,
+            catalog.clone(),
             ResourcePolicyMap::single(PolicyId::new(0)),
-            SharedCas::new(registry),
+            cas.clone(),
             CommitVariant::Standard,
         );
         core.install_policy(PolicyId::new(0), PolicyVersion::INITIAL);
         core.store_mut()
             .write(DataItemId::new(0), Value::Int(5), Timestamp::ZERO);
-        Fixture { core, credential }
+        Fixture {
+            core,
+            credential,
+            catalog,
+            cas,
+        }
     }
 
-    fn exec_query(fx: &mut Fixture, txn: TxnId, evaluate: bool) -> Vec<(u8, Msg)> {
+    pub(crate) fn exec_query(fx: &mut Fixture, txn: TxnId, evaluate: bool) -> Vec<(u8, Msg)> {
         fx.core.handle(
             Timestamp::from_millis(1),
             TM,
@@ -2074,7 +1165,7 @@ mod tests {
         )
     }
 
-    fn prepare(fx: &mut Fixture, txn: TxnId) -> Vec<(u8, Msg)> {
+    pub(crate) fn prepare(fx: &mut Fixture, txn: TxnId) -> Vec<(u8, Msg)> {
         fx.core.handle(
             Timestamp::from_millis(2),
             TM,
@@ -2085,6 +1176,29 @@ mod tests {
             },
         )
     }
+
+    pub(crate) fn validate(fx: &mut Fixture, txn: TxnId, at: Timestamp) -> Vec<(u8, Msg)> {
+        fx.core.handle(
+            at,
+            TM,
+            Msg::PrepareToValidate {
+                txn,
+                new_query: None,
+                user: UserId::new(1),
+                credentials: Arc::from([]),
+            },
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixture::*;
+    use super::*;
+    use safetx_policy::PolicyBuilder;
+    use safetx_store::Value;
+    use safetx_txn::Decision;
+    use safetx_types::{AdminDomain, DataItemId, PolicyId};
 
     #[test]
     fn query_then_prepare_then_commit_applies_writes() {
@@ -2357,7 +1471,7 @@ mod tests {
             .rules_text("grant(write, records) :- role(U, member).")
             .unwrap()
             .build();
-        fx.core.data.catalog.publish(v2);
+        fx.catalog.publish(v2);
         let out = fx.core.handle(
             Timestamp::from_millis(3),
             TM,
@@ -2433,226 +1547,6 @@ mod tests {
             &out[0].1,
             Msg::QueryDone { proof: Some(p), .. } if p.truth()
         ));
-    }
-
-    fn validate(fx: &mut Fixture, txn: TxnId, at: Timestamp) -> Vec<(u8, Msg)> {
-        fx.core.handle(
-            at,
-            TM,
-            Msg::PrepareToValidate {
-                txn,
-                new_query: None,
-                user: UserId::new(1),
-                credentials: Arc::from([]),
-            },
-        )
-    }
-
-    #[test]
-    fn proof_cache_hit_still_counts_as_a_proof() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, true);
-        let out = exec_query(&mut fx, txn, true);
-        assert!(matches!(
-            &out[0].1,
-            Msg::QueryDone { proof: Some(p), .. } if p.truth()
-        ));
-        let counters = fx.core.counters();
-        assert_eq!(counters.proofs, 2, "Table I accounting unchanged by cache");
-        assert_eq!(counters.proof_cache.hits, 1);
-        assert_eq!(counters.proof_cache.misses, 1);
-    }
-
-    #[test]
-    fn revocation_epoch_flushes_cache_and_denies() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        let out = exec_query(&mut fx, txn, true);
-        assert!(matches!(
-            &out[0].1,
-            Msg::QueryDone { proof: Some(p), .. } if p.truth()
-        ));
-        let cred_id = fx.credential.id();
-        fx.core.data.cas.with_mut(|registry| {
-            registry.revoke(CaId::new(0), cred_id, Timestamp::from_millis(2));
-        });
-        let out = validate(&mut fx, txn, Timestamp::from_millis(3));
-        assert!(matches!(
-            &out[0].1,
-            Msg::ValidateReply { reply, .. } if !reply.truth
-        ));
-        let counters = fx.core.counters();
-        assert_eq!(counters.proof_cache.hits, 0, "stale grant never served");
-        assert_eq!(counters.proof_cache.invalidations, 1);
-    }
-
-    #[test]
-    fn future_dated_revocation_bounds_cached_validity() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        let cred_id = fx.credential.id();
-        // Revocation recorded before any evaluation, effective at t=5ms —
-        // so no epoch change happens between the two evaluations below.
-        fx.core.data.cas.with_mut(|registry| {
-            registry.revoke(CaId::new(0), cred_id, Timestamp::from_millis(5));
-        });
-        // t=1ms: still good — granted and cached.
-        let out = exec_query(&mut fx, txn, true);
-        assert!(matches!(
-            &out[0].1,
-            Msg::QueryDone { proof: Some(p), .. } if p.truth()
-        ));
-        // t=9ms: the entry's validity horizon (5ms) has passed.
-        let out = validate(&mut fx, txn, Timestamp::from_millis(9));
-        assert!(matches!(
-            &out[0].1,
-            Msg::ValidateReply { reply, .. } if !reply.truth
-        ));
-        assert_eq!(fx.core.counters().proof_cache.hits, 0);
-    }
-
-    #[test]
-    fn policy_install_invalidates_cache() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, true);
-        let v2 = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
-            .version(PolicyVersion(2))
-            .rules_text("grant(write, records) :- role(U, admin).")
-            .unwrap()
-            .build();
-        fx.core.data.catalog.publish(v2);
-        fx.core.handle(
-            Timestamp::from_millis(2),
-            TM,
-            Msg::PolicyGossip {
-                policy_id: PolicyId::new(0),
-                version: PolicyVersion(2),
-            },
-        );
-        assert_eq!(fx.core.counters().proof_cache.invalidations, 1);
-        let out = validate(&mut fx, txn, Timestamp::from_millis(3));
-        assert!(matches!(
-            &out[0].1,
-            Msg::ValidateReply { reply, .. } if !reply.truth
-        ));
-        assert_eq!(fx.core.counters().proof_cache.hits, 0);
-    }
-
-    #[test]
-    fn disabled_cache_is_inert() {
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, true);
-        exec_query(&mut fx, txn, true);
-        let counters = fx.core.counters();
-        assert_eq!(counters.proofs, 2);
-        assert_eq!(
-            counters.proof_cache,
-            safetx_metrics::ProofCacheStats::default()
-        );
-    }
-
-    fn eval_query(action: &str) -> Arc<QuerySpec> {
-        Arc::new(QuerySpec::new(
-            ServerId::new(0),
-            action,
-            "records",
-            vec![Operation::Read(DataItemId::new(0))],
-        ))
-    }
-
-    #[test]
-    fn batch_dedups_identical_requests_within_a_round() {
-        // Regression for the documented redundant-evaluation race: before
-        // batching, N concurrent misses on one key all ran the engine.
-        let fx = fixture();
-        let data = fx.core.data_plane();
-        let query = eval_query("write");
-        let creds = [fx.credential.clone()];
-        let mut batch = data.begin_batch(Timestamp::from_millis(1));
-        let proofs: Vec<_> = (0..4)
-            .map(|_| batch.evaluate_one(UserId::new(1), &creds, &query))
-            .collect();
-        drop(batch);
-        assert!(proofs
-            .iter()
-            .all(safetx_policy::ProofOfAuthorization::truth));
-        assert_eq!(
-            data.engine_evaluations(),
-            1,
-            "identical requests in one round must evaluate once"
-        );
-        let counters = fx.core.counters();
-        assert_eq!(counters.proofs, 4, "Table I accounting unchanged");
-        assert_eq!(counters.proof_cache.misses, 1);
-        assert_eq!(counters.proof_cache.hits, 3, "dedup reuse counts as hits");
-    }
-
-    #[test]
-    fn batch_dedups_even_with_the_cache_disabled() {
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let data = fx.core.data_plane();
-        let query = eval_query("write");
-        let creds = [fx.credential.clone()];
-        let mut batch = data.begin_batch(Timestamp::from_millis(1));
-        for _ in 0..3 {
-            assert!(batch.evaluate_one(UserId::new(1), &creds, &query).truth());
-        }
-        drop(batch);
-        assert_eq!(data.engine_evaluations(), 1);
-        let counters = fx.core.counters();
-        assert_eq!(counters.proofs, 3);
-        assert_eq!(
-            counters.proof_cache,
-            safetx_metrics::ProofCacheStats::default(),
-            "disabled cache stays inert under batching too"
-        );
-    }
-
-    #[test]
-    fn batch_outcomes_match_unbatched_evaluation() {
-        // Same data plane, cache off so both paths do full evaluations:
-        // the batch must reproduce the unbatched proofs field for field.
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let data = fx.core.data_plane();
-        let creds = [fx.credential.clone()];
-        let queries = [eval_query("write"), eval_query("read"), eval_query("drop")];
-        let now = Timestamp::from_millis(1);
-        let unbatched: Vec<_> = queries
-            .iter()
-            .map(|q| data.evaluate_one(now, UserId::new(1), &creds, q))
-            .collect();
-        let mut batch = data.begin_batch(now);
-        let batched: Vec<_> = queries
-            .iter()
-            .map(|q| batch.evaluate_one(UserId::new(1), &creds, q))
-            .collect();
-        drop(batch);
-        assert_eq!(batched, unbatched);
-        assert!(batched[0].truth() && batched[1].truth());
-        assert!(
-            !batched[2].truth(),
-            "underivable action denied in batch too"
-        );
-    }
-
-    #[test]
-    fn batch_snapshot_evaluation_matches_per_snapshot_path() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, false);
-        let snapshot = fx.core.snapshot_txn(txn).expect("registered");
-        let data = fx.core.data_plane();
-        let now = Timestamp::from_millis(2);
-        let single = data.evaluate_snapshot(now, &snapshot);
-        let batched = data.evaluate_batch(now, std::slice::from_ref(&snapshot));
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0], single);
     }
 
     #[test]

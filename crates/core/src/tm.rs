@@ -159,47 +159,16 @@ impl Actor<Msg> for TmActor {
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::Begin { spec, credentials } => self.begin(ctx, spec, credentials),
-            Msg::QueryDone {
-                txn,
-                query_index,
-                ok,
-                proof,
-                capability,
-            } => self.drive(
-                ctx,
-                txn,
-                TmEvent::QueryDone {
-                    query_index,
-                    ok,
-                    proof,
-                    capability,
-                },
-            ),
-            Msg::ValidateReply { txn, reply } => {
+            Msg::QueryDone { txn, .. }
+            | Msg::ValidateReply { txn, .. }
+            | Msg::CommitReply { txn, .. }
+            | Msg::Ack { txn } => {
                 let Some(server) = self.book.server_at(from) else {
                     return;
                 };
-                self.drive(
-                    ctx,
-                    txn,
-                    TmEvent::ValidateReply {
-                        from: server,
-                        reply,
-                    },
-                );
-            }
-            Msg::CommitReply { txn, reply } => {
-                let Some(server) = self.book.server_at(from) else {
-                    return;
-                };
-                self.drive(
-                    ctx,
-                    txn,
-                    TmEvent::CommitReply {
-                        from: server,
-                        reply,
-                    },
-                );
+                if let Ok(event) = TmEvent::from_reply(txn, server, msg) {
+                    self.drive(ctx, txn, event);
+                }
             }
             Msg::VersionReply { txn, versions } => self.drive(
                 ctx,
@@ -208,12 +177,6 @@ impl Actor<Msg> for TmActor {
                     versions: Arc::new(versions),
                 },
             ),
-            Msg::Ack { txn } => {
-                let Some(server) = self.book.server_at(from) else {
-                    return;
-                };
-                self.drive(ctx, txn, TmEvent::Ack { from: server });
-            }
             Msg::Inquiry { txn, from_server } => {
                 let answer = answer_inquiry(txn, self.config.variant, self.wal.records());
                 ctx.send(

@@ -13,9 +13,10 @@
 //! * [`crate::TmActor`] runs it on the deterministic discrete-event
 //!   simulator (events arrive as [`Msg`]s from the `safetx_sim` world,
 //!   timer effects become world timers);
-//! * `safetx_runtime::Cluster::execute` runs it on a blocking
-//!   crossbeam-channel receive loop over real OS threads (a `recv_timeout`
-//!   deadline becomes [`TmEvent::ReplyTimeout`]).
+//! * [`crate::drive_tm`] runs it on a blocking receive loop over any
+//!   [`crate::TmIo`] transport — crossbeam channels in `safetx-runtime`,
+//!   framed sockets in `safetx-net` (an expired receive deadline becomes
+//!   [`TmEvent::ReplyTimeout`]).
 //!
 //! Because both drivers share this machine, protocol-message accounting
 //! (the paper's Table I model) lives here and is identical in both
@@ -30,7 +31,7 @@
 //!   [`TmEffect::ArmTimer`]): a transaction idle past the configured
 //!   timeout aborts with [`AbortReason::Timeout`] during execution, while a
 //!   fixed-but-unacknowledged decision is retransmitted on each firing.
-//! * [`TmEvent::ReplyTimeout`] is the threaded driver's per-reply deadline:
+//! * [`TmEvent::ReplyTimeout`] is the blocking loop's per-reply deadline:
 //!   a missing reply aborts with [`AbortReason::ServerUnavailable`] (the
 //!   peer is presumed dead, not merely slow); once a decision exists the
 //!   core retransmits it once and then completes without the missing
@@ -128,6 +129,40 @@ pub enum TmEvent {
     ReplyTimeout,
     /// The idle watchdog armed by [`TmEffect::ArmTimer`] fired (simulator).
     WatchdogFired,
+}
+
+impl TmEvent {
+    /// Converts a reply `from` a server into the event it carries for
+    /// `txn`.
+    ///
+    /// `Err` means the message was stale or foreign; its payload is the
+    /// [`reply_counts_as_dropped`] verdict for the unconverted message (the
+    /// only thing a driver needs from it — returning the message itself
+    /// would haul 200+ bytes through the error path).
+    pub fn from_reply(txn: TxnId, from: ServerId, msg: Msg) -> Result<TmEvent, bool> {
+        match msg {
+            Msg::QueryDone {
+                txn: t,
+                query_index,
+                ok,
+                proof,
+                capability,
+            } if t == txn => Ok(TmEvent::QueryDone {
+                query_index,
+                ok,
+                proof,
+                capability,
+            }),
+            Msg::ValidateReply { txn: t, reply } if t == txn => {
+                Ok(TmEvent::ValidateReply { from, reply })
+            }
+            Msg::CommitReply { txn: t, reply } if t == txn => {
+                Ok(TmEvent::CommitReply { from, reply })
+            }
+            Msg::Ack { txn: t } if t == txn => Ok(TmEvent::Ack { from }),
+            msg => Err(reply_counts_as_dropped(&msg)),
+        }
+    }
 }
 
 /// An output of [`TmCore::step`]: something the driver must do.

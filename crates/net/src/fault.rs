@@ -304,6 +304,11 @@ impl NetFabric {
         *self.armed.write().expect("fabric lock") = None;
     }
 
+    /// Whether a plan is armed (one relaxed load).
+    pub(crate) fn is_armed(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
     /// The fault decision for one outbound frame.
     pub(crate) fn verdict(&self, from: Peer, to: Peer, kind: MsgKind, seq: u64) -> NetVerdict {
         if !self.enabled.load(Ordering::Relaxed) {

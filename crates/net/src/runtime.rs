@@ -8,11 +8,11 @@
 //! connects the same hosts over filesystem sockets — see
 //! `examples/net_processes.rs`).
 //!
-//! The batched-round + group-commit semantics of the threaded runtime are
-//! preserved: a server drains up to `server_batch` decoded frames per
-//! round, opens one WAL group around the round's protocol handling, runs
-//! the round's proof evaluations as one data-plane batch, and coalesces
-//! replies per peer into a single [`Msg::Batch`] frame. Peer disconnects
+//! Both sides run the protocol drivers `safetx-core` owns: a server drains
+//! up to `server_batch` decoded frames and feeds them to
+//! `ServerCore::run_round` (one WAL group, one proof-evaluation batch),
+//! coalescing the replies per peer into a single [`Msg::Batch`] frame; the
+//! TM side is `safetx_core::drive_tm` over framed sends. Peer disconnects
 //! surface through the existing failure detector — a reply that never
 //! arrives trips `ClusterConfig::reply_timeout` and the core aborts with
 //! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
@@ -23,20 +23,18 @@ use crate::fault::{
     corrupt_payload, splitmix64, truncate_len, NetFabric, NetFaultPlan, NetVerdict,
 };
 use crate::wire::{decode_msg, encode_msg, read_frame, write_frame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use safetx_core::{
-    coalesce_replies, reply_counts_as_dropped, AbortReason, EvalSnapshot, Msg, ResourcePolicyMap,
-    ServerCore, SharedCas, SharedCatalog, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination,
-    ValidationReply, VersionMap,
+    coalesce_replies, drive_tm, reply_counts_as_dropped, terminate_leftover, Msg, MsgKind,
+    ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmCore, TmCrashPoint, TmIo,
+    VersionMap,
 };
 use safetx_metrics::{FaultCounters, TransportCounters};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
-use safetx_runtime::{
-    resolve_batch, resolve_concurrency, ClusterConfig, CrashPoint, ExecutionResult, MsgKind, Peer,
-};
+use safetx_runtime::{ClusterConfig, CrashPoint, ExecutionResult, Peer};
 use safetx_store::Wal;
-use safetx_txn::{CoordinatorRecord, Decision, InquiryAnswer, QuerySpec, TransactionSpec, Vote};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
+use safetx_txn::{CoordinatorRecord, InquiryAnswer, TransactionSpec};
+use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
@@ -241,10 +239,9 @@ struct PeerLink {
 /// One cloud server running as an event loop over byte streams.
 ///
 /// The host owns the `ServerCore` and every connection to it. Frames are
-/// decoded by per-connection reader threads and processed in batched
-/// rounds identical to the threaded runtime's: protocol handling under one
-/// WAL group, proof evaluation as one data-plane batch, replies coalesced
-/// per peer into one frame.
+/// decoded by per-connection reader threads and fed to the core in rounds
+/// (`ServerCore::run_round`), the replies of a round coalesced per peer
+/// into one frame.
 pub struct ServerHost {
     /// The live loop's input channel; replaced on respawn after a crash.
     tx: Mutex<Sender<HostInput>>,
@@ -481,8 +478,8 @@ fn spawn_host_reader(
 }
 
 /// The server host's event loop: the socket-runtime analogue of the
-/// threaded runtime's `server_loop` + `process_round`, with proof
-/// evaluation inline (the loop is the server's single thread).
+/// threaded runtime's `server_loop`, with the round's proof evaluation
+/// inline (the loop is the server's single thread).
 ///
 /// The loop exits in one of two ways. A `Shutdown` (or a closed channel)
 /// is a clean stop. A crash — `HostInput::Crash` from the harness, or a
@@ -505,12 +502,12 @@ fn host_loop(
     let server = core.id();
     let mut links: HashMap<u64, PeerLink> = HashMap::new();
     let mut next_generation = 0u64;
+    let mut round: Vec<(NetAddr, Msg)> = Vec::new();
     let crashed = 'outer: loop {
         let Ok(first) = rx.recv() else { break false };
         // Collect one round: up to `batch` protocol messages already
         // queued; control inputs act as barriers exactly like the threaded
         // runtime's.
-        let mut round: Vec<(NetAddr, Msg)> = Vec::new();
         let mut control = None;
         match first {
             HostInput::Proto(from, msg) => round.push((from, msg)),
@@ -523,10 +520,21 @@ fn host_loop(
                 Err(_) => break,
             }
         }
-        if !round.is_empty() && process_round(&mut core, epoch, round, &mut links, &fabric, server)
-        {
-            // A scheduled crash point fired mid-round.
-            break 'outer true;
+        if !round.is_empty() {
+            let cut = cut_at_crash_point(&fabric, server, &mut round);
+            let out = core.run_round(now_since(epoch), round.drain(..));
+            let mut outputs = out.replies;
+            if let Some(deferred) = out.deferred {
+                outputs.extend(deferred.run(now_since(epoch)));
+            }
+            // One frame (and one flush) per destination per round; a
+            // disconnected peer is fine to ignore, like a dead channel in
+            // the threaded runtime.
+            let outputs = coalesce_replies(outputs, |a| a.0);
+            if send_frames(&mut links, &fabric, server, outputs) || cut {
+                // A scheduled crash point fired mid-round.
+                break 'outer true;
+            }
         }
         match control {
             None => {}
@@ -612,224 +620,44 @@ fn host_loop(
     }
 }
 
-/// A proof evaluation deferred to the round's data-plane batch (mirrors
-/// the threaded runtime's `EvalTask`).
-enum EvalTask {
-    Query {
-        txn: TxnId,
-        query_index: usize,
-        query: Arc<QuerySpec>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        to: NetAddr,
-    },
-    Snapshot {
-        txn: TxnId,
-        snapshot: EvalSnapshot,
-        to: NetAddr,
-    },
-}
-
-/// Processes one batched round: protocol handling inline under one WAL
-/// group, the round's proof evaluations as one data-plane batch, replies
-/// coalesced per peer and flushed once per touched connection.
-///
-/// Returns `true` when a scheduled crash point fired: `BeforeReceive`
-/// kills the server with the matching message (and the rest of the round)
-/// unprocessed, `AfterReceive` right after processing it, `AfterSend`
-/// right after the matching reply frame left — exactly the windows the
-/// threaded fabric exposes, so the same recovery obligations arise.
-fn process_round(
-    core: &mut ServerCore<NetAddr>,
-    epoch: Instant,
-    round: Vec<(NetAddr, Msg)>,
-    links: &mut HashMap<u64, PeerLink>,
+/// Applies the armed plan's receive-side crash points to a round, before
+/// the core sees it. `BeforeReceive` kills the server with the matching
+/// message (and the rest of the round) unprocessed, `AfterReceive` right
+/// after processing it — the round is cut there and `true` returned;
+/// `AfterSend` fires in [`send_frames`]. Exactly the windows the threaded
+/// fabric exposes, so the same recovery obligations arise.
+fn cut_at_crash_point(
     fabric: &NetFabric,
     server: ServerId,
+    round: &mut Vec<(NetAddr, Msg)>,
 ) -> bool {
+    if !fabric.is_armed() {
+        return false;
+    }
     // A Batch envelope is by definition its inner messages in order;
-    // flatten up front so crash points cut at message granularity.
-    let mut flat: Vec<(NetAddr, Msg)> = Vec::new();
-    for (from, msg) in round {
+    // flatten so the cut lands at message granularity.
+    let mut flat = Vec::with_capacity(round.len());
+    for (from, msg) in round.drain(..) {
         match msg {
             Msg::Batch(inner) => flat.extend(inner.into_iter().map(|m| (from, m))),
             other => flat.push((from, other)),
         }
     }
-    let mut crashed = false;
-    let mut cut = flat.len();
-    for (i, (_, msg)) in flat.iter().enumerate() {
+    *round = flat;
+    for (i, (_, msg)) in round.iter().enumerate() {
         let kind = MsgKind::of(msg);
-        if fabric
-            .take_crash(server, |p| p == CrashPoint::BeforeReceive(kind))
-            .is_some()
-        {
+        for (point, keep) in [
             // The matching message dies with the server.
-            cut = i;
-            crashed = true;
-            break;
-        }
-        if fabric
-            .take_crash(server, |p| p == CrashPoint::AfterReceive(kind))
-            .is_some()
-        {
-            cut = i + 1;
-            crashed = true;
-            break;
-        }
-    }
-    flat.truncate(cut);
-
-    let now = now_since(epoch);
-    let mut inline: Vec<(NetAddr, Msg)> = Vec::new();
-    let mut tasks: Vec<EvalTask> = Vec::new();
-    core.begin_wal_group();
-    {
-        for (from, msg) in flat {
-            if core.unsafe_baseline() {
-                inline.extend(core.handle(now, from, msg));
-                continue;
-            }
-            match msg {
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    evaluate_proof: true,
-                    pin_versions,
-                    capabilities,
-                } => {
-                    let replies = core.handle(
-                        now,
-                        from,
-                        Msg::ExecQuery {
-                            txn,
-                            query_index,
-                            query: Arc::clone(&query),
-                            user,
-                            credentials: Arc::clone(&credentials),
-                            evaluate_proof: false,
-                            pin_versions,
-                            capabilities,
-                        },
-                    );
-                    let ok = replies
-                        .iter()
-                        .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-                    if ok {
-                        tasks.push(EvalTask::Query {
-                            txn,
-                            query_index,
-                            query,
-                            user,
-                            credentials,
-                            to: from,
-                        });
-                    } else {
-                        inline.extend(replies);
-                    }
-                }
-                Msg::PrepareToValidate {
-                    txn,
-                    new_query,
-                    user,
-                    credentials,
-                } => {
-                    if let Some(snapshot) =
-                        core.register_validation(txn, new_query, user, credentials, from)
-                    {
-                        tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from,
-                        });
-                    }
-                }
-                Msg::Update {
-                    txn,
-                    targets,
-                    in_commit: false,
-                } => {
-                    core.data_plane().fast_forward(&targets);
-                    match core.snapshot_txn(txn) {
-                        Some(snapshot) => tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from,
-                        }),
-                        None => inline.push((
-                            from,
-                            Msg::ValidateReply {
-                                txn,
-                                reply: ValidationReply {
-                                    vote: Vote::Yes,
-                                    truth: true,
-                                    versions: VersionMap::new(),
-                                    proofs: Vec::new(),
-                                    conflict: false,
-                                },
-                            },
-                        )),
-                    }
-                }
-                other => inline.extend(core.handle(now, from, other)),
+            (CrashPoint::BeforeReceive(kind), i),
+            (CrashPoint::AfterReceive(kind), i + 1),
+        ] {
+            if fabric.take_crash(server, |p| p == point).is_some() {
+                round.truncate(keep);
+                return true;
             }
         }
     }
-    // The WAL group closes — performing the round's one physical sync —
-    // before any reply leaves, so a vote never outruns the force it
-    // acknowledges.
-    core.end_wal_group();
-    let mut outputs = inline;
-    if !tasks.is_empty() {
-        let data = core.data_plane();
-        let mut batch = data.begin_batch(now_since(epoch));
-        for task in tasks {
-            match task {
-                EvalTask::Query {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    to,
-                } => {
-                    let proof = batch.evaluate_one(user, &credentials, &query);
-                    outputs.push((
-                        to,
-                        Msg::QueryDone {
-                            txn,
-                            query_index,
-                            ok: true,
-                            proof: Some(proof),
-                            capability: None,
-                        },
-                    ));
-                }
-                EvalTask::Snapshot { txn, snapshot, to } => {
-                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
-                    outputs.push((
-                        to,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply {
-                                vote: Vote::Yes,
-                                truth,
-                                versions,
-                                proofs,
-                                conflict: false,
-                            },
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    // One frame (and one flush) per destination per round; a disconnected
-    // peer is fine to ignore, like a dead channel in the threaded runtime.
-    crashed | send_frames(links, fabric, server, coalesce_replies(outputs, |a| a.0))
+    false
 }
 
 /// Writes one frame per message through the fault fabric, flushing each.
@@ -984,44 +812,48 @@ impl NetCluster {
     /// Panics when socket pairs cannot be created.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
-        let epoch = Instant::now();
-        let batch = resolve_batch(&config);
-        let fabric = Arc::new(NetFabric::default());
-
-        let mut hosts = Vec::with_capacity(config.servers);
-        for i in 0..config.servers {
-            let id = ServerId::new(i as u64);
+        let mut cluster = Self::unconnected(config);
+        let knobs = cluster.config.resolved();
+        for i in 0..cluster.config.servers {
             let mut core = ServerCore::new(
-                id,
-                catalog.clone(),
+                ServerId::new(i as u64),
+                cluster.catalog.clone(),
                 ResourcePolicyMap::single(PolicyId::new(0)),
-                cas.clone(),
-                config.variant,
+                cluster.cas.clone(),
+                cluster.config.variant,
             );
-            if let Some(cost) = config.wal_sync_cost {
+            if let Some(cost) = cluster.config.wal_sync_cost {
                 core.set_wal_sync_cost(cost);
             }
-            core.set_concurrency(resolve_concurrency(&config));
-            hosts.push(ServerHost::spawn_with_fabric(
+            core.set_concurrency(knobs.concurrency);
+            cluster.hosts.push(ServerHost::spawn_with_fabric(
                 core,
-                epoch,
-                batch,
-                Arc::clone(&fabric),
+                cluster.epoch,
+                knobs.server_batch,
+                Arc::clone(&cluster.fabric),
             ));
         }
+        for i in 0..cluster.config.servers {
+            let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
+            cluster.hosts[i].attach(TM_PEER, srv_end);
+            cluster.install_tm_connection(i, tm_end, false);
+        }
+        cluster
+    }
 
+    /// The TM side with no host and no connection yet: a fresh catalog,
+    /// one certificate authority (`CA0`), a disarmed fabric.
+    fn unconnected(config: ClusterConfig) -> Self {
+        let mut registry = CaRegistry::new();
+        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
         let links: Vec<TmLink> = (0..config.servers).map(|_| TmLink::new()).collect();
-        let cluster = NetCluster {
+        NetCluster {
             config,
-            catalog,
-            cas,
-            epoch,
+            catalog: SharedCatalog::new(),
+            cas: SharedCas::new(registry),
+            epoch: Instant::now(),
             next_txn: AtomicU64::new(0),
-            hosts,
+            hosts: Vec::new(),
             links: Arc::new(links),
             routes: Arc::new(Mutex::new(HashMap::new())),
             readers: Mutex::new(Vec::new()),
@@ -1029,14 +861,8 @@ impl NetCluster {
             timeout_aborts: AtomicU64::new(0),
             reconnect_exhausted: AtomicU64::new(0),
             decision_log: Arc::new(Mutex::new(Wal::new())),
-            fabric,
-        };
-        for i in 0..cluster.config.servers {
-            let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
-            cluster.hosts[i].attach(TM_PEER, srv_end);
-            cluster.install_tm_connection(i, tm_end, false);
+            fabric: Arc::new(NetFabric::default()),
         }
-        cluster
     }
 
     /// Builds a TM-only cluster over already-connected streams, one per
@@ -1053,27 +879,7 @@ impl NetCluster {
             config.servers,
             "one stream per configured server"
         );
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
-        let links: Vec<TmLink> = (0..config.servers).map(|_| TmLink::new()).collect();
-        let cluster = NetCluster {
-            config,
-            catalog,
-            cas,
-            epoch: Instant::now(),
-            next_txn: AtomicU64::new(0),
-            hosts: Vec::new(),
-            links: Arc::new(links),
-            routes: Arc::new(Mutex::new(HashMap::new())),
-            readers: Mutex::new(Vec::new()),
-            dropped_replies: Arc::new(AtomicU64::new(0)),
-            timeout_aborts: AtomicU64::new(0),
-            reconnect_exhausted: AtomicU64::new(0),
-            decision_log: Arc::new(Mutex::new(Wal::new())),
-            fabric: Arc::new(NetFabric::default()),
-        };
+        let cluster = Self::unconnected(config);
         for (i, stream) in streams.into_iter().enumerate() {
             cluster.install_tm_connection(i, stream, false);
         }
@@ -1281,13 +1087,10 @@ impl NetCluster {
     }
 
     /// Drives every live server's leftover transactions to a decision on a
-    /// quiesced cluster (no concurrent `execute` calls): in-doubt
-    /// (prepared-Yes) transactions get the decision-log answer under the
-    /// cluster's termination variant; transactions that never reached a
-    /// vote get a unilateral abort (their coordinator cannot have
-    /// committed without the vote). Answers cross the real wire, so the
-    /// probe loops until the hosts have drained them. Returns the number
-    /// of transactions resolved.
+    /// quiesced cluster (no concurrent `execute` calls), telling each what
+    /// `safetx_core::terminate_leftover` derives from the decision log.
+    /// Answers cross the real wire, so the probe loops until the hosts
+    /// have drained them. Returns the number of transactions resolved.
     ///
     /// # Panics
     ///
@@ -1312,30 +1115,10 @@ impl NetCluster {
                 for txn in active {
                     outstanding += 1;
                     resolved.insert((i, txn));
-                    let msg = if in_doubt.contains(&txn) {
-                        let mut answer = {
-                            let log = self.decision_log.lock().expect("decision log lock");
-                            safetx_txn::answer_inquiry(txn, self.config.variant, log.records())
-                        };
-                        // Basic 2PC's blocking case (no record, no
-                        // presumption): on a quiesced cluster the
-                        // coordinator is gone for good, so the absence of
-                        // a forced decision record proves no participant
-                        // ever saw COMMIT — coordinator recovery decides
-                        // ABORT, same rule as
-                        // `safetx_txn::recover_coordinator`.
-                        if !matches!(answer, InquiryAnswer::Decided(_)) {
-                            answer = InquiryAnswer::Decided(Decision::Abort);
-                        }
-                        Msg::InquiryReply { txn, answer }
-                    } else {
-                        // Never voted ⇒ the coordinator cannot have
-                        // committed this transaction; unilateral abort
-                        // releases its locks.
-                        Msg::Decision {
-                            txn,
-                            decision: Decision::Abort,
-                        }
+                    let msg = {
+                        let log = self.decision_log.lock().expect("decision log lock");
+                        let variant = self.config.variant;
+                        terminate_leftover(txn, in_doubt.contains(&txn), variant, log.records())
                     };
                     self.send_to(i, &msg);
                     self.flush_link(i);
@@ -1485,7 +1268,7 @@ impl NetCluster {
     }
 
     /// Executes one transaction synchronously over the wire: the same
-    /// blocking drive of the sans-io `TmCore` as the threaded runtime's
+    /// shared TM loop (`safetx_core::drive_tm`) as the threaded runtime's
     /// `Cluster::execute`, except every send is an encoded frame and every
     /// reply arrives off a socket, demultiplexed to this call by
     /// transaction id.
@@ -1496,108 +1279,49 @@ impl NetCluster {
     /// bug, not an I/O condition).
     #[must_use]
     pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
+        self.run_tm(spec, credentials, None)
+            .expect("no coordinator crash scheduled")
+    }
+
+    /// Executes one transaction whose coordinator dies at the given
+    /// protocol moment (`None` when the crash fired; `Some` when the
+    /// transaction finished before reaching the point). Frames written
+    /// before the crash are on the wire; the reply route is gone with the
+    /// coordinator, so whatever the participants still send is counted as
+    /// stale. [`NetCluster::resolve_in_doubt`] terminates what the crash
+    /// leaves behind from the decision log.
+    #[must_use]
+    pub fn execute_with_coordinator_crash(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        point: TmCrashPoint,
+    ) -> Option<ExecutionResult> {
+        self.run_tm(spec, credentials, Some(point))
+    }
+
+    fn run_tm(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+    ) -> Option<ExecutionResult> {
         let started = Instant::now();
-        let txn = spec.id;
-        let (reply_tx, reply_rx) = unbounded::<(ServerId, Msg)>();
-        self.routes
-            .lock()
-            .expect("routes lock")
-            .insert(txn.index(), reply_tx);
-
-        let config = TmConfig::new(
-            self.config.scheme,
-            self.config.consistency,
-            self.config.variant,
+        let core = TmCore::new(
+            self.config.tm_config(),
+            spec.clone(),
+            credentials.to_vec(),
+            self.now(),
         );
-        let mut core = TmCore::new(config, spec.clone(), credentials.to_vec(), self.now());
-        let mut termination: Option<TxnTermination> = None;
-        let reply_timeout = self.config.reply_timeout;
-
-        let mut effects = core.start(self.now());
-        loop {
-            let mut consult_master = false;
-            // Touched links flush once per effect batch, after the whole
-            // batch is encoded — frames keep their protocol order and a
-            // round's sends to one server share a syscall.
-            let mut touched: Vec<usize> = Vec::new();
-            for effect in effects {
-                match effect {
-                    TmEffect::Send(server, msg) => {
-                        let i = server.index() as usize;
-                        self.send_to(i, &msg);
-                        if !touched.contains(&i) {
-                            touched.push(i);
-                        }
-                    }
-                    TmEffect::QueryMaster => consult_master = true,
-                    TmEffect::ForceLog { record, .. } => {
-                        self.decision_log
-                            .lock()
-                            .expect("decision log lock")
-                            .force(record);
-                    }
-                    TmEffect::Log(record) => {
-                        self.decision_log
-                            .lock()
-                            .expect("decision log lock")
-                            .append(record);
-                    }
-                    TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
-                    TmEffect::Finished(t) => termination = Some(*t),
-                }
-            }
-            for i in touched {
-                self.flush_link(i);
-            }
-            if termination.is_some() {
-                break;
-            }
-            if consult_master {
-                let versions = self.catalog.latest_snapshot().1;
-                effects = core.step(self.now(), TmEvent::MasterVersions { versions });
-                continue;
-            }
-            // One reply (readers already flattened any Batch envelope), or
-            // the deadline.
-            let input = match reply_timeout {
-                None => reply_rx.recv().ok(),
-                Some(t) => reply_rx.recv_timeout(t).ok(),
-            };
-            let event = match input {
-                None => TmEvent::ReplyTimeout,
-                Some((from, msg)) => match tm_event(txn, from, msg) {
-                    Ok(event) => event,
-                    Err(counts_as_dropped) => {
-                        if counts_as_dropped {
-                            self.dropped_replies.fetch_add(1, Ordering::Relaxed);
-                        }
-                        effects = Vec::new();
-                        continue;
-                    }
-                },
-            };
-            effects = core.step(self.now(), event);
-        }
-
-        // Deregister, then drain stragglers that raced the deregistration.
-        self.routes
-            .lock()
-            .expect("routes lock")
-            .remove(&txn.index());
-        let mut driver_dropped = 0u64;
-        while let Ok((_, msg)) = reply_rx.try_recv() {
-            if reply_counts_as_dropped(&msg) {
-                driver_dropped += 1;
-            }
-        }
-        self.dropped_replies
-            .fetch_add(driver_dropped + core.dropped_replies(), Ordering::Relaxed);
-
-        let termination = termination.expect("core emitted Finished");
-        if termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
-            self.timeout_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-        ExecutionResult::from_termination(termination, started.elapsed())
+        let mut io = WireTm::open(self, spec.id);
+        let timeout = self.config.reply_timeout;
+        let run = drive_tm(&mut io, core, || self.now(), timeout, crash)?;
+        Some(ExecutionResult::from_run(
+            run,
+            started,
+            &self.dropped_replies,
+            &self.timeout_aborts,
+        ))
     }
 
     /// Encodes and writes one frame to server `i` (through the fault
@@ -1676,6 +1400,98 @@ impl NetCluster {
 impl Drop for NetCluster {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+/// The coordinator's side of one transaction on the wire: its reply route
+/// (readers demultiplex replies into it by transaction id) and where the
+/// shared TM loop's effects land.
+struct WireTm<'a> {
+    cluster: &'a NetCluster,
+    txn: TxnId,
+    replies: Receiver<(ServerId, Msg)>,
+    /// Links written since the last flush. They flush once per effect
+    /// batch, after the whole batch is encoded — frames keep their
+    /// protocol order and a round's sends to one server share a syscall.
+    touched: Vec<usize>,
+    routed: bool,
+}
+
+impl<'a> WireTm<'a> {
+    fn open(cluster: &'a NetCluster, txn: TxnId) -> Self {
+        let (tx, replies) = unbounded();
+        cluster
+            .routes
+            .lock()
+            .expect("routes lock")
+            .insert(txn.index(), tx);
+        WireTm {
+            cluster,
+            txn,
+            replies,
+            touched: Vec::new(),
+            routed: true,
+        }
+    }
+
+    /// Deregisters the reply route: from here on the readers count this
+    /// transaction's replies as stale themselves.
+    fn close(&mut self) {
+        if std::mem::take(&mut self.routed) {
+            let mut routes = self.cluster.routes.lock().expect("routes lock");
+            routes.remove(&self.txn.index());
+        }
+    }
+}
+
+impl Drop for WireTm<'_> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+impl TmIo for WireTm<'_> {
+    fn send(&mut self, server: ServerId, msg: Msg) {
+        let i = server.index() as usize;
+        self.cluster.send_to(i, &msg);
+        if !self.touched.contains(&i) {
+            self.touched.push(i);
+        }
+    }
+
+    fn flush(&mut self) {
+        for i in self.touched.drain(..) {
+            self.cluster.flush_link(i);
+        }
+    }
+
+    // Readers already flattened any Batch envelope.
+    fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
+        match deadline {
+            None => self.replies.recv().ok(),
+            Some(t) => self.replies.recv_timeout(t).ok(),
+        }
+    }
+
+    // Deregister first, then hand out what raced the deregistration.
+    fn try_recv(&mut self) -> Option<Msg> {
+        self.close();
+        self.replies.try_recv().ok().map(|(_, msg)| msg)
+    }
+
+    // The catalog IS the master here; answer inline from its snapshot.
+    fn master_versions(&self) -> Arc<VersionMap> {
+        self.cluster.catalog.latest_snapshot().1
+    }
+
+    fn force_decision(&mut self, record: CoordinatorRecord) {
+        let mut log = self.cluster.decision_log.lock().expect("decision log lock");
+        log.force(record);
+    }
+
+    fn append_decision(&mut self, record: CoordinatorRecord) {
+        let mut log = self.cluster.decision_log.lock().expect("decision log lock");
+        log.append(record);
     }
 }
 
@@ -1796,36 +1612,21 @@ fn tm_reader_loop(stream: UnixStream, from: ServerId, ctx: &TmReaderCtx) {
     }
 }
 
-/// Routes one server→TM message by its transaction id.
+/// Routes one server→TM message to the `execute` call driving its
+/// transaction. A message nobody takes is a stale straggler, counted under
+/// the shared rule: it carries no transaction id (foreign), its route is
+/// gone, or — losing the race with deregistration — its receiver is.
 fn route_reply(from: ServerId, msg: Msg, routes: &Routes, dropped: &AtomicU64) {
-    let txn = match reply_txn(&msg) {
-        Some(txn) => txn,
-        None => {
-            // Server→TM traffic always carries a transaction id; anything
-            // else is foreign and counted like any stale non-ack.
-            if reply_counts_as_dropped(&msg) {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-    };
-    let sender = {
+    let sender = reply_txn(&msg).and_then(|txn| {
         let routes = routes.lock().expect("routes lock");
         routes.get(&txn.index()).cloned()
+    });
+    let untaken = match sender {
+        Some(tx) => tx.send((from, msg)).err().map(|SendError((_, msg))| msg),
+        None => Some(msg),
     };
-    match sender {
-        Some(tx) => {
-            if tx.send((from, msg)).is_err() && reply_counts_as_dropped(&Msg::Ack { txn }) {
-                // Unreachable in practice (acks never count) — kept for
-                // symmetry if the rule ever changes.
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        None => {
-            if reply_counts_as_dropped(&msg) {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    if untaken.is_some_and(|msg| reply_counts_as_dropped(&msg)) {
+        dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1843,28 +1644,33 @@ fn reply_txn(msg: &Msg) -> Option<TxnId> {
     }
 }
 
-/// Converts a routed reply into the core event it carries (the socket
-/// analogue of the threaded runtime's `coordinator_event`). `Err` is the
-/// [`reply_counts_as_dropped`] verdict for a stale or foreign message.
-fn tm_event(txn: TxnId, from: ServerId, msg: Msg) -> Result<TmEvent, bool> {
-    match msg {
-        Msg::QueryDone {
-            txn: t,
-            query_index,
-            ok,
-            proof,
-            capability,
-        } if t == txn => Ok(TmEvent::QueryDone {
-            query_index,
-            ok,
-            proof,
-            capability,
-        }),
-        Msg::ValidateReply { txn: t, reply } if t == txn => {
-            Ok(TmEvent::ValidateReply { from, reply })
-        }
-        Msg::CommitReply { txn: t, reply } if t == txn => Ok(TmEvent::CommitReply { from, reply }),
-        Msg::Ack { txn: t } if t == txn => Ok(TmEvent::Ack { from }),
-        msg => Err(reply_counts_as_dropped(&msg)),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reply can lose the race with its transaction's deregistration: the
+    /// reader cloned the route's sender, then `execute` returned and
+    /// dropped the receiver. Such a reply is a stale straggler like any
+    /// unroutable one — counted unless it is an ack.
+    #[test]
+    fn reply_that_outlives_its_receiver_counts_as_dropped() {
+        let txn = TxnId::new(7);
+        let routes: Routes = Arc::default();
+        let (tx, rx) = unbounded();
+        routes.lock().unwrap().insert(txn.index(), tx);
+        drop(rx);
+        let dropped = AtomicU64::new(0);
+        let from = ServerId::new(0);
+        let done = Msg::QueryDone {
+            txn,
+            query_index: 0,
+            ok: true,
+            proof: None,
+            capability: None,
+        };
+        route_reply(from, done, &routes, &dropped);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
+        route_reply(from, Msg::Ack { txn }, &routes, &dropped);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1, "acks never count");
     }
 }

@@ -1,23 +1,20 @@
 //! Thread-per-server cluster.
 
-use crate::fault::{
-    ArmedPlan, CrashPoint, FaultPlan, FaultStats, MsgKind, Peer, TmCrashPoint, Verdict,
-};
+use crate::fault::{ArmedPlan, CrashPoint, FaultPlan, FaultStats, Peer, Verdict};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{
-    coalesce_replies, reply_counts_as_dropped, AbortReason, ConcurrencyMode, ConsistencyLevel,
-    EvalSnapshot, Msg, ProofScheme, ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog,
-    TmConfig, TmCore, TmEffect, TmEvent, TransactionView, TxnOutcome, TxnTermination,
-    ValidationReply, VersionMap,
+    coalesce_replies, drive_tm, terminate_leftover, AbortReason, ConcurrencyMode, ConsistencyLevel,
+    Msg, MsgKind, ProofScheme, ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmConfig,
+    TmCore, TmCrashPoint, TmIo, TmRun, TransactionView, TxnOutcome, TxnTermination, VersionMap,
 };
 use safetx_metrics::{FaultCounters, ProtocolMetrics};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
 use safetx_store::Wal;
-use safetx_txn::{CommitVariant, CoordinatorRecord, QuerySpec, TransactionSpec, Vote};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
+use safetx_txn::{CommitVariant, CoordinatorRecord, TransactionSpec};
+use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,6 +34,19 @@ pub struct Addr {
 fn fresh_addr_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Addr {
+    /// A fresh coordinator endpoint and the channel its replies arrive on.
+    fn coordinator() -> (Addr, Receiver<Input>) {
+        let (tx, rx) = unbounded::<Input>();
+        let addr = Addr {
+            endpoint: Endpoint::Coordinator,
+            tx,
+            id: fresh_addr_id(),
+        };
+        (addr, rx)
+    }
 }
 
 impl std::fmt::Debug for Addr {
@@ -156,10 +166,6 @@ impl Net {
 
     fn note_recovery(&self) {
         self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_timeout_abort(&self) {
-        self.stats.timeout_aborts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The current input channel of a server (control plane: configure,
@@ -295,8 +301,8 @@ pub struct ClusterConfig {
     /// Data-plane worker threads per server (proof evaluation off the
     /// server thread). `None` defers to the `SAFETX_SERVER_WORKERS`
     /// environment variable, then to `min(4, available_parallelism)`.
-    /// A value of `1` (or `0`) keeps every server fully single-threaded —
-    /// the exact pre-pool behaviour.
+    /// A value of `1` (or `0`) keeps every server fully single-threaded:
+    /// each round's proofs are evaluated on the server thread.
     pub server_workers: Option<usize>,
     /// How long a TM waits for any single protocol reply before treating
     /// the round as failed ([`AbortReason::ServerUnavailable`], or — once a
@@ -310,8 +316,8 @@ pub struct ClusterConfig {
     /// Maximum protocol messages one server-loop iteration drains and
     /// processes as a single round (shared proof-evaluation batch, one WAL
     /// group commit, coalesced replies). `None` defers to the
-    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — which
-    /// keeps the exact message-at-a-time loop.
+    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — every
+    /// round holds one message.
     pub server_batch: Option<usize>,
     /// Simulated cost of one physical WAL sync (spin-waited inside
     /// `Wal::force`/group close). `None` makes syncs free, the historical
@@ -342,50 +348,65 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Resolves the per-server worker count: explicit config, then the
-/// `SAFETX_SERVER_WORKERS` environment variable, then
-/// `min(4, available_parallelism)`.
-fn resolve_workers(config: &ClusterConfig) -> usize {
-    config
-        .server_workers
-        .or_else(|| {
-            std::env::var("SAFETX_SERVER_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(4))
+/// [`ClusterConfig`]'s deferred knobs with every `None` settled: explicit
+/// value, then environment variable, then default. Read once per cluster
+/// build by every deployment of a `ClusterConfig` (threaded, socket,
+/// sharded), so CI can flip a whole battery through the environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolvedKnobs {
+    /// Data-plane worker threads per server.
+    pub server_workers: usize,
+    /// Drain limit of the server loop, at least 1.
+    pub server_batch: usize,
+    /// Concurrency mode of every server.
+    pub concurrency: ConcurrencyMode,
+}
+
+impl ClusterConfig {
+    /// Settles the knobs this configuration leaves to the process
+    /// environment (`SAFETX_SERVER_WORKERS`, `SAFETX_SERVER_BATCH`,
+    /// `SAFETX_CONCURRENCY_MODE`).
+    #[must_use]
+    pub fn resolved(&self) -> ResolvedKnobs {
+        self.resolve_with(|name| std::env::var(name).ok())
+    }
+
+    /// [`ClusterConfig::resolved`] over an explicit environment lookup.
+    /// An unset or unparsable variable falls through to the default.
+    #[must_use]
+    pub fn resolve_with(&self, env: impl Fn(&str) -> Option<String>) -> ResolvedKnobs {
+        let number = |name| env(name).and_then(|v| v.parse::<usize>().ok());
+        ResolvedKnobs {
+            server_workers: self
+                .server_workers
+                .or_else(|| number("SAFETX_SERVER_WORKERS"))
+                .unwrap_or_else(|| {
+                    // Asked of the OS once per process: the answer costs
+                    // cgroup file reads, and deployments that never use it
+                    // (the socket runtime has no pool) resolve it too.
+                    static CORES: OnceLock<usize> = OnceLock::new();
+                    *CORES.get_or_init(|| {
+                        std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+                    })
+                }),
+            server_batch: self
+                .server_batch
+                .or_else(|| number("SAFETX_SERVER_BATCH"))
                 .unwrap_or(1)
-        })
-}
+                .max(1),
+            concurrency: self
+                .concurrency
+                .or_else(|| ConcurrencyMode::parse(&env("SAFETX_CONCURRENCY_MODE")?))
+                .unwrap_or_default(),
+        }
+    }
 
-/// Resolves the server-round batch limit: explicit config, then the
-/// `SAFETX_SERVER_BATCH` environment variable, then `1` (batching off).
-///
-/// Public so alternative deployments of the same [`ClusterConfig`] (the
-/// socket runtime in `safetx-net`) resolve the limit identically.
-pub fn resolve_batch(config: &ClusterConfig) -> usize {
-    config
-        .server_batch
-        .or_else(|| {
-            std::env::var("SAFETX_SERVER_BATCH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Resolves the concurrency mode: explicit config, then the
-/// `SAFETX_CONCURRENCY_MODE` environment variable, then `Locking`.
-///
-/// Public for the same reason as [`resolve_batch`]: every deployment of a
-/// [`ClusterConfig`] (threaded, socket, sharded) must resolve the mode
-/// identically, so CI can flip a whole battery through the environment.
-#[must_use]
-pub fn resolve_concurrency(config: &ClusterConfig) -> ConcurrencyMode {
-    config.concurrency.unwrap_or_else(ConcurrencyMode::from_env)
+    /// The protocol configuration every coordinator of this deployment
+    /// runs with.
+    #[must_use]
+    pub fn tm_config(&self) -> TmConfig {
+        TmConfig::new(self.scheme, self.consistency, self.variant)
+    }
 }
 
 /// A job shipped to a server's data-plane workers.
@@ -480,43 +501,22 @@ impl ExecutionResult {
             metrics: termination.metrics,
         }
     }
-}
 
-/// Converts a coordinator-channel input into the core event it carries.
-///
-/// `Err` means the input was stale or foreign; its payload is the
-/// [`reply_counts_as_dropped`] verdict for the unconverted message (the
-/// only thing the driver needs from it — returning the message itself
-/// would haul 200+ bytes through the error path).
-fn coordinator_event(txn: TxnId, from: &Addr, msg: Msg) -> Result<TmEvent, bool> {
-    let server = match from.endpoint {
-        Endpoint::Server(id) => Some(id),
-        Endpoint::Coordinator => None,
-    };
-    match (server, msg) {
-        (
-            _,
-            Msg::QueryDone {
-                txn: t,
-                query_index,
-                ok,
-                proof,
-                capability,
-            },
-        ) if t == txn => Ok(TmEvent::QueryDone {
-            query_index,
-            ok,
-            proof,
-            capability,
-        }),
-        (Some(from), Msg::ValidateReply { txn: t, reply }) if t == txn => {
-            Ok(TmEvent::ValidateReply { from, reply })
+    /// Builds the result of a finished TM loop started at `started`,
+    /// adding the run's stale replies — and, when the reply deadline
+    /// aborted it, one timeout — to the deployment's counters.
+    #[must_use]
+    pub fn from_run(
+        run: TmRun,
+        started: Instant,
+        dropped_replies: &AtomicU64,
+        timeout_aborts: &AtomicU64,
+    ) -> Self {
+        dropped_replies.fetch_add(run.dropped_replies, Ordering::Relaxed);
+        if run.termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
+            timeout_aborts.fetch_add(1, Ordering::Relaxed);
         }
-        (Some(from), Msg::CommitReply { txn: t, reply }) if t == txn => {
-            Ok(TmEvent::CommitReply { from, reply })
-        }
-        (Some(from), Msg::Ack { txn: t }) if t == txn => Ok(TmEvent::Ack { from }),
-        (_, msg) => Err(reply_counts_as_dropped(&msg)),
+        Self::from_termination(run.termination, started.elapsed())
     }
 }
 
@@ -539,8 +539,7 @@ pub struct Cluster {
     /// In-doubt resolver threads spawned by [`Cluster::restart_server`].
     resolvers: Mutex<Vec<JoinHandle<()>>>,
     stopping: Arc<AtomicBool>,
-    workers: usize,
-    batch: usize,
+    knobs: ResolvedKnobs,
     /// First global server id owned by this cluster (0 for a standalone
     /// deployment; a shard's offset into the global id space otherwise).
     base: u64,
@@ -582,9 +581,7 @@ impl Cluster {
         cas: SharedCas,
         epoch: Instant,
     ) -> Self {
-        let workers = resolve_workers(&config);
-        let batch = resolve_batch(&config);
-        let concurrency = resolve_concurrency(&config);
+        let knobs = config.resolved();
         let live_servers = Arc::new(AtomicUsize::new(0));
         let salvage: Salvage = Arc::new(Mutex::new(HashMap::new()));
 
@@ -614,7 +611,7 @@ impl Cluster {
             if let Some(cost) = config.wal_sync_cost {
                 core.set_wal_sync_cost(cost);
             }
-            core.set_concurrency(concurrency);
+            core.set_concurrency(knobs.concurrency);
             let my_addr = net.server_addr(i);
             live_servers.fetch_add(1, Ordering::Release);
             let guard = LiveGuard(live_servers.clone());
@@ -622,7 +619,7 @@ impl Cluster {
             let salvage = Arc::clone(&salvage);
             handles.push(Some(std::thread::spawn(move || {
                 let _guard = guard;
-                server_loop(core, rx, my_addr, epoch, workers, batch, net, salvage);
+                server_loop(core, rx, my_addr, epoch, knobs, net, salvage);
             })));
         }
 
@@ -640,8 +637,7 @@ impl Cluster {
             decision_log: Arc::new(Mutex::new(Wal::new())),
             resolvers: Mutex::new(Vec::new()),
             stopping: Arc::new(AtomicBool::new(false)),
-            workers,
-            batch,
+            knobs,
             base: first_server,
         }
     }
@@ -871,10 +867,10 @@ impl Cluster {
         let guard = LiveGuard(self.live_servers.clone());
         let net = Arc::clone(&self.net);
         let salvage = Arc::clone(&self.salvage);
-        let (epoch, workers, batch) = (self.epoch, self.workers, self.batch);
+        let (epoch, knobs) = (self.epoch, self.knobs);
         let handle = std::thread::spawn(move || {
             let _guard = guard;
-            server_loop(core, rx, my_addr, epoch, workers, batch, net, salvage);
+            server_loop(core, rx, my_addr, epoch, knobs, net, salvage);
         });
         self.handles.lock().expect("handles lock")[idx] = Some(handle);
         self.net.note_recovery();
@@ -897,12 +893,7 @@ impl Cluster {
             // A reply address nobody reads: the participant's ack (if its
             // variant sends one) dies quietly, exactly like an ack to a
             // coordinator that already moved on.
-            let (dead_tx, _dead_rx) = unbounded::<Input>();
-            let coordinator = Addr {
-                endpoint: Endpoint::Coordinator,
-                tx: dead_tx,
-                id: fresh_addr_id(),
-            };
+            let (coordinator, _unread) = Addr::coordinator();
             let deadline = Instant::now() + Duration::from_secs(10);
             while !stopping.load(Ordering::Acquire) && Instant::now() < deadline {
                 let answer = {
@@ -927,19 +918,8 @@ impl Cluster {
     /// and answers each from the coordinator decision log. Returns how
     /// many transactions were resolved.
     ///
-    /// Only meaningful on a **quiesced** cluster — no `execute` in flight.
-    /// A transaction that is mid-2PVC has no decision record yet and would
-    /// be answered from its variant's presumption, which can contradict
-    /// the decision its coordinator is about to take.
-    ///
-    /// Two classes of leftovers are distinguished. A participant that is
-    /// *in-doubt* (prepared, voted Yes) gets the inquiry answer from the
-    /// decision log under the cluster's termination variant. A participant
-    /// that never reached a vote — its coordinator crashed before (or
-    /// during) prepare — gets a unilateral `Decision::Abort` instead:
-    /// its vote was never cast, so no coordinator can have committed with
-    /// it as a participant, and a presumption answer (presumed-commit in
-    /// particular) must never reach an unprepared transaction.
+    /// Only meaningful on a **quiesced** cluster — no `execute` in flight;
+    /// see [`terminate_leftover`] for what each leftover is told and why.
     pub fn resolve_in_doubt(&self) -> usize {
         let crashed: BTreeSet<u64> = self
             .salvage
@@ -960,33 +940,12 @@ impl Cluster {
             let (active, in_doubt) = probe_rx.recv().expect("probe reply");
             let in_doubt: BTreeSet<TxnId> = in_doubt.into_iter().collect();
             for txn in active {
-                let msg = if in_doubt.contains(&txn) {
-                    let mut answer = {
-                        let log = self.decision_log.lock().expect("decision log lock");
-                        safetx_txn::answer_inquiry(txn, self.config.variant, log.records())
-                    };
-                    // Basic 2PC's blocking case (no record, no
-                    // presumption): on a quiesced cluster the coordinator
-                    // is gone for good, so the absence of a forced
-                    // decision record proves no participant ever saw
-                    // COMMIT — coordinator recovery decides ABORT, same
-                    // rule as `safetx_txn::recover_coordinator`.
-                    if !matches!(answer, safetx_txn::InquiryAnswer::Decided(_)) {
-                        answer = safetx_txn::InquiryAnswer::Decided(safetx_txn::Decision::Abort);
-                    }
-                    Msg::InquiryReply { txn, answer }
-                } else {
-                    Msg::Decision {
-                        txn,
-                        decision: safetx_txn::Decision::Abort,
-                    }
+                let msg = {
+                    let log = self.decision_log.lock().expect("decision log lock");
+                    let variant = self.config.variant;
+                    terminate_leftover(txn, in_doubt.contains(&txn), variant, log.records())
                 };
-                let (dead_tx, _dead_rx) = unbounded::<Input>();
-                let coordinator = Addr {
-                    endpoint: Endpoint::Coordinator,
-                    tx: dead_tx,
-                    id: fresh_addr_id(),
-                };
+                let (coordinator, _unread) = Addr::coordinator();
                 let _ = self
                     .net
                     .tx(self.pos(server))
@@ -1055,29 +1014,17 @@ impl Cluster {
         }
     }
 
-    /// Executes one transaction synchronously: a blocking receive loop
-    /// driving the shared sans-io [`TmCore`] state machine from the calling
-    /// thread. All scheme-pipeline and 2PVC logic lives in the core; the
-    /// shared [`drive_tm`] driver only converts channel inputs into
-    /// [`TmEvent`]s and performs the returned [`TmEffect`]s (sends through
-    /// the fault fabric, decision log writes, inline master consults).
-    /// Thread-safe: concurrent callers contend on the servers' lock
-    /// managers exactly like concurrent TMs.
+    /// Executes one transaction synchronously: the shared blocking TM loop
+    /// ([`safetx_core::drive_tm`]) drives the sans-io [`TmCore`] state
+    /// machine from the calling thread, over a fresh reply channel. All
+    /// scheme-pipeline and 2PVC logic lives in the core; this cluster only
+    /// carries sends through the fault fabric, decision records to its log
+    /// and master consults to its catalog. Thread-safe: concurrent callers
+    /// contend on the servers' lock managers exactly like concurrent TMs.
     #[must_use]
     pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
-        let config = TmConfig::new(
-            self.config.scheme,
-            self.config.consistency,
-            self.config.variant,
-        );
-        drive_tm(
-            self,
-            config,
-            spec,
-            credentials,
-            self.config.reply_timeout,
-            self.epoch,
-        )
+        self.run_tm(spec, credentials, None)
+            .expect("no coordinator crash scheduled")
     }
 
     /// Executes one transaction whose coordinator dies at the given
@@ -1094,56 +1041,21 @@ impl Cluster {
         credentials: &[Credential],
         point: TmCrashPoint,
     ) -> Option<ExecutionResult> {
-        let config = TmConfig::new(
-            self.config.scheme,
-            self.config.consistency,
-            self.config.variant,
-        );
-        drive_tm_with_crash(
-            self,
-            config,
+        self.run_tm(spec, credentials, Some(point))
+    }
+
+    fn run_tm(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+    ) -> Option<ExecutionResult> {
+        ChannelTm::new(std::slice::from_ref(self), &[0]).run(
             spec,
             credentials,
-            self.config.reply_timeout,
-            self.epoch,
-            Some(point),
+            crash,
+            (&self.dropped_replies, &self.net.stats.timeout_aborts),
         )
-    }
-
-    /// Protocol send to one of this cluster's servers, from a coordinator
-    /// reply address. Used by [`drive_tm`] routes (including the sharded
-    /// deployment's cross-shard coordinator in `shard.rs`).
-    pub(crate) fn send_from(&self, from: &Addr, server: ServerId, msg: Msg) {
-        self.net.to_server(from, self.pos(server), msg);
-    }
-
-    /// Force-appends a coordinator record to this cluster's decision log —
-    /// the log its recovery inquiries are answered from.
-    pub(crate) fn force_decision_record(&self, record: CoordinatorRecord) {
-        self.decision_log
-            .lock()
-            .expect("decision log lock")
-            .force(record);
-    }
-
-    /// Appends a non-forced coordinator record to this cluster's decision
-    /// log.
-    pub(crate) fn append_decision_record(&self, record: CoordinatorRecord) {
-        self.decision_log
-            .lock()
-            .expect("decision log lock")
-            .append(record);
-    }
-
-    /// Adds to the stale-reply counter surfaced by
-    /// [`Cluster::dropped_replies`].
-    pub(crate) fn note_dropped_replies(&self, count: u64) {
-        self.dropped_replies.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Records a reply-deadline abort in the fault counters.
-    pub(crate) fn note_timeout_abort(&self) {
-        self.net.note_timeout_abort();
     }
 
     /// Stops all server threads and waits for them.
@@ -1173,314 +1085,205 @@ impl Drop for Cluster {
     }
 }
 
-/// Where a TM driver's effects land: protocol sends, master consults,
-/// decision-log writes and counter updates. [`Cluster`] routes everything
-/// to its own servers and log; the sharded deployment's cross-shard
-/// coordinator (`shard.rs`) routes each server to its owning shard and
-/// replicates decision records into every participant shard's log — both
-/// drive the **same** [`drive_tm`] loop, which is what makes a 1-shard
-/// deployment byte-identical to a plain cluster.
-pub(crate) trait TmRoute {
-    /// Protocol send to a (globally identified) server.
-    fn send(&self, from: &Addr, server: ServerId, msg: Msg);
-    /// The master's latest version per policy.
-    fn master_versions(&self) -> Arc<VersionMap>;
-    /// Force a coordinator record to every relevant decision log before
-    /// the protocol proceeds.
-    fn force_decision(&self, record: CoordinatorRecord);
-    /// Append a non-forced coordinator record.
-    fn append_decision(&self, record: CoordinatorRecord);
-    /// Count stale replies observed by the driver.
-    fn note_dropped(&self, count: u64);
-    /// Count a reply-deadline abort.
-    fn note_timeout(&self);
+/// The coordinator's side of one transaction on the channel fabric: a
+/// fresh reply channel, and where the shared TM loop's effects land.
+///
+/// `shards` own equal, contiguous server-id ranges over one shared catalog
+/// and epoch; sends go to the shard owning the server, and decision
+/// records into the log of every shard in `participants` (forced *before*
+/// participants are told, so any shard's recovery inquiry is answered
+/// locally). A plain [`Cluster`] is the one-shard case — which is what
+/// makes a 1-shard deployment byte-identical to it.
+pub(crate) struct ChannelTm<'a> {
+    shards: &'a [Cluster],
+    participants: &'a [usize],
+    me: Addr,
+    replies: Receiver<Input>,
 }
 
-impl TmRoute for Cluster {
-    fn send(&self, from: &Addr, server: ServerId, msg: Msg) {
-        self.send_from(from, server, msg);
+impl<'a> ChannelTm<'a> {
+    pub(crate) fn new(shards: &'a [Cluster], participants: &'a [usize]) -> Self {
+        let (me, replies) = Addr::coordinator();
+        ChannelTm {
+            shards,
+            participants,
+            me,
+            replies,
+        }
+    }
+
+    /// Drives `spec` to termination (`None` when the scheduled coordinator
+    /// crash fired first), accounting stale replies and reply-deadline
+    /// aborts into `(dropped_replies, timeout_aborts)`.
+    pub(crate) fn run(
+        mut self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+        (dropped_replies, timeout_aborts): (&AtomicU64, &AtomicU64),
+    ) -> Option<ExecutionResult> {
+        let started = Instant::now();
+        let cluster = &self.shards[0];
+        let (epoch, reply_timeout) = (cluster.epoch, cluster.config.reply_timeout);
+        let now = || now_since(epoch);
+        let core = TmCore::new(
+            cluster.config.tm_config(),
+            spec.clone(),
+            credentials.to_vec(),
+            now(),
+        );
+        let run = drive_tm(&mut self, core, now, reply_timeout, crash)?;
+        Some(ExecutionResult::from_run(
+            run,
+            started,
+            dropped_replies,
+            timeout_aborts,
+        ))
+    }
+
+    fn logs(&self) -> impl Iterator<Item = &'a DecisionLog> + '_ {
+        self.participants
+            .iter()
+            .map(|&shard| &self.shards[shard].decision_log)
+    }
+}
+
+impl TmIo for ChannelTm<'_> {
+    fn send(&mut self, server: ServerId, msg: Msg) {
+        let first = &self.shards[0];
+        let owner = server.index().saturating_sub(first.base) / first.config.servers as u64;
+        // An id outside the deployment lands on an edge shard, whose `pos`
+        // names it in its panic.
+        let shard = &self.shards[(owner as usize).min(self.shards.len() - 1)];
+        shard.net.to_server(&self.me, shard.pos(server), msg);
+    }
+
+    fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
+        loop {
+            let input = match deadline {
+                // `None` here only once every sender is gone.
+                None => self.replies.recv().ok()?,
+                Some(t) => self.replies.recv_timeout(t).ok()?,
+            };
+            // Only servers' protocol traffic reaches a coordinator channel.
+            if let Input::Proto(
+                Addr {
+                    endpoint: Endpoint::Server(from),
+                    ..
+                },
+                msg,
+            ) = input
+            {
+                return Some((from, msg));
+            }
+        }
+    }
+
+    fn try_recv(&mut self) -> Option<Msg> {
+        loop {
+            if let Input::Proto(_, msg) = self.replies.try_recv().ok()? {
+                return Some(msg);
+            }
+        }
     }
 
     // The catalog IS the master here; answer inline from its epoch
     // snapshot (no map rebuild, no deep clone).
     fn master_versions(&self) -> Arc<VersionMap> {
-        self.catalog.latest_snapshot().1
+        self.shards[0].catalog.latest_snapshot().1
     }
 
-    fn force_decision(&self, record: CoordinatorRecord) {
-        self.force_decision_record(record);
-    }
-
-    fn append_decision(&self, record: CoordinatorRecord) {
-        self.append_decision_record(record);
-    }
-
-    fn note_dropped(&self, count: u64) {
-        self.note_dropped_replies(count);
-    }
-
-    fn note_timeout(&self) {
-        self.note_timeout_abort();
-    }
-}
-
-/// The blocking TM driver shared by every threaded deployment: feeds the
-/// sans-io [`TmCore`] from a fresh coordinator reply channel and performs
-/// its effects through the given [`TmRoute`]. All scheme-pipeline and 2PVC
-/// logic lives in the core; the route only decides *where* sends and
-/// decision records go.
-pub(crate) fn drive_tm<R: TmRoute + ?Sized>(
-    route: &R,
-    config: TmConfig,
-    spec: &TransactionSpec,
-    credentials: &[Credential],
-    reply_timeout: Option<Duration>,
-    epoch: Instant,
-) -> ExecutionResult {
-    drive_tm_with_crash(route, config, spec, credentials, reply_timeout, epoch, None)
-        .expect("no coordinator crash scheduled")
-}
-
-/// [`drive_tm`] with an optional scheduled coordinator crash: at the
-/// matching protocol moment the driver stops dead — no further effects
-/// are performed, nothing is cleaned up, and `None` is returned. Effects
-/// performed *before* the crash point (sends on the wire, records in the
-/// decision log) stand, exactly as a process kill would leave them; the
-/// participants' termination protocol owns whatever is left.
-pub(crate) fn drive_tm_with_crash<R: TmRoute + ?Sized>(
-    route: &R,
-    config: TmConfig,
-    spec: &TransactionSpec,
-    credentials: &[Credential],
-    reply_timeout: Option<Duration>,
-    epoch: Instant,
-    crash: Option<TmCrashPoint>,
-) -> Option<ExecutionResult> {
-    let started = Instant::now();
-    let (reply_tx, reply_rx) = unbounded::<Input>();
-    let me = Addr {
-        endpoint: Endpoint::Coordinator,
-        tx: reply_tx,
-        id: fresh_addr_id(),
-    };
-    let txn = spec.id;
-    let mut core = TmCore::new(config, spec.clone(), credentials.to_vec(), now_since(epoch));
-    let mut termination: Option<TxnTermination> = None;
-    // Stale inputs this driver observed on the reply channel (the core
-    // tracks the ones it was fed itself).
-    let mut driver_dropped = 0u64;
-    // Messages unpacked from a coalesced [`Msg::Batch`] envelope and
-    // not yet fed to the core: drained before the channel is read again
-    // so batched replies keep their in-envelope order.
-    let mut pending: std::collections::VecDeque<(Addr, Msg)> = std::collections::VecDeque::new();
-
-    let mut effects = core.start(now_since(epoch));
-    loop {
-        // Perform the batch. A master consult is answered only after the
-        // whole batch has flushed, so sends keep their protocol order.
-        let mut consult_master = false;
-        for effect in effects {
-            match effect {
-                TmEffect::Send(server, msg) => {
-                    let kind = MsgKind::of(&msg);
-                    route.send(&me, server, msg);
-                    if crash == Some(TmCrashPoint::AfterSend(kind)) {
-                        // The frame left; the coordinator dies before the
-                        // rest of this effect batch.
-                        return None;
-                    }
-                }
-                TmEffect::QueryMaster => consult_master = true,
-                TmEffect::ForceLog { record, .. } => {
-                    let is_decision = matches!(record, CoordinatorRecord::Decision { .. });
-                    if is_decision && crash == Some(TmCrashPoint::BeforeDecisionForce) {
-                        // The outcome was computed but never became
-                        // durable; termination must answer from the
-                        // forced Collecting record (abort).
-                        return None;
-                    }
-                    route.force_decision(record);
-                    if is_decision && crash == Some(TmCrashPoint::AfterDecisionForce) {
-                        // The decision is durable but no participant has
-                        // heard it: the effect batch orders the force
-                        // before every decision send, all of which now
-                        // die with the coordinator.
-                        return None;
-                    }
-                }
-                TmEffect::Log(record) => route.append_decision(record),
-                // The reply deadline below is this driver's failure
-                // detector; the idle watchdog is never configured.
-                TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
-                TmEffect::Finished(t) => termination = Some(*t),
-            }
-        }
-        if termination.is_some() {
-            break;
-        }
-        if consult_master {
-            let versions = route.master_versions();
-            effects = core.step(now_since(epoch), TmEvent::MasterVersions { versions });
-            continue;
-        }
-        // One reply: first anything left over from a coalesced batch,
-        // then the channel (or `None` after the configured deadline;
-        // with no deadline, `None` only if every sender is gone).
-        let input = match pending.pop_front() {
-            Some((from, msg)) => Some(Input::Proto(from, msg)),
-            None => match reply_timeout {
-                None => reply_rx.recv().ok(),
-                Some(t) => reply_rx.recv_timeout(t).ok(),
-            },
-        };
-        let event = match input {
-            None => TmEvent::ReplyTimeout,
-            Some(Input::Proto(from, Msg::Batch(msgs))) => {
-                // Flatten a coalesced envelope; the inner messages are
-                // processed in order starting this iteration.
-                pending.extend(msgs.into_iter().map(|m| (from.clone(), m)));
-                effects = Vec::new();
-                continue;
-            }
-            Some(Input::Proto(from, msg)) => match coordinator_event(txn, &from, msg) {
-                Ok(event) => event,
-                Err(counts_as_dropped) => {
-                    if counts_as_dropped {
-                        driver_dropped += 1;
-                    }
-                    effects = Vec::new();
-                    continue;
-                }
-            },
-            // Only protocol traffic reaches a coordinator channel.
-            Some(_) => {
-                effects = Vec::new();
-                continue;
-            }
-        };
-        effects = core.step(now_since(epoch), event);
-    }
-
-    // Drain stale stragglers without blocking, under the same unified
-    // rule the core applies: acks never count, everything else does.
-    // Leftover batch contents first, counted message by message (a
-    // coalesced envelope is several replies, not one).
-    for (_, msg) in pending {
-        if reply_counts_as_dropped(&msg) {
-            driver_dropped += 1;
+    fn force_decision(&mut self, record: CoordinatorRecord) {
+        for log in self.logs() {
+            log.lock().expect("decision log lock").force(record.clone());
         }
     }
-    while let Ok(input) = reply_rx.try_recv() {
-        if let Input::Proto(_, msg) = input {
-            match msg {
-                Msg::Batch(msgs) => {
-                    driver_dropped +=
-                        msgs.iter().filter(|m| reply_counts_as_dropped(m)).count() as u64;
-                }
-                msg if reply_counts_as_dropped(&msg) => driver_dropped += 1,
-                _ => {}
-            }
+
+    fn append_decision(&mut self, record: CoordinatorRecord) {
+        for log in self.logs() {
+            log.lock()
+                .expect("decision log lock")
+                .append(record.clone());
         }
     }
-    route.note_dropped(driver_dropped + core.dropped_replies());
-
-    let termination = termination.expect("core emitted Finished");
-    if termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
-        route.note_timeout();
-    }
-    Some(ExecutionResult::from_termination(
-        termination,
-        started.elapsed(),
-    ))
 }
 
 fn now_since(epoch: Instant) -> Timestamp {
     Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
-/// Sends protocol-core outputs to their destinations through the fabric.
-/// A dead peer (a finished coordinator, a crashed server) is fine to
-/// ignore.
-fn forward(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
-    for (to, out) in outputs {
-        net.send_proto(my_addr, &to, out);
+/// Sends a round's outputs, one coalesced send per destination, keyed by
+/// [`Addr::id`] — process-unique per reply channel, which satisfies
+/// [`coalesce_replies`]'s key invariant because this runtime never reuses
+/// a channel across logical peers. A dead peer (a finished coordinator, a
+/// crashed server) is fine to ignore.
+fn send_coalesced(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
+    for (to, msg) in coalesce_replies(outputs, |a| a.id) {
+        net.send_proto(my_addr, &to, msg);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One server thread: blocks for an input, drains up to `server_batch`
+/// protocol messages already queued, and feeds them to the core as one
+/// [`ServerCore::run_round`]. The round's protocol-plane replies leave at
+/// once; its proof evaluations go to the worker pool, which sends the
+/// replies they feed itself. With fewer than two workers there is no pool
+/// and the evaluations run here.
+///
+/// Control inputs act as barriers — the round that was open when one
+/// arrives completes first, then the control input runs, preserving the
+/// FIFO semantics `configure_server` callers (and `resolve_in_doubt`'s
+/// no-op barrier) rely on.
 fn server_loop(
     mut core: ServerCore<Addr>,
     rx: Receiver<Input>,
     my_addr: Addr,
     epoch: Instant,
-    workers: usize,
-    batch: usize,
+    knobs: ResolvedKnobs,
     net: Arc<Net>,
     salvage: Salvage,
 ) {
-    // With fewer than two workers the pool is skipped entirely and every
-    // message runs inline on this thread — the exact pre-pool behaviour.
-    let pool = (workers > 1).then(|| WorkerPool::new(workers));
-    let crashed = if batch <= 1 {
-        // Message-at-a-time: the exact pre-batching loop.
-        loop {
-            let Ok(input) = rx.recv() else { break false };
-            match input {
-                Input::Proto(from, msg) => {
-                    let now = now_since(epoch);
-                    // The unsafe baseline measures capability-shortcut
-                    // hazards that depend on exact interleavings: keep it
-                    // inline.
-                    match &pool {
-                        Some(pool) if !core.unsafe_baseline() => {
-                            dispatch(&mut core, pool, &my_addr, epoch, now, from, msg, &net);
-                        }
-                        _ => forward(core.handle(now, from, msg), &my_addr, &net),
-                    }
-                }
-                Input::Configure(f, done) => {
-                    f(&mut core);
-                    let _ = done.send(());
-                }
-                Input::Crash => break true,
-                Input::Shutdown => break false,
+    let pool = (knobs.server_workers > 1).then(|| WorkerPool::new(knobs.server_workers));
+    let mut round: Vec<(Addr, Msg)> = Vec::new();
+    let crashed = loop {
+        let Ok(first) = rx.recv() else { break false };
+        let mut control = None;
+        match first {
+            Input::Proto(from, msg) => round.push((from, msg)),
+            other => control = Some(other),
+        }
+        while control.is_none() && round.len() < knobs.server_batch {
+            match rx.try_recv() {
+                Ok(Input::Proto(from, msg)) => round.push((from, msg)),
+                Ok(other) => control = Some(other),
+                Err(_) => break,
             }
         }
-    } else {
-        // Batched: each iteration blocks for one input, then drains up to
-        // `batch` protocol messages already queued and processes them as a
-        // single round. Control inputs act as barriers — the round that was
-        // open when one arrives completes first, then the control input
-        // runs, preserving the FIFO semantics `configure_server` callers
-        // (and `resolve_in_doubt`'s no-op barrier) rely on.
-        loop {
-            let Ok(first) = rx.recv() else { break false };
-            let mut round: Vec<(Addr, Msg)> = Vec::new();
-            let mut control = None;
-            match first {
-                Input::Proto(from, msg) => round.push((from, msg)),
-                other => control = Some(other),
-            }
-            while control.is_none() && round.len() < batch {
-                match rx.try_recv() {
-                    Ok(Input::Proto(from, msg)) => round.push((from, msg)),
-                    Ok(other) => control = Some(other),
-                    Err(_) => break,
+        if !round.is_empty() {
+            let out = core.run_round(now_since(epoch), round.drain(..));
+            send_coalesced(out.replies, &my_addr, &net);
+            match (out.deferred, &pool) {
+                (None, _) => {}
+                (Some(deferred), None) => {
+                    send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
+                }
+                (Some(deferred), Some(pool)) => {
+                    let (my_addr, net) = (my_addr.clone(), Arc::clone(&net));
+                    pool.submit(move || {
+                        send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
+                    });
                 }
             }
-            if !round.is_empty() {
-                process_round(&mut core, pool.as_ref(), &my_addr, epoch, round, &net);
+        }
+        match control {
+            None => {}
+            Some(Input::Configure(f, done)) => {
+                f(&mut core);
+                let _ = done.send(());
             }
-            match control {
-                None => {}
-                Some(Input::Configure(f, done)) => {
-                    f(&mut core);
-                    let _ = done.send(());
-                }
-                Some(Input::Crash) => break true,
-                Some(Input::Shutdown) => break false,
-                Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
-            }
+            Some(Input::Crash) => break true,
+            Some(Input::Shutdown) => break false,
+            Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
         }
     };
     // Join in-flight data-plane work first: replies already computed are
@@ -1496,379 +1299,6 @@ fn server_loop(
             .lock()
             .expect("salvage lock")
             .insert(id.index(), core);
-    }
-}
-
-/// Splits one message between the server thread (protocol plane: locks,
-/// write sets, WAL, participant state) and the data-plane worker pool
-/// (proof evaluation and the reply it feeds). Messages whose handling is
-/// pure protocol — voting, decisions, recovery — run inline unchanged; so
-/// does anything holding a lock-manager or write-set decision, keeping the
-/// server thread the single serialization point for those.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    core: &mut ServerCore<Addr>,
-    pool: &WorkerPool,
-    my_addr: &Addr,
-    epoch: Instant,
-    now: Timestamp,
-    from: Addr,
-    msg: Msg,
-    net: &Arc<Net>,
-) {
-    match msg {
-        // Query execution with an attached proof (Punctual / Incremental
-        // Punctual): registration, locking and write-set ops stay inline;
-        // on success, the proof is evaluated on a worker, which sends the
-        // QueryDone itself.
-        Msg::ExecQuery {
-            txn,
-            query_index,
-            query,
-            user,
-            credentials,
-            evaluate_proof: true,
-            pin_versions,
-            capabilities,
-        } => {
-            let replies = core.handle(
-                now,
-                from.clone(),
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query: Arc::clone(&query),
-                    user,
-                    credentials: Arc::clone(&credentials),
-                    evaluate_proof: false,
-                    pin_versions,
-                    capabilities,
-                },
-            );
-            let ok = replies
-                .iter()
-                .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-            if !ok {
-                // Lock conflict (or unknown failure): the inline reply
-                // already says so; the proof is moot.
-                forward(replies, my_addr, net);
-                return;
-            }
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let proof = data.evaluate_one(now_since(epoch), user, &credentials, &query);
-                net.send_proto(
-                    &my_addr,
-                    &from,
-                    Msg::QueryDone {
-                        txn,
-                        query_index,
-                        ok: true,
-                        proof: Some(proof),
-                        capability: None,
-                    },
-                );
-            });
-        }
-
-        // 2PV collection (Continuous): the transaction registration is
-        // protocol state and stays inline; the proof re-evaluations — the
-        // round's entire cost — run on a worker.
-        Msg::PrepareToValidate {
-            txn,
-            new_query,
-            user,
-            credentials,
-        } => {
-            let Some(snapshot) =
-                core.register_validation(txn, new_query, user, credentials, from.clone())
-            else {
-                // A duplicated or delayed round for a transaction already
-                // decided here: no reply owed (the coordinator is gone).
-                return;
-            };
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let (truth, versions, proofs) = data.evaluate_snapshot(now_since(epoch), &snapshot);
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth,
-                    versions,
-                    proofs,
-                    conflict: false,
-                };
-                net.send_proto(&my_addr, &from, Msg::ValidateReply { txn, reply });
-            });
-        }
-
-        // Standalone 2PV update round (Global consistency): fast-forward is
-        // a data-plane operation; the re-evaluation goes to a worker.
-        // In-commit updates touch the participant state machine and stay
-        // inline.
-        Msg::Update {
-            txn,
-            targets,
-            in_commit: false,
-        } => {
-            core.data_plane().fast_forward(&targets);
-            let Some(snapshot) = core.snapshot_txn(txn) else {
-                // Same vacuous reply ServerCore::handle produces for a
-                // transaction with no state here.
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth: true,
-                    versions: VersionMap::new(),
-                    proofs: Vec::new(),
-                    conflict: false,
-                };
-                net.send_proto(my_addr, &from, Msg::ValidateReply { txn, reply });
-                return;
-            };
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let (truth, versions, proofs) = data.evaluate_snapshot(now_since(epoch), &snapshot);
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth,
-                    versions,
-                    proofs,
-                    conflict: false,
-                };
-                net.send_proto(&my_addr, &from, Msg::ValidateReply { txn, reply });
-            });
-        }
-
-        other => forward(core.handle(now, from, other), my_addr, net),
-    }
-}
-
-/// One proof-evaluation work item deferred out of a batched round. Its
-/// protocol-plane half (registration, locks, write set, WAL) already ran on
-/// the server thread; evaluating the proofs and sending the reply is pure
-/// data-plane work.
-enum EvalTask {
-    /// An `ExecQuery` whose data operations succeeded: evaluate the proof
-    /// and send the `QueryDone`.
-    Query {
-        txn: TxnId,
-        query_index: usize,
-        query: Arc<QuerySpec>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        to: Addr,
-    },
-    /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
-    /// evaluate the snapshot and send the `ValidateReply`.
-    Snapshot {
-        txn: TxnId,
-        snapshot: EvalSnapshot,
-        to: Addr,
-    },
-}
-
-/// Processes one batched server round: protocol-plane handling for every
-/// message runs inline (in arrival order, under one WAL group so the
-/// round's forced appends coalesce into a single physical sync), the
-/// round's proof evaluations are collected and shipped to the data plane
-/// as **one** batch job sharing policy fetches, credential saturations and
-/// within-round dedup, and replies to the same destination leave as one
-/// coalesced [`Msg::Batch`] send.
-///
-/// The WAL group closes — performing the round's one physical sync —
-/// before any reply is released, so a vote still never outruns the force
-/// it acknowledges. Deferred evaluation replies involve no forces.
-fn process_round(
-    core: &mut ServerCore<Addr>,
-    pool: Option<&WorkerPool>,
-    my_addr: &Addr,
-    epoch: Instant,
-    round: Vec<(Addr, Msg)>,
-    net: &Arc<Net>,
-) {
-    let now = now_since(epoch);
-    let mut inline: Vec<(Addr, Msg)> = Vec::new();
-    let mut tasks: Vec<EvalTask> = Vec::new();
-    core.begin_wal_group();
-    for (from, msg) in round {
-        // Servers are not coalescing targets today, but a Batch envelope is
-        // by definition its inner messages in order.
-        let msgs = match msg {
-            Msg::Batch(inner) => inner,
-            other => vec![other],
-        };
-        for msg in msgs {
-            // The unsafe baseline measures capability-shortcut hazards that
-            // depend on exact interleavings: keep it fully inline.
-            if core.unsafe_baseline() {
-                inline.extend(core.handle(now, from.clone(), msg));
-                continue;
-            }
-            match msg {
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    evaluate_proof: true,
-                    pin_versions,
-                    capabilities,
-                } => {
-                    let replies = core.handle(
-                        now,
-                        from.clone(),
-                        Msg::ExecQuery {
-                            txn,
-                            query_index,
-                            query: Arc::clone(&query),
-                            user,
-                            credentials: Arc::clone(&credentials),
-                            evaluate_proof: false,
-                            pin_versions,
-                            capabilities,
-                        },
-                    );
-                    let ok = replies
-                        .iter()
-                        .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-                    if ok {
-                        tasks.push(EvalTask::Query {
-                            txn,
-                            query_index,
-                            query,
-                            user,
-                            credentials,
-                            to: from.clone(),
-                        });
-                    } else {
-                        // Lock conflict: the inline reply already says so.
-                        inline.extend(replies);
-                    }
-                }
-                Msg::PrepareToValidate {
-                    txn,
-                    new_query,
-                    user,
-                    credentials,
-                } => {
-                    if let Some(snapshot) =
-                        core.register_validation(txn, new_query, user, credentials, from.clone())
-                    {
-                        tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from.clone(),
-                        });
-                    }
-                    // None: duplicated/delayed round for a decided
-                    // transaction — no reply owed.
-                }
-                Msg::Update {
-                    txn,
-                    targets,
-                    in_commit: false,
-                } => {
-                    core.data_plane().fast_forward(&targets);
-                    match core.snapshot_txn(txn) {
-                        Some(snapshot) => tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from.clone(),
-                        }),
-                        // Same vacuous reply ServerCore::handle produces for
-                        // a transaction with no state here.
-                        None => inline.push((
-                            from.clone(),
-                            Msg::ValidateReply {
-                                txn,
-                                reply: ValidationReply {
-                                    vote: Vote::Yes,
-                                    truth: true,
-                                    versions: VersionMap::new(),
-                                    proofs: Vec::new(),
-                                    conflict: false,
-                                },
-                            },
-                        )),
-                    }
-                }
-                other => inline.extend(core.handle(now, from.clone(), other)),
-            }
-        }
-    }
-    core.end_wal_group();
-    send_coalesced(inline, my_addr, net);
-    if tasks.is_empty() {
-        return;
-    }
-    let data = core.data_plane();
-    let reply_addr = my_addr.clone();
-    let net = Arc::clone(net);
-    let job = move || {
-        let mut batch = data.begin_batch(now_since(epoch));
-        let mut replies = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            match task {
-                EvalTask::Query {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    to,
-                } => {
-                    let proof = batch.evaluate_one(user, &credentials, &query);
-                    replies.push((
-                        to,
-                        Msg::QueryDone {
-                            txn,
-                            query_index,
-                            ok: true,
-                            proof: Some(proof),
-                            capability: None,
-                        },
-                    ));
-                }
-                EvalTask::Snapshot { txn, snapshot, to } => {
-                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
-                    replies.push((
-                        to,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply {
-                                vote: Vote::Yes,
-                                truth,
-                                versions,
-                                proofs,
-                                conflict: false,
-                            },
-                        },
-                    ));
-                }
-            }
-        }
-        send_coalesced(replies, &reply_addr, &net);
-    };
-    match pool {
-        Some(pool) => pool.submit(job),
-        None => job(),
-    }
-}
-
-/// Sends a round's outputs through the shared coalescing helper, keyed by
-/// [`Addr::id`] — process-unique per reply channel, which satisfies
-/// [`coalesce_replies`]'s key invariant because this runtime never reuses
-/// a channel across logical peers (see the invariant documented on
-/// `safetx_core::coalesce_replies`).
-fn send_coalesced(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
-    for (to, msg) in coalesce_replies(outputs, |a| a.id) {
-        net.send_proto(my_addr, &to, msg);
     }
 }
 
@@ -1947,6 +1377,40 @@ mod tests {
                 ),
             ],
         )
+    }
+
+    #[test]
+    fn knobs_resolve_explicit_then_environment_then_default() {
+        let env = |name: &str| match name {
+            "SAFETX_SERVER_WORKERS" => Some("3".to_owned()),
+            "SAFETX_SERVER_BATCH" => Some("16".to_owned()),
+            "SAFETX_CONCURRENCY_MODE" => Some("occ".to_owned()),
+            other => panic!("unexpected variable {other}"),
+        };
+        let explicit = ClusterConfig {
+            server_workers: Some(1),
+            server_batch: Some(4),
+            concurrency: Some(ConcurrencyMode::Locking),
+            ..ClusterConfig::default()
+        };
+        let want = |server_workers, server_batch, concurrency| ResolvedKnobs {
+            server_workers,
+            server_batch,
+            concurrency,
+        };
+        assert_eq!(
+            explicit.resolve_with(env),
+            want(1, 4, ConcurrencyMode::Locking)
+        );
+        let unset = ClusterConfig::default();
+        assert_eq!(unset.resolve_with(env), want(3, 16, ConcurrencyMode::Occ));
+        // Unset and unparsable variables fall through to the defaults,
+        // and the drain limit is never below one message.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        let default = want(cores, 1, ConcurrencyMode::Locking);
+        assert_eq!(unset.resolve_with(|_| None), default);
+        assert_eq!(unset.resolve_with(|_| Some("many".to_owned())), default);
+        assert_eq!(unset.resolve_with(|_| Some("0".to_owned())).server_batch, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! failing chaos seeds replayable in practice: the fault pattern a seed
 //! produces is stable even though thread timing is not.
 
-use safetx_core::Msg;
+use safetx_core::MsgKind;
 use safetx_metrics::FaultCounters;
 use safetx_types::ServerId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,68 +76,6 @@ impl PeerMatch {
     }
 }
 
-/// Protocol message kinds, for pinning crash points to protocol moments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgKind {
-    /// TM → server query execution request.
-    ExecQuery,
-    /// Server → TM query completion.
-    QueryDone,
-    /// TM → server 2PV collection request.
-    PrepareToValidate,
-    /// Server → TM 2PV reply.
-    ValidateReply,
-    /// TM → server 2PVC voting request.
-    PrepareToCommit,
-    /// Server → TM 2PVC vote.
-    CommitReply,
-    /// TM → server policy-version update round.
-    Update,
-    /// TM → server global decision.
-    Decision,
-    /// Server → TM decision acknowledgment.
-    Ack,
-    /// Anything else (policy gossip, inquiries, …).
-    Other,
-}
-
-impl MsgKind {
-    /// Classifies a wire message.
-    #[must_use]
-    pub fn of(msg: &Msg) -> MsgKind {
-        match msg {
-            Msg::ExecQuery { .. } => MsgKind::ExecQuery,
-            Msg::QueryDone { .. } => MsgKind::QueryDone,
-            Msg::PrepareToValidate { .. } => MsgKind::PrepareToValidate,
-            Msg::ValidateReply { .. } => MsgKind::ValidateReply,
-            Msg::PrepareToCommit { .. } => MsgKind::PrepareToCommit,
-            Msg::CommitReply { .. } => MsgKind::CommitReply,
-            Msg::Update { .. } => MsgKind::Update,
-            Msg::Decision { .. } => MsgKind::Decision,
-            Msg::Ack { .. } => MsgKind::Ack,
-            _ => MsgKind::Other,
-        }
-    }
-
-    /// Stable per-kind salt folded into every seeded roll, shared with the
-    /// wire fabric so identical edges hash identically across runtimes.
-    #[must_use]
-    pub fn salt(self) -> u64 {
-        match self {
-            MsgKind::ExecQuery => 1,
-            MsgKind::QueryDone => 2,
-            MsgKind::PrepareToValidate => 3,
-            MsgKind::ValidateReply => 4,
-            MsgKind::PrepareToCommit => 5,
-            MsgKind::CommitReply => 6,
-            MsgKind::Update => 7,
-            MsgKind::Decision => 8,
-            MsgKind::Ack => 9,
-            MsgKind::Other => 10,
-        }
-    }
-}
-
 /// A per-edge probabilistic fault rule. Probabilities are in permille
 /// (chances in 1000); a message is subject to the *first* rule whose
 /// `from`/`to` matchers cover its edge.
@@ -187,33 +125,6 @@ pub struct CrashRule {
     pub server: ServerId,
     /// The protocol moment.
     pub point: CrashPoint,
-}
-
-/// A *coordinator* (TM-side) crash point: the protocol moment at which a
-/// TM driver dies mid-transaction, leaving its participants to the
-/// termination protocol. Where [`CrashPoint`] kills a server,
-/// `TmCrashPoint` kills the process driving `TmCore` — the classic
-/// blocked-participant scenarios of 2PC/2PVC.
-///
-/// The safety anchor is the force-before-vote discipline the core already
-/// follows: `CoordinatorRecord::Collecting` is force-logged before any
-/// vote is solicited and `CoordinatorRecord::Decision` before any
-/// decision is sent, so whichever window the coordinator dies in, the
-/// decision log determines (never contradicts) the answer recovery gives
-/// each participant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmCrashPoint {
-    /// Die right after the first send of the given kind leaves (e.g.
-    /// after `PrepareToCommit` is out — participants prepare and block).
-    AfterSend(MsgKind),
-    /// Die *instead of* force-logging the decision record: votes are in,
-    /// the outcome was computed, but nothing durable records it.
-    /// Termination answers from the forced `Collecting` record — abort.
-    BeforeDecisionForce,
-    /// Die right after force-logging the decision record, before any
-    /// decision send leaves: participants are in-doubt, but the log
-    /// already knows the outcome — termination delivers it.
-    AfterDecisionForce,
 }
 
 /// A complete seeded fault schedule for one cluster run.

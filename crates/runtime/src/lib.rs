@@ -4,15 +4,17 @@
 //! messages and returns messages, and `safetx_core::TmCore` owns the whole
 //! coordinator lifecycle — scheme pipelines, version pinning, 2PV, 2PVC,
 //! forced logging, Table I accounting and both timeout paths — as a pure
-//! `step(now, TmEvent) -> Vec<TmEffect>` machine. This crate runs those
-//! exact state machines on real OS threads connected by crossbeam channels:
-//! one thread per cloud server, and [`Cluster::execute`] driving a `TmCore`
-//! synchronously from the calling thread, translating channel inputs into
-//! events and performing the returned effects (sends through the fault
-//! fabric, decision-log writes, inline master snapshot reads). The driver
-//! owns nothing protocol-shaped except its failure detector: the
-//! per-reply deadline (`ClusterConfig::reply_timeout`), whose firing the
-//! core maps to `AbortReason::ServerUnavailable`.
+//! `step(now, TmEvent) -> Vec<TmEffect>` machine. The loops that drive
+//! them live in the core too — `ServerCore::run_round` for a server,
+//! `safetx_core::drive_tm` for a TM — so this crate is a transport: one
+//! thread per cloud server draining a crossbeam channel into rounds (and
+//! a worker pool for each round's deferred proof evaluations), and
+//! [`Cluster::execute`] lending the calling thread and a fresh reply
+//! channel to the TM loop, carrying its sends through the fault fabric,
+//! its decision records to the log and its master consults to the
+//! catalog. The failure detector is the loop's per-reply deadline
+//! (`ClusterConfig::reply_timeout`), whose firing the core maps to
+//! `AbortReason::ServerUnavailable`.
 //!
 //! The discrete-event simulator remains the *measurement* harness (it
 //! counts messages deterministically); this runtime demonstrates that the
@@ -44,13 +46,11 @@ mod cluster;
 mod fault;
 mod shard;
 
-pub use cluster::{
-    resolve_batch, resolve_concurrency, Addr, Cluster, ClusterConfig, ExecutionResult,
-};
-pub use fault::{
-    CrashPoint, CrashRule, EdgeRule, FaultPlan, MsgKind, Peer, PeerMatch, TmCrashPoint,
-};
+pub use cluster::{Addr, Cluster, ClusterConfig, ExecutionResult, ResolvedKnobs};
+pub use fault::{CrashPoint, CrashRule, EdgeRule, FaultPlan, Peer, PeerMatch};
 pub use shard::{ShardedCluster, ShardedConfig, TxnRoute};
 
-// Re-exported so the doc example above typechecks without extra imports.
-pub use safetx_core::{ServerCore, TwoPvc, ValidationRound};
+// `MsgKind` and `TmCrashPoint` moved into the core with the shared TM loop;
+// re-exported so `safetx_runtime::` paths keep resolving, like the core
+// types the doc example above names.
+pub use safetx_core::{MsgKind, ServerCore, TmCrashPoint, TwoPvc, ValidationRound};

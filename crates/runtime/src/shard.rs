@@ -12,7 +12,7 @@
 //!   deployment *byte-identical* to a plain cluster.
 //! - **Cross-shard** transactions are driven by a coordinating TM through
 //!   the full 2PV/2PVC pipeline across the union of participant servers
-//!   (the same shared `drive_tm` loop the single-shard path uses), with
+//!   (the same shared TM loop the single-shard path uses), with
 //!   every decision record force-logged into **each** participant shard's
 //!   decision log before participants learn it — so any shard's recovery
 //!   inquiry can be answered locally, and force-before-vote and Table-I
@@ -22,17 +22,15 @@
 //! to servers, and contiguous server ranges belong to shards, so a
 //! hash/range key partition is exactly a server partition.
 
-use crate::cluster::{
-    drive_tm, drive_tm_with_crash, Cluster, ClusterConfig, ExecutionResult, TmRoute,
-};
-use crate::fault::{FaultPlan, TmCrashPoint};
-use safetx_core::{Msg, SharedCas, SharedCatalog, TmConfig, VersionMap};
+use crate::cluster::{ChannelTm, Cluster, ClusterConfig, ExecutionResult};
+use crate::fault::FaultPlan;
+use safetx_core::{SharedCas, SharedCatalog, TmCrashPoint};
 use safetx_metrics::{FaultCounters, Histogram, RouteCounters, WalStats};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
 use safetx_txn::{CoordinatorRecord, TransactionSpec};
 use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Sharded deployment configuration.
@@ -104,7 +102,6 @@ pub struct ShardedCluster {
     shards: Vec<Cluster>,
     catalog: SharedCatalog,
     cas: SharedCas,
-    epoch: Instant,
     next_txn: AtomicU64,
     route: RouteStats,
     /// Stale replies observed by cross-shard coordinators (per-shard
@@ -155,7 +152,6 @@ impl ShardedCluster {
             shards,
             catalog,
             cas,
-            epoch,
             next_txn: AtomicU64::new(0),
             route: RouteStats::default(),
             cross_dropped: AtomicU64::new(0),
@@ -284,23 +280,9 @@ impl ShardedCluster {
             }
             TxnRoute::Cross(participants) => {
                 self.route.cross_submitted.fetch_add(1, Ordering::Relaxed);
-                let config = TmConfig::new(
-                    self.config.cluster.scheme,
-                    self.config.cluster.consistency,
-                    self.config.cluster.variant,
-                );
-                let route = CrossShardRoute {
-                    owner: self,
-                    participants: &participants,
-                };
-                let result = drive_tm(
-                    &route,
-                    config,
-                    spec,
-                    credentials,
-                    self.config.cluster.reply_timeout,
-                    self.epoch,
-                );
+                let result = self
+                    .run_cross_shard(&participants, spec, credentials, None)
+                    .expect("no coordinator crash scheduled");
                 if result.is_commit() {
                     self.route.cross_commits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -339,26 +321,27 @@ impl ShardedCluster {
                 self.shards[shard].execute_with_coordinator_crash(spec, credentials, point)
             }
             TxnRoute::Cross(participants) => {
-                let config = TmConfig::new(
-                    self.config.cluster.scheme,
-                    self.config.cluster.consistency,
-                    self.config.cluster.variant,
-                );
-                let route = CrossShardRoute {
-                    owner: self,
-                    participants: &participants,
-                };
-                drive_tm_with_crash(
-                    &route,
-                    config,
-                    spec,
-                    credentials,
-                    self.config.cluster.reply_timeout,
-                    self.epoch,
-                    Some(point),
-                )
+                self.run_cross_shard(&participants, spec, credentials, Some(point))
             }
         }
+    }
+
+    /// The cross-shard coordinator: the shared TM loop over every shard,
+    /// with each decision record replicated into every participant
+    /// shard's log.
+    fn run_cross_shard(
+        &self,
+        participants: &[usize],
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+    ) -> Option<ExecutionResult> {
+        ChannelTm::new(&self.shards, participants).run(
+            spec,
+            credentials,
+            crash,
+            (&self.cross_dropped, &self.cross_timeout_aborts),
+        )
     }
 
     /// Arms the same fault plan on every shard's message fabric. Edge
@@ -505,48 +488,6 @@ impl ShardedCluster {
         for shard in self.shards {
             shard.shutdown();
         }
-    }
-}
-
-/// The cross-shard coordinator's effect routing: sends go to each server's
-/// owning shard; decision records are replicated into every participant
-/// shard's log (force-logged *before* participants are told, preserving
-/// the recovery invariant per shard).
-struct CrossShardRoute<'a> {
-    owner: &'a ShardedCluster,
-    participants: &'a [usize],
-}
-
-impl TmRoute for CrossShardRoute<'_> {
-    fn send(&self, from: &crate::Addr, server: ServerId, msg: Msg) {
-        self.owner.shards[self.owner.shard_of(server)].send_from(from, server, msg);
-    }
-
-    // The shared catalog IS the master for every shard.
-    fn master_versions(&self) -> Arc<VersionMap> {
-        self.owner.catalog.latest_snapshot().1
-    }
-
-    fn force_decision(&self, record: CoordinatorRecord) {
-        for &shard in self.participants {
-            self.owner.shards[shard].force_decision_record(record.clone());
-        }
-    }
-
-    fn append_decision(&self, record: CoordinatorRecord) {
-        for &shard in self.participants {
-            self.owner.shards[shard].append_decision_record(record.clone());
-        }
-    }
-
-    fn note_dropped(&self, count: u64) {
-        self.owner.cross_dropped.fetch_add(count, Ordering::Relaxed);
-    }
-
-    fn note_timeout(&self) {
-        self.owner
-            .cross_timeout_aborts
-            .fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -161,17 +161,9 @@ impl Side {
         Side::Sim(Box::new(exp), 0)
     }
 
+    /// The threaded runtime with an explicit drain limit for its server
+    /// rounds (`None` = the config/env default: one message per round).
     fn threaded(
-        scheme: ProofScheme,
-        consistency: ConsistencyLevel,
-        variant: CommitVariant,
-    ) -> Side {
-        Side::threaded_with_batch(scheme, consistency, variant, None)
-    }
-
-    /// The threaded runtime with an explicit server-round batch limit
-    /// (`None` = the config/env default, i.e. batching off).
-    fn threaded_with_batch(
         scheme: ProofScheme,
         consistency: ConsistencyLevel,
         variant: CommitVariant,
@@ -494,7 +486,7 @@ fn sim_and_threaded_runtimes_agree_on_every_cell() {
             let variant = VARIANTS[(i + j) % VARIANTS.len()];
             let seed = 0x5eed_d1ff ^ ((i as u64) << 8) ^ (j as u64);
             let sim = run_stream(Side::sim(scheme, consistency, variant), seed);
-            let threaded = run_stream(Side::threaded(scheme, consistency, variant), seed);
+            let threaded = run_stream(Side::threaded(scheme, consistency, variant, None), seed);
             assert_eq!(sim.len(), threaded.len(), "{scheme}/{consistency}");
             for ((label, s), (_, t)) in sim.iter().zip(threaded.iter()) {
                 assert_eq!(
@@ -529,56 +521,45 @@ fn net_runtime_agrees_with_sim_and_threaded_on_every_cell() {
             let variant = VARIANTS[(i + j) % VARIANTS.len()];
             let seed = 0x0e77_caf3 ^ ((i as u64) << 8) ^ (j as u64);
             let sim = run_stream(Side::sim(scheme, consistency, variant), seed);
-            let threaded = run_stream(Side::threaded(scheme, consistency, variant), seed);
             let net = run_stream(Side::net(scheme, consistency, variant), seed);
             assert_eq!(sim.len(), net.len(), "{scheme}/{consistency}");
-            assert_eq!(threaded.len(), net.len(), "{scheme}/{consistency}");
-            for (((label, s), (_, t)), (_, n)) in sim.iter().zip(threaded.iter()).zip(net.iter()) {
-                assert_eq!(
-                    s, n,
-                    "{scheme}/{consistency}/{variant:?}: net diverged from sim on {label}"
+            // The threaded runtime once per drain limit: with rounds of up
+            // to 16 messages (inbox draining, shared evaluation batches,
+            // group commit, coalesced replies) every cell must still match
+            // observation for observation — Table I counters and proof
+            // views included.
+            for server_batch in [None, Some(16)] {
+                let threaded = run_stream(
+                    Side::threaded(scheme, consistency, variant, server_batch),
+                    seed,
                 );
-                assert_eq!(
-                    t, n,
-                    "{scheme}/{consistency}/{variant:?}: net diverged from threaded on {label}"
-                );
-                if n.committed {
-                    commits += 1;
-                } else {
-                    aborts += 1;
+                assert_eq!(threaded.len(), net.len(), "{scheme}/{consistency}");
+                for (((label, s), (_, t)), (_, n)) in
+                    sim.iter().zip(threaded.iter()).zip(net.iter())
+                {
+                    let cell = format!("{scheme}/{consistency}/{variant:?}");
+                    assert_eq!(s, n, "{cell}: net diverged from sim on {label}");
+                    assert_eq!(
+                        t, n,
+                        "{cell}: net diverged from threaded (server_batch {server_batch:?}) \
+                         on {label}"
+                    );
+                    assert_eq!(
+                        s, t,
+                        "{cell}: threaded (server_batch {server_batch:?}) diverged from sim \
+                         on {label}"
+                    );
+                    if n.committed {
+                        commits += 1;
+                    } else {
+                        aborts += 1;
+                    }
                 }
             }
         }
     }
     assert!(commits > 0, "net differential battery committed nothing");
     assert!(aborts > 0, "net differential battery aborted nothing");
-}
-
-/// The batched threaded runtime is held to the same oracle: with
-/// server-round batching on (inbox draining, shared evaluation batches,
-/// group commit, coalesced replies) every cell must still match the
-/// simulator observation for observation — including the Table I counters
-/// and proof views.
-#[test]
-fn batched_threaded_runtime_agrees_with_simulator() {
-    for (i, scheme) in ProofScheme::ALL.into_iter().enumerate() {
-        for (j, consistency) in ConsistencyLevel::ALL.into_iter().enumerate() {
-            let variant = VARIANTS[(i + j) % VARIANTS.len()];
-            let seed = 0xba7c_4ed0 ^ ((i as u64) << 8) ^ (j as u64);
-            let sim = run_stream(Side::sim(scheme, consistency, variant), seed);
-            let batched = run_stream(
-                Side::threaded_with_batch(scheme, consistency, variant, Some(16)),
-                seed,
-            );
-            assert_eq!(sim.len(), batched.len(), "{scheme}/{consistency}");
-            for ((label, s), (_, t)) in sim.iter().zip(batched.iter()) {
-                assert_eq!(
-                    s, t,
-                    "{scheme}/{consistency}/{variant:?} diverged on {label} with batching on"
-                );
-            }
-        }
-    }
 }
 
 /// Replaying the same seed on the same runtime is byte-identical — the
@@ -590,13 +571,8 @@ fn each_runtime_is_deterministic_under_replay() {
     let a = run_stream(Side::sim(scheme, consistency, CommitVariant::Standard), 7);
     let b = run_stream(Side::sim(scheme, consistency, CommitVariant::Standard), 7);
     assert_eq!(a, b, "simulator replay diverged");
-    let a = run_stream(
-        Side::threaded(scheme, consistency, CommitVariant::Standard),
-        7,
-    );
-    let b = run_stream(
-        Side::threaded(scheme, consistency, CommitVariant::Standard),
-        7,
-    );
+    let threaded = || Side::threaded(scheme, consistency, CommitVariant::Standard, None);
+    let a = run_stream(threaded(), 7);
+    let b = run_stream(threaded(), 7);
     assert_eq!(a, b, "threaded replay diverged");
 }

@@ -4,6 +4,10 @@
 //! 4-shard deployments, and the participant shards must terminate the
 //! orphaned transaction from their replicated decision logs alone.
 //!
+//! The socket runtime drives the same shared TM loop, so the same five
+//! points kill its coordinator too: the net matrix at the bottom holds
+//! `NetCluster` to the same guarantees over real byte streams.
+//!
 //! Asserted per cell:
 //!
 //! * **Decision-log agreement** — every participant shard's log holds
@@ -20,8 +24,9 @@
 //! * **No wedge** — a follow-up transaction over the same items commits
 //!   normally once the orphan is resolved.
 
-use safetx_core::{ConsistencyLevel, ProofScheme, ServerCore};
-use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
+use safetx_core::{ConsistencyLevel, ProofScheme, ServerCore, SharedCas};
+use safetx_net::NetCluster;
+use safetx_policy::{Atom, Constant, Credential, Policy, PolicyBuilder};
 use safetx_runtime::{
     ClusterConfig, MsgKind, ShardedCluster, ShardedConfig, TmCrashPoint, TxnRoute,
 };
@@ -63,12 +68,7 @@ fn build(shards: usize, variant: CommitVariant) -> ShardedCluster {
             ..Default::default()
         },
     });
-    cluster.publish_policy(
-        PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
-            .rules_text("grant(write, records) :- role(U, member).")
-            .expect("rules parse")
-            .build(),
-    );
+    cluster.publish_policy(write_policy());
     for s in 0..cluster.total_servers() as u64 {
         cluster.configure_server(ServerId::new(s), move |core| {
             core.store_mut().write(
@@ -81,8 +81,15 @@ fn build(shards: usize, variant: CommitVariant) -> ShardedCluster {
     cluster
 }
 
-fn member_credential(cluster: &ShardedCluster) -> Credential {
-    cluster.cas().with_mut(|registry| {
+fn write_policy() -> Policy {
+    PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+        .rules_text("grant(write, records) :- role(U, member).")
+        .expect("rules parse")
+        .build()
+}
+
+fn member_credential(cas: &SharedCas) -> Credential {
+    cas.with_mut(|registry| {
         registry.ca_mut(CaId::new(0)).unwrap().issue(
             UserId::new(1),
             Atom::fact(
@@ -141,7 +148,7 @@ fn read_item(cluster: &ShardedCluster, s: u64) -> i64 {
 /// then prove the shards terminate the orphan consistently on their own.
 fn run_cell(shards: usize, point: TmCrashPoint, variant: CommitVariant) {
     let cluster = build(shards, variant);
-    let cred = member_credential(&cluster);
+    let cred = member_credential(cluster.cas());
     let spec = cross_spec(&cluster);
     let txn = spec.id;
     assert!(
@@ -247,7 +254,7 @@ fn single_shard_coordinator_crash_resolves_locally() {
         TmCrashPoint::AfterDecisionForce,
     ] {
         let cluster = build(2, CommitVariant::Standard);
-        let cred = member_credential(&cluster);
+        let cred = member_credential(cluster.cas());
         // Both participants inside shard 0.
         let queries = (0..SERVERS_PER_SHARD as u64)
             .map(|s| {
@@ -283,5 +290,134 @@ fn single_shard_coordinator_crash_resolves_locally() {
             assert_eq!(read_item(&cluster, s), expected, "{point:?}: server {s}");
         }
         cluster.shutdown();
+    }
+}
+
+fn net_spec(cluster: &NetCluster) -> TransactionSpec {
+    let queries = (0..SERVERS_PER_SHARD as u64)
+        .map(|s| {
+            QuerySpec::new(
+                ServerId::new(s),
+                "write",
+                "records",
+                vec![Operation::Add(DataItemId::new(s * 100), 1)],
+            )
+        })
+        .collect();
+    TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries)
+}
+
+/// One cell of the net matrix: kill the coordinator of a two-server
+/// transaction at `point`, then prove `resolve_in_doubt` terminates the
+/// orphan from the decision log.
+fn run_net_cell(point: TmCrashPoint, variant: CommitVariant) {
+    let cluster = NetCluster::new(ClusterConfig {
+        servers: SERVERS_PER_SHARD,
+        scheme: ProofScheme::Deferred,
+        consistency: ConsistencyLevel::View,
+        variant,
+        reply_timeout: Some(Duration::from_millis(50)),
+        ..Default::default()
+    });
+    cluster.publish_policy(write_policy());
+    for s in 0..SERVERS_PER_SHARD as u64 {
+        cluster.configure_server(ServerId::new(s), move |core| {
+            core.store_mut().write(
+                DataItemId::new(s * 100),
+                Value::Int(SEED_VALUE),
+                Timestamp::ZERO,
+            );
+        });
+    }
+    let cred = member_credential(cluster.cas());
+    let spec = net_spec(&cluster);
+    let txn = spec.id;
+
+    let result = cluster.execute_with_coordinator_crash(&spec, std::slice::from_ref(&cred), point);
+    assert!(
+        result.is_none(),
+        "net / {point:?} / {variant:?}: a clean run reaches every protocol point, \
+         so the crash must fire (got {result:?})"
+    );
+
+    // Every frame the dead coordinator wrote is read by its server and
+    // handed to the host loop (the reader enqueues right after counting)
+    // before the orphan is terminated from the decision log.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    for s in 0..SERVERS_PER_SHARD as u64 {
+        loop {
+            let (tm_side, server_side) = cluster.edge_counters(ServerId::new(s));
+            if server_side.frames_received >= tm_side.frames_sent {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "frames lost on a clean wire"
+            );
+            std::thread::yield_now();
+        }
+    }
+    std::thread::sleep(Duration::from_millis(2));
+    cluster.resolve_in_doubt();
+
+    // The decision is forced before any decision send, so at or past the
+    // force the log must carry it; before the force, it may not.
+    let decision = logged_decision(&cluster.decision_log_records(), txn);
+    let expect_logged = matches!(
+        point,
+        TmCrashPoint::AfterDecisionForce | TmCrashPoint::AfterSend(MsgKind::Decision)
+    );
+    assert_eq!(
+        decision.is_some(),
+        expect_logged,
+        "net / {point:?} / {variant:?}: unexpected log state {decision:?}"
+    );
+
+    // Zero in-doubt (and zero active) after resolution, and the orphan's
+    // writes land iff the log says COMMIT.
+    let expected = match decision {
+        Some(Decision::Commit) => SEED_VALUE + 1,
+        _ => SEED_VALUE,
+    };
+    for s in 0..SERVERS_PER_SHARD as u64 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        cluster.configure_server(ServerId::new(s), move |core| {
+            let _ = tx.send((
+                core.active_txn_ids(),
+                core.in_doubt_txns(),
+                core.store().read_int(DataItemId::new(s * 100)),
+            ));
+        });
+        let (active, in_doubt, value) = rx.recv().expect("probe reply");
+        assert!(
+            in_doubt.is_empty() && active.is_empty(),
+            "net / {point:?} / {variant:?}: server {s} still holds \
+             active={active:?} in_doubt={in_doubt:?} after resolution"
+        );
+        assert_eq!(
+            value,
+            Some(expected),
+            "net / {point:?} / {variant:?}: server {s} store diverges \
+             from the logged decision {decision:?}"
+        );
+    }
+
+    // No wedge: the same items are writable again.
+    let follow_up = cluster.execute(&net_spec(&cluster), std::slice::from_ref(&cred));
+    assert!(
+        follow_up.is_commit(),
+        "net / {point:?} / {variant:?}: follow-up aborted with {:?} — \
+         the orphan left residue behind",
+        follow_up.outcome
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn net_coordinator_crash_matrix() {
+    for point in CRASH_POINTS {
+        for variant in VARIANTS {
+            run_net_cell(point, variant);
+        }
     }
 }
