@@ -75,7 +75,7 @@ pub struct NetEdgeRule {
 /// A complete seeded transport fault schedule for one net-cluster run.
 ///
 /// Crash rules reuse the threaded runtime's [`CrashRule`]: the victim is
-/// a [`ServerHost`](crate::ServerHost) event loop, and the protocol
+/// a [`ServerHost`](crate::ServerHost), and the protocol
 /// moments ([`CrashPoint`]) are interpreted against the frames it
 /// receives and sends.
 #[derive(Debug, Clone, Default)]
@@ -251,7 +251,7 @@ pub(crate) struct NetFaultStats {
     pub(crate) corrupted: AtomicU64,
     pub(crate) truncated: AtomicU64,
     pub(crate) disconnects: AtomicU64,
-    /// Host event loops torn down by a crash (scheduled or harness-driven).
+    /// Hosts torn down by a crash (scheduled or harness-driven).
     pub(crate) server_crashes: AtomicU64,
     /// Hosts rebuilt from their WAL after a crash.
     pub(crate) recoveries: AtomicU64,

@@ -1,15 +1,16 @@
 //! Unix-socket deployment of the safetx protocol state machines.
 //!
 //! Every protocol message crosses a real byte stream: each cloud server
-//! runs as its own event loop behind a [`ServerHost`], each TM drives the
+//! sits behind a [`ServerHost`] and runs on the thread that reads a
+//! connection's frames, each TM drives the
 //! sans-io `TmCore` from [`NetCluster::execute`], and the two sides talk
 //! exclusively through framed [`crate::wire`] messages over `UnixStream`s
 //! (in-process duplex pairs by default; a multi-process deployment
 //! connects the same hosts over filesystem sockets — see
 //! `examples/net_processes.rs`).
 //!
-//! Both sides run the protocol drivers `safetx-core` owns: a server drains
-//! up to `server_batch` decoded frames and feeds them to
+//! Both sides run the protocol drivers `safetx-core` owns: a server takes
+//! up to `server_batch` frames a connection has buffered and feeds them to
 //! `ServerCore::run_round` (one WAL group, one proof-evaluation batch),
 //! coalescing the replies per peer into a single [`Msg::Batch`] frame; the
 //! TM side is `safetx_core::drive_tm` over framed sends. Peer disconnects
@@ -38,8 +39,8 @@ use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -99,31 +100,6 @@ impl EdgeStats {
     }
 }
 
-/// A configuration closure applied on a server host's event loop.
-type ConfigureFn = Box<dyn FnOnce(&mut ServerCore<NetAddr>) + Send>;
-
-/// Inputs to a server host's event loop.
-#[allow(clippy::large_enum_variant)]
-enum HostInput {
-    /// A decoded protocol frame from a connected peer.
-    Proto(NetAddr, Msg),
-    /// Harness-side configuration (seed data, install policies). Control
-    /// plane only — it never crosses the wire.
-    Configure(ConfigureFn, Sender<()>),
-    /// Register (or replace) the connection carrying a peer's traffic.
-    Attach(u64, UnixStream),
-    /// A reader thread observed EOF or an I/O error on the connection of
-    /// this (peer, generation); the host drops the matching writer.
-    Detach(u64, u64),
-    /// Protocol messages the host itself must place on the wire
-    /// (post-recovery coordinator inquiries for in-doubt transactions).
-    Emit(Vec<(NetAddr, Msg)>),
-    /// Kill the event loop as if the process died: volatile state is
-    /// lost, the core is salvaged (store + WAL) for a later restart.
-    Crash,
-    Shutdown,
-}
-
 /// What the fault fabric did with one outbound frame.
 enum WireFate {
     /// The stream is still usable (frame written, dropped, duplicated…).
@@ -148,12 +124,12 @@ fn frame_kind(msg: &Msg) -> MsgKind {
     }
 }
 
-/// Every protocol moment a frame carries (crash points match any inner
-/// message of a coalesced envelope).
-fn frame_kinds(msg: &Msg) -> Vec<MsgKind> {
+/// Whether any protocol moment a frame carries satisfies `pred` (crash
+/// points match any inner message of a coalesced envelope).
+fn any_frame_kind(msg: &Msg, mut pred: impl FnMut(MsgKind) -> bool) -> bool {
     match msg {
-        Msg::Batch(inner) => inner.iter().map(MsgKind::of).collect(),
-        other => vec![MsgKind::of(other)],
+        Msg::Batch(inner) => inner.iter().map(MsgKind::of).any(pred),
+        other => pred(MsgKind::of(other)),
     }
 }
 
@@ -221,227 +197,314 @@ fn write_through_fabric<W: Write>(
     }
 }
 
-/// A peer's connection as the host's event loop owns it.
+/// A peer's connection as the host holds it.
 struct PeerLink {
-    /// Kept so shutdown can unblock the reader thread.
-    stream: UnixStream,
+    /// Its stream (`get_ref`) is also how a replacement, a failed write or
+    /// a crash unblocks the connection's reader.
     writer: BufWriter<UnixStream>,
     stats: Arc<EdgeStats>,
     /// Distinguishes this connection from a replaced one: a stale reader's
-    /// `Detach` must not tear down the replacement.
+    /// detach must not tear down the replacement.
     generation: u64,
     /// Outbound frame sequence on this connection — the fault fabric's
     /// per-frame roll input.
     seq: u64,
-    reader: Option<JoinHandle<()>>,
 }
 
-/// One cloud server running as an event loop over byte streams.
+/// What a host's lock guards: the server and its connections.
+struct HostState {
+    /// `None` once the host crashed or shut down.
+    core: Option<ServerCore<NetAddr>>,
+    /// Where a crash parks the core (store + WAL — the durable state)
+    /// until `respawn` picks it back up.
+    salvage: Option<ServerCore<NetAddr>>,
+    links: HashMap<u64, PeerLink>,
+    /// Server-side edge stats by peer id; survives reconnects and crashes.
+    edges: HashMap<u64, Arc<EdgeStats>>,
+    next_generation: u64,
+}
+
+impl HostState {
+    /// Tears the host down as if its process died: every connection drops
+    /// (its reader wakes on EOF and exits) and the core leaves. On a crash
+    /// the volatile state (locks, in-flight rounds, decided memo) is wiped
+    /// and the core lands in the salvage slot; a clean stop drops it.
+    fn kill(&mut self, crash: bool, fabric: &NetFabric) {
+        for (_, link) in self.links.drain() {
+            let _ = link.writer.get_ref().shutdown(std::net::Shutdown::Both);
+        }
+        match self.core.take() {
+            Some(mut core) if crash => {
+                core.crash();
+                fabric.stats.server_crashes.fetch_add(1, Ordering::Relaxed);
+                self.salvage = Some(core);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// How a connection is torn down from outside: its stream to shut down,
+/// its reader to join.
+struct Conn {
+    generation: u64,
+    stream: UnixStream,
+    reader: JoinHandle<()>,
+}
+
+/// What a host's readers share with its handle.
+struct HostShared {
+    state: Mutex<HostState>,
+    /// Every connection whose reader is not yet joined. Its own lock,
+    /// because a reader blocked writing to a peer that stopped reading
+    /// holds `state`, and only shutting its stream down unblocks it. A
+    /// reader never joins itself: `attach` drops the finished ones and
+    /// joins the one it replaces; crash, respawn and shutdown join all.
+    conns: Mutex<Vec<Conn>>,
+    server: ServerId,
+    /// The fault fabric every frame this host writes rolls against.
+    fabric: Arc<NetFabric>,
+    epoch: Instant,
+    batch: usize,
+}
+
+impl HostShared {
+    fn state(&self) -> MutexGuard<'_, HostState> {
+        self.state.lock().expect("host lock (a reader panicked)")
+    }
+
+    /// Runs one round on the calling reader's thread: the socket-runtime
+    /// analogue of one iteration of the threaded runtime's `server_loop`,
+    /// with the round's proof evaluation inline. Replies are coalesced
+    /// into one frame (and one flush) per destination and written before
+    /// the lock is released, so every peer sees rounds in the order they
+    /// ran; a disconnected peer is fine to ignore, like a dead channel in
+    /// the threaded runtime. Returns `false` when the host is dead — it
+    /// was already, or a scheduled crash point fired in this round.
+    fn serve(&self, round: &mut Vec<(NetAddr, Msg)>) -> bool {
+        let mut state = self.state();
+        let state = &mut *state;
+        let Some(core) = state.core.as_mut() else {
+            return false;
+        };
+        let cut = cut_at_crash_point(&self.fabric, self.server, round);
+        let out = core.run_round(now_since(self.epoch), round.drain(..));
+        let mut outputs = out.replies;
+        if let Some(deferred) = out.deferred {
+            outputs.extend(deferred.run(now_since(self.epoch)));
+        }
+        let outputs = coalesce_replies(outputs, |a| a.0);
+        let crashed = send_frames(&mut state.links, &self.fabric, self.server, outputs) || cut;
+        if crashed {
+            state.kill(true, &self.fabric);
+        }
+        !crashed
+    }
+
+    /// Takes every connection out of the registry to shut down and join.
+    fn take_conns(&self) -> Vec<Conn> {
+        // Teardown runs from `Drop`, which must not panic, and the
+        // registry is valid at every step: a poisoned lock is usable.
+        std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Kills the host (see [`HostState::kill`]) and joins every reader.
+    /// The streams go down before `state` is asked for (a blocked writer
+    /// holds it) and the readers are joined after it is released (an
+    /// exiting reader takes it once more, to detach).
+    fn stop(&self, crash: bool) {
+        let conns = self.take_conns();
+        for conn in &conns {
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        }
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .kill(crash, &self.fabric);
+        for conn in conns {
+            let _ = conn.reader.join();
+        }
+    }
+}
+
+/// One cloud server over byte streams.
 ///
-/// The host owns the `ServerCore` and every connection to it. Frames are
-/// decoded by per-connection reader threads and fed to the core in rounds
+/// The host is a lock around the `ServerCore` and every connection to it;
+/// it has no thread of its own. Each connection's reader thread decodes
+/// the frames it reads, takes the lock and runs the round itself
 /// (`ServerCore::run_round`), the replies of a round coalesced per peer
 /// into one frame.
 pub struct ServerHost {
-    /// The live loop's input channel; replaced on respawn after a crash.
-    tx: Mutex<Sender<HostInput>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    /// Server-side edge stats by peer id; survives reconnects and crashes.
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    /// Currently attached (not yet detached) connections.
-    live_peers: Arc<AtomicUsize>,
-    /// The fault fabric every frame this host writes rolls against.
-    fabric: Arc<NetFabric>,
-    /// Where a crashed loop parks its core (store + WAL — the durable
-    /// state) until `respawn` picks it back up.
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
-    epoch: Instant,
-    batch: usize,
-}
-
-/// Spawns one host event loop, returning its input channel and handle.
-fn spawn_host_loop(
-    core: ServerCore<NetAddr>,
-    epoch: Instant,
-    batch: usize,
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    live_peers: Arc<AtomicUsize>,
-    fabric: Arc<NetFabric>,
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
-) -> (Sender<HostInput>, JoinHandle<()>) {
-    let (tx, rx) = unbounded::<HostInput>();
-    let loop_tx = tx.clone();
-    let handle = std::thread::spawn(move || {
-        host_loop(
-            core,
-            rx,
-            loop_tx,
-            epoch,
-            batch.max(1),
-            edges,
-            live_peers,
-            fabric,
-            salvage,
-        );
-    });
-    (tx, handle)
+    shared: Arc<HostShared>,
 }
 
 impl ServerHost {
-    /// Spawns the host's event loop around a configured core, with no
+    /// Wraps a configured core as a host with no connection yet and no
     /// fault fabric armed (a standalone host injects no faults).
     #[must_use]
     pub fn spawn(core: ServerCore<NetAddr>, epoch: Instant, batch: usize) -> ServerHost {
         Self::spawn_with_fabric(core, epoch, batch, Arc::new(NetFabric::default()))
     }
 
-    /// Spawns the host's event loop sharing the cluster's fault fabric.
+    /// A host sharing the cluster's fault fabric.
     pub(crate) fn spawn_with_fabric(
         core: ServerCore<NetAddr>,
         epoch: Instant,
         batch: usize,
         fabric: Arc<NetFabric>,
     ) -> ServerHost {
-        let edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let live_peers = Arc::new(AtomicUsize::new(0));
-        let salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>> = Arc::new(Mutex::new(None));
-        let (tx, handle) = spawn_host_loop(
-            core,
-            epoch,
-            batch,
-            Arc::clone(&edges),
-            Arc::clone(&live_peers),
-            Arc::clone(&fabric),
-            Arc::clone(&salvage),
-        );
-        ServerHost {
-            tx: Mutex::new(tx),
-            handle: Mutex::new(Some(handle)),
-            edges,
-            live_peers,
+        let shared = HostShared {
+            server: core.id(),
+            state: Mutex::new(HostState {
+                core: Some(core),
+                salvage: None,
+                links: HashMap::new(),
+                edges: HashMap::new(),
+                next_generation: 0,
+            }),
+            conns: Mutex::default(),
             fabric,
-            salvage,
             epoch,
-            batch,
+            batch: batch.max(1),
+        };
+        ServerHost {
+            shared: Arc::new(shared),
         }
     }
 
-    /// A clone of the live loop's sender.
-    fn sender(&self) -> Sender<HostInput> {
-        self.tx.lock().expect("host tx lock").clone()
-    }
-
-    /// Restarts the event loop around a recovered core. Edge stats, the
-    /// fabric and the salvage slot carry over; connections do not — the
-    /// process died, so every peer must re-attach.
+    /// Brings a crashed host back around a recovered core. Edge stats and
+    /// the fabric carry over; connections do not — the process died, so
+    /// every peer must re-attach.
     pub(crate) fn respawn(&self, core: ServerCore<NetAddr>) {
-        let (tx, handle) = spawn_host_loop(
-            core,
-            self.epoch,
-            self.batch,
-            Arc::clone(&self.edges),
-            Arc::clone(&self.live_peers),
-            Arc::clone(&self.fabric),
-            Arc::clone(&self.salvage),
-        );
-        *self.tx.lock().expect("host tx lock") = tx;
-        let old = self
-            .handle
-            .lock()
-            .expect("host handle lock")
-            .replace(handle);
-        if let Some(old) = old {
-            // The crashed loop has already exited (or is draining its
-            // links); joining here cannot block on live work.
-            let _ = old.join();
+        // The dead incarnation's readers go first: a straggler still
+        // holding a pre-crash frame must find no core to feed it to.
+        for conn in self.shared.take_conns() {
+            let _ = conn.reader.join();
         }
+        self.shared.state().core = Some(core);
     }
 
-    /// Kills the event loop as if the process died. The core lands in the
-    /// salvage slot once the loop unwinds; poll [`ServerHost::crashed`].
+    /// Kills the host as if the process died. When this returns the core
+    /// is in the salvage slot and every connection and reader is gone.
     pub(crate) fn crash(&self) {
-        let _ = self.sender().send(HostInput::Crash);
+        self.shared.stop(true);
     }
 
-    /// True once a crashed loop has parked its core for salvage.
+    /// True while a crashed host's core waits in the salvage slot.
     pub(crate) fn crashed(&self) -> bool {
-        self.salvage.lock().expect("salvage lock").is_some()
+        self.shared.state().salvage.is_some()
     }
 
-    /// Takes the salvaged core of a crashed loop, if it has landed.
+    /// Takes the salvaged core of a crashed host.
     pub(crate) fn take_salvaged(&self) -> Option<ServerCore<NetAddr>> {
-        self.salvage.lock().expect("salvage lock").take()
+        self.shared.state().salvage.take()
     }
 
-    /// Joins the (exited) loop thread, if any.
-    pub(crate) fn join_loop(&self) {
-        if let Some(handle) = self.handle.lock().expect("host handle lock").take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Hands the host protocol messages to place on the wire itself
-    /// (post-recovery coordinator inquiries). Ordered after any `attach`
-    /// already sent, so the frames go out on the new connection.
+    /// Places protocol messages of the host's own on the wire
+    /// (post-recovery coordinator inquiries for in-doubt transactions).
     pub(crate) fn emit(&self, msgs: Vec<(NetAddr, Msg)>) {
-        let _ = self.sender().send(HostInput::Emit(msgs));
+        let (fabric, server) = (&self.shared.fabric, self.shared.server);
+        let mut state = self.shared.state();
+        if send_frames(&mut state.links, fabric, server, msgs) {
+            state.kill(true, fabric);
+        }
     }
 
     /// Attaches (or replaces) the connection carrying peer `peer`'s
     /// traffic. The host reads frames from it and writes replies to it;
-    /// attaching over an existing connection counts as a reconnect.
+    /// attaching over an existing connection counts as a reconnect. A
+    /// crashed or stopped host drops the stream instead.
     pub fn attach(&self, peer: u64, stream: UnixStream) {
-        let _ = self.sender().send(HostInput::Attach(peer, stream));
+        let read_half = stream.try_clone().expect("clone unix stream");
+        let teardown_half = stream.try_clone().expect("clone unix stream");
+        let (generation, stats, replaced) = {
+            let mut state = self.shared.state();
+            if state.core.is_none() {
+                return;
+            }
+            let stats = Arc::clone(state.edges.entry(peer).or_default());
+            let generation = state.next_generation;
+            state.next_generation += 1;
+            let link = PeerLink {
+                writer: BufWriter::new(stream),
+                stats: Arc::clone(&stats),
+                generation,
+                seq: 0,
+            };
+            let replaced = state.links.insert(peer, link).map(|old| {
+                let _ = old.writer.get_ref().shutdown(std::net::Shutdown::Both);
+                stats.note_reconnect();
+                old.generation
+            });
+            (generation, stats, replaced)
+        };
+        let replaced = {
+            let mut conns = self.shared.conns.lock().expect("conns lock");
+            conns.retain(|conn| !conn.reader.is_finished());
+            let at = conns.iter().position(|c| Some(c.generation) == replaced);
+            at.map(|at| conns.swap_remove(at))
+        };
+        // The replaced reader serves what its connection still held, then
+        // exits on EOF; the new reader starts after it, so a peer's frames
+        // reach the core in the order it sent them across the reconnect.
+        if let Some(old) = replaced {
+            let _ = old.reader.join();
+        }
+        let shared = Arc::clone(&self.shared);
+        let reader =
+            std::thread::spawn(move || host_reader(&shared, read_half, peer, generation, &stats));
+        self.shared.conns.lock().expect("conns lock").push(Conn {
+            generation,
+            stream: teardown_half,
+            reader,
+        });
     }
 
-    /// Applies a configuration closure on the event loop and waits for it.
+    /// Runs `f` on the core, between rounds.
+    fn with_core<R>(&self, f: impl FnOnce(&mut ServerCore<NetAddr>) -> R) -> R {
+        f(self.shared.state().core.as_mut().expect("host alive"))
+    }
+
+    /// Applies a configuration closure to the core, between rounds
+    /// (seed data, install policies). Control plane only — it never
+    /// crosses the wire.
     ///
     /// # Panics
     ///
-    /// Panics when the host's thread has exited.
+    /// Panics when the host has crashed or shut down.
     pub fn configure(&self, f: impl FnOnce(&mut ServerCore<NetAddr>) + Send + 'static) {
-        let (done_tx, done_rx) = unbounded();
-        self.sender()
-            .send(HostInput::Configure(Box::new(f), done_tx))
-            .expect("host thread alive");
-        done_rx.recv().expect("configuration applied");
+        self.with_core(f);
     }
 
     /// How many connections are currently attached. A multi-process server
     /// can poll this to exit once its last client hangs up.
     #[must_use]
     pub fn live_peers(&self) -> usize {
-        self.live_peers.load(Ordering::Acquire)
+        self.shared.state().links.len()
     }
 
     /// Server-side transport counters summed over this host's edges.
     #[must_use]
     pub fn transport_counters(&self) -> TransportCounters {
-        let edges = self.edges.lock().expect("edges lock");
-        edges.values().map(|e| e.snapshot()).sum()
+        let state = self.shared.state();
+        state.edges.values().map(|e| e.snapshot()).sum()
     }
 
     /// Server-side counters for one peer's edge, if it ever attached.
     #[must_use]
     pub fn edge_counters(&self, peer: u64) -> Option<TransportCounters> {
-        let edges = self.edges.lock().expect("edges lock");
-        edges.get(&peer).map(|e| e.snapshot())
+        self.shared.state().edges.get(&peer).map(|e| e.snapshot())
     }
 
-    /// Stops the event loop and joins it (readers included).
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let _ = self.sender().send(HostInput::Shutdown);
-        self.join_loop();
+    /// Drops every connection and the core, and joins the readers.
+    pub fn shutdown(self) {
+        // `Drop` does it.
     }
 }
 
 impl Drop for ServerHost {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.shared.stop(false);
     }
 }
 
@@ -449,174 +512,57 @@ fn now_since(epoch: Instant) -> Timestamp {
     Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
-/// Spawns the reader side of one connection: frames are decoded off the
-/// stream and fed into the host's input channel; a payload that fails to
-/// decode is counted and skipped (framing survives — the next length
-/// prefix is still in phase); EOF or an I/O error reports a detach.
-fn spawn_host_reader(
+/// True when a whole frame already sits in the reader's buffer, so
+/// reading it cannot block.
+fn frame_buffered(reader: &BufReader<UnixStream>) -> bool {
+    match reader.buffer() {
+        [a, b, c, d, rest @ ..] => rest.len() >= u32::from_le_bytes([*a, *b, *c, *d]) as usize,
+        _ => false,
+    }
+}
+
+/// One connection's thread — and the server's thread for every frame that
+/// arrives on it: blocks for a frame, adds the complete frames already
+/// buffered behind it (up to `server_batch`: the queue a round drains is
+/// the connection's buffer), and runs the round itself. A payload that
+/// fails to decode is counted and skipped (framing survives — the next
+/// length prefix is still in phase). EOF, an I/O error or a dead host ends
+/// the thread, which detaches its link unless a replacement already did.
+fn host_reader(
+    host: &HostShared,
     stream: UnixStream,
     peer: u64,
     generation: u64,
-    tx: Sender<HostInput>,
-    stats: Arc<EdgeStats>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(stream);
-        while let Ok(Some(payload)) = read_frame(&mut reader) {
-            stats.note_received(payload.len());
-            match decode_msg(&payload) {
-                Ok(msg) => {
-                    if tx.send(HostInput::Proto(NetAddr(peer), msg)).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => stats.note_decode_error(),
-            }
-        }
-        let _ = tx.send(HostInput::Detach(peer, generation));
-    })
-}
-
-/// The server host's event loop: the socket-runtime analogue of the
-/// threaded runtime's `server_loop`, with the round's proof evaluation
-/// inline (the loop is the server's single thread).
-///
-/// The loop exits in one of two ways. A `Shutdown` (or a closed channel)
-/// is a clean stop. A crash — `HostInput::Crash` from the harness, or a
-/// scheduled crash point firing inside a round — tears the loop down as
-/// if the process died: `ServerCore::crash` wipes the volatile state and
-/// the core (store + WAL, the durable half) lands in the salvage slot for
-/// a later `respawn` + `recover_from_wal`.
-#[allow(clippy::too_many_arguments)]
-fn host_loop(
-    mut core: ServerCore<NetAddr>,
-    rx: Receiver<HostInput>,
-    tx: Sender<HostInput>,
-    epoch: Instant,
-    batch: usize,
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    live_peers: Arc<AtomicUsize>,
-    fabric: Arc<NetFabric>,
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
+    stats: &EdgeStats,
 ) {
-    let server = core.id();
-    let mut links: HashMap<u64, PeerLink> = HashMap::new();
-    let mut next_generation = 0u64;
-    let mut round: Vec<(NetAddr, Msg)> = Vec::new();
-    let crashed = 'outer: loop {
-        let Ok(first) = rx.recv() else { break false };
-        // Collect one round: up to `batch` protocol messages already
-        // queued; control inputs act as barriers exactly like the threaded
-        // runtime's.
-        let mut control = None;
-        match first {
-            HostInput::Proto(from, msg) => round.push((from, msg)),
-            other => control = Some(other),
-        }
-        while control.is_none() && round.len() < batch {
-            match rx.try_recv() {
-                Ok(HostInput::Proto(from, msg)) => round.push((from, msg)),
-                Ok(other) => control = Some(other),
-                Err(_) => break,
-            }
-        }
-        if !round.is_empty() {
-            let cut = cut_at_crash_point(&fabric, server, &mut round);
-            let out = core.run_round(now_since(epoch), round.drain(..));
-            let mut outputs = out.replies;
-            if let Some(deferred) = out.deferred {
-                outputs.extend(deferred.run(now_since(epoch)));
-            }
-            // One frame (and one flush) per destination per round; a
-            // disconnected peer is fine to ignore, like a dead channel in
-            // the threaded runtime.
-            let outputs = coalesce_replies(outputs, |a| a.0);
-            if send_frames(&mut links, &fabric, server, outputs) || cut {
-                // A scheduled crash point fired mid-round.
-                break 'outer true;
-            }
-        }
-        match control {
-            None => {}
-            Some(HostInput::Configure(f, done)) => {
-                f(&mut core);
-                let _ = done.send(());
-            }
-            Some(HostInput::Attach(peer, stream)) => {
-                let stats = {
-                    let mut edges = edges.lock().expect("edges lock");
-                    Arc::clone(edges.entry(peer).or_default())
-                };
-                let generation = next_generation;
-                next_generation += 1;
-                let writer_stream = stream.try_clone().expect("clone unix stream");
-                let reader = spawn_host_reader(
-                    writer_stream.try_clone().expect("clone unix stream"),
-                    peer,
-                    generation,
-                    tx.clone(),
-                    Arc::clone(&stats),
-                );
-                let link = PeerLink {
-                    stream,
-                    writer: BufWriter::new(writer_stream),
-                    stats,
-                    generation,
-                    seq: 0,
-                    reader: Some(reader),
-                };
-                if let Some(old) = links.insert(peer, link) {
-                    // A replaced connection: count the reconnect, unblock
-                    // and join the old reader.
-                    let _ = old.stream.shutdown(std::net::Shutdown::Both);
-                    if let Some(handle) = old.reader {
-                        let _ = handle.join();
-                    }
-                    links[&peer].stats.note_reconnect();
-                } else {
-                    live_peers.fetch_add(1, Ordering::Release);
-                }
-            }
-            Some(HostInput::Detach(peer, generation))
-                if links.get(&peer).is_some_and(|l| l.generation == generation) =>
-            {
-                let mut link = links.remove(&peer).expect("guard checked presence");
-                if let Some(handle) = link.reader.take() {
-                    let _ = handle.join();
-                }
-                live_peers.fetch_sub(1, Ordering::Release);
-            }
-            // A stale detach from a reader whose connection was already
-            // replaced: the link (and its new reader) stay up.
-            Some(HostInput::Detach(..)) => {}
-            // Not collapsible into a guard: `send_frames` consumes `msgs`,
-            // and match guards cannot move out of the scrutinee.
-            #[allow(clippy::collapsible_match)]
-            Some(HostInput::Emit(msgs)) => {
-                if send_frames(&mut links, &fabric, server, msgs) {
-                    break 'outer true;
-                }
-            }
-            Some(HostInput::Crash) => break 'outer true,
-            Some(HostInput::Shutdown) => break 'outer false,
-            Some(HostInput::Proto(..)) => unreachable!("proto inputs join the round"),
+    let mut reader = BufReader::new(stream);
+    let mut round = Vec::new();
+    let decode = |round: &mut Vec<(NetAddr, Msg)>, payload: Vec<u8>| {
+        stats.note_received(payload.len());
+        match decode_msg(&payload) {
+            Ok(msg) => round.push((NetAddr(peer), msg)),
+            Err(_) => stats.note_decode_error(),
         }
     };
-    // Unblock and join every reader — on a crash this is the process's
-    // sockets dying with it.
-    for (_, mut link) in links.drain() {
-        let _ = link.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(handle) = link.reader.take() {
-            let _ = handle.join();
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
+        decode(&mut round, payload);
+        while round.len() < host.batch && frame_buffered(&reader) {
+            let Ok(Some(payload)) = read_frame(&mut reader) else {
+                break;
+            };
+            decode(&mut round, payload);
+        }
+        if !round.is_empty() && !host.serve(&mut round) {
+            break;
         }
     }
-    live_peers.store(0, Ordering::Release);
-    if crashed {
-        // Volatile state (locks, in-flight rounds, decided memo) is gone;
-        // the store and WAL survive for recovery.
-        core.crash();
-        fabric.stats.server_crashes.fetch_add(1, Ordering::Relaxed);
-        *salvage.lock().expect("salvage lock") = Some(core);
+    let mut state = host.state();
+    if state
+        .links
+        .get(&peer)
+        .is_some_and(|l| l.generation == generation)
+    {
+        state.links.remove(&peer);
     }
 }
 
@@ -676,7 +622,7 @@ fn send_frames(
         // Consult the crash schedule before the write (the threaded fabric
         // consumes the rule at the send), crash after it: the frame — and
         // with it the force the server already performed — escapes first.
-        let crash_after = frame_kinds(&msg).iter().any(|&kind| {
+        let crash_after = any_frame_kind(&msg, |kind| {
             fabric
                 .take_crash(server, |p| p == CrashPoint::AfterSend(kind))
                 .is_some()
@@ -702,7 +648,7 @@ fn send_frames(
                 // Dead (or fabric-killed) connection: drop the stream; the
                 // reader's detach handles the bookkeeping, and the TM side
                 // reconnects with backoff.
-                let _ = link.stream.shutdown(std::net::Shutdown::Both);
+                let _ = link.writer.get_ref().shutdown(std::net::Shutdown::Both);
             }
         }
         if crash_after {
@@ -766,7 +712,7 @@ type Routes = Arc<Mutex<HashMap<u64, Sender<(ServerId, Msg)>>>>;
 /// A cluster whose protocol traffic crosses real byte streams.
 ///
 /// [`NetCluster::new`] runs everything in-process over `UnixStream::pair`
-/// duplex sockets: one [`ServerHost`] event loop per server, with
+/// duplex sockets: one [`ServerHost`] per server, with
 /// [`NetCluster::execute`] driving the sans-io `TmCore` from the calling
 /// thread exactly like `safetx_runtime::Cluster::execute` — same effects,
 /// same decision log, same inline master consult, same reply-deadline
@@ -915,7 +861,11 @@ impl NetCluster {
         let handle = std::thread::spawn(move || {
             tm_reader_loop(stream, from, &ctx);
         });
-        self.readers.lock().expect("readers lock").push(handle);
+        // A replaced connection's reader has exited (or is about to): drop
+        // finished handles here, or a flapping edge grows this forever.
+        let mut readers = self.readers.lock().expect("readers lock");
+        readers.retain(|reader| !reader.is_finished());
+        readers.push(handle);
     }
 
     /// The configuration this cluster was built with.
@@ -991,16 +941,15 @@ impl NetCluster {
         }
     }
 
-    /// Kills a server's event loop as if its process died: volatile state
-    /// (locks, in-flight rounds, the decided memo) is lost, every one of
-    /// its connections drops, and in-flight frames are gone. The store and
-    /// WAL survive for [`NetCluster::restart_server`]. Blocks until the
-    /// loop has unwound.
+    /// Kills a server as if its process died: volatile state (locks,
+    /// in-flight rounds, the decided memo) is lost, every one of its
+    /// connections drops, and in-flight frames are gone. The store and WAL
+    /// survive for [`NetCluster::restart_server`]. The server is crashed
+    /// (and its reader threads joined) when this returns.
     ///
     /// # Panics
     ///
-    /// Panics when the server id is out of range, in `connect` mode, or
-    /// when the loop fails to unwind within ten seconds.
+    /// Panics when the server id is out of range or in `connect` mode.
     pub fn crash_server(&self, server: ServerId) {
         let i = server.index() as usize;
         let host = self
@@ -1008,12 +957,6 @@ impl NetCluster {
             .get(i)
             .expect("in-process server host (crash is unavailable in connect mode)");
         host.crash();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !host.crashed() {
-            assert!(Instant::now() < deadline, "server loop failed to unwind");
-            std::thread::yield_now();
-        }
-        host.join_loop();
         // The TM side of the edge is dead too; sever it so sends fail fast
         // instead of filling a kernel buffer nobody reads.
         let link = &self.links[i];
@@ -1036,8 +979,8 @@ impl NetCluster {
 
     /// Restarts a crashed server: replays its WAL (`recover_from_wal`
     /// rebuilds the decided memo and re-acquires locks for in-doubt
-    /// transactions), respawns the event loop, reconnects the TM edge
-    /// under the server's stable peer id, and puts one wire
+    /// transactions), brings the host back around it, reconnects the TM
+    /// edge under the server's stable peer id, and puts one wire
     /// [`Msg::Inquiry`] per in-doubt transaction on the new connection —
     /// the TM-side readers answer from the decision log. The inquiries
     /// cross the real (fault-subject) wire; a quiesced
@@ -1046,22 +989,16 @@ impl NetCluster {
     /// # Panics
     ///
     /// Panics when the server id is out of range, in `connect` mode, or
-    /// when no salvaged core appears within ten seconds.
+    /// when the server is not crashed.
     pub fn restart_server(&self, server: ServerId) {
         let i = server.index() as usize;
         let host = self
             .hosts
             .get(i)
             .expect("in-process server host (restart is unavailable in connect mode)");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut core = loop {
-            if let Some(core) = host.take_salvaged() {
-                break core;
-            }
-            assert!(Instant::now() < deadline, "no salvaged core to restart");
-            std::thread::yield_now();
-        };
-        host.join_loop();
+        let mut core = host
+            .take_salvaged()
+            .expect("a crashed server to restart (see `crashed_servers`)");
         let in_doubt = core.recover_from_wal();
         host.respawn(core);
         let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
@@ -1106,11 +1043,8 @@ impl NetCluster {
                 if host.crashed() {
                     continue;
                 }
-                let (probe_tx, probe_rx) = unbounded();
-                host.configure(move |core| {
-                    let _ = probe_tx.send((core.active_txn_ids(), core.in_doubt_txns()));
-                });
-                let (active, in_doubt) = probe_rx.recv().expect("probe reply");
+                let (active, in_doubt) =
+                    host.with_core(|core| (core.active_txn_ids(), core.in_doubt_txns()));
                 let in_doubt: BTreeSet<TxnId> = in_doubt.into_iter().collect();
                 for txn in active {
                     outstanding += 1;
@@ -1153,11 +1087,7 @@ impl NetCluster {
     pub fn wal_stats(&self) -> safetx_metrics::WalStats {
         let mut total = safetx_metrics::WalStats::default();
         for host in &self.hosts {
-            let (tx, rx) = unbounded();
-            host.configure(move |core| {
-                let _ = tx.send(core.wal_stats());
-            });
-            total.merge(&rx.recv().expect("wal stats probe"));
+            total.merge(&host.with_core(|core| core.wal_stats()));
         }
         total
     }
@@ -1191,8 +1121,8 @@ impl NetCluster {
         (tm, srv)
     }
 
-    /// Applies a configuration closure on a server's event loop and waits
-    /// for it (seed data, install policies, add constraints).
+    /// Applies a configuration closure to a server's core, between its
+    /// rounds (seed data, install policies, add constraints).
     ///
     /// # Panics
     ///
@@ -1598,32 +1528,36 @@ fn tm_reader_loop(stream: UnixStream, from: ServerId, ctx: &TmReaderCtx) {
         // A decoded frame proves the edge is healthy: reopen the
         // reconnect budget.
         ctx.links[i].reconnect_attempts.store(0, Ordering::Relaxed);
-        let msgs = match msg {
-            Msg::Batch(inner) => inner,
-            other => vec![other],
-        };
-        for msg in msgs {
-            if let Msg::Inquiry { txn, from_server } = msg {
-                answer_wire_inquiry(ctx, txn, from_server);
-                continue;
-            }
-            route_reply(from, msg, &ctx.routes, &ctx.dropped);
+        match msg {
+            Msg::Batch(inner) => inner.into_iter().for_each(|msg| deliver(ctx, from, msg)),
+            other => deliver(ctx, from, other),
         }
+    }
+}
+
+/// One server→TM message off the wire: a recovery inquiry is answered
+/// here, anything else goes to its transaction's `execute`.
+fn deliver(ctx: &TmReaderCtx, from: ServerId, msg: Msg) {
+    match msg {
+        Msg::Inquiry { txn, from_server } => answer_wire_inquiry(ctx, txn, from_server),
+        reply => route_reply(from, reply, &ctx.routes, &ctx.dropped),
     }
 }
 
 /// Routes one server→TM message to the `execute` call driving its
 /// transaction. A message nobody takes is a stale straggler, counted under
-/// the shared rule: it carries no transaction id (foreign), its route is
-/// gone, or — losing the race with deregistration — its receiver is.
+/// the shared rule: it carries no transaction id (foreign) or its route is
+/// gone. (`WireTm` deregisters before it drops its receiver, so a routed
+/// send does not fail; a reply whose send did is stale all the same.)
 fn route_reply(from: ServerId, msg: Msg, routes: &Routes, dropped: &AtomicU64) {
-    let sender = reply_txn(&msg).and_then(|txn| {
+    // Sent with the routes locked (the channel is unbounded, a send never
+    // blocks): one lock per reply and no clone of the route's sender.
+    let untaken = {
         let routes = routes.lock().expect("routes lock");
-        routes.get(&txn.index()).cloned()
-    });
-    let untaken = match sender {
-        Some(tx) => tx.send((from, msg)).err().map(|SendError((_, msg))| msg),
-        None => Some(msg),
+        match reply_txn(&msg).and_then(|txn| routes.get(&txn.index())) {
+            Some(tx) => tx.send((from, msg)).err().map(|SendError((_, msg))| msg),
+            None => Some(msg),
+        }
     };
     if untaken.is_some_and(|msg| reply_counts_as_dropped(&msg)) {
         dropped.fetch_add(1, Ordering::Relaxed);
@@ -1645,32 +1579,4 @@ fn reply_txn(msg: &Msg) -> Option<TxnId> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A reply can lose the race with its transaction's deregistration: the
-    /// reader cloned the route's sender, then `execute` returned and
-    /// dropped the receiver. Such a reply is a stale straggler like any
-    /// unroutable one — counted unless it is an ack.
-    #[test]
-    fn reply_that_outlives_its_receiver_counts_as_dropped() {
-        let txn = TxnId::new(7);
-        let routes: Routes = Arc::default();
-        let (tx, rx) = unbounded();
-        routes.lock().unwrap().insert(txn.index(), tx);
-        drop(rx);
-        let dropped = AtomicU64::new(0);
-        let from = ServerId::new(0);
-        let done = Msg::QueryDone {
-            txn,
-            query_index: 0,
-            ok: true,
-            proof: None,
-            capability: None,
-        };
-        route_reply(from, done, &routes, &dropped);
-        assert_eq!(dropped.load(Ordering::Relaxed), 1);
-        route_reply(from, Msg::Ack { txn }, &routes, &dropped);
-        assert_eq!(dropped.load(Ordering::Relaxed), 1, "acks never count");
-    }
-}
+mod tests;

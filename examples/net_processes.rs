@@ -58,7 +58,7 @@ fn issue_member(cas: &SharedCas) -> Credential {
     })
 }
 
-/// The server role: one `ServerHost` event loop behind a filesystem
+/// The server role: one `ServerHost` behind a filesystem
 /// socket, serving until the TM hangs up.
 fn serve(id: u64, socket: &Path) {
     let catalog = safetx::core::SharedCatalog::new();
@@ -88,11 +88,8 @@ fn serve(id: u64, socket: &Path) {
     let listener = UnixListener::bind(socket).expect("bind server socket");
     let (stream, _) = listener.accept().expect("accept TM connection");
     host.attach(TM_PEER, stream);
-    // Serve until the TM hangs up: wait for the attach to land, then for
-    // the disconnect to drain.
-    while host.live_peers() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // Serve until the TM hangs up (the connection is attached when
+    // `attach` returns; its reader detaches it on EOF).
     while host.live_peers() > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }
