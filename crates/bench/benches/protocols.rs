@@ -30,7 +30,7 @@ fn bench_two_pv(c: &mut Criterion) {
             b.iter(|| {
                 let mut v = ValidationRound::new(
                     participants(n),
-                    ValidationConfig::two_pv(ConsistencyLevel::View),
+                    ValidationConfig::new(ConsistencyLevel::View),
                 );
                 let mut actions = v.start();
                 for i in 0..n {
@@ -49,7 +49,7 @@ fn bench_two_pv_update_round(c: &mut Criterion) {
             let n = 16;
             let mut v = ValidationRound::new(
                 participants(n),
-                ValidationConfig::two_pv(ConsistencyLevel::View),
+                ValidationConfig::new(ConsistencyLevel::View),
             );
             let mut actions = v.start();
             // One participant is ahead; the rest are stale and re-reply.

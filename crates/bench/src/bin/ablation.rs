@@ -32,7 +32,7 @@ fn storm(refresh_each_round: bool, updates_available: u64) -> (u64, u64, Validat
     let participants: BTreeSet<ServerId> = (0..n).map(ServerId::new).collect();
     let config = ValidationConfig {
         refresh_master_each_round: refresh_each_round,
-        ..ValidationConfig::two_pv(ConsistencyLevel::Global)
+        ..ValidationConfig::new(ConsistencyLevel::Global)
     };
     let mut round = ValidationRound::new(participants, config);
     let mut master_version = 1u64; // version the master will answer with

@@ -317,10 +317,6 @@ fn main() {
     let _ = run_cell(false, true, 1, 0);
     let doc = Json::object()
         .with("label", label)
-        .with(
-            "workers_env",
-            std::env::var("SAFETX_SERVER_WORKERS").unwrap_or_default(),
-        )
         .with("cache_on", run_cell(false, true, 1, 0))
         .with("cache_off", run_cell(false, false, 1, 0))
         .with(

@@ -35,6 +35,7 @@ fn main() {
         "paper proofs",
         "measured proofs",
         "outcome",
+        "round trips",
     ]);
 
     // Every cell builds its own seeded deployment, so the grid fans out
@@ -99,6 +100,7 @@ fn main() {
             paper_proofs.to_string(),
             tightness(run.metrics.proofs, paper_proofs),
             if run.committed { "commit" } else { "abort" }.to_string(),
+            run.metrics.round_trips.to_string(),
         ]);
     }
     println!("{table}");
@@ -116,4 +118,7 @@ fn main() {
     println!(" * Deferred/Punctual under global consistency are measured at r = 2");
     println!("   (every replica one version behind the master); other cells run at");
     println!("   their Table-I round bound (r = 1).");
+    println!(" * round trips counts what Table I does not price: the sequential TM ->");
+    println!("   server exchanges a commit waits through — one per query, the vote and");
+    println!("   the decision (u + 2), plus one per update round (r = 2 cells).");
 }

@@ -107,6 +107,25 @@ fn threaded_runtime_counts_match_table1() {
     }
 }
 
+/// The chain next to the totals: sequential TM → server round trips of one
+/// clean commit (no stale replica, Standard variant) at n = u = 3, on both
+/// drivers. Every scheme waits through one round trip per query, the vote
+/// and the decision. Continuous was 8 while its 2PV round for query i was
+/// followed by a separate `ExecQuery` round trip to server i; the 2PV
+/// contact executes the query now.
+#[test]
+fn clean_commit_round_trips_are_pinned() {
+    for scheme in ProofScheme::ALL {
+        for level in ConsistencyLevel::ALL {
+            let sim = run_single(scheme, level, 3, Staleness::None);
+            let threaded = run_single_threaded(scheme, level, 3, Staleness::None);
+            assert!(sim.committed && threaded.committed, "{scheme}/{level}");
+            assert_eq!(sim.metrics.round_trips, 5, "{scheme}/{level}: sim");
+            assert_eq!(sim.metrics, threaded.metrics, "{scheme}/{level}");
+        }
+    }
+}
+
 #[test]
 fn log_complexity_is_pinned() {
     let clean = run_single(

@@ -166,7 +166,7 @@ impl ProofCache {
 }
 
 /// A consistent snapshot of one transaction's proof-evaluation inputs,
-/// extracted on the server thread and safe to ship to a worker.
+/// extracted from the protocol plane for a [`crate::DeferredEval`].
 ///
 /// All payloads are `Arc`-shared with the server's transaction state, so
 /// taking a snapshot is refcount traffic, not a deep copy.
@@ -181,15 +181,18 @@ pub struct EvalSnapshot {
 }
 
 /// The shareable data plane of one cloud server: everything proof
-/// evaluation touches, behind interior mutability so a runtime worker pool
-/// can evaluate proofs for distinct transactions concurrently while the
-/// server thread keeps exclusive ownership of the protocol plane (locks
-/// decisions, WAL forces, 2PVC votes, per-transaction state).
+/// evaluation touches, behind interior mutability so proofs are evaluated
+/// through a shared handle while the server keeps exclusive ownership of
+/// the protocol plane (locks, decisions, WAL forces, 2PVC votes,
+/// per-transaction state).
 ///
-/// In the single-threaded simulator the same structure is driven from one
-/// thread through [`crate::ServerCore`]'s `&mut self` handlers; the locks below
-/// are then uncontended and behavior is bit-identical to the pre-split
-/// code.
+/// Every runtime drives a server from one thread at a time — the
+/// thread that runs a round also runs its [`crate::DeferredEval`] — so the
+/// locks below are uncontended. The interior mutability stays because the
+/// handle is shared, not because it is raced: a `DeferredEval` carries an
+/// `Arc` of the plane out of the `&mut ServerCore` borrow that built it,
+/// and [`crate::ServerCore::data_plane`] hands the same `Arc` to callers
+/// that evaluate or install policies without going through the core.
 pub struct DataPlane {
     id: ServerId,
     catalog: SharedCatalog,

@@ -82,8 +82,8 @@ pub enum Msg {
     PrepareToValidate {
         /// Transaction id.
         txn: TxnId,
-        /// A query about to execute at this server: evaluate its proof as
-        /// part of this round.
+        /// The query this round submits, when this is its server: execute
+        /// it, then evaluate its proof with the rest of the round's.
         new_query: Option<(usize, Arc<QuerySpec>)>,
         /// The requesting user (needed when `new_query` introduces the
         /// transaction to this server).

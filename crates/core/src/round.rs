@@ -7,13 +7,14 @@
 //! appends share a single physical sync and no reply that acknowledges a
 //! force exists before that sync has happened. Proof evaluation — the
 //! data plane, and under Punctual/Continuous the round's entire cost — is
-//! collected into a [`DeferredEval`] the runtime may ship to a worker:
-//! it touches only the shareable [`DataPlane`], evaluates the whole round
-//! through one [`crate::BatchEval`], and involves no forces.
+//! collected into a [`DeferredEval`] the runtime runs once the inline
+//! replies have left: it touches only the shareable [`DataPlane`],
+//! evaluates the whole round through one [`crate::BatchEval`], and involves
+//! no forces.
 
 use crate::data_plane::{DataPlane, EvalSnapshot};
 use crate::messages::Msg;
-use crate::server::ServerCore;
+use crate::server::{Refused, ServerCore};
 use crate::validation::ValidationReply;
 use safetx_policy::Credential;
 use safetx_txn::{QuerySpec, Vote};
@@ -44,7 +45,6 @@ enum EvalTask<A> {
 }
 
 /// The data-plane half of a round: its proof evaluations, still to run.
-/// `Send` (for `A: Send`), so a runtime can hand it to a worker thread.
 pub struct DeferredEval<A> {
     data: Arc<DataPlane>,
     tasks: Vec<EvalTask<A>>,
@@ -180,10 +180,9 @@ impl<A: Clone> ServerCore<A> {
                 &pin_versions,
                 from.clone(),
             ) {
-                // Already decided here: no reply owed.
-                None => {}
-                // Lock conflict: the proof is moot.
-                Some(false) => replies.push((
+                Err(Refused::Decided) => {}
+                // The proof is moot.
+                Err(Refused::LockConflict) => replies.push((
                     from,
                     Msg::QueryDone {
                         txn,
@@ -193,7 +192,7 @@ impl<A: Clone> ServerCore<A> {
                         capability: None,
                     },
                 )),
-                Some(true) => tasks.push(EvalTask::Query {
+                Ok(()) => tasks.push(EvalTask::Query {
                     to: from,
                     txn,
                     query_index,
@@ -208,16 +207,18 @@ impl<A: Clone> ServerCore<A> {
                 user,
                 credentials,
             } => {
-                // `None`: a duplicated or delayed round for a transaction
-                // already decided here — no reply owed.
-                if let Some(snapshot) =
-                    self.register_validation(txn, new_query, user, credentials, from.clone())
-                {
-                    tasks.push(EvalTask::Snapshot {
+                match self.register_validation(txn, new_query, user, &credentials, from.clone()) {
+                    Err(Refused::Decided) => {}
+                    // The proofs are moot.
+                    Err(Refused::LockConflict) => {
+                        let reply = ValidationReply::lock_conflict();
+                        replies.push((from, Msg::ValidateReply { txn, reply }));
+                    }
+                    Ok(snapshot) => tasks.push(EvalTask::Snapshot {
                         to: from,
                         txn,
                         snapshot,
-                    });
+                    }),
                 }
             }
             // In-commit updates touch the participant state machine and
@@ -407,5 +408,108 @@ mod tests {
         assert_eq!(kinds, ["CommitReply", "Ack", "QueryDone"]);
         assert_eq!(enveloped.core.store().read_int(DataItemId::new(0)), Some(6));
         assert_eq!(enveloped.core.counters(), bare.core.counters());
+    }
+
+    /// A 2PV contact at this server carrying query 0 (`Add(item 0, +1)`),
+    /// with or without the credential that makes its proof TRUE.
+    fn contact(txn: u64, credential: Option<&Credential>) -> Msg {
+        Msg::PrepareToValidate {
+            txn: TxnId::new(txn),
+            new_query: Some((
+                0,
+                Arc::new(QuerySpec::new(
+                    ServerId::new(0),
+                    "write",
+                    "records",
+                    vec![Operation::Add(DataItemId::new(0), 1)],
+                )),
+            )),
+            user: UserId::new(1),
+            credentials: credential.into_iter().cloned().collect(),
+        }
+    }
+
+    /// One message through `handle`, or through a round of its own with
+    /// the deferred evaluation run in place; the one reply it is owed.
+    fn feed(core: &mut Core, in_round: bool, msg: Msg) -> Msg {
+        let mut replies = if in_round {
+            let out = core.run_round(NOW, vec![(TM, msg)]);
+            let deferred = out.deferred.map(|d| d.run(NOW)).unwrap_or_default();
+            out.replies.into_iter().chain(deferred).collect()
+        } else {
+            core.handle(NOW, TM, msg)
+        };
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        replies.remove(0).1
+    }
+
+    fn abort(txn: u64) -> Msg {
+        Msg::Decision {
+            txn: TxnId::new(txn),
+            decision: Decision::Abort,
+        }
+    }
+
+    #[test]
+    fn a_2pv_contact_executes_the_query_it_carries_once() {
+        for in_round in [false, true] {
+            let mut fx = fixture();
+            // The contact and its duplicate both prove; only one adds.
+            for _ in 0..2 {
+                let reply = feed(&mut fx.core, in_round, contact(1, Some(&fx.credential)));
+                assert!(matches!(
+                    &reply,
+                    Msg::ValidateReply { reply, .. }
+                        if reply.vote.is_yes() && reply.truth && reply.proofs.len() == 1
+                ));
+            }
+            assert_eq!(fx.core.counters().proofs, 2);
+            feed(&mut fx.core, in_round, prepare_to_commit(1));
+            feed(&mut fx.core, in_round, commit(1));
+            assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
+        }
+    }
+
+    #[test]
+    fn a_lock_conflict_at_the_contact_votes_no_and_proves_nothing() {
+        for in_round in [false, true] {
+            let mut fx = fixture();
+            feed(&mut fx.core, in_round, contact(1, Some(&fx.credential)));
+            let reply = feed(&mut fx.core, in_round, contact(2, Some(&fx.credential)));
+            assert!(matches!(
+                &reply,
+                Msg::ValidateReply { reply, .. }
+                    if !reply.vote.is_yes() && reply.conflict && reply.proofs.is_empty()
+            ));
+            assert_eq!(fx.core.counters().proofs, 1, "only the lock holder proved");
+        }
+    }
+
+    #[test]
+    fn an_abort_after_a_false_proof_at_the_contact_undoes_the_query() {
+        for in_round in [false, true] {
+            let mut fx = fixture();
+            // No credential: the proof is FALSE, but the query ran first —
+            // its exclusive lock turns the next transaction away.
+            let reply = feed(&mut fx.core, in_round, contact(1, None));
+            assert!(matches!(
+                &reply,
+                Msg::ValidateReply { reply, .. } if reply.vote.is_yes() && !reply.truth
+            ));
+            let reply = feed(&mut fx.core, in_round, contact(2, Some(&fx.credential)));
+            assert!(matches!(&reply, Msg::ValidateReply { reply, .. } if reply.conflict));
+            feed(&mut fx.core, in_round, abort(2));
+
+            // The abort releases the lock and drops the buffered write: a
+            // follow-up commits 5 + 1, not 5 + 2, and nothing else moved.
+            feed(&mut fx.core, in_round, abort(1));
+            assert_eq!(fx.core.active_txns(), 0);
+            feed(&mut fx.core, in_round, contact(3, Some(&fx.credential)));
+            feed(&mut fx.core, in_round, prepare_to_commit(3));
+            feed(&mut fx.core, in_round, commit(3));
+            let items: Vec<_> = fx.core.store().iter().map(|(id, _)| id).collect();
+            assert_eq!(items, [DataItemId::new(0)]);
+            assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
+        }
     }
 }

@@ -57,8 +57,8 @@ impl ProofScheme {
         }
     }
 
-    /// Does the TM run 2PV over all prior servers before each query?
-    /// (Continuous only.)
+    /// Does the TM submit each query as a 2PV round over its server and
+    /// all prior ones? (Continuous only.)
     #[must_use]
     pub fn validates_before_each_query(self) -> bool {
         self == ProofScheme::Continuous

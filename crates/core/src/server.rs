@@ -16,7 +16,7 @@ use crate::messages::Msg;
 use crate::validation::{ValidationReply, VersionMap};
 use safetx_policy::{Credential, FactBase, ProofOfAuthorization};
 use safetx_store::{
-    ConstraintSet, LocalStore, LockMode, MvccOverlay, ReadSet, ShardedLockManager, SnapshotId, Wal,
+    ConstraintSet, LocalStore, LockManager, LockMode, MvccOverlay, ReadSet, SnapshotId, Wal,
     WriteSet,
 };
 use safetx_txn::{
@@ -51,6 +51,16 @@ struct ServerTxn<A> {
     coordinator: A,
 }
 
+/// Why a server ran nothing for a query or a 2PV contact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// The transaction is already decided here (a duplicated or delayed
+    /// message): no state is re-created and no reply is owed.
+    Decided,
+    /// The query lost a no-wait lock race; nothing of it ran.
+    LockConflict,
+}
+
 /// Instrumentation counters exposed by [`ServerCore`] (cumulative).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerCounters {
@@ -83,15 +93,15 @@ pub fn capability_key(server: ServerId) -> u64 {
 /// Internally split into the protocol plane (per-transaction state, write
 /// sets, participant state machines, WAL — owned exclusively by this
 /// struct) and a shareable [`DataPlane`] (policy engine, proof cache,
-/// installed versions), so a threaded runtime can ship a round's proof
-/// evaluations ([`crate::DeferredEval`]) to workers while all `&mut self`
-/// handlers stay on the server thread.
+/// installed versions), so a round's proof evaluations
+/// ([`crate::DeferredEval`]) need no `&mut self` and run after the
+/// protocol plane's replies have left.
 pub struct ServerCore<A> {
     id: ServerId,
     data: Arc<DataPlane>,
     variant: CommitVariant,
     store: LocalStore,
-    locks: Arc<ShardedLockManager>,
+    locks: LockManager,
     /// The concurrency seam: locking takes 2PL locks at query execution;
     /// OCC reads snapshots and validates at the 2PVC vote. Fixed before
     /// traffic; never switched mid-flight.
@@ -135,7 +145,7 @@ impl<A: Clone> ServerCore<A> {
             data: Arc::new(DataPlane::new(id, catalog, resource_map, cas)),
             variant,
             store: LocalStore::new(),
-            locks: Arc::new(ShardedLockManager::new()),
+            locks: LockManager::new(),
             concurrency: ConcurrencyMode::Locking,
             mvcc: MvccOverlay::new(),
             wal: Wal::new(),
@@ -149,18 +159,10 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// A shared handle to this server's data plane (proof evaluation,
-    /// policy versions, proof cache). Runtime worker pools evaluate
-    /// through it concurrently with the server thread.
+    /// policy versions, proof cache).
     #[must_use]
     pub fn data_plane(&self) -> Arc<DataPlane> {
         Arc::clone(&self.data)
-    }
-
-    /// A shared handle to this server's lock manager, for runtime workers
-    /// executing read-only queries off the server thread.
-    #[must_use]
-    pub fn lock_manager(&self) -> Arc<ShardedLockManager> {
-        Arc::clone(&self.locks)
     }
 
     /// Enables or disables the proof cache (enabled by default). Disabling
@@ -322,16 +324,24 @@ impl<A: Clone> ServerCore<A> {
         now: Timestamp,
         txn: TxnId,
     ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let Some(state) = self.txns.get(&txn) else {
-            return (true, VersionMap::new(), Vec::new());
-        };
+        match self.txns.get(&txn) {
+            Some(state) => self.evaluate(now, state.user, &state.credentials, &state.queries),
+            None => (true, VersionMap::new(), Vec::new()),
+        }
+    }
+
+    fn evaluate(
+        &self,
+        now: Timestamp,
+        user: UserId,
+        credentials: &[Credential],
+        queries: &[(usize, Arc<QuerySpec>)],
+    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
         let mut truth = true;
         let mut versions = VersionMap::new();
         let mut proofs = Vec::new();
-        for (_, query) in &state.queries {
-            let proof = self
-                .data
-                .evaluate_one(now, state.user, &state.credentials, query);
+        for (_, query) in queries {
+            let proof = self.data.evaluate_one(now, user, credentials, query);
             truth &= proof.truth();
             versions.insert(proof.policy_id, proof.policy_version);
             proofs.push(proof);
@@ -339,7 +349,7 @@ impl<A: Clone> ServerCore<A> {
         (truth, versions, proofs)
     }
 
-    /// A snapshot of `txn`'s evaluation inputs for off-thread proof work
+    /// A snapshot of `txn`'s evaluation inputs for a round's deferred proofs
     /// ([`crate::BatchEval::evaluate_snapshot`] on the returned value
     /// reproduces what [`ServerCore::handle`] would compute inline).
     #[must_use]
@@ -352,36 +362,30 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// Registers a 2PV contact (the protocol-plane half of
-    /// [`Msg::PrepareToValidate`]): creates the transaction if new, records
-    /// `new_query`, and returns the snapshot whose evaluation — inline or
-    /// on a worker — produces the [`Msg::ValidateReply`] body.
-    ///
-    /// Returns `None` for a transaction already decided here (a duplicated
-    /// or delayed round): registering it again would resurrect ghost state,
-    /// and the coordinator that sent the original round is long gone.
+    /// [`Msg::PrepareToValidate`]): creates the transaction if new and runs
+    /// `new_query`'s data operations through [`ServerCore::execute_query`]
+    /// — the contact that brings a query is the one that executes it, as
+    /// Punctual executes before its proof returns. Evaluating the returned
+    /// snapshot, here or in [`crate::DeferredEval::run`], produces the
+    /// [`Msg::ValidateReply`]; on [`Refused::LockConflict`] the reply owed
+    /// is [`ValidationReply::lock_conflict`], with no proof evaluated.
     pub(crate) fn register_validation(
         &mut self,
         txn: TxnId,
         new_query: Option<(usize, Arc<QuerySpec>)>,
         user: UserId,
-        credentials: Arc<[Credential]>,
+        credentials: &Arc<[Credential]>,
         coordinator: A,
-    ) -> Option<EvalSnapshot> {
-        if self.decided.contains_key(&txn) {
-            return None;
-        }
-        self.ensure_txn(txn, user, &credentials, coordinator);
-        let state = self.txns.get_mut(&txn).expect("just ensured");
+    ) -> Result<EvalSnapshot, Refused> {
         if let Some((index, query)) = new_query {
-            if !state.queries.iter().any(|(i, _)| *i == index) {
-                state.queries.push((index, query));
-            }
+            let pins = VersionMap::new();
+            self.execute_query(txn, (index, &query), user, credentials, &pins, coordinator)?;
+        } else if self.decided.contains_key(&txn) {
+            return Err(Refused::Decided);
+        } else {
+            self.ensure_txn(txn, user, credentials, coordinator);
         }
-        Some(EvalSnapshot {
-            user: state.user,
-            credentials: Arc::clone(&state.credentials),
-            queries: state.queries.clone(),
-        })
+        Ok(self.snapshot_txn(txn).expect("just registered"))
     }
 
     /// Executes a query's data operations into the transaction's write
@@ -596,10 +600,10 @@ impl<A: Clone> ServerCore<A> {
     /// re-proves when asked) but must not re-run them, `Add` deltas are
     /// not idempotent.
     ///
-    /// Returns `None` for a transaction already decided here (a duplicated
-    /// or delayed query: re-registering would resurrect ghost state and
-    /// leak locks, and the TM's wait for this reply is over); otherwise
-    /// whether the operations ran (`false` on a lock conflict).
+    /// Refuses a transaction already decided here (a duplicated or delayed
+    /// query: re-registering would resurrect ghost state and leak locks,
+    /// and the TM's wait for this reply is over) and a query that lost a
+    /// lock race.
     pub(crate) fn execute_query(
         &mut self,
         txn: TxnId,
@@ -608,9 +612,9 @@ impl<A: Clone> ServerCore<A> {
         credentials: &Arc<[Credential]>,
         pin_versions: &VersionMap,
         coordinator: A,
-    ) -> Option<bool> {
+    ) -> Result<(), Refused> {
         if self.decided.contains_key(&txn) {
-            return None;
+            return Err(Refused::Decided);
         }
         self.fast_forward(pin_versions);
         self.ensure_txn(txn, user, credentials, coordinator);
@@ -620,7 +624,7 @@ impl<A: Clone> ServerCore<A> {
         }
         if !state.executed.contains(&query_index) {
             if !self.execute_ops(txn, &query.ops) {
-                return Some(false);
+                return Err(Refused::LockConflict);
             }
             self.txns
                 .get_mut(&txn)
@@ -628,7 +632,7 @@ impl<A: Clone> ServerCore<A> {
                 .executed
                 .insert(query_index);
         }
-        Some(true)
+        Ok(())
     }
 
     /// Handles one protocol message arriving from `from` at instant `now`.
@@ -667,8 +671,8 @@ impl<A: Clone> ServerCore<A> {
                     &pin_versions,
                     from.clone(),
                 ) {
-                    None => return,
-                    Some(false) => {
+                    Err(Refused::Decided) => return,
+                    Err(Refused::LockConflict) => {
                         out.push((
                             from,
                             Msg::QueryDone {
@@ -681,7 +685,7 @@ impl<A: Clone> ServerCore<A> {
                         ));
                         return;
                     }
-                    Some(true) => {}
+                    Ok(()) => {}
                 }
                 // Unsafe baseline: a previously issued capability passes
                 // for a proof — no policy evaluation, no credential status
@@ -746,27 +750,29 @@ impl<A: Clone> ServerCore<A> {
                 user,
                 credentials,
             } => {
-                if self
-                    .register_validation(txn, new_query, user, credentials, from.clone())
-                    .is_none()
-                {
-                    // Already decided here: a stale round, no reply owed.
-                    return;
-                }
-                let (truth, versions, proofs) = self.evaluate_all(now, txn);
-                out.push((
-                    from,
-                    Msg::ValidateReply {
-                        txn,
-                        reply: ValidationReply {
+                let reply = match self.register_validation(
+                    txn,
+                    new_query,
+                    user,
+                    &credentials,
+                    from.clone(),
+                ) {
+                    // A stale round: no reply owed.
+                    Err(Refused::Decided) => return,
+                    Err(Refused::LockConflict) => ValidationReply::lock_conflict(),
+                    Ok(snap) => {
+                        let (truth, versions, proofs) =
+                            self.evaluate(now, snap.user, &snap.credentials, &snap.queries);
+                        ValidationReply {
                             vote: Vote::Yes,
                             truth,
                             versions,
                             proofs,
                             conflict: false,
-                        },
-                    },
-                ));
+                        }
+                    }
+                };
+                out.push((from, Msg::ValidateReply { txn, reply }));
             }
 
             Msg::PrepareToCommit {
@@ -1125,21 +1131,37 @@ pub(crate) mod fixture {
         );
         registry.register(ca);
         let cas = SharedCas::new(registry);
+        let mut fx = Fixture {
+            core: peer_core(&catalog, &cas, ServerId::new(0)),
+            credential,
+            catalog,
+            cas,
+        };
+        fx.core
+            .store_mut()
+            .write(DataItemId::new(0), Value::Int(5), Timestamp::ZERO);
+        fx
+    }
+
+    /// A server over the given catalog and CAs, at the initial policy
+    /// version, with an empty store.
+    fn peer_core(catalog: &SharedCatalog, cas: &SharedCas, id: ServerId) -> Core {
         let mut core = Core::new(
-            ServerId::new(0),
+            id,
             catalog.clone(),
             ResourcePolicyMap::single(PolicyId::new(0)),
             cas.clone(),
             CommitVariant::Standard,
         );
         core.install_policy(PolicyId::new(0), PolicyVersion::INITIAL);
-        core.store_mut()
-            .write(DataItemId::new(0), Value::Int(5), Timestamp::ZERO);
-        Fixture {
-            core,
-            credential,
-            catalog,
-            cas,
+        core
+    }
+
+    impl Fixture {
+        /// Another server of the fixture's deployment: same catalog, same
+        /// CAs, so the fixture's credential proves there too.
+        pub(crate) fn peer(&self, id: u64) -> Core {
+            peer_core(&self.catalog, &self.cas, ServerId::new(id))
         }
     }
 

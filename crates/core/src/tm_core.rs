@@ -8,6 +8,14 @@
 //! reads no clock and spawns no threads: a *driver* feeds it events and
 //! carries out its effects.
 //!
+//! Under Continuous the 2PV round for query *i* **is** query *i*'s
+//! submission: the `PrepareToValidate` sent to *sᵢ* carries the query, the
+//! server executes it (locks taken, writes buffered) and proves it in the
+//! same contact, and the round's CONTINUE advances to query *i* + 1 — one
+//! round trip per query, no `ExecQuery`. Definition 9 holds because the TM
+//! does not advance until every proof so far is TRUE under consistent
+//! versions, and nothing a query buffered is visible before 2PVC.
+//!
 //! Two drivers exist:
 //!
 //! * [`crate::TmActor`] runs it on the deterministic discrete-event
@@ -218,8 +226,10 @@ pub struct TxnTermination {
     pub metrics: ProtocolMetrics,
     /// Every proof evaluation observed (Definition 1's view).
     pub view: TransactionView,
-    /// Queries whose data operations had executed when the outcome was
-    /// fixed (the work an abort must undo).
+    /// Queries the TM knows had executed when the outcome was fixed (the
+    /// work an abort must undo): those whose server answered. A query
+    /// whose reply was lost may have run as well; the abort undoes it
+    /// uncounted.
     pub queries_executed: usize,
 }
 
@@ -241,8 +251,9 @@ pub fn reply_counts_as_dropped(msg: &Msg) -> bool {
 /// Which pipeline stage the transaction is in.
 #[derive(Debug)]
 enum Phase {
-    /// Continuous: 2PV running before query `next_query` executes.
-    PreQueryValidation(ValidationRound),
+    /// Continuous: the 2PV round whose contact at query `next_query`'s
+    /// server also executes that query.
+    QueryValidation(ValidationRound),
     /// Waiting for `QueryDone` of query `next_query`.
     Executing,
     /// 2PVC in progress.
@@ -384,6 +395,15 @@ impl TmCore {
         out
     }
 
+    /// Emits a send. The first send of an effect batch starts one more
+    /// sequential round trip; the rest of the batch leaves with it.
+    fn send(&mut self, out: &mut Vec<TmEffect>, server: ServerId, msg: Msg) {
+        if !out.iter().any(|e| matches!(e, TmEffect::Send(..))) {
+            self.metrics.round_trips += 1;
+        }
+        out.push(TmEffect::Send(server, msg));
+    }
+
     /// Advances the machine on one observation. Returned effects must be
     /// performed in order.
     pub fn step(&mut self, now: Timestamp, event: TmEvent) -> Vec<TmEffect> {
@@ -449,7 +469,8 @@ impl TmCore {
             return;
         }
         if self.config.scheme.validates_before_each_query() {
-            // Continuous: 2PV over the servers of queries 0..=next_query.
+            // Continuous: 2PV over the servers of queries 0..=next_query;
+            // the contact at this query's server executes it.
             let index = self.next_query;
             let query = Arc::clone(&self.queries[index]);
             let involved: BTreeSet<ServerId> = self
@@ -460,9 +481,9 @@ impl TmCore {
                 .map(|q| q.server)
                 .collect();
             let mut validation =
-                ValidationRound::new(involved, ValidationConfig::two_pv(self.config.consistency));
+                ValidationRound::new(involved, ValidationConfig::new(self.config.consistency));
             let actions = validation.start();
-            self.phase = Phase::PreQueryValidation(validation);
+            self.phase = Phase::QueryValidation(validation);
             for action in actions {
                 match action {
                     ValidationAction::SendRequest(server) => {
@@ -472,15 +493,13 @@ impl TmCore {
                         self.touched.insert(server);
                         let new_query =
                             (server == query.server).then(|| (index, Arc::clone(&query)));
-                        out.push(TmEffect::Send(
-                            server,
-                            Msg::PrepareToValidate {
-                                txn: self.spec.id,
-                                new_query,
-                                user: self.spec.user,
-                                credentials: Arc::clone(&self.credentials),
-                            },
-                        ));
+                        let msg = Msg::PrepareToValidate {
+                            txn: self.spec.id,
+                            new_query,
+                            user: self.spec.user,
+                            credentials: Arc::clone(&self.credentials),
+                        };
+                        self.send(out, server, msg);
                     }
                     ValidationAction::QueryMaster => {
                         self.metrics.messages += 1;
@@ -509,10 +528,10 @@ impl TmCore {
     fn send_exec_query(&mut self, out: &mut Vec<TmEffect>) {
         let index = self.next_query;
         let query = Arc::clone(&self.queries[index]);
-        self.touched.insert(query.server);
-        let evaluate_proof = self.config.scheme.evaluates_at_query()
-            && self.config.scheme != ProofScheme::Continuous; // Continuous proved it in 2PV
-                                                              // Incremental view: pin later replicas to the versions already seen.
+        let server = query.server;
+        self.touched.insert(server);
+        let evaluate_proof = self.config.scheme.evaluates_at_query();
+        // Incremental view: pin later replicas to the versions already seen.
         let pin_versions = if self.config.scheme.checks_versions_incrementally() {
             match self.config.consistency {
                 ConsistencyLevel::View => self.pinned.clone(),
@@ -525,19 +544,17 @@ impl TmCore {
         } else {
             VersionMap::new()
         };
-        out.push(TmEffect::Send(
-            query.server,
-            Msg::ExecQuery {
-                txn: self.spec.id,
-                query_index: index,
-                query,
-                user: self.spec.user,
-                credentials: Arc::clone(&self.credentials),
-                evaluate_proof,
-                pin_versions,
-                capabilities: self.capabilities.clone(),
-            },
-        ));
+        let msg = Msg::ExecQuery {
+            txn: self.spec.id,
+            query_index: index,
+            query,
+            user: self.spec.user,
+            credentials: Arc::clone(&self.credentials),
+            evaluate_proof,
+            pin_versions,
+            capabilities: self.capabilities.clone(),
+        };
+        self.send(out, server, msg);
         self.phase = Phase::Executing;
     }
 
@@ -618,7 +635,7 @@ impl TmCore {
                 let actions = pvc.on_master_versions(versions);
                 self.apply_pvc_actions(now, actions, out);
             }
-            Phase::PreQueryValidation(validation) => {
+            Phase::QueryValidation(validation) => {
                 let actions = validation.on_master_versions(versions);
                 self.apply_validation_actions(now, actions, out);
             }
@@ -663,7 +680,7 @@ impl TmCore {
         // The round's state machine never reads the proofs; move them into
         // the audit view instead of cloning.
         self.view.extend(std::mem::take(&mut reply.proofs));
-        if let Phase::PreQueryValidation(validation) = &mut self.phase {
+        if let Phase::QueryValidation(validation) = &mut self.phase {
             let actions = validation.on_reply(from, reply);
             self.apply_validation_actions(now, actions, out);
         } else {
@@ -685,28 +702,33 @@ impl TmCore {
                 ValidationAction::SendRequest(_) => unreachable!("only start() requests"),
                 ValidationAction::SendUpdate(server, targets) => {
                     self.metrics.messages += 1;
-                    out.push(TmEffect::Send(
-                        server,
-                        Msg::Update {
-                            txn: self.spec.id,
-                            targets,
-                            in_commit: false,
-                        },
-                    ));
+                    let msg = Msg::Update {
+                        txn: self.spec.id,
+                        targets,
+                        in_commit: false,
+                    };
+                    self.send(out, server, msg);
                 }
                 ValidationAction::QueryMaster => {
                     self.metrics.messages += 1;
                     out.push(TmEffect::QueryMaster);
                 }
-                ValidationAction::Resolved(outcome) => match outcome {
-                    ValidationOutcome::Continue => {
-                        // Safe to run the pending query's data operations.
-                        self.send_exec_query(out);
+                // A concurrency NO during execution is the no-wait lock
+                // conflict of the query this round's contact tried to run.
+                ValidationAction::Resolved(ValidationOutcome::Abort(
+                    AbortReason::ValidationConflict,
+                )) => self.abort_in_execution(now, AbortReason::LockConflict, out),
+                ValidationAction::Resolved(outcome) => {
+                    // The contact at the query's server executed it: from
+                    // here on its work exists, whatever the proofs said.
+                    self.next_query += 1;
+                    match outcome {
+                        ValidationOutcome::Continue => self.advance(now, out),
+                        ValidationOutcome::Abort(reason) => {
+                            self.abort_in_execution(now, reason, out);
+                        }
                     }
-                    ValidationOutcome::Abort(reason) => {
-                        self.abort_in_execution(now, reason, out);
-                    }
-                },
+                }
             }
         }
     }
@@ -775,25 +797,21 @@ impl TmCore {
                         .filter(|(_, q)| q.server == server)
                         .map(|(i, _)| i)
                         .collect();
-                    out.push(TmEffect::Send(
-                        server,
-                        Msg::PrepareToCommit {
-                            txn: self.spec.id,
-                            validate: self.validate_at_commit(),
-                            expected_queries,
-                        },
-                    ));
+                    let msg = Msg::PrepareToCommit {
+                        txn: self.spec.id,
+                        validate: self.validate_at_commit(),
+                        expected_queries,
+                    };
+                    self.send(out, server, msg);
                 }
                 TwoPvcAction::SendUpdate(server, targets) => {
                     self.metrics.messages += 1;
-                    out.push(TmEffect::Send(
-                        server,
-                        Msg::Update {
-                            txn: self.spec.id,
-                            targets,
-                            in_commit: true,
-                        },
-                    ));
+                    let msg = Msg::Update {
+                        txn: self.spec.id,
+                        targets,
+                        in_commit: true,
+                    };
+                    self.send(out, server, msg);
                 }
                 TwoPvcAction::QueryMaster => {
                     self.metrics.messages += 1;
@@ -809,13 +827,11 @@ impl TmCore {
                 TwoPvcAction::Log(record) => out.push(TmEffect::Log(record)),
                 TwoPvcAction::SendDecision(server, decision) => {
                     self.metrics.messages += 1;
-                    out.push(TmEffect::Send(
-                        server,
-                        Msg::Decision {
-                            txn: self.spec.id,
-                            decision,
-                        },
-                    ));
+                    let msg = Msg::Decision {
+                        txn: self.spec.id,
+                        decision,
+                    };
+                    self.send(out, server, msg);
                 }
                 TwoPvcAction::Decided(decision) => {
                     let (rounds, reason) = match &self.phase {
@@ -876,8 +892,8 @@ impl TmCore {
             }
             // Stalled during execution (lost query reply or 2PV reply, or
             // a dead participant): abort and release what was touched.
-            Phase::Executing | Phase::PreQueryValidation(_) => {
-                self.abort_in_execution(now, AbortReason::ServerUnavailable, out);
+            Phase::Executing | Phase::QueryValidation(_) => {
+                self.stall_abort(now, AbortReason::ServerUnavailable, out);
             }
             Phase::Done => {}
         }
@@ -907,8 +923,8 @@ impl TmCore {
             }
             // Stalled during execution (lost query reply or 2PV reply, or
             // a crashed participant): abort and release what was touched.
-            Phase::Executing | Phase::PreQueryValidation(_) => {
-                self.abort_in_execution(now, AbortReason::Timeout, out);
+            Phase::Executing | Phase::QueryValidation(_) => {
+                self.stall_abort(now, AbortReason::Timeout, out);
             }
             Phase::Done => {}
         }
@@ -922,6 +938,26 @@ impl TmCore {
     // ------------------------------------------------------------------
     // termination
     // ------------------------------------------------------------------
+
+    /// Aborts a stalled execution phase. Inside a fused round the query in
+    /// flight counts as executed iff its contact has answered without a
+    /// conflict: a server runs the query before it replies. A silent
+    /// contact is unknowable from here (request lost, or reply lost after
+    /// the query ran) and is not counted — the rule a lost `QueryDone`
+    /// follows under the other schemes. The abort reaches it either way.
+    fn stall_abort(&mut self, now: Timestamp, reason: AbortReason, out: &mut Vec<TmEffect>) {
+        if let Phase::QueryValidation(validation) = &self.phase {
+            let contact = self.spec.queries[self.next_query].server;
+            if validation
+                .replies()
+                .get(&contact)
+                .is_some_and(|reply| !reply.conflict)
+            {
+                self.next_query += 1;
+            }
+        }
+        self.abort_in_execution(now, reason, out);
+    }
 
     /// Aborts a transaction that is still executing queries: log the
     /// decision first (recovery inquiries must never be answered from a
@@ -943,15 +979,11 @@ impl TmCore {
         } else {
             out.push(TmEffect::Log(record));
         }
-        for &server in &self.touched {
+        let txn = self.spec.id;
+        for server in std::mem::take(&mut self.touched) {
             self.metrics.messages += 1;
-            out.push(TmEffect::Send(
-                server,
-                Msg::Decision {
-                    txn: self.spec.id,
-                    decision: Decision::Abort,
-                },
-            ));
+            let decision = Decision::Abort;
+            self.send(out, server, Msg::Decision { txn, decision });
         }
         self.metrics.aborts += 1;
         self.outcome = Some(TxnOutcome::Aborted { at: now, reason });
@@ -983,8 +1015,11 @@ impl TmCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::MsgKind;
+    use crate::server::fixture::{fixture, Core, Fixture, TM};
+    use safetx_policy::PolicyBuilder;
     use safetx_txn::Operation;
-    use safetx_types::{DataItemId, UserId};
+    use safetx_types::{AdminDomain, DataItemId, PolicyId, PolicyVersion, UserId};
 
     fn spec(n: u64) -> TransactionSpec {
         TransactionSpec::new(
@@ -1151,5 +1186,218 @@ mod tests {
             decision: Decision::Abort
         }));
         assert!(!reply_counts_as_dropped(&Msg::Ack { txn: TxnId::new(1) }));
+    }
+
+    /// Runs `core` to its end against the fixture's server and two peers
+    /// (ids 0, 1, 2): every send is handled at once and its replies queue
+    /// behind the batch; the catalog answers as the master. Returns the
+    /// termination and the kind of every message the TM sent.
+    fn run_against_servers(
+        core: &mut TmCore,
+        fx: &mut Fixture,
+        peers: &mut [Core; 2],
+    ) -> (TxnTermination, Vec<MsgKind>) {
+        let now = Timestamp::from_millis(1);
+        let mut sent = Vec::new();
+        let mut inbox = std::collections::VecDeque::new();
+        let mut effects = core.start(now);
+        loop {
+            let mut consult_master = false;
+            for effect in effects {
+                match effect {
+                    TmEffect::Send(server, msg) => {
+                        sent.push(MsgKind::of(&msg));
+                        let target = match server.index() {
+                            0 => &mut fx.core,
+                            i => &mut peers[i as usize - 1],
+                        };
+                        for (_, reply) in target.handle(now, TM, msg) {
+                            let event = TmEvent::from_reply(core.txn(), server, reply);
+                            inbox.push_back(event.expect("a reply of this transaction"));
+                        }
+                    }
+                    TmEffect::QueryMaster => consult_master = true,
+                    TmEffect::Finished(termination) => return (*termination, sent),
+                    _ => {}
+                }
+            }
+            let event = if consult_master {
+                let versions = fx.catalog.latest_snapshot().1;
+                TmEvent::MasterVersions { versions }
+            } else {
+                inbox
+                    .pop_front()
+                    .expect("an unfinished core awaits a reply")
+            };
+            effects = core.step(now, event);
+        }
+    }
+
+    fn continuous_global(fx: &Fixture) -> TmCore {
+        TmCore::new(
+            config(ProofScheme::Continuous, ConsistencyLevel::Global),
+            spec(3),
+            vec![fx.credential.clone()],
+            Timestamp::ZERO,
+        )
+    }
+
+    /// The 2PV contact for query i executes query i: a clean Continuous /
+    /// Global commit at n = u = 3 never sends `ExecQuery`, keeps Table I's
+    /// u(u+1) + u + 4n + 1 = 28 messages and u(u+1)/2 + u = 9 proofs, and
+    /// waits through 5 round trips (3 fused rounds, vote, decision) where
+    /// the separate query round trip made it 8.
+    #[test]
+    fn continuous_clean_commit_sends_no_exec_query() {
+        let mut fx = fixture();
+        let mut peers = [fx.peer(1), fx.peer(2)];
+        let mut core = continuous_global(&fx);
+        let (record, sent) = run_against_servers(&mut core, &mut fx, &mut peers);
+        assert!(record.outcome.is_commit(), "{:?}", record.outcome);
+        assert!(!sent.contains(&MsgKind::ExecQuery), "{sent:?}");
+        assert_eq!(record.metrics.messages, 28);
+        assert_eq!(record.metrics.proofs, 9);
+        assert_eq!(record.metrics.round_trips, 5);
+        assert_eq!(record.queries_executed, 3);
+        assert_eq!(core.dropped_replies(), 0);
+    }
+
+    /// A stale replica at the fused contact: query 2 executes at server 2
+    /// under v1, the round sends it the `Update`, it re-proves under v2
+    /// without re-executing, and the commit is trusted under ψ.
+    #[test]
+    fn continuous_stale_replica_at_the_executing_server_updates_and_commits() {
+        let mut fx = fixture();
+        let mut peers = [fx.peer(1), fx.peer(2)];
+        let v2 = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+            .version(PolicyVersion(2))
+            .rules_text("grant(read, records) :- role(U, member).")
+            .unwrap()
+            .build();
+        fx.catalog.publish(v2);
+        fx.core.install_policy(PolicyId::new(0), PolicyVersion(2));
+        peers[0].install_policy(PolicyId::new(0), PolicyVersion(2));
+
+        let mut core = continuous_global(&fx);
+        let (record, sent) = run_against_servers(&mut core, &mut fx, &mut peers);
+        assert!(record.outcome.is_commit(), "{:?}", record.outcome);
+        assert_eq!(sent.iter().filter(|k| **k == MsgKind::Update).count(), 1);
+        assert!(!sent.contains(&MsgKind::ExecQuery));
+        assert_eq!(
+            peers[1].installed_versions()[&PolicyId::new(0)],
+            PolicyVersion(2)
+        );
+        // One more proof (the re-evaluation), one more round trip.
+        assert_eq!(record.metrics.proofs, 10);
+        assert_eq!(record.metrics.round_trips, 6);
+        assert!(crate::trusted::is_trusted(
+            &record.view,
+            ConsistencyLevel::Global,
+            &fx.catalog
+        ));
+        assert!(crate::trusted::continuous_coverage(&record.view));
+    }
+
+    /// Two Continuous transactions meet on one item: the loser's contact
+    /// reports the lock conflict in the `ValidateReply` it owed anyway, and
+    /// the TM aborts `LockConflict` with every reply consumed.
+    #[test]
+    fn continuous_lock_conflict_at_the_contact_aborts_lock_conflict() {
+        let mut fx = fixture();
+        let mut peers = [fx.peer(1), fx.peer(2)];
+        let hot = |txn| {
+            let mut queries = spec(2).queries;
+            queries[1].ops = vec![Operation::Add(DataItemId::new(9), 1)];
+            TransactionSpec::new(TxnId::new(txn), UserId::new(1), queries)
+        };
+        // Transaction 7 holds the exclusive lock at server 1.
+        peers[0].handle(
+            Timestamp::ZERO,
+            TM,
+            Msg::PrepareToValidate {
+                txn: TxnId::new(7),
+                new_query: Some((1, Arc::new(hot(7).queries[1].clone()))),
+                user: UserId::new(1),
+                credentials: Arc::from([fx.credential.clone()]),
+            },
+        );
+        let mut core = TmCore::new(
+            config(ProofScheme::Continuous, ConsistencyLevel::View),
+            hot(8),
+            vec![fx.credential.clone()],
+            Timestamp::ZERO,
+        );
+        let (record, sent) = run_against_servers(&mut core, &mut fx, &mut peers);
+        assert_eq!(
+            record.outcome.abort_reason(),
+            Some(AbortReason::LockConflict)
+        );
+        assert_eq!(record.queries_executed, 1, "query 1 never ran");
+        assert_eq!(core.dropped_replies(), 0);
+        // Both contacted servers hear the abort; server 1 proved nothing.
+        assert_eq!(sent.iter().filter(|k| **k == MsgKind::Decision).count(), 2);
+        assert_eq!(record.metrics.proofs, 2, "query 0 twice, query 1 never");
+        assert_eq!(fx.core.active_txns() + peers[0].active_txns(), 1);
+    }
+
+    /// A stall inside query 1's fused round (contacts: server 0, and server
+    /// 1 executing). The query counts as executed iff its contact answered;
+    /// a silent contact is unknowable and is not counted.
+    #[test]
+    fn a_stalled_fused_round_counts_the_query_only_if_its_contact_answered() {
+        for (answering, executed) in [(1, 2), (0, 1)] {
+            let mut fx = fixture();
+            let mut peers = [fx.peer(1), fx.peer(2)];
+            let now = Timestamp::from_millis(1);
+            let mut core = TmCore::new(
+                config(ProofScheme::Continuous, ConsistencyLevel::View),
+                spec(2),
+                vec![fx.credential.clone()],
+                Timestamp::ZERO,
+            );
+            // Query 0's round resolves; query 1's round hears one server.
+            let mut effects = core.start(now);
+            for round in 0..2 {
+                let sends: Vec<_> = effects
+                    .drain(..)
+                    .filter_map(|e| match e {
+                        TmEffect::Send(server, msg) => Some((server, msg)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(sends.len(), round + 1);
+                for (server, msg) in sends {
+                    let target = match server.index() {
+                        0 => &mut fx.core,
+                        i => &mut peers[i as usize - 1],
+                    };
+                    let replies = target.handle(now, TM, msg);
+                    if round == 1 && server.index() != answering {
+                        continue; // lost on the way back
+                    }
+                    for (_, reply) in replies {
+                        let event = TmEvent::from_reply(core.txn(), server, reply).unwrap();
+                        effects.extend(core.step(now, event));
+                    }
+                }
+            }
+            assert!(!core.is_finished());
+            let effects = core.step(now, TmEvent::ReplyTimeout);
+            let record = effects
+                .iter()
+                .find_map(|e| match e {
+                    TmEffect::Finished(t) => Some(t),
+                    _ => None,
+                })
+                .expect("aborted");
+            assert_eq!(
+                record.outcome.abort_reason(),
+                Some(AbortReason::ServerUnavailable)
+            );
+            assert_eq!(
+                record.queries_executed, executed,
+                "server {answering} answered"
+            );
+        }
     }
 }

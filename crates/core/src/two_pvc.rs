@@ -109,11 +109,11 @@ impl TwoPvc {
         validate: bool,
     ) -> Self {
         let config = if validate {
-            ValidationConfig::two_pvc(consistency)
+            ValidationConfig::new(consistency)
         } else {
             // Versionless replies can never trigger updates or master
             // queries; view level avoids the master round-trip entirely.
-            ValidationConfig::two_pvc(ConsistencyLevel::View)
+            ValidationConfig::new(ConsistencyLevel::View)
         };
         TwoPvc {
             txn,

@@ -26,8 +26,9 @@ pub type VersionMap = BTreeMap<PolicyId, PolicyVersion>;
 /// A participant's reply in a collection round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValidationReply {
-    /// Integrity vote (always [`Vote::Yes`] in standalone 2PV, which does
-    /// not check integrity).
+    /// Integrity vote. Standalone 2PV does not check integrity: there the
+    /// only NO is a contact whose query hit a lock conflict (flagged
+    /// `conflict`).
     pub vote: Vote,
     /// Conjunction of the participant's proof truth values.
     pub truth: bool,
@@ -35,12 +36,12 @@ pub struct ValidationReply {
     pub versions: VersionMap,
     /// The proofs themselves, recorded into the transaction's view.
     pub proofs: Vec<ProofOfAuthorization>,
-    /// Set by an optimistic participant whose NO vote is a concurrency
-    /// casualty (stale read stamp or commit-scope pin conflict) rather
-    /// than a genuine integrity failure — the TM maps an all-conflict NO
-    /// round to the transient [`AbortReason::ValidationConflict`] instead
-    /// of the terminal [`AbortReason::IntegrityViolation`]. Always `false`
-    /// under locking.
+    /// Set by a participant whose NO vote is a concurrency casualty rather
+    /// than a genuine integrity failure: a no-wait lock conflict at the
+    /// query a 2PV contact carried, or — optimistic mode, at the 2PVC vote —
+    /// a stale read stamp or commit-scope pin conflict. The round maps an
+    /// all-conflict NO to the transient [`AbortReason::ValidationConflict`]
+    /// instead of the terminal [`AbortReason::IntegrityViolation`].
     #[serde(default)]
     pub conflict: bool,
 }
@@ -57,6 +58,17 @@ impl ValidationReply {
             conflict: false,
         }
     }
+
+    /// The reply of a 2PV contact whose query hit a no-wait lock conflict:
+    /// NO, flagged as a concurrency casualty, nothing evaluated.
+    #[must_use]
+    pub fn lock_conflict() -> Self {
+        ValidationReply {
+            vote: Vote::No,
+            conflict: true,
+            ..Self::empty_true()
+        }
+    }
 }
 
 /// Configuration of one validation execution.
@@ -64,9 +76,6 @@ impl ValidationReply {
 pub struct ValidationConfig {
     /// View (φ) or global (ψ) consistency.
     pub consistency: ConsistencyLevel,
-    /// Whether replies carry meaningful integrity votes (2PVC) or not
-    /// (standalone 2PV).
-    pub with_votes: bool,
     /// Abort after this many collection rounds (guards against policy-update
     /// storms keeping global consistency unreachable).
     pub max_rounds: u64,
@@ -76,23 +85,13 @@ pub struct ValidationConfig {
 }
 
 impl ValidationConfig {
-    /// Standalone 2PV at the given level.
+    /// Standalone 2PV, or the voting phase of 2PVC, at the given level.
     #[must_use]
-    pub fn two_pv(consistency: ConsistencyLevel) -> Self {
+    pub fn new(consistency: ConsistencyLevel) -> Self {
         ValidationConfig {
             consistency,
-            with_votes: false,
             max_rounds: 16,
             refresh_master_each_round: true,
-        }
-    }
-
-    /// The voting phase of 2PVC at the given level.
-    #[must_use]
-    pub fn two_pvc(consistency: ConsistencyLevel) -> Self {
-        ValidationConfig {
-            with_votes: true,
-            ..Self::two_pv(consistency)
         }
     }
 }
@@ -151,7 +150,7 @@ impl ValidationOutcome {
 ///     conflict: false,
 /// };
 /// let participants = [ServerId::new(0), ServerId::new(1)].into();
-/// let mut round = ValidationRound::new(participants, ValidationConfig::two_pv(ConsistencyLevel::View));
+/// let mut round = ValidationRound::new(participants, ValidationConfig::new(ConsistencyLevel::View));
 /// round.start();
 /// round.on_reply(ServerId::new(0), reply(2));
 /// let actions = round.on_reply(ServerId::new(1), reply(1)); // stale: gets an Update
@@ -310,25 +309,23 @@ impl ValidationRound {
         if !self.expected.is_empty() || self.awaiting_master {
             return Vec::new();
         }
-        // Step 3 of Algorithm 2: integrity first. Optimistic participants
-        // flag concurrency-induced NO votes; the transient classification
+        // Step 3 of Algorithm 2: integrity first. Participants flag
+        // concurrency-induced NO votes; the transient classification
         // applies only when *every* NO is such a casualty — one genuine
         // integrity NO wins and stays terminal.
-        if self.config.with_votes {
-            let mut any_no = false;
-            let mut all_conflict = true;
-            for r in self.replies.values().filter(|r| !r.vote.is_yes()) {
-                any_no = true;
-                all_conflict &= r.conflict;
-            }
-            if any_no {
-                let reason = if all_conflict {
-                    AbortReason::ValidationConflict
-                } else {
-                    AbortReason::IntegrityViolation
-                };
-                return self.resolve(ValidationOutcome::Abort(reason));
-            }
+        let mut any_no = false;
+        let mut all_conflict = true;
+        for r in self.replies.values().filter(|r| !r.vote.is_yes()) {
+            any_no = true;
+            all_conflict &= r.conflict;
+        }
+        if any_no {
+            let reason = if all_conflict {
+                AbortReason::ValidationConflict
+            } else {
+                AbortReason::IntegrityViolation
+            };
+            return self.resolve(ValidationOutcome::Abort(reason));
         }
         let targets = self.targets();
         // Who used an old version of any policy?
@@ -409,7 +406,7 @@ mod tests {
     }
 
     fn two_pv(n: u64, level: ConsistencyLevel) -> ValidationRound {
-        ValidationRound::new(participants(n), ValidationConfig::two_pv(level))
+        ValidationRound::new(participants(n), ValidationConfig::new(level))
     }
 
     #[test]
@@ -483,7 +480,7 @@ mod tests {
 
     #[test]
     fn integrity_no_vote_aborts_before_any_update() {
-        let cfg = ValidationConfig::two_pvc(ConsistencyLevel::View);
+        let cfg = ValidationConfig::new(ConsistencyLevel::View);
         let mut v = ValidationRound::new(participants(2), cfg);
         v.start();
         v.on_reply(server(0), reply_vote(Vote::No, true, 1));
@@ -500,7 +497,7 @@ mod tests {
 
     #[test]
     fn conflict_flagged_no_votes_resolve_to_validation_conflict() {
-        let cfg = ValidationConfig::two_pvc(ConsistencyLevel::View);
+        let cfg = ValidationConfig::new(ConsistencyLevel::View);
         let mut v = ValidationRound::new(participants(2), cfg);
         v.start();
         v.on_reply(server(0), reply_vote(Vote::Yes, true, 1));
@@ -520,7 +517,7 @@ mod tests {
 
     #[test]
     fn genuine_integrity_no_wins_over_a_conflict_no() {
-        let cfg = ValidationConfig::two_pvc(ConsistencyLevel::View);
+        let cfg = ValidationConfig::new(ConsistencyLevel::View);
         let mut v = ValidationRound::new(participants(2), cfg);
         v.start();
         let no_conflict = ValidationReply {
@@ -571,7 +568,7 @@ mod tests {
     fn global_with_master_once_still_converges() {
         let cfg = ValidationConfig {
             refresh_master_each_round: false,
-            ..ValidationConfig::two_pv(ConsistencyLevel::Global)
+            ..ValidationConfig::new(ConsistencyLevel::Global)
         };
         let mut v = ValidationRound::new(participants(2), cfg);
         v.start();
@@ -595,7 +592,7 @@ mod tests {
         let cfg = ValidationConfig {
             max_rounds: 3,
             refresh_master_each_round: false,
-            ..ValidationConfig::two_pv(ConsistencyLevel::View)
+            ..ValidationConfig::new(ConsistencyLevel::View)
         };
         let mut v = ValidationRound::new(participants(2), cfg);
         v.start();
@@ -691,7 +688,7 @@ mod tests {
     fn empty_participants_panics() {
         let _ = ValidationRound::new(
             BTreeSet::new(),
-            ValidationConfig::two_pv(ConsistencyLevel::View),
+            ValidationConfig::new(ConsistencyLevel::View),
         );
     }
 }

@@ -16,6 +16,11 @@ pub struct ProtocolMetrics {
     pub rounds: u64,
     /// Forced log writes (the paper's log complexity).
     pub forced_logs: u64,
+    /// Sequential TM → server round trips: effect batches of one
+    /// transaction that sent at least one message. Table I prices totals;
+    /// this is the length of the chain a commit waits through.
+    #[serde(default)]
+    pub round_trips: u64,
     /// Transactions committed.
     pub commits: u64,
     /// Transactions aborted.
@@ -35,6 +40,7 @@ impl ProtocolMetrics {
         self.proofs += other.proofs;
         self.rounds += other.rounds;
         self.forced_logs += other.forced_logs;
+        self.round_trips += other.round_trips;
         self.commits += other.commits;
         self.aborts += other.aborts;
     }
@@ -66,13 +72,16 @@ impl ProtocolMetrics {
             .with("proofs", self.proofs)
             .with("rounds", self.rounds)
             .with("forced_logs", self.forced_logs)
+            .with("round_trips", self.round_trips)
             .with("commits", self.commits)
             .with("aborts", self.aborts)
     }
 
     /// Rebuilds metrics from [`ProtocolMetrics::to_json`] output.
     ///
-    /// Returns `None` when a field is missing or non-numeric.
+    /// Returns `None` when a field is missing or non-numeric — except
+    /// `round_trips`, which files written before it existed lack: a
+    /// missing key reads as 0.
     #[must_use]
     pub fn from_json(json: &crate::Json) -> Option<Self> {
         let field = |name: &str| json.get(name).and_then(crate::Json::as_u64);
@@ -81,6 +90,7 @@ impl ProtocolMetrics {
             proofs: field("proofs")?,
             rounds: field("rounds")?,
             forced_logs: field("forced_logs")?,
+            round_trips: field("round_trips").unwrap_or(0),
             commits: field("commits")?,
             aborts: field("aborts")?,
         })
@@ -91,8 +101,14 @@ impl fmt::Display for ProtocolMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "msgs={} proofs={} rounds={} forced={} commits={} aborts={}",
-            self.messages, self.proofs, self.rounds, self.forced_logs, self.commits, self.aborts
+            "msgs={} proofs={} rounds={} forced={} round_trips={} commits={} aborts={}",
+            self.messages,
+            self.proofs,
+            self.rounds,
+            self.forced_logs,
+            self.round_trips,
+            self.commits,
+            self.aborts
         )
     }
 }
@@ -651,11 +667,13 @@ mod tests {
             proofs: 2,
             rounds: 3,
             forced_logs: 4,
+            round_trips: 7,
             commits: 5,
             aborts: 6,
         };
         a.merge(&a.clone());
         assert_eq!(a.messages, 2);
+        assert_eq!(a.round_trips, 14);
         assert_eq!(a.aborts, 12);
         assert_eq!(a.transactions(), 22);
     }
@@ -726,6 +744,7 @@ mod tests {
             proofs: 5,
             rounds: 2,
             forced_logs: 9,
+            round_trips: 5,
             commits: 3,
             aborts: 1,
         };
@@ -733,6 +752,13 @@ mod tests {
         let parsed = crate::Json::parse(&text).expect("valid json");
         assert_eq!(ProtocolMetrics::from_json(&parsed), Some(m));
         assert_eq!(ProtocolMetrics::from_json(&crate::Json::Null), None);
+        // A file written before `round_trips` existed still parses.
+        let old = crate::Json::parse(&text.replace("\"round_trips\":5,", "")).expect("valid json");
+        let want = ProtocolMetrics {
+            round_trips: 0,
+            ..m
+        };
+        assert_eq!(ProtocolMetrics::from_json(&old), Some(want));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use safetx_txn::{CommitVariant, CoordinatorRecord, TransactionSpec};
 use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -298,12 +298,6 @@ pub struct ClusterConfig {
     pub consistency: ConsistencyLevel,
     /// Commit-protocol logging variant.
     pub variant: CommitVariant,
-    /// Data-plane worker threads per server (proof evaluation off the
-    /// server thread). `None` defers to the `SAFETX_SERVER_WORKERS`
-    /// environment variable, then to `min(4, available_parallelism)`.
-    /// A value of `1` (or `0`) keeps every server fully single-threaded:
-    /// each round's proofs are evaluated on the server thread.
-    pub server_workers: Option<usize>,
     /// How long a TM waits for any single protocol reply before treating
     /// the round as failed ([`AbortReason::ServerUnavailable`], or — once a
     /// decision exists — one decision retransmission and then completion
@@ -339,7 +333,6 @@ impl Default for ClusterConfig {
             scheme: ProofScheme::Deferred,
             consistency: ConsistencyLevel::View,
             variant: CommitVariant::Standard,
-            server_workers: None,
             reply_timeout: None,
             server_batch: None,
             wal_sync_cost: None,
@@ -354,8 +347,6 @@ impl Default for ClusterConfig {
 /// sharded), so CI can flip a whole battery through the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedKnobs {
-    /// Data-plane worker threads per server.
-    pub server_workers: usize,
     /// Drain limit of the server loop, at least 1.
     pub server_batch: usize,
     /// Concurrency mode of every server.
@@ -364,8 +355,7 @@ pub struct ResolvedKnobs {
 
 impl ClusterConfig {
     /// Settles the knobs this configuration leaves to the process
-    /// environment (`SAFETX_SERVER_WORKERS`, `SAFETX_SERVER_BATCH`,
-    /// `SAFETX_CONCURRENCY_MODE`).
+    /// environment (`SAFETX_SERVER_BATCH`, `SAFETX_CONCURRENCY_MODE`).
     #[must_use]
     pub fn resolved(&self) -> ResolvedKnobs {
         self.resolve_with(|name| std::env::var(name).ok())
@@ -377,18 +367,6 @@ impl ClusterConfig {
     pub fn resolve_with(&self, env: impl Fn(&str) -> Option<String>) -> ResolvedKnobs {
         let number = |name| env(name).and_then(|v| v.parse::<usize>().ok());
         ResolvedKnobs {
-            server_workers: self
-                .server_workers
-                .or_else(|| number("SAFETX_SERVER_WORKERS"))
-                .unwrap_or_else(|| {
-                    // Asked of the OS once per process: the answer costs
-                    // cgroup file reads, and deployments that never use it
-                    // (the socket runtime has no pool) resolve it too.
-                    static CORES: OnceLock<usize> = OnceLock::new();
-                    *CORES.get_or_init(|| {
-                        std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
-                    })
-                }),
             server_batch: self
                 .server_batch
                 .or_else(|| number("SAFETX_SERVER_BATCH"))
@@ -406,57 +384,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn tm_config(&self) -> TmConfig {
         TmConfig::new(self.scheme, self.consistency, self.variant)
-    }
-}
-
-/// A job shipped to a server's data-plane workers.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// A fixed pool of data-plane helper threads owned by one server thread.
-/// Each worker drains its own queue; jobs are distributed round-robin
-/// (they are uniform in kind — one proof evaluation batch each). Dropping
-/// the pool closes the job channels and joins every worker, so the server
-/// thread never exits (and the cluster's live-thread gauge never reaches
-/// zero) while a proof evaluation is still in flight.
-struct WorkerPool {
-    txs: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    next: std::cell::Cell<usize>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded::<Job>();
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            }));
-        }
-        WorkerPool {
-            txs,
-            handles,
-            next: std::cell::Cell::new(0),
-        }
-    }
-
-    fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let slot = self.next.get();
-        self.next.set((slot + 1) % self.txs.len());
-        self.txs[slot].send(Box::new(job)).expect("worker alive");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.txs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1226,9 +1153,8 @@ fn send_coalesced(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
 /// One server thread: blocks for an input, drains up to `server_batch`
 /// protocol messages already queued, and feeds them to the core as one
 /// [`ServerCore::run_round`]. The round's protocol-plane replies leave at
-/// once; its proof evaluations go to the worker pool, which sends the
-/// replies they feed itself. With fewer than two workers there is no pool
-/// and the evaluations run here.
+/// once; then its proof evaluations run here and the replies they feed
+/// follow.
 ///
 /// Control inputs act as barriers — the round that was open when one
 /// arrives completes first, then the control input runs, preserving the
@@ -1243,7 +1169,6 @@ fn server_loop(
     net: Arc<Net>,
     salvage: Salvage,
 ) {
-    let pool = (knobs.server_workers > 1).then(|| WorkerPool::new(knobs.server_workers));
     let mut round: Vec<(Addr, Msg)> = Vec::new();
     let crashed = loop {
         let Ok(first) = rx.recv() else { break false };
@@ -1262,17 +1187,8 @@ fn server_loop(
         if !round.is_empty() {
             let out = core.run_round(now_since(epoch), round.drain(..));
             send_coalesced(out.replies, &my_addr, &net);
-            match (out.deferred, &pool) {
-                (None, _) => {}
-                (Some(deferred), None) => {
-                    send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
-                }
-                (Some(deferred), Some(pool)) => {
-                    let (my_addr, net) = (my_addr.clone(), Arc::clone(&net));
-                    pool.submit(move || {
-                        send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
-                    });
-                }
+            if let Some(deferred) = out.deferred {
+                send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
             }
         }
         match control {
@@ -1286,9 +1202,6 @@ fn server_loop(
             Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
         }
     };
-    // Join in-flight data-plane work first: replies already computed are
-    // "on the wire" and still delivered, like packets leaving a dying host.
-    drop(pool);
     if crashed {
         let Endpoint::Server(id) = my_addr.endpoint else {
             unreachable!("server loops run on server endpoints");
@@ -1382,32 +1295,28 @@ mod tests {
     #[test]
     fn knobs_resolve_explicit_then_environment_then_default() {
         let env = |name: &str| match name {
-            "SAFETX_SERVER_WORKERS" => Some("3".to_owned()),
             "SAFETX_SERVER_BATCH" => Some("16".to_owned()),
             "SAFETX_CONCURRENCY_MODE" => Some("occ".to_owned()),
             other => panic!("unexpected variable {other}"),
         };
         let explicit = ClusterConfig {
-            server_workers: Some(1),
             server_batch: Some(4),
             concurrency: Some(ConcurrencyMode::Locking),
             ..ClusterConfig::default()
         };
-        let want = |server_workers, server_batch, concurrency| ResolvedKnobs {
-            server_workers,
+        let want = |server_batch, concurrency| ResolvedKnobs {
             server_batch,
             concurrency,
         };
         assert_eq!(
             explicit.resolve_with(env),
-            want(1, 4, ConcurrencyMode::Locking)
+            want(4, ConcurrencyMode::Locking)
         );
         let unset = ClusterConfig::default();
-        assert_eq!(unset.resolve_with(env), want(3, 16, ConcurrencyMode::Occ));
+        assert_eq!(unset.resolve_with(env), want(16, ConcurrencyMode::Occ));
         // Unset and unparsable variables fall through to the defaults,
         // and the drain limit is never below one message.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-        let default = want(cores, 1, ConcurrencyMode::Locking);
+        let default = want(1, ConcurrencyMode::Locking);
         assert_eq!(unset.resolve_with(|_| None), default);
         assert_eq!(unset.resolve_with(|_| Some("many".to_owned())), default);
         assert_eq!(unset.resolve_with(|_| Some("0".to_owned())).server_batch, 1);

@@ -7,8 +7,7 @@
 //! `step(now, TmEvent) -> Vec<TmEffect>` machine. The loops that drive
 //! them live in the core too — `ServerCore::run_round` for a server,
 //! `safetx_core::drive_tm` for a TM — so this crate is a transport: one
-//! thread per cloud server draining a crossbeam channel into rounds (and
-//! a worker pool for each round's deferred proof evaluations), and
+//! thread per cloud server draining a crossbeam channel into rounds, and
 //! [`Cluster::execute`] lending the calling thread and a fresh reply
 //! channel to the TM loop, carrying its sends through the fault fabric,
 //! its decision records to the log and its master consults to the

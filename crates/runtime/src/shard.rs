@@ -40,7 +40,7 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Per-shard cluster template; its `servers` field is the number of
     /// servers **per shard**. `reply_timeout`, scheme, consistency,
-    /// variant, worker and batch settings apply to every shard and to the
+    /// variant and batch settings apply to every shard and to the
     /// cross-shard coordinator alike.
     pub cluster: ClusterConfig,
 }

@@ -138,13 +138,16 @@ impl LockManager {
     pub fn locked_items(&self) -> usize {
         self.locks.len()
     }
+
+    /// Drops every lock (server crash wipes volatile state).
+    pub fn clear(&mut self) {
+        self.locks.clear();
+    }
 }
 
 /// Number of independent lock shards in a [`ShardedLockManager`].
 ///
-/// Fixed (not configurable) so the item→shard mapping is stable; 16 shards
-/// keep contention negligible for the worker-pool sizes the runtime spawns
-/// (`SAFETX_SERVER_WORKERS` defaults to `min(4, cores)`).
+/// Fixed (not configurable) so the item→shard mapping is stable.
 pub const LOCK_SHARDS: usize = 16;
 
 /// A sharded, internally-synchronized no-wait lock manager.
@@ -152,10 +155,15 @@ pub const LOCK_SHARDS: usize = 16;
 /// Same per-item semantics as [`LockManager`] (shared/exclusive modes,
 /// sole-sharer upgrade, own-exclusive-covers-shared, no-wait conflicts), but
 /// the item space is split across [`LOCK_SHARDS`] independently-locked maps
-/// keyed by a hash of the [`DataItemId`]. Worker threads acquiring locks for
+/// keyed by a hash of the [`DataItemId`]. Threads acquiring locks for
 /// different items proceed in parallel instead of funneling through one map,
 /// and all methods take `&self`, so the manager can be shared behind an
 /// `Arc` without an outer mutex.
+///
+/// No server uses it: a `ServerCore` is driven by one thread at a time
+/// through `&mut self` and owns a plain [`LockManager`]. It stays for
+/// callers that do share one lock table between threads, and for the
+/// benchmark's lock micro-measurement.
 ///
 /// Since each item maps to exactly one shard, per-item mutual exclusion (the
 /// only invariant the no-wait protocol needs) is preserved: two requests for
@@ -231,7 +239,7 @@ impl ShardedLockManager {
     /// Drops every lock (server crash wipes volatile state).
     pub fn clear(&self) {
         for shard in &self.shards {
-            *shard.lock().expect("lock shard poisoned") = LockManager::new();
+            shard.lock().expect("lock shard poisoned").clear();
         }
     }
 }

@@ -53,7 +53,7 @@ proptest! {
         let n = peers.len();
         let mut round = ValidationRound::new(
             servers(n),
-            ValidationConfig::two_pv(ConsistencyLevel::View),
+            ValidationConfig::new(ConsistencyLevel::View),
         );
         let mut actions = round.start();
         // Deterministic shuffle of delivery order from the seed.
@@ -93,14 +93,15 @@ proptest! {
         }
         match outcome.unwrap() {
             ValidationOutcome::Continue => {
-                // 2PV ignores votes; CONTINUE requires consistent versions
-                // and all-TRUE proofs.
-                prop_assert!(peers.iter().all(|p| p.truth));
+                // CONTINUE requires no NO (in 2PV: no contact whose query
+                // hit a lock conflict), consistent versions and all-TRUE
+                // proofs.
+                prop_assert!(peers.iter().all(|p| p.truth && p.vote.is_yes()));
                 prop_assert!(current.iter().all(|&v| v == max_version));
                 prop_assert!(round.rounds() <= 2, "view consistency: at most 2 rounds");
             }
             ValidationOutcome::Abort(_) => {
-                prop_assert!(peers.iter().any(|p| !p.truth));
+                prop_assert!(peers.iter().any(|p| !p.truth || !p.vote.is_yes()));
             }
         }
     }
