@@ -73,37 +73,24 @@ fn build_runtime(
         )
         .expect("rules parse")
         .build();
-    if net {
-        let cluster = NetCluster::new(config);
-        cluster.publish_policy(policy);
-        for s in 0..servers as u64 {
-            cluster.configure_server(ServerId::new(s), move |core| {
-                for j in 0..ITEMS_PER_SERVER {
-                    core.store_mut().write(
-                        DataItemId::new(s * 100 + j),
-                        Value::Int(10),
-                        Timestamp::ZERO,
-                    );
-                }
-            });
-        }
-        RuntimeKind::Net(Arc::new(cluster))
+    let runtime = if net {
+        RuntimeKind::Net(Arc::new(NetCluster::new(config)))
     } else {
-        let cluster = Cluster::new(config);
-        cluster.publish_policy(policy);
-        for s in 0..servers as u64 {
-            cluster.configure_server(ServerId::new(s), move |core| {
-                for j in 0..ITEMS_PER_SERVER {
-                    core.store_mut().write(
-                        DataItemId::new(s * 100 + j),
-                        Value::Int(10),
-                        Timestamp::ZERO,
-                    );
-                }
-            });
-        }
-        RuntimeKind::Threaded(Arc::new(cluster))
+        RuntimeKind::Threaded(Arc::new(Cluster::new(config)))
+    };
+    runtime.publish_policy(policy);
+    for server in runtime.server_ids() {
+        runtime.with_store(server, &mut |store| {
+            for j in 0..ITEMS_PER_SERVER {
+                store.write(
+                    DataItemId::new(server.index() * 100 + j),
+                    Value::Int(10),
+                    Timestamp::ZERO,
+                );
+            }
+        });
     }
+    runtime
 }
 
 fn member_credential(runtime: &RuntimeKind) -> Credential {
@@ -345,18 +332,10 @@ fn overload_section(
     // thread.
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
     let gated = runtime.clone();
-    let stall = std::thread::spawn(move || match &gated {
-        RuntimeKind::Threaded(cluster) => {
-            cluster.configure_server(ServerId::new(0), move |_core| {
-                let _ = gate_rx.recv();
-            });
-        }
-        RuntimeKind::Net(cluster) => {
-            cluster.configure_server(ServerId::new(0), move |_core| {
-                let _ = gate_rx.recv();
-            });
-        }
-        RuntimeKind::Sharded(_) => unreachable!("loadgen never builds a sharded backend"),
+    let stall = std::thread::spawn(move || {
+        gated.with_store(ServerId::new(0), &mut |_store| {
+            let _ = gate_rx.recv();
+        });
     });
 
     // Park the worker: submit one job and wait until it leaves the queue

@@ -40,7 +40,7 @@
 //! rare (no lock-hold window across the vote round-trip) — is visible in
 //! one JSON document.
 
-use safetx_core::{ConcurrencyMode, ConsistencyLevel, ProofScheme};
+use safetx_core::{ConcurrencyMode, ConsistencyLevel, ProofScheme, ServerCore};
 use safetx_metrics::Json;
 use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
@@ -83,34 +83,29 @@ fn build_runtime(
         let cluster = NetCluster::new(config);
         cluster.publish_policy(policy);
         for s in 0..SERVERS as u64 {
-            cluster.configure_server(ServerId::new(s), move |core| {
-                core.set_proof_cache(proof_cache);
-                for j in 0..ITEMS_PER_SERVER {
-                    core.store_mut().write(
-                        DataItemId::new(s * 100 + j),
-                        Value::Int(10),
-                        Timestamp::ZERO,
-                    );
-                }
-            });
+            cluster.configure_server(ServerId::new(s), |core| seed(core, s, proof_cache));
         }
         RuntimeKind::Net(Arc::new(cluster))
     } else {
         let cluster = Cluster::new(config);
         cluster.publish_policy(policy);
         for s in 0..SERVERS as u64 {
-            cluster.configure_server(ServerId::new(s), move |core| {
-                core.set_proof_cache(proof_cache);
-                for j in 0..ITEMS_PER_SERVER {
-                    core.store_mut().write(
-                        DataItemId::new(s * 100 + j),
-                        Value::Int(10),
-                        Timestamp::ZERO,
-                    );
-                }
-            });
+            cluster.configure_server(ServerId::new(s), |core| seed(core, s, proof_cache));
         }
         RuntimeKind::Threaded(Arc::new(cluster))
+    }
+}
+
+/// Seeds server `s`'s items and sets its proof cache, whichever address
+/// type its runtime gives the core.
+fn seed<A: Clone>(core: &mut ServerCore<A>, s: u64, proof_cache: bool) {
+    core.set_proof_cache(proof_cache);
+    for j in 0..ITEMS_PER_SERVER {
+        core.store_mut().write(
+            DataItemId::new(s * 100 + j),
+            Value::Int(10),
+            Timestamp::ZERO,
+        );
     }
 }
 
@@ -234,15 +229,7 @@ fn run_contention_cell(mode: ConcurrencyMode, slots: u64, hot_every: u64) -> Jso
     let cluster = Cluster::new(config);
     cluster.publish_policy(policy);
     for s in 0..SERVERS as u64 {
-        cluster.configure_server(ServerId::new(s), move |core| {
-            for j in 0..ITEMS_PER_SERVER {
-                core.store_mut().write(
-                    DataItemId::new(s * 100 + j),
-                    Value::Int(10),
-                    Timestamp::ZERO,
-                );
-            }
-        });
+        cluster.configure_server(ServerId::new(s), |core| seed(core, s, true));
     }
     let runtime = RuntimeKind::Threaded(Arc::new(cluster));
     let service = TxnService::with_runtime(

@@ -81,7 +81,7 @@ pub use sim_actor::CloudServerActor;
 pub use tm::TmActor;
 pub use tm::TxnRecord;
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
-pub use tm_loop::{drive_tm, terminate_leftover, TmCrashPoint, TmIo, TmRun};
+pub use tm_loop::{drive_tm, terminate_leftover, TmAuthority, TmCrashPoint, TmIo, TmRun};
 pub use two_pvc::{TwoPvc, TwoPvcAction, TwoPvcState};
 pub use validation::{
     ValidationAction, ValidationConfig, ValidationOutcome, ValidationReply, ValidationRound,

@@ -211,7 +211,7 @@ pub enum TmEffect {
 /// The record of one finished transaction — the single termination type
 /// both runtimes report from. The simulator's per-transaction `TxnRecord`
 /// is an alias of this; the threaded runtime's `ExecutionResult` is built
-/// from it via `ExecutionResult::from_termination`.
+/// from it, field for field.
 #[derive(Debug, Clone)]
 pub struct TxnTermination {
     /// The transaction.

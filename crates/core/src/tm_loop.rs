@@ -1,7 +1,8 @@
 //! The blocking TM loop: the one place [`TmEffect`]s become I/O.
 //!
 //! [`drive_tm`] feeds a [`TmCore`] from a transport and performs its
-//! effects on it. The transport is a [`TmIo`]: channels in
+//! effects on it and on the deployment's [`TmAuthority`] (master consults,
+//! decision records). The transport is a [`TmIo`]: channels in
 //! `safetx-runtime` (one cluster or the cross-shard coordinator), framed
 //! sockets in `safetx-net`. Everything protocol-shaped — effect order,
 //! the master consult after the batch, envelope flattening, stale-reply
@@ -76,7 +77,8 @@ pub fn terminate_leftover<'a>(
     Msg::InquiryReply { txn, answer }
 }
 
-/// What [`drive_tm`] needs from a transport, for one transaction.
+/// What [`drive_tm`] needs from a transport, for one transaction: the
+/// coordinator's end of whatever carries messages to the servers.
 pub trait TmIo {
     /// Protocol send to a server. May buffer until [`TmIo::flush`].
     fn send(&mut self, server: ServerId, msg: Msg);
@@ -91,6 +93,11 @@ pub trait TmIo {
     /// A reply that already arrived, without blocking. Called only after
     /// the transaction has terminated, to count stragglers.
     fn try_recv(&mut self) -> Option<Msg>;
+}
+
+/// What [`drive_tm`] needs from the deployment besides a transport: the
+/// master version server and the coordinator decision logs.
+pub trait TmAuthority {
     /// The master's latest version per policy.
     fn master_versions(&self) -> Arc<VersionMap>;
     /// Forces a coordinator record to every decision log recovery may
@@ -122,8 +129,9 @@ pub struct TmRun {
 /// (sends on the wire, records in the decision log) stand, exactly as a
 /// process kill would leave them; the participants' termination protocol
 /// owns whatever is left. `Some` means the transaction finished first.
-pub fn drive_tm<I: TmIo>(
-    io: &mut I,
+pub fn drive_tm(
+    io: &mut impl TmIo,
+    authority: &mut impl TmAuthority,
     mut core: TmCore,
     now: impl Fn() -> Timestamp,
     reply_timeout: Option<Duration>,
@@ -164,7 +172,7 @@ pub fn drive_tm<I: TmIo>(
                         io.flush();
                         return None;
                     }
-                    io.force_decision(record);
+                    authority.force_decision(record);
                     if is_decision && crash == Some(TmCrashPoint::AfterDecisionForce) {
                         // The decision is durable but no participant has
                         // heard it: the effect batch orders the force
@@ -174,7 +182,7 @@ pub fn drive_tm<I: TmIo>(
                         return None;
                     }
                 }
-                TmEffect::Log(record) => io.append_decision(record),
+                TmEffect::Log(record) => authority.append_decision(record),
                 // The reply deadline below is this loop's failure
                 // detector; the idle watchdog is never configured.
                 TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
@@ -186,7 +194,7 @@ pub fn drive_tm<I: TmIo>(
             break termination;
         }
         if consult_master {
-            let versions = io.master_versions();
+            let versions = authority.master_versions();
             effects = core.step(now(), TmEvent::MasterVersions { versions });
             continue;
         }

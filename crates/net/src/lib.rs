@@ -20,8 +20,7 @@ pub mod fault;
 pub mod runtime;
 pub mod wire;
 
-pub use fault::{NetEdgeRule, NetFaultPlan};
-pub use runtime::{EdgeStats, NetAddr, NetCluster, ServerHost, TM_PEER};
+pub use runtime::{EdgeStats, NetAddr, NetCluster, ServerHost, SocketLink, WireTm, TM_PEER};
 pub use wire::{
     decode_msg, encode_msg, read_frame, write_frame, WireError, MAX_FRAME_LEN, WIRE_VERSION,
 };

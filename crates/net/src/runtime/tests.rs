@@ -1,10 +1,17 @@
 use super::*;
-use safetx_core::{ConsistencyLevel, ProofScheme};
-use safetx_policy::{Atom, Constant, PolicyBuilder};
-use safetx_runtime::CrashRule;
+use crate::wire::write_frame;
+use safetx_core::{
+    ConsistencyLevel, MsgKind, ProofScheme, ResourcePolicyMap, SharedCas, SharedCatalog, VersionMap,
+};
+use safetx_policy::{Atom, CaRegistry, CertificateAuthority, Constant, Credential, PolicyBuilder};
+use safetx_runtime::{CrashPoint, CrashRule, FaultPlan};
 use safetx_store::Value;
-use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, Vote};
-use safetx_types::{AdminDomain, DataItemId, DataVersion, UserId};
+use safetx_txn::{
+    CommitVariant, Decision, InquiryAnswer, Operation, QuerySpec, TransactionSpec, Vote,
+};
+use safetx_types::{
+    AdminDomain, CaId, DataItemId, DataVersion, PolicyId, PolicyVersion, Timestamp, UserId,
+};
 use std::sync::Barrier;
 
 /// A routed send fails only when the route's receiver is already gone.
@@ -226,8 +233,8 @@ fn concurrent_peers_get_their_own_replies_and_a_serial_store() {
         }
     }
     assert_eq!(
-        host.with_core(|core| store_image(core)),
-        store_image(&serial)
+        host.host().with_core(|core| store_image(core)),
+        Some(store_image(&serial))
     );
     host.shutdown();
 }
@@ -269,7 +276,7 @@ fn server_batch_drains_frames_buffered_on_the_connection() {
             peer.got.0, frames,
             "batch {batch}: one reply frame per round"
         );
-        let after = host.with_core(|core| core.wal_stats());
+        let after = host.host().wal_stats();
         assert_eq!(after.forced_logs - before.forced_logs, K, "batch {batch}");
         assert_eq!(
             after.physical_syncs - before.physical_syncs,
@@ -283,19 +290,21 @@ fn server_batch_drains_frames_buffered_on_the_connection() {
 /// A crash point firing inside one connection's reader takes the whole
 /// host down under the lock: the vote escapes, both connections see EOF,
 /// and the host is crashed — no polling — the moment anyone can ask.
-/// Restart recovers the in-doubt transaction and resolves it by inquiry.
+/// Restart recovers the in-doubt transaction, which the inquiry answer
+/// then resolves.
 #[test]
 fn crash_point_in_one_reader_kills_every_connection_and_restart_recovers() {
     let (core, credential) = seeded_core();
-    let fabric = Arc::new(NetFabric::default());
-    fabric.arm(NetFaultPlan {
+    let fabric = Arc::new(Fabric::default());
+    fabric.arm(FaultPlan {
         crashes: vec![CrashRule {
             server: SERVER,
             point: CrashPoint::AfterSend(MsgKind::CommitReply),
         }],
-        ..NetFaultPlan::default()
+        ..FaultPlan::default()
     });
-    let host = ServerHost::spawn_with_fabric(core, Instant::now(), 16, Arc::clone(&fabric));
+    let core = Host::new(core, Instant::now(), Arc::clone(&fabric));
+    let host = ServerHost::over(Arc::new(core), 16);
     let mut a = TestPeer::attach(&host, 1);
     let mut b = TestPeer::attach(&host, 2);
     assert_eq!(host.live_peers(), 2);
@@ -306,70 +315,74 @@ fn crash_point_in_one_reader_kills_every_connection_and_restart_recovers() {
     a.send(&vote);
     assert_answers(&a.recv().expect("the vote escapes first"), 1, 1);
     assert!(a.recv().is_none(), "A's connection died with the host");
-    assert!(host.crashed());
+    assert!(host.host().crashed());
     assert_eq!(host.live_peers(), 0);
     assert!(b.recv().is_none(), "B's connection died with the host");
     assert_eq!(fabric.stats.snapshot().server_crashes, 1);
 
-    let mut core = host.take_salvaged().expect("salvaged core");
-    assert!(!host.crashed());
-    let in_doubt = core.recover_from_wal();
+    host.reap();
+    let in_doubt = host.host().restart();
+    assert!(!host.host().crashed());
     assert_eq!(in_doubt, vec![TxnId::new(1)]);
-    host.respawn(core);
     let mut a = TestPeer::attach(&host, 1);
-    host.emit(vec![(
-        NetAddr(1),
-        Msg::Inquiry {
-            txn: TxnId::new(1),
-            from_server: SERVER,
-        },
-    )]);
-    assert!(matches!(a.recv(), Some(Msg::Inquiry { txn, .. }) if txn == TxnId::new(1)));
     a.send(&Msg::InquiryReply {
         txn: TxnId::new(1),
         answer: InquiryAnswer::Decided(Decision::Commit),
     });
     assert_answers(&a.recv().expect("ack"), 1, 2);
-    let committed = host.with_core(|core| core.store().read_int(DataItemId::new(3)));
-    assert_eq!(committed, Some(1));
+    let committed = (host.host()).with_core(|core| core.store().read_int(DataItemId::new(3)));
+    assert_eq!(committed, Some(Some(1)));
 
     // The harness's crash is synchronous too.
-    host.crash();
-    assert!(host.crashed());
+    host.sever();
+    host.host().crash();
+    host.reap();
+    assert!(host.host().crashed());
     assert_eq!(host.live_peers(), 0);
     assert!(a.recv().is_none());
 }
 
-/// The blocking-write invariant's escape hatch. A reader writes replies
-/// with the host lock held, so a peer that stops reading stalls its host
-/// once the socket fills; shutdown must still return, because it shuts the
-/// streams down before it asks for the lock.
+/// (lock order) Host lock before link lock, and teardown shuts the streams
+/// down before it asks for the host lock — the blocking-write invariant's
+/// escape hatch. A reader writes replies with the host lock held, so a peer
+/// that stops reading stalls its host once the socket fills; shutdown must
+/// still return, and so must a crash (the three steps `crash_server`
+/// takes), after which the host is crashed at once.
 #[test]
-fn shutdown_returns_while_a_peer_never_reads() {
-    let (core, credential) = seeded_core();
-    let host = ServerHost::spawn(core, Instant::now(), 16);
-    let (mut mine, theirs) = UnixStream::pair().expect("socketpair");
-    host.attach(1, theirs);
-    // Write requests and never read a reply. The host is stalled for sure
-    // once this end cannot make progress for a whole second: the replies
-    // have filled one direction, the unread requests the other.
-    mine.set_write_timeout(Some(Duration::from_secs(1)))
-        .expect("write timeout");
-    let mut txn = 0;
-    while write_frame(&mut mine, &txn_requests(txn, 0, &credential)[0]).is_ok() {
-        txn += 1;
-        assert!(txn < 1_000_000, "the host never stalled");
-    }
+fn lock_order_teardown_returns_while_a_peer_never_reads() {
+    for crash in [false, true] {
+        let (core, credential) = seeded_core();
+        let host = ServerHost::spawn(core, Instant::now(), 16);
+        let (mut mine, theirs) = UnixStream::pair().expect("socketpair");
+        host.attach(1, theirs);
+        // Write requests and never read a reply. The host is stalled for
+        // sure once this end cannot make progress for a whole second: the
+        // replies have filled one direction, the unread requests the other.
+        mine.set_write_timeout(Some(Duration::from_secs(1)))
+            .expect("write timeout");
+        let mut txn = 0;
+        while write_frame(&mut mine, &txn_requests(txn, 0, &credential)[0]).is_ok() {
+            txn += 1;
+            assert!(txn < 1_000_000, "the host never stalled");
+        }
 
-    let (done_tx, done_rx) = unbounded();
-    let stopper = std::thread::spawn(move || {
-        host.shutdown();
-        let _ = done_tx.send(());
-    });
-    done_rx
-        .recv_timeout(Duration::from_secs(20))
-        .expect("shutdown hung behind the blocked writer");
-    stopper.join().expect("stopper thread");
+        let (done_tx, done_rx) = unbounded();
+        let stopper = std::thread::spawn(move || {
+            if crash {
+                host.sever();
+                assert!(host.host().crash());
+                assert!(host.host().crashed());
+                host.reap();
+                assert_eq!(host.live_peers(), 0);
+            }
+            host.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("teardown hung behind the blocked writer");
+        stopper.join().expect("stopper thread");
+    }
 }
 
 /// Every reconnect spawns a reader on both sides of the edge; both sides
@@ -415,8 +428,8 @@ fn flapping_edge_keeps_reader_handles_bounded() {
         let spec = TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), vec![query]);
         let result = cluster.execute(&spec, std::slice::from_ref(&credential));
         assert!(result.is_commit(), "flap {flap}: {:?}", result.outcome);
-        let tm_side = cluster.readers.lock().unwrap().len();
-        let host_side = cluster.hosts[0].shared.conns.lock().unwrap().len();
+        let tm_side = cluster.link().readers.lock().unwrap().len();
+        let host_side = cluster.link().servers[0].shared.conns.lock().unwrap().len();
         assert!(
             tm_side <= BOUND && host_side <= BOUND,
             "flap {flap}: {tm_side} TM-side and {host_side} host-side reader handles"

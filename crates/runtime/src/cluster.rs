@@ -1,51 +1,56 @@
-//! Thread-per-server cluster.
+//! The channel link: a thread per server draining a crossbeam inbox.
+//!
+//! [`Cluster`] is the shared control plane ([`LinkedCluster`]) over this
+//! link. Each server's thread blocks on its inbox, drains up to
+//! `server_batch` protocol messages already queued and runs them as one
+//! round on the server's [`Host`]; a TM is a fresh reply channel whose
+//! sends cross the message-level fault applicator below. A crash kills the
+//! inbox with the incarnation: a restarted server gets a fresh channel and
+//! a fresh thread, and whatever was queued to the old one is lost.
 
-use crate::fault::{ArmedPlan, CrashPoint, FaultPlan, FaultStats, Peer, Verdict};
+use crate::deployment::{Link, LinkedCluster, ResolvedKnobs, Topology};
+use crate::fault::{roll_kind, Fabric, Layer, Peer, Verdict};
+use crate::host::{Host, PeerAddr};
+use crate::ClusterConfig;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use safetx_core::{
-    coalesce_replies, drive_tm, terminate_leftover, AbortReason, ConcurrencyMode, ConsistencyLevel,
-    Msg, MsgKind, ProofScheme, ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmConfig,
-    TmCore, TmCrashPoint, TmIo, TmRun, TransactionView, TxnOutcome, TxnTermination, VersionMap,
-};
-use safetx_metrics::{FaultCounters, ProtocolMetrics};
-use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
-use safetx_store::Wal;
-use safetx_txn::{CommitVariant, CoordinatorRecord, TransactionSpec};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use safetx_core::{Msg, TmIo};
+use safetx_types::{ServerId, TxnId};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Who sent a message (and how to reply to them). Opaque: exposed only so
 /// [`Cluster::configure_server`] closures can name `ServerCore<Addr>`.
 #[derive(Clone)]
 pub struct Addr {
-    endpoint: Endpoint,
+    endpoint: Peer,
     tx: Sender<Input>,
     /// Process-unique channel identity: reply coalescing groups a round's
-    /// outputs by destination with it (two coordinators share an
-    /// `Endpoint::Coordinator` but never a channel).
+    /// outputs by destination with it (two coordinators share a
+    /// `Peer::Coordinator` but never a channel).
     id: u64,
 }
 
-/// A fresh process-unique [`Addr::id`].
-fn fresh_addr_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+impl Addr {
+    /// A fresh endpoint and the channel its messages arrive on.
+    fn fresh(endpoint: Peer) -> (Addr, Receiver<Input>) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let (tx, rx) = unbounded::<Input>();
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        (Addr { endpoint, tx, id }, rx)
+    }
 }
 
-impl Addr {
-    /// A fresh coordinator endpoint and the channel its replies arrive on.
-    fn coordinator() -> (Addr, Receiver<Input>) {
-        let (tx, rx) = unbounded::<Input>();
-        let addr = Addr {
-            endpoint: Endpoint::Coordinator,
-            tx,
-            id: fresh_addr_id(),
-        };
-        (addr, rx)
+impl PeerAddr for Addr {
+    fn key(&self) -> u64 {
+        self.id
+    }
+
+    // A coordinator nobody reads: whatever is sent to it dies quietly,
+    // exactly like an ack to a coordinator that already moved on.
+    fn nobody() -> Addr {
+        Addr::fresh(Peer::Coordinator).0
     }
 }
 
@@ -55,66 +60,33 @@ impl std::fmt::Debug for Addr {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Endpoint {
-    Coordinator,
-    Server(ServerId),
-}
-
-fn peer_of(endpoint: Endpoint) -> Peer {
-    match endpoint {
-        Endpoint::Coordinator => Peer::Coordinator,
-        Endpoint::Server(id) => Peer::Server(id),
-    }
-}
-
-/// A configuration closure applied on a server thread.
-type ConfigureFn = Box<dyn FnOnce(&mut ServerCore<Addr>) + Send>;
-
 /// What flows through the channels.
 // Msg dominates the variant sizes; inputs are moved once into an unbounded
 // channel and never stored in bulk, so boxing would only add indirection.
 #[allow(clippy::large_enum_variant)]
 enum Input {
     Proto(Addr, Msg),
-    Configure(ConfigureFn, Sender<()>),
-    /// Kill this server thread mid-protocol: volatile state is lost, the
-    /// core is salvaged (its WAL and store survive the "crash") so
-    /// [`Cluster::restart_server`] can recover it.
-    Crash,
+    /// Acknowledged once everything queued before it has been served.
+    Fence(Sender<()>),
     Shutdown,
 }
 
-/// Crashed cores awaiting restart, by server index. Models the durable
-/// state (store + WAL) that outlives the process.
-type Salvage = Arc<Mutex<HashMap<u64, ServerCore<Addr>>>>;
-
-/// The coordinator-side decision log shared by every TM (`execute` caller)
-/// of this cluster — the log `answer_inquiry` consults when a recovered
-/// participant asks what happened.
-type DecisionLog = Arc<Mutex<Wal<CoordinatorRecord>>>;
-
-/// The message fabric: the single choke point every protocol send crosses.
+/// The message fabric of one cluster: the single choke point every
+/// protocol send crosses, and the message-level fault applicator.
 ///
 /// With no fault plan armed the fast path is one relaxed atomic load and an
-/// uncontended read lock around the destination lookup — behaviourally
-/// identical to the pre-fault-layer direct sends. With a plan armed, each
-/// message is rolled against the plan's edge rules and crash points.
+/// uncontended read lock around the destination lookup. With a plan armed,
+/// each message is rolled against the plan's edge rules.
 ///
-/// The server channel registry lives *inside* the fabric (rather than in
-/// `Cluster`) so a restarted server can swap its channel without stopping
-/// traffic from concurrent TM threads.
-struct Net {
-    /// Current address (endpoint + input channel) of each server.
+/// The inbox registry lives here so a restarted server can swap its
+/// channel without stopping traffic from concurrent TM threads.
+pub(crate) struct Net {
+    /// Current address (endpoint + inbox) of each server, by slot.
     addrs: RwLock<Vec<Addr>>,
-    /// Armed fault plan, if any.
-    plan: RwLock<Option<ArmedPlan>>,
-    /// Mirrors `plan.is_some()`; checked without taking the lock.
-    enabled: AtomicBool,
-    stats: FaultStats,
+    fabric: Arc<Fabric>,
     /// Per-edge message sequence numbers, `[from][to]` flattened over
-    /// `peers` slots per side (coordinator = 0, server at local position
-    /// *i* is *i* + 1 — see [`Net::slot`]).
+    /// `peers` slots per side (coordinator = 0, the server in slot *i* is
+    /// *i* + 1 — see [`Net::peer_slot`]).
     seqs: Vec<AtomicU64>,
     peers: usize,
     /// First global server id owned by this fabric: sharded deployments
@@ -124,13 +96,14 @@ struct Net {
 }
 
 impl Net {
-    fn new(addrs: Vec<Addr>, base: u64) -> Net {
-        let peers = addrs.len() + 1;
+    fn new(servers: usize, base: u64, fabric: Arc<Fabric>) -> Net {
+        let peers = servers + 1;
+        // Placeholders nobody reads: `ChannelLink::up` installs each
+        // server's first inbox.
+        let dead = |i| Addr::fresh(Peer::Server(ServerId::new(base + i as u64))).0;
         Net {
-            addrs: RwLock::new(addrs),
-            plan: RwLock::new(None),
-            enabled: AtomicBool::new(false),
-            stats: FaultStats::default(),
+            addrs: RwLock::new((0..servers).map(dead).collect()),
+            fabric,
             seqs: (0..peers * peers).map(|_| AtomicU64::new(0)).collect(),
             peers,
             base,
@@ -139,127 +112,80 @@ impl Net {
 
     /// Dense per-fabric slot of a peer: coordinator 0, servers 1.. in
     /// id order relative to this fabric's first server id.
-    fn slot(&self, peer: Peer) -> usize {
+    ///
+    /// # Panics
+    ///
+    /// Panics when a server id is outside this fabric's range.
+    fn peer_slot(&self, peer: Peer) -> usize {
         match peer {
             Peer::Coordinator => 0,
-            Peer::Server(id) => (id.index() - self.base) as usize + 1,
+            Peer::Server(id) => {
+                let slot = id.index().checked_sub(self.base).map(|s| s as usize + 1);
+                slot.filter(|&s| s < self.peers)
+                    .unwrap_or_else(|| panic!("server {id} outside this cluster's id range"))
+            }
         }
     }
 
-    fn arm(&self, plan: FaultPlan) {
-        *self.plan.write().expect("fault plan lock") = Some(ArmedPlan::new(plan));
-        self.enabled.store(true, Ordering::Release);
+    /// The current address of the server in `slot`.
+    fn server_addr(&self, slot: usize) -> Addr {
+        self.addrs.read().expect("net addrs")[slot].clone()
     }
 
-    fn disarm(&self) {
-        self.enabled.store(false, Ordering::Release);
-        *self.plan.write().expect("fault plan lock") = None;
-    }
-
-    fn counters(&self) -> FaultCounters {
-        self.stats.snapshot()
-    }
-
-    fn note_crash(&self) {
-        self.stats.server_crashes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_recovery(&self) {
-        self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The current input channel of a server (control plane: configure,
-    /// crash, shutdown, recovery — never subject to faults).
-    fn tx(&self, server: usize) -> Sender<Input> {
-        self.addrs.read().expect("net addrs")[server].tx.clone()
-    }
-
-    fn server_addr(&self, server: usize) -> Addr {
-        self.addrs.read().expect("net addrs")[server].clone()
-    }
-
-    fn replace_server(&self, server: usize, addr: Addr) {
-        self.addrs.write().expect("net addrs")[server] = addr;
-    }
-
-    /// Protocol send to a server by index.
-    fn to_server(&self, from: &Addr, server: usize, msg: Msg) {
-        if !self.enabled.load(Ordering::Relaxed) {
+    /// Protocol send to a server.
+    fn to_server(&self, from: &Addr, server: ServerId, msg: Msg) {
+        let slot = self.peer_slot(Peer::Server(server)) - 1;
+        if !self.fabric.is_armed() {
             let addrs = self.addrs.read().expect("net addrs");
-            let _ = addrs[server].tx.send(Input::Proto(from.clone(), msg));
+            let _ = addrs[slot].tx.send(Input::Proto(from.clone(), msg));
             return;
         }
-        let to = self.server_addr(server);
-        self.send_faulty(from, &to, msg);
+        self.send_faulty(from, &self.server_addr(slot), msg);
     }
 
-    /// Protocol send to an arbitrary address (server → coordinator replies
-    /// and server-side forwards).
+    /// Protocol send to an arbitrary address (server → coordinator
+    /// replies). A dead peer (a finished coordinator, a crashed server) is
+    /// fine to ignore.
     fn send_proto(&self, from: &Addr, to: &Addr, msg: Msg) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.fabric.is_armed() {
             let _ = to.tx.send(Input::Proto(from.clone(), msg));
             return;
         }
         self.send_faulty(from, to, msg);
     }
 
+    /// The message-level applicator: rolls one message against the armed
+    /// plan and performs the verdict.
     #[cold]
     fn send_faulty(&self, from: &Addr, to: &Addr, msg: Msg) {
-        let guard = self.plan.read().expect("fault plan lock");
-        let Some(armed) = guard.as_ref() else {
-            let _ = to.tx.send(Input::Proto(from.clone(), msg));
-            return;
-        };
-        let kind = MsgKind::of(&msg);
-        // A crash scheduled "after this server sends its next <kind>"?
-        // Consume the rule now; enqueue the crash after the send went out.
-        let crash_sender = match from.endpoint {
-            Endpoint::Server(id) => armed
-                .take_crash(id, |p| p == CrashPoint::AfterSend(kind))
-                .is_some(),
-            Endpoint::Coordinator => false,
-        };
-        // "Before receive": the receiver dies *instead of* taking
-        // delivery — the message is lost with it.
-        if let Endpoint::Server(id) = to.endpoint {
-            if armed
-                .take_crash(id, |p| p == CrashPoint::BeforeReceive(kind))
-                .is_some()
-            {
-                let _ = to.tx.send(Input::Crash);
-                if crash_sender {
-                    let _ = from.tx.send(Input::Crash);
-                }
-                return;
-            }
-        }
-        let from_peer = peer_of(from.endpoint);
-        let to_peer = peer_of(to.endpoint);
-        let edge = self.slot(from_peer) * self.peers + self.slot(to_peer);
+        let edge = self.peer_slot(from.endpoint) * self.peers + self.peer_slot(to.endpoint);
         let seq = self.seqs[edge].fetch_add(1, Ordering::Relaxed);
-        let mut delivered_inline = false;
-        match armed.plan.roll(from_peer, to_peer, kind, seq) {
-            Verdict::Deliver => {
-                let _ = to.tx.send(Input::Proto(from.clone(), msg));
-                delivered_inline = true;
-            }
+        let stats = &self.fabric.stats;
+        let deliver = |msg| {
+            let _ = to.tx.send(Input::Proto(from.clone(), msg));
+        };
+        let (layer, kind) = (Layer::Message, roll_kind(&msg));
+        match self
+            .fabric
+            .verdict(layer, from.endpoint, to.endpoint, kind, seq)
+        {
+            Verdict::Deliver => deliver(msg),
             Verdict::Drop => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                stats.dropped.fetch_add(1, Ordering::Relaxed);
             }
             Verdict::Duplicate => {
-                self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                let _ = to.tx.send(Input::Proto(from.clone(), msg.clone()));
-                let _ = to.tx.send(Input::Proto(from.clone(), msg));
-                delivered_inline = true;
+                stats.duplicated.fetch_add(1, Ordering::Relaxed);
+                deliver(msg.clone());
+                deliver(msg);
             }
             Verdict::Delay { by, reorder } => {
-                if reorder {
-                    self.stats.reordered.fetch_add(1, Ordering::Relaxed);
+                let counter = if reorder {
+                    &stats.reordered
                 } else {
-                    self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                }
-                let from = from.clone();
-                let to_tx = to.tx.clone();
+                    &stats.delayed
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                let (from, to_tx) = (from.clone(), to.tx.clone());
                 // Detached sleeper: delivery races everything sent in the
                 // meantime, which is exactly the point. A send into a since
                 // dead or replaced channel is a message lost to the crash.
@@ -268,208 +194,11 @@ impl Net {
                     let _ = to_tx.send(Input::Proto(from, msg));
                 });
             }
-        }
-        // "After receive" fires only when the message actually went out in
-        // order, so the crash lands in the queue right behind it.
-        if delivered_inline {
-            if let Endpoint::Server(id) = to.endpoint {
-                if armed
-                    .take_crash(id, |p| p == CrashPoint::AfterReceive(kind))
-                    .is_some()
-                {
-                    let _ = to.tx.send(Input::Crash);
-                }
+            Verdict::Corrupt { .. } | Verdict::Truncate { .. } | Verdict::Disconnect => {
+                unreachable!("the message layer never rolls a frame fault")
             }
         }
-        if crash_sender {
-            let _ = from.tx.send(Input::Crash);
-        }
     }
-}
-
-/// Cluster configuration.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Number of server threads.
-    pub servers: usize,
-    /// Proof-of-authorization scheme.
-    pub scheme: ProofScheme,
-    /// Consistency level.
-    pub consistency: ConsistencyLevel,
-    /// Commit-protocol logging variant.
-    pub variant: CommitVariant,
-    /// How long a TM waits for any single protocol reply before treating
-    /// the round as failed ([`AbortReason::ServerUnavailable`], or — once a
-    /// decision exists — one decision retransmission and then completion
-    /// without the missing acknowledgments).
-    ///
-    /// `None` (the default) blocks forever, the pre-fault-layer behaviour;
-    /// any run that crashes servers or arms a fault plan with drops should
-    /// set it.
-    pub reply_timeout: Option<Duration>,
-    /// Maximum protocol messages one server-loop iteration drains and
-    /// processes as a single round (shared proof-evaluation batch, one WAL
-    /// group commit, coalesced replies). `None` defers to the
-    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — every
-    /// round holds one message.
-    pub server_batch: Option<usize>,
-    /// Simulated cost of one physical WAL sync (spin-waited inside
-    /// `Wal::force`/group close). `None` makes syncs free, the historical
-    /// behaviour; set it to make group commit's sync coalescing visible in
-    /// wall-clock measurements.
-    pub wal_sync_cost: Option<Duration>,
-    /// Concurrency mode of every server: strict no-wait 2PL (`Locking`)
-    /// or snapshot-read optimistic execution validated at the 2PVC vote
-    /// (`Occ`). `None` defers to the `SAFETX_CONCURRENCY_MODE`
-    /// environment variable, then to `Locking` — the exact pre-seam
-    /// behaviour.
-    pub concurrency: Option<ConcurrencyMode>,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            servers: 3,
-            scheme: ProofScheme::Deferred,
-            consistency: ConsistencyLevel::View,
-            variant: CommitVariant::Standard,
-            reply_timeout: None,
-            server_batch: None,
-            wal_sync_cost: None,
-            concurrency: None,
-        }
-    }
-}
-
-/// [`ClusterConfig`]'s deferred knobs with every `None` settled: explicit
-/// value, then environment variable, then default. Read once per cluster
-/// build by every deployment of a `ClusterConfig` (threaded, socket,
-/// sharded), so CI can flip a whole battery through the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolvedKnobs {
-    /// Drain limit of the server loop, at least 1.
-    pub server_batch: usize,
-    /// Concurrency mode of every server.
-    pub concurrency: ConcurrencyMode,
-}
-
-impl ClusterConfig {
-    /// Settles the knobs this configuration leaves to the process
-    /// environment (`SAFETX_SERVER_BATCH`, `SAFETX_CONCURRENCY_MODE`).
-    #[must_use]
-    pub fn resolved(&self) -> ResolvedKnobs {
-        self.resolve_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`ClusterConfig::resolved`] over an explicit environment lookup.
-    /// An unset or unparsable variable falls through to the default.
-    #[must_use]
-    pub fn resolve_with(&self, env: impl Fn(&str) -> Option<String>) -> ResolvedKnobs {
-        let number = |name| env(name).and_then(|v| v.parse::<usize>().ok());
-        ResolvedKnobs {
-            server_batch: self
-                .server_batch
-                .or_else(|| number("SAFETX_SERVER_BATCH"))
-                .unwrap_or(1)
-                .max(1),
-            concurrency: self
-                .concurrency
-                .or_else(|| ConcurrencyMode::parse(&env("SAFETX_CONCURRENCY_MODE")?))
-                .unwrap_or_default(),
-        }
-    }
-
-    /// The protocol configuration every coordinator of this deployment
-    /// runs with.
-    #[must_use]
-    pub fn tm_config(&self) -> TmConfig {
-        TmConfig::new(self.scheme, self.consistency, self.variant)
-    }
-}
-
-/// The outcome of one executed transaction plus wall-clock timing.
-///
-/// Built from the core's [`TxnTermination`] — the same termination record
-/// the simulator reports as `TxnRecord` — so both runtimes derive their
-/// outcome, view, and cost counters from one shared type.
-#[derive(Debug, Clone)]
-pub struct ExecutionResult {
-    /// Commit/abort and the protocol-time instant it was decided.
-    pub outcome: TxnOutcome,
-    /// Wall-clock latency of the whole execution.
-    pub elapsed: std::time::Duration,
-    /// Every proof of authorization the TM saw during this execution,
-    /// recorded for post-hoc audits (Definitions 4–9 in
-    /// `safetx_core::trusted`).
-    pub view: TransactionView,
-    /// How many queries finished executing before the decision (wasted
-    /// work on aborts; equals the query count on commits).
-    pub queries_executed: usize,
-    /// Paper-model cost counters (Table I messages/proofs/rounds), counted
-    /// by the shared [`TmCore`] accounting.
-    pub metrics: ProtocolMetrics,
-}
-
-impl ExecutionResult {
-    /// True when the transaction committed.
-    #[must_use]
-    pub fn is_commit(&self) -> bool {
-        self.outcome.is_commit()
-    }
-
-    /// Builds the result from the core's termination record.
-    #[must_use]
-    pub fn from_termination(termination: TxnTermination, elapsed: std::time::Duration) -> Self {
-        ExecutionResult {
-            outcome: termination.outcome,
-            elapsed,
-            view: termination.view,
-            queries_executed: termination.queries_executed,
-            metrics: termination.metrics,
-        }
-    }
-
-    /// Builds the result of a finished TM loop started at `started`,
-    /// adding the run's stale replies — and, when the reply deadline
-    /// aborted it, one timeout — to the deployment's counters.
-    #[must_use]
-    pub fn from_run(
-        run: TmRun,
-        started: Instant,
-        dropped_replies: &AtomicU64,
-        timeout_aborts: &AtomicU64,
-    ) -> Self {
-        dropped_replies.fetch_add(run.dropped_replies, Ordering::Relaxed);
-        if run.termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
-            timeout_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-        Self::from_termination(run.termination, started.elapsed())
-    }
-}
-
-/// A running cluster: server threads plus shared catalog and CAs.
-pub struct Cluster {
-    config: ClusterConfig,
-    catalog: SharedCatalog,
-    cas: SharedCas,
-    net: Arc<Net>,
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
-    epoch: Instant,
-    next_txn: AtomicU64,
-    live_servers: Arc<AtomicUsize>,
-    /// Inputs received on a coordinator's reply channel that no receive
-    /// loop was waiting for (stale replies for resolved rounds). These were
-    /// previously dropped silently by the catch-all match arms.
-    dropped_replies: Arc<AtomicU64>,
-    salvage: Salvage,
-    decision_log: DecisionLog,
-    /// In-doubt resolver threads spawned by [`Cluster::restart_server`].
-    resolvers: Mutex<Vec<JoinHandle<()>>>,
-    stopping: Arc<AtomicBool>,
-    knobs: ResolvedKnobs,
-    /// First global server id owned by this cluster (0 for a standalone
-    /// deployment; a shard's offset into the global id space otherwise).
-    base: u64,
 }
 
 /// Decrements the live-thread gauge when a server thread exits — normally
@@ -482,607 +211,157 @@ impl Drop for LiveGuard {
     }
 }
 
-impl Cluster {
-    /// Spawns the server threads. One certificate authority (`CA0`) is
-    /// registered; every resource maps to [`PolicyId`] 0.
-    #[must_use]
-    pub fn new(config: ClusterConfig) -> Self {
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
-        Self::with_topology(config, 0, catalog, cas, Instant::now())
-    }
+/// The [`Link`] of the threaded runtime: an inbox and a thread per server.
+pub struct ChannelLink {
+    pub(crate) net: Arc<Net>,
+    /// The thread serving each slot's current (or dead, not yet reaped)
+    /// incarnation.
+    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
+    live: Arc<AtomicUsize>,
+    batch: usize,
+}
 
-    /// Spawns the server threads as one shard of a larger deployment: the
-    /// servers own global ids `first_server..first_server + servers`, and
-    /// the policy catalog, certificate authorities and protocol-time epoch
-    /// are shared with the other shards so credentials, policy versions and
-    /// timestamps agree everywhere. [`Cluster::new`] is the single-shard
-    /// special case (`first_server = 0`, fresh shared state).
-    #[must_use]
-    pub fn with_topology(
-        config: ClusterConfig,
-        first_server: u64,
-        catalog: SharedCatalog,
-        cas: SharedCas,
-        epoch: Instant,
-    ) -> Self {
-        let knobs = config.resolved();
-        let live_servers = Arc::new(AtomicUsize::new(0));
-        let salvage: Salvage = Arc::new(Mutex::new(HashMap::new()));
-
-        let mut addrs = Vec::with_capacity(config.servers);
-        let mut rxs = Vec::with_capacity(config.servers);
-        for i in 0..config.servers {
-            let (tx, rx) = unbounded::<Input>();
-            addrs.push(Addr {
-                endpoint: Endpoint::Server(ServerId::new(first_server + i as u64)),
-                tx,
-                id: fresh_addr_id(),
-            });
-            rxs.push(rx);
-        }
-        let net = Arc::new(Net::new(addrs, first_server));
-
-        let mut handles = Vec::with_capacity(config.servers);
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let id = ServerId::new(first_server + i as u64);
-            let mut core = ServerCore::new(
-                id,
-                catalog.clone(),
-                ResourcePolicyMap::single(PolicyId::new(0)),
-                cas.clone(),
-                config.variant,
-            );
-            if let Some(cost) = config.wal_sync_cost {
-                core.set_wal_sync_cost(cost);
-            }
-            core.set_concurrency(knobs.concurrency);
-            let my_addr = net.server_addr(i);
-            live_servers.fetch_add(1, Ordering::Release);
-            let guard = LiveGuard(live_servers.clone());
-            let net = Arc::clone(&net);
-            let salvage = Arc::clone(&salvage);
-            handles.push(Some(std::thread::spawn(move || {
-                let _guard = guard;
-                server_loop(core, rx, my_addr, epoch, knobs, net, salvage);
-            })));
-        }
-
-        Cluster {
-            config,
-            catalog,
-            cas,
-            net,
-            handles: Mutex::new(handles),
-            epoch,
-            next_txn: AtomicU64::new(0),
-            live_servers,
-            dropped_replies: Arc::new(AtomicU64::new(0)),
-            salvage,
-            decision_log: Arc::new(Mutex::new(Wal::new())),
-            resolvers: Mutex::new(Vec::new()),
-            stopping: Arc::new(AtomicBool::new(false)),
-            knobs,
-            base: first_server,
-        }
-    }
-
-    /// Array slot of a server this cluster owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is outside this cluster's range.
-    fn pos(&self, server: ServerId) -> usize {
-        let pos = server
-            .index()
-            .checked_sub(self.base)
-            .expect("server below this cluster's id range") as usize;
-        assert!(
-            pos < self.config.servers,
-            "server {server} above this cluster's id range"
-        );
-        pos
-    }
-
-    /// First global server id owned by this cluster.
-    #[must_use]
-    pub fn first_server(&self) -> u64 {
-        self.base
-    }
-
-    /// The global ids of every server this cluster owns, in slot order.
-    #[must_use]
-    pub fn server_ids(&self) -> Vec<ServerId> {
-        (0..self.config.servers as u64)
-            .map(|i| ServerId::new(self.base + i))
-            .collect()
-    }
-
-    /// How many coordinator-side inputs were received but matched no
-    /// pending protocol round (stale replies after an abort, for example).
-    #[must_use]
-    pub fn dropped_replies(&self) -> u64 {
-        self.dropped_replies.load(Ordering::Relaxed)
-    }
-
-    /// The configuration this cluster was built with.
-    #[must_use]
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// How many server threads are currently running. Reaches zero only
-    /// after shutdown (or drop) has joined every thread.
-    #[must_use]
-    pub fn live_servers(&self) -> usize {
-        self.live_servers.load(Ordering::Acquire)
-    }
-
-    /// A clone of the live-thread gauge, for tests that must observe the
-    /// cluster's threads after the `Cluster` itself is gone.
-    #[must_use]
-    pub fn live_servers_gauge(&self) -> Arc<AtomicUsize> {
-        self.live_servers.clone()
-    }
-
-    /// The shared policy catalog.
-    #[must_use]
-    pub fn catalog(&self) -> &SharedCatalog {
-        &self.catalog
-    }
-
-    /// The shared certificate authorities.
-    #[must_use]
-    pub fn cas(&self) -> &SharedCas {
-        &self.cas
-    }
-
-    /// Protocol-time now (microseconds since cluster start).
-    #[must_use]
-    pub fn now(&self) -> Timestamp {
-        Timestamp::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// A fresh transaction id.
-    #[must_use]
-    pub fn next_txn_id(&self) -> TxnId {
-        TxnId::new(
-            self.next_txn
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// Arms a fault plan: every subsequent protocol send is subject to its
-    /// edge rules and crash points. Replaces any previously armed plan
-    /// (crash points start unfired).
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.net.arm(plan);
-    }
-
-    /// Disarms fault injection; sends go back to the direct fast path.
-    pub fn clear_fault_plan(&self) {
-        self.net.disarm();
-    }
-
-    /// Fault-injection and recovery counters accumulated so far.
-    #[must_use]
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.net.counters()
-    }
-
-    /// Aggregated WAL accounting across every server: logical forced
-    /// appends (the paper's Table I log metric, unchanged by batching) and
-    /// the physical device syncs actually performed for them (strictly
-    /// fewer under group commit when rounds carry multiple forces).
-    ///
-    /// Live servers are probed through their configure barrier; crashed
-    /// servers are read from their salvaged durable state. Meaningful on a
-    /// quiesced cluster — probing mid-`execute` reads a moving total.
-    #[must_use]
-    pub fn wal_stats(&self) -> safetx_metrics::WalStats {
-        let mut total = safetx_metrics::WalStats::default();
-        let crashed: BTreeSet<u64> = {
-            let salvage = self.salvage.lock().expect("salvage lock");
-            for core in salvage.values() {
-                total.merge(&core.wal_stats());
-            }
-            salvage.keys().copied().collect()
+impl ChannelLink {
+    fn over(hosts: &[Arc<Host<Addr>>], base: u64, fabric: &Arc<Fabric>, batch: usize) -> Self {
+        let link = ChannelLink {
+            net: Arc::new(Net::new(hosts.len(), base, Arc::clone(fabric))),
+            threads: Mutex::new(hosts.iter().map(|_| None).collect()),
+            live: Arc::new(AtomicUsize::new(0)),
+            batch,
         };
-        for server in self.server_ids() {
-            if crashed.contains(&server.index()) {
-                continue;
-            }
-            let (tx, rx) = unbounded();
-            self.configure_server(server, move |core| {
-                let _ = tx.send(core.wal_stats());
-            });
-            total.merge(&rx.recv().expect("wal stats probe"));
+        for (slot, host) in hosts.iter().enumerate() {
+            link.up(slot, host);
         }
-        total
+        link
     }
 
-    /// Kills a server thread as if its process died: volatile state
-    /// (locks, unprepared transactions) is lost; the store and WAL
-    /// survive. Blocks until the thread is gone.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server id is out of range or the thread does not
-    /// exit within a generous deadline.
-    pub fn crash_server(&self, server: ServerId) {
-        let idx = self.pos(server);
-        let _ = self.net.tx(idx).send(Input::Crash);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !self
-            .salvage
-            .lock()
-            .expect("salvage lock")
-            .contains_key(&server.index())
+    /// The coordinator's end over several clusters' fabrics at once: the
+    /// fabrics own equal, contiguous server-id ranges, and a send goes to
+    /// the one owning the server. One fabric is the plain-cluster case —
+    /// which is what makes a 1-shard deployment byte-identical to it.
+    pub(crate) fn open_over(nets: &[Arc<Net>]) -> ChannelTm<'_> {
+        let (me, replies) = Addr::fresh(Peer::Coordinator);
+        ChannelTm { nets, me, replies }
+    }
+}
+
+impl Link for ChannelLink {
+    type Addr = Addr;
+    type Tm<'a> = ChannelTm<'a>;
+
+    fn open(&self, _txn: TxnId) -> ChannelTm<'_> {
+        Self::open_over(std::slice::from_ref(&self.net))
+    }
+
+    // FIFO inbox: the acknowledgment comes back once the server thread has
+    // served everything queued before the fence. A dead incarnation drops
+    // the fence unanswered — nothing is queued to a dead server.
+    fn fence(&self, slot: usize) {
+        let (done, fenced) = unbounded();
+        if self
+            .net
+            .server_addr(slot)
+            .tx
+            .send(Input::Fence(done))
+            .is_ok()
         {
-            assert!(
-                Instant::now() < deadline,
-                "server {server} did not crash in time"
-            );
-            std::thread::yield_now();
-        }
-        if let Some(handle) = self.handles.lock().expect("handles lock")[idx].take() {
-            let _ = handle.join();
+            let _ = fenced.recv();
         }
     }
 
-    /// Servers currently crashed (awaiting [`Cluster::restart_server`]).
-    #[must_use]
-    pub fn crashed_servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<u64> = self
-            .salvage
-            .lock()
-            .expect("salvage lock")
-            .keys()
-            .copied()
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter().map(ServerId::new).collect()
+    // Channel sends never block, so there is nobody to unblock: just wake
+    // the server thread so it can exit.
+    fn down(&self, slot: usize) {
+        let _ = self.net.server_addr(slot).tx.send(Input::Shutdown);
     }
 
-    /// Restarts a crashed server: rebuilds its protocol state from the
-    /// WAL ([`ServerCore::recover_from_wal`]), spawns a fresh thread on a
-    /// fresh channel, and — for every in-doubt transaction — starts a
-    /// resolver that drives the coordinator-inquiry path against this
-    /// cluster's decision log until the decision is known.
-    ///
-    /// Blocks until the crashed core is available (a router-triggered
-    /// crash may still be tearing the old thread down).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server id is out of range or no crash is pending
-    /// for it.
-    pub fn restart_server(&self, server: ServerId) {
-        let idx = self.pos(server);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut core = loop {
-            if let Some(core) = self
-                .salvage
-                .lock()
-                .expect("salvage lock")
-                .remove(&server.index())
-            {
-                break core;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "server {server} has no crash to restart from"
-            );
-            std::thread::yield_now();
-        };
-        // Router-triggered crashes leave the joined-out handle in place.
-        if let Some(handle) = self.handles.lock().expect("handles lock")[idx].take() {
-            let _ = handle.join();
+    fn reap(&self, slot: usize) {
+        let thread = self.threads.lock().expect("threads lock")[slot].take();
+        if let Some(thread) = thread {
+            let _ = thread.join();
         }
+    }
 
-        let in_doubt = core.recover_from_wal();
-        let (tx, rx) = unbounded::<Input>();
-        let my_addr = Addr {
-            endpoint: Endpoint::Server(server),
-            tx,
-            id: fresh_addr_id(),
-        };
-        self.net.replace_server(idx, my_addr.clone());
-        self.live_servers.fetch_add(1, Ordering::Release);
-        let guard = LiveGuard(self.live_servers.clone());
-        let net = Arc::clone(&self.net);
-        let salvage = Arc::clone(&self.salvage);
-        let (epoch, knobs) = (self.epoch, self.knobs);
-        let handle = std::thread::spawn(move || {
+    fn up(&self, slot: usize, host: &Arc<Host<Addr>>) {
+        let (me, inbox) = Addr::fresh(Peer::Server(host.server()));
+        self.net.addrs.write().expect("net addrs")[slot] = me.clone();
+        self.live.fetch_add(1, Ordering::Release);
+        let guard = LiveGuard(Arc::clone(&self.live));
+        let (host, net, batch) = (Arc::clone(host), Arc::clone(&self.net), self.batch);
+        let thread = std::thread::spawn(move || {
             let _guard = guard;
-            server_loop(core, rx, my_addr, epoch, knobs, net, salvage);
+            server_thread(&host, &inbox, &me, batch, &net);
         });
-        self.handles.lock().expect("handles lock")[idx] = Some(handle);
-        self.net.note_recovery();
-        for txn in in_doubt {
-            self.spawn_resolver(server, txn);
-        }
-    }
-
-    /// Spawns a thread that polls the decision log for `txn`'s fate and
-    /// injects the answer into the recovered server — the threaded
-    /// equivalent of the simulator's `Inquiry`/`InquiryReply` round trip
-    /// (the "TM" here is the decision log all coordinators share).
-    fn spawn_resolver(&self, server: ServerId, txn: TxnId) {
-        let net = Arc::clone(&self.net);
-        let log = Arc::clone(&self.decision_log);
-        let variant = self.config.variant;
-        let stopping = Arc::clone(&self.stopping);
-        let idx = self.pos(server);
-        let handle = std::thread::spawn(move || {
-            // A reply address nobody reads: the participant's ack (if its
-            // variant sends one) dies quietly, exactly like an ack to a
-            // coordinator that already moved on.
-            let (coordinator, _unread) = Addr::coordinator();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !stopping.load(Ordering::Acquire) && Instant::now() < deadline {
-                let answer = {
-                    let log = log.lock().expect("decision log lock");
-                    safetx_txn::answer_inquiry(txn, variant, log.records())
-                };
-                if matches!(answer, safetx_txn::InquiryAnswer::Decided(_)) {
-                    let _ = net
-                        .tx(idx)
-                        .send(Input::Proto(coordinator, Msg::InquiryReply { txn, answer }));
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        });
-        self.resolvers.lock().expect("resolvers lock").push(handle);
-    }
-
-    /// Drives the participants' termination protocol from the harness
-    /// side: asks every live server which transactions it still holds
-    /// state for (decision messages may have been dropped or crashed away)
-    /// and answers each from the coordinator decision log. Returns how
-    /// many transactions were resolved.
-    ///
-    /// Only meaningful on a **quiesced** cluster — no `execute` in flight;
-    /// see [`terminate_leftover`] for what each leftover is told and why.
-    pub fn resolve_in_doubt(&self) -> usize {
-        let crashed: BTreeSet<u64> = self
-            .salvage
-            .lock()
-            .expect("salvage lock")
-            .keys()
-            .copied()
-            .collect();
-        let mut resolved = 0;
-        for server in self.server_ids() {
-            if crashed.contains(&server.index()) {
-                continue;
-            }
-            let (probe_tx, probe_rx) = unbounded();
-            self.configure_server(server, move |core| {
-                let _ = probe_tx.send((core.active_txn_ids(), core.in_doubt_txns()));
-            });
-            let (active, in_doubt) = probe_rx.recv().expect("probe reply");
-            let in_doubt: BTreeSet<TxnId> = in_doubt.into_iter().collect();
-            for txn in active {
-                let msg = {
-                    let log = self.decision_log.lock().expect("decision log lock");
-                    let variant = self.config.variant;
-                    terminate_leftover(txn, in_doubt.contains(&txn), variant, log.records())
-                };
-                let (coordinator, _unread) = Addr::coordinator();
-                let _ = self
-                    .net
-                    .tx(self.pos(server))
-                    .send(Input::Proto(coordinator, msg));
-                resolved += 1;
-            }
-            // Barrier: the injected replies are processed before this
-            // no-op configure returns, so callers can probe stores
-            // immediately after.
-            self.configure_server(server, |_| {});
-        }
-        resolved
-    }
-
-    /// The coordinator decision log, oldest record first — what every
-    /// recovery inquiry is answered from, and the ground truth chaos
-    /// audits compare server state against.
-    #[must_use]
-    pub fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
-        self.decision_log
-            .lock()
-            .expect("decision log lock")
-            .records()
-            .cloned()
-            .collect()
-    }
-
-    /// Applies a configuration closure on a server thread and waits for it
-    /// (seed data, install policies, add constraints).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server id is out of range or its thread has exited.
-    pub fn configure_server(
-        &self,
-        server: ServerId,
-        f: impl FnOnce(&mut ServerCore<Addr>) + Send + 'static,
-    ) {
-        let (done_tx, done_rx) = unbounded();
-        self.net
-            .tx(self.pos(server))
-            .send(Input::Configure(Box::new(f), done_tx))
-            .expect("server thread alive");
-        done_rx.recv().expect("configuration applied");
-    }
-
-    /// Publishes a policy version and notifies every replica.
-    pub fn publish_policy(&self, policy: safetx_policy::Policy) {
-        let id = policy.id();
-        let version = policy.version();
-        self.catalog.publish(policy);
-        for server in self.server_ids() {
-            self.configure_server(server, move |core| {
-                core.install_policy(id, version);
-            });
-        }
-    }
-
-    /// Installs a policy version at every replica without publishing a new
-    /// catalog entry.
-    pub fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
-        for server in self.server_ids() {
-            self.configure_server(server, move |core| {
-                core.install_policy(policy, version);
-            });
-        }
-    }
-
-    /// Executes one transaction synchronously: the shared blocking TM loop
-    /// ([`safetx_core::drive_tm`]) drives the sans-io [`TmCore`] state
-    /// machine from the calling thread, over a fresh reply channel. All
-    /// scheme-pipeline and 2PVC logic lives in the core; this cluster only
-    /// carries sends through the fault fabric, decision records to its log
-    /// and master consults to its catalog. Thread-safe: concurrent callers
-    /// contend on the servers' lock managers exactly like concurrent TMs.
-    #[must_use]
-    pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
-        self.run_tm(spec, credentials, None)
-            .expect("no coordinator crash scheduled")
-    }
-
-    /// Executes one transaction whose coordinator dies at the given
-    /// protocol moment (`None` when the crash fired; `Some` when the
-    /// transaction finished before reaching the point). Whatever the
-    /// crash leaves behind — participants blocked on a vote, in-doubt
-    /// after a YES, holding locks for an unheard decision — is resolved
-    /// by [`Cluster::resolve_in_doubt`] against the decision log, which
-    /// the force-before-send discipline keeps authoritative.
-    #[must_use]
-    pub fn execute_with_coordinator_crash(
-        &self,
-        spec: &TransactionSpec,
-        credentials: &[Credential],
-        point: TmCrashPoint,
-    ) -> Option<ExecutionResult> {
-        self.run_tm(spec, credentials, Some(point))
-    }
-
-    fn run_tm(
-        &self,
-        spec: &TransactionSpec,
-        credentials: &[Credential],
-        crash: Option<TmCrashPoint>,
-    ) -> Option<ExecutionResult> {
-        ChannelTm::new(std::slice::from_ref(self), &[0]).run(
-            spec,
-            credentials,
-            crash,
-            (&self.dropped_replies, &self.net.stats.timeout_aborts),
-        )
-    }
-
-    /// Stops all server threads and waits for them.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.stopping.store(true, Ordering::Release);
-        for handle in self.resolvers.lock().expect("resolvers lock").drain(..) {
-            let _ = handle.join();
-        }
-        for i in 0..self.config.servers {
-            let _ = self.net.tx(i).send(Input::Shutdown);
-        }
-        for slot in self.handles.lock().expect("handles lock").iter_mut() {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
-        }
+        self.threads.lock().expect("threads lock")[slot] = Some(thread);
     }
 }
 
-impl Drop for Cluster {
+impl Drop for ChannelLink {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        let slots = self.threads.get_mut().map_or(0, |threads| threads.len());
+        for slot in 0..slots {
+            self.down(slot);
+        }
+        // Teardown runs from `Drop`, which must not panic: a poisoned
+        // registry is still a valid list of handles.
+        let threads = self.threads.get_mut().unwrap_or_else(|e| e.into_inner());
+        for thread in threads.iter_mut().filter_map(Option::take) {
+            let _ = thread.join();
+        }
     }
 }
 
-/// The coordinator's side of one transaction on the channel fabric: a
-/// fresh reply channel, and where the shared TM loop's effects land.
-///
-/// `shards` own equal, contiguous server-id ranges over one shared catalog
-/// and epoch; sends go to the shard owning the server, and decision
-/// records into the log of every shard in `participants` (forced *before*
-/// participants are told, so any shard's recovery inquiry is answered
-/// locally). A plain [`Cluster`] is the one-shard case — which is what
-/// makes a 1-shard deployment byte-identical to it.
-pub(crate) struct ChannelTm<'a> {
-    shards: &'a [Cluster],
-    participants: &'a [usize],
+/// One server thread: blocks for an input, drains up to `batch` protocol
+/// messages already queued, and runs them as one round on the host, whose
+/// replies leave through the fabric. A control input ends the drain — the
+/// round that was open when it arrived completes first, which is the FIFO
+/// guarantee a fence acknowledges. A dead host (crashed by the harness or
+/// by a crash point inside the round) ends the thread, and the inbox —
+/// with whatever is still queued in it — dies with it.
+fn server_thread(host: &Host<Addr>, inbox: &Receiver<Input>, me: &Addr, batch: usize, net: &Net) {
+    let mut round: Vec<(Addr, Msg)> = Vec::new();
+    while let Ok(first) = inbox.recv() {
+        let mut control = None;
+        match first {
+            Input::Proto(from, msg) => round.push((from, msg)),
+            other => control = Some(other),
+        }
+        while control.is_none() && round.len() < batch {
+            match inbox.try_recv() {
+                Ok(Input::Proto(from, msg)) => round.push((from, msg)),
+                Ok(other) => control = Some(other),
+                Err(_) => break,
+            }
+        }
+        if !round.is_empty() && !host.serve(&mut round, |to, msg| net.send_proto(me, to, msg)) {
+            return;
+        }
+        match control {
+            Some(Input::Fence(done)) => {
+                let _ = done.send(());
+            }
+            Some(Input::Shutdown) => return,
+            Some(Input::Proto(..)) | None => {}
+        }
+    }
+}
+
+/// The coordinator's side of one transaction on the channel link: a fresh
+/// reply channel, and the fabrics its sends cross.
+pub struct ChannelTm<'a> {
+    nets: &'a [Arc<Net>],
     me: Addr,
     replies: Receiver<Input>,
 }
 
-impl<'a> ChannelTm<'a> {
-    pub(crate) fn new(shards: &'a [Cluster], participants: &'a [usize]) -> Self {
-        let (me, replies) = Addr::coordinator();
-        ChannelTm {
-            shards,
-            participants,
-            me,
-            replies,
-        }
-    }
-
-    /// Drives `spec` to termination (`None` when the scheduled coordinator
-    /// crash fired first), accounting stale replies and reply-deadline
-    /// aborts into `(dropped_replies, timeout_aborts)`.
-    pub(crate) fn run(
-        mut self,
-        spec: &TransactionSpec,
-        credentials: &[Credential],
-        crash: Option<TmCrashPoint>,
-        (dropped_replies, timeout_aborts): (&AtomicU64, &AtomicU64),
-    ) -> Option<ExecutionResult> {
-        let started = Instant::now();
-        let cluster = &self.shards[0];
-        let (epoch, reply_timeout) = (cluster.epoch, cluster.config.reply_timeout);
-        let now = || now_since(epoch);
-        let core = TmCore::new(
-            cluster.config.tm_config(),
-            spec.clone(),
-            credentials.to_vec(),
-            now(),
-        );
-        let run = drive_tm(&mut self, core, now, reply_timeout, crash)?;
-        Some(ExecutionResult::from_run(
-            run,
-            started,
-            dropped_replies,
-            timeout_aborts,
-        ))
-    }
-
-    fn logs(&self) -> impl Iterator<Item = &'a DecisionLog> + '_ {
-        self.participants
-            .iter()
-            .map(|&shard| &self.shards[shard].decision_log)
-    }
-}
-
 impl TmIo for ChannelTm<'_> {
     fn send(&mut self, server: ServerId, msg: Msg) {
-        let first = &self.shards[0];
-        let owner = server.index().saturating_sub(first.base) / first.config.servers as u64;
-        // An id outside the deployment lands on an edge shard, whose `pos`
-        // names it in its panic.
-        let shard = &self.shards[(owner as usize).min(self.shards.len() - 1)];
-        shard.net.to_server(&self.me, shard.pos(server), msg);
+        let first = &self.nets[0];
+        let owner = server.index().saturating_sub(first.base) / (first.peers as u64 - 1);
+        // An id outside the deployment lands on an edge fabric, whose
+        // `peer_slot` names it in its panic.
+        let net = &self.nets[(owner as usize).min(self.nets.len() - 1)];
+        net.to_server(&self.me, server, msg);
     }
 
     fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
@@ -1093,15 +372,10 @@ impl TmIo for ChannelTm<'_> {
                 Some(t) => self.replies.recv_timeout(t).ok()?,
             };
             // Only servers' protocol traffic reaches a coordinator channel.
-            if let Input::Proto(
-                Addr {
-                    endpoint: Endpoint::Server(from),
-                    ..
-                },
-                msg,
-            ) = input
-            {
-                return Some((from, msg));
+            if let Input::Proto(from, msg) = input {
+                if let Peer::Server(from) = from.endpoint {
+                    return Some((from, msg));
+                }
             }
         }
     }
@@ -1113,115 +387,50 @@ impl TmIo for ChannelTm<'_> {
             }
         }
     }
-
-    // The catalog IS the master here; answer inline from its epoch
-    // snapshot (no map rebuild, no deep clone).
-    fn master_versions(&self) -> Arc<VersionMap> {
-        self.shards[0].catalog.latest_snapshot().1
-    }
-
-    fn force_decision(&mut self, record: CoordinatorRecord) {
-        for log in self.logs() {
-            log.lock().expect("decision log lock").force(record.clone());
-        }
-    }
-
-    fn append_decision(&mut self, record: CoordinatorRecord) {
-        for log in self.logs() {
-            log.lock()
-                .expect("decision log lock")
-                .append(record.clone());
-        }
-    }
 }
 
-fn now_since(epoch: Instant) -> Timestamp {
-    Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
-}
+/// The threaded runtime: the shared control plane over crossbeam
+/// channels, a thread per server.
+pub type Cluster = LinkedCluster<ChannelLink>;
 
-/// Sends a round's outputs, one coalesced send per destination, keyed by
-/// [`Addr::id`] — process-unique per reply channel, which satisfies
-/// [`coalesce_replies`]'s key invariant because this runtime never reuses
-/// a channel across logical peers. A dead peer (a finished coordinator, a
-/// crashed server) is fine to ignore.
-fn send_coalesced(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
-    for (to, msg) in coalesce_replies(outputs, |a| a.id) {
-        net.send_proto(my_addr, &to, msg);
+impl Cluster {
+    /// Spawns the server threads of a standalone cluster.
+    #[must_use]
+    pub fn new(config: ClusterConfig) -> Self {
+        Self::with_topology(config, Topology::fresh())
     }
-}
 
-/// One server thread: blocks for an input, drains up to `server_batch`
-/// protocol messages already queued, and feeds them to the core as one
-/// [`ServerCore::run_round`]. The round's protocol-plane replies leave at
-/// once; then its proof evaluations run here and the replies they feed
-/// follow.
-///
-/// Control inputs act as barriers — the round that was open when one
-/// arrives completes first, then the control input runs, preserving the
-/// FIFO semantics `configure_server` callers (and `resolve_in_doubt`'s
-/// no-op barrier) rely on.
-fn server_loop(
-    mut core: ServerCore<Addr>,
-    rx: Receiver<Input>,
-    my_addr: Addr,
-    epoch: Instant,
-    knobs: ResolvedKnobs,
-    net: Arc<Net>,
-    salvage: Salvage,
-) {
-    let mut round: Vec<(Addr, Msg)> = Vec::new();
-    let crashed = loop {
-        let Ok(first) = rx.recv() else { break false };
-        let mut control = None;
-        match first {
-            Input::Proto(from, msg) => round.push((from, msg)),
-            other => control = Some(other),
-        }
-        while control.is_none() && round.len() < knobs.server_batch {
-            match rx.try_recv() {
-                Ok(Input::Proto(from, msg)) => round.push((from, msg)),
-                Ok(other) => control = Some(other),
-                Err(_) => break,
-            }
-        }
-        if !round.is_empty() {
-            let out = core.run_round(now_since(epoch), round.drain(..));
-            send_coalesced(out.replies, &my_addr, &net);
-            if let Some(deferred) = out.deferred {
-                send_coalesced(deferred.run(now_since(epoch)), &my_addr, &net);
-            }
-        }
-        match control {
-            None => {}
-            Some(Input::Configure(f, done)) => {
-                f(&mut core);
-                let _ = done.send(());
-            }
-            Some(Input::Crash) => break true,
-            Some(Input::Shutdown) => break false,
-            Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
-        }
-    };
-    if crashed {
-        let Endpoint::Server(id) = my_addr.endpoint else {
-            unreachable!("server loops run on server endpoints");
+    /// Spawns the server threads as one cluster of a larger deployment
+    /// described by `topology` (see [`Topology`]). [`Cluster::new`] is the
+    /// standalone special case.
+    #[must_use]
+    pub fn with_topology(config: ClusterConfig, topology: Topology) -> Self {
+        let base = topology.first_server;
+        let link = |hosts: &[_], fabric: &_, knobs: ResolvedKnobs| {
+            ChannelLink::over(hosts, base, fabric, knobs.server_batch)
         };
-        core.crash();
-        net.note_crash();
-        salvage
-            .lock()
-            .expect("salvage lock")
-            .insert(id.index(), core);
+        LinkedCluster::assemble(config, topology, true, link)
+    }
+
+    /// How many server threads are currently running. Reaches zero only
+    /// after shutdown (or drop) has joined every thread.
+    #[must_use]
+    pub fn live_servers(&self) -> usize {
+        self.link().live.load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safetx_policy::{Atom, Constant, PolicyBuilder};
+    use crate::{CrashPoint, CrashRule, FaultPlan};
+    use safetx_core::{AbortReason, ConsistencyLevel, MsgKind, ProofScheme, VersionMap};
+    use safetx_metrics::FaultCounters;
+    use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
     use safetx_store::Value;
-    use safetx_txn::{Decision, Operation, QuerySpec};
-    use safetx_types::{AdminDomain, DataItemId, UserId};
+    use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
+    use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, PolicyVersion, Timestamp, UserId};
+    use std::time::Instant;
 
     fn seeded(cluster: Cluster) -> Cluster {
         let policy = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
@@ -1293,36 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn knobs_resolve_explicit_then_environment_then_default() {
-        let env = |name: &str| match name {
-            "SAFETX_SERVER_BATCH" => Some("16".to_owned()),
-            "SAFETX_CONCURRENCY_MODE" => Some("occ".to_owned()),
-            other => panic!("unexpected variable {other}"),
-        };
-        let explicit = ClusterConfig {
-            server_batch: Some(4),
-            concurrency: Some(ConcurrencyMode::Locking),
-            ..ClusterConfig::default()
-        };
-        let want = |server_batch, concurrency| ResolvedKnobs {
-            server_batch,
-            concurrency,
-        };
-        assert_eq!(
-            explicit.resolve_with(env),
-            want(4, ConcurrencyMode::Locking)
-        );
-        let unset = ClusterConfig::default();
-        assert_eq!(unset.resolve_with(env), want(16, ConcurrencyMode::Occ));
-        // Unset and unparsable variables fall through to the defaults,
-        // and the drain limit is never below one message.
-        let default = want(1, ConcurrencyMode::Locking);
-        assert_eq!(unset.resolve_with(|_| None), default);
-        assert_eq!(unset.resolve_with(|_| Some("many".to_owned())), default);
-        assert_eq!(unset.resolve_with(|_| Some("0".to_owned())).server_batch, 1);
-    }
-
-    #[test]
     fn every_scheme_commits_on_real_threads() {
         for scheme in ProofScheme::ALL {
             for consistency in ConsistencyLevel::ALL {
@@ -1389,7 +568,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
             assert_eq!(cluster.live_servers(), 3);
-            *gauge.lock().unwrap() = Some(cluster.live_servers_gauge());
+            *gauge.lock().unwrap() = Some(Arc::clone(&cluster.link().live));
             // A transaction is in flight state-wise (locks taken and
             // released); then the driver dies without calling shutdown().
             let cred = member_credential(&cluster);
@@ -1409,7 +588,7 @@ mod tests {
     #[test]
     fn shutdown_brings_live_servers_to_zero() {
         let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
-        let gauge = cluster.live_servers_gauge();
+        let gauge = Arc::clone(&cluster.link().live);
         assert_eq!(cluster.live_servers(), 3);
         cluster.shutdown();
         assert_eq!(gauge.load(Ordering::Acquire), 0);
@@ -1466,6 +645,115 @@ mod tests {
         assert!(cluster.execute(&spec(&cluster), &[cred]).is_commit());
         assert_eq!(cluster.fault_counters(), FaultCounters::default());
         assert!(!cluster.decision_log_records().is_empty());
+        cluster.shutdown();
+    }
+
+    /// (disarmed path) With no plan armed a send never reaches the
+    /// applicator: nothing is rolled — every per-edge sequence counter
+    /// stays untouched — and nothing is counted.
+    #[test]
+    fn disarmed_path_never_reaches_the_applicator() {
+        let cluster = cluster(ProofScheme::Continuous, ConsistencyLevel::Global);
+        let cred = member_credential(&cluster);
+        let rolled = |cluster: &Cluster| {
+            let seqs = cluster.link().net.seqs.iter();
+            seqs.map(|seq| seq.load(Ordering::Relaxed)).sum::<u64>()
+        };
+        assert!(cluster
+            .execute(&spec(&cluster), std::slice::from_ref(&cred))
+            .is_commit());
+        assert_eq!(rolled(&cluster), 0);
+        assert_eq!(cluster.fault_counters(), FaultCounters::default());
+        // The counters do witness rolls: an armed (empty) plan moves them.
+        cluster.set_fault_plan(FaultPlan::default());
+        assert!(cluster.execute(&spec(&cluster), &[cred]).is_commit());
+        assert!(rolled(&cluster) > 0);
+        cluster.shutdown();
+    }
+
+    /// (fence) `configure_server` and `resolve_in_doubt` run after every
+    /// message already queued to the server. Presumed-commit decisions are
+    /// unacknowledged, so `execute` returns while the decision may still
+    /// sit in a participant's inbox; a store probe right behind it must see
+    /// the write, and termination must find nothing left to resolve.
+    #[test]
+    fn fence_orders_probes_and_resolution_behind_queued_decisions() {
+        let cluster = seeded(Cluster::new(ClusterConfig {
+            servers: 3,
+            variant: CommitVariant::PresumedCommit,
+            ..ClusterConfig::default()
+        }));
+        let cred = member_credential(&cluster);
+        for committed in 1..=200 {
+            let result = cluster.execute(&spec(&cluster), std::slice::from_ref(&cred));
+            assert!(result.is_commit(), "{:?}", result.outcome);
+            let probe = cluster.configure_server(ServerId::new(1), |core| {
+                core.store().read_int(DataItemId::new(100))
+            });
+            assert_eq!(probe, Some(10 + committed));
+            assert_eq!(cluster.resolve_in_doubt(), 0);
+        }
+        cluster.shutdown();
+    }
+
+    /// (stale inbox) Nothing queued to a server before its crash reaches
+    /// the recovered core: the inbox dies with the incarnation.
+    #[test]
+    fn stale_inbox_dies_with_the_crashed_incarnation() {
+        let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        let victim = ServerId::new(1);
+        let exec = |txn| Msg::ExecQuery {
+            txn: TxnId::new(txn),
+            query_index: 0,
+            query: Arc::new(QuerySpec::new(
+                victim,
+                "write",
+                "records",
+                vec![Operation::Add(DataItemId::new(100), 1)],
+            )),
+            user: UserId::new(1),
+            credentials: Arc::from([]),
+            evaluate_proof: false,
+            pin_versions: VersionMap::new(),
+            capabilities: vec![],
+        };
+        let (me, replies) = Addr::fresh(Peer::Coordinator);
+        let (held, is_held) = unbounded();
+        let (open, gate) = unbounded::<()>();
+        std::thread::scope(|scope| {
+            // Hold the host lock, so what is sent next stays queued: the
+            // server thread takes the first message and blocks in `serve`,
+            // the second waits in the inbox behind it.
+            let cluster = &cluster;
+            scope.spawn(move || {
+                cluster.configure_server(victim, |_| {
+                    held.send(()).expect("main thread waits");
+                    let _ = gate.recv();
+                });
+            });
+            is_held.recv().expect("the lock is held");
+            let net = &cluster.link().net;
+            net.to_server(&me, victim, exec(900));
+            net.to_server(&me, victim, exec(901));
+            // The first message kills the server instead of reaching it.
+            cluster.set_fault_plan(FaultPlan {
+                crashes: vec![CrashRule {
+                    server: victim,
+                    point: CrashPoint::BeforeReceive(MsgKind::ExecQuery),
+                }],
+                ..FaultPlan::default()
+            });
+            open.send(()).expect("the gate is waited on");
+        });
+        // Disarming fences: the crash has fired when this returns.
+        cluster.clear_fault_plan();
+        assert_eq!(cluster.crashed_servers(), vec![victim]);
+        cluster.restart_server(victim);
+        // The probe runs behind whatever the fresh inbox holds — nothing:
+        // neither message reached the recovered core, or anybody.
+        let active = cluster.configure_server(victim, |core| core.active_txns());
+        assert_eq!(active, 0);
+        assert!(replies.try_recv().is_err());
         cluster.shutdown();
     }
 
@@ -1539,7 +827,7 @@ mod tests {
         cluster.set_fault_plan(FaultPlan {
             seed: 0,
             rules: Vec::new(),
-            crashes: vec![crate::fault::CrashRule {
+            crashes: vec![CrashRule {
                 server: ServerId::new(2),
                 point: CrashPoint::AfterSend(MsgKind::CommitReply),
             }],

@@ -1,0 +1,766 @@
+//! The deployment control plane, written once.
+//!
+//! A [`LinkedCluster`] is a set of [`Host`]s, one decision log, one fault
+//! [`Fabric`] and the shared catalog/CAs/epoch, generic over the [`Link`]
+//! that carries protocol messages between a TM and the hosts. Everything a
+//! harness does to a deployment — bootstrap, execute, configure, publish,
+//! crash, restart, resolve, count — is here; a link supplies only how a
+//! message reaches a host and its replies come back ([`Link::open`]), what
+//! a crash and a restart do to that edge ([`Link::down`], [`Link::reap`],
+//! [`Link::up`]), and its transport counters. [`crate::Cluster`] is this
+//! type over crossbeam channels, `safetx_net::NetCluster` over Unix-socket
+//! byte streams, and [`crate::ShardedCluster`] a router over several.
+//!
+//! The object-safe [`Deployment`] trait is that surface as one dispatch
+//! point: harnesses, the service layer and the chaos suites drive any
+//! deployment through `&dyn Deployment`.
+
+use crate::fault::{Fabric, FaultPlan, FaultStats};
+use crate::host::{now_since, Host};
+use crate::PeerAddr;
+use safetx_core::{
+    drive_tm, terminate_leftover, AbortReason, ConcurrencyMode, ConsistencyLevel, Msg, ProofScheme,
+    ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmAuthority, TmConfig, TmCore,
+    TmCrashPoint, TmIo, TransactionView, TxnOutcome, VersionMap,
+};
+use safetx_metrics::{FaultCounters, ProtocolMetrics, RouteCounters, TransportCounters, WalStats};
+use safetx_policy::{CaRegistry, CertificateAuthority, Credential, Policy};
+use safetx_store::{LocalStore, Wal};
+use safetx_txn::{CommitVariant, CoordinatorRecord, Decision, InquiryAnswer, TransactionSpec};
+use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, TxnId};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Cluster configuration.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Number of servers.
+    pub servers: usize,
+    /// Proof-of-authorization scheme.
+    pub scheme: ProofScheme,
+    /// Consistency level.
+    pub consistency: ConsistencyLevel,
+    /// Commit-protocol logging variant.
+    pub variant: CommitVariant,
+    /// How long a TM waits for any single protocol reply before treating
+    /// the round as failed ([`AbortReason::ServerUnavailable`], or — once a
+    /// decision exists — one decision retransmission and then completion
+    /// without the missing acknowledgments).
+    ///
+    /// `None` (the default) blocks forever, the pre-fault-layer behaviour;
+    /// any run that crashes servers or arms a fault plan with drops should
+    /// set it.
+    pub reply_timeout: Option<Duration>,
+    /// Maximum protocol messages a server drains from its queue — a
+    /// channel link's inbox, a socket link's connection buffer — and
+    /// processes as a single round (shared proof-evaluation batch, one WAL
+    /// group commit, coalesced replies). `None` defers to the
+    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — every
+    /// round holds one message.
+    pub server_batch: Option<usize>,
+    /// Simulated cost of one physical WAL sync (spin-waited inside
+    /// `Wal::force`/group close). `None` makes syncs free, the historical
+    /// behaviour; set it to make group commit's sync coalescing visible in
+    /// wall-clock measurements.
+    pub wal_sync_cost: Option<Duration>,
+    /// Concurrency mode of every server: strict no-wait 2PL (`Locking`)
+    /// or snapshot-read optimistic execution validated at the 2PVC vote
+    /// (`Occ`). `None` defers to the `SAFETX_CONCURRENCY_MODE`
+    /// environment variable, then to `Locking` — the exact pre-seam
+    /// behaviour.
+    pub concurrency: Option<ConcurrencyMode>,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        ClusterConfig {
+            servers: 3,
+            scheme: ProofScheme::Deferred,
+            consistency: ConsistencyLevel::View,
+            variant: CommitVariant::Standard,
+            reply_timeout: None,
+            server_batch: None,
+            wal_sync_cost: None,
+            concurrency: None,
+        }
+    }
+}
+
+/// [`ClusterConfig`]'s deferred knobs with every `None` settled: explicit
+/// value, then environment variable, then default. Read once per cluster
+/// build by every deployment of a `ClusterConfig` (threaded, socket,
+/// sharded), so CI can flip a whole battery through the environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolvedKnobs {
+    /// Drain limit of a server's round, at least 1.
+    pub server_batch: usize,
+    /// Concurrency mode of every server.
+    pub concurrency: ConcurrencyMode,
+}
+
+impl ClusterConfig {
+    /// Settles the knobs this configuration leaves to the process
+    /// environment (`SAFETX_SERVER_BATCH`, `SAFETX_CONCURRENCY_MODE`).
+    #[must_use]
+    pub fn resolved(&self) -> ResolvedKnobs {
+        self.resolve_with(|name| std::env::var(name).ok())
+    }
+
+    /// [`ClusterConfig::resolved`] over an explicit environment lookup.
+    /// An unset or unparsable variable falls through to the default.
+    #[must_use]
+    pub fn resolve_with(&self, env: impl Fn(&str) -> Option<String>) -> ResolvedKnobs {
+        let number = |name| env(name).and_then(|v| v.parse::<usize>().ok());
+        ResolvedKnobs {
+            server_batch: self
+                .server_batch
+                .or_else(|| number("SAFETX_SERVER_BATCH"))
+                .unwrap_or(1)
+                .max(1),
+            concurrency: self
+                .concurrency
+                .or_else(|| ConcurrencyMode::parse(&env("SAFETX_CONCURRENCY_MODE")?))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// The protocol configuration every coordinator of this deployment
+    /// runs with.
+    #[must_use]
+    pub fn tm_config(&self) -> TmConfig {
+        TmConfig::new(self.scheme, self.consistency, self.variant)
+    }
+}
+
+/// The outcome of one executed transaction plus wall-clock timing.
+///
+/// Built from the core's `TxnTermination` — the same termination record
+/// the simulator reports as `TxnRecord` — so every runtime derives its
+/// outcome, view, and cost counters from one shared type.
+#[derive(Debug, Clone)]
+pub struct ExecutionResult {
+    /// Commit/abort and the protocol-time instant it was decided.
+    pub outcome: TxnOutcome,
+    /// Wall-clock latency of the whole execution.
+    pub elapsed: std::time::Duration,
+    /// Every proof of authorization the TM saw during this execution,
+    /// recorded for post-hoc audits (Definitions 4–9 in
+    /// `safetx_core::trusted`).
+    pub view: TransactionView,
+    /// How many queries finished executing before the decision (wasted
+    /// work on aborts; equals the query count on commits).
+    pub queries_executed: usize,
+    /// Paper-model cost counters (Table I messages/proofs/rounds), counted
+    /// by the shared [`TmCore`] accounting.
+    pub metrics: ProtocolMetrics,
+}
+
+impl ExecutionResult {
+    /// True when the transaction committed.
+    #[must_use]
+    pub fn is_commit(&self) -> bool {
+        self.outcome.is_commit()
+    }
+}
+
+/// What the clusters of one deployment share, so credentials, policy
+/// versions and timestamps agree everywhere: a sharded deployment hands
+/// each shard the same catalog, certificate authorities and protocol-time
+/// epoch with a disjoint server-id range.
+#[derive(Clone)]
+pub struct Topology {
+    /// First global server id owned by the cluster being built.
+    pub first_server: u64,
+    /// The policy catalog (also the master version server).
+    pub catalog: SharedCatalog,
+    /// The certificate authorities.
+    pub cas: SharedCas,
+    /// Protocol time zero.
+    pub epoch: Instant,
+}
+
+impl Topology {
+    /// A standalone deployment's topology: ids from 0, an empty catalog,
+    /// one certificate authority (`CA0`), the epoch now.
+    #[must_use]
+    pub fn fresh() -> Topology {
+        let mut registry = CaRegistry::new();
+        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
+        Topology {
+            first_server: 0,
+            catalog: SharedCatalog::new(),
+            cas: SharedCas::new(registry),
+            epoch: Instant::now(),
+        }
+    }
+}
+
+/// The coordinator-side decision log shared by every TM (`execute` caller)
+/// of a cluster — what recovery inquiries are answered from, and the
+/// ground truth chaos audits compare server state against.
+pub type DecisionLog = Mutex<Wal<CoordinatorRecord>>;
+
+/// What carries protocol messages between the TMs and the hosts of one
+/// cluster. Server positions are slots `0..servers` in server-id order.
+///
+/// The contract (DESIGN.md §5a): a link delivers what it is given to the
+/// *current* incarnation of a host or loses it — nothing queued before a
+/// crash may reach the recovered core — and it takes its own locks only
+/// under the host lock, never the other way round.
+pub trait Link: Send + Sync + 'static {
+    /// How a host addresses the peers it replies to.
+    type Addr: PeerAddr + Send + 'static;
+    /// A coordinator's end of the link, for one transaction.
+    type Tm<'a>: TmIo
+    where
+        Self: 'a;
+
+    /// Opens the coordinator's end for transaction `txn`.
+    fn open(&self, txn: TxnId) -> Self::Tm<'_>;
+    /// Returns once every message already queued to the server in `slot`
+    /// has been served (links with no queue of their own have nothing to
+    /// wait for). The control plane fences before it touches a core, so
+    /// unacknowledged decisions land before a probe reads the store.
+    fn fence(&self, _slot: usize) {}
+    /// Cuts the edge to the server in `slot` so that nothing blocks on it:
+    /// called before the host lock is asked for its crash.
+    fn down(&self, slot: usize);
+    /// Retires the threads that served the dead incarnation in `slot`.
+    fn reap(&self, slot: usize);
+    /// Brings up a fresh edge to the recovered `host` in `slot`.
+    fn up(&self, slot: usize, host: &Arc<Host<Self::Addr>>);
+    /// The fault plan was disarmed: the network is declared healthy.
+    fn healed(&self) {}
+    /// Transport counters summed over both sides of every edge.
+    fn transport_counters(&self) -> TransportCounters {
+        TransportCounters::default()
+    }
+}
+
+/// A cluster of hosts behind a link; see the module docs.
+pub struct LinkedCluster<L: Link> {
+    config: ClusterConfig,
+    /// `first_server` is 0 for a standalone deployment, a shard's offset
+    /// into the global id space otherwise.
+    pub(crate) topology: Topology,
+    next_txn: AtomicU64,
+    fabric: Arc<Fabric>,
+    /// In-process hosts in slot order; empty when the servers live in
+    /// other processes.
+    hosts: Vec<Arc<Host<L::Addr>>>,
+    /// Boxed: every transaction writes it, and those writes stay off the
+    /// cache lines of the read-mostly fields every send reads.
+    pub(crate) decision_log: Box<DecisionLog>,
+    link: L,
+}
+
+impl<L: Link> LinkedCluster<L> {
+    /// The one bootstrap: builds a host per server when `hosted` — every
+    /// resource mapped to [`PolicyId`] 0, the configured sync cost and
+    /// concurrency mode applied — on a fresh fabric, then the link over
+    /// them.
+    #[must_use]
+    pub fn assemble(
+        config: ClusterConfig,
+        topology: Topology,
+        hosted: bool,
+        link: impl FnOnce(&[Arc<Host<L::Addr>>], &Arc<Fabric>, ResolvedKnobs) -> L,
+    ) -> Self {
+        let knobs = config.resolved();
+        let fabric = Arc::new(Fabric::default());
+        let ids = topology.first_server..topology.first_server + config.servers as u64;
+        let hosts: Vec<_> = ids
+            .filter(|_| hosted)
+            .map(|id| {
+                let mut core = ServerCore::new(
+                    ServerId::new(id),
+                    topology.catalog.clone(),
+                    ResourcePolicyMap::single(PolicyId::new(0)),
+                    topology.cas.clone(),
+                    config.variant,
+                );
+                if let Some(cost) = config.wal_sync_cost {
+                    core.set_wal_sync_cost(cost);
+                }
+                core.set_concurrency(knobs.concurrency);
+                Arc::new(Host::new(core, topology.epoch, Arc::clone(&fabric)))
+            })
+            .collect();
+        let link = link(&hosts, &fabric, knobs);
+        LinkedCluster {
+            config,
+            topology,
+            next_txn: AtomicU64::new(0),
+            fabric,
+            hosts,
+            decision_log: Box::new(Mutex::new(Wal::new())),
+            link,
+        }
+    }
+
+    /// The link carrying this cluster's protocol traffic.
+    #[must_use]
+    pub fn link(&self) -> &L {
+        &self.link
+    }
+
+    /// Slot of a server this cluster owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the id is outside this cluster's range.
+    #[must_use]
+    pub fn slot(&self, server: ServerId) -> usize {
+        let slot = server
+            .index()
+            .checked_sub(self.topology.first_server)
+            .expect("server below this cluster's id range") as usize;
+        assert!(
+            slot < self.config.servers,
+            "server {server} above this cluster's id range"
+        );
+        slot
+    }
+
+    /// The in-process host of `server` and its slot.
+    fn host(&self, server: ServerId) -> (usize, &Arc<Host<L::Addr>>) {
+        let slot = self.slot(server);
+        let host = self
+            .hosts
+            .get(slot)
+            .expect("an in-process host (this cluster's servers run in other processes)");
+        (slot, host)
+    }
+
+    /// Runs `f` on the live core in `slot`, after every message already
+    /// queued to it; `None` while the server is crashed.
+    fn on_core<R>(&self, slot: usize, f: impl FnOnce(&mut ServerCore<L::Addr>) -> R) -> Option<R> {
+        self.link.fence(slot);
+        self.hosts[slot].with_core(f)
+    }
+
+    /// Applies a closure to a server's core between its rounds, after
+    /// every message already queued to it (seed data, install policies,
+    /// add constraints, probe state), and returns what it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the server id is out of range, when the server is
+    /// crashed, or when this cluster's servers run in other processes
+    /// (they configure themselves).
+    pub fn configure_server<R>(
+        &self,
+        server: ServerId,
+        f: impl FnOnce(&mut ServerCore<L::Addr>) -> R,
+    ) -> R {
+        let (slot, _) = self.host(server);
+        self.on_core(slot, f).unwrap_or_else(|| {
+            panic!("server {server} is crashed: restart it before configuring it")
+        })
+    }
+
+    /// Lends the calling thread to one transaction's coordinator.
+    pub(crate) fn coordinate(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+    ) -> Option<ExecutionResult> {
+        let authority = Authority {
+            topology: &self.topology,
+            logs: &[&self.decision_log],
+        };
+        let io = self.link.open(spec.id);
+        authority.run_tm(
+            io,
+            &self.config,
+            spec,
+            credentials,
+            crash,
+            &self.fabric.stats,
+        )
+    }
+
+    /// Stops every thread of the link and the hosts with it.
+    pub fn shutdown(self) {
+        // The link's `Drop` does it.
+    }
+}
+
+/// Where the shared TM loop's control effects land: master consults at
+/// the catalog (the catalog IS the master here; its epoch snapshot answers
+/// inline, no map rebuild, no deep clone) and decision records in every
+/// log recovery may consult.
+pub(crate) struct Authority<'a> {
+    pub(crate) topology: &'a Topology,
+    pub(crate) logs: &'a [&'a DecisionLog],
+}
+
+impl Authority<'_> {
+    /// Drives `spec` to termination over `io` through
+    /// [`safetx_core::drive_tm`] (`None` when the scheduled coordinator
+    /// crash fired first), accounting stale replies and reply-deadline
+    /// aborts into `stats`.
+    pub(crate) fn run_tm(
+        mut self,
+        mut io: impl TmIo,
+        config: &ClusterConfig,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        crash: Option<TmCrashPoint>,
+        stats: &FaultStats,
+    ) -> Option<ExecutionResult> {
+        let started = Instant::now();
+        let now = || now_since(self.topology.epoch);
+        let core = TmCore::new(
+            config.tm_config(),
+            spec.clone(),
+            credentials.to_vec(),
+            now(),
+        );
+        let timeout = config.reply_timeout;
+        let run = drive_tm(&mut io, &mut self, core, now, timeout, crash)?;
+        // Not on a clean run: every send reads the fabric's armed flag,
+        // which shares cache lines with these counters.
+        if run.dropped_replies > 0 {
+            let stale = &stats.stale_replies;
+            stale.fetch_add(run.dropped_replies, Ordering::Relaxed);
+        }
+        if run.termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
+            stats.timeout_aborts.fetch_add(1, Ordering::Relaxed);
+        }
+        let termination = run.termination;
+        Some(ExecutionResult {
+            outcome: termination.outcome,
+            elapsed: started.elapsed(),
+            view: termination.view,
+            queries_executed: termination.queries_executed,
+            metrics: termination.metrics,
+        })
+    }
+}
+
+impl TmAuthority for Authority<'_> {
+    fn master_versions(&self) -> Arc<VersionMap> {
+        self.topology.catalog.latest_snapshot().1
+    }
+
+    fn force_decision(&mut self, record: CoordinatorRecord) {
+        for log in self.logs {
+            log.lock().expect("decision log lock").force(record.clone());
+        }
+    }
+
+    fn append_decision(&mut self, record: CoordinatorRecord) {
+        for log in self.logs {
+            log.lock()
+                .expect("decision log lock")
+                .append(record.clone());
+        }
+    }
+}
+
+/// A running deployment, whatever hosts its servers and carries its
+/// messages: the surface harnesses, the service layer and the chaos suites
+/// drive. Implemented once for every [`LinkedCluster`] and once for
+/// [`crate::ShardedCluster`]; those types also dereference to
+/// `dyn Deployment`, so the methods are callable on them without importing
+/// the trait.
+pub trait Deployment: Send + Sync {
+    /// The cluster configuration (for a sharded deployment: the per-shard
+    /// template every shard was built from).
+    fn config(&self) -> &ClusterConfig;
+    /// The shared policy catalog (also the master version server).
+    fn catalog(&self) -> &SharedCatalog;
+    /// The shared certificate authorities.
+    fn cas(&self) -> &SharedCas;
+    /// A fresh transaction id.
+    fn next_txn_id(&self) -> TxnId;
+    /// The global ids of every server of the deployment, in order.
+    fn server_ids(&self) -> Vec<ServerId>;
+
+    /// Executes one transaction synchronously: the shared blocking TM loop
+    /// ([`safetx_core::drive_tm`]) drives the sans-io [`TmCore`] from the
+    /// calling thread. Thread-safe: concurrent callers contend on the
+    /// servers exactly like concurrent TMs.
+    fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult;
+    /// Executes one transaction whose coordinator dies at the given
+    /// protocol moment (`None` when the crash fired; `Some` when the
+    /// transaction finished before reaching the point). Whatever the
+    /// crash leaves behind — participants blocked on a vote, in-doubt
+    /// after a YES, holding locks for an unheard decision — is resolved
+    /// by [`Deployment::resolve_in_doubt`] against the decision log, which
+    /// the force-before-send discipline keeps authoritative.
+    fn execute_with_coordinator_crash(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        point: TmCrashPoint,
+    ) -> Option<ExecutionResult>;
+
+    /// Publishes a policy version and installs it at every live replica.
+    /// A crashed replica misses the update — the paper's normal case: it
+    /// restarts with its pre-crash version and the next 2PV/2PVC round
+    /// brings it to the master's or the view's version.
+    fn publish_policy(&self, policy: Policy) {
+        let (id, version) = (policy.id(), policy.version());
+        self.catalog().publish(policy);
+        self.install_everywhere(id, version);
+    }
+    /// Installs a policy version at every live replica without publishing
+    /// a new catalog entry.
+    fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion);
+    /// Runs `f` on one server's store, between its rounds.
+    fn with_store(&self, server: ServerId, f: &mut dyn FnMut(&mut LocalStore));
+
+    /// Kills a server as if its process died: volatile state (locks,
+    /// unprepared transactions, the decided memo) is lost, whatever was in
+    /// flight to it is gone, the store and WAL survive. The server is
+    /// crashed when this returns; crashing a crashed server is a no-op.
+    fn crash_server(&self, server: ServerId);
+    /// Restarts a crashed server: rebuilds its protocol state from the
+    /// WAL, tells each in-doubt transaction the decision the coordinator
+    /// log already holds for it, and brings up a fresh edge to it. An
+    /// in-doubt transaction with no logged decision yet stays in doubt —
+    /// its coordinator may still be in flight — until its decision arrives
+    /// or a quiesced [`Deployment::resolve_in_doubt`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the server is not crashed.
+    fn restart_server(&self, server: ServerId);
+    /// Servers currently crashed (awaiting [`Deployment::restart_server`]).
+    fn crashed_servers(&self) -> Vec<ServerId>;
+    /// Drives the participants' termination protocol from the harness
+    /// side: tells every transaction a live server still holds state for
+    /// what [`terminate_leftover`] derives from the coordinator decision
+    /// log, synchronously. Returns how many were resolved.
+    ///
+    /// Only meaningful on a **quiesced** deployment — no `execute` in
+    /// flight.
+    fn resolve_in_doubt(&self) -> usize;
+    /// Every coordinator decision record the deployment holds, oldest
+    /// first (a sharded deployment concatenates its shards' logs; a
+    /// cross-shard transaction's records appear once per participant
+    /// shard).
+    fn decision_log_records(&self) -> Vec<CoordinatorRecord>;
+
+    /// Arms a fault plan: every subsequent protocol send is subject to its
+    /// edge rules and crash points. Replaces any previously armed plan
+    /// (crash points start unfired).
+    fn set_fault_plan(&self, plan: FaultPlan);
+    /// Disarms fault injection once every message already queued to a
+    /// server has been served under the plan; sends go back to the direct
+    /// fast path.
+    fn clear_fault_plan(&self);
+    /// Fault-injection, recovery and failure-detector counters so far.
+    fn fault_counters(&self) -> FaultCounters;
+    /// Aggregated WAL accounting across every server, live or crashed:
+    /// logical forced appends (the paper's Table I log metric, unchanged
+    /// by batching) and the physical device syncs actually performed for
+    /// them. Meaningful on a quiesced deployment.
+    fn wal_stats(&self) -> WalStats;
+    /// Stale replies observed across every execution (acks never count).
+    fn dropped_replies(&self) -> u64;
+    /// Transport counters summed over every edge (all zero unless bytes
+    /// cross a wire).
+    fn transport_counters(&self) -> TransportCounters {
+        TransportCounters::default()
+    }
+    /// Single- vs cross-shard routing counters (all zero on unsharded
+    /// deployments — every transaction is trivially single-"shard").
+    fn route_counters(&self) -> RouteCounters {
+        RouteCounters::default()
+    }
+}
+
+impl<L: Link> Deployment for LinkedCluster<L> {
+    fn config(&self) -> &ClusterConfig {
+        &self.config
+    }
+
+    fn catalog(&self) -> &SharedCatalog {
+        &self.topology.catalog
+    }
+
+    fn cas(&self) -> &SharedCas {
+        &self.topology.cas
+    }
+
+    fn next_txn_id(&self) -> TxnId {
+        TxnId::new(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn server_ids(&self) -> Vec<ServerId> {
+        let first = self.topology.first_server;
+        (first..first + self.config.servers as u64)
+            .map(ServerId::new)
+            .collect()
+    }
+
+    fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
+        self.coordinate(spec, credentials, None)
+            .expect("no coordinator crash scheduled")
+    }
+
+    fn execute_with_coordinator_crash(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        point: TmCrashPoint,
+    ) -> Option<ExecutionResult> {
+        self.coordinate(spec, credentials, Some(point))
+    }
+
+    fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
+        for slot in 0..self.hosts.len() {
+            // `None`: a crashed replica misses the update.
+            let _ = self.on_core(slot, |core| core.install_policy(policy, version));
+        }
+    }
+
+    fn with_store(&self, server: ServerId, f: &mut dyn FnMut(&mut LocalStore)) {
+        self.configure_server(server, |core| f(core.store_mut()));
+    }
+
+    fn crash_server(&self, server: ServerId) {
+        let (slot, host) = self.host(server);
+        self.link.down(slot);
+        host.crash();
+        self.link.reap(slot);
+    }
+
+    fn restart_server(&self, server: ServerId) {
+        let (slot, host) = self.host(server);
+        if host.crashed() {
+            // Stale inbox: the dead incarnation goes before a core exists
+            // that it could feed a pre-crash message to.
+            self.link.reap(slot);
+        }
+        let in_doubt = host.restart();
+        if !in_doubt.is_empty() {
+            // Only explicit decision records answer here: while the
+            // cluster is live a coordinator may still be mid-flight, and a
+            // presumed answer could contradict the decision it is about to
+            // log.
+            let log = self.decision_log.lock().expect("decision log lock");
+            host.terminate_leftovers(|txn, in_doubt| {
+                let answer = InquiryAnswer::Decided(logged_decision(log.records(), txn)?);
+                in_doubt.then_some(Msg::InquiryReply { txn, answer })
+            });
+        }
+        self.link.up(slot, host);
+    }
+
+    fn crashed_servers(&self) -> Vec<ServerId> {
+        let crashed = self.hosts.iter().filter(|host| host.crashed());
+        crashed.map(|host| host.server()).collect()
+    }
+
+    fn resolve_in_doubt(&self) -> usize {
+        let variant = self.config.variant;
+        let resolve = |slot| {
+            self.link.fence(slot);
+            let log = self.decision_log.lock().expect("decision log lock");
+            self.hosts[slot].terminate_leftovers(|txn, in_doubt| {
+                Some(terminate_leftover(txn, in_doubt, variant, log.records()))
+            })
+        };
+        (0..self.hosts.len()).map(resolve).sum()
+    }
+
+    fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
+        let log = self.decision_log.lock().expect("decision log lock");
+        log.records().cloned().collect()
+    }
+
+    fn set_fault_plan(&self, plan: FaultPlan) {
+        self.fabric.arm(plan);
+    }
+
+    fn clear_fault_plan(&self) {
+        // Whatever is already queued was sent under the plan: its crash
+        // points still fire for it.
+        for slot in 0..self.hosts.len() {
+            self.link.fence(slot);
+        }
+        self.fabric.disarm();
+        self.link.healed();
+    }
+
+    fn fault_counters(&self) -> FaultCounters {
+        self.fabric.stats.snapshot()
+    }
+
+    fn wal_stats(&self) -> WalStats {
+        let mut total = WalStats::default();
+        for (slot, host) in self.hosts.iter().enumerate() {
+            self.link.fence(slot);
+            total.merge(&host.wal_stats());
+        }
+        total
+    }
+
+    fn dropped_replies(&self) -> u64 {
+        self.fabric.stats.stale_replies.load(Ordering::Relaxed)
+    }
+
+    fn transport_counters(&self) -> TransportCounters {
+        self.link.transport_counters()
+    }
+}
+
+impl<L: Link> std::ops::Deref for LinkedCluster<L> {
+    type Target = dyn Deployment;
+
+    fn deref(&self) -> &Self::Target {
+        self
+    }
+}
+
+/// The explicit `Decision` record the coordinator log holds for `txn`.
+fn logged_decision<'a>(
+    records: impl IntoIterator<Item = &'a CoordinatorRecord>,
+    txn: TxnId,
+) -> Option<Decision> {
+    records.into_iter().find_map(|record| match record {
+        CoordinatorRecord::Decision { txn: t, decision } if *t == txn => Some(*decision),
+        _ => None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_resolve_explicit_then_environment_then_default() {
+        let env = |name: &str| match name {
+            "SAFETX_SERVER_BATCH" => Some("16".to_owned()),
+            "SAFETX_CONCURRENCY_MODE" => Some("occ".to_owned()),
+            other => panic!("unexpected variable {other}"),
+        };
+        let explicit = ClusterConfig {
+            server_batch: Some(4),
+            concurrency: Some(ConcurrencyMode::Locking),
+            ..ClusterConfig::default()
+        };
+        let want = |server_batch, concurrency| ResolvedKnobs {
+            server_batch,
+            concurrency,
+        };
+        assert_eq!(
+            explicit.resolve_with(env),
+            want(4, ConcurrencyMode::Locking)
+        );
+        let unset = ClusterConfig::default();
+        assert_eq!(unset.resolve_with(env), want(16, ConcurrencyMode::Occ));
+        // Unset and unparsable variables fall through to the defaults,
+        // and the drain limit is never below one message.
+        let default = want(1, ConcurrencyMode::Locking);
+        assert_eq!(unset.resolve_with(|_| None), default);
+        assert_eq!(unset.resolve_with(|_| Some("many".to_owned())), default);
+        assert_eq!(unset.resolve_with(|_| Some("0".to_owned())).server_batch, 1);
+    }
+}

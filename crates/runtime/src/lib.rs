@@ -1,26 +1,37 @@
-//! Threaded in-process deployment of the safetx protocols.
+//! Hosting for the safetx protocols — one server host, one deployment
+//! control plane, one fault plan — and the threaded deployment built from
+//! them.
 //!
 //! The protocol logic in `safetx-core` is sans-io: [`ServerCore`] consumes
-//! messages and returns messages, and `safetx_core::TmCore` owns the whole
-//! coordinator lifecycle — scheme pipelines, version pinning, 2PV, 2PVC,
-//! forced logging, Table I accounting and both timeout paths — as a pure
-//! `step(now, TmEvent) -> Vec<TmEffect>` machine. The loops that drive
-//! them live in the core too — `ServerCore::run_round` for a server,
-//! `safetx_core::drive_tm` for a TM — so this crate is a transport: one
-//! thread per cloud server draining a crossbeam channel into rounds, and
-//! [`Cluster::execute`] lending the calling thread and a fresh reply
-//! channel to the TM loop, carrying its sends through the fault fabric,
-//! its decision records to the log and its master consults to the
-//! catalog. The failure detector is the loop's per-reply deadline
-//! (`ClusterConfig::reply_timeout`), whose firing the core maps to
-//! `AbortReason::ServerUnavailable`.
+//! messages and returns messages, `safetx_core::TmCore` owns the whole
+//! coordinator lifecycle as a pure `step(now, TmEvent) -> Vec<TmEffect>`
+//! machine, and the loops that drive them live in the core too
+//! (`ServerCore::run_round`, `safetx_core::drive_tm`). This crate runs
+//! them for real, and every deployment shares what it runs them on:
 //!
-//! The discrete-event simulator remains the *measurement* harness (it
-//! counts messages deterministically); this runtime demonstrates that the
-//! protocol cores are runtime-agnostic and exercises them under true
-//! concurrency, including lock contention between parallel callers. Because
-//! both runtimes drive the same core, `tests/differential.rs` holds them to
-//! identical outcomes, counters and proof views on identical inputs.
+//! * [`Host`] — one cloud server behind a lock. Whoever received a
+//!   round's messages runs the round on it; crash, restart (the one
+//!   `recover_from_wal` call site), WAL accounting and leftover
+//!   termination are plain methods under the same lock.
+//! * [`LinkedCluster`] and [`Deployment`] — the control plane (bootstrap,
+//!   `execute`, `configure_server`, `publish_policy`, crash/restart,
+//!   `resolve_in_doubt`, the decision log, every counter), generic over
+//!   the [`Link`] that carries messages between TMs and hosts, and that
+//!   surface as an object-safe trait.
+//! * [`FaultPlan`] / [`Fabric`] — the one seeded fault schedule. Crash
+//!   points fire in [`Host::serve`]; edge rules are applied where a link
+//!   sends — per message here, per frame in `safetx-net`.
+//!
+//! [`Cluster`] is the control plane over the [`ChannelLink`]: one thread
+//! per cloud server draining a crossbeam inbox into rounds, and `execute`
+//! lending the calling thread and a fresh reply channel to the TM loop,
+//! whose per-reply deadline (`ClusterConfig::reply_timeout`) is the
+//! failure detector. [`ShardedCluster`] routes over several `Cluster`s;
+//! `safetx_net::NetCluster` is the same control plane over Unix-socket
+//! byte streams. Because every runtime drives the same cores,
+//! `tests/differential.rs` holds them — and the simulator, which remains
+//! the *measurement* harness — to identical outcomes, counters and proof
+//! views on identical inputs.
 //!
 //! # Examples
 //!
@@ -42,11 +53,21 @@
 #![warn(missing_docs)]
 
 mod cluster;
+mod deployment;
 mod fault;
+mod host;
 mod shard;
 
-pub use cluster::{Addr, Cluster, ClusterConfig, ExecutionResult, ResolvedKnobs};
-pub use fault::{CrashPoint, CrashRule, EdgeRule, FaultPlan, Peer, PeerMatch};
+pub use cluster::{Addr, ChannelLink, ChannelTm, Cluster};
+pub use deployment::{
+    ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, ResolvedKnobs,
+    Topology,
+};
+pub use fault::{
+    roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, FaultStats, Layer,
+    Peer, PeerMatch, Verdict,
+};
+pub use host::{now_since, Host, PeerAddr};
 pub use shard::{ShardedCluster, ShardedConfig, TxnRoute};
 
 // `MsgKind` and `TmCrashPoint` moved into the core with the shared TM loop;

@@ -22,16 +22,19 @@
 //! to servers, and contiguous server ranges belong to shards, so a
 //! hash/range key partition is exactly a server partition.
 
-use crate::cluster::{ChannelTm, Cluster, ClusterConfig, ExecutionResult};
-use crate::fault::FaultPlan;
-use safetx_core::{SharedCas, SharedCatalog, TmCrashPoint};
+use crate::cluster::{Addr, ChannelLink, Cluster, Net};
+use crate::deployment::{
+    Authority, ClusterConfig, DecisionLog, Deployment, ExecutionResult, Topology,
+};
+use crate::fault::{FaultPlan, FaultStats};
+use safetx_core::{ServerCore, SharedCas, SharedCatalog, TmCrashPoint};
 use safetx_metrics::{FaultCounters, Histogram, RouteCounters, WalStats};
-use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
+use safetx_policy::Credential;
+use safetx_store::LocalStore;
 use safetx_txn::{CoordinatorRecord, TransactionSpec};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, TxnId};
+use safetx_types::{PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// Sharded deployment configuration.
 #[derive(Debug, Clone)]
@@ -71,28 +74,14 @@ impl TxnRoute {
     }
 }
 
-/// Per-class routing counters (atomic mirror of [`RouteCounters`]).
+/// Counters and wall-clock latency of one routing class.
 #[derive(Default)]
-struct RouteStats {
-    single_submitted: AtomicU64,
-    single_commits: AtomicU64,
-    single_aborts: AtomicU64,
-    cross_submitted: AtomicU64,
-    cross_commits: AtomicU64,
-    cross_aborts: AtomicU64,
-}
-
-impl RouteStats {
-    fn snapshot(&self) -> RouteCounters {
-        RouteCounters {
-            single_shard_submitted: self.single_submitted.load(Ordering::Relaxed),
-            single_shard_commits: self.single_commits.load(Ordering::Relaxed),
-            single_shard_aborts: self.single_aborts.load(Ordering::Relaxed),
-            cross_shard_submitted: self.cross_submitted.load(Ordering::Relaxed),
-            cross_shard_commits: self.cross_commits.load(Ordering::Relaxed),
-            cross_shard_aborts: self.cross_aborts.load(Ordering::Relaxed),
-        }
-    }
+struct RouteClass {
+    submitted: AtomicU64,
+    commits: AtomicU64,
+    aborts: AtomicU64,
+    /// Milliseconds, one sample per execution.
+    latency_ms: Mutex<Histogram>,
 }
 
 /// A partitioned deployment: `shards` independent [`Cluster`]s over one
@@ -100,25 +89,21 @@ impl RouteStats {
 pub struct ShardedCluster {
     config: ShardedConfig,
     shards: Vec<Cluster>,
-    catalog: SharedCatalog,
-    cas: SharedCas,
+    /// Every shard's message fabric, in shard order: what a cross-shard
+    /// coordinator's sends cross.
+    nets: Vec<Arc<Net>>,
     next_txn: AtomicU64,
-    route: RouteStats,
-    /// Stale replies observed by cross-shard coordinators (per-shard
-    /// drivers count into their own cluster).
-    cross_dropped: AtomicU64,
-    /// Reply-deadline aborts taken by cross-shard coordinators.
-    cross_timeout_aborts: AtomicU64,
-    /// Wall-clock latency of single-shard executions, milliseconds.
-    single_latency_ms: Mutex<Histogram>,
-    /// Wall-clock latency of cross-shard executions, milliseconds.
-    cross_latency_ms: Mutex<Histogram>,
+    single: RouteClass,
+    cross: RouteClass,
+    /// Stale replies and reply-deadline aborts of cross-shard coordinators
+    /// (per-shard drivers count into their own cluster).
+    cross_stats: FaultStats,
 }
 
 impl ShardedCluster {
-    /// Spawns every shard. One certificate authority (`CA0`) is registered
-    /// in the shared registry; every resource maps to [`PolicyId`] 0 —
-    /// the same bootstrap as [`Cluster::new`].
+    /// Spawns every shard over one shared [`Topology`] — the same
+    /// bootstrap as [`Cluster::new`], with a disjoint server-id range per
+    /// shard.
     ///
     /// # Panics
     ///
@@ -130,48 +115,26 @@ impl ShardedCluster {
             config.cluster.servers > 0,
             "at least one server per shard required"
         );
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
-        let epoch = Instant::now();
+        let shared = Topology::fresh();
         let per_shard = config.cluster.servers as u64;
-        let shards = (0..config.shards)
+        let shards: Vec<Cluster> = (0..config.shards as u64)
             .map(|s| {
-                Cluster::with_topology(
-                    config.cluster.clone(),
-                    s as u64 * per_shard,
-                    catalog.clone(),
-                    cas.clone(),
-                    epoch,
-                )
+                let topology = Topology {
+                    first_server: s * per_shard,
+                    ..shared.clone()
+                };
+                Cluster::with_topology(config.cluster.clone(), topology)
             })
             .collect();
         ShardedCluster {
+            nets: shards.iter().map(|s| Arc::clone(&s.link().net)).collect(),
             config,
             shards,
-            catalog,
-            cas,
             next_txn: AtomicU64::new(0),
-            route: RouteStats::default(),
-            cross_dropped: AtomicU64::new(0),
-            cross_timeout_aborts: AtomicU64::new(0),
-            single_latency_ms: Mutex::new(Histogram::new()),
-            cross_latency_ms: Mutex::new(Histogram::new()),
+            single: RouteClass::default(),
+            cross: RouteClass::default(),
+            cross_stats: FaultStats::default(),
         }
-    }
-
-    /// The deployment configuration.
-    #[must_use]
-    pub fn sharded_config(&self) -> &ShardedConfig {
-        &self.config
-    }
-
-    /// The per-shard cluster template (scheme, consistency, variant,
-    /// timeouts) — the protocol configuration every coordinator runs with.
-    #[must_use]
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config.cluster
     }
 
     /// Number of shards.
@@ -192,7 +155,8 @@ impl ShardedCluster {
         self.shards() * self.servers_per_shard()
     }
 
-    /// One shard's cluster (for audits, probes and tests).
+    /// One shard's cluster (for audits, probes and tests — its decision
+    /// log holds the records of every transaction the shard took part in).
     ///
     /// # Panics
     ///
@@ -217,6 +181,10 @@ impl ShardedCluster {
         shard
     }
 
+    fn owner(&self, server: ServerId) -> &Cluster {
+        &self.shards[self.shard_of(server)]
+    }
+
     /// Classifies a transaction by the shards its queries touch.
     ///
     /// # Panics
@@ -238,232 +206,49 @@ impl ShardedCluster {
         }
     }
 
-    /// The shared policy catalog.
-    #[must_use]
-    pub fn catalog(&self) -> &SharedCatalog {
-        &self.catalog
-    }
-
-    /// The shared certificate authorities.
-    #[must_use]
-    pub fn cas(&self) -> &SharedCas {
-        &self.cas
-    }
-
-    /// A fresh transaction id (one sequence across all shards).
-    #[must_use]
-    pub fn next_txn_id(&self) -> TxnId {
-        TxnId::new(self.next_txn.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Executes one transaction, routing it by its participant set:
-    /// single-shard specs run verbatim through their shard's
-    /// [`Cluster::execute`]; cross-shard specs are driven by this
-    /// coordinator through the same shared TM loop across the union of
-    /// participant servers.
-    #[must_use]
-    pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
-        match self.route_of(spec) {
-            TxnRoute::Single(shard) => {
-                self.route.single_submitted.fetch_add(1, Ordering::Relaxed);
-                let result = self.shards[shard].execute(spec, credentials);
-                if result.is_commit() {
-                    self.route.single_commits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.route.single_aborts.fetch_add(1, Ordering::Relaxed);
-                }
-                self.single_latency_ms
-                    .lock()
-                    .expect("latency lock")
-                    .record(result.elapsed.as_secs_f64() * 1_000.0);
-                result
-            }
-            TxnRoute::Cross(participants) => {
-                self.route.cross_submitted.fetch_add(1, Ordering::Relaxed);
-                let result = self
-                    .run_cross_shard(&participants, spec, credentials, None)
-                    .expect("no coordinator crash scheduled");
-                if result.is_commit() {
-                    self.route.cross_commits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.route.cross_aborts.fetch_add(1, Ordering::Relaxed);
-                }
-                self.cross_latency_ms
-                    .lock()
-                    .expect("latency lock")
-                    .record(result.elapsed.as_secs_f64() * 1_000.0);
-                result
-            }
-        }
-    }
-
-    /// Executes one transaction whose coordinator dies at the given
-    /// protocol moment — the single-shard TM or the cross-shard
-    /// coordinator, whichever the route selects. Returns `None` when the
-    /// crash fired (`Some` when the transaction finished first). Route
-    /// counters and latency histograms are deliberately not touched: a
-    /// dead coordinator reports nothing.
-    ///
-    /// For a cross-shard victim this is the scenario the replicated
-    /// decision logs exist for: every `ForceLog` record was written to
-    /// **each** participant shard's log before any send, so each shard's
-    /// [`Cluster::resolve_in_doubt`] terminates its own participants
-    /// locally — no shard ever wedges on a dead remote coordinator.
-    #[must_use]
-    pub fn execute_with_coordinator_crash(
+    /// Runs one transaction where its route says: a single-shard spec
+    /// verbatim through its shard's own TM path — no cross-shard
+    /// coordination of any kind — and a cross-shard spec through the same
+    /// shared TM loop across every shard's fabric, with each decision
+    /// record replicated into every participant shard's log (forced
+    /// *before* participants are told, so any shard's recovery inquiry is
+    /// answered locally).
+    fn coordinate(
         &self,
-        spec: &TransactionSpec,
-        credentials: &[Credential],
-        point: TmCrashPoint,
-    ) -> Option<ExecutionResult> {
-        match self.route_of(spec) {
-            TxnRoute::Single(shard) => {
-                self.shards[shard].execute_with_coordinator_crash(spec, credentials, point)
-            }
-            TxnRoute::Cross(participants) => {
-                self.run_cross_shard(&participants, spec, credentials, Some(point))
-            }
-        }
-    }
-
-    /// The cross-shard coordinator: the shared TM loop over every shard,
-    /// with each decision record replicated into every participant
-    /// shard's log.
-    fn run_cross_shard(
-        &self,
-        participants: &[usize],
+        route: &TxnRoute,
         spec: &TransactionSpec,
         credentials: &[Credential],
         crash: Option<TmCrashPoint>,
     ) -> Option<ExecutionResult> {
-        ChannelTm::new(&self.shards, participants).run(
-            spec,
-            credentials,
-            crash,
-            (&self.cross_dropped, &self.cross_timeout_aborts),
-        )
+        let participants = match route {
+            TxnRoute::Single(shard) => {
+                return self.shards[*shard].coordinate(spec, credentials, crash)
+            }
+            TxnRoute::Cross(participants) => participants,
+        };
+        let logs: Vec<&DecisionLog> = participants
+            .iter()
+            .map(|&shard| &*self.shards[shard].decision_log)
+            .collect();
+        let authority = Authority {
+            topology: &self.shards[0].topology,
+            logs: &logs,
+        };
+        let (io, config) = (ChannelLink::open_over(&self.nets), &self.config.cluster);
+        authority.run_tm(io, config, spec, credentials, crash, &self.cross_stats)
     }
 
-    /// Arms the same fault plan on every shard's message fabric. Edge
-    /// rules apply within each shard (cross-matching by peer); a crash
-    /// rule fires on whichever shard owns the victim server (global ids
-    /// are disjoint across shards, so exactly one fabric can match it).
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        for shard in &self.shards {
-            shard.set_fault_plan(plan.clone());
-        }
-    }
-
-    /// Disarms every shard's fault fabric.
-    pub fn clear_fault_plan(&self) {
-        for shard in &self.shards {
-            shard.clear_fault_plan();
-        }
-    }
-
-    /// Publishes a policy version once to the shared catalog and notifies
-    /// every replica in every shard.
-    pub fn publish_policy(&self, policy: safetx_policy::Policy) {
-        let id = policy.id();
-        let version = policy.version();
-        self.catalog.publish(policy);
-        for shard in &self.shards {
-            shard.install_everywhere(id, version);
-        }
-    }
-
-    /// Installs a policy version at every replica of every shard without
-    /// publishing a new catalog entry.
-    pub fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
-        for shard in &self.shards {
-            shard.install_everywhere(policy, version);
-        }
-    }
-
-    /// Applies a configuration closure on the owning shard's server thread
-    /// and waits for it.
-    pub fn configure_server(
+    /// Applies a closure to a server's core on its owning shard (see
+    /// [`Cluster::configure_server`]).
+    pub fn configure_server<R>(
         &self,
         server: ServerId,
-        f: impl FnOnce(&mut safetx_core::ServerCore<crate::Addr>) + Send + 'static,
-    ) {
-        self.shards[self.shard_of(server)].configure_server(server, f);
+        f: impl FnOnce(&mut ServerCore<Addr>) -> R,
+    ) -> R {
+        self.owner(server).configure_server(server, f)
     }
 
-    /// Kills a server thread (see [`Cluster::crash_server`]).
-    pub fn crash_server(&self, server: ServerId) {
-        self.shards[self.shard_of(server)].crash_server(server);
-    }
-
-    /// Restarts a crashed server (see [`Cluster::restart_server`]).
-    pub fn restart_server(&self, server: ServerId) {
-        self.shards[self.shard_of(server)].restart_server(server);
-    }
-
-    /// Servers currently crashed, across every shard.
-    #[must_use]
-    pub fn crashed_servers(&self) -> Vec<ServerId> {
-        self.shards
-            .iter()
-            .flat_map(Cluster::crashed_servers)
-            .collect()
-    }
-
-    /// Resolves in-doubt transactions on every shard's quiesced servers
-    /// from that shard's decision log; returns the total resolved.
-    pub fn resolve_in_doubt(&self) -> usize {
-        self.shards.iter().map(Cluster::resolve_in_doubt).sum()
-    }
-
-    /// One shard's coordinator decision log, oldest record first. A
-    /// cross-shard transaction's records appear in **every** participant
-    /// shard's log.
-    #[must_use]
-    pub fn decision_log_records(&self, shard: usize) -> Vec<CoordinatorRecord> {
-        self.shards[shard].decision_log_records()
-    }
-
-    /// Stale replies observed across every shard's drivers and every
-    /// cross-shard coordinator.
-    #[must_use]
-    pub fn dropped_replies(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(Cluster::dropped_replies)
-            .sum::<u64>()
-            + self.cross_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Fault and recovery counters merged over every shard, plus the
-    /// cross-shard coordinators' reply-deadline aborts.
-    #[must_use]
-    pub fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for shard in &self.shards {
-            total.merge(&shard.fault_counters());
-        }
-        total.timeout_aborts += self.cross_timeout_aborts.load(Ordering::Relaxed);
-        total
-    }
-
-    /// WAL accounting merged over every server of every shard. Meaningful
-    /// on a quiesced deployment, like [`Cluster::wal_stats`].
-    #[must_use]
-    pub fn wal_stats(&self) -> WalStats {
-        let mut total = WalStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.wal_stats());
-        }
-        total
-    }
-
-    /// Single- vs cross-shard submission/commit/abort counters.
-    #[must_use]
-    pub fn route_counters(&self) -> RouteCounters {
-        self.route.snapshot()
-    }
-
-    /// Wall-clock latency split: (single-shard, cross-shard) histograms in
+    /// Single- vs cross-shard wall-clock latency histograms in
     /// milliseconds, one sample per execution.
     ///
     /// # Panics
@@ -471,23 +256,171 @@ impl ShardedCluster {
     /// Panics when a latency mutex is poisoned.
     #[must_use]
     pub fn route_latency_ms(&self) -> (Histogram, Histogram) {
-        (
-            self.single_latency_ms.lock().expect("latency lock").clone(),
-            self.cross_latency_ms.lock().expect("latency lock").clone(),
-        )
-    }
-
-    /// Server threads currently running, across every shard.
-    #[must_use]
-    pub fn live_servers(&self) -> usize {
-        self.shards.iter().map(Cluster::live_servers).sum()
+        let of = |class: &RouteClass| class.latency_ms.lock().expect("latency lock").clone();
+        (of(&self.single), of(&self.cross))
     }
 
     /// Stops every shard's server threads and waits for them.
     pub fn shutdown(self) {
-        for shard in self.shards {
-            shard.shutdown();
+        // The shards' `Drop` does it.
+    }
+}
+
+/// The sharded aggregation of the control plane: routed by owner where a
+/// method names a server, summed or concatenated over the shards where it
+/// names none.
+impl Deployment for ShardedCluster {
+    fn config(&self) -> &ClusterConfig {
+        &self.config.cluster
+    }
+
+    fn catalog(&self) -> &SharedCatalog {
+        self.shards[0].catalog()
+    }
+
+    fn cas(&self) -> &SharedCas {
+        self.shards[0].cas()
+    }
+
+    /// One sequence across all shards.
+    fn next_txn_id(&self) -> TxnId {
+        TxnId::new(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn server_ids(&self) -> Vec<ServerId> {
+        (0..self.total_servers() as u64)
+            .map(ServerId::new)
+            .collect()
+    }
+
+    fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
+        let route = self.route_of(spec);
+        let class = if route.is_single() {
+            &self.single
+        } else {
+            &self.cross
+        };
+        class.submitted.fetch_add(1, Ordering::Relaxed);
+        let result = self
+            .coordinate(&route, spec, credentials, None)
+            .expect("no coordinator crash scheduled");
+        let outcome = if result.is_commit() {
+            &class.commits
+        } else {
+            &class.aborts
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        let mut latency = class.latency_ms.lock().expect("latency lock");
+        latency.record(result.elapsed.as_secs_f64() * 1_000.0);
+        result
+    }
+
+    /// The victim is the single-shard TM or the cross-shard coordinator,
+    /// whichever the route selects. Route counters and latency histograms
+    /// are deliberately not touched: a dead coordinator reports nothing.
+    ///
+    /// For a cross-shard victim this is the scenario the replicated
+    /// decision logs exist for: every `ForceLog` record was written to
+    /// **each** participant shard's log before any send, so each shard
+    /// terminates its own participants locally — no shard ever wedges on a
+    /// dead remote coordinator.
+    fn execute_with_coordinator_crash(
+        &self,
+        spec: &TransactionSpec,
+        credentials: &[Credential],
+        point: TmCrashPoint,
+    ) -> Option<ExecutionResult> {
+        self.coordinate(&self.route_of(spec), spec, credentials, Some(point))
+    }
+
+    fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
+        for shard in &self.shards {
+            shard.install_everywhere(policy, version);
         }
+    }
+
+    fn with_store(&self, server: ServerId, f: &mut dyn FnMut(&mut LocalStore)) {
+        self.owner(server).with_store(server, f);
+    }
+
+    fn crash_server(&self, server: ServerId) {
+        self.owner(server).crash_server(server);
+    }
+
+    fn restart_server(&self, server: ServerId) {
+        self.owner(server).restart_server(server);
+    }
+
+    fn crashed_servers(&self) -> Vec<ServerId> {
+        let crashed = self.shards.iter().map(|shard| shard.crashed_servers());
+        crashed.flatten().collect()
+    }
+
+    /// Each shard resolves its own servers from its own decision log.
+    fn resolve_in_doubt(&self) -> usize {
+        self.shards.iter().map(|s| s.resolve_in_doubt()).sum()
+    }
+
+    fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
+        let logs = self.shards.iter().map(|s| s.decision_log_records());
+        logs.flatten().collect()
+    }
+
+    /// The same plan on every shard's fabric. Edge rules apply within each
+    /// shard (cross-matching by peer); a crash rule fires on whichever
+    /// shard owns the victim server (global ids are disjoint across
+    /// shards, so exactly one fabric can match it).
+    fn set_fault_plan(&self, plan: FaultPlan) {
+        for shard in &self.shards {
+            shard.set_fault_plan(plan.clone());
+        }
+    }
+
+    fn clear_fault_plan(&self) {
+        for shard in &self.shards {
+            shard.clear_fault_plan();
+        }
+    }
+
+    fn fault_counters(&self) -> FaultCounters {
+        let mut total = self.cross_stats.snapshot();
+        for shard in &self.shards {
+            total.merge(&shard.fault_counters());
+        }
+        total
+    }
+
+    fn wal_stats(&self) -> WalStats {
+        let mut total = WalStats::default();
+        for shard in &self.shards {
+            total.merge(&shard.wal_stats());
+        }
+        total
+    }
+
+    fn dropped_replies(&self) -> u64 {
+        let shards: u64 = self.shards.iter().map(|s| s.dropped_replies()).sum();
+        shards + self.cross_stats.stale_replies.load(Ordering::Relaxed)
+    }
+
+    fn route_counters(&self) -> RouteCounters {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        RouteCounters {
+            single_shard_submitted: get(&self.single.submitted),
+            single_shard_commits: get(&self.single.commits),
+            single_shard_aborts: get(&self.single.aborts),
+            cross_shard_submitted: get(&self.cross.submitted),
+            cross_shard_commits: get(&self.cross.commits),
+            cross_shard_aborts: get(&self.cross.aborts),
+        }
+    }
+}
+
+impl std::ops::Deref for ShardedCluster {
+    type Target = dyn Deployment;
+
+    fn deref(&self) -> &Self::Target {
+        self
     }
 }
 
@@ -497,7 +430,7 @@ mod tests {
     use safetx_core::{AbortReason, ConsistencyLevel, ProofScheme};
     use safetx_policy::{Atom, Constant, PolicyBuilder};
     use safetx_txn::{CommitVariant, Operation, QuerySpec};
-    use safetx_types::{AdminDomain, DataItemId, Timestamp, UserId};
+    use safetx_types::{AdminDomain, CaId, DataItemId, Timestamp, UserId};
 
     fn sharded(shards: usize, servers: usize) -> ShardedCluster {
         let cluster = ShardedCluster::new(ShardedConfig {
@@ -581,8 +514,8 @@ mod tests {
         assert_eq!(counters.single_shard_commits, 1);
         assert_eq!(counters.cross_shard_submitted, 0);
         // The decision was logged only in the owning shard.
-        assert!(cluster.decision_log_records(0).is_empty());
-        assert!(!cluster.decision_log_records(1).is_empty());
+        assert!(cluster.shard(0).decision_log_records().is_empty());
+        assert!(!cluster.shard(1).decision_log_records().is_empty());
         cluster.shutdown();
     }
 
@@ -596,10 +529,10 @@ mod tests {
         assert_eq!(counters.cross_shard_commits, 1);
         assert!(counters.conserves());
         // Both participant shards hold the full decision record set.
-        assert!(!cluster.decision_log_records(0).is_empty());
+        assert!(!cluster.shard(0).decision_log_records().is_empty());
         assert_eq!(
-            cluster.decision_log_records(0).len(),
-            cluster.decision_log_records(1).len()
+            cluster.shard(0).decision_log_records().len(),
+            cluster.shard(1).decision_log_records().len()
         );
         // The writes landed on both shards.
         for server in [0u64, 2] {

@@ -50,32 +50,32 @@ pub struct ServiceStats {
     pub retry_timeouts: u64,
     /// Coordinator-side protocol inputs received but matched by no pending
     /// round (stale replies after an abort). Sourced from
-    /// [`safetx_runtime::Cluster::dropped_replies`]; timing-dependent, so
+    /// [`safetx_runtime::Deployment::dropped_replies`]; timing-dependent, so
     /// excluded from the conservation invariant.
     pub dropped_replies: u64,
     /// Fault-injection and recovery counters from the cluster's message
     /// fabric (all zero when no fault plan was armed and nothing crashed).
-    /// Sourced from [`safetx_runtime::Cluster::fault_counters`]; like
+    /// Sourced from [`safetx_runtime::Deployment::fault_counters`]; like
     /// `dropped_replies`, outside the conservation invariant.
     pub faults: FaultCounters,
     /// Aggregated WAL accounting across the cluster's servers: logical
     /// forced appends (the paper's Table I log metric) and the physical
     /// device syncs performed for them (fewer under group commit). Sourced
-    /// from [`safetx_runtime::Cluster::wal_stats`]; like `faults`, outside
+    /// from [`safetx_runtime::Deployment::wal_stats`]; like `faults`, outside
     /// the conservation invariant.
     pub wal: WalStats,
     /// Transport accounting summed over every edge of the backend: frames
     /// and bytes in both directions, reconnects and decode errors. All
     /// zero on the threaded backend (no wire). Sourced from
-    /// `RuntimeKind::transport_counters`; like `faults`, outside the
-    /// conservation invariant.
+    /// [`safetx_runtime::Deployment::transport_counters`]; like `faults`,
+    /// outside the conservation invariant.
     pub transport: TransportCounters,
     /// Single- vs cross-shard routing outcomes from a sharded backend
     /// (all zero on unsharded backends). Sourced from
-    /// `RuntimeKind::route_counters`; counted at the router, so routed
-    /// submissions ≠ service submissions when retries re-execute — hence
-    /// outside the conservation invariant here (the router has its own:
-    /// [`RouteCounters::conserves`]).
+    /// [`safetx_runtime::Deployment::route_counters`]; counted at the
+    /// router, so routed submissions ≠ service submissions when retries
+    /// re-execute — hence outside the conservation invariant here (the
+    /// router has its own: [`RouteCounters::conserves`]).
     pub route: RouteCounters,
     /// End-to-end latency of committed transactions, in milliseconds
     /// (submission to commit, including queueing and retries).

@@ -5,22 +5,20 @@ use crate::admission::{AdmissionError, AdmissionQueue};
 use crate::report::ServiceStats;
 use crate::retry::{classify, Disposition, RetryPolicy};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use safetx_core::{AbortReason, SharedCas, SharedCatalog, TransactionView, TxnOutcome};
-use safetx_metrics::{FaultCounters, RouteCounters, TransportCounters, WalStats};
+use safetx_core::{AbortReason, TransactionView, TxnOutcome};
 use safetx_net::NetCluster;
 use safetx_policy::Credential;
-use safetx_runtime::{Cluster, ClusterConfig, ExecutionResult, ShardedCluster};
+use safetx_runtime::{Cluster, Deployment, ShardedCluster};
 use safetx_txn::TransactionSpec;
-use safetx_types::TxnId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The execution backend a service drives: the same protocol state
-/// machines deployed either over in-process channels or over real byte
-/// streams. Every method delegates to the matching cluster; the service
-/// layer above is identical for both.
+/// machines deployed over in-process channels, over real byte streams, or
+/// partitioned. Dereferences to the backend's [`Deployment`] — the one
+/// dispatch point; the service layer above is identical for all three.
 #[derive(Clone)]
 pub enum RuntimeKind {
     /// The threaded runtime: messages move as in-memory objects over
@@ -35,114 +33,14 @@ pub enum RuntimeKind {
     Sharded(Arc<ShardedCluster>),
 }
 
-impl RuntimeKind {
-    /// Executes one transaction synchronously on the backend.
-    #[must_use]
-    pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
-        match self {
-            RuntimeKind::Threaded(c) => c.execute(spec, credentials),
-            RuntimeKind::Net(c) => c.execute(spec, credentials),
-            RuntimeKind::Sharded(c) => c.execute(spec, credentials),
-        }
-    }
+impl std::ops::Deref for RuntimeKind {
+    type Target = dyn Deployment;
 
-    /// A fresh transaction id.
-    #[must_use]
-    pub fn next_txn_id(&self) -> TxnId {
+    fn deref(&self) -> &Self::Target {
         match self {
-            RuntimeKind::Threaded(c) => c.next_txn_id(),
-            RuntimeKind::Net(c) => c.next_txn_id(),
-            RuntimeKind::Sharded(c) => c.next_txn_id(),
-        }
-    }
-
-    /// The backend's cluster configuration (for the sharded backend: the
-    /// per-shard template every shard was built from).
-    #[must_use]
-    pub fn config(&self) -> &ClusterConfig {
-        match self {
-            RuntimeKind::Threaded(c) => c.config(),
-            RuntimeKind::Net(c) => c.config(),
-            RuntimeKind::Sharded(c) => c.config(),
-        }
-    }
-
-    /// The shared policy catalog.
-    #[must_use]
-    pub fn catalog(&self) -> &SharedCatalog {
-        match self {
-            RuntimeKind::Threaded(c) => c.catalog(),
-            RuntimeKind::Net(c) => c.catalog(),
-            RuntimeKind::Sharded(c) => c.catalog(),
-        }
-    }
-
-    /// The shared certificate authorities.
-    #[must_use]
-    pub fn cas(&self) -> &SharedCas {
-        match self {
-            RuntimeKind::Threaded(c) => c.cas(),
-            RuntimeKind::Net(c) => c.cas(),
-            RuntimeKind::Sharded(c) => c.cas(),
-        }
-    }
-
-    /// Publishes a policy version and notifies every replica.
-    pub fn publish_policy(&self, policy: safetx_policy::Policy) {
-        match self {
-            RuntimeKind::Threaded(c) => c.publish_policy(policy),
-            RuntimeKind::Net(c) => c.publish_policy(policy),
-            RuntimeKind::Sharded(c) => c.publish_policy(policy),
-        }
-    }
-
-    /// Stale replies observed across every execution.
-    #[must_use]
-    pub fn dropped_replies(&self) -> u64 {
-        match self {
-            RuntimeKind::Threaded(c) => c.dropped_replies(),
-            RuntimeKind::Net(c) => c.dropped_replies(),
-            RuntimeKind::Sharded(c) => c.dropped_replies(),
-        }
-    }
-
-    /// Failure counters from the backend's fabric.
-    #[must_use]
-    pub fn fault_counters(&self) -> FaultCounters {
-        match self {
-            RuntimeKind::Threaded(c) => c.fault_counters(),
-            RuntimeKind::Net(c) => c.fault_counters(),
-            RuntimeKind::Sharded(c) => c.fault_counters(),
-        }
-    }
-
-    /// Aggregated WAL accounting across the backend's servers.
-    #[must_use]
-    pub fn wal_stats(&self) -> WalStats {
-        match self {
-            RuntimeKind::Threaded(c) => c.wal_stats(),
-            RuntimeKind::Net(c) => c.wal_stats(),
-            RuntimeKind::Sharded(c) => c.wal_stats(),
-        }
-    }
-
-    /// Transport counters summed over every edge (all zero on the
-    /// threaded and sharded backends — no bytes cross a wire there).
-    #[must_use]
-    pub fn transport_counters(&self) -> TransportCounters {
-        match self {
-            RuntimeKind::Threaded(_) | RuntimeKind::Sharded(_) => TransportCounters::default(),
-            RuntimeKind::Net(c) => c.transport_counters(),
-        }
-    }
-
-    /// Single- vs cross-shard routing counters (all zero on unsharded
-    /// backends — every transaction is trivially single-"shard" there).
-    #[must_use]
-    pub fn route_counters(&self) -> RouteCounters {
-        match self {
-            RuntimeKind::Threaded(_) | RuntimeKind::Net(_) => RouteCounters::default(),
-            RuntimeKind::Sharded(c) => c.route_counters(),
+            RuntimeKind::Threaded(cluster) => &***cluster,
+            RuntimeKind::Net(cluster) => &****cluster,
+            RuntimeKind::Sharded(cluster) => &***cluster,
         }
     }
 }

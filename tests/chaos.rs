@@ -25,15 +25,15 @@
 //! outcome streams on the same workload — the differential-oracle
 //! property restated through this harness.
 
-use safetx_core::{trusted, ConsistencyLevel, ProofScheme, ServerCore, TxnOutcome};
-use safetx_net::{NetCluster, NetFaultPlan};
+use safetx_core::{trusted, ConsistencyLevel, ProofScheme, TxnOutcome};
+use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
 use safetx_runtime::{
-    Cluster, ClusterConfig, CrashPoint, CrashRule, ExecutionResult, FaultPlan, MsgKind,
-    ShardedCluster, ShardedConfig,
+    Cluster, ClusterConfig, CrashPoint, CrashRule, Deployment, FaultPlan, MsgKind, ShardedCluster,
+    ShardedConfig,
 };
 use safetx_service::{RetryPolicy, ServiceConfig, TxnService};
-use safetx_store::Value;
+use safetx_store::{LocalStore, Value};
 use safetx_txn::{
     CommitVariant, CoordinatorRecord, Decision, Operation, QuerySpec, TransactionSpec,
 };
@@ -84,244 +84,99 @@ impl Runtime {
     }
 }
 
-/// Writes the well-known seed value into every audited slot. Generic over
-/// the runtime's address type: the store surface does not depend on it.
-fn seed_core<A: Clone>(core: &mut ServerCore<A>, s: u64) {
-    for j in 0..ITEMS_PER_SERVER {
-        core.store_mut().write(
-            DataItemId::new(s * 100 + j),
-            Value::Int(SEED_VALUE),
-            Timestamp::ZERO,
-        );
+/// The schedule's cluster configuration for `seed`.
+fn config(scheme: ProofScheme, consistency: ConsistencyLevel, seed: u64) -> ClusterConfig {
+    ClusterConfig {
+        servers: SERVERS,
+        scheme,
+        consistency,
+        variant: VARIANTS[(seed % 3) as usize],
+        // Generous against the plans' ≤2 ms injected delays, small
+        // enough that dropped-message timeouts don't dominate.
+        reply_timeout: Some(Duration::from_millis(10)),
+        ..Default::default()
     }
 }
 
-/// Reads every audited slot back for the post-run store audit.
-fn probe_core<A: Clone>(core: &ServerCore<A>, s: u64) -> Vec<(u64, Option<i64>)> {
-    (0..ITEMS_PER_SERVER)
-        .map(|j| {
-            (
-                s * 100 + j,
-                core.store().read_int(DataItemId::new(s * 100 + j)),
-            )
-        })
-        .collect()
-}
-
-/// One of the three deployments behind a uniform chaos-harness surface.
-/// Every method forwards to the runtime's own crash/recovery/fault API,
-/// so the same schedule driver and the same audits run against all of
-/// them.
-enum AnyCluster {
-    Threaded(Cluster),
-    Net(NetCluster),
-    Sharded(ShardedCluster),
-}
-
-impl AnyCluster {
-    fn build(
-        runtime: Runtime,
-        scheme: ProofScheme,
-        consistency: ConsistencyLevel,
-        seed: u64,
-    ) -> Self {
-        let config = ClusterConfig {
-            servers: SERVERS,
-            scheme,
-            consistency,
-            variant: VARIANTS[(seed % 3) as usize],
-            // Generous against the plans' ≤2 ms injected delays, small
-            // enough that dropped-message timeouts don't dominate.
-            reply_timeout: Some(Duration::from_millis(10)),
-            ..Default::default()
-        };
-        let cluster = match runtime {
-            Runtime::Threaded => AnyCluster::Threaded(Cluster::new(config)),
-            Runtime::Net => AnyCluster::Net(NetCluster::new(config)),
-            Runtime::Sharded => AnyCluster::Sharded(ShardedCluster::new(ShardedConfig {
-                shards: SHARDS,
-                cluster: ClusterConfig {
-                    servers: SERVERS_PER_SHARD,
-                    ..config
-                },
-            })),
-        };
-        let policy = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
-            .rules_text(
-                "grant(read, records) :- role(U, member).\n\
-                 grant(write, records) :- role(U, member).",
-            )
-            .expect("rules parse")
-            .build();
-        cluster.publish_policy(policy);
-        for s in 0..cluster.servers() {
-            cluster.seed_items(s);
-        }
-        cluster
-    }
-
-    /// Total server count (across every shard for the sharded runtime).
-    fn servers(&self) -> u64 {
-        match self {
-            AnyCluster::Threaded(_) | AnyCluster::Net(_) => SERVERS as u64,
-            AnyCluster::Sharded(c) => c.total_servers() as u64,
-        }
-    }
-
-    fn publish_policy(&self, policy: safetx_policy::Policy) {
-        match self {
-            AnyCluster::Threaded(c) => c.publish_policy(policy),
-            AnyCluster::Net(c) => c.publish_policy(policy),
-            AnyCluster::Sharded(c) => c.publish_policy(policy),
-        }
-    }
-
-    fn cas(&self) -> &safetx_core::SharedCas {
-        match self {
-            AnyCluster::Threaded(c) => c.cas(),
-            AnyCluster::Net(c) => c.cas(),
-            AnyCluster::Sharded(c) => c.cas(),
-        }
-    }
-
-    fn catalog(&self) -> &safetx_core::SharedCatalog {
-        match self {
-            AnyCluster::Threaded(c) => c.catalog(),
-            AnyCluster::Net(c) => c.catalog(),
-            AnyCluster::Sharded(c) => c.catalog(),
-        }
-    }
-
-    fn next_txn_id(&self) -> TxnId {
-        match self {
-            AnyCluster::Threaded(c) => c.next_txn_id(),
-            AnyCluster::Net(c) => c.next_txn_id(),
-            AnyCluster::Sharded(c) => c.next_txn_id(),
-        }
-    }
-
-    fn seed_items(&self, s: u64) {
-        match self {
-            AnyCluster::Threaded(c) => {
-                c.configure_server(ServerId::new(s), move |core| seed_core(core, s));
-            }
-            AnyCluster::Net(c) => {
-                c.configure_server(ServerId::new(s), move |core| seed_core(core, s));
-            }
-            AnyCluster::Sharded(c) => {
-                c.configure_server(ServerId::new(s), move |core| seed_core(core, s));
-            }
-        }
-    }
-
-    /// Reads the audited slots of server `s` on its own thread and waits
-    /// for the values.
-    fn probe_items(&self, s: u64) -> Vec<(u64, Option<i64>)> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        match self {
-            AnyCluster::Threaded(c) => c.configure_server(ServerId::new(s), move |core| {
-                let _ = tx.send(probe_core(core, s));
-            }),
-            AnyCluster::Net(c) => c.configure_server(ServerId::new(s), move |core| {
-                let _ = tx.send(probe_core(core, s));
-            }),
-            AnyCluster::Sharded(c) => c.configure_server(ServerId::new(s), move |core| {
-                let _ = tx.send(probe_core(core, s));
-            }),
-        }
-        rx.recv().expect("probe reply")
-    }
-
-    fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
-        match self {
-            AnyCluster::Threaded(c) => c.execute(spec, credentials),
-            AnyCluster::Net(c) => c.execute(spec, credentials),
-            AnyCluster::Sharded(c) => c.execute(spec, credentials),
-        }
-    }
-
-    /// Arms the runtime's fault fabric with the seed's chaos mix plus the
-    /// schedule's crash rules. The threaded and sharded runtimes inject
-    /// at the channel layer ([`FaultPlan`]); the net runtime injects at
-    /// the frame layer ([`NetFaultPlan`]), which adds byte corruption,
-    /// mid-frame truncation and hard disconnects to the mix.
-    fn set_chaos_plan(&self, seed: u64) {
-        let crashes = crash_rules(seed, self.servers());
-        match self {
-            AnyCluster::Threaded(c) => {
-                let mut plan = FaultPlan::chaos(seed);
-                plan.crashes = crashes;
-                c.set_fault_plan(plan);
-            }
-            AnyCluster::Net(c) => {
-                let mut plan = NetFaultPlan::chaos(seed);
-                plan.crashes = crashes;
-                c.set_fault_plan(plan);
-            }
-            AnyCluster::Sharded(c) => {
-                let mut plan = FaultPlan::chaos(seed);
-                plan.crashes = crashes;
-                c.set_fault_plan(plan);
-            }
-        }
-    }
-
-    fn clear_fault_plan(&self) {
-        match self {
-            AnyCluster::Threaded(c) => c.clear_fault_plan(),
-            AnyCluster::Net(c) => c.clear_fault_plan(),
-            AnyCluster::Sharded(c) => c.clear_fault_plan(),
-        }
-    }
-
-    fn crashed_servers(&self) -> Vec<ServerId> {
-        match self {
-            AnyCluster::Threaded(c) => c.crashed_servers(),
-            AnyCluster::Net(c) => c.crashed_servers(),
-            AnyCluster::Sharded(c) => c.crashed_servers(),
-        }
-    }
-
-    fn restart_server(&self, server: ServerId) {
-        match self {
-            AnyCluster::Threaded(c) => c.restart_server(server),
-            AnyCluster::Net(c) => c.restart_server(server),
-            AnyCluster::Sharded(c) => c.restart_server(server),
-        }
-    }
-
-    fn resolve_in_doubt(&self) -> usize {
-        match self {
-            AnyCluster::Threaded(c) => c.resolve_in_doubt(),
-            AnyCluster::Net(c) => c.resolve_in_doubt(),
-            AnyCluster::Sharded(c) => c.resolve_in_doubt(),
-        }
-    }
-
-    /// Every coordinator decision record the deployment holds. For the
-    /// sharded runtime this concatenates all shard logs; a cross-shard
-    /// transaction's records are replicated into each participant
-    /// shard's log, so the concatenation sees them at least once.
-    fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
-        match self {
-            AnyCluster::Threaded(c) => c.decision_log_records(),
-            AnyCluster::Net(c) => c.decision_log_records(),
-            AnyCluster::Sharded(c) => (0..c.shards())
-                .flat_map(|i| c.decision_log_records(i))
-                .collect(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            AnyCluster::Threaded(c) => c.shutdown(),
-            AnyCluster::Net(c) => c.shutdown(),
-            AnyCluster::Sharded(c) => c.shutdown(),
-        }
+/// Runs `run` on one of the three deployments behind the uniform
+/// [`Deployment`] surface, policy published and every audited slot
+/// seeded: the same schedule driver and the same audits run against all of
+/// them. The deployment shuts down when `run` returns.
+fn with_cluster<R>(
+    runtime: Runtime,
+    scheme: ProofScheme,
+    consistency: ConsistencyLevel,
+    seed: u64,
+    run: impl FnOnce(&dyn Deployment) -> R,
+) -> R {
+    let config = config(scheme, consistency, seed);
+    let seeded = |cluster: &dyn Deployment| {
+        seed_cluster(cluster);
+        run(cluster)
+    };
+    match runtime {
+        Runtime::Threaded => seeded(&Cluster::new(config)),
+        Runtime::Net => seeded(&*NetCluster::new(config)),
+        Runtime::Sharded => seeded(&ShardedCluster::new(ShardedConfig {
+            shards: SHARDS,
+            cluster: ClusterConfig {
+                servers: SERVERS_PER_SHARD,
+                ..config
+            },
+        })),
     }
 }
 
-fn member_credential(cluster: &AnyCluster) -> Credential {
+/// Publishes the write policy and writes the well-known seed value into
+/// every audited slot.
+fn seed_cluster(cluster: &dyn Deployment) {
+    let policy = PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+        .rules_text(
+            "grant(read, records) :- role(U, member).\n\
+             grant(write, records) :- role(U, member).",
+        )
+        .expect("rules parse")
+        .build();
+    cluster.publish_policy(policy);
+    for server in cluster.server_ids() {
+        let s = server.index();
+        cluster.with_store(server, &mut |store: &mut LocalStore| {
+            for j in 0..ITEMS_PER_SERVER {
+                store.write(
+                    DataItemId::new(s * 100 + j),
+                    Value::Int(SEED_VALUE),
+                    Timestamp::ZERO,
+                );
+            }
+        });
+    }
+}
+
+/// Reads every audited slot of `server` back for the post-run store
+/// audit.
+fn probe_items(cluster: &dyn Deployment, server: ServerId) -> Vec<(u64, Option<i64>)> {
+    let s = server.index();
+    let mut items = Vec::new();
+    cluster.with_store(server, &mut |store: &mut LocalStore| {
+        items = (0..ITEMS_PER_SERVER)
+            .map(|j| (s * 100 + j, store.read_int(DataItemId::new(s * 100 + j))))
+            .collect();
+    });
+    items
+}
+
+/// Arms the deployment's fault fabric with the seed's chaos mix plus the
+/// schedule's crash rules: one [`FaultPlan`] for every runtime. The
+/// threaded and sharded runtimes apply it at the message layer; the net
+/// runtime applies it at the frame layer, where the same plan adds byte
+/// corruption, mid-frame truncation and hard disconnects to the mix.
+fn set_chaos_plan(cluster: &dyn Deployment, seed: u64) {
+    let mut plan = FaultPlan::chaos(seed);
+    plan.crashes = crash_rules(seed, cluster.server_ids().len() as u64);
+    cluster.set_fault_plan(plan);
+}
+
+fn member_credential(cluster: &dyn Deployment) -> Credential {
     cluster.cas().with_mut(|registry| {
         registry.ca_mut(CaId::new(0)).unwrap().issue(
             UserId::new(1),
@@ -340,17 +195,16 @@ fn member_credential(cluster: &AnyCluster) -> Credential {
 /// cross-shard transaction (all servers) and a single-shard one, so both
 /// the local 2PV/2PVC path and the cross-shard coordinator face the
 /// fault schedule.
-fn participants(cluster: &AnyCluster, i: u64) -> Vec<u64> {
-    match cluster {
-        AnyCluster::Threaded(_) | AnyCluster::Net(_) => (0..cluster.servers()).collect(),
-        AnyCluster::Sharded(c) => {
-            if i.is_multiple_of(2) {
-                (0..cluster.servers()).collect()
-            } else {
-                let per = c.servers_per_shard() as u64;
-                let base = ((i / 2) % c.shards() as u64) * per;
-                (base..base + per).collect()
-            }
+fn participants(runtime: Runtime, i: u64) -> Vec<u64> {
+    match runtime {
+        Runtime::Threaded | Runtime::Net => (0..SERVERS as u64).collect(),
+        Runtime::Sharded if i.is_multiple_of(2) => {
+            (0..(SHARDS * SERVERS_PER_SHARD) as u64).collect()
+        }
+        Runtime::Sharded => {
+            let per = SERVERS_PER_SHARD as u64;
+            let base = ((i / 2) % SHARDS as u64) * per;
+            (base..base + per).collect()
         }
     }
 }
@@ -358,7 +212,7 @@ fn participants(cluster: &AnyCluster, i: u64) -> Vec<u64> {
 /// One write per participant server, all on the same slot — commits move
 /// the participants' items in lockstep, which makes the post-run store
 /// audit exact.
-fn spec(cluster: &AnyCluster, servers: &[u64], slot: u64) -> TransactionSpec {
+fn spec(cluster: &dyn Deployment, servers: &[u64], slot: u64) -> TransactionSpec {
     let queries = servers
         .iter()
         .map(|&s| {
@@ -406,19 +260,30 @@ fn run_schedule(
     consistency: ConsistencyLevel,
     seed: u64,
 ) -> (u64, u64) {
-    let cluster = AnyCluster::build(runtime, scheme, consistency, seed);
+    with_cluster(runtime, scheme, consistency, seed, |cluster| {
+        schedule_on(cluster, runtime, scheme, consistency, seed)
+    })
+}
+
+fn schedule_on(
+    cluster: &dyn Deployment,
+    runtime: Runtime,
+    scheme: ProofScheme,
+    consistency: ConsistencyLevel,
+    seed: u64,
+) -> (u64, u64) {
     let name = runtime.label();
-    let cred = member_credential(&cluster);
+    let cred = member_credential(cluster);
     let authority = cluster.catalog().latest_versions();
-    cluster.set_chaos_plan(seed);
+    set_chaos_plan(cluster, seed);
 
     let mut committed: Vec<TxnId> = Vec::new();
     let mut aborted: Vec<TxnId> = Vec::new();
     let mut expected_delta: HashMap<u64, i64> = HashMap::new();
     for i in 0..TXNS_PER_SCHEDULE {
         let slot = (seed.wrapping_add(i)) % ITEMS_PER_SERVER;
-        let servers = participants(&cluster, i);
-        let spec = spec(&cluster, &servers, slot);
+        let servers = participants(runtime, i);
+        let spec = spec(cluster, &servers, slot);
         let txn = spec.id;
         let result = cluster.execute(&spec, std::slice::from_ref(&cred));
         if result.is_commit() {
@@ -474,8 +339,8 @@ fn run_schedule(
 
     // Store consistency: each replica's items carry exactly the committed
     // deltas — crashes, drops, duplicates and truncations included.
-    for s in 0..cluster.servers() {
-        for (item, value) in cluster.probe_items(s) {
+    for server in cluster.server_ids() {
+        for (item, value) in probe_items(cluster, server) {
             let expected = SEED_VALUE + expected_delta.get(&item).copied().unwrap_or(0);
             assert_eq!(
                 value,
@@ -485,9 +350,7 @@ fn run_schedule(
         }
     }
 
-    let out = (committed.len() as u64, aborted.len() as u64);
-    cluster.shutdown();
-    out
+    (committed.len() as u64, aborted.len() as u64)
 }
 
 /// The full sweep for one runtime: every scheme × consistency cell,
@@ -553,8 +416,17 @@ fn sharded_chaos_sweep_preserves_safety_and_store_consistency() {
 #[test]
 fn faults_disabled_runs_are_byte_identical_across_runtimes_and_replays() {
     fn outcome_stream(runtime: Runtime) -> String {
-        let cluster = AnyCluster::build(runtime, ProofScheme::Deferred, ConsistencyLevel::View, 0);
-        let cred = member_credential(&cluster);
+        with_cluster(
+            runtime,
+            ProofScheme::Deferred,
+            ConsistencyLevel::View,
+            0,
+            stream_on,
+        )
+    }
+
+    fn stream_on(cluster: &dyn Deployment) -> String {
+        let cred = member_credential(cluster);
         let mut stream = String::new();
         for i in 0..TXNS_PER_SCHEDULE {
             let slot = i % ITEMS_PER_SERVER;
@@ -562,7 +434,7 @@ fn faults_disabled_runs_are_byte_identical_across_runtimes_and_replays() {
             // `SERVERS` servers, which the sharded deployment spreads
             // over both shards (cross-shard every time).
             let servers: Vec<u64> = (0..SERVERS as u64).collect();
-            let spec = spec(&cluster, &servers, slot);
+            let spec = spec(cluster, &servers, slot);
             let result = cluster.execute(&spec, std::slice::from_ref(&cred));
             match &result.outcome {
                 TxnOutcome::Committed { .. } => stream.push_str("commit\n"),
@@ -571,7 +443,6 @@ fn faults_disabled_runs_are_byte_identical_across_runtimes_and_replays() {
                 }
             }
         }
-        cluster.shutdown();
         stream
     }
 
@@ -598,18 +469,11 @@ fn faults_disabled_runs_are_byte_identical_across_runtimes_and_replays() {
 #[test]
 fn service_under_chaos_conserves_and_surfaces_fault_counters() {
     for seed in [11u64, 42, 97] {
-        let built = AnyCluster::build(
-            Runtime::Threaded,
-            ProofScheme::Deferred,
-            ConsistencyLevel::View,
-            seed,
-        );
-        let cred = member_credential(&built);
-        let authority = built.catalog().latest_versions();
-        let AnyCluster::Threaded(threaded) = built else {
-            unreachable!()
-        };
-        let cluster = Arc::new(threaded);
+        let config = config(ProofScheme::Deferred, ConsistencyLevel::View, seed);
+        let cluster = Arc::new(Cluster::new(config));
+        seed_cluster(&**cluster);
+        let cred = member_credential(&**cluster);
+        let authority = cluster.catalog().latest_versions();
         cluster.set_fault_plan(FaultPlan::chaos(seed));
         let service = TxnService::new(
             cluster.clone(),

@@ -429,7 +429,7 @@ fn cross_shard_matrix_is_safe_and_conserves() {
                 let member = side.credential("member");
                 let authority = cluster.catalog().latest_versions();
                 let log_before: Vec<usize> = (0..shards)
-                    .map(|s| cluster.decision_log_records(s).len())
+                    .map(|s| cluster.shard(s).decision_log_records().len())
                     .collect();
 
                 let mut submitted = 0u64;
@@ -488,7 +488,7 @@ fn cross_shard_matrix_is_safe_and_conserves() {
                 // Every participant shard's decision log must have grown
                 // for each cross-shard commit it took part in.
                 for (s, &count) in cross_commits_by_shard.iter().enumerate() {
-                    let grown = cluster.decision_log_records(s).len() - log_before[s];
+                    let grown = cluster.shard(s).decision_log_records().len() - log_before[s];
                     assert!(
                         grown >= count,
                         "{shards}/{scheme}/{consistency}: shard {s} logged {grown} decisions \

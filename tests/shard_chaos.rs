@@ -171,7 +171,7 @@ fn run_cell(shards: usize, point: TmCrashPoint, variant: CommitVariant) {
     // Decision-log agreement: every participant shard holds the same
     // view of the orphan — all of them or none of them saw the decision.
     let decisions: Vec<Option<Decision>> = (0..shards)
-        .map(|i| logged_decision(&cluster.decision_log_records(i), txn))
+        .map(|i| logged_decision(&cluster.shard(i).decision_log_records(), txn))
         .collect();
     for (i, d) in decisions.iter().enumerate() {
         assert_eq!(
@@ -276,7 +276,7 @@ fn single_shard_coordinator_crash_resolves_locally() {
         std::thread::sleep(Duration::from_millis(2));
         cluster.resolve_in_doubt();
 
-        let decision = logged_decision(&cluster.decision_log_records(0), txn);
+        let decision = logged_decision(&cluster.shard(0).decision_log_records(), txn);
         let expected = match decision {
             Some(Decision::Commit) => SEED_VALUE + 1,
             _ => SEED_VALUE,
