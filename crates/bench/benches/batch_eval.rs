@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for batched proof evaluation: one server
 //! round's worth of requests through `DataPlane::begin_batch` against the
-//! same requests through per-request `evaluate_one` calls.
+//! same requests through per-request `evaluate_one` calls (each a batch of
+//! one).
 //!
 //! The proof cache is disabled so both paths do real work: the looped path
 //! re-fetches the policy, re-checks the credential wallet and re-runs the

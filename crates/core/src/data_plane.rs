@@ -1,13 +1,13 @@
 //! The shareable data plane of a cloud server: certificate-authority
-//! handle, policy versions, the proof cache and proof evaluation — one
-//! proof at a time ([`DataPlane::evaluate_one`]) or a whole server round
-//! at once ([`BatchEval`]).
+//! handle, policy versions, the proof cache and proof evaluation, all of
+//! it through one evaluator — [`BatchEval`], over a whole server round or
+//! over one proof ([`DataPlane::evaluate_one`]).
 
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::validation::VersionMap;
 use safetx_policy::{
-    evaluate_proof, AccessRequest, CaRegistry, Credential, CredentialStatus, Engine, FactBase,
-    ProofContext, ProofOfAuthorization, ProofOutcome, StatusOracle, SyntacticCheck,
+    AccessRequest, CaRegistry, Credential, CredentialStatus, Engine, FactBase,
+    ProofOfAuthorization, ProofOutcome, StatusOracle, SyntacticCheck,
 };
 use safetx_txn::QuerySpec;
 use safetx_types::{CredentialId, PolicyId, PolicyVersion, ServerId, Timestamp, UserId};
@@ -203,8 +203,8 @@ pub struct DataPlane {
     /// Versions of each policy currently installed at this replica.
     installed: RwLock<VersionMap>,
     proof_cache: Mutex<ProofCache>,
-    /// Mirrors `proof_cache.disabled` so the evaluation fast path can skip
-    /// key construction and the cache mutex entirely when caching is off.
+    /// Mirrors `proof_cache.disabled` so evaluation can skip the cache
+    /// mutex entirely when caching is off.
     cache_enabled: AtomicBool,
     /// Proof evaluations performed (cache hits included).
     proofs: AtomicU64,
@@ -366,21 +366,7 @@ impl DataPlane {
     }
 
     /// Evaluates the proof of authorization for one query at the currently
-    /// installed policy version.
-    ///
-    /// Consults the per-server proof cache first: a hit returns the cached
-    /// decision without running the Datalog engine or the credential status
-    /// oracle, but still counts as a proof evaluation in
-    /// [`crate::ServerCounters::proofs`] — the paper's Table I cost model is about
-    /// *how many* proofs each scheme demands, not how fast one is computed.
-    ///
-    /// The cache lock is **not** held across the engine run: a flush that
-    /// lands mid-evaluation is detected via the cache's flush sequence,
-    /// discarding the stale insert. Concurrent misses on the same key from
-    /// *different* rounds still evaluate redundantly (benign — same
-    /// answer); misses within one server round are deduplicated by
-    /// [`BatchEval`], which evaluates each distinct key once and serves the
-    /// rest of the round from its result.
+    /// installed policy version: a [`BatchEval`] of one.
     pub fn evaluate_one(
         &self,
         now: Timestamp,
@@ -388,85 +374,7 @@ impl DataPlane {
         credentials: &[Credential],
         query: &QuerySpec,
     ) -> ProofOfAuthorization {
-        let (policy_id, version) = self.governing(&query.resource);
-        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
-        // When the cache is disabled, skip its machinery entirely — no key
-        // construction, no cache mutex, no validity-horizon lookups.
-        let lookup = if self.cache_enabled.load(Ordering::Acquire) {
-            let key = ProofCacheKey {
-                policy: policy_id,
-                version,
-                user,
-                credentials: credential_ids.clone(),
-                action: query.action.clone(),
-                resource: query.resource.clone(),
-            };
-            match self.cache_lookup(&key, now) {
-                Ok(outcome) => {
-                    self.proofs.fetch_add(1, Ordering::Relaxed);
-                    return ProofOfAuthorization {
-                        request: AccessRequest::new(
-                            user,
-                            query.action.clone(),
-                            query.resource.clone(),
-                        ),
-                        server: self.id,
-                        policy_id,
-                        policy_version: version,
-                        evaluated_at: now,
-                        credentials: credential_ids,
-                        outcome,
-                    };
-                }
-                Err(flush_token) => Some((key, flush_token)),
-            }
-        } else {
-            None
-        };
-        let request = AccessRequest::new(user, query.action.clone(), query.resource.clone());
-        let proof = match self.catalog.fetch_shared(policy_id, version) {
-            Ok(policy) => {
-                self.engine_evals.fetch_add(1, Ordering::Relaxed);
-                let proof = {
-                    let ambient = self.ambient.read().expect("ambient lock poisoned");
-                    let pctx = ProofContext {
-                        policy: policy.as_ref(),
-                        oracle: &self.cas,
-                        engine: &self.engine,
-                        ambient_facts: &ambient,
-                    };
-                    evaluate_proof(&pctx, self.id, &request, credentials, now).unwrap_or_else(
-                        |_| ProofOfAuthorization {
-                            request: request.clone(),
-                            server: self.id,
-                            policy_id,
-                            policy_version: version,
-                            evaluated_at: now,
-                            credentials: credential_ids.clone(),
-                            outcome: ProofOutcome::NotDerivable,
-                        },
-                    )
-                };
-                if let Some((key, flush_token)) = lookup {
-                    self.cache_insert(key, &proof.outcome, now, credentials, flush_token);
-                }
-                proof
-            }
-            // A policy version missing from the catalog can appear at any
-            // later instant without an invalidation signal, so this denial
-            // is never cached.
-            Err(_) => ProofOfAuthorization {
-                request,
-                server: self.id,
-                policy_id,
-                policy_version: version,
-                evaluated_at: now,
-                credentials: credential_ids,
-                outcome: ProofOutcome::NotDerivable,
-            },
-        };
-        self.proofs.fetch_add(1, Ordering::Relaxed);
-        proof
+        self.begin_batch(now).evaluate_one(user, credentials, query)
     }
 
     /// The policy governing `resource` and the version of it installed at
@@ -577,12 +485,9 @@ impl DataPlane {
         &self,
         now: Timestamp,
         user: UserId,
-        capability: &safetx_policy::AccessCapability,
         query: &QuerySpec,
     ) -> ProofOfAuthorization {
         let (policy_id, version) = self.governing(&query.resource);
-        // The capability itself is the only "credential" consulted.
-        let _ = capability;
         ProofOfAuthorization {
             request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
             server: self.id,
@@ -603,15 +508,16 @@ enum SaturationEntry {
     Saturated(FactBase),
     /// Every query under this key short-circuits with this outcome — an
     /// invalid/revoked credential, or a blown derivation budget (mapped to
-    /// `NotDerivable`, exactly as the unbatched path does).
+    /// `NotDerivable`, as a failed `safetx_policy::evaluate_proof` is).
     Fixed(ProofOutcome),
 }
 
-/// Batched proof evaluation over one server round.
+/// Batched proof evaluation over one server round — the server's only
+/// proof evaluator ([`DataPlane::evaluate_one`] is a batch of one).
 ///
-/// Mirrors [`DataPlane::evaluate_one`] decision for decision — same policy
-/// resolution, same cache lookups and flush-token-guarded inserts, same
-/// counters — but amortizes the expensive middle across the batch:
+/// Decides exactly what `safetx_policy::evaluate_proof` decides at the
+/// replica's installed version, but consults the per-server proof cache
+/// first and amortizes the expensive middle across the batch:
 ///
 /// * **one catalog fetch** per `(policy, version)`;
 /// * **one credential check + rule saturation** per `(policy, version,
@@ -623,14 +529,20 @@ enum SaturationEntry {
 ///   as cache hits when the cache is enabled), closing the window in which
 ///   concurrent misses on one key redundantly re-evaluated.
 ///
+/// A cache hit still counts as a proof evaluation in
+/// [`crate::ServerCounters::proofs`]: the paper's Table I cost model is
+/// about *how many* proofs each scheme demands, not how fast one is
+/// computed. The cache lock is **not** held across an evaluation: a flush
+/// that lands mid-evaluation is detected via the cache's flush sequence,
+/// discarding the stale insert.
+///
 /// Dropped at the end of the round; nothing here outlives the batch except
 /// what the regular proof cache retains.
 pub struct BatchEval<'a> {
     data: &'a DataPlane,
     now: Timestamp,
     /// One catalog fetch per (policy, version); `None` caches a missing
-    /// version (denied, never inserted into the proof cache — same as the
-    /// unbatched path).
+    /// version (denied, never inserted into the proof cache).
     policies: HashMap<(PolicyId, PolicyVersion), Option<Arc<safetx_policy::Policy>>>,
     /// One credential check + saturation per (policy, version, wallet).
     saturations: HashMap<(PolicyId, PolicyVersion, Vec<CredentialId>), SaturationEntry>,
@@ -640,8 +552,8 @@ pub struct BatchEval<'a> {
 }
 
 impl BatchEval<'_> {
-    /// Evaluates one proof through the batch context. Outcome-identical to
-    /// [`DataPlane::evaluate_one`] at the same instant and cache state.
+    /// Evaluates one proof through the batch context at the batch's
+    /// instant.
     pub fn evaluate_one(
         &mut self,
         user: UserId,
@@ -653,7 +565,7 @@ impl BatchEval<'_> {
         let (policy_id, version) = data.governing(&query.resource);
         let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
         // The key is built even with the cache disabled: within-batch dedup
-        // needs it (the unbatched path skips it then, but has no dedup).
+        // needs it.
         let key = ProofCacheKey {
             policy: policy_id,
             version,
@@ -705,7 +617,7 @@ impl BatchEval<'_> {
         let Some(policy) = policy else {
             // Missing catalog version: denied, never cached and never
             // recorded for dedup — it can appear at any later instant
-            // without an invalidation signal (same as the unbatched path).
+            // without an invalidation signal.
             return finish(ProofOutcome::NotDerivable);
         };
         // One credential check + saturation per (policy, version, wallet).
@@ -747,19 +659,21 @@ impl BatchEval<'_> {
         finish(outcome)
     }
 
-    /// (Re-)evaluates proofs for a snapshot of a transaction's queries
+    /// (Re-)evaluates proofs for a transaction's queries at this server
     /// through the batch context. Returns `(truth, versions, proofs)` —
-    /// the body of a 2PV reply.
+    /// the body of a 2PV or 2PVC reply.
     #[must_use]
-    pub fn evaluate_snapshot(
+    pub fn evaluate_queries(
         &mut self,
-        snapshot: &EvalSnapshot,
+        user: UserId,
+        credentials: &[Credential],
+        queries: &[(usize, Arc<QuerySpec>)],
     ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
         let mut truth = true;
         let mut versions = VersionMap::new();
         let mut proofs = Vec::new();
-        for (_, query) in &snapshot.queries {
-            let proof = self.evaluate_one(snapshot.user, &snapshot.credentials, query);
+        for (_, query) in queries {
+            let proof = self.evaluate_one(user, credentials, query);
             truth &= proof.truth();
             versions.insert(proof.policy_id, proof.policy_version);
             proofs.push(proof);
@@ -942,54 +856,146 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_outcomes_match_unbatched_evaluation() {
-        // Same data plane, cache off so both paths do full evaluations:
-        // the batch must reproduce the unbatched proofs field for field.
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let data = fx.core.data_plane();
-        let creds = [fx.credential.clone()];
-        let queries = [eval_query("write"), eval_query("read"), eval_query("drop")];
-        let now = Timestamp::from_millis(1);
-        let unbatched: Vec<_> = queries
-            .iter()
-            .map(|q| data.evaluate_one(now, UserId::new(1), &creds, q))
-            .collect();
-        let mut batch = data.begin_batch(now);
-        let batched: Vec<_> = queries
-            .iter()
-            .map(|q| batch.evaluate_one(UserId::new(1), &creds, q))
-            .collect();
-        drop(batch);
-        assert_eq!(batched, unbatched);
-        assert!(batched[0].truth() && batched[1].truth());
-        assert!(
-            !batched[2].truth(),
-            "underivable action denied in batch too"
-        );
+    /// The independent reference the evaluator is checked against:
+    /// `safetx_policy::evaluate_proof` straight over the catalog's policy
+    /// at `version`, the fixture's CAs and the given ambient facts. A
+    /// version missing from the catalog and a failed evaluation (a blown
+    /// derivation budget) deny.
+    fn reference(
+        fx: &Fixture,
+        ambient: &FactBase,
+        version: PolicyVersion,
+        now: Timestamp,
+        credentials: &[Credential],
+    ) -> ProofOfAuthorization {
+        let request = AccessRequest::new(UserId::new(1), "write", "records");
+        let denied = ProofOfAuthorization {
+            request: request.clone(),
+            server: ServerId::new(0),
+            policy_id: PolicyId::new(0),
+            policy_version: version,
+            evaluated_at: now,
+            credentials: credentials.iter().map(Credential::id).collect(),
+            outcome: ProofOutcome::NotDerivable,
+        };
+        let Ok(policy) = fx.catalog.fetch(PolicyId::new(0), version) else {
+            return denied;
+        };
+        let ctx = safetx_policy::ProofContext {
+            policy: &policy,
+            oracle: &fx.cas,
+            engine: &Engine::new(),
+            ambient_facts: ambient,
+        };
+        safetx_policy::evaluate_proof(&ctx, ServerId::new(0), &request, credentials, now)
+            .unwrap_or(denied)
+    }
+
+    /// One evaluator case: `setup` prepares a fresh fixture (and returns
+    /// the wallet, the ambient facts and the installed version it left);
+    /// `BatchEval` — through `DataPlane::evaluate_one`, twice, so the
+    /// second answer comes from the cache when the outcome is cacheable —
+    /// must reproduce the reference field for field, cache on and off.
+    fn check_against_reference(
+        now: Timestamp,
+        setup: impl Fn(&mut Fixture) -> (Vec<Credential>, FactBase, PolicyVersion),
+    ) -> ProofOutcome {
+        let mut expected = None;
+        for cache in [true, false] {
+            let mut fx = fixture();
+            fx.core.set_proof_cache(cache);
+            let (wallet, ambient, version) = setup(&mut fx);
+            let want = reference(&fx, &ambient, version, now, &wallet);
+            let data = fx.core.data_plane();
+            for _ in 0..2 {
+                assert_eq!(
+                    data.evaluate_one(now, UserId::new(1), &wallet, &eval_query("write")),
+                    want,
+                    "cache {cache}"
+                );
+            }
+            expected = Some(want.outcome);
+        }
+        expected.expect("two modes ran")
+    }
+
+    fn plain(fx: &mut Fixture) -> (Vec<Credential>, FactBase, PolicyVersion) {
+        (
+            vec![fx.credential.clone()],
+            FactBase::new(),
+            PolicyVersion::INITIAL,
+        )
     }
 
     #[test]
-    fn batch_snapshot_evaluation_matches_the_inline_path() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, false);
-        let snapshot = fx.core.snapshot_txn(txn).expect("registered");
-        let now = Timestamp::from_millis(2);
-        let batched = fx
-            .core
-            .data_plane()
-            .begin_batch(now)
-            .evaluate_snapshot(&snapshot);
-        let inline = validate(&mut fx, txn, now);
-        let Msg::ValidateReply { reply, .. } = &inline[0].1 else {
-            panic!("expected a 2PV reply, got {inline:?}");
-        };
-        assert_eq!(
-            batched,
-            (reply.truth, reply.versions.clone(), reply.proofs.clone())
-        );
-        assert_eq!(batched.2.len(), 1);
+    fn evaluator_matches_the_reference_on_a_valid_wallet() {
+        let outcome = check_against_reference(Timestamp::from_millis(1), plain);
+        assert_eq!(outcome, ProofOutcome::Granted);
+    }
+
+    #[test]
+    fn evaluator_matches_the_reference_on_a_revoked_credential() {
+        let outcome = check_against_reference(Timestamp::from_millis(3), |fx| {
+            let id = fx.credential.id();
+            fx.cas.with_mut(|registry| {
+                registry.revoke(CaId::new(0), id, Timestamp::from_millis(2));
+            });
+            plain(fx)
+        });
+        assert!(matches!(outcome, ProofOutcome::RevokedCredential { .. }));
+    }
+
+    #[test]
+    fn evaluator_matches_the_reference_on_an_expired_credential() {
+        let outcome = check_against_reference(Timestamp::from_millis(5), |fx| {
+            let expired = fx.cas.with_mut(|registry| {
+                registry.ca_mut(CaId::new(0)).expect("fixture CA").issue(
+                    UserId::new(1),
+                    fx.credential.statement().clone(),
+                    Timestamp::ZERO,
+                    Timestamp::from_millis(2),
+                )
+            });
+            (vec![expired], FactBase::new(), PolicyVersion::INITIAL)
+        });
+        assert!(matches!(outcome, ProofOutcome::InvalidCredential { .. }));
+    }
+
+    #[test]
+    fn evaluator_matches_the_reference_on_a_missing_catalog_version() {
+        let outcome = check_against_reference(Timestamp::from_millis(1), |fx| {
+            // Installed at the replica, never published.
+            fx.core.install_policy(PolicyId::new(0), PolicyVersion(9));
+            let (wallet, ambient, _) = plain(fx);
+            (wallet, ambient, PolicyVersion(9))
+        });
+        assert_eq!(outcome, ProofOutcome::NotDerivable);
+    }
+
+    #[test]
+    fn evaluator_matches_the_reference_on_an_exceeded_derivation_budget() {
+        let outcome = check_against_reference(Timestamp::from_millis(1), |fx| {
+            // 47³ derived facts: just past the engine's default budget.
+            fx.catalog.publish(
+                PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+                    .version(PolicyVersion(2))
+                    .rules_text(
+                        "triple(A, B, C) :- sym(A), sym(B), sym(C).\n\
+                         grant(write, records) :- role(U, member), triple(A, A, A).",
+                    )
+                    .unwrap()
+                    .build(),
+            );
+            fx.core.install_policy(PolicyId::new(0), PolicyVersion(2));
+            let ambient = fx.core.with_ambient(|facts| {
+                for i in 0..47 {
+                    facts.insert_text(&format!("sym(s{i})")).unwrap();
+                }
+                facts.clone()
+            });
+            let (wallet, _, _) = plain(fx);
+            (wallet, ambient, PolicyVersion(2))
+        });
+        assert_eq!(outcome, ProofOutcome::NotDerivable);
     }
 }

@@ -1,4 +1,4 @@
-//! One server round: the only way a runtime feeds a [`ServerCore`].
+//! One server round: the only way anything feeds a [`ServerCore`].
 //!
 //! [`ServerCore::run_round`] takes the messages a server loop drained in
 //! one iteration and splits each between the two planes. The protocol
@@ -10,15 +10,17 @@
 //! collected into a [`DeferredEval`] the runtime runs once the inline
 //! replies have left: it touches only the shareable [`DataPlane`],
 //! evaluates the whole round through one [`crate::BatchEval`], and involves
-//! no forces.
+//! no forces. [`ServerCore::handle`] — the simulator's entry point — is a
+//! round of one with its deferred half run in place, so every runtime
+//! drives the same participant.
 
 use crate::data_plane::{DataPlane, EvalSnapshot};
 use crate::messages::Msg;
-use crate::server::{Refused, ServerCore};
+use crate::server::{capability_key, Refused, ServerCore};
 use crate::validation::ValidationReply;
-use safetx_policy::Credential;
+use safetx_policy::{AccessCapability, Credential};
 use safetx_txn::{QuerySpec, Vote};
-use safetx_types::{Timestamp, TxnId, UserId};
+use safetx_types::{Duration, Timestamp, TxnId, UserId};
 use std::sync::Arc;
 
 /// One proof-evaluation work item deferred out of a round. Its
@@ -34,6 +36,9 @@ enum EvalTask<A> {
         query: Arc<QuerySpec>,
         user: UserId,
         credentials: Arc<[Credential]>,
+        /// The capabilities the TM forwarded: in the unsafe baseline a
+        /// valid one passes for the proof.
+        capabilities: Vec<AccessCapability>,
     },
     /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
     /// evaluate the snapshot and reply `ValidateReply`.
@@ -47,6 +52,9 @@ enum EvalTask<A> {
 /// The data-plane half of a round: its proof evaluations, still to run.
 pub struct DeferredEval<A> {
     data: Arc<DataPlane>,
+    /// The unsafe baseline: honour forwarded capabilities in lieu of a
+    /// proof, and issue one with each granted query proof.
+    capability_shortcut: bool,
     tasks: Vec<EvalTask<A>>,
 }
 
@@ -68,8 +76,39 @@ impl<A> DeferredEval<A> {
                     query,
                     user,
                     credentials,
+                    capabilities,
                 } => {
-                    let proof = batch.evaluate_one(user, &credentials, &query);
+                    // Unsafe baseline: a previously issued capability
+                    // passes for a proof — no policy evaluation, no
+                    // credential status check. This is exactly how Bob's
+                    // stale "read credential" slipped through in the
+                    // paper's Figure 1.
+                    let honoured = self.capability_shortcut
+                        && capabilities.iter().any(|cap| {
+                            cap.user() == user
+                                && cap.txn() == txn
+                                && cap.action() == query.action
+                                && cap.resource() == query.resource
+                                && cap.verify(capability_key(cap.issuer()), now)
+                        });
+                    let proof = if honoured {
+                        self.data.proof_from_capability(now, user, &query)
+                    } else {
+                        batch.evaluate_one(user, &credentials, &query)
+                    };
+                    let capability = (self.capability_shortcut && proof.truth()).then(|| {
+                        let id = self.data.id();
+                        AccessCapability::issue(
+                            id,
+                            capability_key(id),
+                            user,
+                            txn,
+                            query.action.clone(),
+                            query.resource.clone(),
+                            now,
+                            now.saturating_add(Duration::from_secs(60)),
+                        )
+                    });
                     (
                         to,
                         Msg::QueryDone {
@@ -77,12 +116,16 @@ impl<A> DeferredEval<A> {
                             query_index,
                             ok: true,
                             proof: Some(proof),
-                            capability: None,
+                            capability,
                         },
                     )
                 }
                 EvalTask::Snapshot { to, txn, snapshot } => {
-                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
+                    let (truth, versions, proofs) = batch.evaluate_queries(
+                        snapshot.user,
+                        &snapshot.credentials,
+                        &snapshot.queries,
+                    );
                     let reply = ValidationReply {
                         vote: Vote::Yes,
                         truth,
@@ -107,14 +150,40 @@ pub struct Round<A> {
     pub deferred: Option<DeferredEval<A>>,
 }
 
+/// A `QueryDone` that carries no proof: a lost lock race (`ok = false`)
+/// or a query executed without one (`ok = true`).
+fn query_done(txn: TxnId, query_index: usize, ok: bool) -> Msg {
+    Msg::QueryDone {
+        txn,
+        query_index,
+        ok,
+        proof: None,
+        capability: None,
+    }
+}
+
 impl<A: Clone> ServerCore<A> {
+    /// Handles one message arriving from `from` at instant `now` as a round
+    /// of its own, its deferred proofs evaluated in place. Returns the
+    /// messages to send: the protocol plane's replies, then the proofs'.
+    pub fn handle(&mut self, now: Timestamp, from: A, msg: Msg) -> Vec<(A, Msg)> {
+        let Round {
+            mut replies,
+            deferred,
+        } = self.run_round(now, [(from, msg)]);
+        if let Some(deferred) = deferred {
+            replies.extend(deferred.run(now));
+        }
+        replies
+    }
+
     /// Processes one round of messages, each with the peer it came from.
     /// A [`Msg::Batch`] envelope is its inner messages in order.
     ///
     /// Equivalent, reply for reply, to calling [`ServerCore::handle`] on
     /// each message in turn — except that the round's forces cost one
-    /// physical sync and its proofs are evaluated by
-    /// [`DeferredEval::run`] rather than here.
+    /// physical sync and its proofs, evaluated by [`DeferredEval::run`],
+    /// answer after every inline reply of the round.
     pub fn run_round(
         &mut self,
         now: Timestamp,
@@ -139,6 +208,7 @@ impl<A: Clone> ServerCore<A> {
         self.end_wal_group();
         let deferred = (!tasks.is_empty()).then(|| DeferredEval {
             data: self.data_plane(),
+            capability_shortcut: self.capability_shortcut,
             tasks,
         });
         Round { replies, deferred }
@@ -146,8 +216,8 @@ impl<A: Clone> ServerCore<A> {
 
     /// Runs the protocol-plane half of one message, deferring its proof
     /// evaluation (if it asks for one) to `tasks`. Messages whose handling
-    /// is pure protocol — voting, decisions, recovery — go through
-    /// [`ServerCore::handle`]'s path unchanged.
+    /// is pure protocol — voting, decisions, recovery — go to
+    /// [`ServerCore::handle_into`].
     fn round_msg(
         &mut self,
         now: Timestamp,
@@ -156,12 +226,6 @@ impl<A: Clone> ServerCore<A> {
         replies: &mut Vec<(A, Msg)>,
         tasks: &mut Vec<EvalTask<A>>,
     ) {
-        // The unsafe baseline measures capability-shortcut hazards that
-        // depend on exact interleavings: keep it fully inline.
-        if self.unsafe_baseline() {
-            self.handle_into(now, from, msg, replies);
-            return;
-        }
         match msg {
             Msg::ExecQuery {
                 txn,
@@ -169,9 +233,9 @@ impl<A: Clone> ServerCore<A> {
                 query,
                 user,
                 credentials,
-                evaluate_proof: true,
+                evaluate_proof,
                 pin_versions,
-                capabilities: _,
+                capabilities,
             } => match self.execute_query(
                 txn,
                 (query_index, &query),
@@ -182,16 +246,13 @@ impl<A: Clone> ServerCore<A> {
             ) {
                 Err(Refused::Decided) => {}
                 // The proof is moot.
-                Err(Refused::LockConflict) => replies.push((
-                    from,
-                    Msg::QueryDone {
-                        txn,
-                        query_index,
-                        ok: false,
-                        proof: None,
-                        capability: None,
-                    },
-                )),
+                Err(Refused::LockConflict) => {
+                    replies.push((from, query_done(txn, query_index, false)));
+                }
+                // Nothing to prove: answered inline.
+                Ok(()) if !evaluate_proof => {
+                    replies.push((from, query_done(txn, query_index, true)));
+                }
                 Ok(()) => tasks.push(EvalTask::Query {
                     to: from,
                     txn,
@@ -199,6 +260,7 @@ impl<A: Clone> ServerCore<A> {
                     query,
                     user,
                     credentials,
+                    capabilities,
                 }),
             },
             Msg::PrepareToValidate {
@@ -235,7 +297,7 @@ impl<A: Clone> ServerCore<A> {
                         txn,
                         snapshot,
                     }),
-                    // No state here: the vacuous reply `handle` gives.
+                    // No state here: a vacuous reply.
                     None => replies.push((
                         from,
                         Msg::ValidateReply {
@@ -386,8 +448,8 @@ mod tests {
         let counters = fx.core.counters();
         assert_eq!((counters.forced_logs, counters.physical_syncs), (1, 1));
         assert!(out.deferred.is_none(), "votes are never deferred");
-        // … and the group is closed, not left open: a force outside any
-        // round syncs at once.
+        // … and the group is closed, not left open: the next round's force
+        // gets its own sync.
         fx.core.handle(NOW, TM, commit(0));
         assert_eq!(fx.core.counters().physical_syncs, 2);
     }
@@ -429,16 +491,10 @@ mod tests {
         }
     }
 
-    /// One message through `handle`, or through a round of its own with
-    /// the deferred evaluation run in place; the one reply it is owed.
-    fn feed(core: &mut Core, in_round: bool, msg: Msg) -> Msg {
-        let mut replies = if in_round {
-            let out = core.run_round(NOW, vec![(TM, msg)]);
-            let deferred = out.deferred.map(|d| d.run(NOW)).unwrap_or_default();
-            out.replies.into_iter().chain(deferred).collect()
-        } else {
-            core.handle(NOW, TM, msg)
-        };
+    /// One message through a round of its own (`handle`); the one reply
+    /// it is owed.
+    fn feed(core: &mut Core, msg: Msg) -> Msg {
+        let mut replies = core.handle(NOW, TM, msg);
         assert_eq!(replies.len(), 1, "{replies:?}");
         replies.remove(0).1
     }
@@ -452,64 +508,58 @@ mod tests {
 
     #[test]
     fn a_2pv_contact_executes_the_query_it_carries_once() {
-        for in_round in [false, true] {
-            let mut fx = fixture();
-            // The contact and its duplicate both prove; only one adds.
-            for _ in 0..2 {
-                let reply = feed(&mut fx.core, in_round, contact(1, Some(&fx.credential)));
-                assert!(matches!(
-                    &reply,
-                    Msg::ValidateReply { reply, .. }
-                        if reply.vote.is_yes() && reply.truth && reply.proofs.len() == 1
-                ));
-            }
-            assert_eq!(fx.core.counters().proofs, 2);
-            feed(&mut fx.core, in_round, prepare_to_commit(1));
-            feed(&mut fx.core, in_round, commit(1));
-            assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
+        let mut fx = fixture();
+        // The contact and its duplicate both prove; only one adds.
+        for _ in 0..2 {
+            let reply = feed(&mut fx.core, contact(1, Some(&fx.credential)));
+            assert!(matches!(
+                &reply,
+                Msg::ValidateReply { reply, .. }
+                    if reply.vote.is_yes() && reply.truth && reply.proofs.len() == 1
+            ));
         }
+        assert_eq!(fx.core.counters().proofs, 2);
+        feed(&mut fx.core, prepare_to_commit(1));
+        feed(&mut fx.core, commit(1));
+        assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
     }
 
     #[test]
     fn a_lock_conflict_at_the_contact_votes_no_and_proves_nothing() {
-        for in_round in [false, true] {
-            let mut fx = fixture();
-            feed(&mut fx.core, in_round, contact(1, Some(&fx.credential)));
-            let reply = feed(&mut fx.core, in_round, contact(2, Some(&fx.credential)));
-            assert!(matches!(
-                &reply,
-                Msg::ValidateReply { reply, .. }
-                    if !reply.vote.is_yes() && reply.conflict && reply.proofs.is_empty()
-            ));
-            assert_eq!(fx.core.counters().proofs, 1, "only the lock holder proved");
-        }
+        let mut fx = fixture();
+        feed(&mut fx.core, contact(1, Some(&fx.credential)));
+        let reply = feed(&mut fx.core, contact(2, Some(&fx.credential)));
+        assert!(matches!(
+            &reply,
+            Msg::ValidateReply { reply, .. }
+                if !reply.vote.is_yes() && reply.conflict && reply.proofs.is_empty()
+        ));
+        assert_eq!(fx.core.counters().proofs, 1, "only the lock holder proved");
     }
 
     #[test]
     fn an_abort_after_a_false_proof_at_the_contact_undoes_the_query() {
-        for in_round in [false, true] {
-            let mut fx = fixture();
-            // No credential: the proof is FALSE, but the query ran first —
-            // its exclusive lock turns the next transaction away.
-            let reply = feed(&mut fx.core, in_round, contact(1, None));
-            assert!(matches!(
-                &reply,
-                Msg::ValidateReply { reply, .. } if reply.vote.is_yes() && !reply.truth
-            ));
-            let reply = feed(&mut fx.core, in_round, contact(2, Some(&fx.credential)));
-            assert!(matches!(&reply, Msg::ValidateReply { reply, .. } if reply.conflict));
-            feed(&mut fx.core, in_round, abort(2));
+        let mut fx = fixture();
+        // No credential: the proof is FALSE, but the query ran first —
+        // its exclusive lock turns the next transaction away.
+        let reply = feed(&mut fx.core, contact(1, None));
+        assert!(matches!(
+            &reply,
+            Msg::ValidateReply { reply, .. } if reply.vote.is_yes() && !reply.truth
+        ));
+        let reply = feed(&mut fx.core, contact(2, Some(&fx.credential)));
+        assert!(matches!(&reply, Msg::ValidateReply { reply, .. } if reply.conflict));
+        feed(&mut fx.core, abort(2));
 
-            // The abort releases the lock and drops the buffered write: a
-            // follow-up commits 5 + 1, not 5 + 2, and nothing else moved.
-            feed(&mut fx.core, in_round, abort(1));
-            assert_eq!(fx.core.active_txns(), 0);
-            feed(&mut fx.core, in_round, contact(3, Some(&fx.credential)));
-            feed(&mut fx.core, in_round, prepare_to_commit(3));
-            feed(&mut fx.core, in_round, commit(3));
-            let items: Vec<_> = fx.core.store().iter().map(|(id, _)| id).collect();
-            assert_eq!(items, [DataItemId::new(0)]);
-            assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
-        }
+        // The abort releases the lock and drops the buffered write: a
+        // follow-up commits 5 + 1, not 5 + 2, and nothing else moved.
+        feed(&mut fx.core, abort(1));
+        assert_eq!(fx.core.active_txns(), 0);
+        feed(&mut fx.core, contact(3, Some(&fx.credential)));
+        feed(&mut fx.core, prepare_to_commit(3));
+        feed(&mut fx.core, commit(3));
+        let items: Vec<_> = fx.core.store().iter().map(|(id, _)| id).collect();
+        assert_eq!(items, [DataItemId::new(0)]);
+        assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(6));
     }
 }

@@ -2,12 +2,13 @@
 //! crash recovery.
 //!
 //! The protocol logic lives in [`ServerCore`], a sans-io handler generic
-//! over the address type `A` of its peers: `handle` consumes one message
-//! and returns the messages to send; [`ServerCore::run_round`] (see
-//! [`crate::round`]) feeds it a whole batch. Proof evaluation lives in the
-//! shareable [`DataPlane`]; [`crate::CloudServerActor`] adapts the core to
-//! the discrete-event simulator (`A = NodeId`), the `safetx-runtime` and
-//! `safetx-net` crates to channels and sockets.
+//! over the address type `A` of its peers, fed through one path:
+//! [`ServerCore::run_round`] (see [`crate::round`]) takes a batch of
+//! messages, and [`ServerCore::handle`] is a round of one. Proof
+//! evaluation lives in the shareable [`DataPlane`];
+//! [`crate::CloudServerActor`] adapts the core to the discrete-event
+//! simulator (`A = NodeId`), the `safetx-runtime` and `safetx-net` crates
+//! to channels and sockets.
 
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::concurrency::ConcurrencyMode;
@@ -122,12 +123,10 @@ pub struct ServerCore<A> {
     /// Forced log writes performed (protocol plane; proofs live in the
     /// data plane).
     forced_logs: u64,
-    /// Baseline behaviour: issue an access capability with each granted
-    /// proof (Bob's "read credential").
-    issue_capabilities: bool,
     /// Baseline behaviour: accept a peer-issued capability in lieu of a
-    /// fresh proof of authorization — the unsafe shortcut of Figure 1.
-    honor_capabilities: bool,
+    /// fresh proof of authorization — the unsafe shortcut of Figure 1 —
+    /// and issue one with each granted proof (Bob's "read credential").
+    pub(crate) capability_shortcut: bool,
 }
 
 impl<A: Clone> ServerCore<A> {
@@ -153,8 +152,7 @@ impl<A: Clone> ServerCore<A> {
             txns: HashMap::new(),
             decided: HashMap::new(),
             forced_logs: 0,
-            issue_capabilities: false,
-            honor_capabilities: false,
+            capability_shortcut: false,
         }
     }
 
@@ -176,16 +174,7 @@ impl<A: Clone> ServerCore<A> {
     /// honor instead of re-proving). Used only to quantify the hazard the
     /// paper's schemes eliminate.
     pub fn set_unsafe_baseline(&mut self, enabled: bool) {
-        self.issue_capabilities = enabled;
-        self.honor_capabilities = enabled;
-    }
-
-    /// True when the unsafe-baseline capability behaviour is on. The
-    /// runtime keeps baseline servers fully single-threaded (the hazard
-    /// measurements depend on exact interleavings).
-    #[must_use]
-    pub(crate) fn unsafe_baseline(&self) -> bool {
-        self.issue_capabilities || self.honor_capabilities
+        self.capability_shortcut = enabled;
     }
 
     /// Selects the concurrency mode (locking by default). Set before any
@@ -306,52 +295,27 @@ impl<A: Clone> ServerCore<A> {
         self.data.fast_forward(targets);
     }
 
-    fn proof_from_capability(
-        &mut self,
-        now: Timestamp,
-        user: UserId,
-        capability: &safetx_policy::AccessCapability,
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        self.data
-            .proof_from_capability(now, user, capability, query)
-    }
-
-    /// (Re-)evaluates proofs for every query of `txn` at this server.
-    /// Returns `(truth, versions, proofs)`.
+    /// (Re-)evaluates proofs for every query of `txn` at this server, in
+    /// one batch of its own — the protocol plane's inline evaluations (the
+    /// 2PVC vote and in-commit updates). Returns `(truth, versions,
+    /// proofs)`.
     fn evaluate_all(
-        &mut self,
+        &self,
         now: Timestamp,
         txn: TxnId,
     ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
         match self.txns.get(&txn) {
-            Some(state) => self.evaluate(now, state.user, &state.credentials, &state.queries),
+            Some(state) => self.data.begin_batch(now).evaluate_queries(
+                state.user,
+                &state.credentials,
+                &state.queries,
+            ),
             None => (true, VersionMap::new(), Vec::new()),
         }
     }
 
-    fn evaluate(
-        &self,
-        now: Timestamp,
-        user: UserId,
-        credentials: &[Credential],
-        queries: &[(usize, Arc<QuerySpec>)],
-    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let mut truth = true;
-        let mut versions = VersionMap::new();
-        let mut proofs = Vec::new();
-        for (_, query) in queries {
-            let proof = self.data.evaluate_one(now, user, credentials, query);
-            truth &= proof.truth();
-            versions.insert(proof.policy_id, proof.policy_version);
-            proofs.push(proof);
-        }
-        (truth, versions, proofs)
-    }
-
-    /// A snapshot of `txn`'s evaluation inputs for a round's deferred proofs
-    /// ([`crate::BatchEval::evaluate_snapshot`] on the returned value
-    /// reproduces what [`ServerCore::handle`] would compute inline).
+    /// A snapshot of `txn`'s evaluation inputs, for a round's deferred
+    /// proofs.
     #[must_use]
     pub(crate) fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
         self.txns.get(&txn).map(|state| EvalSnapshot {
@@ -635,16 +599,11 @@ impl<A: Clone> ServerCore<A> {
         Ok(())
     }
 
-    /// Handles one protocol message arriving from `from` at instant `now`.
-    /// Returns the messages to send.
-    pub fn handle(&mut self, now: Timestamp, from: A, msg: Msg) -> Vec<(A, Msg)> {
-        let mut out = Vec::new();
-        self.handle_into(now, from, msg, &mut out);
-        out
-    }
-
-    /// [`ServerCore::handle`], appending the messages to send to `out`.
-    #[allow(clippy::too_many_lines)]
+    /// The protocol-plane messages of a round: voting, in-commit updates,
+    /// decisions, gossip and recovery answers, each handled inline and
+    /// answered into `out`. Everything that evaluates proofs on request
+    /// (queries, 2PV contacts, standalone updates) is split by
+    /// [`ServerCore::run_round`] before it gets here.
     pub(crate) fn handle_into(
         &mut self,
         now: Timestamp,
@@ -653,128 +612,6 @@ impl<A: Clone> ServerCore<A> {
         out: &mut Vec<(A, Msg)>,
     ) {
         match msg {
-            Msg::ExecQuery {
-                txn,
-                query_index,
-                query,
-                user,
-                credentials,
-                evaluate_proof,
-                pin_versions,
-                capabilities,
-            } => {
-                match self.execute_query(
-                    txn,
-                    (query_index, &query),
-                    user,
-                    &credentials,
-                    &pin_versions,
-                    from.clone(),
-                ) {
-                    Err(Refused::Decided) => return,
-                    Err(Refused::LockConflict) => {
-                        out.push((
-                            from,
-                            Msg::QueryDone {
-                                txn,
-                                query_index,
-                                ok: false,
-                                proof: None,
-                                capability: None,
-                            },
-                        ));
-                        return;
-                    }
-                    Ok(()) => {}
-                }
-                // Unsafe baseline: a previously issued capability passes
-                // for a proof — no policy evaluation, no credential status
-                // check. This is exactly how Bob's stale "read credential"
-                // slipped through in the paper's Figure 1.
-                let shortcut = self
-                    .honor_capabilities
-                    .then(|| {
-                        capabilities
-                            .iter()
-                            .find(|cap| {
-                                cap.user() == user
-                                    && cap.txn() == txn
-                                    && cap.action() == query.action
-                                    && cap.resource() == query.resource
-                                    && cap.verify(capability_key(cap.issuer()), now)
-                            })
-                            .cloned()
-                    })
-                    .flatten();
-                let proof = if evaluate_proof {
-                    if let Some(cap) = shortcut {
-                        Some(self.proof_from_capability(now, user, &cap, &query))
-                    } else {
-                        let state = self.txns.get(&txn).expect("just ensured");
-                        Some(
-                            self.data
-                                .evaluate_one(now, state.user, &state.credentials, &query),
-                        )
-                    }
-                } else {
-                    None
-                };
-                let capability = match (&proof, self.issue_capabilities) {
-                    (Some(p), true) if p.truth() => Some(safetx_policy::AccessCapability::issue(
-                        self.id,
-                        capability_key(self.id),
-                        user,
-                        txn,
-                        query.action.clone(),
-                        query.resource.clone(),
-                        now,
-                        now.saturating_add(safetx_types::Duration::from_secs(60)),
-                    )),
-                    _ => None,
-                };
-                out.push((
-                    from,
-                    Msg::QueryDone {
-                        txn,
-                        query_index,
-                        ok: true,
-                        proof,
-                        capability,
-                    },
-                ));
-            }
-
-            Msg::PrepareToValidate {
-                txn,
-                new_query,
-                user,
-                credentials,
-            } => {
-                let reply = match self.register_validation(
-                    txn,
-                    new_query,
-                    user,
-                    &credentials,
-                    from.clone(),
-                ) {
-                    // A stale round: no reply owed.
-                    Err(Refused::Decided) => return,
-                    Err(Refused::LockConflict) => ValidationReply::lock_conflict(),
-                    Ok(snap) => {
-                        let (truth, versions, proofs) =
-                            self.evaluate(now, snap.user, &snap.credentials, &snap.queries);
-                        ValidationReply {
-                            vote: Vote::Yes,
-                            truth,
-                            versions,
-                            proofs,
-                            conflict: false,
-                        }
-                    }
-                };
-                out.push((from, Msg::ValidateReply { txn, reply }));
-            }
-
             Msg::PrepareToCommit {
                 txn,
                 validate,
@@ -851,48 +688,32 @@ impl<A: Clone> ServerCore<A> {
             Msg::Update {
                 txn,
                 targets,
-                in_commit,
+                in_commit: true,
             } => {
                 self.fast_forward(&targets);
-                let (truth, versions, proofs) = self.evaluate_all(now, txn);
-                if in_commit {
-                    if !self.txns.contains_key(&txn) {
-                        return;
-                    }
-                    let (vote, outputs) = {
-                        let state = self.txns.get_mut(&txn).expect("checked");
-                        let vote = match state.participant.state() {
-                            ParticipantState::Prepared(v) => v,
-                            _ => Vote::Yes,
-                        };
-                        let outputs = state
-                            .participant
-                            .on_revalidate(truth, versions.iter().map(|(&p, &v)| (p, v)).collect());
-                        (vote, outputs)
-                    };
-                    let reply = ValidationReply {
-                        vote,
-                        truth,
-                        versions,
-                        proofs,
-                        conflict: false,
-                    };
-                    self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
-                } else {
-                    out.push((
-                        from,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply {
-                                vote: Vote::Yes,
-                                truth,
-                                versions,
-                                proofs,
-                                conflict: false,
-                            },
-                        },
-                    ));
+                if !self.txns.contains_key(&txn) {
+                    return;
                 }
+                let (truth, versions, proofs) = self.evaluate_all(now, txn);
+                let (vote, outputs) = {
+                    let state = self.txns.get_mut(&txn).expect("checked");
+                    let vote = match state.participant.state() {
+                        ParticipantState::Prepared(v) => v,
+                        _ => Vote::Yes,
+                    };
+                    let outputs = state
+                        .participant
+                        .on_revalidate(truth, versions.iter().map(|(&p, &v)| (p, v)).collect());
+                    (vote, outputs)
+                };
+                let reply = ValidationReply {
+                    vote,
+                    truth,
+                    versions,
+                    proofs,
+                    conflict: false,
+                };
+                self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
             }
 
             Msg::Decision { txn, decision } => {
@@ -926,15 +747,6 @@ impl<A: Clone> ServerCore<A> {
                 self.apply_participant_outputs(now, txn, outputs, None, from, out);
             }
 
-            // A coalesced envelope is the inner messages in order. The
-            // threaded runtime only coalesces server → TM replies, so a
-            // server normally never sees one; handled for completeness.
-            Msg::Batch(msgs) => {
-                for inner in msgs {
-                    self.handle_into(now, from.clone(), inner, out);
-                }
-            }
-
             _ => {}
         }
     }
@@ -958,37 +770,23 @@ impl<A: Clone> ServerCore<A> {
         }
     }
 
-    /// Restart after a crash: re-acquire exclusive locks for in-doubt write
-    /// sets (strictness) and inquire for each in-doubt transaction.
+    /// Restart after a crash, as the simulator performs it: recovery from
+    /// the WAL ([`ServerCore::recover_from_wal`], the runtimes' restart
+    /// too), then one [`Msg::Inquiry`] to the coordinator of each in-doubt
+    /// transaction.
     pub fn restart(&mut self) -> Vec<(A, Msg)> {
-        let mut out = Vec::new();
-        let in_doubt: Vec<TxnId> = self.txns.keys().copied().collect();
-        for txn in in_doubt {
-            let items: Vec<safetx_types::DataItemId> = self.txns[&txn]
-                .writes
-                .iter()
-                .map(|(item, _)| item)
-                .collect();
-            for item in items {
-                let _ = self.locks.acquire(txn, item, LockMode::Exclusive);
-            }
-            let coordinator = self.txns[&txn].coordinator.clone();
-            out.push((
-                coordinator,
-                Msg::Inquiry {
-                    txn,
-                    from_server: self.id,
-                },
-            ));
-        }
-        out
+        let from_server = self.id;
+        self.recover_from_wal()
+            .into_iter()
+            .map(|txn| {
+                let coordinator = self.txns[&txn].coordinator.clone();
+                (coordinator, Msg::Inquiry { txn, from_server })
+            })
+            .collect()
     }
 
-    /// Rebuilds protocol state from the write-ahead log after a crash
-    /// (the runtime's restart path; the simulator uses [`restart`] with
-    /// live `Inquiry` messages instead).
-    ///
-    /// [`restart`]: ServerCore::restart
+    /// Rebuilds protocol state from the write-ahead log after a crash —
+    /// the one recovery every restart runs.
     ///
     /// Per transaction, following [`safetx_txn::recover_participant`]:
     /// * decision record in the log → decided; re-apply idempotently.
@@ -1012,7 +810,8 @@ impl<A: Clone> ServerCore<A> {
                 self.decided.insert(*txn, *decision);
             }
         }
-        let survivors: Vec<TxnId> = self.txns.keys().copied().collect();
+        let mut survivors: Vec<TxnId> = self.txns.keys().copied().collect();
+        survivors.sort_unstable();
         let mut in_doubt = Vec::new();
         for txn in survivors {
             let recovered = safetx_txn::recover_participant(txn, self.variant, records.iter());
@@ -1532,43 +1331,94 @@ mod tests {
             Timestamp::ZERO,
             Timestamp::MAX,
         );
+        // Through a round, the deferred proof run as a runtime runs it.
         let send_with_cap = |core: &mut Core| {
-            core.handle(
-                Timestamp::from_millis(1),
-                TM,
-                Msg::ExecQuery {
-                    txn: TxnId::new(1),
-                    query_index: 0,
-                    query: Arc::new(QuerySpec::new(
-                        ServerId::new(0),
-                        "write",
-                        "records",
-                        vec![Operation::Add(DataItemId::new(0), 1)],
-                    )),
-                    user: UserId::new(1),
-                    credentials: Arc::from([]), // no credential: only the capability
-                    evaluate_proof: true,
-                    pin_versions: VersionMap::new(),
-                    capabilities: vec![cap.clone()],
-                },
-            )
+            let now = Timestamp::from_millis(1);
+            let msg = Msg::ExecQuery {
+                txn: TxnId::new(1),
+                query_index: 0,
+                query: Arc::new(QuerySpec::new(
+                    ServerId::new(0),
+                    "write",
+                    "records",
+                    vec![Operation::Add(DataItemId::new(0), 1)],
+                )),
+                user: UserId::new(1),
+                credentials: Arc::from([]), // no credential: only the capability
+                evaluate_proof: true,
+                pin_versions: VersionMap::new(),
+                capabilities: vec![cap.clone()],
+            };
+            let round = core.run_round(now, [(TM, msg)]);
+            assert!(round.replies.is_empty(), "the proof is deferred");
+            round.deferred.expect("one proof to run").run(now)
         };
         // Safe mode: the capability is ignored; with no credential the
         // proof is denied.
         let out = send_with_cap(&mut fx.core);
         assert!(matches!(
-            &out[0].1,
-            Msg::QueryDone { proof: Some(p), .. } if !p.truth()
+            &out[..],
+            [(_, Msg::QueryDone { proof: Some(p), capability: None, .. })] if !p.truth()
         ));
+        assert_eq!(fx.core.counters().proofs, 1);
 
-        // Baseline mode: the capability passes for a proof.
+        // Baseline mode: the capability passes for a proof — no policy
+        // evaluation counted — and the granted proof issues a capability of
+        // this server's own.
         let mut fx2 = fixture();
         fx2.core.set_unsafe_baseline(true);
         let out = send_with_cap(&mut fx2.core);
-        assert!(matches!(
-            &out[0].1,
-            Msg::QueryDone { proof: Some(p), .. } if p.truth()
-        ));
+        let [(
+            _,
+            Msg::QueryDone {
+                proof: Some(p),
+                capability: Some(issued),
+                ..
+            },
+        )] = &out[..]
+        else {
+            panic!("expected a granted proof with a capability, got {out:?}");
+        };
+        assert!(p.truth());
+        assert_eq!(fx2.core.counters().proofs, 0);
+        assert_eq!(issued.issuer(), ServerId::new(0));
+        assert!(issued.verify(capability_key(ServerId::new(0)), Timestamp::from_millis(2)));
+    }
+
+    #[test]
+    fn a_stale_query_after_crash_and_restart_resurrects_nothing() {
+        let mut fx = fixture();
+        let txn = TxnId::new(1);
+        exec_query(&mut fx, txn, false);
+        prepare(&mut fx, txn);
+        fx.core.handle(
+            Timestamp::from_millis(3),
+            TM,
+            Msg::Decision {
+                txn,
+                decision: Decision::Commit,
+            },
+        );
+        fx.core.crash();
+        assert!(fx.core.restart().is_empty(), "nothing in doubt");
+        // A duplicate of the committed transaction's query arrives late:
+        // the decision memo, rebuilt from the WAL, turns it away.
+        assert!(exec_query(&mut fx, txn, true).is_empty(), "no reply owed");
+        assert_eq!(fx.core.active_txns(), 0, "no ghost transaction");
+        // …and no ghost lock: a fresh write to the same item commits.
+        let fresh = TxnId::new(2);
+        let out = exec_query(&mut fx, fresh, false);
+        assert!(matches!(&out[0].1, Msg::QueryDone { ok: true, .. }));
+        prepare(&mut fx, fresh);
+        fx.core.handle(
+            Timestamp::from_millis(4),
+            TM,
+            Msg::Decision {
+                txn: fresh,
+                decision: Decision::Commit,
+            },
+        );
+        assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(7));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub enum TmCrashPoint {
 /// from the coordinator decision `log` under the termination `variant`.
 /// Basic 2PC's blocking case (no record, no presumption) resolves to
 /// ABORT: the coordinator is gone for good, so the absence of a forced
-/// decision record proves no participant ever saw COMMIT — the rule of
-/// `safetx_txn::recover_coordinator`. A participant that never reached a
+/// decision record proves no participant ever saw COMMIT — the one place
+/// that coordinator-recovery rule lives. A participant that never reached a
 /// vote gets a unilateral `Decision::Abort` instead: its vote was never
 /// cast, so no coordinator can have committed with it, and a presumption
 /// answer (presumed-commit in particular) must never reach an unprepared
@@ -234,4 +234,77 @@ pub fn drive_tm(
         termination,
         dropped_replies: dropped + core.dropped_replies(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TXN: TxnId = TxnId::new(7);
+
+    fn answer(msg: Msg) -> Option<Decision> {
+        match msg {
+            Msg::InquiryReply {
+                txn,
+                answer: InquiryAnswer::Decided(decision),
+            } if txn == TXN => Some(decision),
+            other => panic!("expected a decided inquiry reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn no_record_under_standard_terminates_to_abort() {
+        let msg = terminate_leftover(TXN, true, CommitVariant::Standard, &[]);
+        assert_eq!(answer(msg), Some(Decision::Abort));
+    }
+
+    #[test]
+    fn a_prc_collecting_record_alone_terminates_to_abort() {
+        let log = [CoordinatorRecord::Collecting {
+            txn: TXN,
+            participants: vec![ServerId::new(0), ServerId::new(1)],
+        }];
+        let msg = terminate_leftover(TXN, true, CommitVariant::PresumedCommit, &log);
+        assert_eq!(answer(msg), Some(Decision::Abort));
+    }
+
+    #[test]
+    fn a_recorded_decision_wins_over_every_presumption() {
+        for variant in [
+            CommitVariant::Standard,
+            CommitVariant::PresumedAbort,
+            CommitVariant::PresumedCommit,
+        ] {
+            for decision in [Decision::Commit, Decision::Abort] {
+                let log = [
+                    CoordinatorRecord::Collecting {
+                        txn: TXN,
+                        participants: vec![ServerId::new(0)],
+                    },
+                    CoordinatorRecord::Decision { txn: TXN, decision },
+                ];
+                let msg = terminate_leftover(TXN, true, variant, &log);
+                assert_eq!(answer(msg), Some(decision), "{variant:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unprepared_participant_gets_a_unilateral_abort() {
+        // Even with a commit on record and under presumed commit: its vote
+        // was never cast, so the answer is a plain abort decision.
+        let log = [CoordinatorRecord::Decision {
+            txn: TXN,
+            decision: Decision::Commit,
+        }];
+        for variant in [CommitVariant::Standard, CommitVariant::PresumedCommit] {
+            assert!(matches!(
+                terminate_leftover(TXN, false, variant, &log),
+                Msg::Decision {
+                    txn: TXN,
+                    decision: Decision::Abort
+                }
+            ));
+        }
+    }
 }

@@ -92,9 +92,10 @@ pub struct TwoPvc {
 impl TwoPvc {
     /// Creates a 2PVC execution.
     ///
-    /// `validate = false` yields "2PVC without validations" (plain 2PC with
-    /// the same wire format), used by Incremental Punctual and by Continuous
-    /// under view consistency; in that mode no master query is issued and
+    /// `validate = false` yields "2PVC without validations" — plain 2PC
+    /// with the same wire format, and the repository's only 2PC
+    /// coordinator — used by Incremental Punctual and by Continuous under
+    /// view consistency; in that mode no master query is issued and
     /// replies carry no versions.
     ///
     /// # Panics
@@ -475,6 +476,64 @@ mod tests {
         assert!(out.contains(&TwoPvcAction::Completed));
         assert!(!out.iter().any(|a| matches!(a, TwoPvcAction::ForceLog(_))));
         assert_eq!(p.state(), TwoPvcState::Ended(Decision::Abort));
+    }
+
+    #[test]
+    fn presumed_commit_forces_collecting_and_ends_a_commit_without_acks() {
+        let mut p = TwoPvc::new(
+            TxnId::new(1),
+            participants(2),
+            ConsistencyLevel::View,
+            CommitVariant::PresumedCommit,
+            false,
+        );
+        let out = p.start();
+        assert!(matches!(
+            out[0],
+            TwoPvcAction::ForceLog(CoordinatorRecord::Collecting { .. })
+        ));
+        p.on_reply(server(0), ValidationReply::empty_true());
+        let out = p.on_reply(server(1), ValidationReply::empty_true());
+        assert!(out.contains(&TwoPvcAction::Decided(Decision::Commit)));
+        assert!(out.contains(&TwoPvcAction::Completed));
+        assert_eq!(p.state(), TwoPvcState::Ended(Decision::Commit));
+        assert!(p.resend_decisions().is_empty(), "no acks awaited");
+    }
+
+    #[test]
+    fn an_ack_from_a_non_recipient_is_ignored() {
+        let mut p = pvc(3);
+        p.start();
+        // Server 0 votes NO: it aborts unilaterally and is sent nothing.
+        p.on_reply(server(0), reply(Vote::No, true, 1));
+        p.on_reply(server(1), reply(Vote::Yes, true, 1));
+        p.on_reply(server(2), reply(Vote::Yes, true, 1));
+        assert_eq!(p.state(), TwoPvcState::Deciding(Decision::Abort));
+        for stranger in [server(0), server(9)] {
+            assert!(p.on_ack(stranger).is_empty());
+        }
+        p.on_ack(server(1));
+        assert_eq!(p.state(), TwoPvcState::Deciding(Decision::Abort));
+        assert!(p.on_ack(server(2)).contains(&TwoPvcAction::Completed));
+    }
+
+    #[test]
+    fn resend_decisions_lists_exactly_the_unacknowledged() {
+        let mut p = pvc(3);
+        p.start();
+        assert!(p.resend_decisions().is_empty(), "nothing decided yet");
+        for s in 0..3 {
+            p.on_reply(server(s), reply(Vote::Yes, true, 1));
+        }
+        let all: Vec<_> = (0..3)
+            .map(|s| TwoPvcAction::SendDecision(server(s), Decision::Commit))
+            .collect();
+        assert_eq!(p.resend_decisions(), all);
+        p.on_ack(server(1));
+        assert_eq!(p.resend_decisions(), [all[0].clone(), all[2].clone()]);
+        p.on_ack(server(0));
+        p.on_ack(server(2));
+        assert!(p.resend_decisions().is_empty(), "ended");
     }
 
     #[test]

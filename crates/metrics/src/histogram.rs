@@ -25,7 +25,7 @@ const SUBDIV: f64 = 32.0;
 /// folded zero reports exactly `0.0`).
 const NONPOS_BUCKET: i64 = i64::MIN;
 
-/// A histogram that retains raw samples up to [`RETAIN_CAP`] (exact
+/// A histogram that retains raw samples up to `RETAIN_CAP` (exact
 /// quantiles), then folds the overflow into log-linear buckets (quantiles
 /// with ≤ ~1.1% relative error). [`Histogram::merge`] combines both
 /// representations, so per-shard histograms aggregate into one report
@@ -197,7 +197,7 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one: retained samples transfer
-    /// exactly (folding only past [`RETAIN_CAP`]); folded buckets combine
+    /// exactly (folding only past `RETAIN_CAP`); folded buckets combine
     /// count-for-count, so the merged error bound is the same ~1.1% as
     /// each input's.
     pub fn merge(&mut self, other: &Histogram) {

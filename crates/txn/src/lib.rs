@@ -7,17 +7,18 @@
 //! forces the decision, participants force it too and acknowledge). This
 //! crate implements that substrate exactly:
 //!
-//! * [`Coordinator`] and [`Participant`] are pure state machines — every
-//!   transition consumes one event and returns the actions to perform
-//!   (send, force-log, deliver decision). The same machines run under the
-//!   discrete-event simulator, the threaded runtime and direct unit tests.
+//! * [`Participant`] is a pure state machine — every transition consumes
+//!   one event and returns the actions to perform (send, force-log, apply
+//!   the decision). The coordinator side is `safetx_core::TwoPvc`: 2PVC
+//!   with validation switched off *is* 2PC, so it is written once, there,
+//!   over this crate's [`CoordinatorRecord`]s and [`CommitVariant`] rules.
 //! * [`CommitVariant`] selects Standard, Presumed-Abort (PrA) or
 //!   Presumed-Commit (PrC) logging/acknowledgment rules, "any log-based
 //!   optimizations of 2PC also apply to 2PVC".
-//! * [`recover_participant`] / [`recover_coordinator`] rebuild protocol
-//!   state from a [`Wal`](safetx_store::Wal) after a crash; in-doubt
-//!   participants inquire and the coordinator answers by record or by
-//!   presumption.
+//! * [`recover_participant`] rebuilds a participant from a
+//!   [`Wal`](safetx_store::Wal) after a crash; in-doubt participants
+//!   inquire and [`answer_inquiry`] answers from the coordinator's log, by
+//!   record or by presumption.
 //!
 //! Transactions themselves ([`TransactionSpec`]) are a sequence of queries,
 //! each a set of read/write operations bound to one server, matching the
@@ -26,18 +27,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coordinator;
 mod log;
 mod messages;
 mod participant;
 mod recovery;
 mod transaction;
 
-pub use coordinator::{Coordinator, CoordinatorOutput, CoordinatorState};
 pub use log::{CoordinatorRecord, ParticipantRecord};
 pub use messages::{CommitVariant, Decision, InquiryAnswer, Vote};
 pub use participant::{Participant, ParticipantOutput, ParticipantState};
-pub use recovery::{
-    answer_inquiry, recover_coordinator, recover_participant, RecoveredParticipant,
-};
+pub use recovery::{answer_inquiry, recover_participant, RecoveredParticipant};
 pub use transaction::{Operation, QuerySpec, TransactionSpec};

@@ -10,8 +10,11 @@
 //! * a coordinator answers inquiries from its decision record, or — when no
 //!   record exists — from the variant's presumption (PrA ⇒ abort,
 //!   PrC ⇒ commit, basic 2PC ⇒ blocked).
+//!
+//! A coordinator that is gone for good is replaced by the termination
+//! protocol (`safetx_core::terminate_leftover`): the same answer, with
+//! basic 2PC's blocking case resolved to abort.
 
-use crate::coordinator::Coordinator;
 use crate::log::{CoordinatorRecord, ParticipantRecord};
 use crate::messages::{CommitVariant, Decision, InquiryAnswer, Vote};
 use crate::participant::{Participant, ParticipantState};
@@ -122,44 +125,10 @@ where
     }
 }
 
-/// Rebuilds a coordinator after a TM crash.
-///
-/// When a decision had been logged, the coordinator resumes the decision
-/// phase (the caller should re-send the decision to participants that might
-/// not have acknowledged — acks are not logged, so all of them). When no
-/// decision had been logged, the safe move is to decide ABORT: no
-/// participant can have learned a commit.
-///
-/// Returns the rebuilt coordinator and the decision it will (re-)distribute.
-pub fn recover_coordinator<'a, I>(
-    txn: TxnId,
-    participants: std::collections::BTreeSet<safetx_types::ServerId>,
-    variant: CommitVariant,
-    records: I,
-) -> (Coordinator, Decision)
-where
-    I: IntoIterator<Item = &'a CoordinatorRecord>,
-{
-    let mut decision: Option<Decision> = None;
-    for record in records {
-        if record.txn() != txn {
-            continue;
-        }
-        if let CoordinatorRecord::Decision { decision: d, .. } = record {
-            decision = Some(*d);
-        }
-    }
-    let d = decision.unwrap_or(Decision::Abort);
-    let coordinator = Coordinator::new(txn, participants, variant);
-    (coordinator, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::CoordinatorState;
     use safetx_types::{PolicyId, PolicyVersion, ServerId};
-    use std::collections::BTreeSet;
 
     fn txn() -> TxnId {
         TxnId::new(3)
@@ -260,25 +229,5 @@ mod tests {
             answer_inquiry(txn(), CommitVariant::PresumedCommit, &records),
             InquiryAnswer::Decided(Decision::Abort)
         );
-    }
-
-    #[test]
-    fn coordinator_recovery_resumes_logged_decision_or_aborts() {
-        let participants: BTreeSet<ServerId> = [ServerId::new(0), ServerId::new(1)].into();
-        let records = [CoordinatorRecord::Decision {
-            txn: txn(),
-            decision: Decision::Commit,
-        }];
-        let (c, d) = recover_coordinator(
-            txn(),
-            participants.clone(),
-            CommitVariant::Standard,
-            &records,
-        );
-        assert_eq!(d, Decision::Commit);
-        assert_eq!(c.state(), CoordinatorState::Idle);
-
-        let (_, d) = recover_coordinator(txn(), participants, CommitVariant::Standard, &[]);
-        assert_eq!(d, Decision::Abort, "no decision record means abort");
     }
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# One server host, one control plane, one fault plan: the acceptance greps
-# and the non-test line budget of that consolidation. Fails on regression.
+# One server host, one control plane, one fault plan — and one participant
+# path: the acceptance greps and the non-test line budgets of both
+# consolidations. Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]` —
-# the count CHANGES.md uses (24 167 under crates/*/src at 5e6d18f).
+# the count CHANGES.md uses (24 167 under crates/*/src at 5e6d18f, 23 456
+# at 06d72e5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +28,7 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 23467 ] || bad "non-test Rust under crates/*/src is $total lines (budget 23467 = 24167 - 700)"
+[ "$total" -le 22960 ] || bad "non-test Rust under crates/*/src is $total lines (budget 22960; 23456 at 06d72e5)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/runtime/src/shard.rs crates/service/src/service.rs
@@ -62,5 +64,23 @@ if grep -n 'enum AnyCluster' tests/chaos.rs; then bad "tests/chaos.rs hand-dispa
 n=$(hits 'RuntimeKind::Threaded\(' crates/service/src/service.rs)
 [ "$n" -le 3 ] || bad "RuntimeKind::Threaded( appears $n times in service.rs (want <= 3: one dispatch point)"
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files)"
+# One participant path: `handle` is a round of one, `BatchEval` the only
+# evaluator, `recover_from_wal` the only recovery, `TwoPvc` the only 2PC
+# coordinator.
+participant_files=(crates/core/src/server.rs crates/core/src/round.rs crates/core/src/data_plane.rs
+    crates/core/src/sim_actor.rs crates/core/src/two_pvc.rs crates/txn/src/recovery.rs crates/txn/src/lib.rs)
+participant_total=$(lines "${participant_files[@]}")
+[ "$participant_total" -le 2600 ] || bad "the participant files total $participant_total lines (budget 2600; 3038 at 06d72e5)"
+
+n=$(hits 'Msg::(ExecQuery|PrepareToValidate) \{' crates/core/src/server.rs)
+[ "$n" -eq 0 ] || bad "server.rs handles queries or 2PV contacts outside run_round again ($n arms)"
+mapfile -t core_src < <(find crates/core/src -name '*.rs' | sort)
+n=$(hits 'evaluate_proof\(' "${core_src[@]}")
+[ "$n" -eq 0 ] || bad "evaluate_proof( is called $n times under crates/core/src (BatchEval is the only evaluator)"
+mapfile -t everywhere < <(find crates/*/src src tests examples -name '*.rs' | sort)
+gone='self\.unsafe_baseline\(\)|fn unsafe_baseline\(|recover_coordinator|CoordinatorOutput|CoordinatorState|struct Coordinator \{'
+n=$(hits "$gone" "${everywhere[@]}")
+[ "$n" -eq 0 ] || { bad "the second participant path or coordinator is back:"; nontest "${everywhere[@]}" | grep -E "$gone"; }
+
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"

@@ -6,7 +6,7 @@ use safetx::core::{
     ConsistencyLevel, TwoPvc, TwoPvcAction, TwoPvcState, ValidationAction, ValidationConfig,
     ValidationOutcome, ValidationReply, ValidationRound, VersionMap,
 };
-use safetx::txn::{CommitVariant, Coordinator, CoordinatorOutput, Decision, Vote};
+use safetx::txn::{CommitVariant, Decision, Vote};
 use safetx::types::{PolicyId, PolicyVersion, ServerId, TxnId};
 use std::collections::BTreeSet;
 
@@ -187,41 +187,88 @@ proptest! {
         prop_assert_eq!(pvc.state(), TwoPvcState::Ended(d));
     }
 
-    /// Classic 2PC coordinator: decides commit iff every vote is YES,
-    /// regardless of vote arrival order; duplicate votes are harmless.
+    /// Classic 2PC — `TwoPvc` with validation off — under every logging
+    /// variant: exactly one decision, commit iff every vote is YES,
+    /// regardless of vote arrival order; duplicate votes are harmless;
+    /// NO-voters are sent no decision; acks are awaited iff the variant
+    /// asks participants to acknowledge that decision.
     #[test]
     fn coordinator_decision_is_order_independent(
         votes in proptest::collection::vec(any::<bool>(), 1..7),
+        order in any::<u64>(),
         dup in any::<bool>(),
+        variant in prop_oneof![
+            Just(CommitVariant::Standard),
+            Just(CommitVariant::PresumedAbort),
+            Just(CommitVariant::PresumedCommit),
+        ],
     ) {
         let n = votes.len();
-        let mut coordinator = Coordinator::new(
+        let mut coordinator = TwoPvc::new(
             TxnId::new(1),
             servers(n),
-            CommitVariant::Standard,
+            ConsistencyLevel::View,
+            variant,
+            false,
         );
-        coordinator.start();
-        let mut decided = None;
-        for (i, &yes) in votes.iter().enumerate() {
-            let vote = if yes { Vote::Yes } else { Vote::No };
-            let outputs = coordinator.on_vote(ServerId::new(i as u64), vote);
+        let mut outputs = coordinator.start();
+        // A seed-dependent arrival order.
+        let mut arrivals: Vec<usize> = (0..n).collect();
+        let mut rot = order as usize;
+        for i in (1..n).rev() {
+            rot = rot.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            arrivals.swap(i, (rot >> 33) % (i + 1));
+        }
+        let mut resends = Vec::new();
+        for i in arrivals {
+            let reply = ValidationReply {
+                vote: if votes[i] { Vote::Yes } else { Vote::No },
+                ..ValidationReply::empty_true()
+            };
+            let server = ServerId::new(i as u64);
+            outputs.extend(coordinator.on_reply(server, reply.clone()));
             if dup {
-                // Duplicate the vote; must not change anything once decided.
-                let _ = coordinator.on_vote(ServerId::new(i as u64), vote);
-            }
-            for o in outputs {
-                if let CoordinatorOutput::Decided(d) = o {
-                    prop_assert!(decided.is_none(), "only one decision");
-                    decided = Some(d);
+                // A duplicated vote changes nothing; once decided, it only
+                // has the decision re-sent to the straggler.
+                for o in coordinator.on_reply(server, reply) {
+                    resends.push((server, o));
                 }
             }
         }
-        let all_yes = votes.iter().all(|&v| v);
-        match decided {
-            Some(Decision::Commit) => prop_assert!(all_yes),
-            Some(Decision::Abort) => prop_assert!(!all_yes),
-            None => prop_assert!(false, "all votes in but no decision"),
+        for (server, o) in resends {
+            prop_assert_eq!(o, TwoPvcAction::SendDecision(server, coordinator.decision().unwrap()));
         }
+        let decisions: Vec<Decision> = outputs
+            .iter()
+            .filter_map(|o| match o {
+                TwoPvcAction::Decided(d) => Some(*d),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(decisions.len(), 1, "exactly one decision");
+        let decision = decisions[0];
+        let all_yes = votes.iter().all(|&v| v);
+        prop_assert_eq!(decision.is_commit(), all_yes);
+        let mut recipients = BTreeSet::new();
+        for o in &outputs {
+            if let TwoPvcAction::SendDecision(server, d) = o {
+                prop_assert_eq!(*d, decision);
+                prop_assert!(votes[server.index() as usize], "a NO-voter aborted on its own");
+                recipients.insert(*server);
+            }
+        }
+        let yes_voters: BTreeSet<ServerId> =
+            servers(n).into_iter().filter(|s| votes[s.index() as usize]).collect();
+        prop_assert_eq!(&recipients, &yes_voters);
+        let awaits_acks = variant.participant_acks(decision) && !recipients.is_empty();
+        prop_assert_eq!(
+            coordinator.state(),
+            if awaits_acks {
+                TwoPvcState::Deciding(decision)
+            } else {
+                TwoPvcState::Ended(decision)
+            }
+        );
     }
 
     /// The paper-bound property: a clean 2PVC (uniform versions) uses one
