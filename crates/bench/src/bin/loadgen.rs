@@ -3,19 +3,21 @@
 //! Sweeps proof scheme × consistency level × closed-loop client count over
 //! `safetx-service` (worker pool + admission queue + abort-retry) on the
 //! threaded runtime, then demonstrates open-loop Poisson arrivals and
-//! deterministic overload shedding. Writes machine-readable results to
-//! `BENCH_loadgen.json` and self-validates them: the emitted JSON must
-//! re-parse, and for every cell `commits + terminal_aborts +
-//! retries_exhausted + overload_rejections == submissions`.
+//! deterministic overload shedding. Prints a machine-readable report on
+//! stdout and self-validates it: the emitted JSON must re-parse, and for
+//! every cell `commits + terminal_aborts + retries_exhausted +
+//! overload_rejections == submissions`.
 //!
 //! Transaction *outcome totals* are deterministic under a fixed seed: the
 //! policy-denied fraction is positional, authorized transactions retry
 //! transient aborts until they commit, and the overload section gates a
 //! server thread so the shed count is exact. Latencies and throughput are
-//! wall-clock and vary run to run; outcomes do not.
+//! wall-clock and vary run to run; outcomes do not. The one-line summary
+//! goes to stderr; `scripts/loadgen_totals.sh` prints the report's
+//! `outcome_totals`, one key per line, for diffing two runs.
 //!
 //! ```bash
-//! cargo run --release -p safetx-bench --bin loadgen [-- [--smoke] [txns_per_client] [seed]]
+//! cargo run --release -p safetx-bench --bin loadgen [-- [--smoke] [--net] [txns_per_client] [seed]] > report.json
 //! ```
 //!
 //! `--smoke` runs the small-n CI configuration (2 servers, 4 clients,
@@ -25,13 +27,8 @@
 //! (`safetx-net`): the same service layer, but every protocol message is
 //! encoded into a length-prefixed frame and crosses a `UnixStream`. The
 //! outcome totals must be byte-identical to a threaded run with the same
-//! arguments — CI diffs the two.
-//!
-//! `--zipf <theta>` and `--keys <n>` switch key selection from the default
-//! uniform spread to a Zipf(theta) draw over an `n`-key universe (servers
-//! default missing items to zero, so the universe can span millions of
-//! keys without seeding them). Both default off; a run without them is
-//! identical to one built before the knobs existed.
+//! arguments — CI diffs the two. The concurrency mode comes from
+//! `SAFETX_CONCURRENCY_MODE`, as for every runtime.
 
 use safetx_core::{trusted, ConcurrencyMode, ConsistencyLevel, ProofScheme};
 use safetx_metrics::Json;
@@ -41,11 +38,10 @@ use safetx_runtime::{Cluster, ClusterConfig};
 use safetx_service::{
     run_closed_loop, run_open_loop, RetryPolicy, RuntimeKind, ServiceConfig, TxnService,
 };
-use safetx_sim::SimRng;
 use safetx_store::Value;
 use safetx_txn::{Operation, QuerySpec, TransactionSpec};
 use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, UserId};
-use safetx_workload::{PoissonArrivals, ZipfLarge};
+use safetx_workload::PoissonArrivals;
 use std::sync::Arc;
 
 /// Data items seeded per server; transaction keys are spread over these.
@@ -107,32 +103,13 @@ fn member_credential(runtime: &RuntimeKind) -> Credential {
     })
 }
 
-/// How transaction keys are chosen.
-#[derive(Clone, Copy)]
-enum KeyMode {
-    /// The original deterministic spread: slot `(g·7) mod 64` on every
-    /// server. Contention is real but bounded and outcomes are positional.
-    Spread,
-    /// Zipf(theta)-ranked draws over a `keys_per_server`-key universe per
-    /// server (`--zipf`/`--keys`): rank 0 is the hottest key, and the
-    /// draw is a pure function of (seed, txn index, server), so outcomes
-    /// stay reproducible under a fixed seed.
-    Zipf { dist: ZipfLarge, seed: u64 },
-}
-
-/// A read-modify-write across every server, key slots chosen by `mode`.
-fn spec_for(runtime: &RuntimeKind, global_index: u64, mode: KeyMode) -> TransactionSpec {
+/// A read-modify-write across every server, on slot `(g·7) mod 64` of
+/// each: contention is real but bounded and outcomes are positional.
+fn spec_for(runtime: &RuntimeKind, global_index: u64) -> TransactionSpec {
     let servers = runtime.config().servers as u64;
     let queries = (0..servers)
         .map(|s| {
-            let item = match mode {
-                KeyMode::Spread => s * 100 + (global_index * 7) % ITEMS_PER_SERVER,
-                KeyMode::Zipf { dist, seed } => {
-                    let mut rng =
-                        SimRng::new(seed ^ global_index.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ s);
-                    s * dist.len() + dist.sample(&mut rng)
-                }
-            };
+            let item = s * 100 + (global_index * 7) % ITEMS_PER_SERVER;
             QuerySpec::new(
                 ServerId::new(s),
                 "write",
@@ -198,7 +175,6 @@ fn closed_loop_cell(
     clients: usize,
     per_client: usize,
     seed: u64,
-    mode: KeyMode,
     totals: &mut Totals,
 ) -> Json {
     let (scheme, consistency) = (runtime.config().scheme, runtime.config().consistency);
@@ -219,7 +195,7 @@ fn closed_loop_cell(
         } else {
             vec![cred.clone()]
         };
-        (spec_for(&runtime, g, mode), creds)
+        (spec_for(&runtime, g), creds)
     });
 
     // Post-hoc Definition 4 audit: every commit's recorded view must be
@@ -259,13 +235,7 @@ fn closed_loop_cell(
 /// Open-loop Poisson section: arrivals do not wait for completions. The
 /// queue is deeper than the arrival count so outcome totals stay
 /// deterministic; shedding is demonstrated by the gated overload section.
-fn open_loop_section(
-    net: bool,
-    seed: u64,
-    count: usize,
-    mode: KeyMode,
-    totals: &mut Totals,
-) -> Json {
+fn open_loop_section(net: bool, seed: u64, count: usize, totals: &mut Totals) -> Json {
     let runtime = build_runtime(net, 3, ProofScheme::Punctual, ConsistencyLevel::View);
     let service = TxnService::with_runtime(
         runtime.clone(),
@@ -286,7 +256,7 @@ fn open_loop_section(
         } else {
             vec![cred.clone()]
         };
-        (spec_for(&runtime, g, mode), creds)
+        (spec_for(&runtime, g), creds)
     });
     let mut stats = service.shutdown();
     assert!(stats.conserves(), "open loop leaked outcomes: {stats:?}");
@@ -305,13 +275,7 @@ fn open_loop_section(
 /// the single worker on it, fill the queue to depth, and burst `extra`
 /// more submissions — exactly `extra` are shed. Then open the gate and
 /// drain; everything admitted commits.
-fn overload_section(
-    net: bool,
-    seed: u64,
-    extra: usize,
-    mode: KeyMode,
-    totals: &mut Totals,
-) -> Json {
+fn overload_section(net: bool, seed: u64, extra: usize, totals: &mut Totals) -> Json {
     let depth = 4usize;
     let runtime = build_runtime(net, 2, ProofScheme::Deferred, ConsistencyLevel::View);
     let service = TxnService::with_runtime(
@@ -341,7 +305,7 @@ fn overload_section(
     // Park the worker: submit one job and wait until it leaves the queue
     // (the worker is now blocked inside execute on the gated server).
     let mut handles = vec![service
-        .try_submit(spec_for(&runtime, 0, mode), vec![cred.clone()])
+        .try_submit(spec_for(&runtime, 0), vec![cred.clone()])
         .expect("empty queue admits")];
     while service.queue_len() > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -349,7 +313,7 @@ fn overload_section(
     // Fill the queue to depth, then burst past it.
     let mut rejected = 0u64;
     for g in 0..(depth + extra) as u64 {
-        match service.try_submit(spec_for(&runtime, g + 1, mode), vec![cred.clone()]) {
+        match service.try_submit(spec_for(&runtime, g + 1), vec![cred.clone()]) {
             Ok(h) => handles.push(h),
             Err(err) => {
                 assert_eq!(err, safetx_service::AdmissionError::Overloaded);
@@ -422,28 +386,12 @@ fn validate(text: &str) {
 fn main() {
     let mut smoke = false;
     let mut net = false;
-    let mut zipf_theta: Option<f64> = None;
-    let mut keys: Option<u64> = None;
     let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             smoke = true;
         } else if arg == "--net" {
             net = true;
-        } else if arg == "--zipf" {
-            let theta = args.next().expect("--zipf takes a theta value");
-            zipf_theta = Some(theta.parse().expect("zipf theta"));
-        } else if arg == "--keys" {
-            let n = args.next().expect("--keys takes a key count");
-            keys = Some(n.parse().expect("key count"));
-        } else if arg == "--mode" {
-            let mode = args.next().expect("--mode takes occ or locking");
-            let mode = ConcurrencyMode::parse(&mode)
-                .unwrap_or_else(|| panic!("unknown concurrency mode {mode:?}"));
-            // Every runtime's ClusterConfig defaults its concurrency from
-            // this variable, so one knob covers all sections and backends.
-            std::env::set_var("SAFETX_CONCURRENCY_MODE", mode.to_string());
         } else {
             positional.push(arg);
         }
@@ -481,19 +429,6 @@ fn main() {
         )
     };
 
-    // Either knob alone engages Zipf selection; the other takes a default.
-    let mode = if zipf_theta.is_some() || keys.is_some() {
-        let theta = zipf_theta.unwrap_or(0.0);
-        let universe = keys.unwrap_or(servers as u64 * ITEMS_PER_SERVER);
-        let per_server = universe.div_ceil(servers as u64).max(1);
-        KeyMode::Zipf {
-            dist: ZipfLarge::new(per_server, theta),
-            seed,
-        }
-    } else {
-        KeyMode::Spread
-    };
-
     let mut totals = Totals::default();
     let mut cells = Vec::new();
     for &scheme in &schemes {
@@ -505,20 +440,17 @@ fn main() {
                     clients,
                     per_client,
                     seed,
-                    mode,
                     &mut totals,
                 ));
             }
         }
     }
     eprintln!("open loop: Poisson arrivals");
-    let open = open_loop_section(net, seed, if smoke { 40 } else { 80 }, mode, &mut totals);
+    let open = open_loop_section(net, seed, if smoke { 40 } else { 80 }, &mut totals);
     eprintln!("overload: gated burst");
-    let overload = overload_section(net, seed, 6, mode, &mut totals);
+    let overload = overload_section(net, seed, 6, &mut totals);
 
-    // Default runs emit exactly the pre-knob config shape; the Zipf keys
-    // appear only when the knobs are engaged.
-    let mut config_json = Json::object()
+    let config_json = Json::object()
         .with("smoke", smoke)
         .with("runtime", if net { "net" } else { "threaded" })
         .with("servers", servers)
@@ -526,11 +458,6 @@ fn main() {
         .with("seed", seed)
         .with("deny_every", DENY_EVERY)
         .with("concurrency", ConcurrencyMode::from_env().to_string());
-    if let KeyMode::Zipf { dist, .. } = mode {
-        config_json = config_json
-            .with("zipf_theta", zipf_theta.unwrap_or(0.0))
-            .with("keys_per_server", dist.len());
-    }
     let report = Json::object()
         .with("config", config_json)
         .with("closed_loop", Json::Arr(cells))
@@ -538,16 +465,10 @@ fn main() {
         .with("overload", overload)
         .with("outcome_totals", totals.to_json());
     let text = report.render();
-    let out = if net {
-        "BENCH_loadgen_net.json"
-    } else {
-        "BENCH_loadgen.json"
-    };
-    std::fs::write(out, &text).unwrap_or_else(|e| panic!("write {out}: {e}"));
     validate(&text);
-    println!(
-        "loadgen OK: {} submissions, {} commits, {} terminal aborts, {} exhausted, {} shed \
-         ({out})",
+    println!("{text}");
+    eprintln!(
+        "loadgen OK: {} submissions, {} commits, {} terminal aborts, {} exhausted, {} shed",
         totals.submissions,
         totals.commits,
         totals.terminal_aborts,

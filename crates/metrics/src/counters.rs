@@ -64,7 +64,7 @@ impl ProtocolMetrics {
 }
 
 impl ProtocolMetrics {
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()
@@ -178,7 +178,7 @@ impl ProofCacheStats {
 }
 
 impl ProofCacheStats {
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()
@@ -296,7 +296,7 @@ impl FaultCounters {
             + self.disconnects
     }
 
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()
@@ -423,7 +423,7 @@ impl RouteCounters {
             && self.cross_shard_submitted == self.cross_shard_commits + self.cross_shard_aborts
     }
 
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()
@@ -513,7 +513,7 @@ impl WalStats {
         self.forced_logs.saturating_sub(self.physical_syncs)
     }
 
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()
@@ -599,7 +599,7 @@ impl TransportCounters {
         self.decode_errors += other.decode_errors;
     }
 
-    /// Machine-readable form for `BENCH_*.json` emitters.
+    /// Machine-readable form for the benchmark and `loadgen`.
     #[must_use]
     pub fn to_json(&self) -> crate::Json {
         crate::Json::object()

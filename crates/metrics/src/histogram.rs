@@ -1,14 +1,12 @@
 //! Latency histogram: exact up to a retain cap, log-bucketed past it.
 //!
-//! Small experiments keep every raw sample, so quantiles are exact and
-//! existing `BENCH_*.json` runs are byte-identical. Million-sample scale
-//! sweeps (and merges of many per-shard histograms) would grow without
-//! bound, so past [`RETAIN_CAP`] samples the histogram folds new samples
-//! into log-linear buckets with a **bounded relative error**: each bucket
-//! spans one `1/32` octave and reports its geometric midpoint, so any
-//! quantile drawn from the folded region is within `2^(1/64) − 1 ≈ 1.1%`
-//! of the true sample value. Counts, means, minima and maxima stay exact
-//! in both regimes.
+//! Small experiments keep every raw sample, so quantiles are exact. Long
+//! benchmark windows would grow without bound, so past [`RETAIN_CAP`]
+//! samples the histogram folds new samples into log-linear buckets with a
+//! **bounded relative error**: each bucket spans one `1/32` octave and
+//! reports its geometric midpoint, so any quantile drawn from the folded
+//! region is within `2^(1/64) − 1 ≈ 1.1%` of the true sample value.
+//! Counts, means, minima and maxima stay exact in both regimes.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,9 +25,7 @@ const NONPOS_BUCKET: i64 = i64::MIN;
 
 /// A histogram that retains raw samples up to `RETAIN_CAP` (exact
 /// quantiles), then folds the overflow into log-linear buckets (quantiles
-/// with ≤ ~1.1% relative error). [`Histogram::merge`] combines both
-/// representations, so per-shard histograms aggregate into one report
-/// without losing p95/p99 fidelity beyond that bound.
+/// with ≤ ~1.1% relative error).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     samples: Vec<f64>,
@@ -78,12 +74,12 @@ impl Histogram {
             self.samples.push(sample);
             self.sorted = false;
         } else {
-            self.fold(sample, 1);
+            self.fold(sample);
         }
     }
 
-    fn fold(&mut self, sample: f64, count: u64) {
-        *self.buckets.entry(bucket_of(sample)).or_insert(0) += count;
+    fn fold(&mut self, sample: f64) {
+        *self.buckets.entry(bucket_of(sample)).or_insert(0) += 1;
         if self.folded == 0 {
             self.folded_min = sample;
             self.folded_max = sample;
@@ -91,8 +87,8 @@ impl Histogram {
             self.folded_min = self.folded_min.min(sample);
             self.folded_max = self.folded_max.max(sample);
         }
-        self.folded += count;
-        self.folded_sum += sample * count as f64;
+        self.folded += 1;
+        self.folded_sum += sample;
     }
 
     /// Number of samples (exact, folded or not).
@@ -196,33 +192,8 @@ impl Histogram {
         self.quantile(0.5)
     }
 
-    /// Merges another histogram into this one: retained samples transfer
-    /// exactly (folding only past `RETAIN_CAP`); folded buckets combine
-    /// count-for-count, so the merged error bound is the same ~1.1% as
-    /// each input's.
-    pub fn merge(&mut self, other: &Histogram) {
-        for &s in &other.samples {
-            self.record(s);
-        }
-        for (&bucket, &count) in &other.buckets {
-            self.fold(bucket_rep(bucket), count);
-        }
-        if other.folded > 0 {
-            // fold() saw only representatives; restore the exact extremes
-            // and sum the other side tracked.
-            self.folded_min = self.folded_min.min(other.folded_min);
-            self.folded_max = self.folded_max.max(other.folded_max);
-            self.folded_sum += other.folded_sum
-                - other
-                    .buckets
-                    .iter()
-                    .map(|(&b, &c)| bucket_rep(b) * c as f64)
-                    .sum::<f64>();
-        }
-    }
-
     /// Machine-readable summary (count, mean, min/max, p50/p95/p99) for
-    /// `BENCH_*.json` emitters. Empty histograms report `count: 0` and
+    /// the benchmark and `loadgen`. Empty histograms report `count: 0` and
     /// `null` statistics.
     pub fn to_json(&mut self) -> crate::Json {
         let opt = |v: Option<f64>| v.map_or(crate::Json::Null, crate::Json::Num);
@@ -295,15 +266,6 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(1.0);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a: Histogram = [1.0, 2.0].into_iter().collect();
-        let b: Histogram = [3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.mean(), Some(2.5));
     }
 
     #[test]
@@ -382,27 +344,6 @@ mod tests {
         // log2(10 * 8192) ≈ 16.3 octaves × 32 sub-buckets + slack.
         assert!(h.buckets.len() <= 17 * 32, "{} buckets", h.buckets.len());
         assert_eq!(h.count(), 10 * RETAIN_CAP);
-    }
-
-    #[test]
-    fn merge_of_folded_histograms_preserves_count_mean_extremes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for i in 0..(2 * RETAIN_CAP) {
-            a.record((i % 500) as f64 + 1.0);
-            b.record((i % 500) as f64 + 501.0);
-        }
-        let (asum, bsum) = (
-            a.mean().unwrap() * a.count() as f64,
-            b.mean().unwrap() * b.count() as f64,
-        );
-        a.merge(&b);
-        assert_eq!(a.count(), 4 * RETAIN_CAP);
-        assert!((a.mean().unwrap() - (asum + bsum) / a.count() as f64).abs() < 1e-6);
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(1000.0));
-        let p99 = a.quantile(0.99).unwrap();
-        assert!((960.0..=1005.0).contains(&p99), "p99 {p99}");
     }
 
     #[test]

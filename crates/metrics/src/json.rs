@@ -2,10 +2,10 @@
 //!
 //! The workspace builds offline: the vendored `serde` facade provides only
 //! no-op derives, so machine-readable output is produced by this small
-//! in-tree JSON implementation instead. It supports exactly what the bench
-//! binaries need — objects (insertion-ordered), arrays, strings, finite
-//! numbers, booleans and null — plus a strict parser so emitters can
-//! round-trip-validate their own `BENCH_*.json` files.
+//! in-tree JSON implementation instead. It supports exactly what the
+//! benchmark and `loadgen` need — objects (insertion-ordered), arrays,
+//! strings, finite numbers, booleans and null — plus a strict parser so
+//! emitters can round-trip-validate their own reports.
 
 use std::fmt;
 

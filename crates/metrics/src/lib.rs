@@ -6,7 +6,8 @@
 //! latency samples for the trade-off study, and [`AsciiTable`] renders the
 //! reproduction tables printed by the bench binaries. [`Json`] is a small
 //! in-tree JSON tree + parser (the vendored `serde` facade is derive-only)
-//! so bench binaries can emit and validate machine-readable `BENCH_*.json`.
+//! so the benchmark and `loadgen` can emit and validate machine-readable
+//! reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,13 +28,13 @@ use crate::deployment::{
 };
 use crate::fault::{FaultPlan, FaultStats};
 use safetx_core::{ServerCore, SharedCas, SharedCatalog, TmCrashPoint};
-use safetx_metrics::{FaultCounters, Histogram, RouteCounters, WalStats};
+use safetx_metrics::{FaultCounters, RouteCounters, WalStats};
 use safetx_policy::Credential;
 use safetx_store::LocalStore;
 use safetx_txn::{CoordinatorRecord, TransactionSpec};
 use safetx_types::{PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Sharded deployment configuration.
 #[derive(Debug, Clone)]
@@ -74,14 +74,12 @@ impl TxnRoute {
     }
 }
 
-/// Counters and wall-clock latency of one routing class.
+/// Counters of one routing class.
 #[derive(Default)]
 struct RouteClass {
     submitted: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
-    /// Milliseconds, one sample per execution.
-    latency_ms: Mutex<Histogram>,
 }
 
 /// A partitioned deployment: `shards` independent [`Cluster`]s over one
@@ -248,18 +246,6 @@ impl ShardedCluster {
         self.owner(server).configure_server(server, f)
     }
 
-    /// Single- vs cross-shard wall-clock latency histograms in
-    /// milliseconds, one sample per execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a latency mutex is poisoned.
-    #[must_use]
-    pub fn route_latency_ms(&self) -> (Histogram, Histogram) {
-        let of = |class: &RouteClass| class.latency_ms.lock().expect("latency lock").clone();
-        (of(&self.single), of(&self.cross))
-    }
-
     /// Stops every shard's server threads and waits for them.
     pub fn shutdown(self) {
         // The shards' `Drop` does it.
@@ -310,14 +296,12 @@ impl Deployment for ShardedCluster {
             &class.aborts
         };
         outcome.fetch_add(1, Ordering::Relaxed);
-        let mut latency = class.latency_ms.lock().expect("latency lock");
-        latency.record(result.elapsed.as_secs_f64() * 1_000.0);
         result
     }
 
     /// The victim is the single-shard TM or the cross-shard coordinator,
-    /// whichever the route selects. Route counters and latency histograms
-    /// are deliberately not touched: a dead coordinator reports nothing.
+    /// whichever the route selects. Route counters are deliberately not
+    /// touched: a dead coordinator reports nothing.
     ///
     /// For a cross-shard victim this is the scenario the replicated
     /// decision logs exist for: every `ForceLog` record was written to
@@ -553,22 +537,6 @@ mod tests {
         let counters = cluster.route_counters();
         assert_eq!(counters.cross_shard_aborts, 1);
         assert!(counters.conserves());
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn latency_split_records_per_route() {
-        let cluster = sharded(2, 2);
-        let cred = credential(&cluster);
-        assert!(cluster
-            .execute(&write_spec(&cluster, &[0]), std::slice::from_ref(&cred))
-            .is_commit());
-        assert!(cluster
-            .execute(&write_spec(&cluster, &[0, 3]), &[cred])
-            .is_commit());
-        let (single, cross) = cluster.route_latency_ms();
-        assert_eq!(single.count(), 1);
-        assert_eq!(cross.count(), 1);
         cluster.shutdown();
     }
 }

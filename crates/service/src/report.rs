@@ -127,39 +127,6 @@ impl ServiceStats {
         }
     }
 
-    /// Folds another service's statistics into this one, so per-shard (or
-    /// per-service) reports aggregate into a single deployment-wide view.
-    ///
-    /// Scalar counters and the fault/WAL/transport/route groups add
-    /// exactly. Latency histograms merge through
-    /// [`Histogram::merge`], which is exact while both sides are within
-    /// their retained-sample budget and degrades to log-linear buckets
-    /// beyond it — counts, means and extremes stay exact, and every
-    /// quantile carries a bounded relative error of at most ~1.1%
-    /// (2^(1/64) − 1), a bound that merging does not compound.
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.submissions += other.submissions;
-        self.accepted += other.accepted;
-        self.overload_rejections += other.overload_rejections;
-        self.commits += other.commits;
-        self.terminal_aborts += other.terminal_aborts;
-        self.retries_exhausted += other.retries_exhausted;
-        self.retry_attempts += other.retry_attempts;
-        self.unavailable_retries += other.unavailable_retries;
-        self.retry_lock_conflicts += other.retry_lock_conflicts;
-        self.retry_validation_conflicts += other.retry_validation_conflicts;
-        self.retry_stale_versions += other.retry_stale_versions;
-        self.retry_timeouts += other.retry_timeouts;
-        self.dropped_replies += other.dropped_replies;
-        self.faults.merge(&other.faults);
-        self.wal.merge(&other.wal);
-        self.transport.merge(&other.transport);
-        self.route.merge(&other.route);
-        self.commit_latency_ms.merge(&other.commit_latency_ms);
-        self.queue_wait_ms.merge(&other.queue_wait_ms);
-        self.failure_latency_ms.merge(&other.failure_latency_ms);
-    }
-
     /// Machine-readable snapshot (sorts histograms in place for the
     /// quantiles).
     pub fn to_json(&mut self) -> Json {
@@ -243,47 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_aggregates_counters_and_histograms() {
-        let mut a = ServiceStats {
-            submissions: 10,
-            accepted: 9,
-            overload_rejections: 1,
-            commits: 8,
-            terminal_aborts: 1,
-            ..Default::default()
-        };
-        for ms in [1.0, 2.0, 3.0] {
-            a.commit_latency_ms.record(ms);
-        }
-        a.route.single_shard_submitted = 9;
-        a.route.single_shard_commits = 8;
-        a.route.single_shard_aborts = 1;
-        let mut b = ServiceStats {
-            submissions: 5,
-            accepted: 5,
-            commits: 4,
-            retries_exhausted: 1,
-            ..Default::default()
-        };
-        for ms in [10.0, 20.0] {
-            b.commit_latency_ms.record(ms);
-        }
-        b.route.cross_shard_submitted = 5;
-        b.route.cross_shard_commits = 4;
-        b.route.cross_shard_aborts = 1;
-        a.merge(&b);
-        assert_eq!(a.submissions, 15);
-        assert_eq!(a.commits, 12);
-        assert!(a.conserves(), "{a:?}");
-        assert!(a.route.conserves());
-        assert_eq!(a.commit_latency_ms.count(), 5);
-        assert_eq!(a.commit_latency_ms.max(), Some(20.0));
-        let p50 = a.commit_latency_ms.quantile(0.5).expect("non-empty");
-        assert!((p50 - 3.0).abs() < f64::EPSILON, "exact below cap: {p50}");
-    }
-
-    #[test]
-    fn retry_breakdown_partitions_by_reason_and_survives_merge_and_json() {
+    fn retry_breakdown_partitions_by_reason_and_survives_json() {
         let mut stats = ServiceStats::default();
         stats.record_retry_reason(AbortReason::LockConflict);
         stats.record_retry_reason(AbortReason::LockConflict);
@@ -296,9 +223,7 @@ mod tests {
         assert_eq!(stats.retry_stale_versions, 1);
         assert_eq!(stats.retry_timeouts, 1);
 
-        let mut other = ServiceStats::default();
-        other.record_retry_reason(AbortReason::ValidationConflict);
-        stats.merge(&other);
+        stats.record_retry_reason(AbortReason::ValidationConflict);
         assert_eq!(stats.retry_validation_conflicts, 2);
 
         let text = stats.to_json().render();

@@ -95,67 +95,6 @@ impl Zipf {
     }
 }
 
-/// Zipf-distributed selection over `0..n` for **large** `n` (millions of
-/// keys): constant memory via harmonic-approximation inversion, versus
-/// [`Zipf`]'s exact-but-O(n) CDF table.
-///
-/// The continuous density `f(x) ∝ x^(-s)` on `[1, n+1)` is inverted in
-/// closed form and floored to a rank, which approximates the discrete Zipf
-/// distribution (the approximation error shrinks with `n`; rank ordering
-/// and the heavy head are exact properties of the inversion). `s = 0` is
-/// exactly uniform, matching [`Zipf`].
-#[derive(Debug, Clone, Copy)]
-pub struct ZipfLarge {
-    n: u64,
-    s: f64,
-}
-
-impl ZipfLarge {
-    /// Builds a sampler over `n` items with exponent `s` (`s = 0` is
-    /// uniform; larger is more skewed).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0` or `s` is negative/non-finite.
-    #[must_use]
-    pub fn new(n: u64, s: f64) -> Self {
-        assert!(n > 0, "zipf over zero items");
-        assert!(s >= 0.0 && s.is_finite(), "invalid zipf exponent {s}");
-        ZipfLarge { n, s }
-    }
-
-    /// Draws a rank in `0..n` (rank 0 most popular).
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        if self.s == 0.0 {
-            return rng.range_u64(0, self.n);
-        }
-        let u = rng.unit_f64();
-        let n = self.n as f64;
-        // Invert the continuous CDF of x^(-s) on [1, n+1).
-        let x = if (self.s - 1.0).abs() < 1e-9 {
-            // s = 1: CDF ∝ ln(x), inverse = (n+1)^u.
-            (n + 1.0).powf(u)
-        } else {
-            // s ≠ 1: CDF ∝ x^(1-s) - 1, inverse below.
-            let t = 1.0 - self.s;
-            (1.0 + u * ((n + 1.0).powf(t) - 1.0)).powf(1.0 / t)
-        };
-        ((x.floor() as u64).saturating_sub(1)).min(self.n - 1)
-    }
-
-    /// Number of items.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Never true: the constructor rejects `n == 0`.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
 /// An infinite open-loop Poisson arrival process: successive absolute
 /// arrival offsets with exponential inter-arrival gaps (truncated to whole
 /// microseconds, minimum 1 µs so arrivals are strictly monotone).
@@ -273,79 +212,6 @@ mod tests {
     #[should_panic(expected = "zero items")]
     fn zipf_rejects_empty_domain() {
         let _ = Zipf::new(0, 1.0);
-    }
-
-    #[test]
-    fn zipf_large_zero_exponent_is_uniform_over_millions() {
-        let zipf = ZipfLarge::new(10_000_000, 0.0);
-        let mut rng = SimRng::new(5);
-        let mut below_half = 0;
-        for _ in 0..10_000 {
-            let k = zipf.sample(&mut rng);
-            assert!(k < 10_000_000);
-            if k < 5_000_000 {
-                below_half += 1;
-            }
-        }
-        assert!((4_000..6_000).contains(&below_half), "{below_half}");
-    }
-
-    #[test]
-    fn zipf_large_skew_prefers_low_ranks() {
-        for s in [0.8, 1.0, 1.2] {
-            let zipf = ZipfLarge::new(1_000_000, s);
-            let mut rng = SimRng::new(6);
-            let n = 20_000;
-            let head = (0..n).filter(|_| zipf.sample(&mut rng) < 1_000).count();
-            // The top 0.1% of a million-key Zipf draws a large share
-            // (≈20% at s=0.8, ≈50% at s=1.0, ≈80% at s=1.2 — versus
-            // 0.1% under uniform selection).
-            assert!(
-                head > n / 6,
-                "s={s}: top-1000 of 1M drew only {head}/{n} samples"
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_large_matches_small_zipf_head_mass() {
-        // Same exponent, same domain: the CDF-table sampler and the
-        // closed-form inversion must agree on the head's share.
-        let n = 1_000usize;
-        let s = 1.1;
-        let exact = Zipf::new(n, s);
-        let approx = ZipfLarge::new(n as u64, s);
-        let (mut rng_a, mut rng_b) = (SimRng::new(7), SimRng::new(7));
-        let trials = 40_000;
-        let head_exact = (0..trials)
-            .filter(|_| exact.sample(&mut rng_a) < 10)
-            .count() as f64;
-        let head_approx = (0..trials)
-            .filter(|_| approx.sample(&mut rng_b) < 10)
-            .count() as f64;
-        let (a, b) = (head_exact / trials as f64, head_approx / trials as f64);
-        // The continuous inversion trims the head slightly (≈0.43 vs the
-        // exact ≈0.48 at n=1000, shrinking as n grows) — agreement within
-        // 0.1 of probability mass is what the approximation promises.
-        assert!((a - b).abs() < 0.1, "head mass diverged: {a} vs {b}");
-    }
-
-    #[test]
-    fn zipf_large_samples_stay_in_range() {
-        for s in [0.0, 0.5, 1.0, 2.0] {
-            let zipf = ZipfLarge::new(3, s);
-            let mut rng = SimRng::new(8);
-            for _ in 0..1_000 {
-                assert!(zipf.sample(&mut rng) < 3);
-            }
-        }
-        assert_eq!(ZipfLarge::new(3, 1.0).len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero items")]
-    fn zipf_large_rejects_empty_domain() {
-        let _ = ZipfLarge::new(0, 1.0);
     }
 
     #[test]

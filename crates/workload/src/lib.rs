@@ -14,10 +14,8 @@
 
 mod dist;
 mod gen;
-mod population;
 mod scenario;
 
-pub use dist::{PoissonArrivals, QueryCount, Zipf, ZipfLarge};
+pub use dist::{PoissonArrivals, QueryCount, Zipf};
 pub use gen::{TxnGenerator, WorkloadConfig};
-pub use population::{Population, WalletDirectory};
 pub use scenario::{run_scenario, PolicyChurn, ScenarioConfig, ScenarioResult};

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# One server host, one control plane, one fault plan — and one participant
-# path: the acceptance greps and the non-test line budgets of both
-# consolidations. Fails on regression.
+# One server host, one control plane, one fault plan, one participant
+# path and one benchmark: the acceptance greps and the non-test line
+# budgets of the consolidations. Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]` —
 # the count CHANGES.md uses (24 167 under crates/*/src at 5e6d18f, 23 456
-# at 06d72e5).
+# at 06d72e5, 22 960 at 3ad6782).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +28,7 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 22960 ] || bad "non-test Rust under crates/*/src is $total lines (budget 22960; 23456 at 06d72e5)"
+[ "$total" -le 21734 ] || bad "non-test Rust under crates/*/src is $total lines (budget 21734; 22960 at 3ad6782)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/runtime/src/shard.rs crates/service/src/service.rs
@@ -82,5 +82,16 @@ gone='self\.unsafe_baseline\(\)|fn unsafe_baseline\(|recover_coordinator|Coordin
 n=$(hits "$gone" "${everywhere[@]}")
 [ "$n" -eq 0 ] || { bad "the second participant path or coordinator is back:"; nontest "${everywhere[@]}" | grep -E "$gone"; }
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
+# One benchmark: every wall-clock number comes from `benchmark/`; the
+# burst-regime bench binaries, their JSON files and the library code only
+# they used stay deleted.
+tracked=$(git ls-files 'BENCH_?*')
+[ -z "$tracked" ] || bad "tracked BENCH_ files are back: $tracked"
+bench_gone='runtime_compare|scale_sweep|route_latency_ms|ZipfLarge|WalletDirectory|struct Population|BENCH_[a-z*]'
+mapfile -t rust < <(find crates/*/src src tests examples -name '*.rs' | sort)
+stale=$({ nontest "${rust[@]}"; grep -H '' scripts/*.sh .github/workflows/ci.yml README.md DESIGN.md; } |
+    grep -v '^scripts/check_one_host.sh:bench_gone=' | grep -E "$bench_gone" || true)
+[ -z "$stale" ] || { bad "the second bench system is cited again:"; echo "$stale"; }
+
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"

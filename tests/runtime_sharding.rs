@@ -433,6 +433,7 @@ fn cross_shard_matrix_is_safe_and_conserves() {
                     .collect();
 
                 let mut submitted = 0u64;
+                let mut single_submitted = 0u64;
                 let mut commits = 0u64;
                 let mut aborts = 0u64;
                 let mut cross_commits_by_shard = vec![0usize; shards];
@@ -456,6 +457,7 @@ fn cross_shard_matrix_is_safe_and_conserves() {
                         assert_eq!(p.len(), participants.len());
                     }
                     submitted += 1;
+                    single_submitted += u64::from(route.is_single());
                     let result = cluster.execute(&spec, &creds);
                     if result.is_commit() {
                         commits += 1;
@@ -499,6 +501,8 @@ fn cross_shard_matrix_is_safe_and_conserves() {
                 let route = cluster.route_counters();
                 assert!(route.conserves(), "{route:?}");
                 assert_eq!(route.submitted(), submitted);
+                // Each execution is counted in exactly its own route class.
+                assert_eq!(route.single_shard_submitted, single_submitted);
                 assert!(route.cross_shard_submitted > 0);
                 assert_eq!(
                     route.single_shard_commits + route.cross_shard_commits,
