@@ -10,8 +10,8 @@
 //!
 //! Transaction *outcome totals* are deterministic under a fixed seed: the
 //! policy-denied fraction is positional, authorized transactions retry
-//! transient aborts until they commit, and the overload section gates a
-//! server thread so the shed count is exact. Latencies and throughput are
+//! transient aborts until they commit, and the overload section holds one
+//! server's host shut so the shed count is exact. Latencies and throughput are
 //! wall-clock and vary run to run; outcomes do not. The one-line summary
 //! goes to stderr; `scripts/loadgen_totals.sh` prints the report's
 //! `outcome_totals`, one key per line, for diffing two runs.
@@ -271,7 +271,7 @@ fn open_loop_section(net: bool, seed: u64, count: usize, totals: &mut Totals) ->
         .with("stats", stats.to_json())
 }
 
-/// Deterministic overload demonstration: gate server 0's thread shut, park
+/// Deterministic overload demonstration: gate server 0 shut, park
 /// the single worker on it, fill the queue to depth, and burst `extra`
 /// more submissions — exactly `extra` are shed. Then open the gate and
 /// drain; everything admitted commits.
@@ -289,18 +289,20 @@ fn overload_section(net: bool, seed: u64, extra: usize, totals: &mut Totals) -> 
     );
     let cred = member_credential(&runtime);
 
-    // Configuration closures run on the server's event loop (a thread in
-    // the threaded runtime, a socket host in the net runtime), so this
-    // recv stalls server 0 (and the worker executing against it) until the
-    // gate opens. configure_server blocks its caller, hence the helper
-    // thread.
+    // A store closure holds server 0's host, so this recv stalls the
+    // server (and the worker executing against it) until the gate opens.
+    // with_store blocks its caller, hence the helper thread; nothing is
+    // submitted before it holds.
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let (held, is_held) = std::sync::mpsc::channel();
     let gated = runtime.clone();
     let stall = std::thread::spawn(move || {
         gated.with_store(ServerId::new(0), &mut |_store| {
+            held.send(()).expect("the section waits");
             let _ = gate_rx.recv();
         });
     });
+    is_held.recv().expect("server 0 is held");
 
     // Park the worker: submit one job and wait until it leaves the queue
     // (the worker is now blocked inside execute on the gated server).

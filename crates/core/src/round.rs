@@ -24,7 +24,7 @@ use safetx_types::{Duration, Timestamp, TxnId, UserId};
 use std::sync::Arc;
 
 /// One proof-evaluation work item deferred out of a round. Its
-/// protocol-plane half already ran on the server thread; evaluating the
+/// protocol-plane half already ran in the round; evaluating the
 /// proofs and building the reply is pure data-plane work.
 enum EvalTask<A> {
     /// An `ExecQuery` whose data operations succeeded: evaluate the proof

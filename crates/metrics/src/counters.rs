@@ -253,9 +253,9 @@ pub struct FaultCounters {
     /// Reconnect loops that gave up after exhausting their bounded,
     /// backed-off attempt budget (the edge then presents as unavailable).
     pub reconnect_exhausted: u64,
-    /// Server threads torn down by a scheduled crash.
+    /// Servers crashed, by a scheduled crash point or by the harness.
     pub server_crashes: u64,
-    /// Server threads rebuilt from their WAL after a crash.
+    /// Servers rebuilt from their WAL after a crash.
     pub recoveries: u64,
     /// Protocol phases the TM abandoned at the reply deadline (aborted
     /// with `ServerUnavailable`).

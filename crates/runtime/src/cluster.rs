@@ -1,44 +1,48 @@
-//! The channel link: a thread per server draining a crossbeam inbox.
+//! The channel link: the thread that sends a message serves the round.
 //!
 //! [`Cluster`] is the shared control plane ([`LinkedCluster`]) over this
-//! link. Each server's thread blocks on its inbox, drains up to
-//! `server_batch` protocol messages already queued and runs them as one
-//! round on the server's [`Host`]; a TM is a fresh reply channel whose
-//! sends cross the message-level fault applicator below. A crash kills the
-//! inbox with the incarnation: a restarted server gets a fresh channel and
-//! a fresh thread, and whatever was queued to the old one is lost.
+//! link. A TM is a fresh reply channel; its sends cross the message-level
+//! fault applicator below into the server's [`Host`] queue, and the sender
+//! runs the round itself unless the host is busy — then the lock holder
+//! does ([`Host::deliver`]). Replies go straight into the TM's channel, so
+//! a round trip wakes no thread. Only a host whose WAL sync models a device
+//! (`wal_sync_cost`) keeps a thread, which a send just wakes: the device
+//! waits of different servers overlap instead of serialising on one TM.
 
 use crate::deployment::{Link, LinkedCluster, ResolvedKnobs, Topology};
 use crate::fault::{roll_kind, Fabric, Layer, Peer, Verdict};
-use crate::host::{Host, PeerAddr};
+use crate::host::{Host, Outbox, PeerAddr};
 use crate::ClusterConfig;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{Msg, TmIo};
 use safetx_types::{ServerId, TxnId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Who sent a message (and how to reply to them). Opaque: exposed only so
+/// A coordinator's reply address. Opaque: exposed only so
 /// [`Cluster::configure_server`] closures can name `ServerCore<Addr>`.
 #[derive(Clone)]
 pub struct Addr {
-    endpoint: Peer,
-    tx: Sender<Input>,
+    tx: Sender<(ServerId, Msg)>,
     /// Process-unique channel identity: reply coalescing groups a round's
-    /// outputs by destination with it (two coordinators share a
-    /// `Peer::Coordinator` but never a channel).
+    /// outputs by destination with it.
     id: u64,
 }
 
 impl Addr {
-    /// A fresh endpoint and the channel its messages arrive on.
-    fn fresh(endpoint: Peer) -> (Addr, Receiver<Input>) {
+    /// A fresh reply address and the channel its replies arrive on.
+    fn fresh() -> (Addr, Receiver<(ServerId, Msg)>) {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        let (tx, rx) = unbounded::<Input>();
+        let (tx, rx) = unbounded();
         let id = NEXT.fetch_add(1, Ordering::Relaxed);
-        (Addr { endpoint, tx, id }, rx)
+        (Addr { tx, id }, rx)
+    }
+
+    /// A reply from `server`; a finished coordinator is fine to ignore.
+    fn put(&self, server: ServerId, msg: Msg) {
+        let _ = self.tx.send((server, msg));
     }
 }
 
@@ -50,44 +54,23 @@ impl PeerAddr for Addr {
     // A coordinator nobody reads: whatever is sent to it dies quietly,
     // exactly like an ack to a coordinator that already moved on.
     fn nobody() -> Addr {
-        Addr::fresh(Peer::Coordinator).0
+        Addr::fresh().0
     }
-}
-
-impl std::fmt::Debug for Addr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Addr({:?})", self.endpoint)
-    }
-}
-
-/// What flows through the channels.
-// Msg dominates the variant sizes; inputs are moved once into an unbounded
-// channel and never stored in bulk, so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-enum Input {
-    Proto(Addr, Msg),
-    /// Acknowledged once everything queued before it has been served.
-    Fence(Sender<()>),
-    Shutdown,
 }
 
 /// The message fabric of one cluster: the single choke point every
 /// protocol send crosses, and the message-level fault applicator.
 ///
-/// With no fault plan armed the fast path is one relaxed atomic load and an
-/// uncontended read lock around the destination lookup. With a plan armed,
-/// each message is rolled against the plan's edge rules.
-///
-/// The inbox registry lives here so a restarted server can swap its
-/// channel without stopping traffic from concurrent TM threads.
+/// With no fault plan armed the fast path is one relaxed atomic load; with
+/// a plan armed, each message is rolled against the plan's edge rules.
 pub(crate) struct Net {
-    /// Current address (endpoint + inbox) of each server, by slot.
-    addrs: RwLock<Vec<Addr>>,
+    /// The hosts, by slot.
+    hosts: Vec<Arc<Host<Addr>>>,
     fabric: Arc<Fabric>,
     /// Per-edge message sequence numbers, `[from][to]` flattened over
     /// `peers` slots per side (coordinator = 0, the server in slot *i* is
-    /// *i* + 1 — see [`Net::peer_slot`]).
-    seqs: Vec<AtomicU64>,
+    /// *i* + 1 — see [`Net::peer_slot`]); shared with the hosts' outboxes.
+    pub(crate) seqs: Arc<[AtomicU64]>,
     peers: usize,
     /// First global server id owned by this fabric: sharded deployments
     /// give each shard a disjoint id range, and the dense sequence-counter
@@ -96,143 +79,139 @@ pub(crate) struct Net {
 }
 
 impl Net {
-    fn new(servers: usize, base: u64, fabric: Arc<Fabric>) -> Net {
-        let peers = servers + 1;
-        // Placeholders nobody reads: `ChannelLink::up` installs each
-        // server's first inbox.
-        let dead = |i| Addr::fresh(Peer::Server(ServerId::new(base + i as u64))).0;
+    fn new(hosts: &[Arc<Host<Addr>>], base: u64, fabric: &Arc<Fabric>) -> Net {
+        let peers = hosts.len() + 1;
         Net {
-            addrs: RwLock::new((0..servers).map(dead).collect()),
-            fabric,
+            hosts: hosts.to_vec(),
+            fabric: Arc::clone(fabric),
             seqs: (0..peers * peers).map(|_| AtomicU64::new(0)).collect(),
             peers,
             base,
         }
     }
 
-    /// Dense per-fabric slot of a peer: coordinator 0, servers 1.. in
-    /// id order relative to this fabric's first server id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a server id is outside this fabric's range.
-    fn peer_slot(&self, peer: Peer) -> usize {
-        match peer {
-            Peer::Coordinator => 0,
-            Peer::Server(id) => {
-                let slot = id.index().checked_sub(self.base).map(|s| s as usize + 1);
-                slot.filter(|&s| s < self.peers)
-                    .unwrap_or_else(|| panic!("server {id} outside this cluster's id range"))
-            }
-        }
+    /// Dense per-fabric slot of a server: 1.. in id order from this
+    /// fabric's first server id (the coordinator is 0). Panics outside it.
+    fn peer_slot(&self, id: ServerId) -> usize {
+        let slot = id.index().checked_sub(self.base).map(|s| s as usize + 1);
+        slot.filter(|&s| s < self.peers)
+            .unwrap_or_else(|| panic!("server {id} outside this cluster's id range"))
     }
 
-    /// The current address of the server in `slot`.
-    fn server_addr(&self, slot: usize) -> Addr {
-        self.addrs.read().expect("net addrs")[slot].clone()
-    }
-
-    /// Protocol send to a server.
+    /// Protocol send to a server: into its host's queue, addressed to the
+    /// incarnation running now.
     fn to_server(&self, from: &Addr, server: ServerId, msg: Msg) {
-        let slot = self.peer_slot(Peer::Server(server)) - 1;
+        let slot = self.peer_slot(server);
+        let host = &self.hosts[slot - 1];
+        let incarnation = host.incarnation();
         if !self.fabric.is_armed() {
-            let addrs = self.addrs.read().expect("net addrs");
-            let _ = addrs[slot].tx.send(Input::Proto(from.clone(), msg));
+            host.deliver(incarnation, from.clone(), msg);
             return;
         }
-        self.send_faulty(from, &self.server_addr(slot), msg);
+        let (host, from) = (Arc::clone(host), from.clone());
+        let edge = (Peer::Coordinator, Peer::Server(server));
+        send_faulty(&self.fabric, &self.seqs[slot], edge, msg, move |msg| {
+            host.deliver(incarnation, from.clone(), msg);
+        });
     }
 
-    /// Protocol send to an arbitrary address (server → coordinator
-    /// replies). A dead peer (a finished coordinator, a crashed server) is
-    /// fine to ignore.
-    fn send_proto(&self, from: &Addr, to: &Addr, msg: Msg) {
-        if !self.fabric.is_armed() {
-            let _ = to.tx.send(Input::Proto(from.clone(), msg));
-            return;
+    /// How the replies of the host in `slot` leave: straight into the
+    /// coordinator's reply channel, across the applicator while a plan is
+    /// armed.
+    fn outbox(&self, slot: usize) -> Outbox<Addr> {
+        let (fabric, seqs) = (Arc::clone(&self.fabric), Arc::clone(&self.seqs));
+        let server = self.hosts[slot].server();
+        let edge = (slot + 1) * self.peers;
+        Box::new(move |to: &Addr, msg| {
+            if !fabric.is_armed() {
+                return to.put(server, msg);
+            }
+            let to = to.clone();
+            let peers = (Peer::Server(server), Peer::Coordinator);
+            send_faulty(&fabric, &seqs[edge], peers, msg, move |msg| {
+                to.put(server, msg);
+            });
+        })
+    }
+}
+
+/// The message-level applicator: rolls one message on the edge `from → to`
+/// against the armed plan, under the edge's next sequence number, and
+/// performs the verdict with `put`.
+#[cold]
+fn send_faulty(
+    fabric: &Fabric,
+    seq: &AtomicU64,
+    (from, to): (Peer, Peer),
+    msg: Msg,
+    put: impl Fn(Msg) + Send + 'static,
+) {
+    let seq = seq.fetch_add(1, Ordering::Relaxed);
+    let stats = &fabric.stats;
+    match fabric.verdict(Layer::Message, from, to, roll_kind(&msg), seq) {
+        Verdict::Deliver => put(msg),
+        Verdict::Drop => {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        self.send_faulty(from, to, msg);
-    }
-
-    /// The message-level applicator: rolls one message against the armed
-    /// plan and performs the verdict.
-    #[cold]
-    fn send_faulty(&self, from: &Addr, to: &Addr, msg: Msg) {
-        let edge = self.peer_slot(from.endpoint) * self.peers + self.peer_slot(to.endpoint);
-        let seq = self.seqs[edge].fetch_add(1, Ordering::Relaxed);
-        let stats = &self.fabric.stats;
-        let deliver = |msg| {
-            let _ = to.tx.send(Input::Proto(from.clone(), msg));
-        };
-        let (layer, kind) = (Layer::Message, roll_kind(&msg));
-        match self
-            .fabric
-            .verdict(layer, from.endpoint, to.endpoint, kind, seq)
-        {
-            Verdict::Deliver => deliver(msg),
-            Verdict::Drop => {
-                stats.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Verdict::Duplicate => {
-                stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                deliver(msg.clone());
-                deliver(msg);
-            }
-            Verdict::Delay { by, reorder } => {
-                let counter = if reorder {
-                    &stats.reordered
-                } else {
-                    &stats.delayed
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let (from, to_tx) = (from.clone(), to.tx.clone());
-                // Detached sleeper: delivery races everything sent in the
-                // meantime, which is exactly the point. A send into a since
-                // dead or replaced channel is a message lost to the crash.
-                std::thread::spawn(move || {
-                    std::thread::sleep(by);
-                    let _ = to_tx.send(Input::Proto(from, msg));
-                });
-            }
-            Verdict::Corrupt { .. } | Verdict::Truncate { .. } | Verdict::Disconnect => {
-                unreachable!("the message layer never rolls a frame fault")
-            }
+        Verdict::Duplicate => {
+            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            put(msg.clone());
+            put(msg);
+        }
+        Verdict::Delay { by, reorder } => {
+            let counter = if reorder {
+                &stats.reordered
+            } else {
+                &stats.delayed
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            // Detached sleeper: delivery races everything sent in the
+            // meantime, which is the point; a message to a server that
+            // crashed meanwhile dies with the incarnation it was sent to.
+            std::thread::spawn(move || {
+                std::thread::sleep(by);
+                put(msg);
+            });
+        }
+        Verdict::Corrupt { .. } | Verdict::Truncate { .. } | Verdict::Disconnect => {
+            unreachable!("the message layer never rolls a frame fault")
         }
     }
 }
 
-/// Decrements the live-thread gauge when a server thread exits — normally
-/// or by panic (the guard drops during unwind either way).
-struct LiveGuard(Arc<AtomicUsize>);
-
-impl Drop for LiveGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// The [`Link`] of the threaded runtime: an inbox and a thread per server.
+/// The [`Link`] of the threaded runtime: the hosts' queues, served by the
+/// senders — or by one device thread per host when WAL syncs model a
+/// device.
 pub struct ChannelLink {
     pub(crate) net: Arc<Net>,
-    /// The thread serving each slot's current (or dead, not yet reaped)
-    /// incarnation.
-    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
-    live: Arc<AtomicUsize>,
-    batch: usize,
+    devices: Vec<JoinHandle<()>>,
+    stop: Arc<AtomicBool>,
 }
 
 impl ChannelLink {
+    /// Opens every host's queue; a host whose WAL sync costs time gets a
+    /// thread of its own, which drains the queue whenever a send wakes it.
     fn over(hosts: &[Arc<Host<Addr>>], base: u64, fabric: &Arc<Fabric>, batch: usize) -> Self {
-        let link = ChannelLink {
-            net: Arc::new(Net::new(hosts.len(), base, Arc::clone(fabric))),
-            threads: Mutex::new(hosts.iter().map(|_| None).collect()),
-            live: Arc::new(AtomicUsize::new(0)),
-            batch,
-        };
+        let net = Arc::new(Net::new(hosts, base, fabric));
+        let stop = Arc::<AtomicBool>::default();
+        let mut devices = Vec::new();
         for (slot, host) in hosts.iter().enumerate() {
-            link.up(slot, host);
+            let syncs_cost = host.with_core(|core| !core.wal().sync_cost().is_zero());
+            let device = (syncs_cost == Some(true)).then(|| {
+                let (host, stop) = (Arc::clone(host), Arc::clone(&stop));
+                let thread = std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        host.drain();
+                        std::thread::park();
+                    }
+                });
+                let handle = thread.thread().clone();
+                devices.push(thread);
+                handle
+            });
+            host.open_queue(batch, net.outbox(slot), device);
         }
-        link
+        ChannelLink { net, devices, stop }
     }
 
     /// The coordinator's end over several clusters' fabrics at once: the
@@ -240,7 +219,7 @@ impl ChannelLink {
     /// the one owning the server. One fabric is the plain-cluster case —
     /// which is what makes a 1-shard deployment byte-identical to it.
     pub(crate) fn open_over(nets: &[Arc<Net>]) -> ChannelTm<'_> {
-        let (me, replies) = Addr::fresh(Peer::Coordinator);
+        let (me, replies) = Addr::fresh();
         ChannelTm { nets, me, replies }
     }
 }
@@ -252,96 +231,14 @@ impl Link for ChannelLink {
     fn open(&self, _txn: TxnId) -> ChannelTm<'_> {
         Self::open_over(std::slice::from_ref(&self.net))
     }
-
-    // FIFO inbox: the acknowledgment comes back once the server thread has
-    // served everything queued before the fence. A dead incarnation drops
-    // the fence unanswered — nothing is queued to a dead server.
-    fn fence(&self, slot: usize) {
-        let (done, fenced) = unbounded();
-        if self
-            .net
-            .server_addr(slot)
-            .tx
-            .send(Input::Fence(done))
-            .is_ok()
-        {
-            let _ = fenced.recv();
-        }
-    }
-
-    // Channel sends never block, so there is nobody to unblock: just wake
-    // the server thread so it can exit.
-    fn down(&self, slot: usize) {
-        let _ = self.net.server_addr(slot).tx.send(Input::Shutdown);
-    }
-
-    fn reap(&self, slot: usize) {
-        let thread = self.threads.lock().expect("threads lock")[slot].take();
-        if let Some(thread) = thread {
-            let _ = thread.join();
-        }
-    }
-
-    fn up(&self, slot: usize, host: &Arc<Host<Addr>>) {
-        let (me, inbox) = Addr::fresh(Peer::Server(host.server()));
-        self.net.addrs.write().expect("net addrs")[slot] = me.clone();
-        self.live.fetch_add(1, Ordering::Release);
-        let guard = LiveGuard(Arc::clone(&self.live));
-        let (host, net, batch) = (Arc::clone(host), Arc::clone(&self.net), self.batch);
-        let thread = std::thread::spawn(move || {
-            let _guard = guard;
-            server_thread(&host, &inbox, &me, batch, &net);
-        });
-        self.threads.lock().expect("threads lock")[slot] = Some(thread);
-    }
 }
 
 impl Drop for ChannelLink {
     fn drop(&mut self) {
-        let slots = self.threads.get_mut().map_or(0, |threads| threads.len());
-        for slot in 0..slots {
-            self.down(slot);
-        }
-        // Teardown runs from `Drop`, which must not panic: a poisoned
-        // registry is still a valid list of handles.
-        let threads = self.threads.get_mut().unwrap_or_else(|e| e.into_inner());
-        for thread in threads.iter_mut().filter_map(Option::take) {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// One server thread: blocks for an input, drains up to `batch` protocol
-/// messages already queued, and runs them as one round on the host, whose
-/// replies leave through the fabric. A control input ends the drain — the
-/// round that was open when it arrived completes first, which is the FIFO
-/// guarantee a fence acknowledges. A dead host (crashed by the harness or
-/// by a crash point inside the round) ends the thread, and the inbox —
-/// with whatever is still queued in it — dies with it.
-fn server_thread(host: &Host<Addr>, inbox: &Receiver<Input>, me: &Addr, batch: usize, net: &Net) {
-    let mut round: Vec<(Addr, Msg)> = Vec::new();
-    while let Ok(first) = inbox.recv() {
-        let mut control = None;
-        match first {
-            Input::Proto(from, msg) => round.push((from, msg)),
-            other => control = Some(other),
-        }
-        while control.is_none() && round.len() < batch {
-            match inbox.try_recv() {
-                Ok(Input::Proto(from, msg)) => round.push((from, msg)),
-                Ok(other) => control = Some(other),
-                Err(_) => break,
-            }
-        }
-        if !round.is_empty() && !host.serve(&mut round, |to, msg| net.send_proto(me, to, msg)) {
-            return;
-        }
-        match control {
-            Some(Input::Fence(done)) => {
-                let _ = done.send(());
-            }
-            Some(Input::Shutdown) => return,
-            Some(Input::Proto(..)) | None => {}
+        self.stop.store(true, Ordering::Release);
+        for device in self.devices.drain(..) {
+            device.thread().unpark();
+            let _ = device.join();
         }
     }
 }
@@ -351,7 +248,7 @@ fn server_thread(host: &Host<Addr>, inbox: &Receiver<Input>, me: &Addr, batch: u
 pub struct ChannelTm<'a> {
     nets: &'a [Arc<Net>],
     me: Addr,
-    replies: Receiver<Input>,
+    replies: Receiver<(ServerId, Msg)>,
 }
 
 impl TmIo for ChannelTm<'_> {
@@ -365,44 +262,30 @@ impl TmIo for ChannelTm<'_> {
     }
 
     fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
-        loop {
-            let input = match deadline {
-                // `None` here only once every sender is gone.
-                None => self.replies.recv().ok()?,
-                Some(t) => self.replies.recv_timeout(t).ok()?,
-            };
-            // Only servers' protocol traffic reaches a coordinator channel.
-            if let Input::Proto(from, msg) = input {
-                if let Peer::Server(from) = from.endpoint {
-                    return Some((from, msg));
-                }
-            }
+        match deadline {
+            // Never `None`: this end holds a sender of its own channel.
+            None => self.replies.recv().ok(),
+            Some(t) => self.replies.recv_timeout(t).ok(),
         }
     }
 
     fn try_recv(&mut self) -> Option<Msg> {
-        loop {
-            if let Input::Proto(_, msg) = self.replies.try_recv().ok()? {
-                return Some(msg);
-            }
-        }
+        self.replies.try_recv().ok().map(|(_, msg)| msg)
     }
 }
 
-/// The threaded runtime: the shared control plane over crossbeam
-/// channels, a thread per server.
+/// The threaded runtime: the shared control plane over the hosts' queues.
 pub type Cluster = LinkedCluster<ChannelLink>;
 
 impl Cluster {
-    /// Spawns the server threads of a standalone cluster.
+    /// Builds a standalone cluster.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
         Self::with_topology(config, Topology::fresh())
     }
 
-    /// Spawns the server threads as one cluster of a larger deployment
-    /// described by `topology` (see [`Topology`]). [`Cluster::new`] is the
-    /// standalone special case.
+    /// Builds one cluster of a larger deployment described by `topology`
+    /// (see [`Topology`]). [`Cluster::new`] is the standalone special case.
     #[must_use]
     pub fn with_topology(config: ClusterConfig, topology: Topology) -> Self {
         let base = topology.first_server;
@@ -411,12 +294,13 @@ impl Cluster {
         };
         LinkedCluster::assemble(config, topology, true, link)
     }
+}
 
-    /// How many server threads are currently running. Reaches zero only
-    /// after shutdown (or drop) has joined every thread.
-    #[must_use]
-    pub fn live_servers(&self) -> usize {
-        self.link().live.load(Ordering::Acquire)
+#[cfg(test)]
+impl ChannelLink {
+    /// The device threads running.
+    pub(crate) fn device_threads(&self) -> usize {
+        self.devices.iter().filter(|t| !t.is_finished()).count()
     }
 }
 
@@ -560,15 +444,41 @@ mod tests {
         assert!(outcomes.iter().any(|&c| c), "{outcomes:?}");
     }
 
+    /// A cluster whose WAL syncs model a device.
+    fn device_cluster() -> Cluster {
+        seeded(Cluster::new(ClusterConfig {
+            wal_sync_cost: Some(Duration::from_micros(50)),
+            ..ClusterConfig::default()
+        }))
+    }
+
+    /// (thread inventory) Free syncs: the senders serve every round, so
+    /// the link runs no thread. A modelled device: one thread per server,
+    /// for the link's lifetime — across crashes and restarts too.
     #[test]
-    fn drop_joins_server_threads_even_when_the_caller_panics() {
-        // Smuggle the gauge out of the panicking scope so we can observe
-        // the threads after the unwind.
-        let gauge: std::sync::Mutex<Option<Arc<AtomicUsize>>> = std::sync::Mutex::new(None);
+    fn only_a_host_that_waits_on_a_device_has_a_thread() {
+        let free = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        let device = device_cluster();
+        for cluster in [&free, &device] {
+            let cred = member_credential(cluster);
+            assert!(cluster.execute(&spec(cluster), &[cred]).is_commit());
+            cluster.crash_server(ServerId::new(1));
+            cluster.restart_server(ServerId::new(1));
+        }
+        assert_eq!(free.link().device_threads(), 0);
+        assert_eq!(device.link().device_threads(), 3);
+    }
+
+    #[test]
+    fn drop_joins_device_threads_even_when_the_caller_panics() {
+        // Smuggle the hosts out of the panicking scope: a device thread
+        // holds its host, so a host outliving the cluster is a leaked
+        // thread.
+        let hosts = std::sync::Mutex::new(Vec::new());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
-            assert_eq!(cluster.live_servers(), 3);
-            *gauge.lock().unwrap() = Some(Arc::clone(&cluster.link().live));
+            let cluster = device_cluster();
+            let net = &cluster.link().net;
+            *hosts.lock().unwrap() = net.hosts.iter().map(Arc::downgrade).collect();
             // A transaction is in flight state-wise (locks taken and
             // released); then the driver dies without calling shutdown().
             let cred = member_credential(&cluster);
@@ -576,22 +486,108 @@ mod tests {
             panic!("driver died mid-run");
         }));
         assert!(result.is_err(), "the probe must have panicked");
-        let gauge = gauge.lock().unwrap().clone().expect("gauge captured");
-        // Cluster::drop ran during unwind and joined every server thread.
-        assert_eq!(
-            gauge.load(Ordering::Acquire),
-            0,
-            "server threads leaked past Drop"
+        let hosts = hosts.into_inner().unwrap();
+        assert_eq!(hosts.len(), 3);
+        // Cluster::drop ran during unwind and joined every device thread.
+        assert!(
+            hosts.iter().all(|host| host.upgrade().is_none()),
+            "a device thread outlived Drop"
         );
     }
 
+    /// An `ExecQuery` of `txn` for the record on server 1, proofless.
+    fn exec(txn: u64) -> Msg {
+        Msg::ExecQuery {
+            txn: TxnId::new(txn),
+            query_index: 0,
+            query: Arc::new(QuerySpec::new(
+                ServerId::new(1),
+                "write",
+                "records",
+                vec![Operation::Add(DataItemId::new(100), 1)],
+            )),
+            user: UserId::new(1),
+            credentials: Arc::from([]),
+            evaluate_proof: false,
+            pin_versions: VersionMap::new(),
+            capabilities: vec![],
+        }
+    }
+
+    /// Runs `body` while a `configure_server` closure holds `server`'s host
+    /// lock, which is let go when `body` returns.
+    fn while_held<R>(cluster: &Cluster, server: ServerId, body: impl FnOnce() -> R) -> R {
+        let (held, is_held) = unbounded();
+        let (open, gate) = unbounded::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                cluster.configure_server(server, move |_| {
+                    held.send(()).expect("the caller waits");
+                    let _ = gate.recv();
+                });
+            });
+            is_held.recv().expect("the lock is held");
+            let out = body();
+            // Dropped on a panicking `body` too: the holder never hangs.
+            drop(open);
+            out
+        })
+    }
+
+    /// (non-blocking send) A send to a host somebody holds queues and
+    /// returns; the holder serves it before letting go.
     #[test]
-    fn shutdown_brings_live_servers_to_zero() {
+    fn a_send_to_a_held_host_returns_at_once_and_is_served_on_release() {
         let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
-        let gauge = Arc::clone(&cluster.link().live);
-        assert_eq!(cluster.live_servers(), 3);
+        let (me, replies) = Addr::fresh();
+        let net = &cluster.link().net;
+        while_held(&cluster, ServerId::new(1), || {
+            net.to_server(&me, ServerId::new(1), exec(900));
+            assert!(replies.try_recv().is_err(), "served under the holder");
+        });
+        // `while_held` joined the holder, which served the queue.
+        let (from, _) = replies.try_recv().expect("the holder served it");
+        assert_eq!(from, ServerId::new(1));
         cluster.shutdown();
-        assert_eq!(gauge.load(Ordering::Acquire), 0);
+    }
+
+    /// (no stranded message) Four coordinators with no reply deadline
+    /// against brief lock holders: a message queued behind a holder that
+    /// is letting go must still be served, or an `execute` waits forever.
+    #[test]
+    fn no_message_is_stranded_behind_a_brief_lock_holder() {
+        let cluster = Arc::new(cluster(ProofScheme::Deferred, ConsistencyLevel::View));
+        assert!(cluster.config().reply_timeout.is_none());
+        let cred = member_credential(&cluster);
+        let stop = Arc::new(AtomicBool::new(false));
+        let prober = {
+            let (cluster, stop) = (Arc::clone(&cluster), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    assert!(cluster.crashed_servers().is_empty());
+                    let _ = cluster.wal_stats();
+                }
+            })
+        };
+        // Detached, not scoped: a stranded `execute` must fail the
+        // watchdog below, not hang the test joining it.
+        let (done, finished) = unbounded();
+        for _ in 0..4 {
+            let (cluster, cred, done) = (Arc::clone(&cluster), cred.clone(), done.clone());
+            std::thread::spawn(move || {
+                for _ in 0..1_000 {
+                    let _ = cluster.execute(&spec(&cluster), std::slice::from_ref(&cred));
+                }
+                done.send(()).expect("the watchdog waits");
+            });
+        }
+        for _ in 0..4 {
+            let watchdog = finished.recv_timeout(Duration::from_secs(120));
+            watchdog.expect("an execute waits for a stranded message");
+        }
+        stop.store(true, Ordering::Relaxed);
+        prober.join().expect("the prober saw no crash");
+        assert_eq!(cluster.resolve_in_doubt(), 0);
     }
 
     #[test]
@@ -674,7 +670,7 @@ mod tests {
     /// (fence) `configure_server` and `resolve_in_doubt` run after every
     /// message already queued to the server. Presumed-commit decisions are
     /// unacknowledged, so `execute` returns while the decision may still
-    /// sit in a participant's inbox; a store probe right behind it must see
+    /// sit in a participant's queue; a store probe right behind it must see
     /// the write, and termination must find nothing left to resolve.
     #[test]
     fn fence_orders_probes_and_resolution_behind_queued_decisions() {
@@ -696,46 +692,23 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// (stale inbox) Nothing queued to a server before its crash reaches
-    /// the recovered core: the inbox dies with the incarnation.
+    /// (stale inbox) Nothing sent to a server before its crash reaches the
+    /// recovered core: what is queued dies with the incarnation, and so
+    /// does a message that arrives after the restart but was sent before
+    /// the crash (a delayed one).
     #[test]
     fn stale_inbox_dies_with_the_crashed_incarnation() {
         let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
         let victim = ServerId::new(1);
-        let exec = |txn| Msg::ExecQuery {
-            txn: TxnId::new(txn),
-            query_index: 0,
-            query: Arc::new(QuerySpec::new(
-                victim,
-                "write",
-                "records",
-                vec![Operation::Add(DataItemId::new(100), 1)],
-            )),
-            user: UserId::new(1),
-            credentials: Arc::from([]),
-            evaluate_proof: false,
-            pin_versions: VersionMap::new(),
-            capabilities: vec![],
-        };
-        let (me, replies) = Addr::fresh(Peer::Coordinator);
-        let (held, is_held) = unbounded();
-        let (open, gate) = unbounded::<()>();
-        std::thread::scope(|scope| {
-            // Hold the host lock, so what is sent next stays queued: the
-            // server thread takes the first message and blocks in `serve`,
-            // the second waits in the inbox behind it.
-            let cluster = &cluster;
-            scope.spawn(move || {
-                cluster.configure_server(victim, |_| {
-                    held.send(()).expect("main thread waits");
-                    let _ = gate.recv();
-                });
-            });
-            is_held.recv().expect("the lock is held");
-            let net = &cluster.link().net;
+        let (me, replies) = Addr::fresh();
+        let net = &cluster.link().net;
+        let before = net.hosts[1].incarnation();
+        // Queued behind the holder, which serves them as it lets go: the
+        // first kills the server instead of reaching it, the second finds
+        // a dead host.
+        while_held(&cluster, victim, || {
             net.to_server(&me, victim, exec(900));
             net.to_server(&me, victim, exec(901));
-            // The first message kills the server instead of reaching it.
             cluster.set_fault_plan(FaultPlan {
                 crashes: vec![CrashRule {
                     server: victim,
@@ -743,17 +716,19 @@ mod tests {
                 }],
                 ..FaultPlan::default()
             });
-            open.send(()).expect("the gate is waited on");
         });
-        // Disarming fences: the crash has fired when this returns.
         cluster.clear_fault_plan();
         assert_eq!(cluster.crashed_servers(), vec![victim]);
         cluster.restart_server(victim);
-        // The probe runs behind whatever the fresh inbox holds — nothing:
-        // neither message reached the recovered core, or anybody.
+        // Sent before the crash, arriving now — as a delayed message would.
+        net.hosts[1].deliver(before, me.clone(), exec(902));
+        // None of the three reached the recovered core, or anybody.
         let active = cluster.configure_server(victim, |core| core.active_txns());
         assert_eq!(active, 0);
         assert!(replies.try_recv().is_err());
+        // The recovered core does serve what is sent to it.
+        net.to_server(&me, victim, exec(903));
+        assert!(replies.try_recv().is_ok());
         cluster.shutdown();
     }
 
@@ -763,10 +738,8 @@ mod tests {
         let cred = member_credential(&cluster);
         assert!(cluster.execute(&spec(&cluster), &[cred]).is_commit());
         cluster.crash_server(ServerId::new(1));
-        assert_eq!(cluster.live_servers(), 2);
         assert_eq!(cluster.crashed_servers(), vec![ServerId::new(1)]);
         cluster.restart_server(ServerId::new(1));
-        assert_eq!(cluster.live_servers(), 3);
         assert!(cluster.crashed_servers().is_empty());
         let (tx, rx) = unbounded();
         cluster.configure_server(ServerId::new(1), move |core| {

@@ -52,9 +52,9 @@ pub struct ClusterConfig {
     /// any run that crashes servers or arms a fault plan with drops should
     /// set it.
     pub reply_timeout: Option<Duration>,
-    /// Maximum protocol messages a server drains from its queue — a
-    /// channel link's inbox, a socket link's connection buffer — and
-    /// processes as a single round (shared proof-evaluation batch, one WAL
+    /// Maximum protocol messages a server drains from its queue — the
+    /// host's queue on a channel link, a socket link's connection buffer —
+    /// and processes as a single round (shared proof-evaluation batch, one WAL
     /// group commit, coalesced replies). `None` defers to the
     /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — every
     /// round holds one message.
@@ -205,9 +205,10 @@ pub type DecisionLog = Mutex<Wal<CoordinatorRecord>>;
 /// cluster. Server positions are slots `0..servers` in server-id order.
 ///
 /// The contract (DESIGN.md §5a): a link delivers what it is given to the
-/// *current* incarnation of a host or loses it — nothing queued before a
-/// crash may reach the recovered core — and it takes its own locks only
-/// under the host lock, never the other way round.
+/// incarnation of a host it was sent to or loses it — nothing sent before
+/// a crash may reach the recovered core — and it takes its own locks only
+/// under the host lock, never the other way round. The edge hooks do
+/// nothing unless a link has connections or threads per incarnation.
 pub trait Link: Send + Sync + 'static {
     /// How a host addresses the peers it replies to.
     type Addr: PeerAddr + Send + 'static;
@@ -218,18 +219,13 @@ pub trait Link: Send + Sync + 'static {
 
     /// Opens the coordinator's end for transaction `txn`.
     fn open(&self, txn: TxnId) -> Self::Tm<'_>;
-    /// Returns once every message already queued to the server in `slot`
-    /// has been served (links with no queue of their own have nothing to
-    /// wait for). The control plane fences before it touches a core, so
-    /// unacknowledged decisions land before a probe reads the store.
-    fn fence(&self, _slot: usize) {}
     /// Cuts the edge to the server in `slot` so that nothing blocks on it:
     /// called before the host lock is asked for its crash.
-    fn down(&self, slot: usize);
+    fn down(&self, _slot: usize) {}
     /// Retires the threads that served the dead incarnation in `slot`.
-    fn reap(&self, slot: usize);
+    fn reap(&self, _slot: usize) {}
     /// Brings up a fresh edge to the recovered `host` in `slot`.
-    fn up(&self, slot: usize, host: &Arc<Host<Self::Addr>>);
+    fn up(&self, _slot: usize, _host: &Arc<Host<Self::Addr>>) {}
     /// The fault plan was disarmed: the network is declared healthy.
     fn healed(&self) {}
     /// Transport counters summed over both sides of every edge.
@@ -333,13 +329,6 @@ impl<L: Link> LinkedCluster<L> {
         (slot, host)
     }
 
-    /// Runs `f` on the live core in `slot`, after every message already
-    /// queued to it; `None` while the server is crashed.
-    fn on_core<R>(&self, slot: usize, f: impl FnOnce(&mut ServerCore<L::Addr>) -> R) -> Option<R> {
-        self.link.fence(slot);
-        self.hosts[slot].with_core(f)
-    }
-
     /// Applies a closure to a server's core between its rounds, after
     /// every message already queued to it (seed data, install policies,
     /// add constraints, probe state), and returns what it returns.
@@ -354,8 +343,8 @@ impl<L: Link> LinkedCluster<L> {
         server: ServerId,
         f: impl FnOnce(&mut ServerCore<L::Addr>) -> R,
     ) -> R {
-        let (slot, _) = self.host(server);
-        self.on_core(slot, f).unwrap_or_else(|| {
+        let (_, host) = self.host(server);
+        host.with_core(f).unwrap_or_else(|| {
             panic!("server {server} is crashed: restart it before configuring it")
         })
     }
@@ -614,9 +603,9 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     }
 
     fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
-        for slot in 0..self.hosts.len() {
+        for host in &self.hosts {
             // `None`: a crashed replica misses the update.
-            let _ = self.on_core(slot, |core| core.install_policy(policy, version));
+            let _ = host.with_core(|core| core.install_policy(policy, version));
         }
     }
 
@@ -660,14 +649,13 @@ impl<L: Link> Deployment for LinkedCluster<L> {
 
     fn resolve_in_doubt(&self) -> usize {
         let variant = self.config.variant;
-        let resolve = |slot| {
-            self.link.fence(slot);
+        let resolve = |host: &Arc<Host<L::Addr>>| {
             let log = self.decision_log.lock().expect("decision log lock");
-            self.hosts[slot].terminate_leftovers(|txn, in_doubt| {
+            host.terminate_leftovers(|txn, in_doubt| {
                 Some(terminate_leftover(txn, in_doubt, variant, log.records()))
             })
         };
-        (0..self.hosts.len()).map(resolve).sum()
+        self.hosts.iter().map(resolve).sum()
     }
 
     fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
@@ -681,9 +669,9 @@ impl<L: Link> Deployment for LinkedCluster<L> {
 
     fn clear_fault_plan(&self) {
         // Whatever is already queued was sent under the plan: its crash
-        // points still fire for it.
-        for slot in 0..self.hosts.len() {
-            self.link.fence(slot);
+        // points still fire for it. Taking a host's lock serves its queue.
+        for host in &self.hosts {
+            host.with_core(|_| ());
         }
         self.fabric.disarm();
         self.link.healed();
@@ -695,8 +683,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
 
     fn wal_stats(&self) -> WalStats {
         let mut total = WalStats::default();
-        for (slot, host) in self.hosts.iter().enumerate() {
-            self.link.fence(slot);
+        for host in &self.hosts {
             total.merge(&host.wal_stats());
         }
         total

@@ -1,34 +1,40 @@
-//! One cloud server's host: a lock around its [`ServerCore`].
+//! One cloud server's host: a lock around its [`ServerCore`], and the queue
+//! whoever holds that lock serves.
 //!
 //! The paper's system model has one kind of cloud server — data, a policy
 //! replica that may lag, a log — reached by TMs over some network. A
-//! [`Host`] is that server, whichever network carries its messages: the
-//! thread that received a round's messages (a channel link's server
-//! thread, a socket link's connection reader) takes the lock and runs the
-//! round itself, and the control plane — configure, crash, restart, WAL
-//! accounting, in-doubt resolution — is plain methods that take the same
-//! lock between rounds.
+//! [`Host`] is that server, whichever network carries its messages: a
+//! socket link's connection reader runs the round it read
+//! ([`Host::serve`]), the channel link queues each message
+//! ([`Host::deliver`]) for whoever holds the lock, and the control plane —
+//! configure, crash, restart, WAL accounting, in-doubt resolution — is
+//! plain methods that take the same lock between rounds.
 //!
-//! Three invariants hold for every link (DESIGN.md §5a):
+//! The invariants (DESIGN.md §5a):
 //!
-//! * **One critical section per crash.** Whether the harness crashes the
-//!   host ([`Host::crash`]) or a scheduled crash point fires inside
-//!   [`Host::serve`], the core moves to the salvage slot before the lock is
-//!   released: [`Host::crashed`] is true the moment either returns.
-//! * **Stale inbox.** A dead host serves nothing ([`Host::serve`] returns
-//!   `false` and drops the round), so whatever was queued to an
-//!   incarnation dies with it; links join the dead incarnation's threads
-//!   before [`Host::restart`] installs the recovered core.
-//! * **Lock order.** The host lock is taken before any lock of the link
-//!   (`emit` runs under it); link teardown must therefore unblock its
-//!   writers *before* asking for the host lock.
+//! * **The holder serves the queue** before its own work, and looks again
+//!   after letting go, serving what queued meanwhile unless a new holder
+//!   has the lock (bound by the same rule): nothing is stranded, no send
+//!   waits for a busy host, and every control-plane call is a fence.
+//! * **One critical section per crash**, whether the harness crashes the
+//!   host or a crash point fires in a round: [`Host::crashed`] is true the
+//!   moment either returns.
+//! * **Stale inbox.** A message reaches the [`Host::incarnation`] it was
+//!   sent to or nobody; a dead host serves nothing.
+//! * **No two host locks.** A round replies only to coordinators, never to
+//!   another host, so no thread ever holds two host locks.
+//! * **Lock order.** Host lock before any lock of the link (`emit` runs
+//!   under it), so link teardown unblocks its writers before it asks for
+//!   the host lock; the queue's own lock is a leaf.
 
 use crate::fault::{CrashPoint, Fabric};
 use safetx_core::{coalesce_replies, Msg, MsgKind, ServerCore};
 use safetx_metrics::WalStats;
 use safetx_types::{ServerId, Timestamp, TxnId};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::thread::Thread;
 use std::time::Instant;
 
 /// Protocol time: microseconds since the deployment's epoch.
@@ -49,12 +55,30 @@ pub trait PeerAddr: Clone {
     fn nobody() -> Self;
 }
 
+/// Where a queued round's replies go: the link's send to a coordinator.
+pub(crate) type Outbox<A> = Box<dyn Fn(&A, Msg) + Send + Sync>;
+
 struct HostState<A> {
     /// `None` while crashed.
     core: Option<ServerCore<A>>,
     /// Where a crash parks the core (store + WAL — the durable state)
     /// until [`Host::restart`] recovers it.
     salvage: Option<ServerCore<A>>,
+}
+
+/// A host's queue ([`Host::open_queue`]): messages not yet served, each
+/// with the incarnation it was sent to.
+struct Queue<A> {
+    msgs: Mutex<VecDeque<(u64, A, Msg)>>,
+    batch: usize,
+    outbox: Outbox<A>,
+    device: Option<Thread>,
+}
+
+impl<A> Queue<A> {
+    fn msgs(&self) -> MutexGuard<'_, VecDeque<(u64, A, Msg)>> {
+        self.msgs.lock().expect("host queue lock")
+    }
 }
 
 /// One cloud server behind a lock; see the module docs.
@@ -64,6 +88,11 @@ pub struct Host<A> {
     /// Crash points and crash/recovery counters.
     fabric: Arc<Fabric>,
     state: Mutex<HostState<A>>,
+    /// Crashes plus restarts so far. Relaxed: it is changed and compared
+    /// under the host lock; read without it, it only stamps a send, which
+    /// then races the crash as any concurrent send does.
+    incarnation: AtomicU64,
+    queue: OnceLock<Queue<A>>,
 }
 
 impl<A: PeerAddr> Host<A> {
@@ -78,6 +107,8 @@ impl<A: PeerAddr> Host<A> {
                 core: Some(core),
                 salvage: None,
             }),
+            incarnation: AtomicU64::new(0),
+            queue: OnceLock::new(),
         }
     }
 
@@ -93,8 +124,89 @@ impl<A: PeerAddr> Host<A> {
         &self.fabric
     }
 
+    /// The incarnation a message sent now is addressed to: every crash and
+    /// every restart begins a new one.
+    #[must_use]
+    pub(crate) fn incarnation(&self) -> u64 {
+        self.incarnation.load(Ordering::Relaxed)
+    }
+
+    /// Gives the host a queue for [`Host::deliver`], served in rounds of at
+    /// most `batch` messages whose replies go to `outbox` — by the senders,
+    /// or by the `device` thread they only wake, which then calls
+    /// [`Host::drain`]. Panics when the host has a queue already.
+    pub(crate) fn open_queue(&self, batch: usize, outbox: Outbox<A>, device: Option<Thread>) {
+        let queue = Queue {
+            msgs: Mutex::default(),
+            batch,
+            outbox,
+            device,
+        };
+        assert!(self.queue.set(queue).is_ok(), "the host's queue is open");
+    }
+
+    /// Queues `msg` for the `incarnation` it was sent to and wakes the
+    /// device thread, if any; otherwise the sender serves the queue unless
+    /// the lock is held — the holder does. Panics without a queue.
+    pub(crate) fn deliver(&self, incarnation: u64, from: A, msg: Msg) {
+        let queue = self.queue.get().expect("a host opened for delivery");
+        queue.msgs().push_back((incarnation, from, msg));
+        match &queue.device {
+            Some(device) => device.unpark(),
+            None => self.drain(),
+        }
+    }
+
+    /// Serves the queue until it is empty, unless someone holds the lock
+    /// (who then does). Looking again after letting go strands nothing: a
+    /// message queued while the lock was held is there to see.
+    pub(crate) fn drain(&self) {
+        let Some(queue) = self.queue.get() else {
+            return;
+        };
+        while !queue.msgs().is_empty() {
+            let mut state = match self.state.try_lock() {
+                Ok(state) => state,
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(_)) => panic!("host lock (a round panicked)"),
+            };
+            self.serve_queue(&mut state);
+        }
+    }
+
     fn state(&self) -> MutexGuard<'_, HostState<A>> {
         self.state.lock().expect("host lock (a round panicked)")
+    }
+
+    /// Runs `f` under the host lock, serving the queue before and after.
+    fn locked<R>(&self, f: impl FnOnce(&mut HostState<A>) -> R) -> R {
+        let mut state = self.state();
+        self.serve_queue(&mut state);
+        let out = f(&mut state);
+        drop(state);
+        self.drain();
+        out
+    }
+
+    /// Serves the queue in rounds until it is empty, dropping what was sent
+    /// to an earlier incarnation.
+    fn serve_queue(&self, state: &mut HostState<A>) {
+        let Some(queue) = self.queue.get() else {
+            return;
+        };
+        let incarnation = self.incarnation();
+        let mut round = Vec::new();
+        loop {
+            let mut msgs = queue.msgs();
+            let n = msgs.len().min(queue.batch);
+            if n == 0 {
+                return;
+            }
+            let live = msgs.drain(..n).filter(|(to, ..)| *to == incarnation);
+            round.extend(live.map(|(_, from, msg)| (from, msg)));
+            drop(msgs);
+            self.run(state, &mut round, |to, msg| (queue.outbox)(to, msg));
+        }
     }
 
     /// Runs one round on the calling thread: feeds `round` (drained) to
@@ -112,8 +224,17 @@ impl<A: PeerAddr> Host<A> {
     ///
     /// Returns `false` when the host is dead — it was already (the round
     /// is dropped), or a crash point fired in this round.
-    pub fn serve(&self, round: &mut Vec<(A, Msg)>, mut emit: impl FnMut(&A, Msg)) -> bool {
-        let mut state = self.state();
+    pub fn serve(&self, round: &mut Vec<(A, Msg)>, emit: impl FnMut(&A, Msg)) -> bool {
+        self.locked(|state| self.run(state, round, emit))
+    }
+
+    /// [`Host::serve`] under a lock already held.
+    fn run(
+        &self,
+        state: &mut HostState<A>,
+        round: &mut Vec<(A, Msg)>,
+        mut emit: impl FnMut(&A, Msg),
+    ) -> bool {
         let Some(core) = state.core.as_mut() else {
             round.clear();
             return false;
@@ -126,7 +247,7 @@ impl<A: PeerAddr> Host<A> {
         }
         let crashed = cut || sent_last;
         if crashed {
-            self.crash_locked(&mut state);
+            self.crash_locked(state);
         }
         !crashed
     }
@@ -191,42 +312,48 @@ impl<A: PeerAddr> Host<A> {
         };
         core.crash();
         state.salvage = Some(core);
+        self.incarnation.fetch_add(1, Ordering::Relaxed);
         let crashes = &self.fabric.stats.server_crashes;
         crashes.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Kills the server as if its process died: volatile state is lost,
-    /// the store and WAL survive for [`Host::restart`]. Idempotent —
-    /// `false` when the host was crashed already.
+    /// the store and WAL survive for [`Host::restart`], and whatever was
+    /// queued to it is dropped. Idempotent — `false` when the host was
+    /// crashed already.
     pub fn crash(&self) -> bool {
-        self.crash_locked(&mut self.state())
+        let crashed = self.crash_locked(&mut self.state());
+        self.drain();
+        crashed
     }
 
     /// True while the host is crashed.
     #[must_use]
     pub fn crashed(&self) -> bool {
-        self.state().core.is_none()
+        self.locked(|state| state.core.is_none())
     }
 
     /// Brings a crashed host back: rebuilds its protocol state from the
     /// WAL ([`ServerCore::recover_from_wal`] — the decided memo, and locks
     /// re-acquired for in-doubt transactions) and returns the transactions
-    /// still in doubt. The link must have retired the dead incarnation's
-    /// threads first.
+    /// still in doubt. A link with threads per incarnation must have
+    /// retired the dead one's first.
     ///
     /// # Panics
     ///
     /// Panics when the host is not crashed.
     pub fn restart(&self) -> Vec<TxnId> {
-        let mut state = self.state();
-        let Some(mut core) = state.salvage.take() else {
-            // Released first: a refused restart must not poison the host.
-            drop(state);
-            panic!("server {} is not crashed: nothing to restart", self.server);
-        };
-        let in_doubt = core.recover_from_wal();
-        state.core = Some(core);
+        let recovered = self.locked(|state| {
+            let mut core = state.salvage.take()?;
+            let in_doubt = core.recover_from_wal();
+            state.core = Some(core);
+            self.incarnation.fetch_add(1, Ordering::Relaxed);
+            Some(in_doubt)
+        });
+        // Released first: a refused restart must not poison the host.
+        let in_doubt = recovered
+            .unwrap_or_else(|| panic!("server {} is not crashed: nothing to restart", self.server));
         let recoveries = &self.fabric.stats.recoveries;
         recoveries.fetch_add(1, Ordering::Relaxed);
         in_doubt
@@ -234,15 +361,16 @@ impl<A: PeerAddr> Host<A> {
 
     /// Runs `f` on the live core, between rounds; `None` while crashed.
     pub fn with_core<R>(&self, f: impl FnOnce(&mut ServerCore<A>) -> R) -> Option<R> {
-        self.state().core.as_mut().map(f)
+        self.locked(|state| state.core.as_mut().map(f))
     }
 
     /// WAL accounting of the live core, or of the salvaged one.
     #[must_use]
     pub fn wal_stats(&self) -> WalStats {
-        let state = self.state();
-        let core = state.core.as_ref().or(state.salvage.as_ref());
-        core.map(ServerCore::wal_stats).unwrap_or_default()
+        self.locked(|state| {
+            let core = state.core.as_ref().or(state.salvage.as_ref());
+            core.map(ServerCore::wal_stats).unwrap_or_default()
+        })
     }
 
     /// Tells each transaction the live core still holds state for what

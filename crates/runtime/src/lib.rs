@@ -9,24 +9,27 @@
 //! (`ServerCore::run_round`, `safetx_core::drive_tm`). This crate runs
 //! them for real, and every deployment shares what it runs them on:
 //!
-//! * [`Host`] — one cloud server behind a lock. Whoever received a
-//!   round's messages runs the round on it; crash, restart (the one
-//!   `recover_from_wal` call site), WAL accounting and leftover
-//!   termination are plain methods under the same lock.
+//! * [`Host`] — one cloud server behind a lock, and the queue whoever
+//!   holds the lock serves. Whoever received or sent a round's messages
+//!   runs the round on it; crash, restart (the one `recover_from_wal`
+//!   call site), WAL accounting and leftover termination are plain
+//!   methods under the same lock.
 //! * [`LinkedCluster`] and [`Deployment`] — the control plane (bootstrap,
 //!   `execute`, `configure_server`, `publish_policy`, crash/restart,
 //!   `resolve_in_doubt`, the decision log, every counter), generic over
 //!   the [`Link`] that carries messages between TMs and hosts, and that
 //!   surface as an object-safe trait.
 //! * [`FaultPlan`] / [`Fabric`] — the one seeded fault schedule. Crash
-//!   points fire in [`Host::serve`]; edge rules are applied where a link
+//!   points fire in a host's round; edge rules are applied where a link
 //!   sends — per message here, per frame in `safetx-net`.
 //!
-//! [`Cluster`] is the control plane over the [`ChannelLink`]: one thread
-//! per cloud server draining a crossbeam inbox into rounds, and `execute`
-//! lending the calling thread and a fresh reply channel to the TM loop,
+//! [`Cluster`] is the control plane over the [`ChannelLink`]: `execute`
+//! lends the calling thread and a fresh reply channel to the TM loop,
 //! whose per-reply deadline (`ClusterConfig::reply_timeout`) is the
-//! failure detector. [`ShardedCluster`] routes over several `Cluster`s;
+//! failure detector, and a TM's send runs the server's round on the
+//! calling thread unless the host is busy — then its lock holder runs it.
+//! Only a host whose WAL sync models a device has a thread of its own.
+//! [`ShardedCluster`] routes over several `Cluster`s;
 //! `safetx_net::NetCluster` is the same control plane over Unix-socket
 //! byte streams. Because every runtime drives the same cores,
 //! `tests/differential.rs` holds them — and the simulator, which remains

@@ -1,7 +1,7 @@
 //! Partitioned (sharded) deployment of the threaded runtime.
 //!
 //! A [`ShardedCluster`] splits the server id space into `N` shards, each a
-//! full [`Cluster`] with its own server threads, fault fabric, WAL set and
+//! full [`Cluster`] with its own hosts, fault fabric, WAL set and
 //! decision log, all sharing one policy catalog, one certificate-authority
 //! registry and one protocol-time epoch. A router classifies each
 //! transaction by the servers its queries touch:
@@ -246,7 +246,7 @@ impl ShardedCluster {
         self.owner(server).configure_server(server, f)
     }
 
-    /// Stops every shard's server threads and waits for them.
+    /// Stops every shard's threads and waits for them.
     pub fn shutdown(self) {
         // The shards' `Drop` does it.
     }

@@ -482,18 +482,19 @@ mod tests {
     fn overload_sheds_deterministically_when_workers_are_stalled() {
         let service = service(1, 2);
         let cred = member_credential(service.cluster());
-        // Deterministically stall server 0's thread: configuration
-        // closures run on the server thread, so this recv blocks it (and
-        // any transaction touching it) until the gate opens.
+        // Deterministically stall server 0: a configuration closure holds
+        // its host, so this recv blocks every transaction touching it
+        // until the gate opens. Nothing is submitted before it holds.
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (held, is_held) = std::sync::mpsc::channel();
         let cluster = service.cluster().clone();
         let stall = std::thread::spawn(move || {
             cluster.configure_server(safetx_types::ServerId::new(0), move |_core| {
+                held.send(()).expect("the test waits");
                 let _ = gate_rx.recv();
             });
         });
-        // Give the configure message time to reach the server thread.
-        std::thread::sleep(Duration::from_millis(30));
+        is_held.recv().expect("server 0 is held");
 
         // The single worker grabs one job and blocks on server 0; two more
         // fill the queue; everything past that is shed.

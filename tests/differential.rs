@@ -524,7 +524,7 @@ fn net_runtime_agrees_with_sim_and_threaded_on_every_cell() {
             let net = run_stream(Side::net(scheme, consistency, variant), seed);
             assert_eq!(sim.len(), net.len(), "{scheme}/{consistency}");
             // The threaded runtime once per drain limit: with rounds of up
-            // to 16 messages (inbox draining, shared evaluation batches,
+            // to 16 messages (queue draining, shared evaluation batches,
             // group commit, coalesced replies) every cell must still match
             // observation for observation — Table I counters and proof
             // views included.

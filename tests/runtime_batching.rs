@@ -1,4 +1,4 @@
-//! Server-round batching equivalence: draining the server inbox, sharing
+//! Server-round batching equivalence: draining the server's queue, sharing
 //! one proof-evaluation batch per round, group-committing the round's WAL
 //! forces and coalescing replies is a throughput optimisation, not a
 //! semantic change. The same workload must produce identical deterministic
@@ -280,10 +280,11 @@ fn batch_one_performs_one_physical_sync_per_force() {
 #[test]
 fn group_commit_coalesces_physical_syncs_under_concurrent_load() {
     // Disjoint items per transaction (no lock conflicts, no retries) and a
-    // non-trivial sync cost: server threads spend long enough inside each
-    // round that the next round's forces pile up behind it, so rounds with
-    // several forces — and therefore coalesced syncs — are guaranteed
-    // under 8 concurrent clients.
+    // non-trivial sync cost, which gives every host a device thread of its
+    // own: it spends long enough inside each round that the next round's
+    // forces pile up in its queue behind it, so rounds with several
+    // forces — and therefore coalesced syncs — are guaranteed under 8
+    // concurrent clients.
     const LOAD_CLIENTS: usize = 8;
     const LOAD_PER_CLIENT: usize = 12;
     let items = (LOAD_CLIENTS * LOAD_PER_CLIENT) as u64;

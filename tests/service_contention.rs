@@ -20,7 +20,9 @@ use safetx::service::{
 use safetx::store::Value;
 use safetx::txn::{Decision, Operation, QuerySpec, TransactionSpec};
 use safetx::types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, TxnId, UserId};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 const SERVERS: usize = 3;
 /// All clients hammer this many keys per server — guaranteed conflicts.
@@ -87,6 +89,16 @@ fn member_credential_of(cas: &safetx::core::SharedCas) -> Credential {
             Timestamp::MAX,
         )
     })
+}
+
+/// Runs `shut` on a helper thread and returns once `shut` reports,
+/// through the sender it is given, that it holds its gate shut: nothing
+/// submitted afterwards can slip past the gate.
+fn hold(shut: impl FnOnce(Sender<()>) + Send + 'static) -> JoinHandle<()> {
+    let (held, is_held) = std::sync::mpsc::channel();
+    let stall = std::thread::spawn(move || shut(held));
+    is_held.recv().expect("the gate is shut");
+    stall
 }
 
 fn denied(global_index: u64) -> bool {
@@ -247,14 +259,15 @@ fn saturated_service_sheds_with_observable_overload_rejections() {
     );
     let cred = member_credential(&cluster);
 
-    // Deterministic saturation: configuration closures run on the server
-    // thread, so this recv gates server 0 shut and parks the only worker
-    // inside execute. configure_server blocks its caller, hence the
-    // helper thread.
+    // Deterministic saturation: a configuration closure holds server 0's
+    // host, so this recv gates it shut and parks the only worker inside
+    // execute. configure_server blocks its caller, hence the helper
+    // thread; nothing is submitted before the gate is shut.
     let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
     let gated = cluster.clone();
-    let stall = std::thread::spawn(move || {
+    let stall = hold(move |held| {
         gated.configure_server(ServerId::new(0), move |_core| {
+            held.send(()).expect("the test waits");
             let _ = gate_rx.recv();
         });
     });
@@ -313,8 +326,9 @@ macro_rules! two_clients_on_one_item {
         let cred = member_credential_of(cluster.cas());
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         let gated = cluster.clone();
-        let stall = std::thread::spawn(move || {
+        let stall = hold(move |held| {
             gated.configure_server(ServerId::new(1), move |_core| {
+                held.send(()).expect("the test waits");
                 let _ = gate_rx.recv();
             });
         });
