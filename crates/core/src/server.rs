@@ -74,6 +74,8 @@ pub struct ServerCounters {
     /// Physical WAL syncs performed (≤ `forced_logs`; wall-clock effect
     /// only, like the cache stats).
     pub physical_syncs: u64,
+    /// Abort decisions applied to a transaction this server held.
+    pub aborts_applied: u64,
     /// Proof-cache instrumentation (wall-clock effect only).
     pub proof_cache: safetx_metrics::ProofCacheStats,
 }
@@ -114,15 +116,17 @@ pub struct ServerCore<A> {
     wal: Wal<ParticipantRecord>,
     constraints: ConstraintSet,
     txns: HashMap<TxnId, ServerTxn<A>>,
-    /// Decisions already applied here, keyed by transaction. Guards the
-    /// handlers against ghost resurrection: a duplicated or delayed
-    /// protocol message arriving *after* the decision must not re-create
-    /// transaction state (and leak its locks). Volatile — lost in a crash
-    /// and rebuilt from the WAL's decision records on recovery.
+    /// Decisions known here, keyed by transaction. Guards the handlers
+    /// against ghost resurrection: a duplicated or delayed protocol message
+    /// arriving *after* the decision must not re-create transaction state
+    /// (and leak its locks). Part of the checkpoint with the store — it
+    /// survives a crash — and emptied by [`ServerCore::forget_decisions`]
+    /// once no message can overtake a decision.
     decided: HashMap<TxnId, safetx_txn::Decision>,
     /// Forced log writes performed (protocol plane; proofs live in the
     /// data plane).
     forced_logs: u64,
+    aborts_applied: u64,
     /// Baseline behaviour: accept a peer-issued capability in lieu of a
     /// fresh proof of authorization — the unsafe shortcut of Figure 1 —
     /// and issue one with each granted proof (Bob's "read credential").
@@ -152,6 +156,7 @@ impl<A: Clone> ServerCore<A> {
             txns: HashMap::new(),
             decided: HashMap::new(),
             forced_logs: 0,
+            aborts_applied: 0,
             capability_shortcut: false,
         }
     }
@@ -237,7 +242,8 @@ impl<A: Clone> ServerCore<A> {
         self.data.with_resource_map(f)
     }
 
-    /// The participant write-ahead log.
+    /// The participant write-ahead log: its live tail, from the first
+    /// record of the oldest transaction still live here.
     #[must_use]
     pub fn wal(&self) -> &Wal<ParticipantRecord> {
         &self.wal
@@ -250,6 +256,7 @@ impl<A: Clone> ServerCore<A> {
             proofs: self.data.proofs(),
             forced_logs: self.forced_logs,
             physical_syncs: self.wal.physical_sync_count(),
+            aborts_applied: self.aborts_applied,
             proof_cache: self.data.proof_cache_stats(),
         }
     }
@@ -551,8 +558,14 @@ impl<A: Clone> ServerCore<A> {
                         self.mvcc.release_snapshot(snap);
                     }
                     self.locks.release_all(txn);
+                    self.aborts_applied += u64::from(!decision.is_commit());
                     self.txns.remove(&txn);
                     self.decided.insert(txn, decision);
+                    // The checkpoint (store and memo) holds the transaction
+                    // now: the WAL keeps the tail from the oldest live one.
+                    let live = &self.txns;
+                    self.wal
+                        .truncate_front_while(|r| !live.contains_key(&r.txn()));
                 }
             }
         }
@@ -719,7 +732,10 @@ impl<A: Clone> ServerCore<A> {
             Msg::Decision { txn, decision } => {
                 if !self.txns.contains_key(&txn) {
                     // Abort for a transaction we never saw or already
-                    // resolved: acknowledge if the variant expects it.
+                    // resolved: remember it, so a query of it still on its
+                    // way is refused, and acknowledge if the variant
+                    // expects it.
+                    self.decided.insert(txn, decision);
                     if self.variant.participant_acks(decision) {
                         out.push((from, Msg::Ack { txn }));
                     }
@@ -751,10 +767,11 @@ impl<A: Clone> ServerCore<A> {
         }
     }
 
-    /// Crash: volatile state is lost. Prepared(YES) transactions survive —
-    /// their write sets and protocol state were force-logged with the
-    /// prepare record; everything else (locks, unprepared transactions,
-    /// the applied-decision memo) is discarded.
+    /// Crash: volatile state is lost. The checkpoint — the store and the
+    /// decided memo — survives, and so does the WAL's live tail.
+    /// Prepared(YES) transactions survive too — their write sets and
+    /// protocol state were force-logged with the prepare record; everything
+    /// else (locks, unprepared transactions) is discarded.
     pub fn crash(&mut self) {
         self.locks.clear();
         // Snapshots are volatile like locks. Survivors are past execution
@@ -762,7 +779,6 @@ impl<A: Clone> ServerCore<A> {
         // handles so a post-recovery release cannot touch a snapshot some
         // new transaction opened at a colliding epoch.
         self.mvcc.clear();
-        self.decided.clear();
         self.txns
             .retain(|_, state| state.participant.state() == ParticipantState::Prepared(Vote::Yes));
         for state in self.txns.values_mut() {
@@ -785,8 +801,8 @@ impl<A: Clone> ServerCore<A> {
             .collect()
     }
 
-    /// Rebuilds protocol state from the write-ahead log after a crash —
-    /// the one recovery every restart runs.
+    /// Rebuilds protocol state from the checkpoint and the WAL's live tail
+    /// after a crash — the one recovery every restart runs.
     ///
     /// Per transaction, following [`safetx_txn::recover_participant`]:
     /// * decision record in the log → decided; re-apply idempotently.
@@ -797,13 +813,11 @@ impl<A: Clone> ServerCore<A> {
     /// * anything else → unilateral abort (the coordinator cannot have
     ///   committed without this server's vote).
     ///
-    /// The applied-decision memo (`decided`) is rebuilt from the log's
-    /// decision records, restoring the ghost-resurrection guard for every
-    /// transaction whose decision reached this server before the crash.
+    /// The decided memo survives the crash with the store; the tail's
+    /// decision records are added to it.
     pub fn recover_from_wal(&mut self) -> Vec<TxnId> {
         self.locks.clear();
         self.mvcc.clear();
-        self.decided.clear();
         let records: Vec<ParticipantRecord> = self.wal.records().cloned().collect();
         for record in &records {
             if let ParticipantRecord::Decision { txn, decision } = record {
@@ -845,6 +859,13 @@ impl<A: Clone> ServerCore<A> {
         in_doubt
     }
 
+    /// Empties the decided memo. Sound only when no message sent before a
+    /// decision can still arrive after it: a host calls this after a round
+    /// once its link holds nothing back (DESIGN.md §5a, "Bounded state").
+    pub fn forget_decisions(&mut self) {
+        self.decided.clear();
+    }
+
     /// Transactions currently prepared YES with no decision — the in-doubt
     /// set a recovering (or decision-starved) participant must resolve via
     /// coordinator inquiry.
@@ -860,11 +881,17 @@ impl<A: Clone> ServerCore<A> {
         txns
     }
 
-    /// The decision applied here for `txn`, if any (volatile memo; rebuilt
-    /// from the WAL by [`ServerCore::recover_from_wal`]).
+    /// The decision known here for `txn`, if the memo still holds it (see
+    /// [`ServerCore::forget_decisions`]).
     #[must_use]
     pub fn decided_decision(&self, txn: TxnId) -> Option<safetx_txn::Decision> {
         self.decided.get(&txn).copied()
+    }
+
+    /// Entries in the decided memo.
+    #[must_use]
+    pub fn decided_len(&self) -> usize {
+        self.decided.len()
     }
 
     /// Every transaction with live state here, whatever its phase — the
@@ -1402,7 +1429,8 @@ mod tests {
         fx.core.crash();
         assert!(fx.core.restart().is_empty(), "nothing in doubt");
         // A duplicate of the committed transaction's query arrives late:
-        // the decision memo, rebuilt from the WAL, turns it away.
+        // the decision memo, which survived the crash with the store,
+        // turns it away.
         assert!(exec_query(&mut fx, txn, true).is_empty(), "no reply owed");
         assert_eq!(fx.core.active_txns(), 0, "no ghost transaction");
         // …and no ghost lock: a fresh write to the same item commits.

@@ -140,7 +140,7 @@ impl Net {
 /// performs the verdict with `put`.
 #[cold]
 fn send_faulty(
-    fabric: &Fabric,
+    fabric: &Arc<Fabric>,
     seq: &AtomicU64,
     (from, to): (Peer, Peer),
     msg: Msg,
@@ -168,9 +168,14 @@ fn send_faulty(
             // Detached sleeper: delivery races everything sent in the
             // meantime, which is the point; a message to a server that
             // crashed meanwhile dies with the incarnation it was sent to.
+            // Counted while held, so no host forgets a decision this
+            // message could still hit.
+            fabric.held.fetch_add(1, Ordering::AcqRel);
+            let fabric = Arc::clone(fabric);
             std::thread::spawn(move || {
                 std::thread::sleep(by);
                 put(msg);
+                fabric.held.fetch_sub(1, Ordering::AcqRel);
             });
         }
         Verdict::Corrupt { .. } | Verdict::Truncate { .. } | Verdict::Disconnect => {
@@ -307,12 +312,12 @@ impl ChannelLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CrashPoint, CrashRule, FaultPlan};
+    use crate::{CrashPoint, CrashRule, EdgeRule, FaultPlan, PeerMatch};
     use safetx_core::{AbortReason, ConsistencyLevel, MsgKind, ProofScheme, VersionMap};
     use safetx_metrics::FaultCounters;
     use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
     use safetx_store::Value;
-    use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
+    use safetx_txn::{CommitVariant, Operation, QuerySpec, TransactionSpec};
     use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, PolicyVersion, Timestamp, UserId};
     use std::time::Instant;
 
@@ -732,6 +737,65 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// (guard while held) The TM gives up on a query the plan holds back,
+    /// and its abort reaches the server first: the server never saw the
+    /// transaction, but remembers the decision, so the late query is
+    /// refused instead of re-creating the transaction with an X lock. The
+    /// memo is not forgotten while the sleeper holds the query.
+    #[test]
+    fn a_decision_before_its_held_back_query_refuses_the_query() {
+        let cluster = seeded(Cluster::new(ClusterConfig {
+            servers: 3,
+            reply_timeout: Some(Duration::from_millis(20)),
+            ..ClusterConfig::default()
+        }));
+        let cred = member_credential(&cluster);
+        let write_100 = |cluster: &Cluster| {
+            let query = QuerySpec::new(
+                ServerId::new(1),
+                "write",
+                "records",
+                vec![Operation::Add(DataItemId::new(100), 1)],
+            );
+            TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), vec![query])
+        };
+        cluster.set_fault_plan(FaultPlan {
+            rules: vec![EdgeRule {
+                from: PeerMatch::Coordinator,
+                to: PeerMatch::Server(ServerId::new(1)),
+                delay_permille: 1000,
+                delay_min_us: 200_000,
+                delay_max_us: 200_000,
+                ..EdgeRule::default()
+            }],
+            ..FaultPlan::default()
+        });
+        // Only the query is held back: the plan goes once it is.
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while cluster.fault_counters().faults_delayed == 0 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                cluster.clear_fault_plan();
+            });
+            cluster.execute(&write_100(&cluster), std::slice::from_ref(&cred))
+        });
+        let reason = result.outcome.abort_reason();
+        assert_eq!(reason, Some(AbortReason::ServerUnavailable));
+        let fabric = &cluster.link().net.fabric;
+        while fabric.held.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let active = cluster.configure_server(ServerId::new(1), |core| core.active_txns());
+        assert_eq!(
+            active, 0,
+            "the late query re-created the aborted transaction"
+        );
+        let result = cluster.execute(&write_100(&cluster), &[cred]);
+        assert!(result.is_commit(), "{:?}", result.outcome);
+        cluster.shutdown();
+    }
+
     #[test]
     fn crash_and_restart_preserves_committed_state() {
         let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
@@ -809,18 +873,18 @@ mod tests {
         assert!(result.is_commit(), "{:?}", result.outcome);
         cluster.clear_fault_plan();
         cluster.restart_server(ServerId::new(2));
-        // The resolver delivers the commit; poll until applied.
+        // The resolver delivers the commit; poll until the in-doubt
+        // transaction is gone (the decided memo is no witness: a host may
+        // forget it after any round).
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let (tx, rx) = unbounded();
-            cluster.configure_server(ServerId::new(2), move |core| {
-                let _ = tx.send((
+            let (value, active) = cluster.configure_server(ServerId::new(2), |core| {
+                (
                     core.store().read_int(DataItemId::new(200)),
-                    core.decided_decision(TxnId::new(0)),
-                ));
+                    core.active_txns(),
+                )
             });
-            let (value, decided) = rx.recv().unwrap();
-            if decided == Some(Decision::Commit) {
+            if active == 0 {
                 assert_eq!(value, Some(9), "recovered write-set not applied");
                 break;
             }

@@ -504,16 +504,17 @@ pub trait Deployment: Send + Sync {
     fn with_store(&self, server: ServerId, f: &mut dyn FnMut(&mut LocalStore));
 
     /// Kills a server as if its process died: volatile state (locks,
-    /// unprepared transactions, the decided memo) is lost, whatever was in
-    /// flight to it is gone, the store and WAL survive. The server is
-    /// crashed when this returns; crashing a crashed server is a no-op.
+    /// unprepared transactions) is lost, whatever was in flight to it is
+    /// gone, the checkpoint (store and decided memo) and the WAL's live
+    /// tail survive. The server is crashed when this returns; crashing a
+    /// crashed server is a no-op.
     fn crash_server(&self, server: ServerId);
     /// Restarts a crashed server: rebuilds its protocol state from the
-    /// WAL, tells each in-doubt transaction the decision the coordinator
-    /// log already holds for it, and brings up a fresh edge to it. An
-    /// in-doubt transaction with no logged decision yet stays in doubt —
-    /// its coordinator may still be in flight — until its decision arrives
-    /// or a quiesced [`Deployment::resolve_in_doubt`].
+    /// checkpoint and the WAL's tail, tells each in-doubt transaction the
+    /// decision the coordinator log already holds for it, and brings up a
+    /// fresh edge to it. An in-doubt transaction with no logged decision
+    /// yet stays in doubt — its coordinator may still be in flight — until
+    /// its decision arrives or a quiesced [`Deployment::resolve_in_doubt`].
     ///
     /// # Panics
     ///

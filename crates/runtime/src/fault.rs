@@ -374,6 +374,10 @@ pub struct Fabric {
     /// Mirrors `armed.is_some()`; checked without taking the lock.
     enabled: AtomicBool,
     armed: RwLock<Option<ArmedPlan>>,
+    /// Messages the channel link's sleepers hold, the only ones a later
+    /// send can overtake: up before a sleeper starts, down (AcqRel) after
+    /// it delivers, so a host's Acquire read of 0 sees each one queued.
+    pub(crate) held: AtomicU64,
     /// What the fabric, the hosts and the coordinators counted.
     pub stats: FaultStats,
 }

@@ -26,6 +26,10 @@
 //! * **Lock order.** Host lock before any lock of the link (`emit` runs
 //!   under it), so link teardown unblocks its writers before it asks for
 //!   the host lock; the queue's own lock is a leaf.
+//! * **Bounded state.** After a round, a host whose fabric's sleepers hold
+//!   nothing and whose queue is empty forgets its decided memo: every
+//!   other message reaches it in its sender's order, and a coordinator
+//!   sends only decision resends after a decision.
 
 use crate::fault::{CrashPoint, Fabric};
 use safetx_core::{coalesce_replies, Msg, MsgKind, ServerCore};
@@ -61,8 +65,8 @@ pub(crate) type Outbox<A> = Box<dyn Fn(&A, Msg) + Send + Sync>;
 struct HostState<A> {
     /// `None` while crashed.
     core: Option<ServerCore<A>>,
-    /// Where a crash parks the core (store + WAL — the durable state)
-    /// until [`Host::restart`] recovers it.
+    /// Where a crash parks the core (the checkpoint — store and decided
+    /// memo — and the WAL's live tail) until [`Host::restart`] recovers it.
     salvage: Option<ServerCore<A>>,
 }
 
@@ -248,6 +252,12 @@ impl<A: PeerAddr> Host<A> {
         let crashed = cut || sent_last;
         if crashed {
             self.crash_locked(state);
+        } else if self.fabric.held.load(Ordering::Acquire) == 0
+            && self.queue.get().is_none_or(|q| q.msgs().is_empty())
+        {
+            // Bounded state: no message can overtake a decision any more
+            // (the count read first: a just-delivered one is still queued).
+            core.forget_decisions();
         }
         !crashed
     }
@@ -304,8 +314,9 @@ impl<A: PeerAddr> Host<A> {
         false
     }
 
-    /// Wipes the volatile state (locks, in-flight rounds, decided memo)
-    /// and parks the core in the salvage slot.
+    /// Wipes the volatile state (locks, unprepared transactions, in-flight
+    /// rounds) and parks the core, checkpoint and WAL tail with it, in the
+    /// salvage slot.
     fn crash_locked(&self, state: &mut HostState<A>) -> bool {
         let Some(mut core) = state.core.take() else {
             return false;
@@ -319,9 +330,9 @@ impl<A: PeerAddr> Host<A> {
     }
 
     /// Kills the server as if its process died: volatile state is lost,
-    /// the store and WAL survive for [`Host::restart`], and whatever was
-    /// queued to it is dropped. Idempotent — `false` when the host was
-    /// crashed already.
+    /// the checkpoint (store and decided memo) and the WAL's live tail
+    /// survive for [`Host::restart`], and whatever was queued to it is
+    /// dropped. Idempotent — `false` when the host was crashed already.
     pub fn crash(&self) -> bool {
         let crashed = self.crash_locked(&mut self.state());
         self.drain();
@@ -335,10 +346,11 @@ impl<A: PeerAddr> Host<A> {
     }
 
     /// Brings a crashed host back: rebuilds its protocol state from the
-    /// WAL ([`ServerCore::recover_from_wal`] — the decided memo, and locks
-    /// re-acquired for in-doubt transactions) and returns the transactions
-    /// still in doubt. A link with threads per incarnation must have
-    /// retired the dead one's first.
+    /// checkpoint and the WAL's tail ([`ServerCore::recover_from_wal`] —
+    /// the tail's decisions added to the memo, and locks re-acquired for
+    /// in-doubt transactions) and returns the transactions still in doubt.
+    /// A link with threads per incarnation must have retired the dead
+    /// one's first.
     ///
     /// # Panics
     ///

@@ -3,13 +3,15 @@
 //! 2PC's resilience "can be achieved … by recording the progress of the
 //! protocol in the logs of the TM and participant"; 2PVC additionally
 //! force-logs the `(vi, pi)` policy-version tuples with each vote. [`Wal`]
-//! models a durable, append-only log with the forced/non-forced distinction
-//! that the paper's log-complexity metric (`2n + 1` forced writes) counts.
+//! models a durable log with the forced/non-forced distinction that the
+//! paper's log-complexity metric (`2n + 1` forced writes) counts.
 //!
 //! Durability model: everything appended before a crash survives it —
 //! the simulator never loses log records, it only loses volatile actor
 //! state. *Forced* records are counted separately because forcing is the
 //! expensive operation in the metric.
+//! A log may be truncated at its head ([`Wal::truncate_front_while`]) once
+//! its owner has checkpointed what the head records describe.
 //!
 //! # Logical forces vs physical syncs
 //!
@@ -25,6 +27,7 @@
 //! benchmarks can show the wall-clock effect of coalescing.
 
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One log record with its durability class.
@@ -37,7 +40,7 @@ pub struct WalEntry<R> {
     pub forced: bool,
 }
 
-/// An append-only write-ahead log.
+/// A write-ahead log: appended at the tail, truncated at the head.
 ///
 /// # Examples
 ///
@@ -52,7 +55,7 @@ pub struct WalEntry<R> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Wal<R> {
-    entries: Vec<WalEntry<R>>,
+    entries: VecDeque<WalEntry<R>>,
     forced: u64,
     /// Physical device syncs performed (≤ `forced`; strictly fewer when
     /// group commit coalesced forces).
@@ -70,7 +73,7 @@ pub struct Wal<R> {
 impl<R> Default for Wal<R> {
     fn default() -> Self {
         Wal {
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             forced: 0,
             physical: 0,
             group_depth: 0,
@@ -93,7 +96,7 @@ impl<R> Wal<R> {
     /// [`Wal::end_group`]. Either way the logical force count — the
     /// paper's metric — advances by exactly one.
     pub fn force(&mut self, record: R) {
-        self.entries.push(WalEntry {
+        self.entries.push_back(WalEntry {
             record,
             forced: true,
         });
@@ -152,16 +155,27 @@ impl<R> Wal<R> {
 
     /// Appends a non-forced record (durable eventually; cheap).
     pub fn append(&mut self, record: R) {
-        self.entries.push(WalEntry {
+        self.entries.push_back(WalEntry {
             record,
             forced: false,
         });
     }
 
-    /// All entries, oldest first.
-    #[must_use]
-    pub fn entries(&self) -> &[WalEntry<R>] {
-        &self.entries
+    /// Drops records from the head while `checkpointed` holds, stopping at
+    /// the first it must keep: amortised O(1) per append; counts unchanged.
+    pub fn truncate_front_while(&mut self, mut checkpointed: impl FnMut(&R) -> bool) {
+        while self
+            .entries
+            .front()
+            .is_some_and(|e| checkpointed(&e.record))
+        {
+            self.entries.pop_front();
+        }
+    }
+
+    /// All entries still held, oldest first.
+    pub fn entries(&self) -> impl Iterator<Item = &WalEntry<R>> {
+        self.entries.iter()
     }
 
     /// Iterates over the records, oldest first.
@@ -172,7 +186,7 @@ impl<R> Wal<R> {
     /// The most recent record, if any.
     #[must_use]
     pub fn last(&self) -> Option<&R> {
-        self.entries.last().map(|e| &e.record)
+        self.entries.back().map(|e| &e.record)
     }
 
     /// Number of forced appends so far (the paper's log-complexity metric).
@@ -190,7 +204,7 @@ impl<R> Wal<R> {
         self.physical
     }
 
-    /// Total entries.
+    /// Entries still held (appends minus truncated ones).
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -254,6 +268,24 @@ mod tests {
     }
 
     #[test]
+    fn truncation_drops_only_the_checkpointed_head_and_keeps_the_counts() {
+        let mut wal = Wal::new();
+        for i in 0..6 {
+            wal.force(i);
+        }
+        // Stops at the first record it must keep, even though later ones
+        // (4, 5) would pass.
+        wal.truncate_front_while(|&r| r != 3);
+        assert_eq!(wal.records().copied().collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert_eq!((wal.forced_count(), wal.physical_sync_count()), (6, 6));
+        wal.append(6);
+        wal.truncate_front_while(|_| true);
+        assert!(wal.is_empty());
+        assert_eq!(wal.last(), None);
+        assert_eq!(wal.forced_count(), 6);
+    }
+
+    #[test]
     fn empty_log_reports_empty() {
         let wal: Wal<u8> = Wal::new();
         assert!(wal.is_empty());
@@ -294,7 +326,7 @@ mod tests {
             "three grouped forces, one sync"
         );
         // Entry durability classes are untouched.
-        let forced: Vec<bool> = wal.entries().iter().map(|e| e.forced).collect();
+        let forced: Vec<bool> = wal.entries().map(|e| e.forced).collect();
         assert_eq!(forced, vec![true, true, false, true, true]);
     }
 

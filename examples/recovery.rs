@@ -6,6 +6,11 @@
 //! must ask the coordinator. The TM answers from its own forced decision
 //! record and the participant applies the commit it had never heard.
 //!
+//! A participant's durable state is a checkpoint (its store and decided
+//! memo) plus the live tail of its log: once the decision is applied the
+//! transaction's records leave the log, so the example prints the tail
+//! (empty by then), the forces the log counted, and the checkpoint.
+//!
 //! ```bash
 //! cargo run --example recovery
 //! ```
@@ -82,8 +87,16 @@ fn main() {
         .world()
         .actor::<CloudServerActor>(s1)
         .expect("server exists");
-    println!("participant s1's write-ahead log after recovery:");
+    println!("participant s1's write-ahead log tail after recovery (empty: nothing live):");
     print!("{}", server.wal());
+    println!(
+        "forced records s1 logged: {} (prepared YES, then the decision)",
+        server.wal().forced_count()
+    );
+    println!(
+        "s1's decided memo: {:?}",
+        server.core().decided_decision(TxnId::new(1))
+    );
     println!();
     println!(
         "s1's store after recovery: x10 = {:?} (committed write applied)",

@@ -1,0 +1,135 @@
+//! Bounded server state: a deployment that has run ten thousand commits
+//! holds nothing of them but their effect in the store.
+//!
+//! A server's durable state is a checkpoint (store and decided memo) plus
+//! the WAL's live tail, and a host forgets its memo once no message can
+//! overtake a decision (DESIGN.md §5a, "Bounded state"). So at quiescence
+//! every host's WAL, decided memo and transaction table are empty — on the
+//! channel link served by its senders, on the channel link served by a
+//! device thread (`wal_sync_cost`), and on the socket link.
+
+use safetx_net::NetCluster;
+use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
+use safetx_runtime::{Cluster, ClusterConfig, Deployment, Link, LinkedCluster};
+use safetx_store::Value;
+use safetx_txn::{Operation, QuerySpec, TransactionSpec};
+use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, Timestamp, UserId};
+use std::time::Duration;
+
+const COMMITS: usize = 10_000;
+const CLIENTS: u64 = 2;
+/// Every this-many transactions one goes without a credential and aborts.
+const ABORT_EVERY: usize = 10;
+
+fn member_credential(cluster: &dyn Deployment) -> Credential {
+    cluster.cas().with_mut(|registry| {
+        registry.ca_mut(CaId::new(0)).expect("CA0").issue(
+            UserId::new(1),
+            Atom::fact(
+                "role",
+                vec![Constant::symbol("u1"), Constant::symbol("member")],
+            ),
+            Timestamp::ZERO,
+            Timestamp::MAX,
+        )
+    })
+}
+
+/// One increment per server, on an item of the client's own: clients never
+/// conflict.
+fn spec(cluster: &dyn Deployment, client: u64) -> TransactionSpec {
+    let queries = cluster
+        .server_ids()
+        .into_iter()
+        .map(|s| {
+            let item = DataItemId::new(s.index() * 100 + client);
+            QuerySpec::new(s, "write", "records", vec![Operation::Add(item, 1)])
+        })
+        .collect();
+    TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries)
+}
+
+/// Runs `COMMITS` commits (and an abort every `ABORT_EVERY`) from
+/// `CLIENTS` threads, then reads what every host still holds.
+fn run_to_quiescence<L: Link>(cluster: &LinkedCluster<L>) {
+    cluster.publish_policy(
+        PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+            .rules_text("grant(write, records) :- role(U, member).")
+            .expect("rules parse")
+            .build(),
+    );
+    for s in cluster.server_ids() {
+        cluster.configure_server(s, |core| {
+            for client in 0..CLIENTS {
+                let item = DataItemId::new(s.index() * 100 + client);
+                core.store_mut().write(item, Value::Int(0), Timestamp::ZERO);
+            }
+        });
+    }
+    let cred = member_credential(cluster);
+    let per_client = COMMITS / CLIENTS as usize;
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let cred = cred.clone();
+            scope.spawn(move || {
+                let mut commits = 0;
+                let mut n = 0;
+                while commits < per_client {
+                    n += 1;
+                    let denied = n % ABORT_EVERY == 0;
+                    let creds = if denied {
+                        &[][..]
+                    } else {
+                        std::slice::from_ref(&cred)
+                    };
+                    let result = cluster.execute(&spec(cluster, client), creds);
+                    assert_eq!(result.is_commit(), !denied, "{:?}", result.outcome);
+                    commits += usize::from(!denied);
+                }
+            });
+        }
+    });
+    for s in cluster.server_ids() {
+        let held = cluster.configure_server(s, |core| {
+            let item = DataItemId::new(s.index() * 100);
+            let value = core.store().read_int(item);
+            (
+                core.wal().len(),
+                core.decided_len(),
+                core.active_txns(),
+                value,
+            )
+        });
+        let per_client = Some(per_client as i64);
+        assert_eq!(
+            held,
+            (0, 0, 0, per_client),
+            "server {s}: (WAL, memo, live, item)"
+        );
+    }
+}
+
+fn config() -> ClusterConfig {
+    ClusterConfig {
+        servers: 3,
+        ..ClusterConfig::default()
+    }
+}
+
+#[test]
+fn a_quiescent_channel_host_holds_no_wal_and_no_memo() {
+    run_to_quiescence(&Cluster::new(config()));
+}
+
+#[test]
+fn a_quiescent_device_host_holds_no_wal_and_no_memo() {
+    run_to_quiescence(&Cluster::new(ClusterConfig {
+        wal_sync_cost: Some(Duration::from_micros(1)),
+        ..config()
+    }));
+}
+
+#[test]
+fn a_quiescent_socket_host_holds_no_wal_and_no_memo() {
+    run_to_quiescence(&NetCluster::new(config()));
+}

@@ -129,17 +129,13 @@ fn logged_decision(cluster: &Cluster, txn: TxnId) -> Option<Decision> {
         })
 }
 
-/// Probes the victim's recovered state on its own thread.
-fn victim_state(cluster: &Cluster, txn: TxnId) -> (Option<i64>, Option<Decision>, usize) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    cluster.configure_server(VICTIM, move |core: &mut ServerCore<Addr>| {
-        let _ = tx.send((
-            core.store().read_int(VICTIM_ITEM),
-            core.decided_decision(txn),
-            core.active_txns(),
-        ));
-    });
-    rx.recv().expect("probe reply")
+/// Probes the victim's recovered state: its item and how many
+/// transactions it still holds. (Not its decided memo, which a host may
+/// forget after any round.)
+fn victim_state(cluster: &Cluster) -> (Option<i64>, usize) {
+    cluster.configure_server(VICTIM, |core: &mut ServerCore<Addr>| {
+        (core.store().read_int(VICTIM_ITEM), core.active_txns())
+    })
 }
 
 #[test]
@@ -168,11 +164,10 @@ fn crash_before_prepare_aborts_and_leaves_no_trace() {
 
         assert_eq!(cluster.crashed_servers(), vec![VICTIM], "{variant:?}");
         cluster.restart_server(VICTIM);
-        let (value, decided, active) = victim_state(&cluster, txn);
+        let (value, active) = victim_state(&cluster);
         // The victim died unprepared: no write applied, no live state, and
         // nothing in doubt to resolve.
         assert_eq!(value, Some(10), "{variant:?}: aborted write leaked");
-        assert_eq!(decided, None, "{variant:?}");
         assert_eq!(active, 0, "{variant:?}: ghost transaction survived crash");
         assert_eq!(cluster.resolve_in_doubt(), 0, "{variant:?}");
         let counters = cluster.fault_counters();
@@ -198,12 +193,12 @@ fn crash_after_yes_vote_recovers_the_commit_via_inquiry() {
         cluster.clear_fault_plan();
 
         cluster.restart_server(VICTIM);
-        // The restart spawned a resolver for the in-doubt transaction; it
-        // answers from the decision log asynchronously.
+        // The restart answers the in-doubt transaction from the decision
+        // log; poll until it is gone.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let (value, decided, active) = victim_state(&cluster, txn);
-            if decided == Some(Decision::Commit) && active == 0 {
+            let (value, active) = victim_state(&cluster);
+            if active == 0 {
                 assert_eq!(
                     value,
                     Some(9),
@@ -213,7 +208,7 @@ fn crash_after_yes_vote_recovers_the_commit_via_inquiry() {
             }
             assert!(
                 Instant::now() < deadline,
-                "{variant:?}: in-doubt transaction never resolved (decided={decided:?}, active={active})"
+                "{variant:?}: in-doubt transaction never resolved (active={active})"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -234,17 +229,12 @@ fn crash_after_decision_restarts_consistent_without_inquiry() {
         assert_eq!(logged_decision(&cluster, txn), Some(Decision::Commit));
         cluster.clear_fault_plan();
 
-        // The decision was fully processed before the crash, so the WAL
+        // The decision was fully processed before the crash, so the store
         // already has it: the restart needs no inquiry at all.
         cluster.restart_server(VICTIM);
         assert_eq!(cluster.resolve_in_doubt(), 0, "{variant:?}");
-        let (value, decided, active) = victim_state(&cluster, txn);
+        let (value, active) = victim_state(&cluster);
         assert_eq!(value, Some(9), "{variant:?}: committed write lost in crash");
-        assert_eq!(
-            decided,
-            Some(Decision::Commit),
-            "{variant:?}: WAL decision record not rebuilt on restart"
-        );
         assert_eq!(active, 0, "{variant:?}");
         cluster.shutdown();
     }

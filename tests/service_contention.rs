@@ -18,7 +18,7 @@ use safetx::service::{
     TxnService,
 };
 use safetx::store::Value;
-use safetx::txn::{Decision, Operation, QuerySpec, TransactionSpec};
+use safetx::txn::{Operation, QuerySpec, TransactionSpec};
 use safetx::types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, TxnId, UserId};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -302,8 +302,9 @@ fn saturated_service_sheds_with_observable_overload_rejections() {
 /// shut, so whichever transaction takes the item's lock at server 0 parks
 /// in its second 2PV round holding it, and the other's contact at server 0
 /// must conflict. Once server 0 has applied that transaction's abort the
-/// gate opens. (Server 0 is asked, not `service.stats()`: the statistics
-/// probe every server's WAL and would park on the gate too.) Locking mode
+/// gate opens. (Server 0's counters are asked, not `service.stats()`: the
+/// statistics probe every server's WAL and would park on the gate too; nor
+/// its decided memo, which it may forget after any round.) Locking mode
 /// is pinned: optimistic execution takes no lock at the contact.
 macro_rules! two_clients_on_one_item {
     ($cluster:path, $kind:path) => {{
@@ -332,8 +333,6 @@ macro_rules! two_clients_on_one_item {
                 let _ = gate_rx.recv();
             });
         });
-        // Every attempt runs under a fresh id: the first two are next.
-        let base = cluster.next_txn_id().index();
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let spec = hot_spec_with_id(TxnId::new(0), 0);
@@ -342,17 +341,8 @@ macro_rules! two_clients_on_one_item {
                     .expect("admitted")
             })
             .collect();
-        loop {
-            let (tx, rx) = std::sync::mpsc::channel();
-            cluster.configure_server(ServerId::new(0), move |core| {
-                let turned_away = [base + 1, base + 2]
-                    .iter()
-                    .any(|&id| core.decided_decision(TxnId::new(id)) == Some(Decision::Abort));
-                let _ = tx.send(turned_away);
-            });
-            if rx.recv().expect("probe ran") {
-                break;
-            }
+        while cluster.configure_server(ServerId::new(0), |core| core.counters().aborts_applied) == 0
+        {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         gate_tx.send(()).expect("gate listener alive");
