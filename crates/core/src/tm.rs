@@ -5,17 +5,16 @@
 //! (see [`crate::tm_core`]). This actor is pure plumbing: it converts
 //! incoming [`Msg`]s into [`TmEvent`]s, performs the returned [`TmEffect`]s
 //! against the discrete-event world (sends, world timers, the coordinator
-//! WAL, trace marks), and collects termination records for the harness.
+//! log, trace marks), and collects termination records for the harness.
 //!
-//! The TM also owns the coordinator write-ahead log and answers recovery
+//! The TM also owns the coordinator decision log and answers recovery
 //! inquiries from participants.
 
 use crate::messages::{AddressBook, Msg};
 use crate::tm_core::{TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
 use safetx_policy::Credential;
 use safetx_sim::{Actor, Context, NodeId, TimerTag};
-use safetx_store::Wal;
-use safetx_txn::{answer_inquiry, CommitVariant, CoordinatorRecord, TransactionSpec};
+use safetx_txn::{CommitVariant, CoordinatorLog, TransactionSpec};
 use safetx_types::{Duration, TmId, TxnId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,7 +30,7 @@ pub struct TmActor {
     id: TmId,
     book: AddressBook,
     config: TmConfig,
-    wal: Wal<CoordinatorRecord>,
+    log: CoordinatorLog,
     active: HashMap<TxnId, TmCore>,
     completed: Vec<TxnRecord>,
 }
@@ -51,7 +50,7 @@ impl TmActor {
             id,
             book,
             config: TmConfig::new(scheme, consistency, variant),
-            wal: Wal::new(),
+            log: CoordinatorLog::default(),
             active: HashMap::new(),
             completed: Vec::new(),
         }
@@ -93,10 +92,10 @@ impl TmActor {
         self.active.len()
     }
 
-    /// The coordinator write-ahead log.
+    /// The coordinator decision log.
     #[must_use]
-    pub fn wal(&self) -> &Wal<CoordinatorRecord> {
-        &self.wal
+    pub fn log(&self) -> &CoordinatorLog {
+        &self.log
     }
 
     fn begin(
@@ -129,25 +128,26 @@ impl TmActor {
     }
 
     /// Maps core effects onto the simulation world: sends, timers, the
-    /// coordinator WAL and the trace marks the bench binaries consume.
+    /// coordinator log and the trace marks the bench binaries consume.
     fn apply(&mut self, ctx: &mut Context<'_, Msg>, txn: TxnId, effects: Vec<TmEffect>) {
         for effect in effects {
             match effect {
                 TmEffect::Send(server, msg) => ctx.send(self.book.server_node(server), msg),
                 TmEffect::QueryMaster => ctx.send(self.book.master, Msg::VersionRequest { txn }),
                 TmEffect::ForceLog { record, in_commit } => {
-                    self.wal.force(record);
+                    self.log.force(&record);
                     ctx.count("forced_logs", 1);
                     if in_commit {
                         ctx.mark("log:forced");
                     }
                 }
-                TmEffect::Log(record) => self.wal.append(record),
+                TmEffect::Log(record) => self.log.append(&record),
                 TmEffect::ArmTimer(timeout) => ctx.set_timer(timeout, txn.index()),
                 TmEffect::Decided(decision) => ctx.mark(format!("decided:{decision}")),
                 TmEffect::Finished(termination) => {
                     ctx.mark(format!("finished:{txn}"));
                     self.active.remove(&txn);
+                    self.log.finish(txn);
                     self.completed.push(*termination);
                 }
             }
@@ -178,7 +178,7 @@ impl Actor<Msg> for TmActor {
                 },
             ),
             Msg::Inquiry { txn, from_server } => {
-                let answer = answer_inquiry(txn, self.config.variant, self.wal.records());
+                let answer = self.log.answer(txn, self.config.variant);
                 ctx.send(
                     self.book.server_node(from_server),
                     Msg::InquiryReply { txn, answer },
@@ -193,7 +193,7 @@ impl Actor<Msg> for TmActor {
     }
 
     fn on_crash(&mut self) {
-        // In-flight coordination state is volatile; the WAL survives.
+        // In-flight coordination state is volatile; the log survives.
         self.active.clear();
     }
 }

@@ -11,7 +11,7 @@
 use crate::messages::{Msg, MsgKind};
 use crate::tm_core::{reply_counts_as_dropped, TmCore, TmEffect, TmEvent, TxnTermination};
 use crate::validation::VersionMap;
-use safetx_txn::{answer_inquiry, CommitVariant, CoordinatorRecord, Decision, InquiryAnswer};
+use safetx_txn::{CommitVariant, CoordinatorLog, CoordinatorRecord, Decision, InquiryAnswer};
 use safetx_types::{ServerId, Timestamp, TxnId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -58,11 +58,11 @@ pub enum TmCrashPoint {
 /// cast, so no coordinator can have committed with it, and a presumption
 /// answer (presumed-commit in particular) must never reach an unprepared
 /// transaction.
-pub fn terminate_leftover<'a>(
+pub fn terminate_leftover(
     txn: TxnId,
     in_doubt: bool,
     variant: CommitVariant,
-    log: impl IntoIterator<Item = &'a CoordinatorRecord>,
+    log: &CoordinatorLog,
 ) -> Msg {
     if !in_doubt {
         return Msg::Decision {
@@ -70,7 +70,7 @@ pub fn terminate_leftover<'a>(
             decision: Decision::Abort,
         };
     }
-    let answer = match answer_inquiry(txn, variant, log) {
+    let answer = match log.answer(txn, variant) {
         InquiryAnswer::Unknown => InquiryAnswer::Decided(Decision::Abort),
         decided => decided,
     };
@@ -242,6 +242,12 @@ mod tests {
 
     const TXN: TxnId = TxnId::new(7);
 
+    fn log_of(records: &[CoordinatorRecord]) -> CoordinatorLog {
+        let mut log = CoordinatorLog::default();
+        records.iter().for_each(|record| log.force(record));
+        log
+    }
+
     fn answer(msg: Msg) -> Option<Decision> {
         match msg {
             Msg::InquiryReply {
@@ -254,16 +260,21 @@ mod tests {
 
     #[test]
     fn no_record_under_standard_terminates_to_abort() {
-        let msg = terminate_leftover(TXN, true, CommitVariant::Standard, &[]);
+        let msg = terminate_leftover(
+            TXN,
+            true,
+            CommitVariant::Standard,
+            &CoordinatorLog::default(),
+        );
         assert_eq!(answer(msg), Some(Decision::Abort));
     }
 
     #[test]
     fn a_prc_collecting_record_alone_terminates_to_abort() {
-        let log = [CoordinatorRecord::Collecting {
+        let log = log_of(&[CoordinatorRecord::Collecting {
             txn: TXN,
             participants: vec![ServerId::new(0), ServerId::new(1)],
-        }];
+        }]);
         let msg = terminate_leftover(TXN, true, CommitVariant::PresumedCommit, &log);
         assert_eq!(answer(msg), Some(Decision::Abort));
     }
@@ -276,13 +287,13 @@ mod tests {
             CommitVariant::PresumedCommit,
         ] {
             for decision in [Decision::Commit, Decision::Abort] {
-                let log = [
+                let log = log_of(&[
                     CoordinatorRecord::Collecting {
                         txn: TXN,
                         participants: vec![ServerId::new(0)],
                     },
                     CoordinatorRecord::Decision { txn: TXN, decision },
-                ];
+                ]);
                 let msg = terminate_leftover(TXN, true, variant, &log);
                 assert_eq!(answer(msg), Some(decision), "{variant:?}");
             }
@@ -290,13 +301,31 @@ mod tests {
     }
 
     #[test]
+    fn restart_and_termination_agree_on_a_reused_id() {
+        // The id's first coordinator aborted and finished; a second run
+        // under the same id logs a commit. Both lookups keep the first.
+        let mut log = log_of(&[CoordinatorRecord::Decision {
+            txn: TXN,
+            decision: Decision::Abort,
+        }]);
+        log.finish(TXN);
+        log.force(&CoordinatorRecord::Decision {
+            txn: TXN,
+            decision: Decision::Commit,
+        });
+        assert_eq!(log.decision(TXN), Some(Decision::Abort));
+        let msg = terminate_leftover(TXN, true, CommitVariant::PresumedCommit, &log);
+        assert_eq!(answer(msg), Some(Decision::Abort));
+    }
+
+    #[test]
     fn an_unprepared_participant_gets_a_unilateral_abort() {
         // Even with a commit on record and under presumed commit: its vote
         // was never cast, so the answer is a plain abort decision.
-        let log = [CoordinatorRecord::Decision {
+        let log = log_of(&[CoordinatorRecord::Decision {
             txn: TXN,
             decision: Decision::Commit,
-        }];
+        }]);
         for variant in [CommitVariant::Standard, CommitVariant::PresumedCommit] {
             assert!(matches!(
                 terminate_leftover(TXN, false, variant, &log),

@@ -317,7 +317,7 @@ mod tests {
     use safetx_metrics::FaultCounters;
     use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
     use safetx_store::Value;
-    use safetx_txn::{CommitVariant, Operation, QuerySpec, TransactionSpec};
+    use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
     use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, PolicyVersion, Timestamp, UserId};
     use std::time::Instant;
 
@@ -643,9 +643,10 @@ mod tests {
     fn faults_disabled_counters_stay_zero() {
         let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
         let cred = member_credential(&cluster);
-        assert!(cluster.execute(&spec(&cluster), &[cred]).is_commit());
+        let spec = spec(&cluster);
+        assert!(cluster.execute(&spec, &[cred]).is_commit());
         assert_eq!(cluster.fault_counters(), FaultCounters::default());
-        assert!(!cluster.decision_log_records().is_empty());
+        assert_eq!(cluster.logged_decision(spec.id), Some(Decision::Commit));
         cluster.shutdown();
     }
 

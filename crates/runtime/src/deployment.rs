@@ -25,7 +25,7 @@ use safetx_core::{
 };
 use safetx_metrics::{FaultCounters, ProtocolMetrics, RouteCounters, TransportCounters, WalStats};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential, Policy};
-use safetx_store::{LocalStore, Wal};
+use safetx_store::LocalStore;
 use safetx_txn::{CommitVariant, CoordinatorRecord, Decision, InquiryAnswer, TransactionSpec};
 use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,7 +199,7 @@ impl Topology {
 /// The coordinator-side decision log shared by every TM (`execute` caller)
 /// of a cluster — what recovery inquiries are answered from, and the
 /// ground truth chaos audits compare server state against.
-pub type DecisionLog = Mutex<Wal<CoordinatorRecord>>;
+pub type DecisionLog = Mutex<safetx_txn::CoordinatorLog>;
 
 /// What carries protocol messages between the TMs and the hosts of one
 /// cluster. Server positions are slots `0..servers` in server-id order.
@@ -290,7 +290,7 @@ impl<L: Link> LinkedCluster<L> {
             next_txn: AtomicU64::new(0),
             fabric,
             hosts,
-            decision_log: Box::new(Mutex::new(Wal::new())),
+            decision_log: Box::default(),
             link,
         }
     }
@@ -371,6 +371,13 @@ impl<L: Link> LinkedCluster<L> {
         )
     }
 
+    /// Transactions whose coordinator has not finished: running or crashed.
+    #[must_use]
+    pub fn live_decisions(&self) -> usize {
+        let log = self.decision_log.lock().expect("decision log lock");
+        log.live_len()
+    }
+
     /// Stops every thread of the link and the hosts with it.
     pub fn shutdown(self) {
         // The link's `Drop` does it.
@@ -410,6 +417,10 @@ impl Authority<'_> {
         );
         let timeout = config.reply_timeout;
         let run = drive_tm(&mut io, &mut self, core, now, timeout, crash)?;
+        // Finished (a crashed coordinator's records stay live): fold.
+        for log in self.logs {
+            log.lock().expect("decision log lock").finish(spec.id);
+        }
         // Not on a clean run: every send reads the fabric's armed flag,
         // which shares cache lines with these counters.
         if run.dropped_replies > 0 {
@@ -437,15 +448,13 @@ impl TmAuthority for Authority<'_> {
 
     fn force_decision(&mut self, record: CoordinatorRecord) {
         for log in self.logs {
-            log.lock().expect("decision log lock").force(record.clone());
+            log.lock().expect("decision log lock").force(&record);
         }
     }
 
     fn append_decision(&mut self, record: CoordinatorRecord) {
         for log in self.logs {
-            log.lock()
-                .expect("decision log lock")
-                .append(record.clone());
+            log.lock().expect("decision log lock").append(&record);
         }
     }
 }
@@ -530,11 +539,10 @@ pub trait Deployment: Send + Sync {
     /// Only meaningful on a **quiesced** deployment — no `execute` in
     /// flight.
     fn resolve_in_doubt(&self) -> usize;
-    /// Every coordinator decision record the deployment holds, oldest
-    /// first (a sharded deployment concatenates its shards' logs; a
-    /// cross-shard transaction's records appear once per participant
-    /// shard).
-    fn decision_log_records(&self) -> Vec<CoordinatorRecord>;
+    /// The decision the coordinator log holds for `txn`, the first one
+    /// logged if the id was reused (a sharded deployment asks its shards
+    /// in order).
+    fn logged_decision(&self, txn: TxnId) -> Option<Decision>;
 
     /// Arms a fault plan: every subsequent protocol send is subject to its
     /// edge rules and crash points. Replaces any previously armed plan
@@ -636,7 +644,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
             // log.
             let log = self.decision_log.lock().expect("decision log lock");
             host.terminate_leftovers(|txn, in_doubt| {
-                let answer = InquiryAnswer::Decided(logged_decision(log.records(), txn)?);
+                let answer = InquiryAnswer::Decided(log.decision(txn)?);
                 in_doubt.then_some(Msg::InquiryReply { txn, answer })
             });
         }
@@ -653,15 +661,17 @@ impl<L: Link> Deployment for LinkedCluster<L> {
         let resolve = |host: &Arc<Host<L::Addr>>| {
             let log = self.decision_log.lock().expect("decision log lock");
             host.terminate_leftovers(|txn, in_doubt| {
-                Some(terminate_leftover(txn, in_doubt, variant, log.records()))
+                Some(terminate_leftover(txn, in_doubt, variant, &log))
             })
         };
         self.hosts.iter().map(resolve).sum()
     }
 
-    fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
-        let log = self.decision_log.lock().expect("decision log lock");
-        log.records().cloned().collect()
+    fn logged_decision(&self, txn: TxnId) -> Option<Decision> {
+        self.decision_log
+            .lock()
+            .expect("decision log lock")
+            .decision(txn)
     }
 
     fn set_fault_plan(&self, plan: FaultPlan) {
@@ -705,17 +715,6 @@ impl<L: Link> std::ops::Deref for LinkedCluster<L> {
     fn deref(&self) -> &Self::Target {
         self
     }
-}
-
-/// The explicit `Decision` record the coordinator log holds for `txn`.
-fn logged_decision<'a>(
-    records: impl IntoIterator<Item = &'a CoordinatorRecord>,
-    txn: TxnId,
-) -> Option<Decision> {
-    records.into_iter().find_map(|record| match record {
-        CoordinatorRecord::Decision { txn: t, decision } if *t == txn => Some(*decision),
-        _ => None,
-    })
 }
 
 #[cfg(test)]

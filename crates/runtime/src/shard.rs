@@ -31,7 +31,7 @@ use safetx_core::{ServerCore, SharedCas, SharedCatalog, TmCrashPoint};
 use safetx_metrics::{FaultCounters, RouteCounters, WalStats};
 use safetx_policy::Credential;
 use safetx_store::LocalStore;
-use safetx_txn::{CoordinatorRecord, TransactionSpec};
+use safetx_txn::{Decision, TransactionSpec};
 use safetx_types::{PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -345,9 +345,8 @@ impl Deployment for ShardedCluster {
         self.shards.iter().map(|s| s.resolve_in_doubt()).sum()
     }
 
-    fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
-        let logs = self.shards.iter().map(|s| s.decision_log_records());
-        logs.flatten().collect()
+    fn logged_decision(&self, txn: TxnId) -> Option<Decision> {
+        self.shards.iter().find_map(|s| s.logged_decision(txn))
     }
 
     /// The same plan on every shard's fabric. Edge rules apply within each
@@ -492,14 +491,16 @@ mod tests {
     fn single_shard_transactions_commit_in_their_shard() {
         let cluster = sharded(2, 2);
         let cred = credential(&cluster);
-        let result = cluster.execute(&write_spec(&cluster, &[2, 3]), &[cred]);
+        let spec = write_spec(&cluster, &[2, 3]);
+        let result = cluster.execute(&spec, &[cred]);
         assert!(result.is_commit(), "{:?}", result.outcome);
         let counters = cluster.route_counters();
         assert_eq!(counters.single_shard_commits, 1);
         assert_eq!(counters.cross_shard_submitted, 0);
         // The decision was logged only in the owning shard.
-        assert!(cluster.shard(0).decision_log_records().is_empty());
-        assert!(!cluster.shard(1).decision_log_records().is_empty());
+        assert_eq!(cluster.shard(0).logged_decision(spec.id), None);
+        let commit = Some(Decision::Commit);
+        assert_eq!(cluster.shard(1).logged_decision(spec.id), commit);
         cluster.shutdown();
     }
 
@@ -507,17 +508,17 @@ mod tests {
     fn cross_shard_transactions_commit_and_replicate_decisions() {
         let cluster = sharded(2, 2);
         let cred = credential(&cluster);
-        let result = cluster.execute(&write_spec(&cluster, &[0, 2]), &[cred]);
+        let spec = write_spec(&cluster, &[0, 2]);
+        let result = cluster.execute(&spec, &[cred]);
         assert!(result.is_commit(), "{:?}", result.outcome);
         let counters = cluster.route_counters();
         assert_eq!(counters.cross_shard_commits, 1);
         assert!(counters.conserves());
-        // Both participant shards hold the full decision record set.
-        assert!(!cluster.shard(0).decision_log_records().is_empty());
-        assert_eq!(
-            cluster.shard(0).decision_log_records().len(),
-            cluster.shard(1).decision_log_records().len()
-        );
+        // Both participant shards hold the decision.
+        for shard in 0..2 {
+            let logged = cluster.shard(shard).logged_decision(spec.id);
+            assert_eq!(logged, Some(Decision::Commit), "shard {shard}");
+        }
         // The writes landed on both shards.
         for server in [0u64, 2] {
             let (tx, rx) = crossbeam::channel::unbounded();

@@ -17,8 +17,9 @@
 //!   optimizations of 2PC also apply to 2PVC".
 //! * [`recover_participant`] rebuilds a participant from a
 //!   [`Wal`](safetx_store::Wal) after a crash; in-doubt participants
-//!   inquire and [`answer_inquiry`] answers from the coordinator's log, by
-//!   record or by presumption.
+//!   inquire and [`CoordinatorLog::answer`] answers from the coordinator's
+//!   log, by record or by presumption. The log keeps an unfinished
+//!   transaction's facts live and folds a finished one into a byte.
 //!
 //! Transactions themselves ([`TransactionSpec`]) are a sequence of queries,
 //! each a set of read/write operations bound to one server, matching the
@@ -33,8 +34,8 @@ mod participant;
 mod recovery;
 mod transaction;
 
-pub use log::{CoordinatorRecord, ParticipantRecord};
+pub use log::{CoordinatorLog, CoordinatorRecord, ParticipantRecord};
 pub use messages::{CommitVariant, Decision, InquiryAnswer, Vote};
 pub use participant::{Participant, ParticipantOutput, ParticipantState};
-pub use recovery::{answer_inquiry, recover_participant, RecoveredParticipant};
+pub use recovery::{recover_participant, RecoveredParticipant};
 pub use transaction::{Operation, QuerySpec, TransactionSpec};

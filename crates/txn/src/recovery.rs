@@ -9,14 +9,15 @@
 //!   **in doubt** and must inquire;
 //! * a coordinator answers inquiries from its decision record, or — when no
 //!   record exists — from the variant's presumption (PrA ⇒ abort,
-//!   PrC ⇒ commit, basic 2PC ⇒ blocked).
+//!   PrC ⇒ commit, basic 2PC ⇒ blocked):
+//!   [`CoordinatorLog::answer`](crate::CoordinatorLog::answer).
 //!
 //! A coordinator that is gone for good is replaced by the termination
 //! protocol (`safetx_core::terminate_leftover`): the same answer, with
 //! basic 2PC's blocking case resolved to abort.
 
-use crate::log::{CoordinatorRecord, ParticipantRecord};
-use crate::messages::{CommitVariant, Decision, InquiryAnswer, Vote};
+use crate::log::ParticipantRecord;
+use crate::messages::{CommitVariant, Decision, Vote};
 use crate::participant::{Participant, ParticipantState};
 use safetx_types::TxnId;
 
@@ -88,47 +89,10 @@ where
     }
 }
 
-/// Answers a recovering participant's inquiry from the coordinator's log.
-///
-/// * decision record → that decision.
-/// * PrC collecting record without a decision → the coordinator crashed
-///   mid-voting; commit was never forced, so the answer is ABORT.
-/// * no record → the variant's presumption, or [`InquiryAnswer::Unknown`]
-///   for basic 2PC (the blocking case).
-pub fn answer_inquiry<'a, I>(txn: TxnId, variant: CommitVariant, records: I) -> InquiryAnswer
-where
-    I: IntoIterator<Item = &'a CoordinatorRecord>,
-{
-    let mut saw_collecting = false;
-    let mut decision: Option<Decision> = None;
-    for record in records {
-        if record.txn() != txn {
-            continue;
-        }
-        match record {
-            CoordinatorRecord::Collecting { .. } => saw_collecting = true,
-            CoordinatorRecord::Decision { decision: d, .. } => decision = Some(*d),
-            CoordinatorRecord::End { .. } => {}
-        }
-    }
-    if let Some(d) = decision {
-        return InquiryAnswer::Decided(d);
-    }
-    if saw_collecting {
-        // PrC: a commit would have been forced before any participant
-        // learned it; absence of the record proves abort.
-        return InquiryAnswer::Decided(Decision::Abort);
-    }
-    match variant.presumption() {
-        Some(d) => InquiryAnswer::Decided(d),
-        None => InquiryAnswer::Unknown,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safetx_types::{PolicyId, PolicyVersion, ServerId};
+    use safetx_types::{PolicyId, PolicyVersion};
 
     fn txn() -> TxnId {
         TxnId::new(3)
@@ -188,46 +152,5 @@ mod tests {
         let records = [other, prepared(Vote::Yes)];
         let r = recover_participant(txn(), CommitVariant::Standard, &records);
         assert!(r.needs_inquiry);
-    }
-
-    #[test]
-    fn inquiry_answered_from_decision_record() {
-        let records = [CoordinatorRecord::Decision {
-            txn: txn(),
-            decision: Decision::Commit,
-        }];
-        assert_eq!(
-            answer_inquiry(txn(), CommitVariant::Standard, &records),
-            InquiryAnswer::Decided(Decision::Commit)
-        );
-    }
-
-    #[test]
-    fn inquiry_with_no_record_follows_presumption() {
-        assert_eq!(
-            answer_inquiry(txn(), CommitVariant::Standard, &[]),
-            InquiryAnswer::Unknown,
-            "basic 2PC blocks"
-        );
-        assert_eq!(
-            answer_inquiry(txn(), CommitVariant::PresumedAbort, &[]),
-            InquiryAnswer::Decided(Decision::Abort)
-        );
-        assert_eq!(
-            answer_inquiry(txn(), CommitVariant::PresumedCommit, &[]),
-            InquiryAnswer::Decided(Decision::Commit)
-        );
-    }
-
-    #[test]
-    fn collecting_without_decision_proves_abort_under_prc() {
-        let records = [CoordinatorRecord::Collecting {
-            txn: txn(),
-            participants: vec![ServerId::new(0)],
-        }];
-        assert_eq!(
-            answer_inquiry(txn(), CommitVariant::PresumedCommit, &records),
-            InquiryAnswer::Decided(Decision::Abort)
-        );
     }
 }

@@ -34,9 +34,7 @@ use safetx_runtime::{
 };
 use safetx_service::{RetryPolicy, ServiceConfig, TxnService};
 use safetx_store::{LocalStore, Value};
-use safetx_txn::{
-    CommitVariant, CoordinatorRecord, Decision, Operation, QuerySpec, TransactionSpec,
-};
+use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
 use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, TxnId, UserId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -245,13 +243,6 @@ fn crash_rules(seed: u64, servers: u64) -> Vec<CrashRule> {
     }]
 }
 
-fn logged_decision(records: &[CoordinatorRecord], txn: TxnId) -> Option<Decision> {
-    records.iter().find_map(|record| match record {
-        CoordinatorRecord::Decision { txn: t, decision } if *t == txn => Some(*decision),
-        _ => None,
-    })
-}
-
 /// Runs one seeded schedule on one runtime and audits it.
 /// Returns (commits, aborts).
 fn run_schedule(
@@ -321,17 +312,16 @@ fn schedule_on(
     cluster.resolve_in_doubt();
 
     // Decision-log agreement: driver outcome == coordinator log.
-    let records = cluster.decision_log_records();
     for &txn in &committed {
         assert_eq!(
-            logged_decision(&records, txn),
+            cluster.logged_decision(txn),
             Some(Decision::Commit),
             "{name} {scheme}/{consistency} seed {seed}: commit of {txn} not in the decision log"
         );
     }
     for &txn in &aborted {
         assert_ne!(
-            logged_decision(&records, txn),
+            cluster.logged_decision(txn),
             Some(Decision::Commit),
             "{name} {scheme}/{consistency} seed {seed}: driver saw {txn} abort but the log says commit"
         );

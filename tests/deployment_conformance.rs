@@ -22,7 +22,7 @@ use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, Policy, PolicyBuilder};
 use safetx_runtime::{Cluster, ClusterConfig, Deployment, ShardedCluster, ShardedConfig};
 use safetx_store::{LocalStore, Value};
-use safetx_txn::{CoordinatorRecord, Decision, Operation, QuerySpec, TransactionSpec};
+use safetx_txn::{Decision, Operation, QuerySpec, TransactionSpec};
 use safetx_types::{
     AdminDomain, CaId, DataItemId, PolicyId, PolicyVersion, ServerId, Timestamp, UserId,
 };
@@ -98,9 +98,10 @@ fn conformance(cluster: &dyn Deployment, name: &str) {
     let cred = vec![member_credential(cluster)];
     // Commits, audits the commit (Definition 4), and returns the policy
     // version of each proof of authorization the commit rests on, with the
-    // protocol messages it took.
+    // protocol messages it took and the transaction's id.
     let trusted_commit = |step: &str| {
-        let result = cluster.execute(&spec(cluster), &cred);
+        let spec = spec(cluster);
+        let result = cluster.execute(&spec, &cred);
         assert!(result.is_commit(), "{name}: {step}: {:?}", result.outcome);
         assert!(
             trusted::is_trusted(&result.view, consistency, cluster.catalog()),
@@ -109,10 +110,10 @@ fn conformance(cluster: &dyn Deployment, name: &str) {
         let latest = result.view.latest_per_proof();
         let versions: Vec<_> = latest.iter().map(|p| p.policy_version).collect();
         assert_eq!(versions.len(), servers.len(), "{name}: {step}");
-        (versions, result.metrics.messages)
+        (versions, result.metrics.messages, spec.id)
     };
 
-    let (versions, healthy_messages) = trusted_commit("healthy cluster");
+    let (versions, healthy_messages, first) = trusted_commit("healthy cluster");
     assert_eq!(versions, vec![PolicyVersion(1); servers.len()], "{name}");
     let wal_before = cluster.wal_stats();
     assert!(wal_before.forced_logs > 0, "{name}");
@@ -133,7 +134,8 @@ fn conformance(cluster: &dyn Deployment, name: &str) {
     // The dead replica misses the update; nobody panics over it.
     cluster.publish_policy(policy(2));
     cluster.install_everywhere(POLICY, PolicyVersion(2));
-    let result = cluster.execute(&spec(cluster), &cred);
+    let unavailable = spec(cluster);
+    let result = cluster.execute(&unavailable, &cred);
     assert_eq!(
         result.outcome.abort_reason(),
         Some(AbortReason::ServerUnavailable),
@@ -155,7 +157,7 @@ fn conformance(cluster: &dyn Deployment, name: &str) {
     // replicas only — so the next transaction spends extra messages on
     // bringing it to v2; then every proof rests on v2 and the commit is
     // trusted.
-    let (versions, stale_messages) = trusted_commit("stale replica");
+    let (versions, stale_messages, second) = trusted_commit("stale replica");
     assert_eq!(versions, vec![PolicyVersion(2); servers.len()], "{name}");
     assert!(
         stale_messages > healthy_messages,
@@ -165,20 +167,11 @@ fn conformance(cluster: &dyn Deployment, name: &str) {
     // Nothing is left to terminate, and the log and the stores agree.
     cluster.resolve_in_doubt();
     assert_eq!(cluster.resolve_in_doubt(), 0, "{name}");
-    let mut committed: Vec<_> = cluster
-        .decision_log_records()
+    let committed: Vec<_> = [first, unavailable.id, second]
         .into_iter()
-        .filter_map(|record| match record {
-            CoordinatorRecord::Decision {
-                txn,
-                decision: Decision::Commit,
-            } => Some(txn),
-            _ => None,
-        })
+        .filter(|&txn| cluster.logged_decision(txn) == Some(Decision::Commit))
         .collect();
-    committed.sort_unstable();
-    committed.dedup();
-    assert_eq!(committed.len(), 2, "{name}: {committed:?}");
+    assert_eq!(committed, [first, second], "{name}");
     for &server in &servers {
         assert_eq!(
             read_item(cluster, server),

@@ -7,7 +7,7 @@ use safetx::core::{
 };
 use safetx::policy::{Atom, Constant, PolicyBuilder};
 use safetx::store::Value;
-use safetx::txn::{CommitVariant, Operation, QuerySpec, TransactionSpec};
+use safetx::txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
 use safetx::types::{
     AdminDomain, DataItemId, Duration, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId, UserId,
 };
@@ -220,13 +220,11 @@ fn tm_crash_after_decision_still_answers_inquiries() {
         Some(1),
         "inquiry answered from the TM's forced decision record"
     );
-    // The TM lost its volatile record list, but its WAL kept the decision.
+    // The TM lost its volatile record list, but its log kept the decision.
     let tm_actor = exp.world().actor::<TmActor>(tm).unwrap();
-    assert!(
-        tm_actor
-            .wal()
-            .records()
-            .any(|r| matches!(r, safetx::txn::CoordinatorRecord::Decision { .. })),
+    assert_eq!(
+        tm_actor.log().decision(TxnId::new(1)),
+        Some(Decision::Commit),
         "decision survives in the coordinator log"
     );
 }

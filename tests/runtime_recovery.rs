@@ -23,10 +23,8 @@ use safetx_core::{AbortReason, ConsistencyLevel, ProofScheme, ServerCore};
 use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
 use safetx_runtime::{Addr, Cluster, ClusterConfig, CrashPoint, CrashRule, FaultPlan, MsgKind};
 use safetx_store::Value;
-use safetx_txn::{
-    CommitVariant, CoordinatorRecord, Decision, Operation, QuerySpec, TransactionSpec,
-};
-use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, TxnId, UserId};
+use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
+use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, UserId};
 use std::time::{Duration, Instant};
 
 const VARIANTS: [CommitVariant; 3] = [
@@ -118,17 +116,6 @@ fn crash_plan(point: CrashPoint) -> FaultPlan {
     }
 }
 
-/// What the coordinator's log says happened to `txn`.
-fn logged_decision(cluster: &Cluster, txn: TxnId) -> Option<Decision> {
-    cluster
-        .decision_log_records()
-        .into_iter()
-        .find_map(|record| match record {
-            CoordinatorRecord::Decision { txn: t, decision } if t == txn => Some(decision),
-            _ => None,
-        })
-}
-
 /// Probes the victim's recovered state: its item and how many
 /// transactions it still holds. (Not its decided memo, which a host may
 /// forget after any round.)
@@ -156,7 +143,7 @@ fn crash_before_prepare_aborts_and_leaves_no_trace() {
             result.outcome
         );
         assert_eq!(
-            logged_decision(&cluster, txn),
+            cluster.logged_decision(txn),
             Some(Decision::Abort),
             "{variant:?}: the timed-out abort must be logged before anyone is told"
         );
@@ -189,7 +176,7 @@ fn crash_after_yes_vote_recovers_the_commit_via_inquiry() {
         let result = cluster.execute(&spec, &[cred]);
         // Every vote was collected before the crash: the TM commits.
         assert!(result.is_commit(), "{variant:?}: {:?}", result.outcome);
-        assert_eq!(logged_decision(&cluster, txn), Some(Decision::Commit));
+        assert_eq!(cluster.logged_decision(txn), Some(Decision::Commit));
         cluster.clear_fault_plan();
 
         cluster.restart_server(VICTIM);
@@ -226,7 +213,7 @@ fn crash_after_decision_restarts_consistent_without_inquiry() {
         cluster.set_fault_plan(crash_plan(CrashPoint::AfterReceive(MsgKind::Decision)));
         let result = cluster.execute(&spec, &[cred]);
         assert!(result.is_commit(), "{variant:?}: {:?}", result.outcome);
-        assert_eq!(logged_decision(&cluster, txn), Some(Decision::Commit));
+        assert_eq!(cluster.logged_decision(txn), Some(Decision::Commit));
         cluster.clear_fault_plan();
 
         // The decision was fully processed before the crash, so the store

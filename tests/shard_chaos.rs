@@ -31,9 +31,7 @@ use safetx_runtime::{
     ClusterConfig, MsgKind, ShardedCluster, ShardedConfig, TmCrashPoint, TxnRoute,
 };
 use safetx_store::Value;
-use safetx_txn::{
-    CommitVariant, CoordinatorRecord, Decision, Operation, QuerySpec, TransactionSpec,
-};
+use safetx_txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
 use safetx_types::{AdminDomain, CaId, DataItemId, PolicyId, ServerId, Timestamp, TxnId, UserId};
 use std::time::Duration;
 
@@ -119,13 +117,6 @@ fn cross_spec(cluster: &ShardedCluster) -> TransactionSpec {
     TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries)
 }
 
-fn logged_decision(records: &[CoordinatorRecord], txn: TxnId) -> Option<Decision> {
-    records.iter().find_map(|record| match record {
-        CoordinatorRecord::Decision { txn: t, decision } if *t == txn => Some(*decision),
-        _ => None,
-    })
-}
-
 /// (active, in-doubt) transaction ids on one server, probed on its own
 /// thread behind everything already queued.
 fn probe_server(cluster: &ShardedCluster, s: u64) -> (Vec<TxnId>, Vec<TxnId>) {
@@ -171,7 +162,7 @@ fn run_cell(shards: usize, point: TmCrashPoint, variant: CommitVariant) {
     // Decision-log agreement: every participant shard holds the same
     // view of the orphan — all of them or none of them saw the decision.
     let decisions: Vec<Option<Decision>> = (0..shards)
-        .map(|i| logged_decision(&cluster.shard(i).decision_log_records(), txn))
+        .map(|i| cluster.shard(i).logged_decision(txn))
         .collect();
     for (i, d) in decisions.iter().enumerate() {
         assert_eq!(
@@ -276,7 +267,7 @@ fn single_shard_coordinator_crash_resolves_locally() {
         std::thread::sleep(Duration::from_millis(2));
         cluster.resolve_in_doubt();
 
-        let decision = logged_decision(&cluster.shard(0).decision_log_records(), txn);
+        let decision = cluster.shard(0).logged_decision(txn);
         let expected = match decision {
             Some(Decision::Commit) => SEED_VALUE + 1,
             _ => SEED_VALUE,
@@ -362,7 +353,7 @@ fn run_net_cell(point: TmCrashPoint, variant: CommitVariant) {
 
     // The decision is forced before any decision send, so at or past the
     // force the log must carry it; before the force, it may not.
-    let decision = logged_decision(&cluster.decision_log_records(), txn);
+    let decision = cluster.logged_decision(txn);
     let expect_logged = matches!(
         point,
         TmCrashPoint::AfterDecisionForce | TmCrashPoint::AfterSend(MsgKind::Decision)
