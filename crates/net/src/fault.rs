@@ -27,7 +27,7 @@
 //! [`WireError`]: crate::WireError
 
 use crate::runtime::EdgeStats;
-use crate::wire::{decode_msg, encode_msg, write_frame};
+use crate::wire::{decode_msg, encode_frame, write_frame};
 use safetx_core::Msg;
 use safetx_runtime::{roll_kind, Fabric, Layer, Peer, Verdict};
 use std::io::Write;
@@ -39,13 +39,6 @@ pub(crate) enum WireFate {
     Intact,
     /// The stream must be killed (mid-frame truncation or disconnect).
     Kill,
-}
-
-/// Writes one raw payload as a frame (`u32le` length + payload).
-fn write_raw_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<usize> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(4 + payload.len())
 }
 
 /// The single choke point every stream write funnels through: rolls the
@@ -70,9 +63,11 @@ pub(crate) fn write_through_fabric<W: Write>(
         }
         Verdict::Duplicate => {
             faults.duplicated.fetch_add(1, Ordering::Relaxed);
-            let payload = encode_msg(msg);
-            stats.note_sent(write_raw_frame(writer, &payload)?);
-            stats.note_sent(write_raw_frame(writer, &payload)?);
+            let frame = encode_frame(msg);
+            for _ in 0..2 {
+                writer.write_all(&frame)?;
+                stats.note_sent(frame.len());
+            }
         }
         // Head-of-line blocking: a FIFO stream delays everything behind
         // the frame too, so there is nothing to reorder.
@@ -83,16 +78,15 @@ pub(crate) fn write_through_fabric<W: Write>(
         }
         Verdict::Corrupt { roll } => {
             faults.corrupted.fetch_add(1, Ordering::Relaxed);
-            let mut payload = encode_msg(msg);
-            corrupt_payload(&mut payload, roll);
-            stats.note_sent(write_raw_frame(writer, &payload)?);
+            let mut frame = encode_frame(msg);
+            // Past the `u32` length prefix: the receiver must still frame it.
+            corrupt_payload(&mut frame[4..], roll);
+            writer.write_all(&frame)?;
+            stats.note_sent(frame.len());
         }
         Verdict::Truncate { roll } => {
             faults.truncated.fetch_add(1, Ordering::Relaxed);
-            let payload = encode_msg(msg);
-            let mut frame = Vec::with_capacity(4 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
+            let frame = encode_frame(msg);
             let cut = truncate_len(frame.len(), roll);
             writer.write_all(&frame[..cut])?;
             // Push the partial bytes onto the wire before the kill, so the
@@ -135,6 +129,7 @@ fn truncate_len(total: usize, roll: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_msg;
     use safetx_runtime::splitmix64;
     use safetx_types::{ServerId, TxnId};
 

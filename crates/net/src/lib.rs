@@ -3,7 +3,7 @@
 //! The sim and threaded runtimes move [`safetx_core::Msg`] values between
 //! state machines as in-memory objects. This crate is the third
 //! deployment of the same machines, with nothing shared but bytes: a
-//! hand-rolled length-prefixed binary codec for every message ([`wire`]),
+//! length-prefixed binary codec for every message ([`wire`]),
 //! and a socket runtime ([`NetCluster`]) where each cloud server runs on
 //! the thread that reads its `UnixStream` and the TM drives `TmCore` by
 //! encoding frames and demultiplexing framed replies.

@@ -2,8 +2,7 @@
 //!
 //! The sim and threaded runtimes move `Msg` values through in-process
 //! channels; this module is what lets the same values cross a process
-//! boundary. The encoding is hand-rolled (the vendored serde is a stub)
-//! and deliberately boring:
+//! boundary. The encoding is deliberately boring:
 //!
 //! ```text
 //! frame   := len:u32le payload              (len = payload byte count)
@@ -15,6 +14,12 @@
 //! * `Vec<T>`/maps are `u32` element count + elements;
 //! * `Option<T>` is a presence byte (0/1) + payload;
 //! * enums are a `u8` tag + variant fields in declaration order.
+//!
+//! Each type states its layout once, as one `Wire` impl: the generic
+//! impls below cover integers, strings, sequences, options, pairs, maps
+//! and `Arc`s; `record!` lists a struct's fields in wire order plus its
+//! constructor, and `tagged!` gives each enum variant its tag and fields.
+//! The golden vectors in `tests/golden.rs` pin the resulting bytes.
 //!
 //! Decoding is total: any malformed, truncated, oversized or
 //! wrong-version input yields a [`WireError`], never a panic. Signed
@@ -32,11 +37,13 @@ use safetx_policy::{
     AccessCapability, AccessRequest, Atom, Constant, Credential, Policy, PolicyBuilder,
     ProofOfAuthorization, ProofOutcome, Rule, RuleSet, Term,
 };
+use safetx_store::Value;
 use safetx_txn::{Decision, InquiryAnswer, Operation, QuerySpec, TransactionSpec, Vote};
 use safetx_types::{
     AdminDomain, CaId, CredentialId, DataItemId, PolicyId, PolicyVersion, ServerId, Timestamp,
     TxnId, UserId,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -48,6 +55,10 @@ pub const WIRE_VERSION: u8 = 1;
 /// rejected before allocation — a corrupted length prefix must not turn
 /// into a multi-gigabyte `Vec`.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+
+/// The most a decoded element count reserves up front. A count is a claim
+/// until its elements decode: past this, a vector grows only as they do.
+const MAX_RESERVE_BYTES: usize = 64 * 1024;
 
 /// Why a payload failed to decode.
 ///
@@ -98,19 +109,28 @@ impl std::error::Error for WireError {}
 type Result<T> = std::result::Result<T, WireError>;
 
 // ---------------------------------------------------------------------------
-// Primitive readers/writers
+// The schema
 // ---------------------------------------------------------------------------
+
+/// Writes a value in its wire layout. Borrowed views (`str`, `[T]`) put
+/// too, so an accessor's return value encodes without a copy.
+trait Put {
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+/// A type with a wire layout: [`Put`] plus a total decoder.
+trait Wire: Put + Sized {
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
+}
 
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// A `Msg::Batch` tag was read: another one is a nested batch.
+    batched: bool,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -124,848 +144,397 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool")),
-        }
-    }
-
-    /// Element count for a sequence. Bounded by the bytes actually
-    /// available so a corrupted count cannot drive a huge allocation.
+    /// Element count for a sequence, refused when it exceeds the bytes
+    /// left (every element takes at least one).
     fn count(&mut self) -> Result<usize> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n > self.remaining() {
             return Err(WireError::Truncated);
         }
         Ok(n)
     }
+}
 
-    fn string(&mut self) -> Result<String> {
-        let n = self.count()?;
-        let raw = self.bytes(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
+macro_rules! ints {
+    ($($t:ty),*) => {$(
+        impl Put for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+
+        impl Wire for $t {
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                let bytes = r.bytes(size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("bytes(n) returns n bytes")))
+            }
+        }
+    )*};
+}
+
+ints!(u8, u32, u64, i64);
+
+impl Put for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
+}
 
-    fn usize(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("usize"))
+impl Wire for bool {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("bool")),
+        }
     }
+}
 
-    fn timestamp(&mut self) -> Result<Timestamp> {
-        Ok(Timestamp::from_micros(self.u64()?))
+impl Put for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Put for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Wire for String {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.count()?;
+        String::from_utf8(r.bytes(n)?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl<T: Put> Put for [T] {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|x| x.put(out));
+    }
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_slice().put(out);
+    }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+impl<T: Wire> Wire for Vec<T> {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.count()?;
+        let mut v = Vec::with_capacity(n.min(MAX_RESERVE_BYTES / size_of::<T>().max(1)));
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
 }
 
-fn put_ts(out: &mut Vec<u8>, t: Timestamp) {
-    put_u64(out, t.as_micros());
+impl Put for RuleSet {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|rule| rule.put(out));
+    }
 }
+
+impl<K: Put, V: Put> Put for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.count()?;
+        let mut m = BTreeMap::new();
+        for _ in 0..n {
+            let (k, v) = Wire::get(r)?;
+            m.insert(k, v);
+        }
+        Ok(m)
+    }
+}
+
+impl<A: Put, B: Put> Put for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Put> Put for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(x) => {
+                out.push(1);
+                x.put(out);
+            }
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(WireError::Malformed("option")),
+        }
+    }
+}
+
+impl<T: Put + ?Sized> Put for Arc<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+impl<T: Wire> Wire for Arc<[T]> {
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Vec::get(r).map(Vec::into)
+    }
+}
+
+/// A struct's fields in wire order, each with its type and how to read
+/// it off `&self`, then the expression that builds the value from them.
+/// The short form is for a struct whose fields are all public.
+macro_rules! record {
+    ($ty:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        record! { $ty |s| { $($f: $t = s.$f),* } => $ty { $($f),* } }
+    };
+    ($ty:ident |$s:ident| { $($f:ident: $t:ty = $e:expr),* $(,)? } => $make:expr) => {
+        impl Put for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $s = self;
+                $($e.put(out);)*
+            }
+        }
+
+        impl Wire for $ty {
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                $(let $f: $t = Wire::get(r)?;)*
+                Ok($make)
+            }
+        }
+    };
+}
+
+/// An enum's variants, each with its `u8` tag and its fields — written
+/// `(name: Type, ..)` or `{ name: Type, .. }` as the variant declares
+/// them. A variant may name a check that runs on reading its tag, before
+/// any of its fields.
+macro_rules! tagged {
+    ($ty:ident { $(
+        $tag:literal => $v:ident
+        $(($($pf:ident: $pt:ty),*))?
+        $({$($sf:ident: $st:ty),*})?
+        $(if $check:path)?
+    ),* $(,)? }) => {
+        impl Put for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($($pf),*))? $({$($sf),*})? => {
+                        out.push($tag);
+                        $($($pf.put(out);)*)?
+                        $($($sf.put(out);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl Wire for $ty {
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                match u8::get(r)? {
+                    $($tag => {
+                        $($check(r)?;)?
+                        $($(let $pf: $pt = Wire::get(r)?;)*)?
+                        $($(let $sf: $st = Wire::get(r)?;)*)?
+                        Ok($ty::$v $(($($pf),*))? $({$($sf),*})?)
+                    })*
+                    tag => Err(WireError::BadTag { what: stringify!($ty), tag }),
+                }
+            }
+        }
+    };
+}
+
+macro_rules! ids {
+    ($($ty:ident),*) => {$(
+        record! { $ty |id| { index: u64 = id.index() } => $ty::new(index) }
+    )*};
+}
+
+ids! { AdminDomain, CaId, CredentialId, DataItemId, PolicyId, ServerId, TxnId, UserId }
+record! { PolicyVersion |v| { n: u64 = v.0 } => PolicyVersion(n) }
+record! { Timestamp |t| { micros: u64 = t.as_micros() } => Timestamp::from_micros(micros) }
+record! { usize |n| {
+    n: u64 = *n as u64,
+} => usize::try_from(n).map_err(|_| WireError::Malformed("usize"))? }
 
 // ---------------------------------------------------------------------------
-// Domain types
+// Domain types and Msg
 // ---------------------------------------------------------------------------
 
-fn put_constant(out: &mut Vec<u8>, c: &Constant) {
-    match c {
-        Constant::Symbol(s) => {
-            out.push(0);
-            put_str(out, s);
-        }
-        Constant::Int(i) => {
-            out.push(1);
-            put_i64(out, *i);
-        }
+tagged! { Constant { 0 => Symbol(s: String), 1 => Int(i: i64) } }
+tagged! { Term { 0 => Const(c: Constant), 1 => Var(v: String) } }
+record! { Atom |a| {
+    predicate: String = a.predicate(),
+    args: Vec<Term> = a.args(),
+} => Atom::new(predicate, args) }
+
+record! { Credential |c| {
+    id: CredentialId = c.id(),
+    subject: UserId = c.subject(),
+    statement: Atom = c.statement(),
+    issuer: CaId = c.issuer(),
+    issued_at: Timestamp = c.issued_at(),
+    expires_at: Timestamp = c.expires_at(),
+    signature: u64 = c.signature(),
+} => Credential::from_parts(id, subject, statement, issuer, issued_at, expires_at, signature) }
+
+record! { AccessCapability |c| {
+    issuer: ServerId = c.issuer(),
+    user: UserId = c.user(),
+    txn: TxnId = c.txn(),
+    action: String = c.action(),
+    resource: String = c.resource(),
+    issued_at: Timestamp = c.issued_at(),
+    expires_at: Timestamp = c.expires_at(),
+    signature: u64 = c.signature(),
+} => AccessCapability::from_parts(
+    issuer, user, txn, action, resource, issued_at, expires_at, signature,
+) }
+
+tagged! { ProofOutcome {
+    0 => Granted,
+    1 => InvalidCredential { credential: CredentialId, detail: String },
+    2 => RevokedCredential { credential: CredentialId, revoked_at: Timestamp },
+    3 => NotDerivable,
+} }
+
+record! { AccessRequest { user: UserId, action: String, resource: String } }
+
+record! { ProofOfAuthorization {
+    request: AccessRequest,
+    server: ServerId,
+    policy_id: PolicyId,
+    policy_version: PolicyVersion,
+    evaluated_at: Timestamp,
+    credentials: Vec<CredentialId>,
+    outcome: ProofOutcome,
+} }
+
+tagged! { Vote { 0 => Yes, 1 => No } }
+tagged! { Decision { 0 => Commit, 1 => Abort } }
+tagged! { InquiryAnswer { 0 => Decided(d: Decision), 1 => Unknown } }
+
+record! { ValidationReply {
+    vote: Vote,
+    truth: bool,
+    conflict: bool,
+    versions: VersionMap,
+    proofs: Vec<ProofOfAuthorization>,
+} }
+
+tagged! { Value { 0 => Int(i: i64), 1 => Str(s: String) } }
+tagged! { Operation {
+    0 => Read(item: DataItemId),
+    1 => Write(item: DataItemId, value: Value),
+    2 => Add(item: DataItemId, delta: i64),
+} }
+
+record! { QuerySpec { server: ServerId, action: String, resource: String, ops: Vec<Operation> } }
+record! { TransactionSpec { id: TxnId, user: UserId, queries: Vec<QuerySpec> } }
+
+record! { Rule |rule| {
+    head: Atom = rule.head(),
+    body: Vec<Atom> = rule.body(),
+} => Rule::new(head, body).map_err(|_| WireError::Malformed("rule"))? }
+
+record! { Policy |p| {
+    id: PolicyId = p.id(),
+    admin: AdminDomain = p.admin(),
+    version: PolicyVersion = p.version(),
+    rules: Vec<Rule> = p.rules(),
+} => PolicyBuilder::new(id, admin).version(version).rules(rules.into_iter().collect()).build() }
+
+/// Refuses a batch tag inside a batch, before decoding any of its fields.
+fn enter_batch(r: &mut Reader<'_>) -> Result<()> {
+    if std::mem::replace(&mut r.batched, true) {
+        return Err(WireError::Malformed("nested batch"));
     }
+    Ok(())
 }
 
-fn get_constant(r: &mut Reader<'_>) -> Result<Constant> {
-    match r.u8()? {
-        0 => Ok(Constant::Symbol(r.string()?)),
-        1 => Ok(Constant::Int(r.i64()?)),
-        tag => Err(WireError::BadTag {
-            what: "Constant",
-            tag,
-        }),
-    }
-}
-
-fn put_term(out: &mut Vec<u8>, t: &Term) {
-    match t {
-        Term::Const(c) => {
-            out.push(0);
-            put_constant(out, c);
-        }
-        Term::Var(v) => {
-            out.push(1);
-            put_str(out, v);
-        }
-    }
-}
-
-fn get_term(r: &mut Reader<'_>) -> Result<Term> {
-    match r.u8()? {
-        0 => Ok(Term::Const(get_constant(r)?)),
-        1 => Ok(Term::Var(r.string()?)),
-        tag => Err(WireError::BadTag { what: "Term", tag }),
-    }
-}
-
-fn put_atom(out: &mut Vec<u8>, a: &Atom) {
-    put_str(out, a.predicate());
-    put_u32(out, a.args().len() as u32);
-    for t in a.args() {
-        put_term(out, t);
-    }
-}
-
-fn get_atom(r: &mut Reader<'_>) -> Result<Atom> {
-    let predicate = r.string()?;
-    let n = r.count()?;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        args.push(get_term(r)?);
-    }
-    Ok(Atom::new(predicate, args))
-}
-
-fn put_credential(out: &mut Vec<u8>, c: &Credential) {
-    put_u64(out, c.id().index());
-    put_u64(out, c.subject().index());
-    put_atom(out, c.statement());
-    put_u64(out, c.issuer().index());
-    put_ts(out, c.issued_at());
-    put_ts(out, c.expires_at());
-    put_u64(out, c.signature());
-}
-
-fn get_credential(r: &mut Reader<'_>) -> Result<Credential> {
-    Ok(Credential::from_parts(
-        CredentialId::new(r.u64()?),
-        UserId::new(r.u64()?),
-        get_atom(r)?,
-        CaId::new(r.u64()?),
-        r.timestamp()?,
-        r.timestamp()?,
-        r.u64()?,
-    ))
-}
-
-fn put_capability(out: &mut Vec<u8>, c: &AccessCapability) {
-    put_u64(out, c.issuer().index());
-    put_u64(out, c.user().index());
-    put_u64(out, c.txn().index());
-    put_str(out, c.action());
-    put_str(out, c.resource());
-    put_ts(out, c.issued_at());
-    put_ts(out, c.expires_at());
-    put_u64(out, c.signature());
-}
-
-fn get_capability(r: &mut Reader<'_>) -> Result<AccessCapability> {
-    Ok(AccessCapability::from_parts(
-        ServerId::new(r.u64()?),
-        UserId::new(r.u64()?),
-        TxnId::new(r.u64()?),
-        r.string()?,
-        r.string()?,
-        r.timestamp()?,
-        r.timestamp()?,
-        r.u64()?,
-    ))
-}
-
-fn put_outcome(out: &mut Vec<u8>, o: &ProofOutcome) {
-    match o {
-        ProofOutcome::Granted => out.push(0),
-        ProofOutcome::InvalidCredential { credential, detail } => {
-            out.push(1);
-            put_u64(out, credential.index());
-            put_str(out, detail);
-        }
-        ProofOutcome::RevokedCredential {
-            credential,
-            revoked_at,
-        } => {
-            out.push(2);
-            put_u64(out, credential.index());
-            put_ts(out, *revoked_at);
-        }
-        ProofOutcome::NotDerivable => out.push(3),
-    }
-}
-
-fn get_outcome(r: &mut Reader<'_>) -> Result<ProofOutcome> {
-    match r.u8()? {
-        0 => Ok(ProofOutcome::Granted),
-        1 => Ok(ProofOutcome::InvalidCredential {
-            credential: CredentialId::new(r.u64()?),
-            detail: r.string()?,
-        }),
-        2 => Ok(ProofOutcome::RevokedCredential {
-            credential: CredentialId::new(r.u64()?),
-            revoked_at: r.timestamp()?,
-        }),
-        3 => Ok(ProofOutcome::NotDerivable),
-        tag => Err(WireError::BadTag {
-            what: "ProofOutcome",
-            tag,
-        }),
-    }
-}
-
-fn put_proof(out: &mut Vec<u8>, p: &ProofOfAuthorization) {
-    put_u64(out, p.request.user.index());
-    put_str(out, &p.request.action);
-    put_str(out, &p.request.resource);
-    put_u64(out, p.server.index());
-    put_u64(out, p.policy_id.index());
-    put_u64(out, p.policy_version.0);
-    put_ts(out, p.evaluated_at);
-    put_u32(out, p.credentials.len() as u32);
-    for c in &p.credentials {
-        put_u64(out, c.index());
-    }
-    put_outcome(out, &p.outcome);
-}
-
-fn get_proof(r: &mut Reader<'_>) -> Result<ProofOfAuthorization> {
-    let request = AccessRequest::new(UserId::new(r.u64()?), r.string()?, r.string()?);
-    let server = ServerId::new(r.u64()?);
-    let policy_id = PolicyId::new(r.u64()?);
-    let policy_version = PolicyVersion(r.u64()?);
-    let evaluated_at = r.timestamp()?;
-    let n = r.count()?;
-    let mut credentials = Vec::with_capacity(n);
-    for _ in 0..n {
-        credentials.push(CredentialId::new(r.u64()?));
-    }
-    Ok(ProofOfAuthorization {
-        request,
-        server,
-        policy_id,
-        policy_version,
-        evaluated_at,
-        credentials,
-        outcome: get_outcome(r)?,
-    })
-}
-
-fn put_versions(out: &mut Vec<u8>, m: &VersionMap) {
-    put_u32(out, m.len() as u32);
-    for (p, v) in m {
-        put_u64(out, p.index());
-        put_u64(out, v.0);
-    }
-}
-
-fn get_versions(r: &mut Reader<'_>) -> Result<VersionMap> {
-    let n = r.count()?;
-    let mut m = VersionMap::new();
-    for _ in 0..n {
-        m.insert(PolicyId::new(r.u64()?), PolicyVersion(r.u64()?));
-    }
-    Ok(m)
-}
-
-fn put_vote(out: &mut Vec<u8>, v: Vote) {
-    out.push(match v {
-        Vote::Yes => 0,
-        Vote::No => 1,
-    });
-}
-
-fn get_vote(r: &mut Reader<'_>) -> Result<Vote> {
-    match r.u8()? {
-        0 => Ok(Vote::Yes),
-        1 => Ok(Vote::No),
-        tag => Err(WireError::BadTag { what: "Vote", tag }),
-    }
-}
-
-fn put_reply(out: &mut Vec<u8>, reply: &ValidationReply) {
-    put_vote(out, reply.vote);
-    put_bool(out, reply.truth);
-    put_bool(out, reply.conflict);
-    put_versions(out, &reply.versions);
-    put_u32(out, reply.proofs.len() as u32);
-    for p in &reply.proofs {
-        put_proof(out, p);
-    }
-}
-
-fn get_reply(r: &mut Reader<'_>) -> Result<ValidationReply> {
-    let vote = get_vote(r)?;
-    let truth = r.bool()?;
-    let conflict = r.bool()?;
-    let versions = get_versions(r)?;
-    let n = r.count()?;
-    let mut proofs = Vec::with_capacity(n);
-    for _ in 0..n {
-        proofs.push(get_proof(r)?);
-    }
-    Ok(ValidationReply {
-        vote,
-        truth,
-        conflict,
-        versions,
-        proofs,
-    })
-}
-
-fn put_operation(out: &mut Vec<u8>, op: &Operation) {
-    match op {
-        Operation::Read(item) => {
-            out.push(0);
-            put_u64(out, item.index());
-        }
-        Operation::Write(item, value) => {
-            out.push(1);
-            put_u64(out, item.index());
-            put_value(out, value);
-        }
-        Operation::Add(item, delta) => {
-            out.push(2);
-            put_u64(out, item.index());
-            put_i64(out, *delta);
-        }
-    }
-}
-
-fn get_operation(r: &mut Reader<'_>) -> Result<Operation> {
-    match r.u8()? {
-        0 => Ok(Operation::Read(DataItemId::new(r.u64()?))),
-        1 => {
-            let item = DataItemId::new(r.u64()?);
-            Ok(Operation::Write(item, get_value(r)?))
-        }
-        2 => {
-            let item = DataItemId::new(r.u64()?);
-            Ok(Operation::Add(item, r.i64()?))
-        }
-        tag => Err(WireError::BadTag {
-            what: "Operation",
-            tag,
-        }),
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, v: &safetx_store::Value) {
-    match v {
-        safetx_store::Value::Int(i) => {
-            out.push(0);
-            put_i64(out, *i);
-        }
-        safetx_store::Value::Str(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
-fn get_value(r: &mut Reader<'_>) -> Result<safetx_store::Value> {
-    match r.u8()? {
-        0 => Ok(safetx_store::Value::Int(r.i64()?)),
-        1 => Ok(safetx_store::Value::Str(r.string()?)),
-        tag => Err(WireError::BadTag { what: "Value", tag }),
-    }
-}
-
-fn put_query(out: &mut Vec<u8>, q: &QuerySpec) {
-    put_u64(out, q.server.index());
-    put_str(out, &q.action);
-    put_str(out, &q.resource);
-    put_u32(out, q.ops.len() as u32);
-    for op in &q.ops {
-        put_operation(out, op);
-    }
-}
-
-fn get_query(r: &mut Reader<'_>) -> Result<QuerySpec> {
-    let server = ServerId::new(r.u64()?);
-    let action = r.string()?;
-    let resource = r.string()?;
-    let n = r.count()?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(get_operation(r)?);
-    }
-    Ok(QuerySpec::new(server, action, resource, ops))
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &TransactionSpec) {
-    put_u64(out, spec.id.index());
-    put_u64(out, spec.user.index());
-    put_u32(out, spec.queries.len() as u32);
-    for q in &spec.queries {
-        put_query(out, q);
-    }
-}
-
-fn get_spec(r: &mut Reader<'_>) -> Result<TransactionSpec> {
-    let id = TxnId::new(r.u64()?);
-    let user = UserId::new(r.u64()?);
-    let n = r.count()?;
-    let mut queries = Vec::with_capacity(n);
-    for _ in 0..n {
-        queries.push(get_query(r)?);
-    }
-    Ok(TransactionSpec::new(id, user, queries))
-}
-
-fn put_credentials(out: &mut Vec<u8>, creds: &[Credential]) {
-    put_u32(out, creds.len() as u32);
-    for c in creds {
-        put_credential(out, c);
-    }
-}
-
-fn get_credentials(r: &mut Reader<'_>) -> Result<Vec<Credential>> {
-    let n = r.count()?;
-    let mut creds = Vec::with_capacity(n);
-    for _ in 0..n {
-        creds.push(get_credential(r)?);
-    }
-    Ok(creds)
-}
-
-fn put_decision(out: &mut Vec<u8>, d: Decision) {
-    out.push(match d {
-        Decision::Commit => 0,
-        Decision::Abort => 1,
-    });
-}
-
-fn get_decision(r: &mut Reader<'_>) -> Result<Decision> {
-    match r.u8()? {
-        0 => Ok(Decision::Commit),
-        1 => Ok(Decision::Abort),
-        tag => Err(WireError::BadTag {
-            what: "Decision",
-            tag,
-        }),
-    }
-}
-
-fn put_policy(out: &mut Vec<u8>, p: &Policy) {
-    put_u64(out, p.id().index());
-    put_u64(out, p.admin().index());
-    put_u64(out, p.version().0);
-    put_u32(out, p.rules().len() as u32);
-    for rule in p.rules().iter() {
-        put_atom(out, rule.head());
-        put_u32(out, rule.body().len() as u32);
-        for atom in rule.body() {
-            put_atom(out, atom);
-        }
-    }
-}
-
-fn get_policy(r: &mut Reader<'_>) -> Result<Policy> {
-    let id = PolicyId::new(r.u64()?);
-    let admin = AdminDomain::new(r.u64()?);
-    let version = PolicyVersion(r.u64()?);
-    let n = r.count()?;
-    let mut rules = Vec::with_capacity(n);
-    for _ in 0..n {
-        let head = get_atom(r)?;
-        let m = r.count()?;
-        let mut body = Vec::with_capacity(m);
-        for _ in 0..m {
-            body.push(get_atom(r)?);
-        }
-        rules.push(Rule::new(head, body).map_err(|_| WireError::Malformed("rule"))?);
-    }
-    Ok(PolicyBuilder::new(id, admin)
-        .version(version)
-        .rules(rules.into_iter().collect::<RuleSet>())
-        .build())
-}
+tagged! { Msg {
+    0 => Begin { spec: TransactionSpec, credentials: Vec<Credential> },
+    1 => ExecQuery {
+        txn: TxnId,
+        query_index: usize,
+        query: Arc<QuerySpec>,
+        user: UserId,
+        credentials: Arc<[Credential]>,
+        evaluate_proof: bool,
+        pin_versions: VersionMap,
+        capabilities: Vec<AccessCapability>
+    },
+    2 => QueryDone {
+        txn: TxnId,
+        query_index: usize,
+        ok: bool,
+        proof: Option<ProofOfAuthorization>,
+        capability: Option<AccessCapability>
+    },
+    3 => PrepareToValidate {
+        txn: TxnId,
+        new_query: Option<(usize, Arc<QuerySpec>)>,
+        user: UserId,
+        credentials: Arc<[Credential]>
+    },
+    4 => ValidateReply { txn: TxnId, reply: ValidationReply },
+    5 => PrepareToCommit { txn: TxnId, validate: bool, expected_queries: Vec<usize> },
+    6 => CommitReply { txn: TxnId, reply: ValidationReply },
+    7 => Update { txn: TxnId, targets: VersionMap, in_commit: bool },
+    8 => Decision { txn: TxnId, decision: Decision },
+    9 => Ack { txn: TxnId },
+    10 => VersionRequest { txn: TxnId },
+    11 => VersionReply { txn: TxnId, versions: VersionMap },
+    12 => PolicyGossip { policy_id: PolicyId, version: PolicyVersion },
+    13 => AdminPublish { policy_id: PolicyId, version: PolicyVersion },
+    14 => AdminPublishPolicy { policy: Policy },
+    15 => Batch(inner: Vec<Msg>) if enter_batch,
+    16 => Inquiry { txn: TxnId, from_server: ServerId },
+    17 => InquiryReply { txn: TxnId, answer: InquiryAnswer },
+} }
 
 // ---------------------------------------------------------------------------
-// Msg
+// Payloads and frames
 // ---------------------------------------------------------------------------
 
-const TAG_BEGIN: u8 = 0;
-const TAG_EXEC_QUERY: u8 = 1;
-const TAG_QUERY_DONE: u8 = 2;
-const TAG_PREPARE_TO_VALIDATE: u8 = 3;
-const TAG_VALIDATE_REPLY: u8 = 4;
-const TAG_PREPARE_TO_COMMIT: u8 = 5;
-const TAG_COMMIT_REPLY: u8 = 6;
-const TAG_UPDATE: u8 = 7;
-const TAG_DECISION: u8 = 8;
-const TAG_ACK: u8 = 9;
-const TAG_VERSION_REQUEST: u8 = 10;
-const TAG_VERSION_REPLY: u8 = 11;
-const TAG_POLICY_GOSSIP: u8 = 12;
-const TAG_ADMIN_PUBLISH: u8 = 13;
-const TAG_ADMIN_PUBLISH_POLICY: u8 = 14;
-const TAG_BATCH: u8 = 15;
-const TAG_INQUIRY: u8 = 16;
-const TAG_INQUIRY_REPLY: u8 = 17;
-
-fn put_msg(out: &mut Vec<u8>, msg: &Msg, nested: bool) {
-    match msg {
-        Msg::Begin { spec, credentials } => {
-            out.push(TAG_BEGIN);
-            put_spec(out, spec);
-            put_credentials(out, credentials);
-        }
-        Msg::ExecQuery {
-            txn,
-            query_index,
-            query,
-            user,
-            credentials,
-            evaluate_proof,
-            pin_versions,
-            capabilities,
-        } => {
-            out.push(TAG_EXEC_QUERY);
-            put_u64(out, txn.index());
-            put_u64(out, *query_index as u64);
-            put_query(out, query);
-            put_u64(out, user.index());
-            put_credentials(out, credentials);
-            put_bool(out, *evaluate_proof);
-            put_versions(out, pin_versions);
-            put_u32(out, capabilities.len() as u32);
-            for cap in capabilities {
-                put_capability(out, cap);
-            }
-        }
-        Msg::QueryDone {
-            txn,
-            query_index,
-            ok,
-            proof,
-            capability,
-        } => {
-            out.push(TAG_QUERY_DONE);
-            put_u64(out, txn.index());
-            put_u64(out, *query_index as u64);
-            put_bool(out, *ok);
-            match proof {
-                Some(p) => {
-                    out.push(1);
-                    put_proof(out, p);
-                }
-                None => out.push(0),
-            }
-            match capability {
-                Some(c) => {
-                    out.push(1);
-                    put_capability(out, c);
-                }
-                None => out.push(0),
-            }
-        }
-        Msg::PrepareToValidate {
-            txn,
-            new_query,
-            user,
-            credentials,
-        } => {
-            out.push(TAG_PREPARE_TO_VALIDATE);
-            put_u64(out, txn.index());
-            match new_query {
-                Some((index, query)) => {
-                    out.push(1);
-                    put_u64(out, *index as u64);
-                    put_query(out, query);
-                }
-                None => out.push(0),
-            }
-            put_u64(out, user.index());
-            put_credentials(out, credentials);
-        }
-        Msg::ValidateReply { txn, reply } => {
-            out.push(TAG_VALIDATE_REPLY);
-            put_u64(out, txn.index());
-            put_reply(out, reply);
-        }
-        Msg::PrepareToCommit {
-            txn,
-            validate,
-            expected_queries,
-        } => {
-            out.push(TAG_PREPARE_TO_COMMIT);
-            put_u64(out, txn.index());
-            put_bool(out, *validate);
-            put_u32(out, expected_queries.len() as u32);
-            for q in expected_queries {
-                put_u64(out, *q as u64);
-            }
-        }
-        Msg::CommitReply { txn, reply } => {
-            out.push(TAG_COMMIT_REPLY);
-            put_u64(out, txn.index());
-            put_reply(out, reply);
-        }
-        Msg::Update {
-            txn,
-            targets,
-            in_commit,
-        } => {
-            out.push(TAG_UPDATE);
-            put_u64(out, txn.index());
-            put_versions(out, targets);
-            put_bool(out, *in_commit);
-        }
-        Msg::Decision { txn, decision } => {
-            out.push(TAG_DECISION);
-            put_u64(out, txn.index());
-            put_decision(out, *decision);
-        }
-        Msg::Ack { txn } => {
-            out.push(TAG_ACK);
-            put_u64(out, txn.index());
-        }
-        Msg::VersionRequest { txn } => {
-            out.push(TAG_VERSION_REQUEST);
-            put_u64(out, txn.index());
-        }
-        Msg::VersionReply { txn, versions } => {
-            out.push(TAG_VERSION_REPLY);
-            put_u64(out, txn.index());
-            put_versions(out, versions);
-        }
-        Msg::PolicyGossip { policy_id, version } => {
-            out.push(TAG_POLICY_GOSSIP);
-            put_u64(out, policy_id.index());
-            put_u64(out, version.0);
-        }
-        Msg::AdminPublish { policy_id, version } => {
-            out.push(TAG_ADMIN_PUBLISH);
-            put_u64(out, policy_id.index());
-            put_u64(out, version.0);
-        }
-        Msg::AdminPublishPolicy { policy } => {
-            out.push(TAG_ADMIN_PUBLISH_POLICY);
-            put_policy(out, policy);
-        }
-        Msg::Batch(inner) => {
-            assert!(!nested, "Msg::Batch is never nested");
-            out.push(TAG_BATCH);
-            put_u32(out, inner.len() as u32);
-            for m in inner {
-                put_msg(out, m, true);
-            }
-        }
-        Msg::Inquiry { txn, from_server } => {
-            out.push(TAG_INQUIRY);
-            put_u64(out, txn.index());
-            put_u64(out, from_server.index());
-        }
-        Msg::InquiryReply { txn, answer } => {
-            out.push(TAG_INQUIRY_REPLY);
-            put_u64(out, txn.index());
-            match answer {
-                InquiryAnswer::Decided(d) => {
-                    out.push(0);
-                    put_decision(out, *d);
-                }
-                InquiryAnswer::Unknown => out.push(1),
-            }
-        }
-    }
-}
-
-fn get_msg(r: &mut Reader<'_>, nested: bool) -> Result<Msg> {
-    match r.u8()? {
-        TAG_BEGIN => Ok(Msg::Begin {
-            spec: get_spec(r)?,
-            credentials: get_credentials(r)?,
-        }),
-        TAG_EXEC_QUERY => {
-            let txn = TxnId::new(r.u64()?);
-            let query_index = r.usize()?;
-            let query = Arc::new(get_query(r)?);
-            let user = UserId::new(r.u64()?);
-            let credentials: Arc<[Credential]> = get_credentials(r)?.into();
-            let evaluate_proof = r.bool()?;
-            let pin_versions = get_versions(r)?;
-            let n = r.count()?;
-            let mut capabilities = Vec::with_capacity(n);
-            for _ in 0..n {
-                capabilities.push(get_capability(r)?);
-            }
-            Ok(Msg::ExecQuery {
-                txn,
-                query_index,
-                query,
-                user,
-                credentials,
-                evaluate_proof,
-                pin_versions,
-                capabilities,
-            })
-        }
-        TAG_QUERY_DONE => {
-            let txn = TxnId::new(r.u64()?);
-            let query_index = r.usize()?;
-            let ok = r.bool()?;
-            let proof = match r.u8()? {
-                0 => None,
-                1 => Some(get_proof(r)?),
-                _ => return Err(WireError::Malformed("option")),
-            };
-            let capability = match r.u8()? {
-                0 => None,
-                1 => Some(get_capability(r)?),
-                _ => return Err(WireError::Malformed("option")),
-            };
-            Ok(Msg::QueryDone {
-                txn,
-                query_index,
-                ok,
-                proof,
-                capability,
-            })
-        }
-        TAG_PREPARE_TO_VALIDATE => {
-            let txn = TxnId::new(r.u64()?);
-            let new_query = match r.u8()? {
-                0 => None,
-                1 => {
-                    let index = r.usize()?;
-                    Some((index, Arc::new(get_query(r)?)))
-                }
-                _ => return Err(WireError::Malformed("option")),
-            };
-            let user = UserId::new(r.u64()?);
-            let credentials: Arc<[Credential]> = get_credentials(r)?.into();
-            Ok(Msg::PrepareToValidate {
-                txn,
-                new_query,
-                user,
-                credentials,
-            })
-        }
-        TAG_VALIDATE_REPLY => Ok(Msg::ValidateReply {
-            txn: TxnId::new(r.u64()?),
-            reply: get_reply(r)?,
-        }),
-        TAG_PREPARE_TO_COMMIT => {
-            let txn = TxnId::new(r.u64()?);
-            let validate = r.bool()?;
-            let n = r.count()?;
-            let mut expected_queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                expected_queries.push(r.usize()?);
-            }
-            Ok(Msg::PrepareToCommit {
-                txn,
-                validate,
-                expected_queries,
-            })
-        }
-        TAG_COMMIT_REPLY => Ok(Msg::CommitReply {
-            txn: TxnId::new(r.u64()?),
-            reply: get_reply(r)?,
-        }),
-        TAG_UPDATE => Ok(Msg::Update {
-            txn: TxnId::new(r.u64()?),
-            targets: get_versions(r)?,
-            in_commit: r.bool()?,
-        }),
-        TAG_DECISION => Ok(Msg::Decision {
-            txn: TxnId::new(r.u64()?),
-            decision: get_decision(r)?,
-        }),
-        TAG_ACK => Ok(Msg::Ack {
-            txn: TxnId::new(r.u64()?),
-        }),
-        TAG_VERSION_REQUEST => Ok(Msg::VersionRequest {
-            txn: TxnId::new(r.u64()?),
-        }),
-        TAG_VERSION_REPLY => Ok(Msg::VersionReply {
-            txn: TxnId::new(r.u64()?),
-            versions: get_versions(r)?,
-        }),
-        TAG_POLICY_GOSSIP => Ok(Msg::PolicyGossip {
-            policy_id: PolicyId::new(r.u64()?),
-            version: PolicyVersion(r.u64()?),
-        }),
-        TAG_ADMIN_PUBLISH => Ok(Msg::AdminPublish {
-            policy_id: PolicyId::new(r.u64()?),
-            version: PolicyVersion(r.u64()?),
-        }),
-        TAG_ADMIN_PUBLISH_POLICY => Ok(Msg::AdminPublishPolicy {
-            policy: get_policy(r)?,
-        }),
-        TAG_BATCH => {
-            if nested {
-                return Err(WireError::Malformed("nested batch"));
-            }
-            let n = r.count()?;
-            let mut inner = Vec::with_capacity(n);
-            for _ in 0..n {
-                inner.push(get_msg(r, true)?);
-            }
-            Ok(Msg::Batch(inner))
-        }
-        TAG_INQUIRY => Ok(Msg::Inquiry {
-            txn: TxnId::new(r.u64()?),
-            from_server: ServerId::new(r.u64()?),
-        }),
-        TAG_INQUIRY_REPLY => {
-            let txn = TxnId::new(r.u64()?);
-            let answer = match r.u8()? {
-                0 => InquiryAnswer::Decided(get_decision(r)?),
-                1 => InquiryAnswer::Unknown,
-                tag => {
-                    return Err(WireError::BadTag {
-                        what: "InquiryAnswer",
-                        tag,
-                    })
-                }
-            };
-            Ok(Msg::InquiryReply { txn, answer })
-        }
-        tag => Err(WireError::BadTag { what: "Msg", tag }),
-    }
+fn append_payload(out: &mut Vec<u8>, msg: &Msg) {
+    out.push(WIRE_VERSION);
+    msg.put(out);
 }
 
 /// Encodes a message into a payload (version byte + tag + body), without
@@ -973,9 +542,19 @@ fn get_msg(r: &mut Reader<'_>, nested: bool) -> Result<Msg> {
 #[must_use]
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    out.push(WIRE_VERSION);
-    put_msg(&mut out, msg, false);
+    append_payload(&mut out, msg);
     out
+}
+
+/// Encodes a message as one whole frame: `u32le` payload length, then the
+/// payload. Every frame written to a stream is built here.
+pub(crate) fn encode_frame(msg: &Msg) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(68);
+    frame.extend_from_slice(&[0; 4]);
+    append_payload(&mut frame, msg);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame
 }
 
 /// Decodes one payload produced by [`encode_msg`].
@@ -988,12 +567,16 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len()));
     }
-    let mut r = Reader::new(payload);
-    let version = r.u8()?;
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+        batched: false,
+    };
+    let version = u8::get(&mut r)?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let msg = get_msg(&mut r, false)?;
+    let msg = Msg::get(&mut r)?;
     if r.remaining() > 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
@@ -1009,10 +592,9 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg> {
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> io::Result<usize> {
-    let payload = encode_msg(msg);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
-    Ok(4 + payload.len())
+    let frame = encode_frame(msg);
+    w.write_all(&frame)?;
+    Ok(frame.len())
 }
 
 /// Reads one frame's payload from `r`.
@@ -1129,10 +711,11 @@ mod tests {
     fn nested_batch_is_rejected() {
         // Hand-build batch-in-batch bytes: the encoder refuses to produce
         // them, so splice an inner batch tag manually.
-        let mut payload = vec![WIRE_VERSION, TAG_BATCH];
-        put_u32(&mut payload, 1);
-        payload.push(TAG_BATCH);
-        put_u32(&mut payload, 0);
+        const BATCH: u8 = 15;
+        let mut payload = vec![WIRE_VERSION, BATCH];
+        1u32.put(&mut payload);
+        payload.push(BATCH);
+        0u32.put(&mut payload);
         assert_eq!(
             decode_msg(&payload).unwrap_err(),
             WireError::Malformed("nested batch")

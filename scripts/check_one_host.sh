@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One server host, one control plane, one fault plan, one participant
-# path, one benchmark and one coordinator log: the acceptance greps and the non-test line
-# budgets of the consolidations. Fails on regression.
+# path, one benchmark, one coordinator log and one byte schema: the
+# acceptance greps and the non-test line budgets of the consolidations.
+# Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]` —
 # the count CHANGES.md uses (24 167 under crates/*/src at 5e6d18f, 23 456
@@ -9,7 +10,8 @@
 # bounded server state added 63, 22 of them in the hosting files, to
 # 21 793 at 8e3d757; the bounded coordinator log added 40 — `CoordinatorLog`
 # less `answer_inquiry`, the coordinator record's `Display` and the
-# runtime's linear scan — and took 2 from the hosting files).
+# runtime's linear scan — and took 2 from the hosting files; the one byte
+# schema took 814, 6 of them from the hosting files' fault.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,13 +34,24 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 21833 ] || bad "non-test Rust under crates/*/src is $total lines (budget 21833; 21793 at 8e3d757)"
+[ "$total" -le 21019 ] || bad "non-test Rust under crates/*/src is $total lines (budget 21019; 21833 at 3b8d507)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/runtime/src/shard.rs crates/service/src/service.rs
     crates/runtime/src/host.rs crates/runtime/src/deployment.rs)
 hosting_total=$(lines "${budget_files[@]}")
-[ "$hosting_total" -le 3729 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3729; 3731 at 8e3d757)"
+[ "$hosting_total" -le 3723 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3723; 3729 at 3b8d507)"
+
+# One byte schema: each wire type's layout is one `Wire` impl, each stats
+# struct one `counters!` entry, and the frame format is written in one place.
+n=$(hits 'fn (put|get)_' crates/net/src/wire.rs)
+[ "$n" -eq 0 ] || bad "wire.rs has $n hand-written put_/get_ functions again (one Wire impl per type)"
+n=$(hits 'fn (from|to)_json' crates/metrics/src/counters.rs)
+[ "$n" -eq 0 ] || bad "counters.rs has $n to_json/from_json methods again (ServiceStats flattens fields())"
+n=$(hits 'Vec::with_capacity\([a-z_]+\)' crates/net/src/wire.rs)
+[ "$n" -eq 0 ] || bad "wire.rs reserves a decoded count uncapped in $n places (Vec<T>::get caps it)"
+n=$(hits 'write_raw_frame' "${all[@]}")
+[ "$n" -eq 0 ] || bad "write_raw_frame is back ($n hits): wire.rs frames every payload"
 
 # Bounded coordinator log: one `CoordinatorLog` answers every inquiry; no
 # coordinator record list or scan of one is left in the crates.
@@ -114,5 +127,5 @@ stale=$({ nontest "${rust[@]}"; grep -H '' scripts/*.sh .github/workflows/ci.yml
     grep -v '^scripts/check_one_host.sh:bench_gone=' | grep -E "$bench_gone" || true)
 [ -z "$stale" ] || { bad "the second bench system is cited again:"; echo "$stale"; }
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"
