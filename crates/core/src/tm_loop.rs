@@ -3,8 +3,8 @@
 //! [`drive_tm`] feeds a [`TmCore`] from a transport and performs its
 //! effects on it and on the deployment's [`TmAuthority`] (master consults,
 //! decision records). The transport is a [`TmIo`]: channels in
-//! `safetx-runtime` (one cluster or the cross-shard coordinator), framed
-//! sockets in `safetx-net`. Everything protocol-shaped — effect order,
+//! `safetx-runtime`, framed sockets in `safetx-net` — over one
+//! decision-log group or several. Everything protocol-shaped — effect order,
 //! the master consult after the batch, envelope flattening, stale-reply
 //! accounting, where a coordinator crash cuts — lives here once.
 

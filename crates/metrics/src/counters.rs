@@ -195,9 +195,10 @@ impl FaultCounters {
 }
 
 counters! {
-    /// Shard-routing accounting for a partitioned deployment: how many
-    /// transactions stayed inside one shard (no cross-shard coordination) and
-    /// how many were driven through cross-shard 2PVC, split by final outcome.
+    /// Routing accounting for a deployment in several decision-log groups
+    /// ("shards"): how many transactions stayed inside one group (their
+    /// decision goes to one log) and how many were driven through
+    /// cross-group 2PVC, split by final outcome.
     ///
     /// Conservation: `single_shard_submitted + cross_shard_submitted` equals
     /// the executions the router performed, and within each class

@@ -31,7 +31,7 @@ use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use safetx_core::{reply_counts_as_dropped, Msg, ServerCore, TmIo};
 use safetx_metrics::TransportCounters;
 use safetx_runtime::{
-    splitmix64, ClusterConfig, Fabric, Host, Link, LinkedCluster, Peer, PeerAddr, Topology,
+    splitmix64, ClusterConfig, Fabric, Host, Link, LinkedCluster, Peer, PeerAddr,
 };
 use safetx_types::{ServerId, TxnId};
 use std::collections::HashMap;
@@ -681,12 +681,7 @@ impl NetCluster {
             }
             link
         };
-        NetCluster(LinkedCluster::assemble(
-            config,
-            Topology::fresh(),
-            true,
-            link,
-        ))
+        NetCluster(LinkedCluster::assemble(config, true, link))
     }
 
     /// Builds a TM-only cluster over already-connected streams, one per
@@ -711,12 +706,7 @@ impl NetCluster {
             }
             link
         };
-        NetCluster(LinkedCluster::assemble(
-            config,
-            Topology::fresh(),
-            false,
-            link,
-        ))
+        NetCluster(LinkedCluster::assemble(config, false, link))
     }
 
     /// Both sides of one server's edge: `(tm_side, server_side)`. On a

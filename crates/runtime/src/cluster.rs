@@ -9,7 +9,7 @@
 //! (`wal_sync_cost`) keeps a thread, which a send just wakes: the device
 //! waits of different servers overlap instead of serialising on one TM.
 
-use crate::deployment::{Link, LinkedCluster, ResolvedKnobs, Topology};
+use crate::deployment::{Link, LinkedCluster, ResolvedKnobs};
 use crate::fault::{roll_kind, Fabric, Layer, Peer, Verdict};
 use crate::host::{Host, Outbox, PeerAddr};
 use crate::ClusterConfig;
@@ -58,7 +58,7 @@ impl PeerAddr for Addr {
     }
 }
 
-/// The message fabric of one cluster: the single choke point every
+/// The message fabric of a deployment: the single choke point every
 /// protocol send crosses, and the message-level fault applicator.
 ///
 /// With no fault plan armed the fast path is one relaxed atomic load; with
@@ -72,30 +72,25 @@ pub(crate) struct Net {
     /// *i* + 1 — see [`Net::peer_slot`]); shared with the hosts' outboxes.
     pub(crate) seqs: Arc<[AtomicU64]>,
     peers: usize,
-    /// First global server id owned by this fabric: sharded deployments
-    /// give each shard a disjoint id range, and the dense sequence-counter
-    /// slots are relative to it.
-    base: u64,
 }
 
 impl Net {
-    fn new(hosts: &[Arc<Host<Addr>>], base: u64, fabric: &Arc<Fabric>) -> Net {
+    fn new(hosts: &[Arc<Host<Addr>>], fabric: &Arc<Fabric>) -> Net {
         let peers = hosts.len() + 1;
         Net {
             hosts: hosts.to_vec(),
             fabric: Arc::clone(fabric),
             seqs: (0..peers * peers).map(|_| AtomicU64::new(0)).collect(),
             peers,
-            base,
         }
     }
 
-    /// Dense per-fabric slot of a server: 1.. in id order from this
-    /// fabric's first server id (the coordinator is 0). Panics outside it.
+    /// Dense slot of a server: 1.. in id order (the coordinator is 0).
+    /// Panics outside the deployment.
     fn peer_slot(&self, id: ServerId) -> usize {
-        let slot = id.index().checked_sub(self.base).map(|s| s as usize + 1);
-        slot.filter(|&s| s < self.peers)
-            .unwrap_or_else(|| panic!("server {id} outside this cluster's id range"))
+        let slot = id.index() as usize + 1;
+        assert!(slot < self.peers, "server {id} outside the deployment");
+        slot
     }
 
     /// Protocol send to a server: into its host's queue, addressed to the
@@ -196,8 +191,8 @@ pub struct ChannelLink {
 impl ChannelLink {
     /// Opens every host's queue; a host whose WAL sync costs time gets a
     /// thread of its own, which drains the queue whenever a send wakes it.
-    fn over(hosts: &[Arc<Host<Addr>>], base: u64, fabric: &Arc<Fabric>, batch: usize) -> Self {
-        let net = Arc::new(Net::new(hosts, base, fabric));
+    fn over(hosts: &[Arc<Host<Addr>>], fabric: &Arc<Fabric>, batch: usize) -> Self {
+        let net = Arc::new(Net::new(hosts, fabric));
         let stop = Arc::<AtomicBool>::default();
         let mut devices = Vec::new();
         for (slot, host) in hosts.iter().enumerate() {
@@ -218,15 +213,6 @@ impl ChannelLink {
         }
         ChannelLink { net, devices, stop }
     }
-
-    /// The coordinator's end over several clusters' fabrics at once: the
-    /// fabrics own equal, contiguous server-id ranges, and a send goes to
-    /// the one owning the server. One fabric is the plain-cluster case —
-    /// which is what makes a 1-shard deployment byte-identical to it.
-    pub(crate) fn open_over(nets: &[Arc<Net>]) -> ChannelTm<'_> {
-        let (me, replies) = Addr::fresh();
-        ChannelTm { nets, me, replies }
-    }
 }
 
 impl Link for ChannelLink {
@@ -234,7 +220,12 @@ impl Link for ChannelLink {
     type Tm<'a> = ChannelTm<'a>;
 
     fn open(&self, _txn: TxnId) -> ChannelTm<'_> {
-        Self::open_over(std::slice::from_ref(&self.net))
+        let (me, replies) = Addr::fresh();
+        ChannelTm {
+            net: &self.net,
+            me,
+            replies,
+        }
     }
 }
 
@@ -249,21 +240,16 @@ impl Drop for ChannelLink {
 }
 
 /// The coordinator's side of one transaction on the channel link: a fresh
-/// reply channel, and the fabrics its sends cross.
+/// reply channel, and the fabric its sends cross.
 pub struct ChannelTm<'a> {
-    nets: &'a [Arc<Net>],
+    net: &'a Net,
     me: Addr,
     replies: Receiver<(ServerId, Msg)>,
 }
 
 impl TmIo for ChannelTm<'_> {
     fn send(&mut self, server: ServerId, msg: Msg) {
-        let first = &self.nets[0];
-        let owner = server.index().saturating_sub(first.base) / (first.peers as u64 - 1);
-        // An id outside the deployment lands on an edge fabric, whose
-        // `peer_slot` names it in its panic.
-        let net = &self.nets[(owner as usize).min(self.nets.len() - 1)];
-        net.to_server(&self.me, server, msg);
+        self.net.to_server(&self.me, server, msg);
     }
 
     fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
@@ -283,21 +269,18 @@ impl TmIo for ChannelTm<'_> {
 pub type Cluster = LinkedCluster<ChannelLink>;
 
 impl Cluster {
-    /// Builds a standalone cluster.
+    /// Builds a cluster: one host per server, every group's on the same
+    /// fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `groups` is zero or does not divide `servers`.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
-        Self::with_topology(config, Topology::fresh())
-    }
-
-    /// Builds one cluster of a larger deployment described by `topology`
-    /// (see [`Topology`]). [`Cluster::new`] is the standalone special case.
-    #[must_use]
-    pub fn with_topology(config: ClusterConfig, topology: Topology) -> Self {
-        let base = topology.first_server;
         let link = |hosts: &[_], fabric: &_, knobs: ResolvedKnobs| {
-            ChannelLink::over(hosts, base, fabric, knobs.server_batch)
+            ChannelLink::over(hosts, fabric, knobs.server_batch)
         };
-        LinkedCluster::assemble(config, topology, true, link)
+        LinkedCluster::assemble(config, true, link)
     }
 }
 
@@ -312,7 +295,7 @@ impl ChannelLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CrashPoint, CrashRule, EdgeRule, FaultPlan, PeerMatch};
+    use crate::{CrashPoint, CrashRule, EdgeRule, FaultPlan, PeerMatch, TxnRoute};
     use safetx_core::{AbortReason, ConsistencyLevel, MsgKind, ProofScheme, VersionMap};
     use safetx_metrics::FaultCounters;
     use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
@@ -388,6 +371,70 @@ mod tests {
                 ),
             ],
         )
+    }
+
+    /// Two groups of two servers.
+    fn grouped() -> Cluster {
+        seeded(Cluster::new(ClusterConfig {
+            servers: 4,
+            groups: 2,
+            ..ClusterConfig::default()
+        }))
+    }
+
+    /// One increment on each of the given servers.
+    fn write_spec(cluster: &Cluster, servers: &[u64]) -> TransactionSpec {
+        let write = |&s: &u64| {
+            let add = Operation::Add(DataItemId::new(s * 100), 1);
+            QuerySpec::new(ServerId::new(s), "write", "records", vec![add])
+        };
+        let queries = servers.iter().map(write).collect();
+        TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries)
+    }
+
+    #[test]
+    fn routes_by_participant_groups() {
+        let groups = grouped();
+        let route = |servers: &[u64]| groups.route_of(&write_spec(&groups, servers));
+        assert_eq!(route(&[0, 1]), TxnRoute::Single(0));
+        assert_eq!(route(&[2, 3]), TxnRoute::Single(1));
+        assert_eq!(route(&[1, 2]), TxnRoute::Cross(vec![0, 1]));
+        let plain = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        assert_eq!(plain.route_of(&spec(&plain)), TxnRoute::Single(0));
+    }
+
+    /// A single-group decision goes to its group's log only; a cross-group
+    /// one to every participant group's, and its writes land in both.
+    #[test]
+    fn decisions_go_to_the_logs_of_the_groups_touched() {
+        let cluster = grouped();
+        let cred = member_credential(&cluster);
+        let single = write_spec(&cluster, &[2, 3]);
+        assert!(cluster
+            .execute(&single, std::slice::from_ref(&cred))
+            .is_commit());
+        assert_eq!(cluster.group_decision(0, single.id), None);
+        assert_eq!(cluster.group_decision(1, single.id), Some(Decision::Commit));
+        let cross = write_spec(&cluster, &[0, 2]);
+        assert!(cluster.execute(&cross, &[cred]).is_commit());
+        for group in 0..2 {
+            let logged = cluster.group_decision(group, cross.id);
+            assert_eq!(logged, Some(Decision::Commit), "group {group}");
+        }
+        let read = |s: u64| {
+            let item = DataItemId::new(s * 100);
+            cluster.configure_server(ServerId::new(s), move |core| core.store().read_int(item))
+        };
+        assert_eq!([0, 1, 2].map(read), [Some(11), Some(10), Some(12)]);
+        let denied = cluster.execute(&write_spec(&cluster, &[1, 3]), &[]);
+        assert_eq!(denied.outcome.abort_reason(), Some(AbortReason::ProofFalse));
+        let routes = cluster.route_counters();
+        assert_eq!(
+            (routes.single_shard_commits, routes.cross_shard_commits),
+            (1, 1)
+        );
+        assert_eq!(routes.cross_shard_aborts, 1);
+        assert!(routes.conserves(), "{routes:?}");
     }
 
     #[test]

@@ -1,15 +1,22 @@
 //! The deployment control plane, written once.
 //!
-//! A [`LinkedCluster`] is a set of [`Host`]s, one decision log, one fault
-//! [`Fabric`] and the shared catalog/CAs/epoch, generic over the [`Link`]
-//! that carries protocol messages between a TM and the hosts. Everything a
-//! harness does to a deployment — bootstrap, execute, configure, publish,
-//! crash, restart, resolve, count — is here; a link supplies only how a
-//! message reaches a host and its replies come back ([`Link::open`]), what
-//! a crash and a restart do to that edge ([`Link::down`], [`Link::reap`],
-//! [`Link::up`]), and its transport counters. [`crate::Cluster`] is this
-//! type over crossbeam channels, `safetx_net::NetCluster` over Unix-socket
-//! byte streams, and [`crate::ShardedCluster`] a router over several.
+//! A [`LinkedCluster`] is a set of [`Host`]s, one decision log per group,
+//! one fault [`Fabric`] and the shared catalog/CAs/epoch, generic over the
+//! [`Link`] that carries protocol messages between a TM and the hosts.
+//! Everything a harness does to a deployment — bootstrap, execute,
+//! configure, publish, crash, restart, resolve, count — is here; a link
+//! supplies only how a message reaches a host and its replies come back
+//! ([`Link::open`]), what a crash and a restart do to that edge
+//! ([`Link::down`], [`Link::reap`], [`Link::up`]), and its transport
+//! counters. [`crate::Cluster`] is this type over crossbeam channels and
+//! `safetx_net::NetCluster` over Unix-socket byte streams.
+//!
+//! A partitioned deployment is the same type with
+//! [`ClusterConfig::groups`] above one: the servers split into contiguous
+//! equal groups, each with its own decision log, and a coordinator forces
+//! its decision records into the log of every group its participants
+//! touch before any participant hears them — so each group's recovery is
+//! answered from its own log.
 //!
 //! The object-safe [`Deployment`] trait is that surface as one dispatch
 //! point: harnesses, the service layer and the chaos suites drive any
@@ -35,8 +42,12 @@ use std::time::{Duration, Instant};
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of servers.
+    /// Number of servers of the whole deployment.
     pub servers: usize,
+    /// Number of decision-log groups the servers split into: contiguous
+    /// equal ranges of `servers / groups` servers. `1` (the default) is
+    /// the unpartitioned deployment.
+    pub groups: usize,
     /// Proof-of-authorization scheme.
     pub scheme: ProofScheme,
     /// Consistency level.
@@ -76,6 +87,7 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             servers: 3,
+            groups: 1,
             scheme: ProofScheme::Deferred,
             consistency: ConsistencyLevel::View,
             variant: CommitVariant::Standard,
@@ -89,8 +101,8 @@ impl Default for ClusterConfig {
 
 /// [`ClusterConfig`]'s deferred knobs with every `None` settled: explicit
 /// value, then environment variable, then default. Read once per cluster
-/// build by every deployment of a `ClusterConfig` (threaded, socket,
-/// sharded), so CI can flip a whole battery through the environment.
+/// build by every deployment of a `ClusterConfig` (threaded or socket),
+/// so CI can flip a whole battery through the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedKnobs {
     /// Drain limit of a server's round, at least 1.
@@ -164,31 +176,23 @@ impl ExecutionResult {
     }
 }
 
-/// What the clusters of one deployment share, so credentials, policy
-/// versions and timestamps agree everywhere: a sharded deployment hands
-/// each shard the same catalog, certificate authorities and protocol-time
-/// epoch with a disjoint server-id range.
-#[derive(Clone)]
-pub struct Topology {
-    /// First global server id owned by the cluster being built.
-    pub first_server: u64,
+/// What every host and coordinator of a deployment shares, so
+/// credentials, policy versions and timestamps agree everywhere.
+struct Topology {
     /// The policy catalog (also the master version server).
-    pub catalog: SharedCatalog,
+    catalog: SharedCatalog,
     /// The certificate authorities.
-    pub cas: SharedCas,
+    cas: SharedCas,
     /// Protocol time zero.
-    pub epoch: Instant,
+    epoch: Instant,
 }
 
 impl Topology {
-    /// A standalone deployment's topology: ids from 0, an empty catalog,
-    /// one certificate authority (`CA0`), the epoch now.
-    #[must_use]
-    pub fn fresh() -> Topology {
+    /// An empty catalog, one certificate authority (`CA0`), the epoch now.
+    fn fresh() -> Topology {
         let mut registry = CaRegistry::new();
         registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
         Topology {
-            first_server: 0,
             catalog: SharedCatalog::new(),
             cas: SharedCas::new(registry),
             epoch: Instant::now(),
@@ -196,9 +200,36 @@ impl Topology {
     }
 }
 
-/// The coordinator-side decision log shared by every TM (`execute` caller)
-/// of a cluster — what recovery inquiries are answered from, and the
-/// ground truth chaos audits compare server state against.
+/// Which decision-log groups one transaction's participants touch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TxnRoute {
+    /// Every participant server lives in this one group.
+    Single(usize),
+    /// Participants span these groups (ascending, ≥ 2 entries).
+    Cross(Vec<usize>),
+}
+
+impl TxnRoute {
+    /// True when one group holds every participant.
+    #[must_use]
+    pub fn is_single(&self) -> bool {
+        matches!(self, TxnRoute::Single(_))
+    }
+
+    /// The groups touched, ascending.
+    #[must_use]
+    pub fn groups(&self) -> &[usize] {
+        match self {
+            TxnRoute::Single(group) => std::slice::from_ref(group),
+            TxnRoute::Cross(groups) => groups,
+        }
+    }
+}
+
+/// The coordinator-side decision log of one group, shared by every TM
+/// (`execute` caller) of a cluster — what the group's recovery inquiries
+/// are answered from, and the ground truth chaos audits compare server
+/// state against.
 pub type DecisionLog = Mutex<safetx_txn::CoordinatorLog>;
 
 /// What carries protocol messages between the TMs and the hosts of one
@@ -237,17 +268,18 @@ pub trait Link: Send + Sync + 'static {
 /// A cluster of hosts behind a link; see the module docs.
 pub struct LinkedCluster<L: Link> {
     config: ClusterConfig,
-    /// `first_server` is 0 for a standalone deployment, a shard's offset
-    /// into the global id space otherwise.
-    pub(crate) topology: Topology,
+    topology: Topology,
     next_txn: AtomicU64,
     fabric: Arc<Fabric>,
-    /// In-process hosts in slot order; empty when the servers live in
+    /// In-process hosts in server-id order; empty when the servers live in
     /// other processes.
     hosts: Vec<Arc<Host<L::Addr>>>,
-    /// Boxed: every transaction writes it, and those writes stay off the
-    /// cache lines of the read-mostly fields every send reads.
-    pub(crate) decision_log: Box<DecisionLog>,
+    /// One per group, in group order. Boxed: every transaction writes
+    /// them, and those writes stay off the cache lines of the read-mostly
+    /// fields every send reads.
+    decision_logs: Box<[DecisionLog]>,
+    /// Single- vs cross-group outcomes, counted only with several groups.
+    routes: Mutex<RouteCounters>,
     link: L,
 }
 
@@ -256,17 +288,26 @@ impl<L: Link> LinkedCluster<L> {
     /// resource mapped to [`PolicyId`] 0, the configured sync cost and
     /// concurrency mode applied — on a fresh fabric, then the link over
     /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `groups` is zero or does not divide `servers`.
     #[must_use]
     pub fn assemble(
         config: ClusterConfig,
-        topology: Topology,
         hosted: bool,
         link: impl FnOnce(&[Arc<Host<L::Addr>>], &Arc<Fabric>, ResolvedKnobs) -> L,
     ) -> Self {
+        let groups = config.groups;
+        assert!(
+            groups > 0 && config.servers.is_multiple_of(groups),
+            "{groups} groups cannot split {} servers equally",
+            config.servers
+        );
         let knobs = config.resolved();
+        let topology = Topology::fresh();
         let fabric = Arc::new(Fabric::default());
-        let ids = topology.first_server..topology.first_server + config.servers as u64;
-        let hosts: Vec<_> = ids
+        let hosts: Vec<_> = (0..config.servers as u64)
             .filter(|_| hosted)
             .map(|id| {
                 let mut core = ServerCore::new(
@@ -290,7 +331,8 @@ impl<L: Link> LinkedCluster<L> {
             next_txn: AtomicU64::new(0),
             fabric,
             hosts,
-            decision_log: Box::default(),
+            decision_logs: (0..groups).map(|_| DecisionLog::default()).collect(),
+            routes: Mutex::default(),
             link,
         }
     }
@@ -301,22 +343,59 @@ impl<L: Link> LinkedCluster<L> {
         &self.link
     }
 
-    /// Slot of a server this cluster owns.
+    /// Slot of a server: its position in id order.
     ///
     /// # Panics
     ///
-    /// Panics when the id is outside this cluster's range.
+    /// Panics when the id is outside the deployment.
     #[must_use]
     pub fn slot(&self, server: ServerId) -> usize {
-        let slot = server
-            .index()
-            .checked_sub(self.topology.first_server)
-            .expect("server below this cluster's id range") as usize;
+        let slot = server.index() as usize;
         assert!(
             slot < self.config.servers,
-            "server {server} above this cluster's id range"
+            "server {server} outside the deployment"
         );
         slot
+    }
+
+    /// The decision-log group a server belongs to.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the id is outside the deployment.
+    #[must_use]
+    pub fn group_of(&self, server: ServerId) -> usize {
+        self.slot(server) / (self.config.servers / self.config.groups)
+    }
+
+    /// The groups a transaction's participants touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the spec has no queries or names a server outside the
+    /// deployment.
+    #[must_use]
+    pub fn route_of(&self, spec: &TransactionSpec) -> TxnRoute {
+        let participants = spec.participants().into_iter();
+        let mut groups: Vec<usize> = participants.map(|s| self.group_of(s)).collect();
+        groups.dedup();
+        match groups.as_slice() {
+            [] => panic!("transaction {} has no participants", spec.id),
+            [only] => TxnRoute::Single(*only),
+            _ => TxnRoute::Cross(groups),
+        }
+    }
+
+    /// What the decision log of group `group` holds for `txn` (one of the
+    /// logs [`Deployment::logged_decision`] asks).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the group index is out of range.
+    #[must_use]
+    pub fn group_decision(&self, group: usize, txn: TxnId) -> Option<Decision> {
+        let log = self.decision_logs[group].lock();
+        log.expect("decision log lock").decision(txn)
     }
 
     /// The in-process host of `server` and its slot.
@@ -349,33 +428,58 @@ impl<L: Link> LinkedCluster<L> {
         })
     }
 
-    /// Lends the calling thread to one transaction's coordinator.
-    pub(crate) fn coordinate(
+    /// Lends the calling thread to one transaction's coordinator, whose
+    /// decision records go into the log of every group the participants
+    /// touch. One group is the plain path: no route, no counting.
+    fn coordinate(
         &self,
         spec: &TransactionSpec,
         credentials: &[Credential],
         crash: Option<TmCrashPoint>,
     ) -> Option<ExecutionResult> {
-        let authority = Authority {
-            topology: &self.topology,
-            logs: &[&self.decision_log],
-        };
         let io = self.link.open(spec.id);
-        authority.run_tm(
-            io,
-            &self.config,
-            spec,
-            credentials,
-            crash,
-            &self.fabric.stats,
-        )
+        let run = |logs: &[&DecisionLog]| {
+            let authority = Authority {
+                topology: &self.topology,
+                logs,
+            };
+            let stats = &self.fabric.stats;
+            authority.run_tm(io, &self.config, spec, credentials, crash, stats)
+        };
+        if let [log] = &*self.decision_logs {
+            return run(&[log]);
+        }
+        let route = self.route_of(spec);
+        let logs: Vec<_> = route
+            .groups()
+            .iter()
+            .map(|&g| &self.decision_logs[g])
+            .collect();
+        let result = run(&logs);
+        // A dead coordinator reports nothing.
+        if let (Some(result), None) = (&result, crash) {
+            let mut routes = self.routes.lock().expect("route counters lock");
+            let commit = result.is_commit();
+            if route.is_single() {
+                routes.single_shard_submitted += 1;
+                routes.single_shard_commits += u64::from(commit);
+                routes.single_shard_aborts += u64::from(!commit);
+            } else {
+                routes.cross_shard_submitted += 1;
+                routes.cross_shard_commits += u64::from(commit);
+                routes.cross_shard_aborts += u64::from(!commit);
+            }
+        }
+        result
     }
 
-    /// Transactions whose coordinator has not finished: running or crashed.
+    /// Transactions whose coordinator has not finished, running or
+    /// crashed, summed over the groups' logs: one spanning `k` groups
+    /// counts `k` times.
     #[must_use]
     pub fn live_decisions(&self) -> usize {
-        let log = self.decision_log.lock().expect("decision log lock");
-        log.live_len()
+        let live = |log: &DecisionLog| log.lock().expect("decision log lock").live_len();
+        self.decision_logs.iter().map(live).sum()
     }
 
     /// Stops every thread of the link and the hosts with it.
@@ -388,9 +492,9 @@ impl<L: Link> LinkedCluster<L> {
 /// the catalog (the catalog IS the master here; its epoch snapshot answers
 /// inline, no map rebuild, no deep clone) and decision records in every
 /// log recovery may consult.
-pub(crate) struct Authority<'a> {
-    pub(crate) topology: &'a Topology,
-    pub(crate) logs: &'a [&'a DecisionLog],
+struct Authority<'a> {
+    topology: &'a Topology,
+    logs: &'a [&'a DecisionLog],
 }
 
 impl Authority<'_> {
@@ -398,7 +502,7 @@ impl Authority<'_> {
     /// [`safetx_core::drive_tm`] (`None` when the scheduled coordinator
     /// crash fired first), accounting stale replies and reply-deadline
     /// aborts into `stats`.
-    pub(crate) fn run_tm(
+    fn run_tm(
         mut self,
         mut io: impl TmIo,
         config: &ClusterConfig,
@@ -461,13 +565,11 @@ impl TmAuthority for Authority<'_> {
 
 /// A running deployment, whatever hosts its servers and carries its
 /// messages: the surface harnesses, the service layer and the chaos suites
-/// drive. Implemented once for every [`LinkedCluster`] and once for
-/// [`crate::ShardedCluster`]; those types also dereference to
-/// `dyn Deployment`, so the methods are callable on them without importing
-/// the trait.
+/// drive. Implemented once, for every [`LinkedCluster`], which also
+/// dereferences to `dyn Deployment`, so the methods are callable on it
+/// without importing the trait.
 pub trait Deployment: Send + Sync {
-    /// The cluster configuration (for a sharded deployment: the per-shard
-    /// template every shard was built from).
+    /// The cluster configuration; `servers` counts the whole deployment.
     fn config(&self) -> &ClusterConfig;
     /// The shared policy catalog (also the master version server).
     fn catalog(&self) -> &SharedCatalog;
@@ -533,15 +635,14 @@ pub trait Deployment: Send + Sync {
     fn crashed_servers(&self) -> Vec<ServerId>;
     /// Drives the participants' termination protocol from the harness
     /// side: tells every transaction a live server still holds state for
-    /// what [`terminate_leftover`] derives from the coordinator decision
-    /// log, synchronously. Returns how many were resolved.
+    /// what [`terminate_leftover`] derives from its group's coordinator
+    /// decision log, synchronously. Returns how many were resolved.
     ///
     /// Only meaningful on a **quiesced** deployment — no `execute` in
     /// flight.
     fn resolve_in_doubt(&self) -> usize;
     /// The decision the coordinator log holds for `txn`, the first one
-    /// logged if the id was reused (a sharded deployment asks its shards
-    /// in order).
+    /// logged if the id was reused (several groups are asked in order).
     fn logged_decision(&self, txn: TxnId) -> Option<Decision>;
 
     /// Arms a fault plan: every subsequent protocol send is subject to its
@@ -566,11 +667,9 @@ pub trait Deployment: Send + Sync {
     fn transport_counters(&self) -> TransportCounters {
         TransportCounters::default()
     }
-    /// Single- vs cross-shard routing counters (all zero on unsharded
-    /// deployments — every transaction is trivially single-"shard").
-    fn route_counters(&self) -> RouteCounters {
-        RouteCounters::default()
-    }
+    /// Single- vs cross-group routing counters (all zero with one group:
+    /// every transaction is trivially single-group).
+    fn route_counters(&self) -> RouteCounters;
 }
 
 impl<L: Link> Deployment for LinkedCluster<L> {
@@ -591,10 +690,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     }
 
     fn server_ids(&self) -> Vec<ServerId> {
-        let first = self.topology.first_server;
-        (first..first + self.config.servers as u64)
-            .map(ServerId::new)
-            .collect()
+        (0..self.config.servers as u64).map(ServerId::new).collect()
     }
 
     fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
@@ -642,7 +738,8 @@ impl<L: Link> Deployment for LinkedCluster<L> {
             // cluster is live a coordinator may still be mid-flight, and a
             // presumed answer could contradict the decision it is about to
             // log.
-            let log = self.decision_log.lock().expect("decision log lock");
+            let log = self.decision_logs[self.group_of(host.server())].lock();
+            let log = log.expect("decision log lock");
             host.terminate_leftovers(|txn, in_doubt| {
                 let answer = InquiryAnswer::Decided(log.decision(txn)?);
                 in_doubt.then_some(Msg::InquiryReply { txn, answer })
@@ -659,7 +756,8 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     fn resolve_in_doubt(&self) -> usize {
         let variant = self.config.variant;
         let resolve = |host: &Arc<Host<L::Addr>>| {
-            let log = self.decision_log.lock().expect("decision log lock");
+            let log = self.decision_logs[self.group_of(host.server())].lock();
+            let log = log.expect("decision log lock");
             host.terminate_leftovers(|txn, in_doubt| {
                 Some(terminate_leftover(txn, in_doubt, variant, &log))
             })
@@ -668,10 +766,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     }
 
     fn logged_decision(&self, txn: TxnId) -> Option<Decision> {
-        self.decision_log
-            .lock()
-            .expect("decision log lock")
-            .decision(txn)
+        (0..self.config.groups).find_map(|group| self.group_decision(group, txn))
     }
 
     fn set_fault_plan(&self, plan: FaultPlan) {
@@ -706,6 +801,10 @@ impl<L: Link> Deployment for LinkedCluster<L> {
 
     fn transport_counters(&self) -> TransportCounters {
         self.link.transport_counters()
+    }
+
+    fn route_counters(&self) -> RouteCounters {
+        *self.routes.lock().expect("route counters lock")
     }
 }
 

@@ -16,7 +16,7 @@
 //!   methods under the same lock.
 //! * [`LinkedCluster`] and [`Deployment`] — the control plane (bootstrap,
 //!   `execute`, `configure_server`, `publish_policy`, crash/restart,
-//!   `resolve_in_doubt`, the decision log, every counter), generic over
+//!   `resolve_in_doubt`, the decision logs, every counter), generic over
 //!   the [`Link`] that carries messages between TMs and hosts, and that
 //!   surface as an object-safe trait.
 //! * [`FaultPlan`] / [`Fabric`] — the one seeded fault schedule. Crash
@@ -29,12 +29,13 @@
 //! failure detector, and a TM's send runs the server's round on the
 //! calling thread unless the host is busy — then its lock holder runs it.
 //! Only a host whose WAL sync models a device has a thread of its own.
-//! [`ShardedCluster`] routes over several `Cluster`s;
 //! `safetx_net::NetCluster` is the same control plane over Unix-socket
-//! byte streams. Because every runtime drives the same cores,
-//! `tests/differential.rs` holds them — and the simulator, which remains
-//! the *measurement* harness — to identical outcomes, counters and proof
-//! views on identical inputs.
+//! byte streams. Either partitions with `ClusterConfig::groups`: one
+//! fabric and one host per server as ever, one decision log per group.
+//! Because every runtime drives the same cores, `tests/differential.rs`
+//! holds them — and the simulator, which remains the *measurement*
+//! harness — to identical outcomes, counters and proof views on identical
+//! inputs.
 //!
 //! # Examples
 //!
@@ -59,19 +60,17 @@ mod cluster;
 mod deployment;
 mod fault;
 mod host;
-mod shard;
 
 pub use cluster::{Addr, ChannelLink, ChannelTm, Cluster};
 pub use deployment::{
     ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, ResolvedKnobs,
-    Topology,
+    TxnRoute,
 };
 pub use fault::{
     roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, FaultStats, Layer,
     Peer, PeerMatch, Verdict,
 };
 pub use host::{now_since, Host, PeerAddr};
-pub use shard::{ShardedCluster, ShardedConfig, TxnRoute};
 
 // `MsgKind` and `TmCrashPoint` moved into the core with the shared TM loop;
 // re-exported so `safetx_runtime::` paths keep resolving, like the core

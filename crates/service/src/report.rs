@@ -70,12 +70,12 @@ pub struct ServiceStats {
     /// [`safetx_runtime::Deployment::transport_counters`]; like `faults`,
     /// outside the conservation invariant.
     pub transport: TransportCounters,
-    /// Single- vs cross-shard routing outcomes from a sharded backend
-    /// (all zero on unsharded backends). Sourced from
-    /// [`safetx_runtime::Deployment::route_counters`]; counted at the
-    /// router, so routed submissions ≠ service submissions when retries
+    /// Single- vs cross-group routing outcomes from a backend in several
+    /// decision-log groups (all zero with one group). Sourced from
+    /// [`safetx_runtime::Deployment::route_counters`]; counted per
+    /// execution, so routed submissions ≠ service submissions when retries
     /// re-execute — hence outside the conservation invariant here (the
-    /// router has its own: [`RouteCounters::conserves`]).
+    /// routes have their own: [`RouteCounters::conserves`]).
     pub route: RouteCounters,
     /// End-to-end latency of committed transactions, in milliseconds
     /// (submission to commit, including queueing and retries).

@@ -8,7 +8,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{AbortReason, TransactionView, TxnOutcome};
 use safetx_net::NetCluster;
 use safetx_policy::Credential;
-use safetx_runtime::{Cluster, Deployment, ShardedCluster};
+use safetx_runtime::{Cluster, Deployment};
 use safetx_txn::TransactionSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,10 +27,10 @@ pub enum RuntimeKind {
     /// The wire-protocol runtime: messages are encoded into
     /// length-prefixed frames and cross `UnixStream`s.
     Net(Arc<NetCluster>),
-    /// The partitioned runtime: the key space is split across shards,
-    /// each its own threaded server set; transactions are routed by
-    /// participant footprint.
-    Sharded(Arc<ShardedCluster>),
+    /// The threaded runtime partitioned into decision-log groups
+    /// (`ClusterConfig::groups`); its route counters split single- from
+    /// cross-group transactions. The same type as `Threaded`.
+    Sharded(Arc<Cluster>),
 }
 
 impl std::ops::Deref for RuntimeKind {
@@ -38,9 +38,8 @@ impl std::ops::Deref for RuntimeKind {
 
     fn deref(&self) -> &Self::Target {
         match self {
-            RuntimeKind::Threaded(cluster) => &***cluster,
+            RuntimeKind::Threaded(cluster) | RuntimeKind::Sharded(cluster) => &***cluster,
             RuntimeKind::Net(cluster) => &****cluster,
-            RuntimeKind::Sharded(cluster) => &***cluster,
         }
     }
 }
@@ -193,7 +192,7 @@ impl TxnService {
         &self.runtime
     }
 
-    /// The threaded cluster this service drives.
+    /// The threaded cluster this service drives, partitioned or not.
     ///
     /// # Panics
     ///
@@ -202,10 +201,8 @@ impl TxnService {
     #[must_use]
     pub fn cluster(&self) -> &Arc<Cluster> {
         match &self.runtime {
-            RuntimeKind::Threaded(cluster) => cluster,
-            RuntimeKind::Net(_) | RuntimeKind::Sharded(_) => {
-                panic!("cluster() is threaded-only; use runtime() for other backends")
-            }
+            RuntimeKind::Threaded(cluster) | RuntimeKind::Sharded(cluster) => cluster,
+            RuntimeKind::Net(_) => panic!("cluster() is threaded-only; use runtime() for net"),
         }
     }
 

@@ -88,11 +88,11 @@ impl TxnGenerator {
         let id = TxnId::new(self.next_txn);
         self.next_txn += 1;
         let u = self.config.queries_per_txn.sample(&mut self.rng);
-        let first_server = self.rng.range_u64(0, self.config.servers as u64);
+        let start = self.rng.range_u64(0, self.config.servers as u64);
         let mut queries = Vec::with_capacity(u);
         for qi in 0..u {
             let server = if self.config.distinct_servers {
-                ServerId::new((first_server + qi as u64) % self.config.servers as u64)
+                ServerId::new((start + qi as u64) % self.config.servers as u64)
             } else {
                 ServerId::new(self.rng.range_u64(0, self.config.servers as u64))
             };

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One server host, one control plane, one fault plan, one participant
-# path, one benchmark, one coordinator log and one byte schema: the
-# acceptance greps and the non-test line budgets of the consolidations.
+# path, one benchmark, one coordinator log, one byte schema and shards as
+# a topology: the acceptance greps and the non-test line budgets of the
+# consolidations.
 # Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]` —
@@ -11,7 +12,9 @@
 # 21 793 at 8e3d757; the bounded coordinator log added 40 — `CoordinatorLog`
 # less `answer_inquiry`, the coordinator record's `Display` and the
 # runtime's linear scan — and took 2 from the hosting files; the one byte
-# schema took 814, 6 of them from the hosting files' fault.rs).
+# schema took 814, 6 of them from the hosting files' fault.rs; folding the
+# shard router into the control plane's decision-log groups took 340, all
+# of them from the hosting files).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,13 +37,13 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 21019 ] || bad "non-test Rust under crates/*/src is $total lines (budget 21019; 21833 at 3b8d507)"
+[ "$total" -le 20679 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20679; 21019 at 850f189)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
-    crates/net/src/fault.rs crates/runtime/src/shard.rs crates/service/src/service.rs
-    crates/runtime/src/host.rs crates/runtime/src/deployment.rs)
+    crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
+    crates/runtime/src/deployment.rs)
 hosting_total=$(lines "${budget_files[@]}")
-[ "$hosting_total" -le 3723 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3723; 3729 at 3b8d507)"
+[ "$hosting_total" -le 3383 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3383; 3723 at 850f189)"
 
 # One byte schema: each wire type's layout is one `Wire` impl, each stats
 # struct one `counters!` entry, and the frame format is written in one place.
@@ -61,14 +64,21 @@ stale=$(grep -rnE 'Wal<CoordinatorRecord>|answer_inquiry\(' crates/*/src || true
 n=$(hits 'recover_from_wal\(' "${outside_core[@]}")
 [ "$n" -eq 1 ] || bad "recover_from_wal( is called from $n places outside safetx-core (want 1)"
 
-# One body for the single-cluster deployments, at most one more for the
-# sharded aggregation (a trait's declaration has no body).
+# One body per control-plane method: every deployment, partitioned or
+# not, is the one control plane (a trait's declaration has no body).
 for name in publish_policy install_everywhere resolve_in_doubt wal_stats crashed_servers logged_decision run_tm; do
     n=$(($(hits "fn $name\\(" "${outside_core[@]}") - $(hits "fn $name\\(.*;\$" "${outside_core[@]}")))
     # `Host::wal_stats` is the per-host primitive the one body sums.
     [ "$name" = wal_stats ] && n=$((n - 1))
-    [ "$n" -le 2 ] || bad "fn $name has $n bodies (one control plane + the sharded aggregation = 2)"
+    [ "$n" -le 1 ] || bad "fn $name has $n bodies (one control plane = 1)"
 done
+
+# Shards are a topology: decision-log groups of the one control plane, not
+# a deployment of several clusters over several fabrics.
+mapfile -t every_rust < <(find crates/*/src src tests examples -name '*.rs' | sort)
+gone='ShardedCluster|ShardedConfig|open_over|cross_stats|first_server|with_topology'
+stale=$(grep -nE "$gone" "${every_rust[@]}" || true)
+[ -z "$stale" ] || { bad "the shard router's names are back:"; echo "$stale"; }
 
 n=$(hits '0x7331' "${hosting[@]}")
 [ "$n" -eq 1 ] || bad "0x7331 appears $n times under crates/runtime crates/net (want 1)"
@@ -127,5 +137,5 @@ stale=$({ nontest "${rust[@]}"; grep -H '' scripts/*.sh .github/workflows/ci.yml
     grep -v '^scripts/check_one_host.sh:bench_gone=' | grep -E "$bench_gone" || true)
 [ -z "$stale" ] || { bad "the second bench system is cited again:"; echo "$stale"; }
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema, shards as a topology: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"

@@ -9,9 +9,10 @@
 //! every host's WAL, decided memo and transaction table are empty, the
 //! coordinator log holds nothing live and still answers for every id — on
 //! the channel link served by its senders, on the channel link served by a
-//! device thread (`wal_sync_cost`), and on the socket link. A crashed
-//! coordinator's decision stays live, and a restarted participant is
-//! answered from it.
+//! device thread (`wal_sync_cost`), on the socket link, and on a channel
+//! link split into two decision-log groups, where every transaction spans
+//! both groups and folds out of both logs. A crashed coordinator's
+//! decision stays live, and a restarted participant is answered from it.
 
 use safetx_core::TmCrashPoint;
 use safetx_net::NetCluster;
@@ -133,7 +134,8 @@ fn run_to_quiescence<L: Link>(cluster: &LinkedCluster<L>) {
             "server {s}: (WAL, memo, live, item)"
         );
     }
-    // Every coordinator finished: nothing is live, every id answers.
+    // Every coordinator finished: nothing is live in any group's log,
+    // every id answers.
     assert_eq!(cluster.live_decisions(), 0);
     for (txn, denied) in outcomes {
         let want = if denied {
@@ -145,25 +147,34 @@ fn run_to_quiescence<L: Link>(cluster: &LinkedCluster<L>) {
     }
 
     // A coordinator dies after forcing its decision: every participant is
-    // in doubt and the decision stays live. A restarted participant is
-    // answered from it; the termination protocol answers the rest.
+    // in doubt and the decision stays live, in every group's log. A
+    // restarted participant is answered from its group's; the termination
+    // protocol answers the rest.
     let orphan = spec(cluster, 0);
     let point = TmCrashPoint::AfterDecisionForce;
     let cred = std::slice::from_ref(&cred);
     assert!(cluster
         .execute_with_coordinator_crash(&orphan, cred, point)
         .is_none());
-    assert_eq!(cluster.live_decisions(), 1);
+    let groups = cluster.config().groups;
+    assert_eq!(cluster.live_decisions(), groups);
     let before = Some(per_client as i64);
     let after = Some(per_client as i64 + 1);
     let victim = cluster.server_ids()[0];
     cluster.crash_server(victim);
     cluster.restart_server(victim);
-    assert_eq!(read_items(cluster, 0), [after, before, before]);
+    let mut want = vec![before; cluster.config().servers];
+    want[0] = after;
+    assert_eq!(read_items(cluster, 0), want);
     cluster.resolve_in_doubt();
-    assert_eq!(read_items(cluster, 0), [after; 3]);
-    assert_eq!(cluster.logged_decision(orphan.id), Some(Decision::Commit));
-    assert_eq!(cluster.live_decisions(), 1);
+    assert_eq!(read_items(cluster, 0), vec![after; want.len()]);
+    for group in 0..groups {
+        assert_eq!(
+            cluster.group_decision(group, orphan.id),
+            Some(Decision::Commit)
+        );
+    }
+    assert_eq!(cluster.live_decisions(), groups);
 }
 
 fn config() -> ClusterConfig {
@@ -189,4 +200,13 @@ fn a_quiescent_device_host_holds_no_wal_and_no_memo() {
 #[test]
 fn a_quiescent_socket_host_holds_no_wal_and_no_memo() {
     run_to_quiescence(&NetCluster::new(config()));
+}
+
+#[test]
+fn a_quiescent_grouped_host_holds_no_wal_and_no_memo() {
+    run_to_quiescence(&Cluster::new(ClusterConfig {
+        servers: 4,
+        groups: 2,
+        ..config()
+    }));
 }

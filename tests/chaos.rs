@@ -1,6 +1,6 @@
-//! Seeded chaos suite, generic over all three runtimes: the threaded
-//! channel cluster, the socket-backed net cluster, and the sharded
-//! deployment. Every runtime is driven through the same seeded fault
+//! Seeded chaos suite, generic over three runtimes: the threaded
+//! channel cluster, the socket-backed net cluster, and the threaded
+//! cluster split into two decision-log groups. Every runtime is driven through the same seeded fault
 //! schedules (message drops, duplicates, delays, reorders — and for the
 //! net runtime byte corruption, mid-frame truncation and hard
 //! disconnects — plus scheduled server crashes with mid-run restart and
@@ -29,8 +29,7 @@ use safetx_core::{trusted, ConsistencyLevel, ProofScheme, TxnOutcome};
 use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
 use safetx_runtime::{
-    Cluster, ClusterConfig, CrashPoint, CrashRule, Deployment, FaultPlan, MsgKind, ShardedCluster,
-    ShardedConfig,
+    Cluster, ClusterConfig, CrashPoint, CrashRule, Deployment, FaultPlan, MsgKind,
 };
 use safetx_service::{RetryPolicy, ServiceConfig, TxnService};
 use safetx_store::{LocalStore, Value};
@@ -41,8 +40,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const SERVERS: usize = 3;
-const SHARDS: usize = 2;
-const SERVERS_PER_SHARD: usize = 2;
+const GROUPS: usize = 2;
+const PER_GROUP: usize = 2;
 const ITEMS_PER_SERVER: u64 = 4;
 const TXNS_PER_SCHEDULE: u64 = 8;
 const SEED_VALUE: i64 = 10;
@@ -68,7 +67,8 @@ enum Runtime {
     /// Real byte streams over Unix sockets, with the transport fault
     /// fabric interposed at the frame layer.
     Net,
-    /// Partitioned deployment with a cross-shard 2PVC coordinator.
+    /// The threaded cluster in decision-log groups, with cross-group
+    /// 2PVC coordinators.
     Sharded,
 }
 
@@ -115,12 +115,10 @@ fn with_cluster<R>(
     match runtime {
         Runtime::Threaded => seeded(&Cluster::new(config)),
         Runtime::Net => seeded(&*NetCluster::new(config)),
-        Runtime::Sharded => seeded(&ShardedCluster::new(ShardedConfig {
-            shards: SHARDS,
-            cluster: ClusterConfig {
-                servers: SERVERS_PER_SHARD,
-                ..config
-            },
+        Runtime::Sharded => seeded(&Cluster::new(ClusterConfig {
+            servers: GROUPS * PER_GROUP,
+            groups: GROUPS,
+            ..config
         })),
     }
 }
@@ -165,7 +163,7 @@ fn probe_items(cluster: &dyn Deployment, server: ServerId) -> Vec<(u64, Option<i
 
 /// Arms the deployment's fault fabric with the seed's chaos mix plus the
 /// schedule's crash rules: one [`FaultPlan`] for every runtime. The
-/// threaded and sharded runtimes apply it at the message layer; the net
+/// threaded and grouped runtimes apply it at the message layer; the net
 /// runtime applies it at the frame layer, where the same plan adds byte
 /// corruption, mid-frame truncation and hard disconnects to the mix.
 fn set_chaos_plan(cluster: &dyn Deployment, seed: u64) {
@@ -189,19 +187,17 @@ fn member_credential(cluster: &dyn Deployment) -> Credential {
 }
 
 /// The participant set for transaction `i` of a schedule. Flat runtimes
-/// always span every server; the sharded runtime alternates between a
-/// cross-shard transaction (all servers) and a single-shard one, so both
-/// the local 2PV/2PVC path and the cross-shard coordinator face the
+/// always span every server; the grouped runtime alternates between a
+/// cross-group transaction (all servers) and a single-group one, so both
+/// the local 2PV/2PVC path and the cross-group coordinator face the
 /// fault schedule.
 fn participants(runtime: Runtime, i: u64) -> Vec<u64> {
     match runtime {
         Runtime::Threaded | Runtime::Net => (0..SERVERS as u64).collect(),
-        Runtime::Sharded if i.is_multiple_of(2) => {
-            (0..(SHARDS * SERVERS_PER_SHARD) as u64).collect()
-        }
+        Runtime::Sharded if i.is_multiple_of(2) => (0..(GROUPS * PER_GROUP) as u64).collect(),
         Runtime::Sharded => {
-            let per = SERVERS_PER_SHARD as u64;
-            let base = ((i / 2) % SHARDS as u64) * per;
+            let per = PER_GROUP as u64;
+            let base = ((i / 2) % GROUPS as u64) * per;
             (base..base + per).collect()
         }
     }
@@ -421,8 +417,8 @@ fn faults_disabled_runs_are_byte_identical_across_runtimes_and_replays() {
         for i in 0..TXNS_PER_SCHEDULE {
             let slot = i % ITEMS_PER_SERVER;
             // All runtimes run the *same* spec shape here: the first
-            // `SERVERS` servers, which the sharded deployment spreads
-            // over both shards (cross-shard every time).
+            // `SERVERS` servers, which the grouped deployment spreads
+            // over both groups (cross-group every time).
             let servers: Vec<u64> = (0..SERVERS as u64).collect();
             let spec = spec(cluster, &servers, slot);
             let result = cluster.execute(&spec, std::slice::from_ref(&cred));

@@ -1,6 +1,7 @@
-//! One body, three deployments: the control plane behaves identically over
-//! the channel link (`Cluster`), the socket link (`NetCluster`) and the
-//! shard router (`ShardedCluster`), driven through `&dyn Deployment` only.
+//! One body, four deployments: the control plane behaves identically over
+//! the channel link (`Cluster`) and the socket link (`NetCluster`), each
+//! unpartitioned and split into two decision-log groups, driven through
+//! `&dyn Deployment` only.
 //!
 //! The body walks the life of a replica that misses a policy update — the
 //! paper's normal case (§III: a policy replica may lag; §V: 2PV/2PVC bring
@@ -20,7 +21,7 @@
 use safetx_core::{trusted, AbortReason, ConsistencyLevel, ProofScheme};
 use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, Policy, PolicyBuilder};
-use safetx_runtime::{Cluster, ClusterConfig, Deployment, ShardedCluster, ShardedConfig};
+use safetx_runtime::{Cluster, ClusterConfig, Deployment};
 use safetx_store::{LocalStore, Value};
 use safetx_txn::{Decision, Operation, QuerySpec, TransactionSpec};
 use safetx_types::{
@@ -88,6 +89,7 @@ fn panic_message(f: impl FnOnce()) -> String {
 fn conformance(cluster: &dyn Deployment, name: &str) {
     let consistency = cluster.config().consistency;
     let servers = cluster.server_ids();
+    assert_eq!(servers.len(), cluster.config().servers, "{name}");
     let victim = servers[1];
     cluster.publish_policy(policy(1));
     for &server in &servers {
@@ -187,20 +189,20 @@ fn a_replica_that_misses_an_update_is_caught_by_validation_in_every_deployment()
         (ProofScheme::Continuous, ConsistencyLevel::Global),
         (ProofScheme::Punctual, ConsistencyLevel::View),
     ] {
-        let config = |servers| ClusterConfig {
+        let config = |servers, groups| ClusterConfig {
             servers,
+            groups,
             scheme,
             consistency,
             reply_timeout: Some(Duration::from_millis(50)),
             ..Default::default()
         };
         let cell = format!("{scheme}/{consistency}");
-        conformance(&Cluster::new(config(3)), &format!("threaded {cell}"));
-        conformance(&*NetCluster::new(config(3)), &format!("net {cell}"));
-        let sharded = ShardedCluster::new(ShardedConfig {
-            shards: 2,
-            cluster: config(2),
-        });
+        conformance(&Cluster::new(config(3, 1)), &format!("threaded {cell}"));
+        conformance(&*NetCluster::new(config(3, 1)), &format!("net {cell}"));
+        let sharded = Cluster::new(config(4, 2));
         conformance(&sharded, &format!("sharded {cell}"));
+        let net_sharded = NetCluster::new(config(4, 2));
+        conformance(&*net_sharded, &format!("net sharded {cell}"));
     }
 }

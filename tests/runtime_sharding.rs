@@ -1,29 +1,30 @@
-//! Sharded-deployment oracle.
+//! Partitioned-deployment oracle: a deployment split into decision-log
+//! groups (`ClusterConfig::groups`) against the unpartitioned one.
 //!
-//! Two guarantees pin the partitioned runtime to the unsharded one:
+//! 1. **One group's traffic is the plain cluster's.** A transaction whose
+//!    participants all live in one group runs the same TM over the same
+//!    link as on an unpartitioned cluster; only the log its decision goes
+//!    to differs. So an identical transaction stream — scripted scenarios
+//!    plus seeded random specs, across all 4 schemes × 2 consistency
+//!    levels — confined to group 0 of a 2-group deployment must produce
+//!    the outcomes, abort reasons, Table I counters and normalized proof
+//!    views of a plain cluster of that group's size. Wall-clock artifacts
+//!    are excluded, exactly as in `tests/differential.rs`.
 //!
-//! 1. **One shard is the plain cluster.** A `ShardedCluster` with a single
-//!    shard routes every transaction down the exact `Cluster::execute`
-//!    path, so an identical transaction stream — scripted scenarios plus
-//!    seeded random specs, across all 4 schemes × 2 consistency levels —
-//!    must produce identical outcomes, abort reasons, Table I counters and
-//!    normalized proof views. Wall-clock artifacts are excluded, exactly
-//!    as in `tests/differential.rs`.
-//!
-//! 2. **Cross-shard 2PVC stays safe.** At 2 and 4 shards, transactions
-//!    spanning shards are driven by one coordinating TM through 2PVC over
+//! 2. **Cross-group 2PVC stays safe.** At 2 and 4 groups, transactions
+//!    spanning groups are driven by one coordinating TM through 2PVC over
 //!    the union of participant servers. Every commit must pass the
 //!    Definition 4 trusted-transaction audit, decision records must be
-//!    force-logged into *every* participant shard's log (local recovery),
-//!    and the router's accounting must conserve exactly:
+//!    force-logged into *every* participant group's log (local recovery)
+//!    and no other, and the route accounting must conserve exactly:
 //!    `submitted == commits + aborts` per route class, and through the
 //!    service layer `submissions == commits + aborts + sheds`.
 
 use safetx_core::{trusted, AbortReason, ConsistencyLevel, ProofScheme};
+use safetx_metrics::RouteCounters;
+use safetx_net::NetCluster;
 use safetx_policy::{Atom, Constant, Credential, Policy, PolicyBuilder};
-use safetx_runtime::{
-    Cluster, ClusterConfig, ExecutionResult, ShardedCluster, ShardedConfig, TxnRoute,
-};
+use safetx_runtime::{Cluster, ClusterConfig, Deployment, ExecutionResult, Link, LinkedCluster};
 use safetx_service::{RuntimeKind, ServiceConfig, TxnService};
 use safetx_store::{IntegrityConstraint, Value};
 use safetx_txn::{Decision, Operation, QuerySpec, TransactionSpec};
@@ -106,113 +107,59 @@ fn role_atom(role: &str) -> Atom {
     Atom::fact("role", vec![Constant::symbol("u1"), Constant::symbol(role)])
 }
 
-/// One deployment under test: the plain threaded cluster, or a sharded
-/// deployment with any shard count (the 1-shard case is the oracle).
-enum Side {
-    Threaded(Box<Cluster>),
-    Sharded(Box<ShardedCluster>),
+/// A deployment of `groups` decision-log groups of `per_group` servers
+/// each, policy published and every server's items seeded.
+fn deployment(
+    groups: usize,
+    per_group: usize,
+    scheme: ProofScheme,
+    consistency: ConsistencyLevel,
+) -> Cluster {
+    let cluster = Cluster::new(ClusterConfig {
+        servers: groups * per_group,
+        groups,
+        scheme,
+        consistency,
+        ..Default::default()
+    });
+    seed(&cluster);
+    cluster
 }
 
-impl Side {
-    fn threaded(scheme: ProofScheme, consistency: ConsistencyLevel) -> Side {
-        let cluster = Cluster::new(ClusterConfig {
-            servers: SERVERS,
-            scheme,
-            consistency,
-            ..Default::default()
+/// Publishes the base policy and seeds every server's items.
+fn seed<L: Link>(cluster: &LinkedCluster<L>) {
+    cluster.publish_policy(base_policy());
+    for server in cluster.server_ids() {
+        let s = server.index();
+        cluster.configure_server(server, move |core| {
+            for j in 0..=GUARDED_SLOT {
+                core.store_mut().write(
+                    DataItemId::new(s * 100 + j),
+                    Value::Int(SEED_VALUE),
+                    Timestamp::ZERO,
+                );
+            }
         });
-        cluster.publish_policy(base_policy());
-        let side = Side::Threaded(Box::new(cluster));
-        side.seed_items();
-        side
     }
+}
 
-    fn sharded(
-        shards: usize,
-        servers: usize,
-        scheme: ProofScheme,
-        consistency: ConsistencyLevel,
-    ) -> Side {
-        let cluster = ShardedCluster::new(ShardedConfig {
-            shards,
-            cluster: ClusterConfig {
-                servers,
-                scheme,
-                consistency,
-                ..Default::default()
-            },
-        });
-        cluster.publish_policy(base_policy());
-        let side = Side::Sharded(Box::new(cluster));
-        side.seed_items();
-        side
-    }
+fn credential(cluster: &dyn Deployment, role: &str) -> Credential {
+    cluster.cas().with_mut(|registry| {
+        registry.ca_mut(CaId::new(0)).expect("CA0").issue(
+            UserId::new(1),
+            role_atom(role),
+            Timestamp::ZERO,
+            Timestamp::MAX,
+        )
+    })
+}
 
-    fn total_servers(&self) -> u64 {
-        match self {
-            Side::Threaded(c) => c.config().servers as u64,
-            Side::Sharded(c) => c.total_servers() as u64,
-        }
-    }
+fn install_at(cluster: &Cluster, server: ServerId, policy: PolicyId, version: PolicyVersion) {
+    cluster.configure_server(server, move |core| core.install_policy(policy, version));
+}
 
-    fn seed_items(&self) {
-        for s in 0..self.total_servers() {
-            self.configure_server(ServerId::new(s), move |core| {
-                for j in 0..=GUARDED_SLOT {
-                    core.store_mut().write(
-                        DataItemId::new(s * 100 + j),
-                        Value::Int(SEED_VALUE),
-                        Timestamp::ZERO,
-                    );
-                }
-            });
-        }
-    }
-
-    fn configure_server(
-        &self,
-        server: ServerId,
-        f: impl FnOnce(&mut safetx_core::ServerCore<safetx_runtime::Addr>) + Send + 'static,
-    ) {
-        match self {
-            Side::Threaded(c) => c.configure_server(server, f),
-            Side::Sharded(c) => c.configure_server(server, f),
-        }
-    }
-
-    fn credential(&self, role: &str) -> Credential {
-        let statement = role_atom(role);
-        let cas = match self {
-            Side::Threaded(c) => c.cas(),
-            Side::Sharded(c) => c.cas(),
-        };
-        cas.with_mut(|registry| {
-            registry.ca_mut(CaId::new(0)).expect("CA0").issue(
-                UserId::new(1),
-                statement,
-                Timestamp::ZERO,
-                Timestamp::MAX,
-            )
-        })
-    }
-
-    fn publish_catalog_only(&self, policy: Policy) {
-        match self {
-            Side::Threaded(c) => c.catalog().publish(policy),
-            Side::Sharded(c) => c.catalog().publish(policy),
-        };
-    }
-
-    fn install_at(&self, server: ServerId, policy: PolicyId, version: PolicyVersion) {
-        self.configure_server(server, move |core| core.install_policy(policy, version));
-    }
-
-    fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> Observation {
-        match self {
-            Side::Threaded(c) => Observation::from_result(&c.execute(spec, credentials)),
-            Side::Sharded(c) => Observation::from_result(&c.execute(spec, credentials)),
-        }
-    }
+fn execute(cluster: &Cluster, spec: &TransactionSpec, credentials: &[Credential]) -> Observation {
+    Observation::from_result(&cluster.execute(spec, credentials))
 }
 
 fn q(server: u64, action: &str, op: Operation) -> QuerySpec {
@@ -249,9 +196,10 @@ fn random_spec(rng: &mut Rng, txn: u64) -> TransactionSpec {
 }
 
 /// The scripted + seeded stream from the differential oracle, run on one
-/// deployment. Labels make divergences pinpointable.
-fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
-    let member = side.credential("member");
+/// deployment: every query goes to one of the first `SERVERS` servers.
+/// Labels make divergences pinpointable.
+fn run_stream(cluster: &Cluster, seed: u64) -> Vec<(String, Observation)> {
+    let member = credential(cluster, "member");
     let mut out = Vec::new();
     let mut txn = 0u64;
 
@@ -268,7 +216,7 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
     txn += 1;
     out.push((
         "clean-commit".into(),
-        side.execute(&spec, std::slice::from_ref(&member)),
+        execute(cluster, &spec, std::slice::from_ref(&member)),
     ));
 
     // 2. No credentials: every scheme must refuse.
@@ -281,11 +229,11 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
         ],
     );
     txn += 1;
-    out.push(("no-credential".into(), side.execute(&spec, &[])));
+    out.push(("no-credential".into(), execute(cluster, &spec, &[])));
 
     // 3. Integrity violation on a guarded item.
     let guarded = DataItemId::new(100 + GUARDED_SLOT);
-    side.configure_server(ServerId::new(1), move |core| {
+    cluster.configure_server(ServerId::new(1), move |core| {
         core.constraints_mut().push(IntegrityConstraint::Range {
             item: guarded,
             lo: SEED_VALUE,
@@ -303,7 +251,7 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
     txn += 1;
     out.push((
         "integrity-violation".into(),
-        side.execute(&spec, std::slice::from_ref(&member)),
+        execute(cluster, &spec, std::slice::from_ref(&member)),
     ));
 
     // 4. Seeded random stream.
@@ -313,13 +261,18 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
         txn += 1;
         out.push((
             format!("random-{i}"),
-            side.execute(&spec, std::slice::from_ref(&member)),
+            execute(cluster, &spec, std::slice::from_ref(&member)),
         ));
     }
 
     // 5. Divergence: v2 in the catalog and at server 0 only.
-    side.publish_catalog_only(manager_only_v2());
-    side.install_at(ServerId::new(0), PolicyId::new(0), PolicyVersion(2));
+    cluster.catalog().publish(manager_only_v2());
+    install_at(
+        cluster,
+        ServerId::new(0),
+        PolicyId::new(0),
+        PolicyVersion(2),
+    );
     let spec = TransactionSpec::new(
         TxnId::new(txn),
         UserId::new(1),
@@ -331,14 +284,19 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
     txn += 1;
     out.push((
         "stale-divergence".into(),
-        side.execute(&spec, std::slice::from_ref(&member)),
+        execute(cluster, &spec, std::slice::from_ref(&member)),
     ));
 
     // 6. Upgrade everywhere; a manager credential commits again.
     for s in 0..SERVERS as u64 {
-        side.install_at(ServerId::new(s), PolicyId::new(0), PolicyVersion(2));
+        install_at(
+            cluster,
+            ServerId::new(s),
+            PolicyId::new(0),
+            PolicyVersion(2),
+        );
     }
-    let manager = side.credential("manager");
+    let manager = credential(cluster, "manager");
     let spec = TransactionSpec::new(
         TxnId::new(txn),
         UserId::new(1),
@@ -350,14 +308,16 @@ fn run_stream(side: &Side, seed: u64) -> Vec<(String, Observation)> {
     );
     out.push((
         "post-upgrade-commit".into(),
-        side.execute(&spec, &[manager]),
+        execute(cluster, &spec, &[manager]),
     ));
 
     out
 }
 
-/// Guarantee 1: a 1-shard `ShardedCluster` is outcome-, counter- and
-/// view-identical to the plain threaded `Cluster` in all eight cells.
+/// Guarantee 1: a stream confined to group 0 of a 2-group × 3-server
+/// deployment is outcome-, counter- and view-identical to the same stream
+/// on a plain 3-server `Cluster` in all eight cells, and every execution is
+/// counted as single-group. The plain cluster counts no routes at all.
 #[test]
 fn one_shard_matches_threaded_on_every_cell() {
     let mut commits = 0usize;
@@ -365,23 +325,23 @@ fn one_shard_matches_threaded_on_every_cell() {
     for (i, scheme) in ProofScheme::ALL.into_iter().enumerate() {
         for (j, consistency) in ConsistencyLevel::ALL.into_iter().enumerate() {
             let seed = 0x5aa4_ded0 ^ ((i as u64) << 8) ^ (j as u64);
-            let threaded = run_stream(&Side::threaded(scheme, consistency), seed);
-            let sharded_side = Side::sharded(1, SERVERS, scheme, consistency);
-            let sharded = run_stream(&sharded_side, seed);
-            if let Side::Sharded(cluster) = &sharded_side {
-                let route = cluster.route_counters();
-                assert_eq!(
-                    route.cross_shard_submitted, 0,
-                    "one shard can have no cross-shard transactions"
-                );
-                assert_eq!(route.single_shard_submitted, sharded.len() as u64);
-                assert!(route.conserves(), "{route:?}");
-            }
+            let plain = deployment(1, SERVERS, scheme, consistency);
+            let threaded = run_stream(&plain, seed);
+            assert_eq!(plain.route_counters(), RouteCounters::default());
+            let grouped = deployment(2, SERVERS, scheme, consistency);
+            let sharded = run_stream(&grouped, seed);
+            let route = grouped.route_counters();
+            assert_eq!(
+                route.cross_shard_submitted, 0,
+                "a stream inside one group has no cross-group transactions"
+            );
+            assert_eq!(route.single_shard_submitted, sharded.len() as u64);
+            assert!(route.conserves(), "{route:?}");
             assert_eq!(threaded.len(), sharded.len(), "{scheme}/{consistency}");
             for ((label, t), (_, s)) in threaded.iter().zip(sharded.iter()) {
                 assert_eq!(
                     t, s,
-                    "{scheme}/{consistency}: 1-shard deployment diverged on {label}"
+                    "{scheme}/{consistency}: group 0 of two diverged on {label}"
                 );
                 if t.committed {
                     commits += 1;
@@ -395,14 +355,16 @@ fn one_shard_matches_threaded_on_every_cell() {
     assert!(aborts > 0, "battery aborted nothing");
 }
 
-/// A cross-shard write spec: one `Add` on the first server of each of the
-/// given shards.
-fn cross_spec(cluster: &ShardedCluster, txn: u64, shards: &[usize]) -> TransactionSpec {
-    let per_shard = cluster.servers_per_shard() as u64;
-    let queries = shards
+/// Servers per group in the cross-group matrix.
+const PER_GROUP: usize = 2;
+
+/// A cross-group write spec: one `Add` on the first server of each of the
+/// given groups.
+fn cross_spec(txn: u64, groups: &[usize]) -> TransactionSpec {
+    let queries = groups
         .iter()
-        .map(|&shard| {
-            let server = shard as u64 * per_shard;
+        .map(|&group| {
+            let server = (group * PER_GROUP) as u64;
             q(
                 server,
                 "write",
@@ -413,126 +375,123 @@ fn cross_spec(cluster: &ShardedCluster, txn: u64, shards: &[usize]) -> Transacti
     TransactionSpec::new(TxnId::new(txn), UserId::new(1), queries)
 }
 
-/// Guarantee 2: the cross-shard 2PVC matrix. At 2 and 4 shards, across
-/// all eight scheme × consistency cells: cross-shard commits pass the
-/// Definition 4 audit, decision records replicate into every participant
-/// shard's log, and routing accounting conserves exactly.
-#[test]
-fn cross_shard_matrix_is_safe_and_conserves() {
-    for shards in [2usize, 4] {
-        for scheme in ProofScheme::ALL {
-            for consistency in ConsistencyLevel::ALL {
-                let side = Side::sharded(shards, 2, scheme, consistency);
-                let Side::Sharded(cluster) = &side else {
-                    unreachable!()
-                };
-                let member = side.credential("member");
-                let authority = cluster.catalog().latest_versions();
+/// One cell of the cross-group 2PVC matrix on a seeded deployment of
+/// `groups` groups: cross-group commits pass the Definition 4 audit,
+/// decision records replicate into every participant group's log, and
+/// routing accounting conserves exactly.
+fn cross_group_cell<L: Link>(cluster: &LinkedCluster<L>, groups: usize, cell: &str) {
+    let consistency = cluster.config().consistency;
+    let member = credential(cluster, "member");
+    let authority = cluster.catalog().latest_versions();
 
-                let mut submitted = 0u64;
-                let mut single_submitted = 0u64;
-                let mut commits = 0u64;
-                let mut aborts = 0u64;
-                let mut cross_commits = Vec::new();
-                for g in 0..8u64 {
-                    // Rotate: single-shard, two-shard, all-shard, and one
-                    // denied two-shard submission.
-                    let (participants, creds): (Vec<usize>, Vec<Credential>) = match g % 4 {
-                        0 => (vec![(g as usize) % shards], vec![member.clone()]),
-                        1 => (vec![0, 1], vec![member.clone()]),
-                        2 => ((0..shards).collect(), vec![member.clone()]),
-                        _ => (vec![0, shards - 1], vec![]),
-                    };
-                    let spec = cross_spec(cluster, g, &participants);
-                    let route = cluster.route_of(&spec);
-                    assert_eq!(
-                        route.is_single(),
-                        participants.len() == 1,
-                        "router misclassified {participants:?}"
-                    );
-                    if let TxnRoute::Cross(ref p) = route {
-                        assert_eq!(p.len(), participants.len());
-                    }
-                    submitted += 1;
-                    single_submitted += u64::from(route.is_single());
-                    let result = cluster.execute(&spec, &creds);
-                    if result.is_commit() {
-                        commits += 1;
-                        assert!(
-                            trusted::is_trusted(&result.view, consistency, &authority),
-                            "{shards}/{scheme}/{consistency}: commit failed Definition 4"
-                        );
-                        if participants.len() > 1 {
-                            cross_commits.push((spec.id, participants));
-                        }
-                    } else {
-                        aborts += 1;
-                        if creds.is_empty() {
-                            assert_eq!(
-                                result.outcome.abort_reason(),
-                                Some(AbortReason::ProofFalse),
-                                "uncredentialed submissions are policy-denied"
-                            );
-                        }
-                    }
-                }
-
-                // Denied cross-shard submissions must abort; credentialed
-                // ones must commit in this uncontended, fault-free run.
-                assert_eq!(aborts, 2, "{shards}/{scheme}/{consistency}");
-                assert_eq!(commits, 6, "{shards}/{scheme}/{consistency}");
-
-                // Every participant shard's decision log answers Commit for
-                // each cross-shard commit it took part in.
-                for (txn, participants) in &cross_commits {
-                    for &s in participants {
-                        assert_eq!(
-                            cluster.shard(s).logged_decision(*txn),
-                            Some(Decision::Commit),
-                            "{shards}/{scheme}/{consistency}: shard {s} on {txn}"
-                        );
-                    }
-                }
-
-                let route = cluster.route_counters();
-                assert!(route.conserves(), "{route:?}");
-                assert_eq!(route.submitted(), submitted);
-                // Each execution is counted in exactly its own route class.
-                assert_eq!(route.single_shard_submitted, single_submitted);
-                assert!(route.cross_shard_submitted > 0);
+    let mut submitted = 0u64;
+    let mut single_submitted = 0u64;
+    let mut commits = 0u64;
+    let mut aborts = 0u64;
+    let mut cross_commits = Vec::new();
+    for g in 0..8u64 {
+        // Rotate: single-group, two-group, all-group, and one denied
+        // two-group submission.
+        let (participants, creds): (Vec<usize>, Vec<Credential>) = match g % 4 {
+            0 => (vec![(g as usize) % groups], vec![member.clone()]),
+            1 => (vec![0, 1], vec![member.clone()]),
+            2 => ((0..groups).collect(), vec![member.clone()]),
+            _ => (vec![0, groups - 1], vec![]),
+        };
+        let spec = cross_spec(g, &participants);
+        let route = cluster.route_of(&spec);
+        assert_eq!(route.groups(), participants, "{cell}: router misclassified");
+        submitted += 1;
+        single_submitted += u64::from(route.is_single());
+        let result = cluster.execute(&spec, &creds);
+        if result.is_commit() {
+            commits += 1;
+            assert!(
+                trusted::is_trusted(&result.view, consistency, &authority),
+                "{cell}: commit failed Definition 4"
+            );
+            if participants.len() > 1 {
+                cross_commits.push((spec.id, participants));
+            }
+        } else {
+            aborts += 1;
+            if creds.is_empty() {
                 assert_eq!(
-                    route.single_shard_commits + route.cross_shard_commits,
-                    commits
+                    result.outcome.abort_reason(),
+                    Some(AbortReason::ProofFalse),
+                    "uncredentialed submissions are policy-denied"
                 );
             }
         }
     }
+
+    // Denied cross-group submissions must abort; credentialed ones must
+    // commit in this uncontended, fault-free run.
+    assert_eq!(aborts, 2, "{cell}");
+    assert_eq!(commits, 6, "{cell}");
+
+    // Every participant group's decision log answers Commit for each
+    // cross-group commit it took part in, and no other group's log knows it.
+    for (txn, participants) in &cross_commits {
+        for group in 0..groups {
+            let want = participants.contains(&group).then_some(Decision::Commit);
+            assert_eq!(
+                cluster.group_decision(group, *txn),
+                want,
+                "{cell}: group {group} on {txn}"
+            );
+        }
+    }
+
+    let route = cluster.route_counters();
+    assert!(route.conserves(), "{route:?}");
+    assert_eq!(route.submitted(), submitted);
+    // Each execution is counted in exactly its own route class.
+    assert_eq!(route.single_shard_submitted, single_submitted);
+    assert!(route.cross_shard_submitted > 0);
+    assert_eq!(
+        route.single_shard_commits + route.cross_shard_commits,
+        commits
+    );
 }
 
-/// Conservation through the service layer: with a sharded backend,
+/// Guarantee 2: the cross-group 2PVC matrix at 2 and 4 groups on the
+/// channel link and at 2 groups on the socket link, across all eight
+/// scheme × consistency cells.
+#[test]
+fn cross_shard_matrix_is_safe_and_conserves() {
+    for scheme in ProofScheme::ALL {
+        for consistency in ConsistencyLevel::ALL {
+            for groups in [2usize, 4] {
+                let cluster = deployment(groups, PER_GROUP, scheme, consistency);
+                let cell = format!("threaded {groups} groups {scheme}/{consistency}");
+                cross_group_cell(&cluster, groups, &cell);
+            }
+            let cluster = NetCluster::new(ClusterConfig {
+                servers: 2 * PER_GROUP,
+                groups: 2,
+                scheme,
+                consistency,
+                ..Default::default()
+            });
+            seed(&cluster);
+            cross_group_cell(&cluster, 2, &format!("net 2 groups {scheme}/{consistency}"));
+        }
+    }
+}
+
+/// Conservation through the service layer: with a grouped backend,
 /// `submissions == commits + aborts + sheds` exactly, route counters
 /// surface in the stats snapshot, and every commit passes Definition 4.
 #[test]
 fn sharded_service_conserves_and_audits() {
-    let cluster = ShardedCluster::new(ShardedConfig {
-        shards: 2,
-        cluster: ClusterConfig {
-            servers: 2,
-            scheme: ProofScheme::Punctual,
-            consistency: ConsistencyLevel::View,
-            ..Default::default()
-        },
-    });
-    cluster.publish_policy(base_policy());
-    let cluster = Arc::new(cluster);
-    let member = cluster.cas().with_mut(|registry| {
-        registry.ca_mut(CaId::new(0)).expect("CA0").issue(
-            UserId::new(1),
-            role_atom("member"),
-            Timestamp::ZERO,
-            Timestamp::MAX,
-        )
-    });
+    let cluster = Arc::new(deployment(
+        2,
+        PER_GROUP,
+        ProofScheme::Punctual,
+        ConsistencyLevel::View,
+    ));
+    let member = credential(&**cluster, "member");
     let service = TxnService::with_runtime(
         RuntimeKind::Sharded(cluster.clone()),
         ServiceConfig {
@@ -541,10 +500,11 @@ fn sharded_service_conserves_and_audits() {
             ..Default::default()
         },
     );
+    assert!(Arc::ptr_eq(service.cluster(), &cluster));
     let mut handles = Vec::new();
     let mut sheds = 0u64;
     for g in 0..24u64 {
-        // Mix single-shard (server g%4) and cross-shard (servers 0 and 2)
+        // Mix single-group (server g%4) and cross-group (servers 0 and 2)
         // submissions, with every sixth one uncredentialed.
         let queries = if g % 3 == 2 {
             vec![
@@ -587,7 +547,7 @@ fn sharded_service_conserves_and_audits() {
     assert!(stats.route.conserves(), "{:?}", stats.route);
     assert!(stats.route.single_shard_submitted > 0);
     assert!(stats.route.cross_shard_submitted > 0);
-    // The JSON snapshot surfaces the split for BENCH emitters.
+    // The JSON snapshot surfaces the split.
     let json = stats.clone().to_json();
     assert_eq!(
         json.get("single_shard_commits")
