@@ -37,10 +37,12 @@ impl ConcurrencyMode {
     /// flag through every harness.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("SAFETX_CONCURRENCY_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("occ") => ConcurrencyMode::Occ,
-            _ => ConcurrencyMode::Locking,
-        }
+        Self::from_var(std::env::var("SAFETX_CONCURRENCY_MODE").ok().as_deref())
+    }
+
+    /// [`ConcurrencyMode::from_env`] over the variable's value.
+    fn from_var(value: Option<&str>) -> Self {
+        value.and_then(Self::parse).unwrap_or_default()
     }
 
     /// Parses a CLI flag value; `None` on unknown text.
@@ -77,5 +79,17 @@ mod tests {
         assert_eq!(ConcurrencyMode::parse("OCC"), Some(ConcurrencyMode::Occ));
         assert_eq!(ConcurrencyMode::parse("2pl"), None);
         assert_eq!(ConcurrencyMode::default(), ConcurrencyMode::Locking);
+    }
+
+    /// The variable, then `Locking`: an unset or unparsable value is the
+    /// default. (An explicit `ClusterConfig::concurrency` comes before
+    /// both; the runtime crate pins that.)
+    #[test]
+    fn the_variable_then_locking() {
+        use ConcurrencyMode::{Locking, Occ};
+        assert_eq!(ConcurrencyMode::from_var(Some("occ")), Occ);
+        assert_eq!(ConcurrencyMode::from_var(Some("Locking")), Locking);
+        assert_eq!(ConcurrencyMode::from_var(None), Locking);
+        assert_eq!(ConcurrencyMode::from_var(Some("many")), Locking);
     }
 }

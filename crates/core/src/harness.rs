@@ -186,7 +186,6 @@ impl Experiment {
             let id = ServerId::new(i as u64);
             let server = CloudServerActor::new(
                 id,
-                book.clone(),
                 catalog.clone(),
                 ResourcePolicyMap::single(PolicyId::new(0)),
                 cas.clone(),

@@ -180,8 +180,8 @@ pub enum Msg {
     },
 
     /// A coalesced envelope: several protocol messages for the same
-    /// destination delivered in one channel send (the threaded runtime's
-    /// reply coalescing under server-round batching). Semantically
+    /// destination delivered in one send (a server round's replies to one
+    /// coordinator, [`coalesce_replies`]). Semantically
     /// identical to sending the inner messages in order; receivers flatten
     /// it before normal processing. Never nested.
     Batch(Vec<Msg>),

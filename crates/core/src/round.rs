@@ -1,18 +1,20 @@
 //! One server round: the only way anything feeds a [`ServerCore`].
 //!
-//! [`ServerCore::run_round`] takes the messages a server loop drained in
-//! one iteration and splits each between the two planes. The protocol
-//! plane — registration, locks, write sets, votes, decisions, WAL — runs
-//! inline, in arrival order, under **one** WAL group, so the round's forced
-//! appends share a single physical sync and no reply that acknowledges a
-//! force exists before that sync has happened. Proof evaluation — the
-//! data plane, and under Punctual/Continuous the round's entire cost — is
-//! collected into a [`DeferredEval`] the runtime runs once the inline
-//! replies have left: it touches only the shareable [`DataPlane`],
-//! evaluates the whole round through one [`crate::BatchEval`], and involves
-//! no forces. [`ServerCore::handle`] — the simulator's entry point — is a
-//! round of one with its deferred half run in place, so every runtime
-//! drives the same participant.
+//! [`ServerCore::run_round`] takes the messages of one round — a single
+//! protocol message on either link, or the control plane's termination
+//! answers to a host's leftover transactions — and splits each between
+//! the two planes. The protocol plane — registration, locks, write sets,
+//! votes, decisions, WAL — runs inline, in arrival order, under **one**
+//! WAL group, so the round's forced appends share a single physical sync
+//! and no reply that acknowledges a force exists before that sync has
+//! happened. Proof evaluation — the data plane, and under
+//! Punctual/Continuous the round's entire cost — is collected into a
+//! [`DeferredEval`] the runtime runs once the inline replies have left: it
+//! touches only the shareable [`DataPlane`], evaluates the whole round
+//! through one [`crate::BatchEval`], and involves no forces.
+//! [`ServerCore::handle`] — the simulator's entry point — is a round of
+//! one with its deferred half run in place, so every runtime drives the
+//! same participant.
 
 use crate::data_plane::{DataPlane, EvalSnapshot};
 use crate::messages::Msg;

@@ -2,7 +2,7 @@
 
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::data_plane::SharedCas;
-use crate::messages::{AddressBook, Msg};
+use crate::messages::Msg;
 use crate::server::{ServerCore, ServerCounters};
 use crate::validation::VersionMap;
 use safetx_policy::FactBase;
@@ -26,13 +26,11 @@ impl CloudServerActor {
     #[must_use]
     pub fn new(
         id: ServerId,
-        book: AddressBook,
         catalog: SharedCatalog,
         resource_map: ResourcePolicyMap,
         cas: SharedCas,
         variant: CommitVariant,
     ) -> Self {
-        let _ = book; // addresses come from message senders
         CloudServerActor {
             core: ServerCore::new(id, catalog, resource_map, cas, variant),
             last: ServerCounters::default(),

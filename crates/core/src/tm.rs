@@ -16,7 +16,7 @@ use safetx_policy::Credential;
 use safetx_sim::{Actor, Context, NodeId, TimerTag};
 use safetx_txn::{CommitVariant, CoordinatorLog, TransactionSpec};
 use safetx_types::{Duration, TmId, TxnId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The record of one finished transaction, read back by the harness.
@@ -33,6 +33,8 @@ pub struct TmActor {
     log: CoordinatorLog,
     active: HashMap<TxnId, TmCore>,
     completed: Vec<TxnRecord>,
+    /// The ids in `completed`, for the duplicate-`Begin` check.
+    finished: HashSet<TxnId>,
 }
 
 impl TmActor {
@@ -53,6 +55,7 @@ impl TmActor {
             log: CoordinatorLog::default(),
             active: HashMap::new(),
             completed: Vec::new(),
+            finished: HashSet::new(),
         }
     }
 
@@ -105,7 +108,7 @@ impl TmActor {
         credentials: Vec<Credential>,
     ) {
         let txn = spec.id;
-        if self.active.contains_key(&txn) || self.completed.iter().any(|r| r.txn == txn) {
+        if self.active.contains_key(&txn) || self.finished.contains(&txn) {
             // A retransmitted Begin must not restart a live or finished
             // transaction.
             return;
@@ -148,6 +151,7 @@ impl TmActor {
                     ctx.mark(format!("finished:{txn}"));
                     self.active.remove(&txn);
                     self.log.finish(txn);
+                    self.finished.insert(txn);
                     self.completed.push(*termination);
                 }
             }

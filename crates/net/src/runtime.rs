@@ -14,13 +14,12 @@
 //! [`NetCluster`] is `safetx_runtime::LinkedCluster` over the
 //! [`SocketLink`] below, so bootstrap, execute, configure, publish, crash,
 //! restart, in-doubt resolution and every counter are the control plane
-//! the threaded runtime runs; this module is the transport. A server takes
-//! up to `server_batch` frames a connection has buffered and serves them
-//! as one round, each reply batch coalesced per peer into a single
-//! [`Msg::Batch`] frame; the TM side is `safetx_core::drive_tm` over
-//! framed sends. Peer disconnects surface through the existing failure
-//! detector — a reply that never arrives trips
-//! `ClusterConfig::reply_timeout` and the core aborts with
+//! the threaded runtime runs; this module is the transport. A server serves
+//! each frame a connection delivers as one round, the round's replies
+//! coalesced per peer into a single [`Msg::Batch`] frame; the TM side is
+//! `safetx_core::drive_tm` over framed sends. Peer disconnects surface
+//! through the existing failure detector — a reply that never arrives
+//! trips `ClusterConfig::reply_timeout` and the core aborts with
 //! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
 //! the peer's original logical id (see `safetx_core::coalesce_replies`
 //! for why the id must survive the reconnect).
@@ -152,7 +151,6 @@ struct HostShared {
     /// A reader never joins itself: `attach` drops the finished ones and
     /// joins the one it replaces; `reap` joins all.
     conns: Mutex<Vec<Conn>>,
-    batch: usize,
 }
 
 impl HostShared {
@@ -195,9 +193,9 @@ impl HostShared {
 /// One cloud server over byte streams.
 ///
 /// A [`Host`] plus every connection to it; it has no thread of its own.
-/// Each connection's reader thread decodes the frames it reads and runs
-/// the round itself ([`Host::serve`]), the replies written — one frame per
-/// peer per reply batch — before the host lock is released, so every peer
+/// Each connection's reader thread decodes each frame it reads and runs
+/// it as a round itself ([`Host::serve`]), the replies written — one frame
+/// per peer per round — before the host lock is released, so every peer
 /// sees rounds in the order they ran.
 pub struct ServerHost {
     shared: Arc<HostShared>,
@@ -207,17 +205,16 @@ impl ServerHost {
     /// Wraps a configured core as a standalone host with no connection
     /// yet and no fault plan (a standalone host injects no faults).
     #[must_use]
-    pub fn spawn(core: ServerCore<NetAddr>, epoch: Instant, batch: usize) -> ServerHost {
-        Self::over(Arc::new(Host::new(core, epoch, Arc::default())), batch)
+    pub fn spawn(core: ServerCore<NetAddr>, epoch: Instant) -> ServerHost {
+        Self::over(Arc::new(Host::new(core, epoch, Arc::default())))
     }
 
     /// The connections of a host the control plane also holds.
-    pub(crate) fn over(host: Arc<Host<NetAddr>>, batch: usize) -> ServerHost {
+    pub(crate) fn over(host: Arc<Host<NetAddr>>) -> ServerHost {
         let shared = HostShared {
             host,
             peers: Mutex::default(),
             conns: Mutex::default(),
-            batch: batch.max(1),
         };
         ServerHost {
             shared: Arc::new(shared),
@@ -336,21 +333,10 @@ impl Drop for ServerHost {
     }
 }
 
-/// True when a whole frame already sits in the reader's buffer, so
-/// reading it cannot block.
-fn frame_buffered(reader: &BufReader<UnixStream>) -> bool {
-    match reader.buffer() {
-        [a, b, c, d, rest @ ..] => rest.len() >= u32::from_le_bytes([*a, *b, *c, *d]) as usize,
-        _ => false,
-    }
-}
-
 /// One connection's thread — and the server's thread for every frame that
-/// arrives on it: blocks for a frame, adds the complete frames already
-/// buffered behind it (up to `server_batch`: the queue a round drains is
-/// the connection's buffer), and runs the round itself. A payload that
-/// fails to decode is counted and skipped (framing survives — the next
-/// length prefix is still in phase). EOF or an I/O error ends the thread,
+/// arrives on it: blocks for a frame and runs it as a round itself. A
+/// payload that fails to decode is counted and skipped (framing survives —
+/// the next length prefix is still in phase). EOF or an I/O error ends the thread,
 /// which detaches its link unless a replacement already did; a dead host —
 /// it was already, or a crash point fired in this round — hangs every
 /// connection up first, as the dying process would.
@@ -363,23 +349,15 @@ fn host_reader(
 ) {
     let mut reader = BufReader::new(stream);
     let mut round = Vec::new();
-    let decode = |round: &mut Vec<(NetAddr, Msg)>, payload: Vec<u8>| {
-        stats.note_received(payload.len());
-        match decode_msg(&payload) {
-            Ok(msg) => round.push((NetAddr(peer), msg)),
-            Err(_) => stats.note_decode_error(),
-        }
-    };
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        decode(&mut round, payload);
-        while round.len() < shared.batch && frame_buffered(&reader) {
-            let Ok(Some(payload)) = read_frame(&mut reader) else {
-                break;
-            };
-            decode(&mut round, payload);
-        }
+        stats.note_received(payload.len());
+        let Ok(msg) = decode_msg(&payload) else {
+            stats.note_decode_error();
+            continue;
+        };
+        round.push((NetAddr(peer), msg));
         let emit = |to: &NetAddr, msg| shared.write_reply(*to, &msg);
-        if !round.is_empty() && !shared.host.serve(&mut round, emit) {
+        if !shared.host.serve(&mut round, emit) {
             shared.hang_up();
             break;
         }
@@ -468,16 +446,11 @@ pub struct SocketLink {
 impl SocketLink {
     /// The link to `servers` servers, `hosts` of them in this process,
     /// with no connection yet.
-    fn new(
-        servers: usize,
-        hosts: &[Arc<Host<NetAddr>>],
-        fabric: &Arc<Fabric>,
-        batch: usize,
-    ) -> Self {
+    fn new(servers: usize, hosts: &[Arc<Host<NetAddr>>], fabric: &Arc<Fabric>) -> Self {
         SocketLink {
             servers: hosts
                 .iter()
-                .map(|host| ServerHost::over(Arc::clone(host), batch))
+                .map(|host| ServerHost::over(Arc::clone(host)))
                 .collect(),
             tm: Arc::new((0..servers).map(|_| TmLink::default()).collect()),
             routes: Arc::default(),
@@ -664,9 +637,9 @@ impl std::ops::Deref for NetCluster {
 impl NetCluster {
     /// Builds one in-process host per server and connects each over a
     /// fresh `UnixStream` duplex pair. Shares the threaded runtime's
-    /// [`ClusterConfig`] surface: `server_batch` (and the
-    /// `SAFETX_SERVER_BATCH` fallback), `wal_sync_cost`, `reply_timeout`
-    /// and the protocol cell all mean the same thing here.
+    /// [`ClusterConfig`] surface: `groups`, `wal_sync_cost`,
+    /// `reply_timeout`, `concurrency` and the protocol cell all mean the
+    /// same thing here.
     ///
     /// # Panics
     ///
@@ -674,8 +647,8 @@ impl NetCluster {
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
         let servers = config.servers;
-        let link = |hosts: &[_], fabric: &_, knobs: safetx_runtime::ResolvedKnobs| {
-            let link = SocketLink::new(servers, hosts, fabric, knobs.server_batch);
+        let link = |hosts: &[_], fabric: &_| {
+            let link = SocketLink::new(servers, hosts, fabric);
             for slot in 0..servers {
                 link.pair(slot, &mut link.tm[slot].writer());
             }
@@ -699,8 +672,8 @@ impl NetCluster {
             config.servers,
             "one stream per configured server"
         );
-        let link = |_: &[_], fabric: &_, _| {
-            let link = SocketLink::new(streams.len(), &[], fabric, 1);
+        let link = |_: &[_], fabric: &_| {
+            let link = SocketLink::new(streams.len(), &[], fabric);
             for (slot, stream) in streams.into_iter().enumerate() {
                 link.install(slot, stream, &mut link.tm[slot].writer());
             }

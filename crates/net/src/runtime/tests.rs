@@ -201,7 +201,7 @@ impl TestPeer {
 fn concurrent_peers_get_their_own_replies_and_a_serial_store() {
     const ROUNDS: u64 = 500;
     let (core, credential) = seeded_core();
-    let host = ServerHost::spawn(core, Instant::now(), 16);
+    let host = ServerHost::spawn(core, Instant::now());
     // Each peer keeps to its own half of the items: no-wait locks would
     // otherwise refuse whichever query came second.
     let plan = |peer: u64, i: u64| (peer * 10_000 + i, (peer - 1) * ITEMS / 2 + i % (ITEMS / 2));
@@ -239,52 +239,35 @@ fn concurrent_peers_get_their_own_replies_and_a_serial_store() {
     host.shutdown();
 }
 
-/// `server_batch` bounds how many frames already buffered on a connection
-/// join one round: k votes written in one `write` before the reader exists
-/// are one round — one physical sync — at batch 16 and k rounds at batch 1.
+/// A frame is a round: k votes written in one `write` before the reader
+/// exists, so all k sit in its buffer at once, are still k rounds — k
+/// physical syncs, k reply frames.
 #[test]
-fn server_batch_drains_frames_buffered_on_the_connection() {
+fn frames_buffered_on_a_connection_are_one_round_each() {
     const K: u64 = 8;
-    for (batch, syncs) in [(16, 1), (1, K)] {
-        let (mut core, credential) = seeded_core();
-        let mut votes = Vec::new();
-        for txn in 0..K {
-            let [exec, vote, _] = txn_requests(txn, txn, &credential);
-            let out = core.run_round(Timestamp::from_millis(1), [(NetAddr(1), exec)]);
-            drop(out.deferred.map(|d| d.run(Timestamp::from_millis(1))));
-            write_frame(&mut votes, &vote).expect("encode");
-        }
-        let before = core.wal_stats();
-        let host = ServerHost::spawn(core, Instant::now(), batch);
-        let (mut mine, theirs) = UnixStream::pair().expect("socketpair");
-        mine.write_all(&votes).expect("one write");
-        host.attach(1, theirs);
-
-        let mut peer = TestPeer::over(mine);
-        let mut replies = Vec::new();
-        while replies.len() < K as usize {
-            match peer.recv().expect("votes") {
-                Msg::Batch(inner) => replies.extend(inner),
-                other => replies.push(other),
-            }
-        }
-        for (txn, reply) in replies.iter().enumerate() {
-            assert_answers(reply, txn as u64, 1);
-        }
-        let frames = if batch == 1 { K } else { 1 };
-        assert_eq!(
-            peer.got.0, frames,
-            "batch {batch}: one reply frame per round"
-        );
-        let after = host.host().wal_stats();
-        assert_eq!(after.forced_logs - before.forced_logs, K, "batch {batch}");
-        assert_eq!(
-            after.physical_syncs - before.physical_syncs,
-            syncs,
-            "batch {batch}"
-        );
-        host.shutdown();
+    let (mut core, credential) = seeded_core();
+    let mut votes = Vec::new();
+    for txn in 0..K {
+        let [exec, vote, _] = txn_requests(txn, txn, &credential);
+        let out = core.run_round(Timestamp::from_millis(1), [(NetAddr(1), exec)]);
+        drop(out.deferred.map(|d| d.run(Timestamp::from_millis(1))));
+        write_frame(&mut votes, &vote).expect("encode");
     }
+    let before = core.wal_stats();
+    let host = ServerHost::spawn(core, Instant::now());
+    let (mut mine, theirs) = UnixStream::pair().expect("socketpair");
+    mine.write_all(&votes).expect("one write");
+    host.attach(1, theirs);
+
+    let mut peer = TestPeer::over(mine);
+    for txn in 0..K {
+        assert_answers(&peer.recv().expect("a vote"), txn, 1);
+    }
+    assert_eq!(peer.got.0, K, "one reply frame per round");
+    let after = host.host().wal_stats();
+    assert_eq!(after.forced_logs - before.forced_logs, K);
+    assert_eq!(after.physical_syncs - before.physical_syncs, K);
+    host.shutdown();
 }
 
 /// A crash point firing inside one connection's reader takes the whole
@@ -304,7 +287,7 @@ fn crash_point_in_one_reader_kills_every_connection_and_restart_recovers() {
         ..FaultPlan::default()
     });
     let core = Host::new(core, Instant::now(), Arc::clone(&fabric));
-    let host = ServerHost::over(Arc::new(core), 16);
+    let host = ServerHost::over(Arc::new(core));
     let mut a = TestPeer::attach(&host, 1);
     let mut b = TestPeer::attach(&host, 2);
     assert_eq!(host.live_peers(), 2);
@@ -352,7 +335,7 @@ fn crash_point_in_one_reader_kills_every_connection_and_restart_recovers() {
 fn lock_order_teardown_returns_while_a_peer_never_reads() {
     for crash in [false, true] {
         let (core, credential) = seeded_core();
-        let host = ServerHost::spawn(core, Instant::now(), 16);
+        let host = ServerHost::spawn(core, Instant::now());
         let (mut mine, theirs) = UnixStream::pair().expect("socketpair");
         host.attach(1, theirs);
         // Write requests and never read a reply. The host is stalled for

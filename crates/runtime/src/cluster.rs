@@ -9,7 +9,7 @@
 //! (`wal_sync_cost`) keeps a thread, which a send just wakes: the device
 //! waits of different servers overlap instead of serialising on one TM.
 
-use crate::deployment::{Link, LinkedCluster, ResolvedKnobs};
+use crate::deployment::{Link, LinkedCluster};
 use crate::fault::{roll_kind, Fabric, Layer, Peer, Verdict};
 use crate::host::{Host, Outbox, PeerAddr};
 use crate::ClusterConfig;
@@ -191,7 +191,7 @@ pub struct ChannelLink {
 impl ChannelLink {
     /// Opens every host's queue; a host whose WAL sync costs time gets a
     /// thread of its own, which drains the queue whenever a send wakes it.
-    fn over(hosts: &[Arc<Host<Addr>>], fabric: &Arc<Fabric>, batch: usize) -> Self {
+    fn over(hosts: &[Arc<Host<Addr>>], fabric: &Arc<Fabric>) -> Self {
         let net = Arc::new(Net::new(hosts, fabric));
         let stop = Arc::<AtomicBool>::default();
         let mut devices = Vec::new();
@@ -209,7 +209,7 @@ impl ChannelLink {
                 devices.push(thread);
                 handle
             });
-            host.open_queue(batch, net.outbox(slot), device);
+            host.open_queue(net.outbox(slot), device);
         }
         ChannelLink { net, devices, stop }
     }
@@ -277,10 +277,7 @@ impl Cluster {
     /// Panics when `groups` is zero or does not divide `servers`.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
-        let link = |hosts: &[_], fabric: &_, knobs: ResolvedKnobs| {
-            ChannelLink::over(hosts, fabric, knobs.server_batch)
-        };
-        LinkedCluster::assemble(config, true, link)
+        LinkedCluster::assemble(config, true, ChannelLink::over)
     }
 }
 
@@ -296,7 +293,9 @@ impl ChannelLink {
 mod tests {
     use super::*;
     use crate::{CrashPoint, CrashRule, EdgeRule, FaultPlan, PeerMatch, TxnRoute};
-    use safetx_core::{AbortReason, ConsistencyLevel, MsgKind, ProofScheme, VersionMap};
+    use safetx_core::{
+        AbortReason, ConcurrencyMode, ConsistencyLevel, MsgKind, ProofScheme, VersionMap,
+    };
     use safetx_metrics::FaultCounters;
     use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
     use safetx_store::Value;
@@ -435,6 +434,25 @@ mod tests {
         );
         assert_eq!(routes.cross_shard_aborts, 1);
         assert!(routes.conserves(), "{routes:?}");
+    }
+
+    /// An explicit concurrency mode comes before `SAFETX_CONCURRENCY_MODE`,
+    /// whatever the environment says; without one the variable decides.
+    #[test]
+    fn an_explicit_concurrency_mode_beats_the_environment() {
+        let modes = |config| {
+            let cluster = Cluster::new(config);
+            [0, 1, 2].map(|s| cluster.configure_server(ServerId::new(s), |core| core.concurrency()))
+        };
+        for mode in [ConcurrencyMode::Locking, ConcurrencyMode::Occ] {
+            let explicit = ClusterConfig {
+                concurrency: Some(mode),
+                ..ClusterConfig::default()
+            };
+            assert_eq!(modes(explicit), [mode; 3]);
+        }
+        let unset = modes(ClusterConfig::default());
+        assert_eq!(unset, [ConcurrencyMode::from_env(); 3]);
     }
 
     #[test]

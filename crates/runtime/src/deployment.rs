@@ -63,13 +63,6 @@ pub struct ClusterConfig {
     /// any run that crashes servers or arms a fault plan with drops should
     /// set it.
     pub reply_timeout: Option<Duration>,
-    /// Maximum protocol messages a server drains from its queue — the
-    /// host's queue on a channel link, a socket link's connection buffer —
-    /// and processes as a single round (shared proof-evaluation batch, one WAL
-    /// group commit, coalesced replies). `None` defers to the
-    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — every
-    /// round holds one message.
-    pub server_batch: Option<usize>,
     /// Simulated cost of one physical WAL sync (spin-waited inside
     /// `Wal::force`/group close). `None` makes syncs free, the historical
     /// behaviour; set it to make group commit's sync coalescing visible in
@@ -92,51 +85,13 @@ impl Default for ClusterConfig {
             consistency: ConsistencyLevel::View,
             variant: CommitVariant::Standard,
             reply_timeout: None,
-            server_batch: None,
             wal_sync_cost: None,
             concurrency: None,
         }
     }
 }
 
-/// [`ClusterConfig`]'s deferred knobs with every `None` settled: explicit
-/// value, then environment variable, then default. Read once per cluster
-/// build by every deployment of a `ClusterConfig` (threaded or socket),
-/// so CI can flip a whole battery through the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolvedKnobs {
-    /// Drain limit of a server's round, at least 1.
-    pub server_batch: usize,
-    /// Concurrency mode of every server.
-    pub concurrency: ConcurrencyMode,
-}
-
 impl ClusterConfig {
-    /// Settles the knobs this configuration leaves to the process
-    /// environment (`SAFETX_SERVER_BATCH`, `SAFETX_CONCURRENCY_MODE`).
-    #[must_use]
-    pub fn resolved(&self) -> ResolvedKnobs {
-        self.resolve_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`ClusterConfig::resolved`] over an explicit environment lookup.
-    /// An unset or unparsable variable falls through to the default.
-    #[must_use]
-    pub fn resolve_with(&self, env: impl Fn(&str) -> Option<String>) -> ResolvedKnobs {
-        let number = |name| env(name).and_then(|v| v.parse::<usize>().ok());
-        ResolvedKnobs {
-            server_batch: self
-                .server_batch
-                .or_else(|| number("SAFETX_SERVER_BATCH"))
-                .unwrap_or(1)
-                .max(1),
-            concurrency: self
-                .concurrency
-                .or_else(|| ConcurrencyMode::parse(&env("SAFETX_CONCURRENCY_MODE")?))
-                .unwrap_or_default(),
-        }
-    }
-
     /// The protocol configuration every coordinator of this deployment
     /// runs with.
     #[must_use]
@@ -296,7 +251,7 @@ impl<L: Link> LinkedCluster<L> {
     pub fn assemble(
         config: ClusterConfig,
         hosted: bool,
-        link: impl FnOnce(&[Arc<Host<L::Addr>>], &Arc<Fabric>, ResolvedKnobs) -> L,
+        link: impl FnOnce(&[Arc<Host<L::Addr>>], &Arc<Fabric>) -> L,
     ) -> Self {
         let groups = config.groups;
         assert!(
@@ -304,7 +259,7 @@ impl<L: Link> LinkedCluster<L> {
             "{groups} groups cannot split {} servers equally",
             config.servers
         );
-        let knobs = config.resolved();
+        let concurrency = config.concurrency.unwrap_or_else(ConcurrencyMode::from_env);
         let topology = Topology::fresh();
         let fabric = Arc::new(Fabric::default());
         let hosts: Vec<_> = (0..config.servers as u64)
@@ -320,11 +275,11 @@ impl<L: Link> LinkedCluster<L> {
                 if let Some(cost) = config.wal_sync_cost {
                     core.set_wal_sync_cost(cost);
                 }
-                core.set_concurrency(knobs.concurrency);
+                core.set_concurrency(concurrency);
                 Arc::new(Host::new(core, topology.epoch, Arc::clone(&fabric)))
             })
             .collect();
-        let link = link(&hosts, &fabric, knobs);
+        let link = link(&hosts, &fabric);
         LinkedCluster {
             config,
             topology,
@@ -656,9 +611,8 @@ pub trait Deployment: Send + Sync {
     /// Fault-injection, recovery and failure-detector counters so far.
     fn fault_counters(&self) -> FaultCounters;
     /// Aggregated WAL accounting across every server, live or crashed:
-    /// logical forced appends (the paper's Table I log metric, unchanged
-    /// by batching) and the physical device syncs actually performed for
-    /// them. Meaningful on a quiesced deployment.
+    /// logical forced appends (the paper's Table I log metric) and the
+    /// physical device syncs actually performed for them. Meaningful on a quiesced deployment.
     fn wal_stats(&self) -> WalStats;
     /// Stale replies observed across every execution (acks never count).
     fn dropped_replies(&self) -> u64;
@@ -813,40 +767,5 @@ impl<L: Link> std::ops::Deref for LinkedCluster<L> {
 
     fn deref(&self) -> &Self::Target {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knobs_resolve_explicit_then_environment_then_default() {
-        let env = |name: &str| match name {
-            "SAFETX_SERVER_BATCH" => Some("16".to_owned()),
-            "SAFETX_CONCURRENCY_MODE" => Some("occ".to_owned()),
-            other => panic!("unexpected variable {other}"),
-        };
-        let explicit = ClusterConfig {
-            server_batch: Some(4),
-            concurrency: Some(ConcurrencyMode::Locking),
-            ..ClusterConfig::default()
-        };
-        let want = |server_batch, concurrency| ResolvedKnobs {
-            server_batch,
-            concurrency,
-        };
-        assert_eq!(
-            explicit.resolve_with(env),
-            want(4, ConcurrencyMode::Locking)
-        );
-        let unset = ClusterConfig::default();
-        assert_eq!(unset.resolve_with(env), want(16, ConcurrencyMode::Occ));
-        // Unset and unparsable variables fall through to the defaults,
-        // and the drain limit is never below one message.
-        let default = want(1, ConcurrencyMode::Locking);
-        assert_eq!(unset.resolve_with(|_| None), default);
-        assert_eq!(unset.resolve_with(|_| Some("many".to_owned())), default);
-        assert_eq!(unset.resolve_with(|_| Some("0".to_owned())).server_batch, 1);
     }
 }

@@ -74,7 +74,6 @@ struct HostState<A> {
 /// with the incarnation it was sent to.
 struct Queue<A> {
     msgs: Mutex<VecDeque<(u64, A, Msg)>>,
-    batch: usize,
     outbox: Outbox<A>,
     device: Option<Thread>,
 }
@@ -135,14 +134,13 @@ impl<A: PeerAddr> Host<A> {
         self.incarnation.load(Ordering::Relaxed)
     }
 
-    /// Gives the host a queue for [`Host::deliver`], served in rounds of at
-    /// most `batch` messages whose replies go to `outbox` — by the senders,
-    /// or by the `device` thread they only wake, which then calls
-    /// [`Host::drain`]. Panics when the host has a queue already.
-    pub(crate) fn open_queue(&self, batch: usize, outbox: Outbox<A>, device: Option<Thread>) {
+    /// Gives the host a queue for [`Host::deliver`], served one message per
+    /// round, the replies going to `outbox` — by the senders, or by the
+    /// `device` thread they only wake, which then calls [`Host::drain`].
+    /// Panics when the host has a queue already.
+    pub(crate) fn open_queue(&self, outbox: Outbox<A>, device: Option<Thread>) {
         let queue = Queue {
             msgs: Mutex::default(),
-            batch,
             outbox,
             device,
         };
@@ -192,8 +190,8 @@ impl<A: PeerAddr> Host<A> {
         out
     }
 
-    /// Serves the queue in rounds until it is empty, dropping what was sent
-    /// to an earlier incarnation.
+    /// Serves the queue one message per round until it is empty, dropping
+    /// what was sent to an earlier incarnation.
     fn serve_queue(&self, state: &mut HostState<A>) {
         let Some(queue) = self.queue.get() else {
             return;
@@ -201,15 +199,15 @@ impl<A: PeerAddr> Host<A> {
         let incarnation = self.incarnation();
         let mut round = Vec::new();
         loop {
-            let mut msgs = queue.msgs();
-            let n = msgs.len().min(queue.batch);
-            if n == 0 {
+            // Popped in a statement of its own: the queue's lock is a leaf,
+            // free again before the round runs.
+            let Some((to, from, msg)) = queue.msgs().pop_front() else {
                 return;
+            };
+            if to == incarnation {
+                round.push((from, msg));
+                self.run(state, &mut round, |to, msg| (queue.outbox)(to, msg));
             }
-            let live = msgs.drain(..n).filter(|(to, ..)| *to == incarnation);
-            round.extend(live.map(|(_, from, msg)| (from, msg)));
-            drop(msgs);
-            self.run(state, &mut round, |to, msg| (queue.outbox)(to, msg));
         }
     }
 
@@ -224,7 +222,7 @@ impl<A: PeerAddr> Host<A> {
     /// `BeforeReceive` kills the server with the matching message (and the
     /// rest of the round) unprocessed, `AfterReceive` right after
     /// processing it, `AfterSend` once the matching reply has been emitted
-    /// — the rest of the batch dies with the server.
+    /// — the rest of the round dies with the server.
     ///
     /// Returns `false` when the host is dead — it was already (the round
     /// is dropped), or a crash point fired in this round.

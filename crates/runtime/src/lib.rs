@@ -63,8 +63,7 @@ mod host;
 
 pub use cluster::{Addr, ChannelLink, ChannelTm, Cluster};
 pub use deployment::{
-    ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, ResolvedKnobs,
-    TxnRoute,
+    ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, TxnRoute,
 };
 pub use fault::{
     roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, FaultStats, Layer,

@@ -82,7 +82,7 @@ fn serve(id: u64, socket: &Path) {
             Timestamp::ZERO,
         );
     }
-    let host = ServerHost::spawn(core, Instant::now(), 16);
+    let host = ServerHost::spawn(core, Instant::now());
 
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket).expect("bind server socket");

@@ -161,20 +161,17 @@ impl Side {
         Side::Sim(Box::new(exp), 0)
     }
 
-    /// The threaded runtime with an explicit drain limit for its server
-    /// rounds (`None` = the config/env default: one message per round).
+    /// The threaded runtime.
     fn threaded(
         scheme: ProofScheme,
         consistency: ConsistencyLevel,
         variant: CommitVariant,
-        server_batch: Option<usize>,
     ) -> Side {
         let cluster = Cluster::new(ClusterConfig {
             servers: SERVERS,
             scheme,
             consistency,
             variant,
-            server_batch,
             ..Default::default()
         });
         cluster.publish_policy(base_policy());
@@ -486,7 +483,7 @@ fn sim_and_threaded_runtimes_agree_on_every_cell() {
             let variant = VARIANTS[(i + j) % VARIANTS.len()];
             let seed = 0x5eed_d1ff ^ ((i as u64) << 8) ^ (j as u64);
             let sim = run_stream(Side::sim(scheme, consistency, variant), seed);
-            let threaded = run_stream(Side::threaded(scheme, consistency, variant, None), seed);
+            let threaded = run_stream(Side::threaded(scheme, consistency, variant), seed);
             assert_eq!(sim.len(), threaded.len(), "{scheme}/{consistency}");
             for ((label, s), (_, t)) in sim.iter().zip(threaded.iter()) {
                 assert_eq!(
@@ -522,38 +519,20 @@ fn net_runtime_agrees_with_sim_and_threaded_on_every_cell() {
             let seed = 0x0e77_caf3 ^ ((i as u64) << 8) ^ (j as u64);
             let sim = run_stream(Side::sim(scheme, consistency, variant), seed);
             let net = run_stream(Side::net(scheme, consistency, variant), seed);
+            let threaded = run_stream(Side::threaded(scheme, consistency, variant), seed);
             assert_eq!(sim.len(), net.len(), "{scheme}/{consistency}");
-            // The threaded runtime once per drain limit: with rounds of up
-            // to 16 messages (queue draining, shared evaluation batches,
-            // group commit, coalesced replies) every cell must still match
-            // observation for observation — Table I counters and proof
+            assert_eq!(threaded.len(), net.len(), "{scheme}/{consistency}");
+            // Observation for observation — Table I counters and proof
             // views included.
-            for server_batch in [None, Some(16)] {
-                let threaded = run_stream(
-                    Side::threaded(scheme, consistency, variant, server_batch),
-                    seed,
-                );
-                assert_eq!(threaded.len(), net.len(), "{scheme}/{consistency}");
-                for (((label, s), (_, t)), (_, n)) in
-                    sim.iter().zip(threaded.iter()).zip(net.iter())
-                {
-                    let cell = format!("{scheme}/{consistency}/{variant:?}");
-                    assert_eq!(s, n, "{cell}: net diverged from sim on {label}");
-                    assert_eq!(
-                        t, n,
-                        "{cell}: net diverged from threaded (server_batch {server_batch:?}) \
-                         on {label}"
-                    );
-                    assert_eq!(
-                        s, t,
-                        "{cell}: threaded (server_batch {server_batch:?}) diverged from sim \
-                         on {label}"
-                    );
-                    if n.committed {
-                        commits += 1;
-                    } else {
-                        aborts += 1;
-                    }
+            for (((label, s), (_, t)), (_, n)) in sim.iter().zip(threaded.iter()).zip(net.iter()) {
+                let cell = format!("{scheme}/{consistency}/{variant:?}");
+                assert_eq!(s, n, "{cell}: net diverged from sim on {label}");
+                assert_eq!(t, n, "{cell}: net diverged from threaded on {label}");
+                assert_eq!(s, t, "{cell}: threaded diverged from sim on {label}");
+                if n.committed {
+                    commits += 1;
+                } else {
+                    aborts += 1;
                 }
             }
         }
@@ -571,7 +550,7 @@ fn each_runtime_is_deterministic_under_replay() {
     let a = run_stream(Side::sim(scheme, consistency, CommitVariant::Standard), 7);
     let b = run_stream(Side::sim(scheme, consistency, CommitVariant::Standard), 7);
     assert_eq!(a, b, "simulator replay diverged");
-    let threaded = || Side::threaded(scheme, consistency, CommitVariant::Standard, None);
+    let threaded = || Side::threaded(scheme, consistency, CommitVariant::Standard);
     let a = run_stream(threaded(), 7);
     let b = run_stream(threaded(), 7);
     assert_eq!(a, b, "threaded replay diverged");
