@@ -63,10 +63,10 @@ pub struct ClusterConfig {
     /// any run that crashes servers or arms a fault plan with drops should
     /// set it.
     pub reply_timeout: Option<Duration>,
-    /// Simulated cost of one physical WAL sync (spin-waited inside
-    /// `Wal::force`/group close). `None` makes syncs free, the historical
-    /// behaviour; set it to make group commit's sync coalescing visible in
-    /// wall-clock measurements.
+    /// Simulated cost of one physical WAL sync, slept through but for a
+    /// spun last stretch inside `Wal::force`/group close (as a thread
+    /// blocked on a device waits). `None` makes syncs free, the historical
+    /// behaviour; set it to make sync coalescing visible in wall clock.
     pub wal_sync_cost: Option<Duration>,
     /// Concurrency mode of every server: strict no-wait 2PL (`Locking`)
     /// or snapshot-read optimistic execution validated at the 2PVC vote

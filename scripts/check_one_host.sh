@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One server host, one control plane, one fault plan, one participant
 # path, one benchmark, one coordinator log, one byte schema, shards as a
-# topology and one message per server round: the acceptance greps and the
-# non-test line budgets of the consolidations.
+# topology, one message per server round and a log device that waits off
+# the processor: the acceptance greps and the non-test line budgets of the
+# consolidations.
 # Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]`,
@@ -19,7 +20,9 @@
 # 551 lines of the two test modules kept in files of their own gives
 # 20 128, and deleting the server-round drain limit took 75 of those —
 # 79 from the hosting files and 1 from the runtime's lib.rs, while
-# safetx-core gained 5).
+# safetx-core gained 5; making the modelled log device's sync a sleep
+# with a spun last stretch, its margin learnt from the naps, added 38,
+# all of them in safetx-store's wal.rs, to 20 091).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +65,7 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 20053 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20053; 20128 at 3e18a2b)"
+[ "$total" -le 20091 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20091; 20053 at 35608bd)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
@@ -112,6 +115,13 @@ round_gone='server_batch|SAFETX_SERVER_BATCH|ResolvedKnobs|resolve_with|frame_bu
 stale=$(grep -rnE "$round_gone" crates/*/src src tests examples scripts .github README.md DESIGN.md |
     grep -v "^scripts/check_one_host.sh:[0-9]*:round_gone=" || true)
 [ -z "$stale" ] || { bad "the server-round drain limit is back:"; echo "$stale"; }
+
+# The modelled log device waits off the processor: the one spin left in
+# non-test code is the last stretch of `Wal`'s device wait.
+n=$(hits 'spin_loop' "${all[@]}")
+tail_spin=$(nontest crates/store/src/wal.rs |
+    awk '/^[^:]*:fn device_wait\(/ { w = 1 } /^[^:]*:}/ { w = 0 } w && /spin_loop/' | wc -l)
+[ "$n" -eq 1 ] && [ "$tail_spin" -eq 1 ] || bad "spin_loop appears $n times in non-test code, $tail_spin of them in wal.rs's device_wait (want 1 and 1)"
 
 n=$(hits '0x7331' "${hosting[@]}")
 [ "$n" -eq 1 ] || bad "0x7331 appears $n times under crates/runtime crates/net (want 1)"

@@ -290,40 +290,52 @@ fn lock_conflict_maps_identically() {
         .expect("one abort");
     assert_eq!(sim_abort, expected);
 
-    // Threaded: genuinely concurrent executes race on the same no-wait
-    // locks. The interleave is scheduler-dependent, so retry until a
-    // conflict bites — but *any* abort observed must map to LockConflict.
+    // Threaded: the interleaving is forced, not raced for. Server 1's host
+    // is held, so the first transaction keeps its shared lock on item 0 of
+    // server 0 while its next query waits on server 1; meanwhile a second
+    // transaction adds to item 0 on server 0 alone. Locking refuses it the
+    // exclusive lock. OCC runs it to its commit, and the first fails
+    // validation at its vote once server 1 is let go.
     let cluster = Arc::new(threaded(ProofScheme::Punctual, ConsistencyLevel::View));
     let cred = threaded_credential(&cluster);
-    let mut saw_conflict = false;
-    'attempts: for attempt in 0..50u64 {
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let mut handles = Vec::new();
-        for k in 0..2u64 {
-            let cluster = Arc::clone(&cluster);
-            let cred = cred.clone();
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                let spec = two_server_spec(1 + attempt * 2 + k);
-                barrier.wait();
-                cluster.execute(&spec, &[cred]).outcome
-            }));
-        }
-        for handle in handles {
-            let outcome = handle.join().expect("executor thread");
-            if let Some(reason) = outcome.abort_reason() {
-                assert_eq!(reason, expected, "unexpected abort kind");
-                saw_conflict = true;
-            }
-        }
-        if saw_conflict {
-            break 'attempts;
-        }
+    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let gated = Arc::clone(&cluster);
+    let stall = std::thread::spawn(move || {
+        gated.configure_server(ServerId::new(1), move |_core| {
+            held_tx.send(()).expect("the test waits");
+            let _ = gate_rx.recv();
+        });
+    });
+    held_rx.recv().expect("server 1 is held");
+    let first = {
+        let (cluster, cred) = (Arc::clone(&cluster), cred.clone());
+        std::thread::spawn(move || cluster.execute(&two_server_spec(1), &[cred]).outcome)
+    };
+    while cluster.configure_server(ServerId::new(0), |core| core.active_txns()) == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    assert!(
-        saw_conflict,
-        "50 concurrent attempts never produced a lock conflict"
+    let second = TransactionSpec::new(
+        TxnId::new(2),
+        UserId::new(1),
+        vec![QuerySpec::new(
+            ServerId::new(0),
+            "write",
+            "records",
+            vec![Operation::Add(DataItemId::new(0), 1)],
+        )],
     );
+    let second = cluster.execute(&second, &[cred]).outcome;
+    gate_tx.send(()).expect("server 1 is still held");
+    stall.join().expect("stall helper");
+    let outcomes = [first.join().expect("first executor"), second];
+    assert_eq!(
+        outcomes.iter().filter(|o| o.is_commit()).count(),
+        1,
+        "{outcomes:?}"
+    );
+    let reasons: Vec<_> = outcomes.iter().filter_map(|o| o.abort_reason()).collect();
+    assert_eq!(reasons, vec![expected], "{outcomes:?}");
 }
 
 /// The one deliberate split, pinned: an unresponsive participant aborts as
