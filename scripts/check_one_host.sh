@@ -21,8 +21,9 @@
 # 20 128, and deleting the server-round drain limit took 75 of those —
 # 79 from the hosting files and 1 from the runtime's lib.rs, while
 # safetx-core gained 5; making the modelled log device's sync a sleep
-# with a spun last stretch, its margin learnt from the naps, added 38,
-# all of them in safetx-store's wal.rs, to 20 091).
+# with a spun last stretch (its margin the timer slack read once plus a
+# fixed wake-up allowance, its nap slept in slices of at most 100 µs)
+# added 48, all of them in safetx-store's wal.rs, to 20 101).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +66,7 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 20091 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20091; 20053 at 35608bd)"
+[ "$total" -le 20101 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20101; 20053 at 35608bd)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
