@@ -15,13 +15,14 @@ use crate::messages::{AddressBook, Msg};
 use crate::scheme::ProofScheme;
 use crate::sim_actor::CloudServerActor;
 use crate::tm::{TmActor, TxnRecord};
+use crate::tm_core::TmConfig;
 use safetx_metrics::ProtocolMetrics;
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential, Policy};
 use safetx_sim::{NetworkConfig, World};
 use safetx_store::{IntegrityConstraint, Value};
 use safetx_txn::{CommitVariant, TransactionSpec};
 use safetx_types::{
-    CaId, DataItemId, Duration, PolicyId, PolicyVersion, ServerId, Timestamp, TmId, UserId,
+    CaId, DataItemId, Duration, PolicyId, PolicyVersion, ServerId, Timestamp, UserId,
 };
 
 /// Deployment and protocol configuration for one experiment.
@@ -164,22 +165,14 @@ impl Experiment {
         let master_node = world.add_node(master);
         debug_assert_eq!(master_node, book.master);
 
-        for i in 0..config.tms {
-            let mut tm = TmActor::new(
-                TmId::new(i as u64),
-                book.clone(),
-                config.scheme,
-                config.consistency,
-                config.variant,
-            );
-            if let Some(t) = config.commit_timeout {
-                tm = tm.with_commit_timeout(t);
-            }
-            if config.unsafe_baseline {
-                tm = tm.with_unsafe_baseline();
-            }
-            let tm_node = world.add_node(tm);
-            debug_assert_eq!(tm_node, book.tms[i]);
+        let tm_config = TmConfig {
+            baseline_no_validation: config.unsafe_baseline,
+            watchdog: config.commit_timeout,
+            ..TmConfig::new(config.scheme, config.consistency, config.variant)
+        };
+        for &tm in &book.tms {
+            let tm_node = world.add_node(TmActor::new(book.clone(), tm_config));
+            debug_assert_eq!(tm_node, tm);
         }
 
         for i in 0..config.servers {

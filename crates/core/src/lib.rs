@@ -27,11 +27,11 @@
 //!   lifecycle — scheme pipelines, version pinning, 2PV, 2PVC, timeouts —
 //!   as a pure `step(Event) -> Vec<Effect>` state machine shared by every
 //!   runtime.
-//! * **The drivers of both cores**: [`drive_tm`] is the blocking TM loop
-//!   over a [`TmIo`] transport, [`ServerCore::run_round`] the server round
-//!   (protocol plane inline under one WAL group, proof evaluation handed
-//!   back as a [`DeferredEval`]); the threaded and socket runtimes are
-//!   transports around them.
+//! * **The drivers of both cores**: one TM driver performs every effect
+//!   of [`TmCore`], for [`TmActor`] and for [`drive_tm`], the blocking loop
+//!   over a [`TmIo`] transport; [`ServerCore::run_round`] is the server
+//!   round (protocol plane inline under one WAL group, proof evaluation
+//!   handed back as a [`DeferredEval`]). Runtimes are transports around them.
 //! * **Simulation actors**: [`TmActor`], [`CloudServerActor`] and
 //!   [`MasterActor`] run the protocols on the
 //!   [`safetx_sim`] discrete-event world; [`Experiment`] wires complete
@@ -78,10 +78,9 @@ pub use round::{DeferredEval, Round};
 pub use scheme::ProofScheme;
 pub use server::{ServerCore, ServerCounters};
 pub use sim_actor::CloudServerActor;
-pub use tm::TmActor;
-pub use tm::TxnRecord;
+pub use tm::{TmActor, TxnRecord};
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
-pub use tm_loop::{drive_tm, terminate_leftover, TmAuthority, TmCrashPoint, TmIo, TmRun};
+pub use tm_loop::{drive_tm, terminate_leftover, TmCrashPoint, TmIo, TmRun};
 pub use two_pvc::{TwoPvc, TwoPvcAction, TwoPvcState};
 pub use validation::{
     ValidationAction, ValidationConfig, ValidationOutcome, ValidationReply, ValidationRound,

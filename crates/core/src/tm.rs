@@ -1,86 +1,54 @@
-//! The transaction manager actor: the simulator driver for [`TmCore`].
-//!
-//! All scheme-pipeline logic — query sequencing, version pinning, 2PV, 2PVC
-//! and both timeout paths — lives in the sans-io [`TmCore`] state machine
-//! (see [`crate::tm_core`]). This actor is pure plumbing: it converts
-//! incoming [`Msg`]s into [`TmEvent`]s, performs the returned [`TmEffect`]s
-//! against the discrete-event world (sends, world timers, the coordinator
-//! log, trace marks), and collects termination records for the harness.
-//!
-//! The TM also owns the coordinator decision log and answers recovery
-//! inquiries from participants.
+//! The transaction manager actor: the simulator's adapter over the
+//! [`TmDriver`], which performs every [`crate::TmEffect`]. The actor keeps
+//! what belongs to the world: transactions by id, `VersionRequest`s to the
+//! master actor, world timers for the idle watchdog, inquiry answers from
+//! its coordinator log, and the `forced_logs` count and trace marks the
+//! bench binaries read.
 
 use crate::messages::{AddressBook, Msg};
-use crate::tm_core::{TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
-use safetx_policy::Credential;
+use crate::tm_core::{TmConfig, TmCore, TmEvent, TxnTermination};
+use crate::tm_loop::{TmCrashPoint, TmDriver, TmNext, TmSink};
 use safetx_sim::{Actor, Context, NodeId, TimerTag};
-use safetx_txn::{CommitVariant, CoordinatorLog, TransactionSpec};
-use safetx_types::{Duration, TmId, TxnId};
-use std::collections::{HashMap, HashSet};
+use safetx_txn::{CoordinatorLog, CoordinatorRecord, Decision};
+use safetx_types::{Duration, ServerId, Timestamp, TxnId};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The record of one finished transaction, read back by the harness.
-///
-/// An alias of the runtime-agnostic [`TxnTermination`]: both the simulator
-/// and the threaded runtime report terminations from the same core type.
+/// The record of one finished transaction, read back by the harness: the
+/// runtime-agnostic [`TxnTermination`] every runtime reports too.
 pub type TxnRecord = TxnTermination;
 
 /// The TM actor.
 pub struct TmActor {
-    id: TmId,
     book: AddressBook,
     config: TmConfig,
     log: CoordinatorLog,
-    active: HashMap<TxnId, TmCore>,
+    /// Every transaction begun here, with its driver while it is live (an
+    /// ended one costs its id): a retransmitted `Begin` restarts none.
+    txns: HashMap<TxnId, Option<Box<TmDriver>>>,
     completed: Vec<TxnRecord>,
-    /// The ids in `completed`, for the duplicate-`Begin` check.
-    finished: HashSet<TxnId>,
+    crashes: HashMap<TxnId, TmCrashPoint>,
 }
 
 impl TmActor {
-    /// Creates a TM running the given scheme at the given consistency
-    /// level.
+    /// Creates a TM running every transaction under `config`.
     #[must_use]
-    pub fn new(
-        id: TmId,
-        book: AddressBook,
-        scheme: crate::scheme::ProofScheme,
-        consistency: crate::consistency::ConsistencyLevel,
-        variant: CommitVariant,
-    ) -> Self {
+    pub fn new(book: AddressBook, config: TmConfig) -> Self {
         TmActor {
-            id,
             book,
-            config: TmConfig::new(scheme, consistency, variant),
+            config,
             log: CoordinatorLog::default(),
-            active: HashMap::new(),
+            txns: HashMap::new(),
             completed: Vec::new(),
-            finished: HashSet::new(),
+            crashes: HashMap::new(),
         }
     }
 
-    /// Switches the TM into the unsafe baseline: 2PC without policy
-    /// validation at commit (the system the paper's Section II warns
-    /// about). Measurement aid, not a production mode.
-    #[must_use]
-    pub fn with_unsafe_baseline(mut self) -> Self {
-        self.config.baseline_no_validation = true;
-        self
-    }
-
-    /// Arms a progress watchdog: a transaction that makes no progress for
-    /// `timeout` is aborted (missing query replies or votes), and an
-    /// undelivered decision is retransmitted on the same cadence.
-    #[must_use]
-    pub fn with_commit_timeout(mut self, timeout: Duration) -> Self {
-        self.config.watchdog = Some(timeout);
-        self
-    }
-
-    /// This TM's id.
-    #[must_use]
-    pub fn id(&self) -> TmId {
-        self.id
+    /// Kills `txn`'s coordinator at `point`, as a runtime's
+    /// `execute_with_coordinator_crash` does: the cut is traced as
+    /// `crashed:<txn>`, and its records stay in the log for recovery.
+    pub fn crash_at(&mut self, txn: TxnId, point: TmCrashPoint) {
+        self.crashes.insert(txn, point);
     }
 
     /// Finished transactions, in completion order.
@@ -92,7 +60,7 @@ impl TmActor {
     /// Transactions still in flight.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.txns.values().filter(|d| d.is_some()).count()
     }
 
     /// The coordinator decision log.
@@ -101,103 +69,106 @@ impl TmActor {
         &self.log
     }
 
-    fn begin(
+    /// Feeds one input to a live transaction's driver. Inputs for unknown
+    /// or ended transactions are stale and ignored.
+    fn drive(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        spec: TransactionSpec,
-        credentials: Vec<Credential>,
+        txn: TxnId,
+        input: impl FnOnce(&mut TmDriver, &mut Sim<'_, '_>) -> TmNext,
     ) {
-        let txn = spec.id;
-        if self.active.contains_key(&txn) || self.finished.contains(&txn) {
-            // A retransmitted Begin must not restart a live or finished
-            // transaction.
-            return;
-        }
-        let mut core = TmCore::new(self.config, spec, credentials, ctx.now());
-        let effects = core.start(ctx.now());
-        self.active.insert(txn, core);
-        self.apply(ctx, txn, effects);
-    }
-
-    /// Feeds one event to a live transaction's core and performs the
-    /// effects. Events for unknown (finished) transactions are stale and
-    /// ignored, exactly like the pre-extraction actor's guards.
-    fn drive(&mut self, ctx: &mut Context<'_, Msg>, txn: TxnId, event: TmEvent) {
-        let Some(core) = self.active.get_mut(&txn) else {
+        let Some(Some(driver)) = self.txns.get_mut(&txn) else {
             return;
         };
-        let effects = core.step(ctx.now(), event);
-        self.apply(ctx, txn, effects);
-    }
-
-    /// Maps core effects onto the simulation world: sends, timers, the
-    /// coordinator log and the trace marks the bench binaries consume.
-    fn apply(&mut self, ctx: &mut Context<'_, Msg>, txn: TxnId, effects: Vec<TmEffect>) {
-        for effect in effects {
-            match effect {
-                TmEffect::Send(server, msg) => ctx.send(self.book.server_node(server), msg),
-                TmEffect::QueryMaster => ctx.send(self.book.master, Msg::VersionRequest { txn }),
-                TmEffect::ForceLog { record, in_commit } => {
-                    self.log.force(&record);
-                    ctx.count("forced_logs", 1);
-                    if in_commit {
-                        ctx.mark("log:forced");
-                    }
-                }
-                TmEffect::Log(record) => self.log.append(&record),
-                TmEffect::ArmTimer(timeout) => ctx.set_timer(timeout, txn.index()),
-                TmEffect::Decided(decision) => ctx.mark(format!("decided:{decision}")),
-                TmEffect::Finished(termination) => {
-                    ctx.mark(format!("finished:{txn}"));
-                    self.active.remove(&txn);
-                    self.log.finish(txn);
-                    self.finished.insert(txn);
-                    self.completed.push(*termination);
-                }
+        match input(driver, &mut (ctx, &self.book, &mut self.log)) {
+            TmNext::AwaitReply | TmNext::ConsultMaster => return,
+            TmNext::Finished(run) => {
+                ctx.mark(format!("finished:{txn}"));
+                self.log.finish(txn);
+                self.completed.push(run.termination);
             }
+            TmNext::Crashed => ctx.mark(format!("crashed:{txn}")),
         }
+        self.txns.insert(txn, None);
+    }
+}
+
+/// The TM's sink: sends through the world, records into its log, traces.
+type Sim<'a, 'b> = (
+    &'a mut Context<'b, Msg>,
+    &'a AddressBook,
+    &'a mut CoordinatorLog,
+);
+
+impl TmSink for Sim<'_, '_> {
+    fn now(&self) -> Timestamp {
+        self.0.now()
+    }
+    fn send(&mut self, server: ServerId, msg: Msg) {
+        self.0.send(self.1.server_node(server), msg);
+    }
+    fn force(&mut self, record: CoordinatorRecord, in_commit: bool) {
+        self.2.force(&record);
+        self.0.count("forced_logs", 1);
+        if in_commit {
+            self.0.mark("log:forced");
+        }
+    }
+    fn append(&mut self, record: CoordinatorRecord) {
+        self.2.append(&record);
+    }
+    fn query_master(&mut self, txn: TxnId) {
+        self.0.send(self.1.master, Msg::VersionRequest { txn });
+    }
+    fn arm_timer(&mut self, txn: TxnId, after: Duration) {
+        self.0.set_timer(after, txn.index());
+    }
+    fn decided(&mut self, decision: Decision) {
+        self.0.mark(format!("decided:{decision}"));
     }
 }
 
 impl Actor<Msg> for TmActor {
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
-            Msg::Begin { spec, credentials } => self.begin(ctx, spec, credentials),
+            Msg::Begin { spec, credentials } => {
+                let txn = spec.id;
+                if !self.txns.contains_key(&txn) {
+                    let core = TmCore::new(self.config, spec, credentials, ctx.now());
+                    let driver = TmDriver::new(core, self.crashes.remove(&txn));
+                    self.txns.insert(txn, Some(Box::new(driver)));
+                    self.drive(ctx, txn, |driver, sink| driver.start(sink));
+                }
+            }
             Msg::QueryDone { txn, .. }
             | Msg::ValidateReply { txn, .. }
             | Msg::CommitReply { txn, .. }
             | Msg::Ack { txn } => {
-                let Some(server) = self.book.server_at(from) else {
-                    return;
-                };
-                if let Ok(event) = TmEvent::from_reply(txn, server, msg) {
-                    self.drive(ctx, txn, event);
+                if let Some(server) = self.book.server_at(from) {
+                    self.drive(ctx, txn, |driver, sink| driver.reply(sink, server, msg));
                 }
             }
-            Msg::VersionReply { txn, versions } => self.drive(
-                ctx,
-                txn,
-                TmEvent::MasterVersions {
-                    versions: Arc::new(versions),
-                },
-            ),
+            Msg::VersionReply { txn, versions } => {
+                let versions = Arc::new(versions);
+                let event = TmEvent::MasterVersions { versions };
+                self.drive(ctx, txn, |driver, sink| driver.event(sink, event));
+            }
             Msg::Inquiry { txn, from_server } => {
                 let answer = self.log.answer(txn, self.config.variant);
-                ctx.send(
-                    self.book.server_node(from_server),
-                    Msg::InquiryReply { txn, answer },
-                );
+                let to = self.book.server_node(from_server);
+                ctx.send(to, Msg::InquiryReply { txn, answer });
             }
             _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: TimerTag) {
-        self.drive(ctx, TxnId::new(tag), TmEvent::WatchdogFired);
+        let event = TmEvent::WatchdogFired;
+        self.drive(ctx, TxnId::new(tag), |d, sink| d.event(sink, event));
     }
 
     fn on_crash(&mut self) {
         // In-flight coordination state is volatile; the log survives.
-        self.active.clear();
+        self.txns.retain(|_, driver| driver.is_none());
     }
 }

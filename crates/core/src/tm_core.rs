@@ -16,20 +16,11 @@
 //! does not advance until every proof so far is TRUE under consistent
 //! versions, and nothing a query buffered is visible before 2PVC.
 //!
-//! Two drivers exist:
-//!
-//! * [`crate::TmActor`] runs it on the deterministic discrete-event
-//!   simulator (events arrive as [`Msg`]s from the `safetx_sim` world,
-//!   timer effects become world timers);
-//! * [`crate::drive_tm`] runs it on a blocking receive loop over any
-//!   [`crate::TmIo`] transport — crossbeam channels in `safetx-runtime`,
-//!   framed sockets in `safetx-net` (an expired receive deadline becomes
-//!   [`TmEvent::ReplyTimeout`]).
-//!
-//! Because both drivers share this machine, protocol-message accounting
-//! (the paper's Table I model) lives here and is identical in both
-//! runtimes, and the chaos/differential suites exercise the *same* pipeline
-//! code the measurement harness validates.
+//! One driver performs its effects, for the simulator's [`crate::TmActor`]
+//! and for [`crate::drive_tm`], the blocking loop of every runtime: the
+//! paper's Table I accounting lives here, identical in every runtime, and
+//! the chaos/differential suites exercise the *same* pipeline code the
+//! measurement harness validates.
 //!
 //! # Timeout semantics
 //!

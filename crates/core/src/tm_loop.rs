@@ -1,12 +1,13 @@
-//! The blocking TM loop: the one place [`TmEffect`]s become I/O.
+//! The TM driver: the one place [`TmEffect`]s are performed.
 //!
-//! [`drive_tm`] feeds a [`TmCore`] from a transport and performs its
-//! effects on it and on the deployment's [`TmAuthority`] (master consults,
-//! decision records). The transport is a [`TmIo`]: channels in
-//! `safetx-runtime`, framed sockets in `safetx-net` — over one
-//! decision-log group or several. Everything protocol-shaped — effect order,
-//! the master consult after the batch, envelope flattening, stale-reply
-//! accounting, where a coordinator crash cuts — lives here once.
+//! [`TmDriver`] owns one transaction's [`TmCore`] and is sans-io: it
+//! performs each effect batch in order through a [`TmSink`], unpacks
+//! [`Msg::Batch`] envelopes, counts stale replies, cuts at a
+//! [`TmCrashPoint`], and tells its caller what to do next ([`TmNext`]).
+//! Two callers run it: [`drive_tm`], the blocking loop every runtime lends
+//! a thread to over a [`TmIo`] transport — channels in `safetx-runtime`,
+//! framed sockets in `safetx-net`, over one decision-log group or several
+//! — and the simulator's [`crate::TmActor`], one world event at a time.
 
 use crate::messages::{Msg, MsgKind};
 use crate::tm_core::{reply_counts_as_dropped, TmCore, TmEffect, TmEvent, TxnTermination};
@@ -14,7 +15,7 @@ use crate::validation::VersionMap;
 use safetx_txn::{CommitVariant, CoordinatorLog, CoordinatorRecord, Decision, InquiryAnswer};
 use safetx_types::{ServerId, Timestamp, TxnId};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A *coordinator* (TM-side) crash point: the protocol moment at which a
@@ -95,32 +96,170 @@ pub trait TmIo {
     fn try_recv(&mut self) -> Option<Msg>;
 }
 
-/// What [`drive_tm`] needs from the deployment besides a transport: the
-/// master version server and the coordinator decision logs.
-pub trait TmAuthority {
-    /// The master's latest version per policy.
-    fn master_versions(&self) -> Arc<VersionMap>;
-    /// Forces a coordinator record to every decision log recovery may
-    /// consult, before the protocol proceeds.
-    fn force_decision(&mut self, record: CoordinatorRecord);
-    /// Appends a non-forced coordinator record to the same logs.
-    fn append_decision(&mut self, record: CoordinatorRecord);
-}
-
-/// A finished [`drive_tm`] run.
+/// A finished transaction.
 #[derive(Debug)]
 pub struct TmRun {
     /// The core's termination record.
     pub termination: TxnTermination,
-    /// Stale replies observed (by the loop and by the core), under the
+    /// Stale replies observed (by the driver and by the core), under the
     /// [`reply_counts_as_dropped`] rule.
     pub dropped_replies: u64,
 }
 
-/// Drives `core` to termination over `io`: performs each effect batch in
-/// order, answers a master consult only after the whole batch has flushed
-/// (so sends keep their protocol order), and turns each reply — or the
-/// expiry of `reply_timeout`, this loop's failure detector — into the next
+/// Where a [`TmDriver`] reads the clock and performs effects, each at its
+/// position in its batch; the hooks with a default body serve the simulator.
+pub(crate) trait TmSink {
+    fn now(&self) -> Timestamp;
+    fn send(&mut self, server: ServerId, msg: Msg);
+    fn flush(&mut self) {}
+    fn force(&mut self, record: CoordinatorRecord, in_commit: bool);
+    fn append(&mut self, record: CoordinatorRecord);
+    fn query_master(&mut self, _txn: TxnId) {}
+    fn arm_timer(&mut self, _txn: TxnId, _after: safetx_types::Duration) {}
+    fn decided(&mut self, _decision: Decision) {}
+}
+
+/// What a [`TmDriver`]'s caller must do next.
+#[derive(Debug)]
+pub(crate) enum TmNext {
+    /// Feed the next reply, or a timer's expiry.
+    AwaitReply,
+    /// Feed the master's versions before any reply.
+    ConsultMaster,
+    Finished(TmRun),
+    /// Nothing after the crash point was performed or cleaned up.
+    Crashed,
+}
+
+/// One transaction's coordinator, sans io: it feeds its [`TmCore`] and
+/// performs the effects.
+pub(crate) struct TmDriver {
+    core: TmCore,
+    crash: Option<TmCrashPoint>,
+    /// The replies of a [`Msg::Batch`] envelope not yet fed, in order.
+    pending: VecDeque<(ServerId, Msg)>,
+    /// Stale replies the driver saw; the core counts those it was fed.
+    dropped: u64,
+}
+
+impl TmDriver {
+    pub(crate) fn new(core: TmCore, crash: Option<TmCrashPoint>) -> Self {
+        TmDriver {
+            core,
+            crash,
+            pending: VecDeque::new(),
+            dropped: 0,
+        }
+    }
+
+    pub(crate) fn start(&mut self, sink: &mut impl TmSink) -> TmNext {
+        let effects = self.core.start(sink.now());
+        self.perform(sink, effects)
+    }
+
+    /// Feeds a reply `from` a server: an envelope's replies in order, each
+    /// only while the core awaits replies.
+    pub(crate) fn reply(&mut self, sink: &mut impl TmSink, from: ServerId, msg: Msg) -> TmNext {
+        let next = self.feed(sink, from, msg);
+        self.drain(sink, next)
+    }
+
+    /// Feeds the master's versions or a timer's expiry.
+    pub(crate) fn event(&mut self, sink: &mut impl TmSink, event: TmEvent) -> TmNext {
+        let effects = self.core.step(sink.now(), event);
+        let next = self.perform(sink, effects);
+        self.drain(sink, next)
+    }
+
+    fn drain(&mut self, sink: &mut impl TmSink, mut next: TmNext) -> TmNext {
+        while let TmNext::AwaitReply = next {
+            let Some((from, msg)) = self.pending.pop_front() else {
+                break;
+            };
+            next = self.feed(sink, from, msg);
+        }
+        next
+    }
+
+    fn feed(&mut self, sink: &mut impl TmSink, from: ServerId, msg: Msg) -> TmNext {
+        match msg {
+            Msg::Batch(msgs) => self.pending.extend(msgs.into_iter().map(|m| (from, m))),
+            msg => match TmEvent::from_reply(self.core.txn(), from, msg) {
+                Ok(event) => {
+                    let effects = self.core.step(sink.now(), event);
+                    return self.perform(sink, effects);
+                }
+                Err(counts_as_dropped) => self.dropped += u64::from(counts_as_dropped),
+            },
+        }
+        TmNext::AwaitReply
+    }
+
+    /// Performs one effect batch in order, then flushes.
+    fn perform(&mut self, sink: &mut impl TmSink, effects: Vec<TmEffect>) -> TmNext {
+        let mut next = TmNext::AwaitReply;
+        for effect in effects {
+            match effect {
+                TmEffect::Send(server, msg) => {
+                    let kind = MsgKind::of(&msg);
+                    sink.send(server, msg);
+                    if self.crash == Some(TmCrashPoint::AfterSend(kind)) {
+                        return cut(sink);
+                    }
+                }
+                TmEffect::ForceLog { record, in_commit } => {
+                    let decision = matches!(record, CoordinatorRecord::Decision { .. });
+                    let at = |point| decision && self.crash == Some(point);
+                    if at(TmCrashPoint::BeforeDecisionForce) {
+                        return cut(sink);
+                    }
+                    sink.force(record, in_commit);
+                    if at(TmCrashPoint::AfterDecisionForce) {
+                        return cut(sink);
+                    }
+                }
+                TmEffect::Log(record) => sink.append(record),
+                TmEffect::QueryMaster => {
+                    sink.query_master(self.core.txn());
+                    next = TmNext::ConsultMaster;
+                }
+                TmEffect::ArmTimer(after) => sink.arm_timer(self.core.txn(), after),
+                TmEffect::Decided(decision) => sink.decided(decision),
+                // The core's last effect. Replies still queued are stale.
+                TmEffect::Finished(termination) => {
+                    let queued: u64 = self.pending.iter().map(|(_, msg)| stale(msg)).sum();
+                    next = TmNext::Finished(TmRun {
+                        termination: *termination,
+                        dropped_replies: self.dropped + self.core.dropped_replies() + queued,
+                    });
+                }
+            }
+        }
+        sink.flush();
+        next
+    }
+}
+
+/// A crash cut: what was sent before it leaves, nothing else happens.
+fn cut(sink: &mut impl TmSink) -> TmNext {
+    sink.flush();
+    TmNext::Crashed
+}
+
+/// The replies in `msg` that count as dropped: a coalesced envelope is
+/// several replies, not one.
+fn stale(msg: &Msg) -> u64 {
+    match msg {
+        Msg::Batch(msgs) => msgs.iter().filter(|m| reply_counts_as_dropped(m)).count() as u64,
+        msg => u64::from(reply_counts_as_dropped(msg)),
+    }
+}
+
+/// Drives `core` to termination over `io` through a [`TmDriver`]: records
+/// go to every log recovery may consult (`logs`, folded once finished), a
+/// master consult is answered from `master` only after the whole batch has
+/// flushed (so sends keep their protocol order), and each reply — or the
+/// expiry of `reply_timeout`, this loop's failure detector — is the next
 /// event.
 ///
 /// With a `crash` point scheduled the loop stops dead at the matching
@@ -131,116 +270,294 @@ pub struct TmRun {
 /// owns whatever is left. `Some` means the transaction finished first.
 pub fn drive_tm(
     io: &mut impl TmIo,
-    authority: &mut impl TmAuthority,
-    mut core: TmCore,
+    logs: &[&Mutex<CoordinatorLog>],
+    master: impl Fn() -> Arc<VersionMap>,
+    core: TmCore,
     now: impl Fn() -> Timestamp,
     reply_timeout: Option<Duration>,
     crash: Option<TmCrashPoint>,
 ) -> Option<TmRun> {
     let txn = core.txn();
-    // Stale inputs this loop observed itself (the core tracks the ones it
-    // was fed).
-    let mut dropped = 0u64;
-    // Messages unpacked from a coalesced [`Msg::Batch`] envelope and not
-    // yet fed to the core: drained before the transport is read again so
-    // batched replies keep their in-envelope order.
-    let mut pending: VecDeque<(ServerId, Msg)> = VecDeque::new();
-
-    let mut effects = core.start(now());
-    let termination = loop {
-        let mut consult_master = false;
-        let mut finished = None;
-        for effect in effects {
-            match effect {
-                TmEffect::Send(server, msg) => {
-                    let kind = MsgKind::of(&msg);
-                    io.send(server, msg);
-                    if crash == Some(TmCrashPoint::AfterSend(kind)) {
-                        // The frame left; the coordinator dies before the
-                        // rest of this effect batch.
-                        io.flush();
-                        return None;
-                    }
-                }
-                TmEffect::QueryMaster => consult_master = true,
-                TmEffect::ForceLog { record, .. } => {
-                    let is_decision = matches!(record, CoordinatorRecord::Decision { .. });
-                    if is_decision && crash == Some(TmCrashPoint::BeforeDecisionForce) {
-                        // The outcome was computed but never became
-                        // durable; termination must answer from the
-                        // forced Collecting record (abort).
-                        io.flush();
-                        return None;
-                    }
-                    authority.force_decision(record);
-                    if is_decision && crash == Some(TmCrashPoint::AfterDecisionForce) {
-                        // The decision is durable but no participant has
-                        // heard it: the effect batch orders the force
-                        // before every decision send, all of which now
-                        // die with the coordinator.
-                        io.flush();
-                        return None;
-                    }
-                }
-                TmEffect::Log(record) => authority.append_decision(record),
-                // The reply deadline below is this loop's failure
-                // detector; the idle watchdog is never configured.
-                TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
-                TmEffect::Finished(t) => finished = Some(*t),
+    let mut driver = TmDriver::new(core, crash);
+    let mut sink = (io, logs, now);
+    let mut next = driver.start(&mut sink);
+    let mut run = loop {
+        next = match next {
+            TmNext::AwaitReply => match sink.0.recv(reply_timeout) {
+                Some((from, msg)) => driver.reply(&mut sink, from, msg),
+                None => driver.event(&mut sink, TmEvent::ReplyTimeout),
+            },
+            TmNext::ConsultMaster => {
+                driver.event(&mut sink, TmEvent::MasterVersions { versions: master() })
             }
-        }
-        io.flush();
-        if let Some(termination) = finished {
-            break termination;
-        }
-        if consult_master {
-            let versions = authority.master_versions();
-            effects = core.step(now(), TmEvent::MasterVersions { versions });
-            continue;
-        }
-        let event = loop {
-            // First anything left over from a coalesced envelope, then
-            // the transport.
-            let Some((from, msg)) = pending.pop_front().or_else(|| io.recv(reply_timeout)) else {
-                break TmEvent::ReplyTimeout;
-            };
-            match msg {
-                Msg::Batch(msgs) => pending.extend(msgs.into_iter().map(|m| (from, m))),
-                msg => match TmEvent::from_reply(txn, from, msg) {
-                    Ok(event) => break event,
-                    Err(counts_as_dropped) => dropped += u64::from(counts_as_dropped),
-                },
-            }
+            TmNext::Finished(run) => break run,
+            TmNext::Crashed => return None,
         };
-        effects = core.step(now(), event);
     };
+    each(logs, |log| log.finish(txn));
+    // Stragglers that already arrived, without blocking.
+    while let Some(msg) = sink.0.try_recv() {
+        run.dropped_replies += stale(&msg);
+    }
+    Some(run)
+}
 
-    // Count stale stragglers without blocking, under the same rule the
-    // core applies: acks never count, everything else does — message by
-    // message (a coalesced envelope is several replies, not one).
-    let mut count = |msg: &Msg| match msg {
-        Msg::Batch(msgs) => {
-            dropped += msgs.iter().filter(|m| reply_counts_as_dropped(m)).count() as u64
-        }
-        msg => dropped += u64::from(reply_counts_as_dropped(msg)),
-    };
-    for (_, msg) in &pending {
-        count(msg);
+/// [`drive_tm`]'s sink. The idle watchdog is never armed: the reply
+/// deadline is this loop's failure detector.
+impl<I: TmIo, N: Fn() -> Timestamp> TmSink for (&mut I, &[&Mutex<CoordinatorLog>], N) {
+    fn now(&self) -> Timestamp {
+        (self.2)()
     }
-    while let Some(msg) = io.try_recv() {
-        count(&msg);
+    fn send(&mut self, server: ServerId, msg: Msg) {
+        self.0.send(server, msg);
     }
-    Some(TmRun {
-        termination,
-        dropped_replies: dropped + core.dropped_replies(),
-    })
+    fn flush(&mut self) {
+        self.0.flush();
+    }
+    fn force(&mut self, record: CoordinatorRecord, _in_commit: bool) {
+        each(self.1, |log| log.force(&record));
+    }
+    fn append(&mut self, record: CoordinatorRecord) {
+        each(self.1, |log| log.append(&record));
+    }
+}
+
+/// Applies `f` to every decision log, one lock at a time.
+fn each(logs: &[&Mutex<CoordinatorLog>], f: impl Fn(&mut CoordinatorLog)) {
+    for log in logs {
+        f(&mut log.lock().expect("decision log lock"));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consistency::ConsistencyLevel;
+    use crate::scheme::ProofScheme;
+    use crate::tm_core::TmConfig;
+    use crate::validation::ValidationReply;
+    use safetx_txn::{Operation, QuerySpec, TransactionSpec};
+    use safetx_types::{DataItemId, UserId};
 
     const TXN: TxnId = TxnId::new(7);
+
+    /// The coordinator crash points, in protocol order.
+    const CRASH_POINTS: [TmCrashPoint; 5] = [
+        TmCrashPoint::AfterSend(MsgKind::ExecQuery),
+        TmCrashPoint::AfterSend(MsgKind::PrepareToCommit),
+        TmCrashPoint::BeforeDecisionForce,
+        TmCrashPoint::AfterDecisionForce,
+        TmCrashPoint::AfterSend(MsgKind::Decision),
+    ];
+
+    const VARIANTS: [CommitVariant; 3] = [
+        CommitVariant::Standard,
+        CommitVariant::PresumedAbort,
+        CommitVariant::PresumedCommit,
+    ];
+
+    /// A driver for one write on each of `servers` servers.
+    fn driver(
+        scheme: ProofScheme,
+        consistency: ConsistencyLevel,
+        variant: CommitVariant,
+        servers: u64,
+        crash: Option<TmCrashPoint>,
+    ) -> TmDriver {
+        let queries = (0..servers)
+            .map(|s| {
+                let write = vec![Operation::Add(DataItemId::new(s), 1)];
+                QuerySpec::new(ServerId::new(s), "write", "records", write)
+            })
+            .collect();
+        let spec = TransactionSpec::new(TXN, UserId::new(1), queries);
+        let config = TmConfig::new(scheme, consistency, variant);
+        TmDriver::new(
+            TmCore::new(config, spec, Vec::new(), Timestamp::ZERO),
+            crash,
+        )
+    }
+
+    /// A scripted world: records what the driver performs, in order, and
+    /// queues the reply a healthy participant gives each protocol send.
+    #[derive(Default)]
+    struct Script {
+        seen: Vec<String>,
+        log: CoordinatorLog,
+        replies: VecDeque<(ServerId, Msg)>,
+    }
+
+    impl TmSink for Script {
+        fn now(&self) -> Timestamp {
+            Timestamp::ZERO
+        }
+        fn send(&mut self, server: ServerId, msg: Msg) {
+            self.seen
+                .push(format!("send {:?} {server:?}", MsgKind::of(&msg)));
+            let reply = match msg {
+                Msg::ExecQuery {
+                    txn, query_index, ..
+                } => Msg::QueryDone {
+                    txn,
+                    query_index,
+                    ok: true,
+                    proof: None,
+                    capability: None,
+                },
+                Msg::PrepareToCommit { txn, .. } => Msg::CommitReply {
+                    txn,
+                    reply: ValidationReply::empty_true(),
+                },
+                Msg::Decision { txn, .. } => Msg::Ack { txn },
+                other => panic!("unscripted send {other:?}"),
+            };
+            self.replies.push_back((server, reply));
+        }
+        fn flush(&mut self) {
+            self.seen.push("flush".into());
+        }
+        fn force(&mut self, record: CoordinatorRecord, _in_commit: bool) {
+            self.seen.push(format!("force {record:?}"));
+            self.log.force(&record);
+        }
+        fn append(&mut self, record: CoordinatorRecord) {
+            self.seen.push(format!("append {record:?}"));
+            self.log.append(&record);
+        }
+        fn query_master(&mut self, _txn: TxnId) {
+            self.seen.push("query master".into());
+        }
+    }
+
+    /// Runs a Deferred/View transaction over two servers, each reply fed
+    /// as its own message, until it stops awaiting replies.
+    fn run(variant: CommitVariant, crash: Option<TmCrashPoint>) -> (Script, TmNext) {
+        let mut script = Script::default();
+        let mut driver = driver(
+            ProofScheme::Deferred,
+            ConsistencyLevel::View,
+            variant,
+            2,
+            crash,
+        );
+        let mut next = driver.start(&mut script);
+        while let TmNext::AwaitReply = next {
+            let (from, msg) = script.replies.pop_front().expect("a scripted reply");
+            next = driver.reply(&mut script, from, msg);
+        }
+        (script, next)
+    }
+
+    #[test]
+    fn every_crash_point_cuts_a_clean_run_at_its_moment() {
+        for variant in VARIANTS {
+            let (clean, next) = run(variant, None);
+            assert!(matches!(next, TmNext::Finished(_)), "{variant:?}");
+            for point in CRASH_POINTS {
+                let cell = format!("{variant:?} / {point:?}");
+                let (cut, next) = run(variant, Some(point));
+                assert!(matches!(next, TmNext::Crashed), "{cell}: {next:?}");
+                // Everything the clean run performed up to the cut, then
+                // the cut's flush, and nothing after it.
+                let (flush, done) = cut.seen.split_last().expect("effects");
+                assert_eq!(flush, "flush", "{cell}");
+                assert_eq!(done, &clean.seen[..done.len()], "{cell}");
+                let last = done.last().expect("an effect before the cut");
+                let decision = cut.log.decision(TXN);
+                match point {
+                    TmCrashPoint::AfterSend(kind) => {
+                        assert!(
+                            last.starts_with(&format!("send {kind:?}")),
+                            "{cell}: {last}"
+                        );
+                    }
+                    TmCrashPoint::BeforeDecisionForce => {
+                        let skipped = &clean.seen[done.len()];
+                        assert!(skipped.starts_with("force Decision"), "{cell}: {skipped}");
+                        assert_eq!(decision, None, "{cell}");
+                    }
+                    TmCrashPoint::AfterDecisionForce => {
+                        assert!(last.starts_with("force Decision"), "{cell}: {last}");
+                        assert_eq!(decision, Some(Decision::Commit), "{cell}");
+                        let sent = |e: &&String| e.starts_with("send Decision");
+                        assert_eq!(done.iter().filter(sent).count(), 0, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_envelope_is_fed_in_order_and_what_is_left_counts_as_stale() {
+        let mut script = Script::default();
+        let mut driver = driver(
+            ProofScheme::Deferred,
+            ConsistencyLevel::View,
+            CommitVariant::Standard,
+            1,
+            None,
+        );
+        let _ = driver.start(&mut script);
+        let (from, done) = script.replies.pop_front().expect("QueryDone");
+        let _ = driver.reply(&mut script, from, done.clone());
+        let (_, vote) = script.replies.pop_front().expect("the vote");
+        let ack = Msg::Ack { txn: TXN };
+        // Reversed, the ack would come before any decision and the
+        // transaction would still be waiting for it.
+        let envelope = vec![vote.clone(), ack.clone(), vote, ack, done];
+        match driver.reply(&mut script, from, Msg::Batch(envelope)) {
+            TmNext::Finished(run) => {
+                assert!(run.termination.outcome.is_commit());
+                // The duplicate vote and query reply count; the ack does not.
+                assert_eq!(run.dropped_replies, 2);
+            }
+            other => panic!("the envelope's ack finishes the transaction, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_master_consult_is_answered_before_the_envelope_goes_on() {
+        let mut script = Script::default();
+        let mut driver = driver(
+            ProofScheme::IncrementalPunctual,
+            ConsistencyLevel::Global,
+            CommitVariant::Standard,
+            2,
+            None,
+        );
+        let versions = Arc::new(VersionMap::new());
+        let master = TmEvent::MasterVersions {
+            versions: Arc::clone(&versions),
+        };
+        assert!(matches!(driver.start(&mut script), TmNext::ConsultMaster));
+        assert!(matches!(
+            driver.event(&mut script, master),
+            TmNext::AwaitReply
+        ));
+        let done = |query_index| Msg::QueryDone {
+            txn: TXN,
+            query_index,
+            ok: true,
+            proof: None,
+            capability: None,
+        };
+        let envelope = Msg::Batch(vec![done(0), done(1)]);
+        let next = driver.reply(&mut script, ServerId::new(0), envelope);
+        // Query 1's master check stops the envelope before its reply.
+        assert!(matches!(next, TmNext::ConsultMaster), "{next:?}");
+        assert_eq!(driver.pending.len(), 1);
+        let prepare = |seen: &Script| {
+            seen.seen
+                .iter()
+                .any(|e| e.starts_with("send PrepareToCommit"))
+        };
+        assert!(!prepare(&script));
+        let master = TmEvent::MasterVersions { versions };
+        let next = driver.event(&mut script, master);
+        assert!(matches!(next, TmNext::AwaitReply), "{next:?}");
+        assert!(driver.pending.is_empty());
+        assert!(prepare(&script), "query 1's reply was fed after the answer");
+    }
 
     fn log_of(records: &[CoordinatorRecord]) -> CoordinatorLog {
         let mut log = CoordinatorLog::default();

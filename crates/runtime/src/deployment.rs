@@ -22,18 +22,18 @@
 //! point: harnesses, the service layer and the chaos suites drive any
 //! deployment through `&dyn Deployment`.
 
-use crate::fault::{Fabric, FaultPlan, FaultStats};
+use crate::fault::{Fabric, FaultPlan};
 use crate::host::{now_since, Host};
 use crate::PeerAddr;
 use safetx_core::{
     drive_tm, terminate_leftover, AbortReason, ConcurrencyMode, ConsistencyLevel, Msg, ProofScheme,
-    ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmAuthority, TmConfig, TmCore,
-    TmCrashPoint, TmIo, TransactionView, TxnOutcome, VersionMap,
+    ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmConfig, TmCore, TmCrashPoint, TmIo,
+    TransactionView, TxnOutcome,
 };
 use safetx_metrics::{FaultCounters, ProtocolMetrics, RouteCounters, TransportCounters, WalStats};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential, Policy};
 use safetx_store::LocalStore;
-use safetx_txn::{CommitVariant, CoordinatorRecord, Decision, InquiryAnswer, TransactionSpec};
+use safetx_txn::{CommitVariant, Decision, InquiryAnswer, TransactionSpec};
 use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,15 +88,6 @@ impl Default for ClusterConfig {
             wal_sync_cost: None,
             concurrency: None,
         }
-    }
-}
-
-impl ClusterConfig {
-    /// The protocol configuration every coordinator of this deployment
-    /// runs with.
-    #[must_use]
-    pub fn tm_config(&self) -> TmConfig {
-        TmConfig::new(self.scheme, self.consistency, self.variant)
     }
 }
 
@@ -393,14 +384,7 @@ impl<L: Link> LinkedCluster<L> {
         crash: Option<TmCrashPoint>,
     ) -> Option<ExecutionResult> {
         let io = self.link.open(spec.id);
-        let run = |logs: &[&DecisionLog]| {
-            let authority = Authority {
-                topology: &self.topology,
-                logs,
-            };
-            let stats = &self.fabric.stats;
-            authority.run_tm(io, &self.config, spec, credentials, crash, stats)
-        };
+        let run = |logs: &[&DecisionLog]| self.run_tm(io, logs, spec, credentials, crash);
         if let [log] = &*self.decision_logs {
             return run(&[log]);
         }
@@ -428,58 +412,29 @@ impl<L: Link> LinkedCluster<L> {
         result
     }
 
-    /// Transactions whose coordinator has not finished, running or
-    /// crashed, summed over the groups' logs: one spanning `k` groups
-    /// counts `k` times.
-    #[must_use]
-    pub fn live_decisions(&self) -> usize {
-        let live = |log: &DecisionLog| log.lock().expect("decision log lock").live_len();
-        self.decision_logs.iter().map(live).sum()
-    }
-
-    /// Stops every thread of the link and the hosts with it.
-    pub fn shutdown(self) {
-        // The link's `Drop` does it.
-    }
-}
-
-/// Where the shared TM loop's control effects land: master consults at
-/// the catalog (the catalog IS the master here; its epoch snapshot answers
-/// inline, no map rebuild, no deep clone) and decision records in every
-/// log recovery may consult.
-struct Authority<'a> {
-    topology: &'a Topology,
-    logs: &'a [&'a DecisionLog],
-}
-
-impl Authority<'_> {
     /// Drives `spec` to termination over `io` through
-    /// [`safetx_core::drive_tm`] (`None` when the scheduled coordinator
-    /// crash fired first), accounting stale replies and reply-deadline
-    /// aborts into `stats`.
+    /// [`safetx_core::drive_tm`], its records in `logs` (`None` when the
+    /// scheduled coordinator crash fired first), accounting stale replies
+    /// and reply-deadline aborts into the fabric's stats.
     fn run_tm(
-        mut self,
+        &self,
         mut io: impl TmIo,
-        config: &ClusterConfig,
+        logs: &[&DecisionLog],
         spec: &TransactionSpec,
         credentials: &[Credential],
         crash: Option<TmCrashPoint>,
-        stats: &FaultStats,
     ) -> Option<ExecutionResult> {
         let started = Instant::now();
+        let config = &self.config;
         let now = || now_since(self.topology.epoch);
-        let core = TmCore::new(
-            config.tm_config(),
-            spec.clone(),
-            credentials.to_vec(),
-            now(),
-        );
+        let tm = TmConfig::new(config.scheme, config.consistency, config.variant);
+        let core = TmCore::new(tm, spec.clone(), credentials.to_vec(), now());
+        // The catalog IS the master: its epoch snapshot answers inline, no
+        // map rebuild, no deep clone.
+        let master = || self.topology.catalog.latest_snapshot().1;
         let timeout = config.reply_timeout;
-        let run = drive_tm(&mut io, &mut self, core, now, timeout, crash)?;
-        // Finished (a crashed coordinator's records stay live): fold.
-        for log in self.logs {
-            log.lock().expect("decision log lock").finish(spec.id);
-        }
+        let run = drive_tm(&mut io, logs, master, core, now, timeout, crash)?;
+        let stats = &self.fabric.stats;
         // Not on a clean run: every send reads the fabric's armed flag,
         // which shares cache lines with these counters.
         if run.dropped_replies > 0 {
@@ -498,23 +453,19 @@ impl Authority<'_> {
             metrics: termination.metrics,
         })
     }
-}
 
-impl TmAuthority for Authority<'_> {
-    fn master_versions(&self) -> Arc<VersionMap> {
-        self.topology.catalog.latest_snapshot().1
+    /// Transactions whose coordinator has not finished, running or
+    /// crashed, summed over the groups' logs: one spanning `k` groups
+    /// counts `k` times.
+    #[must_use]
+    pub fn live_decisions(&self) -> usize {
+        let live = |log: &DecisionLog| log.lock().expect("decision log lock").live_len();
+        self.decision_logs.iter().map(live).sum()
     }
 
-    fn force_decision(&mut self, record: CoordinatorRecord) {
-        for log in self.logs {
-            log.lock().expect("decision log lock").force(&record);
-        }
-    }
-
-    fn append_decision(&mut self, record: CoordinatorRecord) {
-        for log in self.logs {
-            log.lock().expect("decision log lock").append(&record);
-        }
+    /// Stops every thread of the link and the hosts with it.
+    pub fn shutdown(self) {
+        // The link's `Drop` does it.
     }
 }
 

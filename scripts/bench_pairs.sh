@@ -14,11 +14,15 @@
 # met" needs at least ten pairs, nine tenths of them won, and medians apart
 # by more than the distance between the parent's quartiles — anything else
 # is "no claim". A gain never counts when a run is incorrect or the change
-# fails a larger share of operations than the parent.
+# fails a larger share of operations than the parent. Beside every run,
+# and as each side's median, it prints the host's steal time during the
+# run (the `steal` column of /proc/stat's `cpu` line, in ticks/s; n/a where
+# /proc/stat is absent): on a virtual machine a spell of steal slows both
+# sides and can swallow a gain. The steal figures do not enter the verdict.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 workloads=${1//,/ } ref=$2 pairs=${3:-10} seconds=${4:-15}
@@ -40,12 +44,24 @@ cargo build --release --offline --manifest-path "$work/parent/benchmark/Cargo.to
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir "$work/target-change" >&2
 
-# One run of one side from that side's own tree; its result line is kept.
+# The host's steal ticks so far (empty where /proc/stat is absent).
+steal() { awk '$1 == "cpu" { print $9; exit }' /proc/stat 2>/dev/null || true; }
+
+# One run of one side from that side's own tree; its result line is kept,
+# and the steal ticks/s during it.
 run() {
-    local side=$1 dir=$2 workload=$3 seed=$4
+    local side=$1 dir=$2 workload=$3 seed=$4 before after start
+    before=$(steal) start=$(date +%s.%N)
     (cd "$dir" && "$work/target-$side/release/benchmark" run --workload "$workload" \
         --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) \
         >>"$work/$side.$workload.jsonl"
+    after=$(steal)
+    if [ -n "$before" ] && [ -n "$after" ]; then
+        awk -v d="$((after - before))" -v s="$start" -v e="$(date +%s.%N)" \
+            'BEGIN { printf "%.1f\n", d / (e - s) }'
+    else
+        echo n/a
+    fi >>"$work/$side.$workload.steal"
 }
 
 for seed in $(seq 1 "$pairs"); do
@@ -79,9 +95,16 @@ def report(workload):
     parent, change = load("parent"), load("change")
     pairs = len(parent)
     print(f"{workload}: {pairs} pair(s), parent = {ref}, change = working tree; odd seeds ran the parent first")
-    print(f"{'seed':>4}  " + "  ".join(f"{name + ' (parent change)':>34}" for name, _, _ in metrics))
+    steal = lambda side: [line.strip() for line in open(f"{work}/{side}.{workload}.steal")]
+    psteal, csteal = steal("parent"), steal("change")
+    print(f"{'seed':>4}  " + "  ".join(f"{name + ' (parent change)':>34}" for name, _, _ in metrics)
+          + f"  {'steal/s (parent change)':>25}")
     for i, (p, c) in enumerate(zip(parent, change), start=1):
-        print(f"{i:>4}  " + "  ".join(f"{value(p, n):>16.6g} {value(c, n):>17.6g}" for n, _, _ in metrics))
+        print(f"{i:>4}  " + "  ".join(f"{value(p, n):>16.6g} {value(c, n):>17.6g}" for n, _, _ in metrics)
+              + f"  {psteal[i - 1]:>12} {csteal[i - 1]:>12}")
+    median = lambda xs: (f"{statistics.median(float(x) for x in xs if x != 'n/a'):.1f}"
+                         if any(x != "n/a" for x in xs) else "n/a")
+    print(f"steal ticks/s median: parent {median(psteal)}, change {median(csteal)}")
 
     share = lambda runs: sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
     correct = all(r["correct"] for r in parent + change)

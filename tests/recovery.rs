@@ -3,9 +3,12 @@
 //! presumed-commit logging variants.
 
 use safetx::core::{
-    CloudServerActor, ConsistencyLevel, Experiment, ExperimentConfig, ProofScheme, TmActor,
+    CloudServerActor, ConsistencyLevel, Experiment, ExperimentConfig, MsgKind, ProofScheme,
+    TmActor, TmCrashPoint,
 };
 use safetx::policy::{Atom, Constant, PolicyBuilder};
+use safetx::runtime::{Cluster, ClusterConfig, Deployment};
+use safetx::sim::TraceKind;
 use safetx::store::Value;
 use safetx::txn::{CommitVariant, Decision, Operation, QuerySpec, TransactionSpec};
 use safetx::types::{
@@ -251,4 +254,110 @@ fn lost_decision_message_is_recovered_after_link_failure() {
     exp.run();
     assert_eq!(server_value(&exp, 1, 1), Some(1));
     assert!(exp.report().records[0].outcome.is_commit());
+}
+
+/// The coordinator crash points, in protocol order.
+const CRASH_POINTS: [TmCrashPoint; 5] = [
+    TmCrashPoint::AfterSend(MsgKind::ExecQuery),
+    TmCrashPoint::AfterSend(MsgKind::PrepareToCommit),
+    TmCrashPoint::BeforeDecisionForce,
+    TmCrashPoint::AfterDecisionForce,
+    TmCrashPoint::AfterSend(MsgKind::Decision),
+];
+
+/// The decision a threaded `Cluster` logs for the `submit` transaction
+/// when its coordinator dies at `point`.
+fn threaded_logged_decision(variant: CommitVariant, point: TmCrashPoint) -> Option<Decision> {
+    let cluster = Cluster::new(ClusterConfig {
+        servers: 2,
+        scheme: ProofScheme::Deferred,
+        consistency: ConsistencyLevel::View,
+        variant,
+        reply_timeout: Some(std::time::Duration::from_millis(50)),
+        ..Default::default()
+    });
+    cluster.publish_policy(
+        PolicyBuilder::new(PolicyId::new(0), AdminDomain::new(0))
+            .rules_text("grant(write, records) :- role(U, member).")
+            .unwrap()
+            .build(),
+    );
+    let cred = cluster.cas().with_mut(|registry| {
+        registry.ca_mut(safetx::types::CaId::new(0)).unwrap().issue(
+            UserId::new(1),
+            Atom::fact(
+                "role",
+                vec![Constant::symbol("u1"), Constant::symbol("member")],
+            ),
+            Timestamp::ZERO,
+            Timestamp::MAX,
+        )
+    });
+    let queries = (0..2)
+        .map(|s| {
+            let write = vec![Operation::Add(DataItemId::new(s), 1)];
+            QuerySpec::new(ServerId::new(s), "write", "records", write)
+        })
+        .collect();
+    let spec = TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries);
+    let result = cluster.execute_with_coordinator_crash(&spec, &[cred], point);
+    assert!(result.is_none(), "{variant:?} / {point:?}: the crash fires");
+    cluster.logged_decision(spec.id)
+}
+
+/// The simulator kills a coordinator at the same protocol moments as the
+/// runtimes: its log ends up holding what the threaded runtime's holds,
+/// and the dead coordinator sends nothing after the cut.
+#[test]
+fn simulated_coordinator_crashes_log_what_the_threaded_runtime_logs() {
+    for variant in [
+        CommitVariant::Standard,
+        CommitVariant::PresumedAbort,
+        CommitVariant::PresumedCommit,
+    ] {
+        for point in CRASH_POINTS {
+            let cell = format!("{variant:?} / {point:?}");
+            let mut exp = build(variant, 10);
+            exp.world_mut().enable_tracing();
+            let tm = exp.book().tms[0];
+            let txn = TxnId::new(1);
+            exp.world_mut()
+                .actor_mut::<TmActor>(tm)
+                .unwrap()
+                .crash_at(txn, point);
+            submit(&mut exp);
+            exp.run();
+
+            let trace = exp.world().trace().unwrap().entries();
+            let crashed = format!("crashed:{txn}");
+            let cut = trace
+                .iter()
+                .position(|e| matches!(&e.kind, TraceKind::Mark { node, label } if *node == tm && *label == crashed))
+                .unwrap_or_else(|| panic!("{cell}: the crash fires"));
+            let sent_after = trace[cut..]
+                .iter()
+                .filter(|e| matches!(&e.kind, TraceKind::Send { from, .. } if *from == tm))
+                .count();
+            assert_eq!(sent_after, 0, "{cell}: the dead coordinator sent on");
+            if let TmCrashPoint::AfterSend(kind) = point {
+                let last = trace[..cut].iter().rev().find_map(|e| match &e.kind {
+                    TraceKind::Send { from, label, .. } if *from == tm => Some(label),
+                    _ => None,
+                });
+                let last = last.expect("a send before the cut");
+                assert!(
+                    last.starts_with(&format!("{kind:?}")),
+                    "{cell}: cut after {last}"
+                );
+            }
+
+            let tm_actor = exp.world().actor::<TmActor>(tm).unwrap();
+            assert!(tm_actor.completed().is_empty(), "{cell}: nothing finished");
+            assert_eq!(
+                tm_actor.log().decision(txn),
+                threaded_logged_decision(variant, point),
+                "{cell}"
+            );
+        }
+    }
 }
