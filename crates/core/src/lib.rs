@@ -80,7 +80,7 @@ pub use server::{ServerCore, ServerCounters};
 pub use sim_actor::CloudServerActor;
 pub use tm::{TmActor, TxnRecord};
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
-pub use tm_loop::{drive_tm, terminate_leftover, TmCrashPoint, TmIo, TmRun};
+pub use tm_loop::{drive_tm, stale_replies, terminate_leftover, TmCrashPoint, TmIo, TmRun};
 pub use two_pvc::{TwoPvc, TwoPvcAction, TwoPvcState};
 pub use validation::{
     ValidationAction, ValidationConfig, ValidationOutcome, ValidationReply, ValidationRound,

@@ -227,7 +227,7 @@ impl TmDriver {
                 TmEffect::Decided(decision) => sink.decided(decision),
                 // The core's last effect. Replies still queued are stale.
                 TmEffect::Finished(termination) => {
-                    let queued: u64 = self.pending.iter().map(|(_, msg)| stale(msg)).sum();
+                    let queued: u64 = self.pending.iter().map(|(_, msg)| stale_replies(msg)).sum();
                     next = TmNext::Finished(TmRun {
                         termination: *termination,
                         dropped_replies: self.dropped + self.core.dropped_replies() + queued,
@@ -246,9 +246,11 @@ fn cut(sink: &mut impl TmSink) -> TmNext {
     TmNext::Crashed
 }
 
-/// The replies in `msg` that count as dropped: a coalesced envelope is
-/// several replies, not one.
-fn stale(msg: &Msg) -> u64 {
+/// The replies in `msg` that count as dropped (under
+/// [`reply_counts_as_dropped`]) when nobody takes it: a coalesced envelope
+/// is several replies, not one.
+#[must_use]
+pub fn stale_replies(msg: &Msg) -> u64 {
     match msg {
         Msg::Batch(msgs) => msgs.iter().filter(|m| reply_counts_as_dropped(m)).count() as u64,
         msg => u64::from(reply_counts_as_dropped(msg)),
@@ -297,7 +299,7 @@ pub fn drive_tm(
     each(logs, |log| log.finish(txn));
     // Stragglers that already arrived, without blocking.
     while let Some(msg) = sink.0.try_recv() {
-        run.dropped_replies += stale(&msg);
+        run.dropped_replies += stale_replies(&msg);
     }
     Some(run)
 }

@@ -31,7 +31,6 @@ use crate::wire::{decode_msg, encode_frame, write_frame};
 use safetx_core::Msg;
 use safetx_runtime::{roll_kind, Fabric, Layer, Peer, Verdict};
 use std::io::Write;
-use std::sync::atomic::Ordering;
 
 /// What the fault fabric did with one outbound frame.
 pub(crate) enum WireFate {
@@ -55,14 +54,11 @@ pub(crate) fn write_through_fabric<W: Write>(
     msg: &Msg,
     stats: &EdgeStats,
 ) -> std::io::Result<WireFate> {
-    let faults = &fabric.stats;
     match fabric.verdict(Layer::Frame, from, to, roll_kind(msg), seq) {
         Verdict::Deliver => stats.note_sent(write_frame(writer, msg)?),
-        Verdict::Drop => {
-            faults.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        Verdict::Drop => fabric.count(|c| &mut c.faults_dropped),
         Verdict::Duplicate => {
-            faults.duplicated.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.faults_duplicated);
             let frame = encode_frame(msg);
             for _ in 0..2 {
                 writer.write_all(&frame)?;
@@ -72,12 +68,12 @@ pub(crate) fn write_through_fabric<W: Write>(
         // Head-of-line blocking: a FIFO stream delays everything behind
         // the frame too, so there is nothing to reorder.
         Verdict::Delay { by, .. } => {
-            faults.delayed.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.faults_delayed);
             std::thread::sleep(by);
             stats.note_sent(write_frame(writer, msg)?);
         }
         Verdict::Corrupt { roll } => {
-            faults.corrupted.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.faults_corrupted);
             let mut frame = encode_frame(msg);
             // Past the `u32` length prefix: the receiver must still frame it.
             corrupt_payload(&mut frame[4..], roll);
@@ -85,7 +81,7 @@ pub(crate) fn write_through_fabric<W: Write>(
             stats.note_sent(frame.len());
         }
         Verdict::Truncate { roll } => {
-            faults.truncated.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.faults_truncated);
             let frame = encode_frame(msg);
             let cut = truncate_len(frame.len(), roll);
             writer.write_all(&frame[..cut])?;
@@ -95,7 +91,7 @@ pub(crate) fn write_through_fabric<W: Write>(
             return Ok(WireFate::Kill);
         }
         Verdict::Disconnect => {
-            faults.disconnects.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.disconnects);
             return Ok(WireFate::Kill);
         }
     }

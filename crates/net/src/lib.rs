@@ -6,7 +6,7 @@
 //! length-prefixed binary codec for every message ([`wire`]),
 //! and a socket runtime ([`NetCluster`]) where each cloud server runs on
 //! the thread that reads its `UnixStream` and the TM drives `TmCore` by
-//! encoding frames and demultiplexing framed replies.
+//! encoding frames, the worker that waits for a reply reading it itself.
 //!
 //! Differential tests pin the whole stack: for every scheme×consistency
 //! cell the net runtime must produce byte-identical outcomes, abort

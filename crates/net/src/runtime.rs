@@ -1,43 +1,37 @@
 //! The socket link: the shared control plane over Unix-socket byte
 //! streams.
 //!
-//! Every protocol message crosses a real byte stream: each cloud server
-//! sits behind a [`ServerHost`] — the same `safetx_runtime::Host` the
-//! threaded runtime uses, plus the connections to it — and runs on the
-//! thread that reads a connection's frames; each TM drives the sans-io
-//! `TmCore` from [`NetCluster::execute`](safetx_runtime::Deployment::execute);
-//! and the two sides talk exclusively through framed [`crate::wire`]
-//! messages over `UnixStream`s (in-process duplex pairs by default; a
-//! multi-process deployment connects the same hosts over filesystem
-//! sockets — see `examples/net_processes.rs`).
-//!
-//! [`NetCluster`] is `safetx_runtime::LinkedCluster` over the
-//! [`SocketLink`] below, so bootstrap, execute, configure, publish, crash,
-//! restart, in-doubt resolution and every counter are the control plane
-//! the threaded runtime runs; this module is the transport. A server serves
-//! each frame a connection delivers as one round, the round's replies
-//! coalesced per peer into a single [`Msg::Batch`] frame; the TM side is
-//! `safetx_core::drive_tm` over framed sends. Peer disconnects surface
-//! through the existing failure detector — a reply that never arrives
-//! trips `ClusterConfig::reply_timeout` and the core aborts with
-//! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
-//! the peer's original logical id (see `safetx_core::coalesce_replies`
-//! for why the id must survive the reconnect).
+//! Every protocol message crosses a real byte stream, framed by
+//! [`crate::wire`], over a `UnixStream` (an in-process duplex pair by
+//! default; `examples/net_processes.rs` connects the same hosts over
+//! filesystem sockets). [`NetCluster`] is `safetx_runtime::LinkedCluster`
+//! over the [`SocketLink`] below, so bootstrap, execute, crash, restart,
+//! in-doubt resolution and every counter are the control plane the
+//! threaded runtime runs; this module is the transport. Each cloud server
+//! sits behind a [`ServerHost`] — the shared `safetx_runtime::Host` plus
+//! its connections — whose one thread per connection reads a frame and
+//! runs it as a round, the round's replies coalesced per peer into one
+//! [`Msg::Batch`] frame. The TM side has no thread: the worker running
+//! `safetx_core::drive_tm` reads its own replies ([`WireTm`]). A reply
+//! that never arrives trips `ClusterConfig::reply_timeout` and the core
+//! aborts with `AbortReason::ServerUnavailable`; reconnecting resumes
+//! traffic under the peer's original logical id (see
+//! `safetx_core::coalesce_replies` for why the id must survive it).
 
 use crate::fault::{write_through_fabric, WireFate};
 use crate::wire::{decode_msg, read_frame};
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
-use safetx_core::{reply_counts_as_dropped, Msg, ServerCore, TmIo};
+use safetx_core::{stale_replies, Msg, ServerCore, TmIo};
 use safetx_metrics::TransportCounters;
 use safetx_runtime::{
     splitmix64, ClusterConfig, Fabric, Host, Link, LinkedCluster, Peer, PeerAddr,
 };
 use safetx_types::{ServerId, TxnId};
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,51 +54,39 @@ impl PeerAddr for NetAddr {
     }
 }
 
-/// One side's transport accounting for one edge. Shared between the
-/// thread that writes frames and the thread that reads them.
+/// One side's transport accounting for one edge, shared by the threads
+/// that write and read its frames.
 #[derive(Debug, Default)]
-pub struct EdgeStats {
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    reconnects: AtomicU64,
-    decode_errors: AtomicU64,
-}
+pub struct EdgeStats(Mutex<TransportCounters>);
 
 impl EdgeStats {
+    fn counters(&self) -> MutexGuard<'_, TransportCounters> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub(crate) fn note_sent(&self, bytes: usize) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        let mut counters = self.counters();
+        counters.frames_sent += 1;
+        counters.bytes_sent += bytes as u64;
     }
 
-    fn note_received(&self, payload_bytes: usize) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-        // The reader sees the payload; account the 4-byte length prefix so
-        // both directions measure the same thing.
-        self.bytes_received
-            .fetch_add(payload_bytes as u64 + 4, Ordering::Relaxed);
-    }
-
-    fn note_reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
+    /// Counts a frame read off the edge — its 4-byte length prefix too, so
+    /// both directions measure the same thing — and decodes it. A payload
+    /// that fails to decode is counted and skipped: framing survives, the
+    /// next length prefix is still in phase.
+    fn decode(&self, payload: &[u8]) -> Option<Msg> {
+        let msg = decode_msg(payload).ok();
+        let mut counters = self.counters();
+        counters.frames_received += 1;
+        counters.bytes_received += payload.len() as u64 + 4;
+        counters.decode_errors += u64::from(msg.is_none());
+        msg
     }
 
     /// A point-in-time copy of the counters.
     #[must_use]
     pub fn snapshot(&self) -> TransportCounters {
-        TransportCounters {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-        }
+        *self.counters()
     }
 }
 
@@ -211,14 +193,9 @@ impl ServerHost {
 
     /// The connections of a host the control plane also holds.
     pub(crate) fn over(host: Arc<Host<NetAddr>>) -> ServerHost {
-        let shared = HostShared {
-            host,
-            peers: Mutex::default(),
-            conns: Mutex::default(),
-        };
-        ServerHost {
-            shared: Arc::new(shared),
-        }
+        let (peers, conns) = (Mutex::default(), Mutex::default());
+        let shared = Arc::new(HostShared { host, peers, conns });
+        ServerHost { shared }
     }
 
     /// The server behind the connections.
@@ -250,7 +227,7 @@ impl ServerHost {
             };
             let replaced = peers.links.insert(peer, link).map(|old| {
                 let _ = old.writer.get_ref().shutdown(std::net::Shutdown::Both);
-                stats.note_reconnect();
+                stats.counters().reconnects += 1;
                 old.generation
             });
             (generation, stats, replaced)
@@ -334,12 +311,11 @@ impl Drop for ServerHost {
 }
 
 /// One connection's thread — and the server's thread for every frame that
-/// arrives on it: blocks for a frame and runs it as a round itself. A
-/// payload that fails to decode is counted and skipped (framing survives —
-/// the next length prefix is still in phase). EOF or an I/O error ends the thread,
-/// which detaches its link unless a replacement already did; a dead host —
-/// it was already, or a crash point fired in this round — hangs every
-/// connection up first, as the dying process would.
+/// arrives on it: blocks for a frame and runs it as a round itself. EOF or
+/// an I/O error ends the thread, which detaches its link unless a
+/// replacement already did; a dead host — it was already, or a crash point
+/// fired in this round — hangs every connection up first, as the dying
+/// process would.
 fn host_reader(
     shared: &HostShared,
     stream: UnixStream,
@@ -350,9 +326,7 @@ fn host_reader(
     let mut reader = BufReader::new(stream);
     let mut round = Vec::new();
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        stats.note_received(payload.len());
-        let Ok(msg) = decode_msg(&payload) else {
-            stats.note_decode_error();
+        let Some(msg) = stats.decode(&payload) else {
             continue;
         };
         round.push((NetAddr(peer), msg));
@@ -363,20 +337,19 @@ fn host_reader(
         }
     }
     let mut peers = shared.peers();
-    if peers
-        .links
-        .get(&peer)
-        .is_some_and(|l| l.generation == generation)
-    {
+    if peers.links.get(&peer).map(|l| l.generation) == Some(generation) {
         peers.links.remove(&peer);
     }
 }
 
-/// The TM pool's side of one edge.
+/// The TM pool's side of one edge. It has no thread: a worker waiting on
+/// the server reads (see [`WireTm`]).
 #[derive(Default)]
 struct TmLink {
     /// `None` while disconnected.
     writer: Mutex<Option<TmWriter>>,
+    /// `None` once the connection ended.
+    reader: Mutex<Option<BufReader<UnixStream>>>,
     stats: Arc<EdgeStats>,
     /// Outbound frame sequence — the fault fabric's per-frame roll input.
     seq: AtomicU64,
@@ -385,10 +358,32 @@ struct TmLink {
     reconnect_attempts: AtomicU64,
 }
 
+type TmReader<'a> = MutexGuard<'a, Option<BufReader<UnixStream>>>;
+
 impl TmLink {
     fn writer(&self) -> MutexGuard<'_, Option<TmWriter>> {
         self.writer.lock().expect("link writer lock")
     }
+}
+
+/// The replies read for each running transaction, by id, and how many
+/// workers wait on [`SocketLink::turn`].
+#[derive(Default)]
+struct Inbox {
+    replies: HashMap<u64, VecDeque<(ServerId, Msg)>>,
+    waiting: usize,
+}
+
+/// What one read of a connection came to.
+#[derive(PartialEq)]
+enum Read {
+    /// A frame for the reader's own transaction.
+    Mine,
+    Frame,
+    /// No frame began in time.
+    Quiet,
+    /// EOF, an I/O error or a frame cut short: the connection is over.
+    Ended,
 }
 
 /// Most reconnect attempts the TM makes per outage before declaring the
@@ -400,15 +395,13 @@ const RECONNECT_MAX_ATTEMPTS: u64 = 6;
 /// (1-based): doubling from 50µs, capped at 2ms, ±50% deterministic
 /// jitter — the same shape as the service layer's `RetryPolicy`.
 fn reconnect_backoff(attempt: u64, edge: u64) -> Duration {
-    let base = 50u64
-        .saturating_mul(1u64 << (attempt - 1).min(6))
-        .min(2_000);
+    let base = (50u64 << (attempt - 1).min(6)).min(2_000);
     let roll = splitmix64(attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ edge) % (base + 1);
     Duration::from_micros(base / 2 + roll)
 }
 
-/// A link's connection: its stream (`get_ref`) is also how a disconnect
-/// unblocks the reader thread.
+/// A link's write half: its stream (`get_ref`) is also how a disconnect
+/// ends a read of the connection.
 type TmWriter = BufWriter<UnixStream>;
 
 /// Drops a link's connection, if it has one.
@@ -418,27 +411,26 @@ fn sever(slot: &mut Option<TmWriter>) {
     }
 }
 
-/// Routes server→TM replies to the `execute` call driving that
-/// transaction. Readers route by the `txn` field every TM-bound reply
-/// carries; an unroutable reply is a stale straggler and is counted under
-/// the same rule the in-process runtimes apply.
-type Routes = Arc<Mutex<HashMap<u64, Sender<(ServerId, Msg)>>>>;
-
 /// The TM pool's logical peer id on every server's side of the wire. One
 /// pool per cluster today; additional pools would claim distinct ids.
 pub const TM_PEER: u64 = 0;
 
+/// The longest a worker reads one connection with no frame coming before
+/// it looks at its replies and its other connections again.
+const READ_SLICE: Duration = Duration::from_millis(2);
+
 /// The [`Link`] of the wire-protocol runtime: a byte stream per server,
-/// each with a demultiplexing reader thread on the TM side and a
-/// [`ServerHost`] on the other (in this process, or in another).
+/// a [`ServerHost`] on the far side (in this process, or in another) and
+/// no thread on this one.
 pub struct SocketLink {
     /// In-process hosts by slot (empty when the servers live in other
     /// processes).
     servers: Vec<ServerHost>,
-    /// Shared with the reader threads (they reset reconnect budgets).
-    tm: Arc<Vec<TmLink>>,
-    routes: Routes,
-    readers: Mutex<Vec<JoinHandle<()>>>,
+    tm: Vec<TmLink>,
+    inbox: Mutex<Inbox>,
+    /// Signalled when a reply lands for another worker than the reader, or
+    /// a reader is let go.
+    turn: Condvar,
     /// The fault fabric every frame (both directions) rolls against.
     fabric: Arc<Fabric>,
 }
@@ -448,33 +440,106 @@ impl SocketLink {
     /// with no connection yet.
     fn new(servers: usize, hosts: &[Arc<Host<NetAddr>>], fabric: &Arc<Fabric>) -> Self {
         SocketLink {
-            servers: hosts
-                .iter()
-                .map(|host| ServerHost::over(Arc::clone(host)))
-                .collect(),
-            tm: Arc::new((0..servers).map(|_| TmLink::default()).collect()),
-            routes: Arc::default(),
-            readers: Mutex::default(),
+            servers: hosts.iter().cloned().map(ServerHost::over).collect(),
+            tm: (0..servers).map(|_| TmLink::default()).collect(),
+            inbox: Mutex::default(),
+            turn: Condvar::new(),
             fabric: Arc::clone(fabric),
         }
     }
 
-    /// Installs `stream` as the connection of the link in `slot` (whose
-    /// writer the caller holds) and spawns its demultiplexing reader.
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().expect("inbox lock")
+    }
+
+    /// Wakes the waiting workers, if any. Under the inbox lock, which a
+    /// worker holds from finding every reader taken until it waits.
+    fn wake(&self, inbox: &Inbox) {
+        if inbox.waiting > 0 {
+            self.turn.notify_all();
+        }
+    }
+
+    /// Lets a reader go and wakes the waiting workers: one may take it.
+    fn let_go(&self, reader: TmReader<'_>) {
+        drop(reader);
+        self.wake(&self.inbox());
+    }
+
+    /// Installs `stream` as the connection of the link in `slot`, whose
+    /// writer the caller holds. The old one is shut down first, which ends
+    /// a worker's read of it, and what it still held is routed.
     fn install(&self, slot: usize, stream: UnixStream, writer: &mut Option<TmWriter>) {
-        let reader_stream = stream.try_clone().expect("clone unix stream");
+        let half = BufReader::new(stream.try_clone().expect("clone unix stream"));
+        sever(writer);
+        let mut reader = self.tm[slot].reader.lock().expect("link reader lock");
+        while let Read::Mine | Read::Frame = self.pump(slot, &mut reader, None) {}
+        *reader = Some(half);
         *writer = Some(BufWriter::new(stream));
-        let (tm, routes) = (Arc::clone(&self.tm), Arc::clone(&self.routes));
-        let fabric = Arc::clone(&self.fabric);
-        let reader = std::thread::spawn(move || {
-            let stale = &fabric.stats.stale_replies;
-            tm_reader_loop(reader_stream, slot, &tm[slot], &routes, stale);
-        });
-        // A replaced connection's reader has exited (or is about to): drop
-        // finished handles here, or a flapping edge grows this forever.
-        let mut readers = self.readers.lock().expect("readers lock");
-        readers.retain(|reader| !reader.is_finished());
-        readers.push(reader);
+        self.let_go(reader);
+    }
+
+    /// Reads one frame of the connection in `slot` — waiting as its
+    /// socket's timeout or non-blocking mode allows — and routes it to
+    /// the worker driving its transaction, the reader `me` or another.
+    fn pump(&self, slot: usize, reader: &mut TmReader<'_>, me: Option<TxnId>) -> Read {
+        let Some(stream) = reader.as_mut() else {
+            return Read::Ended;
+        };
+        let payload = match stream.fill_buf() {
+            Err(e) if [WouldBlock, TimedOut, Interrupted].contains(&e.kind()) => {
+                return Read::Quiet
+            }
+            Ok(buf) if !buf.is_empty() => read_frame(stream).ok().flatten(),
+            _ => None,
+        };
+        let (Some(payload), link) = (payload, &self.tm[slot]) else {
+            // Shut down too, so its writer fails and the next send reconnects.
+            let _ = stream.get_ref().shutdown(std::net::Shutdown::Both);
+            **reader = None;
+            return Read::Ended;
+        };
+        let Some(msg) = link.stats.decode(&payload) else {
+            return Read::Frame;
+        };
+        // A decoded frame proves the edge healthy: reopen the reconnect
+        // budget.
+        link.reconnect_attempts.store(0, Ordering::Relaxed);
+        let txn = reply_txn(&msg);
+        let mut inbox = self.inbox();
+        if let Some(replies) = txn.and_then(|txn| inbox.replies.get_mut(&txn.index())) {
+            replies.push_back((ServerId::new(slot as u64), msg));
+            if txn == me {
+                return Read::Mine;
+            }
+            self.wake(&inbox);
+            return Read::Frame;
+        }
+        drop(inbox);
+        // Stale stragglers, counted under the shared rule: no transaction
+        // id (foreign) or a transaction that is over.
+        let (stale, dropped) = (stale_replies(&msg), &self.fabric.stale_replies);
+        if stale > 0 {
+            dropped.fetch_add(stale, Ordering::Relaxed);
+        }
+        Read::Frame
+    }
+
+    /// Reads what already arrived on every connection no worker reads, so
+    /// frames that came after every worker was done are counted too.
+    fn settle(&self) {
+        for (slot, link) in self.tm.iter().enumerate() {
+            let Ok(mut reader) = link.reader.try_lock() else {
+                continue;
+            };
+            let nonblocking = |reader: &TmReader<'_>, on: bool| {
+                (reader.as_ref()).map(|r| r.get_ref().set_nonblocking(on))
+            };
+            nonblocking(&reader, true);
+            while let Read::Mine | Read::Frame = self.pump(slot, &mut reader, None) {}
+            nonblocking(&reader, false);
+            self.let_go(reader);
+        }
     }
 
     /// Connects the link in `slot` to its in-process host over a fresh
@@ -492,7 +557,7 @@ impl SocketLink {
     /// Replaces the connection in `slot` with a fresh one, counted on both
     /// edges' `reconnects`.
     fn reconnect(&self, slot: usize, writer: &mut Option<TmWriter>) {
-        self.tm[slot].stats.note_reconnect();
+        self.tm[slot].stats.counters().reconnects += 1;
         self.pair(slot, writer);
     }
 
@@ -505,14 +570,11 @@ impl SocketLink {
         if host.is_none_or(|server| server.host().crashed()) {
             return false;
         }
-        let attempt = self.tm[slot]
-            .reconnect_attempts
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
+        let attempts = &self.tm[slot].reconnect_attempts;
+        let attempt = attempts.fetch_add(1, Ordering::Relaxed) + 1;
         if attempt > RECONNECT_MAX_ATTEMPTS {
             if attempt == RECONNECT_MAX_ATTEMPTS + 1 {
-                let exhausted = &self.fabric.stats.reconnect_exhausted;
-                exhausted.fetch_add(1, Ordering::Relaxed);
+                self.fabric.count(|c| &mut c.reconnect_exhausted);
             }
             return false;
         }
@@ -522,23 +584,25 @@ impl SocketLink {
     }
 
     /// Encodes and writes one frame to the server in `slot` (through the
-    /// fault fabric) without flushing. A down link first gets a bounded,
-    /// backed-off reconnect attempt; once the budget is exhausted the
-    /// frame drops — the reply deadline is the failure detector, and the
-    /// edge presents as `ServerUnavailable`.
-    fn send_to(&self, slot: usize, msg: &Msg) {
+    /// fault fabric) without flushing; whether it went out. A down link
+    /// first gets a bounded, backed-off reconnect attempt; once the budget
+    /// is exhausted the frame drops — the reply deadline is the failure
+    /// detector, and the edge presents as `ServerUnavailable`.
+    fn send_to(&self, slot: usize, msg: &Msg) -> bool {
         let link = &self.tm[slot];
         let mut writer = link.writer();
         if writer.is_none() && !self.try_reconnect(slot, &mut writer) {
-            return;
+            return false;
         }
         let out = writer.as_mut().expect("connected above");
         let edge = (Peer::Coordinator, Peer::Server(ServerId::new(slot as u64)));
         let seq = link.seq.fetch_add(1, Ordering::Relaxed);
         let fate = write_through_fabric(&self.fabric, edge, seq, out, msg, &link.stats);
-        if !matches!(fate, Ok(WireFate::Intact)) {
+        let intact = matches!(fate, Ok(WireFate::Intact));
+        if !intact {
             sever(&mut writer);
         }
+        intact
     }
 
     /// Flushes the link in `slot`, severing the connection on failure.
@@ -555,20 +619,20 @@ impl Link for SocketLink {
     type Tm<'a> = WireTm<'a>;
 
     fn open(&self, txn: TxnId) -> WireTm<'_> {
-        let (tx, replies) = unbounded();
-        let mut routes = self.routes.lock().expect("routes lock");
-        routes.insert(txn.index(), tx);
+        self.inbox().replies.insert(txn.index(), VecDeque::new());
         WireTm {
             link: self,
             txn,
-            replies,
+            owed: vec![0; self.tm.len()],
+            turn: 0,
             touched: Vec::new(),
-            routed: true,
+            left: VecDeque::new(),
         }
     }
 
     // The TM side of the edge dies with the server: severed too, so sends
-    // fail fast instead of filling a kernel buffer nobody reads.
+    // fail fast instead of filling a kernel buffer nobody reads, and a
+    // worker reading it sees it end.
     fn down(&self, slot: usize) {
         self.servers[slot].sever();
         sever(&mut self.tm[slot].writer());
@@ -589,12 +653,13 @@ impl Link for SocketLink {
     // rage*; once the network is declared healthy, an edge whose budget
     // was exhausted mid-chaos must be reachable again.
     fn healed(&self) {
-        for link in self.tm.iter() {
+        for link in &self.tm {
             link.reconnect_attempts.store(0, Ordering::Relaxed);
         }
     }
 
     fn transport_counters(&self) -> TransportCounters {
+        self.settle();
         let tm: TransportCounters = self.tm.iter().map(|l| l.stats.snapshot()).sum();
         let servers = self.servers.iter().map(ServerHost::transport_counters);
         tm + servers.sum()
@@ -603,27 +668,17 @@ impl Link for SocketLink {
 
 impl Drop for SocketLink {
     fn drop(&mut self) {
-        for link in self.tm.iter() {
+        for link in &self.tm {
             sever(&mut link.writer.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-        let readers = self.readers.get_mut().unwrap_or_else(|e| e.into_inner());
-        for reader in readers.drain(..) {
-            let _ = reader.join();
         }
     }
 }
 
 /// A cluster whose protocol traffic crosses real byte streams: the shared
 /// control plane ([`LinkedCluster`], to which this dereferences) over a
-/// [`SocketLink`] — same effects, same decision log, same inline master
-/// consult, same reply-deadline failure detector as the threaded
-/// `safetx_runtime::Cluster`.
-///
-/// [`NetCluster::new`] runs everything in-process over `UnixStream::pair`
-/// duplex sockets, one [`ServerHost`] per server. [`NetCluster::connect`]
-/// instead attaches to server processes listening on filesystem sockets
-/// (the hosts then live in other processes and only the TM side runs
-/// here).
+/// [`SocketLink`]. [`NetCluster::new`] runs everything in-process, one
+/// [`ServerHost`] per server; [`NetCluster::connect`] attaches to server
+/// processes listening on filesystem sockets instead.
 pub struct NetCluster(LinkedCluster<SocketLink>);
 
 impl std::ops::Deref for NetCluster {
@@ -682,7 +737,8 @@ impl NetCluster {
         NetCluster(LinkedCluster::assemble(config, false, link))
     }
 
-    /// Both sides of one server's edge: `(tm_side, server_side)`. On a
+    /// Both sides of one server's edge: `(tm_side, server_side)`, once the
+    /// frames already on every connection no worker reads are read. On a
     /// clean quiesced run frames are conserved — everything one side sent,
     /// the other received. `server_side` is all-zero when the host lives
     /// in another process.
@@ -693,6 +749,7 @@ impl NetCluster {
     #[must_use]
     pub fn edge_counters(&self, server: ServerId) -> (TransportCounters, TransportCounters) {
         let (slot, link) = (self.slot(server), self.link());
+        link.settle();
         let host_side = link
             .servers
             .get(slot)
@@ -703,61 +760,52 @@ impl NetCluster {
         )
     }
 
-    /// Severs the byte stream to one server without touching the server's
-    /// state — the wire fails, the process survives. In-flight replies are
-    /// lost; the next `execute` that needs this server trips the reply
-    /// deadline and aborts with `ServerUnavailable` (configure
-    /// `ClusterConfig::reply_timeout`, or executions will block).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server id is out of range.
-    pub fn disconnect_server(&self, server: ServerId) {
-        sever(&mut self.link().tm[self.slot(server)].writer());
-    }
-
-    /// Replaces a severed connection with a fresh duplex pair under the
-    /// server's original logical peer id, so reply coalescing keyed by
-    /// that id spans the reconnect unchanged. Counted on both edges'
-    /// `reconnects`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server id is out of range or its host lives in
-    /// another process.
-    pub fn reconnect_server(&self, server: ServerId) {
-        let (slot, link) = (self.slot(server), self.link());
-        link.reconnect(slot, &mut link.tm[slot].writer());
-    }
-
     /// Stops every connection and host and joins all their threads.
     pub fn shutdown(self) {
         // The link's `Drop` does it.
     }
 }
 
-/// The coordinator's side of one transaction on the wire: its reply route
-/// (readers demultiplex replies into it by transaction id) and the links
-/// its frames are written to.
+/// The coordinator's side of one transaction on the wire: its inbox
+/// entry, the frames each server owes it, and the reads it does itself.
+///
+/// Waiting for a reply, the worker takes the reader of a server that owes
+/// it one, Leader/Followers style, and reads every frame — parking each in
+/// its transaction's inbox entry — until one of its own arrives. Finding
+/// every such reader held, it waits until a reply is parked for it or a
+/// reader is let go. A connection that ends lets its reader go too; the
+/// next read finds it ended and returns `None`, as at the deadline.
 pub struct WireTm<'a> {
     link: &'a SocketLink,
     txn: TxnId,
-    replies: Receiver<(ServerId, Msg)>,
+    /// Per slot: the frames written and not yet answered — a round answers
+    /// a peer's frame with one frame.
+    owed: Vec<u32>,
+    /// Where the search for a reader starts; moved on when a read waits
+    /// out its slice.
+    turn: usize,
     /// Links written since the last flush. They flush once per effect
     /// batch, after the whole batch is encoded — frames keep their
     /// protocol order and a round's sends to one server share a syscall.
     touched: Vec<usize>,
-    routed: bool,
+    /// What was parked for it when it closed its inbox entry.
+    left: VecDeque<(ServerId, Msg)>,
 }
 
 impl WireTm<'_> {
-    /// Deregisters the reply route: from here on the readers count this
+    /// Closes its inbox entry: from here on readers count this
     /// transaction's replies as stale themselves.
     fn close(&mut self) {
-        if std::mem::take(&mut self.routed) {
-            let mut routes = self.link.routes.lock().expect("routes lock");
-            routes.remove(&self.txn.index());
-        }
+        let left = self.link.inbox().replies.remove(&self.txn.index());
+        self.left.extend(left.into_iter().flatten());
+    }
+
+    /// A reply parked for it, one frame of its server's debt paid.
+    fn take(&mut self, inbox: &mut Inbox) -> Option<(ServerId, Msg)> {
+        let (from, msg) = inbox.replies.get_mut(&self.txn.index())?.pop_front()?;
+        let owed = &mut self.owed[from.index() as usize];
+        *owed = owed.saturating_sub(1);
+        Some((from, msg))
     }
 }
 
@@ -770,7 +818,7 @@ impl Drop for WireTm<'_> {
 impl TmIo for WireTm<'_> {
     fn send(&mut self, server: ServerId, msg: Msg) {
         let slot = server.index() as usize;
-        self.link.send_to(slot, &msg);
+        self.owed[slot] += u32::from(self.link.send_to(slot, &msg));
         if !self.touched.contains(&slot) {
             self.touched.push(slot);
         }
@@ -782,73 +830,64 @@ impl TmIo for WireTm<'_> {
         }
     }
 
-    // Readers already flattened any Batch envelope.
+    // The driver flattens a Batch envelope.
     fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
-        match deadline {
-            None => self.replies.recv().ok(),
-            Some(t) => self.replies.recv_timeout(t).ok(),
+        let (link, until) = (self.link, deadline.map(|d| Instant::now() + d));
+        let mut inbox = link.inbox();
+        loop {
+            if let Some(reply) = self.take(&mut inbox) {
+                return Some(reply);
+            }
+            let left = until.map(|u| u.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return None;
+            }
+            // A free reader it may take, from `turn` on: a server's that owes
+            // it a frame or — should none owe one while it waits — any.
+            let (owing, n) = (self.owed.iter().any(|&frames| frames > 0), self.owed.len());
+            let mut may = (0..n)
+                .map(|i| (self.turn + i) % n)
+                .filter(|&slot| self.owed[slot] > 0 || !owing);
+            let free = may.find_map(|slot| Some((slot, link.tm[slot].reader.try_lock().ok()?)));
+            let Some((slot, mut reader)) = free else {
+                inbox.waiting += 1;
+                inbox = match left {
+                    None => link.turn.wait(inbox).expect("inbox lock"),
+                    Some(left) => link.turn.wait_timeout(inbox, left).expect("inbox lock").0,
+                };
+                inbox.waiting -= 1;
+                continue;
+            };
+            drop(inbox);
+            if let Some(stream) = reader.as_ref() {
+                let wait = left.map_or(READ_SLICE, |left| left.min(READ_SLICE));
+                let _ = stream.get_ref().set_read_timeout(Some(wait));
+            }
+            let read = loop {
+                match link.pump(slot, &mut reader, Some(self.txn)) {
+                    Read::Frame if until.is_none_or(|u| Instant::now() < u) => {}
+                    read => break read,
+                }
+            };
+            link.let_go(reader);
+            self.turn = slot + usize::from(read == Read::Quiet);
+            inbox = link.inbox();
+            if read == Read::Ended {
+                // What was read off it before it ended is parked.
+                return self.take(&mut inbox);
+            }
         }
     }
 
-    // Deregister first, then hand out what raced the deregistration.
+    // Close first, then hand out what raced the closing.
     fn try_recv(&mut self) -> Option<Msg> {
         self.close();
-        self.replies.try_recv().ok().map(|(_, msg)| msg)
+        self.left.pop_front().map(|(_, msg)| msg)
     }
 }
 
-/// The TM-side reader for the edge in `slot`: decodes frames, flattens
-/// coalesced envelopes and routes each inner reply to the `execute` call
-/// driving its transaction. Unroutable replies are stale stragglers,
-/// counted into `stale` under the shared rule (acks never count).
-fn tm_reader_loop(
-    stream: UnixStream,
-    slot: usize,
-    link: &TmLink,
-    routes: &Routes,
-    stale: &AtomicU64,
-) {
-    let from = ServerId::new(slot as u64);
-    let mut reader = BufReader::new(stream);
-    while let Ok(Some(payload)) = read_frame(&mut reader) {
-        link.stats.note_received(payload.len());
-        let Ok(msg) = decode_msg(&payload) else {
-            link.stats.note_decode_error();
-            continue;
-        };
-        // A decoded frame proves the edge is healthy: reopen the
-        // reconnect budget.
-        link.reconnect_attempts.store(0, Ordering::Relaxed);
-        match msg {
-            Msg::Batch(inner) => {
-                (inner.into_iter()).for_each(|msg| route_reply(from, msg, routes, stale))
-            }
-            other => route_reply(from, other, routes, stale),
-        }
-    }
-}
-
-/// Routes one server→TM message to the `execute` call driving its
-/// transaction. A message nobody takes is a stale straggler, counted under
-/// the shared rule: it carries no transaction id (foreign) or its route is
-/// gone. (`WireTm` deregisters before it drops its receiver, so a routed
-/// send does not fail; a reply whose send did is stale all the same.)
-fn route_reply(from: ServerId, msg: Msg, routes: &Routes, dropped: &AtomicU64) {
-    // Sent with the routes locked (the channel is unbounded, a send never
-    // blocks): one lock per reply and no clone of the route's sender.
-    let untaken = {
-        let routes = routes.lock().expect("routes lock");
-        match reply_txn(&msg).and_then(|txn| routes.get(&txn.index())) {
-            Some(tx) => tx.send((from, msg)).err().map(|SendError((_, msg))| msg),
-            None => Some(msg),
-        }
-    };
-    if untaken.is_some_and(|msg| reply_counts_as_dropped(&msg)) {
-        dropped.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The transaction a server→TM message belongs to.
+/// The transaction a server→TM message (an envelope: its first) belongs
+/// to.
 fn reply_txn(msg: &Msg) -> Option<TxnId> {
     match msg {
         Msg::QueryDone { txn, .. }
@@ -858,6 +897,7 @@ fn reply_txn(msg: &Msg) -> Option<TxnId> {
         | Msg::Inquiry { txn, .. }
         | Msg::InquiryReply { txn, .. }
         | Msg::VersionReply { txn, .. } => Some(*txn),
+        Msg::Batch(msgs) => msgs.first().and_then(reply_txn),
         _ => None,
     }
 }

@@ -1,7 +1,9 @@
 use super::*;
 use crate::wire::write_frame;
+use crossbeam::channel::{unbounded, Sender};
 use safetx_core::{
-    ConsistencyLevel, MsgKind, ProofScheme, ResourcePolicyMap, SharedCas, SharedCatalog, VersionMap,
+    AbortReason, ConsistencyLevel, MsgKind, ProofScheme, ResourcePolicyMap, SharedCas,
+    SharedCatalog, VersionMap,
 };
 use safetx_policy::{Atom, CaRegistry, CertificateAuthority, Constant, Credential, PolicyBuilder};
 use safetx_runtime::{CrashPoint, CrashRule, FaultPlan};
@@ -14,18 +16,14 @@ use safetx_types::{
 };
 use std::sync::Barrier;
 
-/// A routed send fails only when the route's receiver is already gone.
-/// Such a reply is a stale straggler like any unroutable one — counted
-/// unless it is an ack.
+/// A reply is parked for a running transaction; one for a transaction
+/// that is over is a stale straggler — counted unless it is an ack — and
+/// read even when no worker waits (the counters settle the link first).
 #[test]
-fn reply_that_outlives_its_receiver_counts_as_dropped() {
+fn reply_for_a_finished_transaction_counts_as_dropped() {
     let txn = TxnId::new(7);
-    let routes: Routes = Arc::default();
-    let (tx, rx) = unbounded();
-    routes.lock().unwrap().insert(txn.index(), tx);
-    drop(rx);
-    let dropped = AtomicU64::new(0);
-    let from = ServerId::new(0);
+    let (link, mut srv) = scripted_link();
+    let stale = || link.fabric.stale_replies.load(Ordering::Relaxed);
     let done = Msg::QueryDone {
         txn,
         query_index: 0,
@@ -33,10 +31,27 @@ fn reply_that_outlives_its_receiver_counts_as_dropped() {
         proof: None,
         capability: None,
     };
-    route_reply(from, done, &routes, &dropped);
-    assert_eq!(dropped.load(Ordering::Relaxed), 1);
-    route_reply(from, Msg::Ack { txn }, &routes, &dropped);
-    assert_eq!(dropped.load(Ordering::Relaxed), 1, "acks never count");
+    let tm = link.open(txn);
+    write_frame(&mut srv, &done).expect("reply");
+    assert_eq!(link.transport_counters().frames_received, 1);
+    assert_eq!(stale(), 0, "parked");
+    drop(tm);
+    write_frame(&mut srv, &done).expect("reply");
+    ack(&mut srv, txn.index());
+    assert_eq!(link.transport_counters().frames_received, 3);
+    assert_eq!(stale(), 1, "acks never count");
+}
+
+/// A test's hold on one edge: severed, or replaced by a fresh pair.
+impl NetCluster {
+    fn disconnect_server(&self, server: ServerId) {
+        sever(&mut self.link().tm[self.slot(server)].writer());
+    }
+
+    fn reconnect_server(&self, server: ServerId) {
+        let (slot, link) = (self.slot(server), self.link());
+        link.reconnect(slot, &mut link.tm[slot].writer());
+    }
 }
 
 const SERVER: ServerId = ServerId::new(0);
@@ -301,7 +316,7 @@ fn crash_point_in_one_reader_kills_every_connection_and_restart_recovers() {
     assert!(host.host().crashed());
     assert_eq!(host.live_peers(), 0);
     assert!(b.recv().is_none(), "B's connection died with the host");
-    assert_eq!(fabric.stats.snapshot().server_crashes, 1);
+    assert_eq!(fabric.counters().server_crashes, 1);
 
     host.reap();
     let in_doubt = host.host().restart();
@@ -368,13 +383,38 @@ fn lock_order_teardown_returns_while_a_peer_never_reads() {
     }
 }
 
-/// Every reconnect spawns a reader on both sides of the edge; both sides
-/// must let go of the handles of readers that exited, or a flapping edge
-/// grows them for the life of the cluster.
+/// The threads of this process that carry `comm`, the kernel's name of a
+/// thread: a thread spawned without a name inherits its spawner's. `None`
+/// without `/proc`.
+fn threads_named(comm: &str) -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let named = tasks.filter_map(|task| {
+        let path = task.ok()?.path().join("comm");
+        std::fs::read_to_string(path).ok()
+    });
+    Some(named.filter(|name| name.trim_end() == comm).count())
+}
+
+/// No TM-side thread: 200 reconnects leave the threads this test spawned
+/// at one host reader for the one server — the TM side reads on the
+/// workers that wait — and the host lets go of the handles of readers
+/// that exited, or a flapping edge grows them for the life of the cluster.
+/// The body runs on a thread of a name of its own, which every thread it
+/// spawns inherits, so tests running beside it do not count.
 #[test]
-fn flapping_edge_keeps_reader_handles_bounded() {
+fn no_tm_side_thread_after_200_flaps() {
+    let body = std::thread::Builder::new().name("no-tm-thread".into());
+    body.spawn(flap_200_times)
+        .expect("spawn")
+        .join()
+        .expect("the body");
+}
+
+fn flap_200_times() {
     const FLAPS: u64 = 200;
     const BOUND: usize = 8;
+    let mine = || threads_named("no-tm-thread");
+    assert!(mine().is_none_or(|n| n == 1), "the body runs alone");
     let cluster = NetCluster::new(ClusterConfig {
         servers: 1,
         scheme: ProofScheme::Deferred,
@@ -411,13 +451,221 @@ fn flapping_edge_keeps_reader_handles_bounded() {
         let spec = TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), vec![query]);
         let result = cluster.execute(&spec, std::slice::from_ref(&credential));
         assert!(result.is_commit(), "flap {flap}: {:?}", result.outcome);
-        let tm_side = cluster.link().readers.lock().unwrap().len();
         let host_side = cluster.link().servers[0].shared.conns.lock().unwrap().len();
         assert!(
-            tm_side <= BOUND && host_side <= BOUND,
-            "flap {flap}: {tm_side} TM-side and {host_side} host-side reader handles"
+            host_side <= BOUND,
+            "flap {flap}: {host_side} host-side reader handles"
         );
     }
     assert_eq!(cluster.edge_counters(SERVER).0.reconnects, FLAPS);
+    if mine().is_some() {
+        // A severed connection's host reader exits on its own time.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while mine() != Some(2) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            mine(),
+            Some(2),
+            "the body's threads: itself and one host reader"
+        );
+    }
     cluster.shutdown();
+}
+
+/// A link to one server whose far end the test holds, playing the server
+/// frame by frame.
+fn scripted_link() -> (Arc<SocketLink>, UnixStream) {
+    let link = SocketLink::new(1, &[], &Arc::new(Fabric::default()));
+    let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
+    link.install(0, tm_end, &mut link.tm[0].writer());
+    srv_end
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    (Arc::new(link), srv_end)
+}
+
+/// Whether a worker holds the link's reader. Taking it to look is a hold
+/// too, so it is let go the way a worker lets go: telling the waiters.
+fn reader_held(link: &SocketLink) -> bool {
+    match link.tm[0].reader.try_lock() {
+        Ok(reader) => {
+            link.let_go(reader);
+            false
+        }
+        Err(_) => true,
+    }
+}
+
+/// How many workers wait for a reply or a free reader.
+fn in_line(link: &SocketLink) -> usize {
+    link.inbox().waiting
+}
+
+fn spin_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "never: {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// One worker's transaction on the scripted link, on a thread of its own
+/// (detached: a worker that waits forever must fail the test's own
+/// deadline, not hang the test joining it): a request the server answers
+/// with an ack, then a wait for that ack. What it got, and how long it
+/// waited, arrive on `done`.
+fn ask(
+    link: &Arc<SocketLink>,
+    txn: u64,
+    deadline: Option<Duration>,
+    done: &Sender<(u64, Option<Msg>, Duration)>,
+) {
+    let (link, done) = (Arc::clone(link), done.clone());
+    std::thread::spawn(move || {
+        let mut tm = link.open(TxnId::new(txn));
+        let decision = Decision::Abort;
+        tm.send(
+            SERVER,
+            Msg::Decision {
+                txn: TxnId::new(txn),
+                decision,
+            },
+        );
+        tm.flush();
+        let started = Instant::now();
+        let reply = tm.recv(deadline).map(|(_, msg)| msg);
+        let _ = done.send((txn, reply, started.elapsed()));
+    });
+}
+
+/// Reads the next request off the server's end: its transaction.
+fn request(server: &mut BufReader<UnixStream>) -> u64 {
+    let payload = read_frame(server).expect("a request").expect("not EOF");
+    let msg = decode_msg(&payload).expect("requests decode");
+    match msg {
+        Msg::Decision { txn, .. } | Msg::ExecQuery { txn, .. } => txn.index(),
+        other => panic!("unexpected request {other:?}"),
+    }
+}
+
+fn ack(server: &mut UnixStream, txn: u64) {
+    write_frame(
+        server,
+        &Msg::Ack {
+            txn: TxnId::new(txn),
+        },
+    )
+    .expect("reply");
+}
+
+/// (no stranded reply) Three workers wait on one server with no reply
+/// deadline: the first holds the reader, the other two wait in line, and
+/// the holder's own reply comes first. The holder must hand the reader on
+/// as it leaves, or the replies behind it are read by nobody.
+#[test]
+fn no_reply_is_stranded_behind_the_worker_that_read_its_own() {
+    for round in 0..50u64 {
+        let (link, mut srv) = scripted_link();
+        let mut requests = BufReader::new(srv.try_clone().expect("clone"));
+        let (holder, behind) = (3 * round + 1, [3 * round + 2, 3 * round + 3]);
+        let (done, finished) = unbounded();
+        ask(&link, holder, None, &done);
+        assert_eq!(request(&mut requests), holder);
+        spin_until("the first worker reads", || reader_held(&link));
+        for txn in behind {
+            ask(&link, txn, None, &done);
+            assert_eq!(request(&mut requests), txn);
+        }
+        spin_until("both wait in line", || in_line(&link) == 2);
+        for txn in [holder, behind[0], behind[1]] {
+            ack(&mut srv, txn);
+        }
+        for _ in 0..3 {
+            let (txn, reply, _) = finished
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("round {round}: a reply was stranded"));
+            assert!(matches!(reply, Some(Msg::Ack { txn: t }) if t.index() == txn));
+        }
+        assert_eq!(link.tm[0].stats.snapshot().frames_received, 3);
+    }
+}
+
+/// (deadline holds) A worker waiting in line behind a holder whose reply
+/// has not come returns at its own reply deadline, not when the holder
+/// lets go.
+#[test]
+fn a_waiters_deadline_holds_while_another_worker_reads() {
+    const DEADLINE: Duration = Duration::from_millis(100);
+    let (link, mut srv) = scripted_link();
+    let mut requests = BufReader::new(srv.try_clone().expect("clone"));
+    let (done, finished) = unbounded();
+    ask(&link, 1, None, &done);
+    assert_eq!(request(&mut requests), 1);
+    spin_until("the first worker reads", || reader_held(&link));
+    ask(&link, 2, Some(DEADLINE), &done);
+    assert_eq!(request(&mut requests), 2);
+    let (txn, reply, waited) = finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the waiter's deadline did not hold");
+    assert!(txn == 2 && reply.is_none(), "txn {txn} got {reply:?}");
+    assert!(
+        waited >= DEADLINE && waited < DEADLINE + Duration::from_secs(2),
+        "waited {waited:?} for a {DEADLINE:?} deadline"
+    );
+    assert!(reader_held(&link), "the holder still reads");
+    ack(&mut srv, 1);
+    let (txn, reply, _) = finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("holder");
+    assert!(txn == 1 && matches!(reply, Some(Msg::Ack { .. })));
+}
+
+/// (EOF aborts waiters) The server's end closes while one worker reads
+/// and another waits in line: both transactions abort with
+/// `ServerUnavailable` long before their reply deadline.
+#[test]
+fn eof_mid_read_aborts_every_waiter_as_server_unavailable() {
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
+    let cluster = Arc::new(NetCluster::connect(
+        ClusterConfig {
+            servers: 1,
+            scheme: ProofScheme::Deferred,
+            consistency: ConsistencyLevel::View,
+            reply_timeout: Some(DEADLINE),
+            ..Default::default()
+        },
+        vec![tm_end],
+    ));
+    srv_end
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut requests = BufReader::new(srv_end);
+    let (done, finished) = unbounded();
+    let run = |txn: u64| {
+        let (cluster, done) = (Arc::clone(&cluster), done.clone());
+        std::thread::spawn(move || {
+            let write = vec![Operation::Add(DataItemId::new(0), 1)];
+            let query = QuerySpec::new(SERVER, "write", "records", write);
+            let spec = TransactionSpec::new(TxnId::new(txn), UserId::new(1), vec![query]);
+            let started = Instant::now();
+            let result = cluster.execute(&spec, &[]);
+            let _ = done.send((result.outcome.abort_reason(), started.elapsed()));
+        });
+    };
+    run(1);
+    assert_eq!(request(&mut requests), 1);
+    spin_until("the first worker reads", || reader_held(cluster.link()));
+    run(2);
+    assert_eq!(request(&mut requests), 2);
+    spin_until("the second waits in line", || in_line(cluster.link()) == 1);
+    drop(requests);
+    for _ in 0..2 {
+        let (reason, took) = finished
+            .recv_timeout(DEADLINE / 2)
+            .expect("a waiter outlived the connection");
+        assert_eq!(reason, Some(AbortReason::ServerUnavailable));
+        assert!(took < DEADLINE / 2, "aborted after {took:?}, not at EOF");
+    }
 }

@@ -71,8 +71,10 @@ fn spec(cluster: &NetCluster, slot: u64) -> TransactionSpec {
     TransactionSpec::new(cluster.next_txn_id(), UserId::new(1), queries)
 }
 
-/// Receive counters are bumped on reader threads, so give in-flight
-/// frames a moment to land before declaring an imbalance.
+/// The TM side has no reader thread: a frame that lands after every
+/// worker is done (a straggler ack, say) is read and counted when the
+/// counters are read. A frame still on its way gets a moment to land
+/// before an imbalance is declared.
 fn edges_balance(cluster: &NetCluster) -> bool {
     (0..SERVERS as u64).all(|s| {
         let (tm, srv) = cluster.edge_counters(ServerId::new(s));

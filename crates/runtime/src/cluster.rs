@@ -142,24 +142,19 @@ fn send_faulty(
     put: impl Fn(Msg) + Send + 'static,
 ) {
     let seq = seq.fetch_add(1, Ordering::Relaxed);
-    let stats = &fabric.stats;
     match fabric.verdict(Layer::Message, from, to, roll_kind(&msg), seq) {
         Verdict::Deliver => put(msg),
-        Verdict::Drop => {
-            stats.dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        Verdict::Drop => fabric.count(|c| &mut c.faults_dropped),
         Verdict::Duplicate => {
-            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| &mut c.faults_duplicated);
             put(msg.clone());
             put(msg);
         }
         Verdict::Delay { by, reorder } => {
-            let counter = if reorder {
-                &stats.reordered
-            } else {
-                &stats.delayed
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            fabric.count(|c| match reorder {
+                true => &mut c.faults_reordered,
+                false => &mut c.faults_delayed,
+            });
             // Detached sleeper: delivery races everything sent in the
             // meantime, which is the point; a message to a server that
             // crashed meanwhile dies with the incarnation it was sent to.
@@ -496,6 +491,12 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Four contending transactions serialize through the mode's
+    /// concurrency control. Under no-wait 2PL the first to lock wins, so at
+    /// least one commits; under OCC all four can fail validation against
+    /// each other. Either way every abort carries the mode's conflict
+    /// reason, the store holds exactly the committed increments, and a
+    /// fifth transaction run alone commits — no lock or pin leaked.
     #[test]
     fn concurrent_transactions_serialize_via_locks() {
         let cluster = std::sync::Arc::new(cluster(ProofScheme::Deferred, ConsistencyLevel::View));
@@ -506,12 +507,37 @@ mod tests {
             let cred = cred.clone();
             let spec = spec(&cluster);
             joins.push(std::thread::spawn(move || {
-                cluster.execute(&spec, &[cred]).is_commit()
+                cluster.execute(&spec, &[cred]).outcome
             }));
         }
-        let outcomes: Vec<bool> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        // At least one must commit; others may hit lock conflicts.
-        assert!(outcomes.iter().any(|&c| c), "{outcomes:?}");
+        let outcomes: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
+        let mode = ConcurrencyMode::from_env();
+        let conflict = match mode {
+            ConcurrencyMode::Locking => AbortReason::LockConflict,
+            ConcurrencyMode::Occ => AbortReason::ValidationConflict,
+        };
+        let commits = outcomes.iter().filter(|o| o.is_commit()).count() as i64;
+        if mode == ConcurrencyMode::Locking {
+            assert!(commits > 0, "{outcomes:?}");
+        }
+        for outcome in outcomes.iter().filter(|o| !o.is_commit()) {
+            assert_eq!(outcome.abort_reason(), Some(conflict), "{outcomes:?}");
+        }
+        let value = |server: u64, item: u64| {
+            let (tx, rx) = unbounded();
+            cluster.configure_server(ServerId::new(server), move |core| {
+                let _ = tx.send(core.store().read_int(DataItemId::new(item)));
+            });
+            rx.recv().unwrap()
+        };
+        assert_eq!(value(1, 100), Some(10 + commits), "{outcomes:?}");
+        assert_eq!(value(2, 200), Some(10 - commits), "{outcomes:?}");
+        let alone = cluster.execute(&spec(&cluster), &[cred]);
+        assert!(
+            alone.is_commit(),
+            "a lock or pin leaked: {:?}",
+            alone.outcome
+        );
     }
 
     /// A cluster whose WAL syncs model a device.

@@ -434,15 +434,14 @@ impl<L: Link> LinkedCluster<L> {
         let master = || self.topology.catalog.latest_snapshot().1;
         let timeout = config.reply_timeout;
         let run = drive_tm(&mut io, logs, master, core, now, timeout, crash)?;
-        let stats = &self.fabric.stats;
         // Not on a clean run: every send reads the fabric's armed flag,
         // which shares cache lines with these counters.
         if run.dropped_replies > 0 {
-            let stale = &stats.stale_replies;
+            let stale = &self.fabric.stale_replies;
             stale.fetch_add(run.dropped_replies, Ordering::Relaxed);
         }
         if run.termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
-            stats.timeout_aborts.fetch_add(1, Ordering::Relaxed);
+            self.fabric.count(|c| &mut c.timeout_aborts);
         }
         let termination = run.termination;
         Some(ExecutionResult {
@@ -689,7 +688,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.fabric.stats.snapshot()
+        self.fabric.counters()
     }
 
     fn wal_stats(&self) -> WalStats {
@@ -701,7 +700,7 @@ impl<L: Link> Deployment for LinkedCluster<L> {
     }
 
     fn dropped_replies(&self) -> u64 {
-        self.fabric.stats.stale_replies.load(Ordering::Relaxed)
+        self.fabric.stale_replies.load(Ordering::Relaxed)
     }
 
     fn transport_counters(&self) -> TransportCounters {

@@ -31,7 +31,7 @@ use safetx_core::{Msg, MsgKind};
 use safetx_metrics::FaultCounters;
 use safetx_types::ServerId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
 /// One end of a cluster edge, as seen by fault rules.
@@ -315,58 +315,6 @@ impl ArmedPlan {
     }
 }
 
-/// Lock-free fault, recovery and failure-detector counters of one
-/// deployment, snapshotted into [`safetx_metrics::FaultCounters`].
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    /// Messages or frames dropped by the plan.
-    pub dropped: AtomicU64,
-    /// Messages or frames delayed by the plan.
-    pub delayed: AtomicU64,
-    /// Messages or frames delivered twice by the plan.
-    pub duplicated: AtomicU64,
-    /// Messages sent on a detour behind younger ones.
-    pub reordered: AtomicU64,
-    /// Frames whose payload was corrupted.
-    pub corrupted: AtomicU64,
-    /// Frames cut off mid-write.
-    pub truncated: AtomicU64,
-    /// Streams hard-closed by the plan.
-    pub disconnects: AtomicU64,
-    /// Reconnect loops that exhausted their bounded attempt budget.
-    pub reconnect_exhausted: AtomicU64,
-    /// Hosts crashed (scheduled or harness-driven).
-    pub server_crashes: AtomicU64,
-    /// Hosts rebuilt from their WAL after a crash.
-    pub recoveries: AtomicU64,
-    /// Executions the reply deadline aborted.
-    pub timeout_aborts: AtomicU64,
-    /// Stale replies no coordinator was waiting for (not a fault: reported
-    /// as the deployment's `dropped_replies`).
-    pub stale_replies: AtomicU64,
-}
-
-impl FaultStats {
-    /// A point-in-time copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> FaultCounters {
-        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        FaultCounters {
-            faults_dropped: get(&self.dropped),
-            faults_delayed: get(&self.delayed),
-            faults_duplicated: get(&self.duplicated),
-            faults_reordered: get(&self.reordered),
-            faults_corrupted: get(&self.corrupted),
-            faults_truncated: get(&self.truncated),
-            disconnects: get(&self.disconnects),
-            reconnect_exhausted: get(&self.reconnect_exhausted),
-            server_crashes: get(&self.server_crashes),
-            recoveries: get(&self.recoveries),
-            timeout_aborts: get(&self.timeout_aborts),
-        }
-    }
-}
-
 /// A deployment's fault fabric: the armed plan, if any, and the counters.
 /// Shared by the link's applicator (rolls) and the hosts (crash points).
 #[derive(Debug, Default)]
@@ -379,10 +327,24 @@ pub struct Fabric {
     /// it delivers, so a host's Acquire read of 0 sees each one queued.
     pub(crate) held: AtomicU64,
     /// What the fabric, the hosts and the coordinators counted.
-    pub stats: FaultStats,
+    counters: Mutex<FaultCounters>,
+    /// Stale replies no coordinator was waiting for (not a fault: reported
+    /// as the deployment's `dropped_replies`).
+    pub stale_replies: AtomicU64,
 }
 
 impl Fabric {
+    /// Counts one more of what `field` picks.
+    pub fn count(&self, field: impl FnOnce(&mut FaultCounters) -> &mut u64) {
+        *field(&mut self.counters.lock().unwrap_or_else(|e| e.into_inner())) += 1;
+    }
+
+    /// A point-in-time copy of the counters.
+    #[must_use]
+    pub fn counters(&self) -> FaultCounters {
+        *self.counters.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Arms `plan`: every subsequent send rolls against it and its crash
     /// points start unfired. Replaces any armed plan.
     pub fn arm(&self, plan: FaultPlan) {

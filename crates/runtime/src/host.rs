@@ -322,8 +322,7 @@ impl<A: PeerAddr> Host<A> {
         core.crash();
         state.salvage = Some(core);
         self.incarnation.fetch_add(1, Ordering::Relaxed);
-        let crashes = &self.fabric.stats.server_crashes;
-        crashes.fetch_add(1, Ordering::Relaxed);
+        self.fabric.count(|c| &mut c.server_crashes);
         true
     }
 
@@ -364,8 +363,7 @@ impl<A: PeerAddr> Host<A> {
         // Released first: a refused restart must not poison the host.
         let in_doubt = recovered
             .unwrap_or_else(|| panic!("server {} is not crashed: nothing to restart", self.server));
-        let recoveries = &self.fabric.stats.recoveries;
-        recoveries.fetch_add(1, Ordering::Relaxed);
+        self.fabric.count(|c| &mut c.recoveries);
         in_doubt
     }
 

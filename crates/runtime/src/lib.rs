@@ -66,8 +66,8 @@ pub use deployment::{
     ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, TxnRoute,
 };
 pub use fault::{
-    roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, FaultStats, Layer,
-    Peer, PeerMatch, Verdict,
+    roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, Layer, Peer,
+    PeerMatch, Verdict,
 };
 pub use host::{now_since, Host, PeerAddr};
 

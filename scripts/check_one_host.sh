@@ -2,8 +2,8 @@
 # One server host, one control plane, one fault plan, one participant
 # path, one benchmark, one coordinator log, one byte schema, shards as a
 # topology, one message per server round, a log device that waits off the
-# processor and one TM driver: the acceptance greps and the non-test line
-# budgets of the consolidations.
+# processor, one TM driver and no TM-side reader thread: the acceptance
+# greps and the non-test line budgets of the consolidations.
 # Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]`,
@@ -28,7 +28,13 @@
 # small sinks in place of two effect interpreters, the single-implementor
 # `TmAuthority` trait and the runtime's `Authority` struct folded into
 # `drive_tm`'s logs and master closure — took 2, to 20 099, and 49 from
-# the hosting files, to 3 255).
+# the hosting files, to 3 255; the socket link's waiting workers reading
+# their own replies in place of a reader thread per connection took 8, to
+# 20 091, and 10 from the hosting files, to 3 245 — the workers' reads, an
+# inbox per transaction and the counters' settling of late frames cost
+# what deleting the reader threads, their routes and the test-only
+# reconnect methods saved, and fault and edge counters kept as the
+# metrics crate's structs behind a lock paid for the rest).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,13 +77,13 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 20099 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20099; 20101 at 336147a)"
+[ "$total" -le 20091 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20091; 20099 at 607dd11)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
     crates/runtime/src/deployment.rs)
 hosting_total=$(lines "${budget_files[@]}")
-[ "$hosting_total" -le 3255 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3255; 3304 at 336147a)"
+[ "$hosting_total" -le 3245 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3245; 3255 at 607dd11)"
 
 # One byte schema: each wire type's layout is one `Wire` impl, each stats
 # struct one `counters!` entry, and the frame format is written in one place.
@@ -140,6 +146,13 @@ stray=$(nontest crates/core/src/tm_loop.rs | awk '/fn perform\(/ { p = 1 } p && 
     !p && /TmEffect::/ && !/^[^:]*:[ \t]*\/\//' | wc -l)
 [ "$stray" -eq 0 ] || bad "tm_loop.rs matches TmEffect outside TmDriver::perform ($stray lines)"
 
+# Whoever waits reads: the socket link's TM side has no reader thread, so
+# the one `thread::spawn` left in non-test runtime.rs is the host reader's.
+stale=$(grep -rn 'tm_reader_loop' crates/*/src src tests examples || true)
+[ -z "$stale" ] || { bad "the TM-side reader thread is back:"; echo "$stale"; }
+n=$(hits 'thread::spawn' crates/net/src/runtime.rs)
+[ "$n" -le 1 ] || bad "non-test crates/net/src/runtime.rs spawns threads in $n places (want 1: the host reader)"
+
 n=$(hits '0x7331' "${hosting[@]}")
 [ "$n" -eq 1 ] || bad "0x7331 appears $n times under crates/runtime crates/net (want 1)"
 for name in splitmix64 now_since; do
@@ -197,5 +210,5 @@ stale=$({ nontest "${rust[@]}"; grep -H '' scripts/*.sh .github/workflows/ci.yml
     grep -v '^scripts/check_one_host.sh:bench_gone=' | grep -E "$bench_gone" || true)
 [ -z "$stale" ] || { bad "the second bench system is cited again:"; echo "$stale"; }
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema, shards as a topology, one message per round, one TM driver: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema, shards as a topology, one message per round, one TM driver, no TM-side reader thread: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"
