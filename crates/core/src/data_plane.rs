@@ -165,34 +165,17 @@ impl ProofCache {
     }
 }
 
-/// A consistent snapshot of one transaction's proof-evaluation inputs,
-/// extracted from the protocol plane for a [`crate::DeferredEval`].
-///
-/// All payloads are `Arc`-shared with the server's transaction state, so
-/// taking a snapshot is refcount traffic, not a deep copy.
-#[derive(Debug, Clone)]
-pub struct EvalSnapshot {
-    /// The requesting user.
-    pub user: UserId,
-    /// The credentials presented at Begin.
-    pub credentials: Arc<[Credential]>,
-    /// The queries registered at this server: `(index, spec)`.
-    pub queries: Vec<(usize, Arc<QuerySpec>)>,
-}
-
 /// The shareable data plane of one cloud server: everything proof
 /// evaluation touches, behind interior mutability so proofs are evaluated
 /// through a shared handle while the server keeps exclusive ownership of
 /// the protocol plane (locks, decisions, WAL forces, 2PVC votes,
 /// per-transaction state).
 ///
-/// Every runtime drives a server from one thread at a time — the
-/// thread that runs a round also runs its [`crate::DeferredEval`] — so the
-/// locks below are uncontended. The interior mutability stays because the
-/// handle is shared, not because it is raced: a `DeferredEval` carries an
-/// `Arc` of the plane out of the `&mut ServerCore` borrow that built it,
-/// and [`crate::ServerCore::data_plane`] hands the same `Arc` to callers
-/// that evaluate or install policies without going through the core.
+/// Every runtime drives a server from one thread at a time, so the locks
+/// below are uncontended. The interior mutability stays because the handle
+/// is shared, not because it is raced: [`crate::ServerCore::data_plane`]
+/// hands the same `Arc` to callers that evaluate or install policies
+/// without going through the core.
 pub struct DataPlane {
     id: ServerId,
     catalog: SharedCatalog,
@@ -441,10 +424,10 @@ impl DataPlane {
     /// evaluated through it share one catalog fetch per `(policy, version)`,
     /// one credential check + rule saturation per `(policy, version,
     /// credential list)`, and identical requests are evaluated exactly once
-    /// (the within-round dedup that fixes the redundant-evaluation race).
+    /// (the within-batch dedup that fixes the redundant-evaluation race).
     ///
     /// Every evaluation in the batch happens at the single instant `now` —
-    /// the round's evaluation time.
+    /// the message's evaluation time.
     #[must_use]
     pub fn begin_batch(&self, now: Timestamp) -> BatchEval<'_> {
         BatchEval {

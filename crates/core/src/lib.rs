@@ -27,11 +27,12 @@
 //!   lifecycle — scheme pipelines, version pinning, 2PV, 2PVC, timeouts —
 //!   as a pure `step(Event) -> Vec<Effect>` state machine shared by every
 //!   runtime.
-//! * **The drivers of both cores**: one TM driver performs every effect
-//!   of [`TmCore`], for [`TmActor`] and for [`drive_tm`], the blocking loop
-//!   over a [`TmIo`] transport; [`ServerCore::run_round`] is the server
-//!   round (protocol plane inline under one WAL group, proof evaluation
-//!   handed back as a [`DeferredEval`]). Runtimes are transports around them.
+//! * **The drivers of both cores**: one TM driver feeds [`TmCore`] one
+//!   reply at a time and performs its effects, for [`TmActor`] and for
+//!   [`drive_tm`], the blocking loop over a [`TmIo`] transport;
+//!   [`ServerCore::handle`] is the server round: one message in, its
+//!   replies out, its proofs evaluated and its forces synced in place.
+//!   Runtimes are transports around them.
 //! * **Simulation actors**: [`TmActor`], [`CloudServerActor`] and
 //!   [`MasterActor`] run the protocols on the
 //!   [`safetx_sim`] discrete-event world; [`Experiment`] wires complete
@@ -67,20 +68,18 @@ pub use consistency::{
     consistent_at, phi_consistent, phi_consistent_by_admin, psi_consistent, ConsistencyLevel,
     VersionAuthority,
 };
-pub use data_plane::{BatchEval, DataPlane, EvalSnapshot, SharedCas};
+pub use data_plane::{BatchEval, DataPlane, SharedCas};
 pub use harness::{Experiment, ExperimentConfig, ExperimentReport};
 pub use master::MasterActor;
-pub use messages::coalesce_replies;
 pub use messages::AddressBook;
 pub use messages::{Msg, MsgKind};
 pub use outcome::{AbortReason, TxnOutcome};
-pub use round::{DeferredEval, Round};
 pub use scheme::ProofScheme;
 pub use server::{ServerCore, ServerCounters};
 pub use sim_actor::CloudServerActor;
 pub use tm::{TmActor, TxnRecord};
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};
-pub use tm_loop::{drive_tm, stale_replies, terminate_leftover, TmCrashPoint, TmIo, TmRun};
+pub use tm_loop::{drive_tm, terminate_leftover, TmCrashPoint, TmIo, TmRun};
 pub use two_pvc::{TwoPvc, TwoPvcAction, TwoPvcState};
 pub use validation::{
     ValidationAction, ValidationConfig, ValidationOutcome, ValidationReply, ValidationRound,

@@ -83,7 +83,7 @@ pub enum Msg {
         /// Transaction id.
         txn: TxnId,
         /// The query this round submits, when this is its server: execute
-        /// it, then evaluate its proof with the rest of the round's.
+        /// it, then evaluate its proof with the transaction's others here.
         new_query: Option<(usize, Arc<QuerySpec>)>,
         /// The requesting user (needed when `new_query` introduces the
         /// transaction to this server).
@@ -179,11 +179,10 @@ pub enum Msg {
         policy: safetx_policy::Policy,
     },
 
-    /// A coalesced envelope: several protocol messages for the same
-    /// destination delivered in one send (a server round's replies to one
-    /// coordinator, [`coalesce_replies`]). Semantically
-    /// identical to sending the inner messages in order; receivers flatten
-    /// it before normal processing. Never nested.
+    /// An envelope of several messages. No peer forms one any more; the
+    /// variant keeps its wire tag so old frames still decode. A server
+    /// ignores it and a coordinator counts it as one stale reply. Never
+    /// nested.
     Batch(Vec<Msg>),
 
     /// Recovering participant → TM: what happened to this transaction?
@@ -265,66 +264,6 @@ impl MsgKind {
     }
 }
 
-/// Groups a round's outputs by destination, coalescing multiple messages
-/// to the same destination into one [`Msg::Batch`] envelope — one send
-/// (and one fabric or socket crossing) per destination per round.
-/// Destinations keep first-appearance order; inside an envelope, messages
-/// keep their round order. A destination owed a single message gets it
-/// bare, never wrapped.
-///
-/// # The coalescing-key invariant
-///
-/// `key` must map each live destination to a value that is **unique within
-/// the sending process** and **stable for the destination's logical
-/// lifetime**. Both runtimes uphold this differently:
-///
-/// * the threaded runtime keys by `Addr::id`, a process-unique counter
-///   minted per reply *channel* — correct there because a channel is never
-///   reused across logical peers;
-/// * the net runtime keys by the peer's logical id, **not** per-connection
-///   state — a reconnected peer keeps its id, so replies computed across a
-///   reconnect still coalesce to (and only to) that peer. Keying by a
-///   per-connection token would silently split or misroute a round's
-///   envelope when a connection is replaced mid-round.
-///
-/// Key collisions between two live destinations would merge their replies
-/// into one envelope and deliver both to whichever address appeared first
-/// — which is why "unique among live destinations" is a hard requirement,
-/// not an optimization hint.
-#[must_use]
-pub fn coalesce_replies<A: Clone>(
-    outputs: Vec<(A, Msg)>,
-    key: impl Fn(&A) -> u64,
-) -> Vec<(A, Msg)> {
-    // At most one output: nothing to group (the common round).
-    if outputs.len() <= 1 {
-        return outputs;
-    }
-    let mut order: Vec<A> = Vec::new();
-    let mut groups: std::collections::HashMap<u64, Vec<Msg>> = std::collections::HashMap::new();
-    for (to, msg) in outputs {
-        match groups.entry(key(&to)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut().push(msg),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(vec![msg]);
-                order.push(to);
-            }
-        }
-    }
-    order
-        .into_iter()
-        .map(|to| {
-            let mut msgs = groups.remove(&key(&to)).expect("grouped above");
-            let msg = if msgs.len() == 1 {
-                msgs.pop().expect("one message")
-            } else {
-                Msg::Batch(msgs)
-            };
-            (to, msg)
-        })
-        .collect()
-}
-
 /// Where everyone lives in the simulation world.
 ///
 /// The harness adds nodes in a fixed order (master, TMs, then servers), so
@@ -397,42 +336,5 @@ mod tests {
     #[should_panic(expected = "unknown server")]
     fn unknown_server_panics() {
         let _ = AddressBook::layout(1, 1).server_node(ServerId::new(9));
-    }
-
-    fn ack(txn: u64) -> Msg {
-        Msg::Ack {
-            txn: TxnId::new(txn),
-        }
-    }
-
-    #[test]
-    fn coalesce_groups_by_key_keeping_first_appearance_order() {
-        let outputs = vec![(7u64, ack(0)), (3, ack(1)), (7, ack(2))];
-        let sent = coalesce_replies(outputs, |k| *k);
-        assert_eq!(sent.len(), 2);
-        assert_eq!(sent[0].0, 7);
-        match &sent[0].1 {
-            Msg::Batch(inner) => assert_eq!(inner.len(), 2),
-            other => panic!("expected batch, got {other:?}"),
-        }
-        assert_eq!(sent[1].0, 3);
-        assert!(matches!(sent[1].1, Msg::Ack { .. }), "single stays bare");
-    }
-
-    #[test]
-    fn coalesce_keeps_round_order_inside_an_envelope() {
-        let outputs = vec![(1u64, ack(10)), (1, ack(11)), (1, ack(12))];
-        let sent = coalesce_replies(outputs, |k| *k);
-        let Msg::Batch(inner) = &sent[0].1 else {
-            panic!("expected batch");
-        };
-        let txns: Vec<u64> = inner
-            .iter()
-            .map(|m| match m {
-                Msg::Ack { txn } => txn.index(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(txns, vec![10, 11, 12]);
     }
 }

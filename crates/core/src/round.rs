@@ -1,156 +1,20 @@
 //! One server round: the only way anything feeds a [`ServerCore`].
 //!
-//! [`ServerCore::run_round`] takes the messages of one round — a single
-//! protocol message on either link, or the control plane's termination
-//! answers to a host's leftover transactions — and splits each between
-//! the two planes. The protocol plane — registration, locks, write sets,
-//! votes, decisions, WAL — runs inline, in arrival order, under **one**
-//! WAL group, so the round's forced appends share a single physical sync
-//! and no reply that acknowledges a force exists before that sync has
-//! happened. Proof evaluation — the data plane, and under
-//! Punctual/Continuous the round's entire cost — is collected into a
-//! [`DeferredEval`] the runtime runs once the inline replies have left: it
-//! touches only the shareable [`DataPlane`], evaluates the whole round
-//! through one [`crate::BatchEval`], and involves no forces.
-//! [`ServerCore::handle`] — the simulator's entry point — is a round of
-//! one with its deferred half run in place, so every runtime drives the
-//! same participant.
+//! [`ServerCore::handle`] takes one message and returns the replies it
+//! owes, all of it in place: the protocol plane — registration, locks,
+//! write sets, votes, decisions, WAL — and the message's proofs, evaluated
+//! through one [`crate::BatchEval`] of the shareable [`crate::DataPlane`].
+//! Each force syncs when it is forced, before `handle` returns, so no reply
+//! that acknowledges a force exists before that force is durable. The
+//! simulator, both links and the control plane's termination answers all
+//! feed the same participant through it, one message at a time.
 
-use crate::data_plane::{DataPlane, EvalSnapshot};
 use crate::messages::Msg;
 use crate::server::{capability_key, Refused, ServerCore};
 use crate::validation::ValidationReply;
-use safetx_policy::{AccessCapability, Credential};
-use safetx_txn::{QuerySpec, Vote};
+use safetx_policy::{AccessCapability, Credential, ProofOfAuthorization};
+use safetx_txn::QuerySpec;
 use safetx_types::{Duration, Timestamp, TxnId, UserId};
-use std::sync::Arc;
-
-/// One proof-evaluation work item deferred out of a round. Its
-/// protocol-plane half already ran in the round; evaluating the
-/// proofs and building the reply is pure data-plane work.
-enum EvalTask<A> {
-    /// An `ExecQuery` whose data operations succeeded: evaluate the proof
-    /// and reply `QueryDone`.
-    Query {
-        to: A,
-        txn: TxnId,
-        query_index: usize,
-        query: Arc<QuerySpec>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        /// The capabilities the TM forwarded: in the unsafe baseline a
-        /// valid one passes for the proof.
-        capabilities: Vec<AccessCapability>,
-    },
-    /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
-    /// evaluate the snapshot and reply `ValidateReply`.
-    Snapshot {
-        to: A,
-        txn: TxnId,
-        snapshot: EvalSnapshot,
-    },
-}
-
-/// The data-plane half of a round: its proof evaluations, still to run.
-pub struct DeferredEval<A> {
-    data: Arc<DataPlane>,
-    /// The unsafe baseline: honour forwarded capabilities in lieu of a
-    /// proof, and issue one with each granted query proof.
-    capability_shortcut: bool,
-    tasks: Vec<EvalTask<A>>,
-}
-
-impl<A> DeferredEval<A> {
-    /// Evaluates the round's proofs at the single instant `now` through
-    /// one [`crate::BatchEval`] — shared policy fetches, credential
-    /// saturations and within-round dedup — and returns the replies they
-    /// feed, in the order the round received the requests.
-    #[must_use]
-    pub fn run(self, now: Timestamp) -> Vec<(A, Msg)> {
-        let mut batch = self.data.begin_batch(now);
-        let mut replies = Vec::with_capacity(self.tasks.len());
-        for task in self.tasks {
-            replies.push(match task {
-                EvalTask::Query {
-                    to,
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    capabilities,
-                } => {
-                    // Unsafe baseline: a previously issued capability
-                    // passes for a proof — no policy evaluation, no
-                    // credential status check. This is exactly how Bob's
-                    // stale "read credential" slipped through in the
-                    // paper's Figure 1.
-                    let honoured = self.capability_shortcut
-                        && capabilities.iter().any(|cap| {
-                            cap.user() == user
-                                && cap.txn() == txn
-                                && cap.action() == query.action
-                                && cap.resource() == query.resource
-                                && cap.verify(capability_key(cap.issuer()), now)
-                        });
-                    let proof = if honoured {
-                        self.data.proof_from_capability(now, user, &query)
-                    } else {
-                        batch.evaluate_one(user, &credentials, &query)
-                    };
-                    let capability = (self.capability_shortcut && proof.truth()).then(|| {
-                        let id = self.data.id();
-                        AccessCapability::issue(
-                            id,
-                            capability_key(id),
-                            user,
-                            txn,
-                            query.action.clone(),
-                            query.resource.clone(),
-                            now,
-                            now.saturating_add(Duration::from_secs(60)),
-                        )
-                    });
-                    (
-                        to,
-                        Msg::QueryDone {
-                            txn,
-                            query_index,
-                            ok: true,
-                            proof: Some(proof),
-                            capability,
-                        },
-                    )
-                }
-                EvalTask::Snapshot { to, txn, snapshot } => {
-                    let (truth, versions, proofs) = batch.evaluate_queries(
-                        snapshot.user,
-                        &snapshot.credentials,
-                        &snapshot.queries,
-                    );
-                    let reply = ValidationReply {
-                        vote: Vote::Yes,
-                        truth,
-                        versions,
-                        proofs,
-                        conflict: false,
-                    };
-                    (to, Msg::ValidateReply { txn, reply })
-                }
-            });
-        }
-        replies
-    }
-}
-
-/// What one [`ServerCore::run_round`] produced.
-pub struct Round<A> {
-    /// The protocol plane's replies. The round's WAL group has closed:
-    /// every force they acknowledge is durable.
-    pub replies: Vec<(A, Msg)>,
-    /// The round's proof evaluations, when it deferred any.
-    pub deferred: Option<DeferredEval<A>>,
-}
 
 /// A `QueryDone` that carries no proof: a lost lock race (`ok = false`)
 /// or a query executed without one (`ok = true`).
@@ -165,69 +29,11 @@ fn query_done(txn: TxnId, query_index: usize, ok: bool) -> Msg {
 }
 
 impl<A: Clone> ServerCore<A> {
-    /// Handles one message arriving from `from` at instant `now` as a round
-    /// of its own, its deferred proofs evaluated in place. Returns the
-    /// messages to send: the protocol plane's replies, then the proofs'.
+    /// Handles one message arriving from `from` at instant `now` and
+    /// returns the messages to send. A [`Msg::Batch`] envelope is ignored:
+    /// no peer forms one.
     pub fn handle(&mut self, now: Timestamp, from: A, msg: Msg) -> Vec<(A, Msg)> {
-        let Round {
-            mut replies,
-            deferred,
-        } = self.run_round(now, [(from, msg)]);
-        if let Some(deferred) = deferred {
-            replies.extend(deferred.run(now));
-        }
-        replies
-    }
-
-    /// Processes one round of messages, each with the peer it came from.
-    /// A [`Msg::Batch`] envelope is its inner messages in order.
-    ///
-    /// Equivalent, reply for reply, to calling [`ServerCore::handle`] on
-    /// each message in turn — except that the round's forces cost one
-    /// physical sync and its proofs, evaluated by [`DeferredEval::run`],
-    /// answer after every inline reply of the round.
-    pub fn run_round(
-        &mut self,
-        now: Timestamp,
-        msgs: impl IntoIterator<Item = (A, Msg)>,
-    ) -> Round<A> {
         let mut replies = Vec::new();
-        let mut tasks = Vec::new();
-        self.begin_wal_group();
-        for (from, msg) in msgs {
-            match msg {
-                Msg::Batch(inner) => {
-                    for msg in inner {
-                        self.round_msg(now, from.clone(), msg, &mut replies, &mut tasks);
-                    }
-                }
-                msg => self.round_msg(now, from, msg, &mut replies, &mut tasks),
-            }
-        }
-        // The group closes — performing the round's one physical sync —
-        // before any reply is released, so a vote never outruns the force
-        // it acknowledges.
-        self.end_wal_group();
-        let deferred = (!tasks.is_empty()).then(|| DeferredEval {
-            data: self.data_plane(),
-            capability_shortcut: self.capability_shortcut,
-            tasks,
-        });
-        Round { replies, deferred }
-    }
-
-    /// Runs the protocol-plane half of one message, deferring its proof
-    /// evaluation (if it asks for one) to `tasks`. Messages whose handling
-    /// is pure protocol — voting, decisions, recovery — go to
-    /// [`ServerCore::handle_into`].
-    fn round_msg(
-        &mut self,
-        now: Timestamp,
-        from: A,
-        msg: Msg,
-        replies: &mut Vec<(A, Msg)>,
-        tasks: &mut Vec<EvalTask<A>>,
-    ) {
         match msg {
             Msg::ExecQuery {
                 txn,
@@ -251,19 +57,22 @@ impl<A: Clone> ServerCore<A> {
                 Err(Refused::LockConflict) => {
                     replies.push((from, query_done(txn, query_index, false)));
                 }
-                // Nothing to prove: answered inline.
+                // Nothing to prove.
                 Ok(()) if !evaluate_proof => {
                     replies.push((from, query_done(txn, query_index, true)));
                 }
-                Ok(()) => tasks.push(EvalTask::Query {
-                    to: from,
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    capabilities,
-                }),
+                Ok(()) => {
+                    let (proof, capability) =
+                        self.prove_query(now, txn, &query, user, &credentials, &capabilities);
+                    let done = Msg::QueryDone {
+                        txn,
+                        query_index,
+                        ok: true,
+                        proof: Some(proof),
+                        capability,
+                    };
+                    replies.push((from, done));
+                }
             },
             Msg::PrepareToValidate {
                 txn,
@@ -278,52 +87,95 @@ impl<A: Clone> ServerCore<A> {
                         let reply = ValidationReply::lock_conflict();
                         replies.push((from, Msg::ValidateReply { txn, reply }));
                     }
-                    Ok(snapshot) => tasks.push(EvalTask::Snapshot {
-                        to: from,
-                        txn,
-                        snapshot,
-                    }),
+                    Ok(()) => replies.push((from, self.validate_reply(now, txn))),
                 }
             }
-            // In-commit updates touch the participant state machine and
-            // stay inline.
+            // In-commit updates touch the participant state machine.
             Msg::Update {
                 txn,
                 targets,
                 in_commit: false,
             } => {
                 self.fast_forward(&targets);
-                match self.snapshot_txn(txn) {
-                    Some(snapshot) => tasks.push(EvalTask::Snapshot {
-                        to: from,
-                        txn,
-                        snapshot,
-                    }),
-                    // No state here: a vacuous reply.
-                    None => replies.push((
-                        from,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply::empty_true(),
-                        },
-                    )),
-                }
+                // No state here: a vacuous reply.
+                replies.push((from, self.validate_reply(now, txn)));
             }
-            other => self.handle_into(now, from, other, replies),
+            other => self.handle_into(now, from, other, &mut replies),
         }
+        replies
+    }
+
+    /// The proof of an executed query that asked for one, and in the
+    /// unsafe baseline the capability a granted proof issues.
+    fn prove_query(
+        &self,
+        now: Timestamp,
+        txn: TxnId,
+        query: &QuerySpec,
+        user: UserId,
+        credentials: &[Credential],
+        capabilities: &[AccessCapability],
+    ) -> (ProofOfAuthorization, Option<AccessCapability>) {
+        // Unsafe baseline: a previously issued capability passes for a
+        // proof — no policy evaluation, no credential status check. This
+        // is exactly how Bob's stale "read credential" slipped through in
+        // the paper's Figure 1.
+        let honoured = self.capability_shortcut
+            && capabilities.iter().any(|cap| {
+                cap.user() == user
+                    && cap.txn() == txn
+                    && cap.action() == query.action
+                    && cap.resource() == query.resource
+                    && cap.verify(capability_key(cap.issuer()), now)
+            });
+        let proof = if honoured {
+            self.data.proof_from_capability(now, user, query)
+        } else {
+            self.data.evaluate_one(now, user, credentials, query)
+        };
+        let capability = (self.capability_shortcut && proof.truth()).then(|| {
+            let id = self.data.id();
+            AccessCapability::issue(
+                id,
+                capability_key(id),
+                user,
+                txn,
+                query.action.clone(),
+                query.resource.clone(),
+                now,
+                now.saturating_add(Duration::from_secs(60)),
+            )
+        });
+        (proof, capability)
+    }
+
+    /// The YES `ValidateReply` of a 2PV contact or a standalone update:
+    /// every query `txn` holds here, proved in one batch (vacuously true
+    /// when it holds none).
+    fn validate_reply(&self, now: Timestamp, txn: TxnId) -> Msg {
+        let (truth, versions, proofs) = self.evaluate_all(now, txn);
+        let reply = ValidationReply {
+            truth,
+            versions,
+            proofs,
+            ..ValidationReply::empty_true()
+        };
+        Msg::ValidateReply { txn, reply }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::MsgKind;
     use crate::server::fixture::*;
     use crate::validation::VersionMap;
     use safetx_txn::{Decision, Operation};
     use safetx_types::{DataItemId, ServerId};
+    use std::sync::Arc;
 
     const NOW: Timestamp = Timestamp::from_millis(1);
-    /// A second coordinator, so rounds have two destinations.
+    /// A second coordinator, so replies have two destinations.
     const TM2: u8 = 43;
 
     fn exec(fx: &Fixture, txn: u64, evaluate_proof: bool) -> Msg {
@@ -359,10 +211,10 @@ mod tests {
         }
     }
 
-    /// A mixed round: TM drives transaction 1 through the deferring
-    /// messages (proof at the query, a 2PV contact, a standalone update),
-    /// TM2 drives transaction 2 through the forcing ones (vote, decision).
-    fn mixed_round(fx: &Fixture) -> Vec<(u8, Msg)> {
+    /// A mixed sequence: TM drives transaction 1 through the messages that
+    /// prove (a query, a 2PV contact, a standalone update), TM2 drives
+    /// transaction 2 through the ones that force (vote, decision).
+    fn mixed(fx: &Fixture) -> Vec<(u8, Msg)> {
         vec![
             (TM, exec(fx, 1, true)),
             (TM2, exec(fx, 2, false)),
@@ -388,90 +240,63 @@ mod tests {
         ]
     }
 
-    /// Runs `rounds` one after the other; returns each destination's
-    /// replies in order (as debug text — `Msg` has no `PartialEq`).
-    fn run(fx: &mut Fixture, rounds: Vec<Vec<(u8, Msg)>>) -> [Vec<String>; 2] {
-        let mut per_dest = [Vec::new(), Vec::new()];
-        for round in rounds {
-            let out = fx.core.run_round(NOW, round);
-            let deferred = out.deferred.map(|d| d.run(NOW)).unwrap_or_default();
-            for (to, msg) in out.replies.into_iter().chain(deferred) {
-                per_dest[usize::from(to - TM)].push(format!("{msg:?}"));
+    #[test]
+    fn each_message_gets_its_own_replies_and_each_force_its_own_sync() {
+        let mut fx = fixture();
+        let mut kinds = [Vec::new(), Vec::new()];
+        for (from, msg) in mixed(&fx) {
+            let replies = fx.core.handle(NOW, from, msg);
+            assert_eq!(replies.len(), 1, "{replies:?}");
+            for (to, msg) in replies {
+                assert_eq!(to, from, "a reply goes to the sender");
+                kinds[usize::from(to - TM)].push(format!("{:?}", MsgKind::of(&msg)));
             }
         }
-        per_dest
+        assert_eq!(kinds[0], ["QueryDone", "ValidateReply", "ValidateReply"]);
+        assert_eq!(kinds[1], ["QueryDone", "CommitReply", "Ack"]);
+        // Transaction 1 proved its one query three times, transaction 2
+        // once at its validating vote, each in place; that vote and the
+        // decision are two forces, two syncs.
+        let counters = fx.core.counters();
+        assert_eq!(counters.proofs, 4);
+        assert_eq!((counters.forced_logs, counters.physical_syncs), (2, 2));
+        assert_eq!(fx.core.wal().forced_count(), 2);
+        assert_eq!(fx.core.store().read_int(DataItemId::new(2)), Some(1));
+        assert_eq!(fx.core.active_txn_ids(), [TxnId::new(1)]);
     }
 
     #[test]
-    fn one_round_of_n_messages_equals_n_rounds_of_one() {
-        let (mut together, mut apart) = (fixture(), fixture());
-        let round = mixed_round(&together);
-        let singles = mixed_round(&apart).into_iter().map(|m| vec![m]).collect();
-        let replies_together = run(&mut together, vec![round]);
-        let replies_apart = run(&mut apart, singles);
-        assert_eq!(replies_together, replies_apart);
-        assert_eq!(replies_together[0].len(), 3, "{replies_together:?}");
-        assert_eq!(replies_together[1].len(), 3, "{replies_together:?}");
-
-        // Same counters but for the syncs: the vote and the decision are
-        // two forces, one sync in one round, one sync each apart.
-        let (a, b) = (together.core.counters(), apart.core.counters());
-        assert_eq!((a.proofs, a.forced_logs), (b.proofs, b.forced_logs));
-        assert_eq!(a.proof_cache, b.proof_cache);
-        assert_eq!(
-            together.core.wal().forced_count(),
-            apart.core.wal().forced_count()
-        );
-        assert_eq!(
-            (a.forced_logs, a.physical_syncs, b.physical_syncs),
-            (2, 1, 2)
-        );
-        for item in 0..3 {
-            let item = DataItemId::new(item);
-            assert_eq!(
-                together.core.store().read_int(item),
-                apart.core.store().read_int(item)
-            );
-        }
-        assert_eq!(together.core.store().read_int(DataItemId::new(2)), Some(1));
-        assert_eq!(together.core.active_txn_ids(), apart.core.active_txn_ids());
-    }
-
-    #[test]
-    fn a_vote_is_released_only_after_the_rounds_wal_group_closed() {
+    fn a_vote_is_returned_only_after_its_force_synced() {
         let mut fx = fixture();
         exec_query(&mut fx, TxnId::new(0), false);
-        let out = fx.core.run_round(NOW, vec![(TM, prepare_to_commit(0))]);
+        let cost = std::time::Duration::from_millis(2);
+        fx.core.set_wal_sync_cost(cost);
+        let start = std::time::Instant::now();
+        let replies = fx.core.handle(NOW, TM, prepare_to_commit(0));
+        let took = start.elapsed();
         assert!(
-            matches!(&out.replies[..], [(_, Msg::CommitReply { reply, .. })] if reply.vote.is_yes())
+            matches!(&replies[..], [(_, Msg::CommitReply { reply, .. })] if reply.vote.is_yes())
         );
         // The YES vote acknowledges the forced prepare record: by the time
-        // the round hands it out, the force has been synced …
+        // `handle` returns it, the force has been synced and its device
+        // wait paid.
         let counters = fx.core.counters();
         assert_eq!((counters.forced_logs, counters.physical_syncs), (1, 1));
-        assert!(out.deferred.is_none(), "votes are never deferred");
-        // … and the group is closed, not left open: the next round's force
-        // gets its own sync.
+        assert!(took >= cost, "the vote came back after {took:?}");
+        // The next force gets its own sync.
         fx.core.handle(NOW, TM, commit(0));
         assert_eq!(fx.core.counters().physical_syncs, 2);
     }
 
     #[test]
-    fn a_batch_envelope_in_a_round_is_its_inner_messages_in_order() {
-        let (mut enveloped, mut bare) = (fixture(), fixture());
-        let inner = |fx: &Fixture| vec![exec(fx, 0, true), prepare_to_commit(0), commit(0)];
-        let envelope = vec![(TM, Msg::Batch(inner(&enveloped)))];
-        let messages = inner(&bare).into_iter().map(|m| (TM, m)).collect();
-        let replies = run(&mut enveloped, vec![envelope]);
-        assert_eq!(replies, run(&mut bare, vec![messages]));
-        // Vote and ack inline, in order; then the query's deferred proof.
-        let kinds: Vec<&str> = replies[0]
-            .iter()
-            .map(|m| m.split_once(' ').map_or(m.as_str(), |(kind, _)| kind))
-            .collect();
-        assert_eq!(kinds, ["CommitReply", "Ack", "QueryDone"]);
-        assert_eq!(enveloped.core.store().read_int(DataItemId::new(0)), Some(6));
-        assert_eq!(enveloped.core.counters(), bare.core.counters());
+    fn a_batch_envelope_is_ignored() {
+        let mut fx = fixture();
+        let inner = vec![exec(&fx, 0, true), prepare_to_commit(0), commit(0)];
+        assert!(fx.core.handle(NOW, TM, Msg::Batch(inner)).is_empty());
+        assert_eq!(fx.core.active_txns(), 0);
+        assert_eq!(fx.core.store().read_int(DataItemId::new(0)), Some(5));
+        let counters = fx.core.counters();
+        assert_eq!((counters.proofs, counters.forced_logs), (0, 0));
     }
 
     /// A 2PV contact at this server carrying query 0 (`Add(item 0, +1)`),
@@ -493,8 +318,7 @@ mod tests {
         }
     }
 
-    /// One message through a round of its own (`handle`); the one reply
-    /// it is owed.
+    /// One message through `handle`; the one reply it is owed.
     fn feed(core: &mut Core, msg: Msg) -> Msg {
         let mut replies = core.handle(NOW, TM, msg);
         assert_eq!(replies.len(), 1, "{replies:?}");

@@ -3,16 +3,16 @@
 //!
 //! The protocol logic lives in [`ServerCore`], a sans-io handler generic
 //! over the address type `A` of its peers, fed through one path:
-//! [`ServerCore::run_round`] (see [`crate::round`]) takes a batch of
-//! messages, and [`ServerCore::handle`] is a round of one. Proof
-//! evaluation lives in the shareable [`DataPlane`];
+//! [`ServerCore::handle`] (see [`crate::round`]) takes one message and
+//! returns its replies. Proof evaluation lives in the shareable
+//! [`DataPlane`];
 //! [`crate::CloudServerActor`] adapts the core to the discrete-event
 //! simulator (`A = NodeId`), the `safetx-runtime` and `safetx-net` crates
 //! to channels and sockets.
 
 use crate::catalog::{ResourcePolicyMap, SharedCatalog};
 use crate::concurrency::ConcurrencyMode;
-use crate::data_plane::{DataPlane, EvalSnapshot, SharedCas};
+use crate::data_plane::{DataPlane, SharedCas};
 use crate::messages::Msg;
 use crate::validation::{ValidationReply, VersionMap};
 use safetx_policy::{Credential, FactBase, ProofOfAuthorization};
@@ -68,11 +68,10 @@ pub struct ServerCounters {
     /// Proof evaluations performed (cache hits included: a hit still *is*
     /// a proof evaluation in the paper's cost model).
     pub proofs: u64,
-    /// Forced log writes performed (logical — the paper's metric, never
-    /// changed by group commit).
+    /// Forced log writes performed (logical — the paper's metric).
     pub forced_logs: u64,
-    /// Physical WAL syncs performed (≤ `forced_logs`; wall-clock effect
-    /// only, like the cache stats).
+    /// Physical WAL syncs performed: one per force, so equal to
+    /// `forced_logs`. Kept beside it as the device's own count.
     pub physical_syncs: u64,
     /// Abort decisions applied to a transaction this server held.
     pub aborts_applied: u64,
@@ -96,12 +95,11 @@ pub fn capability_key(server: ServerId) -> u64 {
 /// Internally split into the protocol plane (per-transaction state, write
 /// sets, participant state machines, WAL — owned exclusively by this
 /// struct) and a shareable [`DataPlane`] (policy engine, proof cache,
-/// installed versions), so a round's proof evaluations
-/// ([`crate::DeferredEval`]) need no `&mut self` and run after the
-/// protocol plane's replies have left.
+/// installed versions), whose handle callers may also evaluate or install
+/// policies through without going through the core.
 pub struct ServerCore<A> {
     id: ServerId,
-    data: Arc<DataPlane>,
+    pub(crate) data: Arc<DataPlane>,
     variant: CommitVariant,
     store: LocalStore,
     locks: LockManager,
@@ -262,27 +260,13 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// WAL force accounting: the paper's logical forces next to the
-    /// physical syncs group commit amortized them into.
+    /// physical syncs that made them durable, one each.
     #[must_use]
     pub fn wal_stats(&self) -> safetx_metrics::WalStats {
         safetx_metrics::WalStats {
             forced_logs: self.wal.forced_count(),
             physical_syncs: self.wal.physical_sync_count(),
         }
-    }
-
-    /// Opens a WAL group-commit window: every force issued by handlers
-    /// until [`ServerCore::end_wal_group`] shares one physical sync. The
-    /// logical force count — the paper's metric — is unaffected.
-    pub(crate) fn begin_wal_group(&mut self) {
-        self.wal.begin_group();
-    }
-
-    /// Closes the WAL group-commit window, performing the round's single
-    /// physical sync. Must be called before any reply that depends on a
-    /// force in the window (votes, decision acks) is released.
-    pub(crate) fn end_wal_group(&mut self) {
-        self.wal.end_group();
     }
 
     /// Sets the modeled device latency of one physical WAL sync.
@@ -303,10 +287,9 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// (Re-)evaluates proofs for every query of `txn` at this server, in
-    /// one batch of its own — the protocol plane's inline evaluations (the
-    /// 2PVC vote and in-commit updates). Returns `(truth, versions,
-    /// proofs)`.
-    fn evaluate_all(
+    /// one batch of its own: 2PV contacts, updates and the 2PVC vote.
+    /// Returns `(truth, versions, proofs)`.
+    pub(crate) fn evaluate_all(
         &self,
         now: Timestamp,
         txn: TxnId,
@@ -321,25 +304,14 @@ impl<A: Clone> ServerCore<A> {
         }
     }
 
-    /// A snapshot of `txn`'s evaluation inputs, for a round's deferred
-    /// proofs.
-    #[must_use]
-    pub(crate) fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
-        self.txns.get(&txn).map(|state| EvalSnapshot {
-            user: state.user,
-            credentials: Arc::clone(&state.credentials),
-            queries: state.queries.clone(),
-        })
-    }
-
     /// Registers a 2PV contact (the protocol-plane half of
     /// [`Msg::PrepareToValidate`]): creates the transaction if new and runs
     /// `new_query`'s data operations through [`ServerCore::execute_query`]
     /// — the contact that brings a query is the one that executes it, as
-    /// Punctual executes before its proof returns. Evaluating the returned
-    /// snapshot, here or in [`crate::DeferredEval::run`], produces the
-    /// [`Msg::ValidateReply`]; on [`Refused::LockConflict`] the reply owed
-    /// is [`ValidationReply::lock_conflict`], with no proof evaluated.
+    /// Punctual executes before its proof returns. Evaluating the
+    /// transaction's queries then produces the [`Msg::ValidateReply`]; on
+    /// [`Refused::LockConflict`] the reply owed is
+    /// [`ValidationReply::lock_conflict`], with no proof evaluated.
     pub(crate) fn register_validation(
         &mut self,
         txn: TxnId,
@@ -347,7 +319,7 @@ impl<A: Clone> ServerCore<A> {
         user: UserId,
         credentials: &Arc<[Credential]>,
         coordinator: A,
-    ) -> Result<EvalSnapshot, Refused> {
+    ) -> Result<(), Refused> {
         if let Some((index, query)) = new_query {
             let pins = VersionMap::new();
             self.execute_query(txn, (index, &query), user, credentials, &pins, coordinator)?;
@@ -356,7 +328,7 @@ impl<A: Clone> ServerCore<A> {
         } else {
             self.ensure_txn(txn, user, credentials, coordinator);
         }
-        Ok(self.snapshot_txn(txn).expect("just registered"))
+        Ok(())
     }
 
     /// Executes a query's data operations into the transaction's write
@@ -612,11 +584,10 @@ impl<A: Clone> ServerCore<A> {
         Ok(())
     }
 
-    /// The protocol-plane messages of a round: voting, in-commit updates,
-    /// decisions, gossip and recovery answers, each handled inline and
-    /// answered into `out`. Everything that evaluates proofs on request
-    /// (queries, 2PV contacts, standalone updates) is split by
-    /// [`ServerCore::run_round`] before it gets here.
+    /// The protocol-plane messages: voting, in-commit updates, decisions,
+    /// gossip and recovery answers, each answered into `out`. Everything
+    /// that evaluates proofs on request (queries, 2PV contacts, standalone
+    /// updates) is taken by [`ServerCore::handle`] before it gets here.
     pub(crate) fn handle_into(
         &mut self,
         now: Timestamp,
@@ -1358,7 +1329,7 @@ mod tests {
             Timestamp::ZERO,
             Timestamp::MAX,
         );
-        // Through a round, the deferred proof run as a runtime runs it.
+        // Through `handle`, as every runtime feeds the core.
         let send_with_cap = |core: &mut Core| {
             let now = Timestamp::from_millis(1);
             let msg = Msg::ExecQuery {
@@ -1376,9 +1347,7 @@ mod tests {
                 pin_versions: VersionMap::new(),
                 capabilities: vec![cap.clone()],
             };
-            let round = core.run_round(now, [(TM, msg)]);
-            assert!(round.replies.is_empty(), "the proof is deferred");
-            round.deferred.expect("one proof to run").run(now)
+            core.handle(now, TM, msg)
         };
         // Safe mode: the capability is ignored; with no credential the
         // proof is denied.

@@ -230,13 +230,7 @@ pub struct TxnTermination {
 /// other unconsumed protocol message does.
 #[must_use]
 pub fn reply_counts_as_dropped(msg: &Msg) -> bool {
-    match msg {
-        Msg::Ack { .. } => false,
-        // Coalesced envelopes count when any inner message would (drivers
-        // normally flatten batches before applying this rule per message).
-        Msg::Batch(msgs) => msgs.iter().any(reply_counts_as_dropped),
-        _ => true,
-    }
+    !matches!(msg, Msg::Ack { .. })
 }
 
 /// Which pipeline stage the transaction is in.

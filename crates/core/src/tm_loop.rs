@@ -1,20 +1,19 @@
 //! The TM driver: the one place [`TmEffect`]s are performed.
 //!
-//! [`TmDriver`] owns one transaction's [`TmCore`] and is sans-io: it
-//! performs each effect batch in order through a [`TmSink`], unpacks
-//! [`Msg::Batch`] envelopes, counts stale replies, cuts at a
-//! [`TmCrashPoint`], and tells its caller what to do next ([`TmNext`]).
-//! Two callers run it: [`drive_tm`], the blocking loop every runtime lends
-//! a thread to over a [`TmIo`] transport — channels in `safetx-runtime`,
-//! framed sockets in `safetx-net`, over one decision-log group or several
-//! — and the simulator's [`crate::TmActor`], one world event at a time.
+//! The TM driver owns one transaction's [`TmCore`] and is sans-io: it
+//! feeds the core one reply at a time, performs each effect batch in order,
+//! counts stale replies, cuts at a [`TmCrashPoint`], and tells its caller
+//! what to do next. Two callers run it: [`drive_tm`], the blocking loop
+//! every runtime lends a thread to over a [`TmIo`] transport — channels in
+//! `safetx-runtime`, framed sockets in `safetx-net`, over one decision-log
+//! group or several — and the simulator's [`crate::TmActor`], one world
+//! event at a time.
 
 use crate::messages::{Msg, MsgKind};
 use crate::tm_core::{reply_counts_as_dropped, TmCore, TmEffect, TmEvent, TxnTermination};
 use crate::validation::VersionMap;
 use safetx_txn::{CommitVariant, CoordinatorLog, CoordinatorRecord, Decision, InquiryAnswer};
 use safetx_types::{ServerId, Timestamp, TxnId};
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -136,8 +135,6 @@ pub(crate) enum TmNext {
 pub(crate) struct TmDriver {
     core: TmCore,
     crash: Option<TmCrashPoint>,
-    /// The replies of a [`Msg::Batch`] envelope not yet fed, in order.
-    pending: VecDeque<(ServerId, Msg)>,
     /// Stale replies the driver saw; the core counts those it was fed.
     dropped: u64,
 }
@@ -147,7 +144,6 @@ impl TmDriver {
         TmDriver {
             core,
             crash,
-            pending: VecDeque::new(),
             dropped: 0,
         }
     }
@@ -157,42 +153,22 @@ impl TmDriver {
         self.perform(sink, effects)
     }
 
-    /// Feeds a reply `from` a server: an envelope's replies in order, each
-    /// only while the core awaits replies.
+    /// Feeds a reply `from` a server; one that is not for this
+    /// transaction's core is counted under [`reply_counts_as_dropped`].
     pub(crate) fn reply(&mut self, sink: &mut impl TmSink, from: ServerId, msg: Msg) -> TmNext {
-        let next = self.feed(sink, from, msg);
-        self.drain(sink, next)
+        match TmEvent::from_reply(self.core.txn(), from, msg) {
+            Ok(event) => self.event(sink, event),
+            Err(counts_as_dropped) => {
+                self.dropped += u64::from(counts_as_dropped);
+                TmNext::AwaitReply
+            }
+        }
     }
 
-    /// Feeds the master's versions or a timer's expiry.
+    /// Feeds an event: a reply, the master's versions or a timer's expiry.
     pub(crate) fn event(&mut self, sink: &mut impl TmSink, event: TmEvent) -> TmNext {
         let effects = self.core.step(sink.now(), event);
-        let next = self.perform(sink, effects);
-        self.drain(sink, next)
-    }
-
-    fn drain(&mut self, sink: &mut impl TmSink, mut next: TmNext) -> TmNext {
-        while let TmNext::AwaitReply = next {
-            let Some((from, msg)) = self.pending.pop_front() else {
-                break;
-            };
-            next = self.feed(sink, from, msg);
-        }
-        next
-    }
-
-    fn feed(&mut self, sink: &mut impl TmSink, from: ServerId, msg: Msg) -> TmNext {
-        match msg {
-            Msg::Batch(msgs) => self.pending.extend(msgs.into_iter().map(|m| (from, m))),
-            msg => match TmEvent::from_reply(self.core.txn(), from, msg) {
-                Ok(event) => {
-                    let effects = self.core.step(sink.now(), event);
-                    return self.perform(sink, effects);
-                }
-                Err(counts_as_dropped) => self.dropped += u64::from(counts_as_dropped),
-            },
-        }
-        TmNext::AwaitReply
+        self.perform(sink, effects)
     }
 
     /// Performs one effect batch in order, then flushes.
@@ -225,12 +201,11 @@ impl TmDriver {
                 }
                 TmEffect::ArmTimer(after) => sink.arm_timer(self.core.txn(), after),
                 TmEffect::Decided(decision) => sink.decided(decision),
-                // The core's last effect. Replies still queued are stale.
+                // The core's last effect.
                 TmEffect::Finished(termination) => {
-                    let queued: u64 = self.pending.iter().map(|(_, msg)| stale_replies(msg)).sum();
                     next = TmNext::Finished(TmRun {
                         termination: *termination,
-                        dropped_replies: self.dropped + self.core.dropped_replies() + queued,
+                        dropped_replies: self.dropped + self.core.dropped_replies(),
                     });
                 }
             }
@@ -246,18 +221,7 @@ fn cut(sink: &mut impl TmSink) -> TmNext {
     TmNext::Crashed
 }
 
-/// The replies in `msg` that count as dropped (under
-/// [`reply_counts_as_dropped`]) when nobody takes it: a coalesced envelope
-/// is several replies, not one.
-#[must_use]
-pub fn stale_replies(msg: &Msg) -> u64 {
-    match msg {
-        Msg::Batch(msgs) => msgs.iter().filter(|m| reply_counts_as_dropped(m)).count() as u64,
-        msg => u64::from(reply_counts_as_dropped(msg)),
-    }
-}
-
-/// Drives `core` to termination over `io` through a [`TmDriver`]: records
+/// Drives `core` to termination over `io` through the TM driver: records
 /// go to every log recovery may consult (`logs`, folded once finished), a
 /// master consult is answered from `master` only after the whole batch has
 /// flushed (so sends keep their protocol order), and each reply — or the
@@ -299,7 +263,7 @@ pub fn drive_tm(
     each(logs, |log| log.finish(txn));
     // Stragglers that already arrived, without blocking.
     while let Some(msg) = sink.0.try_recv() {
-        run.dropped_replies += stale_replies(&msg);
+        run.dropped_replies += u64::from(reply_counts_as_dropped(&msg));
     }
     Some(run)
 }
@@ -340,6 +304,7 @@ mod tests {
     use crate::validation::ValidationReply;
     use safetx_txn::{Operation, QuerySpec, TransactionSpec};
     use safetx_types::{DataItemId, UserId};
+    use std::collections::VecDeque;
 
     const TXN: TxnId = TxnId::new(7);
 
@@ -490,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn an_envelope_is_fed_in_order_and_what_is_left_counts_as_stale() {
+    fn an_envelope_feeds_the_core_nothing_and_counts_as_one_stale_reply() {
         let mut script = Script::default();
         let mut driver = driver(
             ProofScheme::Deferred,
@@ -503,22 +468,27 @@ mod tests {
         let (from, done) = script.replies.pop_front().expect("QueryDone");
         let _ = driver.reply(&mut script, from, done.clone());
         let (_, vote) = script.replies.pop_front().expect("the vote");
-        let ack = Msg::Ack { txn: TXN };
-        // Reversed, the ack would come before any decision and the
-        // transaction would still be waiting for it.
-        let envelope = vec![vote.clone(), ack.clone(), vote, ack, done];
-        match driver.reply(&mut script, from, Msg::Batch(envelope)) {
+        // Everything the transaction still waits for, in one envelope:
+        // none of it reaches the core, which performs nothing.
+        let seen = script.seen.len();
+        let envelope = Msg::Batch(vec![vote.clone(), Msg::Ack { txn: TXN }, done]);
+        let next = driver.reply(&mut script, from, envelope);
+        assert!(matches!(next, TmNext::AwaitReply), "{next:?}");
+        assert_eq!(script.seen.len(), seen, "{:?}", &script.seen[seen..]);
+        // The bare vote and ack still finish it.
+        let _ = driver.reply(&mut script, from, vote);
+        let (_, ack) = script.replies.pop_front().expect("the ack");
+        match driver.reply(&mut script, from, ack) {
             TmNext::Finished(run) => {
                 assert!(run.termination.outcome.is_commit());
-                // The duplicate vote and query reply count; the ack does not.
-                assert_eq!(run.dropped_replies, 2);
+                assert_eq!(run.dropped_replies, 1, "the envelope is one stale reply");
             }
-            other => panic!("the envelope's ack finishes the transaction, got {other:?}"),
+            other => panic!("the ack finishes the transaction, got {other:?}"),
         }
     }
 
     #[test]
-    fn a_master_consult_is_answered_before_the_envelope_goes_on() {
+    fn a_master_consult_is_answered_before_the_next_reply() {
         let mut script = Script::default();
         let mut driver = driver(
             ProofScheme::IncrementalPunctual,
@@ -528,12 +498,12 @@ mod tests {
             None,
         );
         let versions = Arc::new(VersionMap::new());
-        let master = TmEvent::MasterVersions {
+        let master = || TmEvent::MasterVersions {
             versions: Arc::clone(&versions),
         };
         assert!(matches!(driver.start(&mut script), TmNext::ConsultMaster));
         assert!(matches!(
-            driver.event(&mut script, master),
+            driver.event(&mut script, master()),
             TmNext::AwaitReply
         ));
         let done = |query_index| Msg::QueryDone {
@@ -543,22 +513,21 @@ mod tests {
             proof: None,
             capability: None,
         };
-        let envelope = Msg::Batch(vec![done(0), done(1)]);
-        let next = driver.reply(&mut script, ServerId::new(0), envelope);
-        // Query 1's master check stops the envelope before its reply.
-        assert!(matches!(next, TmNext::ConsultMaster), "{next:?}");
-        assert_eq!(driver.pending.len(), 1);
-        let prepare = |seen: &Script| {
-            seen.seen
-                .iter()
-                .any(|e| e.starts_with("send PrepareToCommit"))
+        let sent = |script: &Script, kind: &str| {
+            let kind = format!("send {kind}");
+            script.seen.iter().filter(|e| e.starts_with(&kind)).count()
         };
-        assert!(!prepare(&script));
-        let master = TmEvent::MasterVersions { versions };
-        let next = driver.event(&mut script, master);
+        // Query 0's reply sends query 1 with a consult of the master; the
+        // caller answers it before it feeds query 1's reply.
+        let next = driver.reply(&mut script, ServerId::new(0), done(0));
+        assert!(matches!(next, TmNext::ConsultMaster), "{next:?}");
+        assert_eq!(sent(&script, "ExecQuery"), 2);
+        let next = driver.event(&mut script, master());
         assert!(matches!(next, TmNext::AwaitReply), "{next:?}");
-        assert!(driver.pending.is_empty());
-        assert!(prepare(&script), "query 1's reply was fed after the answer");
+        assert_eq!(sent(&script, "PrepareToCommit"), 0);
+        let next = driver.reply(&mut script, ServerId::new(1), done(1));
+        assert!(matches!(next, TmNext::AwaitReply), "{next:?}");
+        assert_eq!(sent(&script, "PrepareToCommit"), 2);
     }
 
     fn log_of(records: &[CoordinatorRecord]) -> CoordinatorLog {

@@ -236,14 +236,13 @@ impl RouteCounters {
 }
 
 counters! {
-    /// Write-ahead-log force accounting, split into the paper's logical metric
-    /// and the physical syncs group commit amortizes them into.
+    /// Write-ahead-log force accounting: the paper's logical metric and the
+    /// physical syncs that made those forces durable.
     ///
-    /// `forced_logs` is Table I's `2n + 1` log complexity and is byte-identical
-    /// whether or not group commit is active; `physical_syncs` is a wall-clock
-    /// counter (like [`ProofCacheStats`]) showing how many device syncs those
-    /// forces actually cost. `physical_syncs ≤ forced_logs` always; strictly
-    /// smaller when any server round coalesced two or more forces.
+    /// `forced_logs` is Table I's `2n + 1` log complexity; `physical_syncs`
+    /// is the device's own count (a wall-clock counter, like
+    /// [`ProofCacheStats`]). Each force is one sync, performed before the
+    /// force returns, so the two are equal.
     pub struct WalStats {
         /// Logical forced log writes (the paper's log-complexity metric).
         pub forced_logs: u64,

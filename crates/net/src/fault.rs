@@ -28,8 +28,8 @@
 
 use crate::runtime::EdgeStats;
 use crate::wire::{decode_msg, encode_frame, write_frame};
-use safetx_core::Msg;
-use safetx_runtime::{roll_kind, Fabric, Layer, Peer, Verdict};
+use safetx_core::{Msg, MsgKind};
+use safetx_runtime::{Fabric, Layer, Peer, Verdict};
 use std::io::Write;
 
 /// What the fault fabric did with one outbound frame.
@@ -54,7 +54,7 @@ pub(crate) fn write_through_fabric<W: Write>(
     msg: &Msg,
     stats: &EdgeStats,
 ) -> std::io::Result<WireFate> {
-    match fabric.verdict(Layer::Frame, from, to, roll_kind(msg), seq) {
+    match fabric.verdict(Layer::Frame, from, to, MsgKind::of(msg), seq) {
         Verdict::Deliver => stats.note_sent(write_frame(writer, msg)?),
         Verdict::Drop => fabric.count(|c| &mut c.faults_dropped),
         Verdict::Duplicate => {

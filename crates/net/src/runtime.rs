@@ -10,17 +10,16 @@
 //! threaded runtime runs; this module is the transport. Each cloud server
 //! sits behind a [`ServerHost`] — the shared `safetx_runtime::Host` plus
 //! its connections — whose one thread per connection reads a frame and
-//! runs it as a round, the round's replies coalesced per peer into one
-//! [`Msg::Batch`] frame. The TM side has no thread: the worker running
-//! `safetx_core::drive_tm` reads its own replies ([`WireTm`]). A reply
-//! that never arrives trips `ClusterConfig::reply_timeout` and the core
-//! aborts with `AbortReason::ServerUnavailable`; reconnecting resumes
-//! traffic under the peer's original logical id (see
-//! `safetx_core::coalesce_replies` for why the id must survive it).
+//! serves it, each reply a frame of its own. The TM side has no thread:
+//! the worker running `safetx_core::drive_tm` reads its own replies
+//! ([`WireTm`]). A reply that never arrives trips
+//! `ClusterConfig::reply_timeout` and the core aborts with
+//! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
+//! the peer's original logical id.
 
 use crate::fault::{write_through_fabric, WireFate};
 use crate::wire::{decode_msg, read_frame};
-use safetx_core::{stale_replies, Msg, ServerCore, TmIo};
+use safetx_core::{reply_counts_as_dropped, Msg, ServerCore, TmIo};
 use safetx_metrics::TransportCounters;
 use safetx_runtime::{
     splitmix64, ClusterConfig, Fabric, Host, Link, LinkedCluster, Peer, PeerAddr,
@@ -37,17 +36,12 @@ use std::time::{Duration, Instant};
 
 /// The logical address of a peer on a server's side of the wire: stable
 /// for the peer's lifetime, including across reconnects (a replaced
-/// connection keeps the id, so reply coalescing keyed by it never splits
-/// or misroutes a round's envelope — the invariant documented on
-/// `safetx_core::coalesce_replies`).
+/// connection keeps the id, so a reply computed across a reconnect still
+/// reaches that peer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetAddr(pub u64);
 
 impl PeerAddr for NetAddr {
-    fn key(&self) -> u64 {
-        self.0
-    }
-
     // A peer id no connection ever attaches under.
     fn nobody() -> NetAddr {
         NetAddr(u64::MAX)
@@ -124,7 +118,7 @@ struct Conn {
 /// What a host's readers share with its handle.
 struct HostShared {
     host: Arc<Host<NetAddr>>,
-    /// The link lock. Taken under the host lock (a round's replies are
+    /// The link lock. Taken under the host lock (a message's replies are
     /// written with both held), never the other way round.
     peers: Mutex<Peers>,
     /// Every connection whose reader is not yet joined. Its own lock,
@@ -175,10 +169,10 @@ impl HostShared {
 /// One cloud server over byte streams.
 ///
 /// A [`Host`] plus every connection to it; it has no thread of its own.
-/// Each connection's reader thread decodes each frame it reads and runs
-/// it as a round itself ([`Host::serve`]), the replies written — one frame
-/// per peer per round — before the host lock is released, so every peer
-/// sees rounds in the order they ran.
+/// Each connection's reader thread decodes each frame it reads and serves
+/// it itself ([`Host::serve`]), each reply written as a frame of its own
+/// before the host lock is released, so every peer sees replies in the
+/// order the messages were served.
 pub struct ServerHost {
     shared: Arc<HostShared>,
 }
@@ -311,11 +305,11 @@ impl Drop for ServerHost {
 }
 
 /// One connection's thread — and the server's thread for every frame that
-/// arrives on it: blocks for a frame and runs it as a round itself. EOF or
-/// an I/O error ends the thread, which detaches its link unless a
-/// replacement already did; a dead host — it was already, or a crash point
-/// fired in this round — hangs every connection up first, as the dying
-/// process would.
+/// arrives on it: blocks for a frame and serves it itself. EOF or an I/O
+/// error ends the thread, which detaches its link unless a replacement
+/// already did; a dead host — it was already, or a crash point fired on
+/// this message — hangs every connection up first, as the dying process
+/// would.
 fn host_reader(
     shared: &HostShared,
     stream: UnixStream,
@@ -324,14 +318,12 @@ fn host_reader(
     stats: &EdgeStats,
 ) {
     let mut reader = BufReader::new(stream);
-    let mut round = Vec::new();
     while let Ok(Some(payload)) = read_frame(&mut reader) {
         let Some(msg) = stats.decode(&payload) else {
             continue;
         };
-        round.push((NetAddr(peer), msg));
         let emit = |to: &NetAddr, msg| shared.write_reply(*to, &msg);
-        if !shared.host.serve(&mut round, emit) {
+        if !shared.host.serve(NetAddr(peer), msg, emit) {
             shared.hang_up();
             break;
         }
@@ -518,9 +510,8 @@ impl SocketLink {
         drop(inbox);
         // Stale stragglers, counted under the shared rule: no transaction
         // id (foreign) or a transaction that is over.
-        let (stale, dropped) = (stale_replies(&msg), &self.fabric.stale_replies);
-        if stale > 0 {
-            dropped.fetch_add(stale, Ordering::Relaxed);
+        if reply_counts_as_dropped(&msg) {
+            self.fabric.stale_replies.fetch_add(1, Ordering::Relaxed);
         }
         Read::Frame
     }
@@ -778,8 +769,8 @@ impl NetCluster {
 pub struct WireTm<'a> {
     link: &'a SocketLink,
     txn: TxnId,
-    /// Per slot: the frames written and not yet answered — a round answers
-    /// a peer's frame with one frame.
+    /// Per slot: the frames written and not yet answered — a server
+    /// answers a protocol message with one reply frame.
     owed: Vec<u32>,
     /// Where the search for a reader starts; moved on when a read waits
     /// out its slice.
@@ -830,7 +821,6 @@ impl TmIo for WireTm<'_> {
         }
     }
 
-    // The driver flattens a Batch envelope.
     fn recv(&mut self, deadline: Option<Duration>) -> Option<(ServerId, Msg)> {
         let (link, until) = (self.link, deadline.map(|d| Instant::now() + d));
         let mut inbox = link.inbox();
@@ -886,8 +876,7 @@ impl TmIo for WireTm<'_> {
     }
 }
 
-/// The transaction a server→TM message (an envelope: its first) belongs
-/// to.
+/// The transaction a server→TM message belongs to.
 fn reply_txn(msg: &Msg) -> Option<TxnId> {
     match msg {
         Msg::QueryDone { txn, .. }
@@ -897,7 +886,6 @@ fn reply_txn(msg: &Msg) -> Option<TxnId> {
         | Msg::Inquiry { txn, .. }
         | Msg::InquiryReply { txn, .. }
         | Msg::VersionReply { txn, .. } => Some(*txn),
-        Msg::Batch(msgs) => msgs.first().and_then(reply_txn),
         _ => None,
     }
 }

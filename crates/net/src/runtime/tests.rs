@@ -242,8 +242,7 @@ fn concurrent_peers_get_their_own_replies_and_a_serial_store() {
         for i in 0..ROUNDS {
             let (txn, item) = plan(id, i);
             for request in txn_requests(txn, item, &credential) {
-                let out = serial.run_round(Timestamp::from_millis(1), [(NetAddr(id), request)]);
-                drop(out.deferred.map(|d| d.run(Timestamp::from_millis(1))));
+                serial.handle(Timestamp::from_millis(1), NetAddr(id), request);
             }
         }
     }
@@ -264,8 +263,7 @@ fn frames_buffered_on_a_connection_are_one_round_each() {
     let mut votes = Vec::new();
     for txn in 0..K {
         let [exec, vote, _] = txn_requests(txn, txn, &credential);
-        let out = core.run_round(Timestamp::from_millis(1), [(NetAddr(1), exec)]);
-        drop(out.deferred.map(|d| d.run(Timestamp::from_millis(1))));
+        core.handle(Timestamp::from_millis(1), NetAddr(1), exec);
         write_frame(&mut votes, &vote).expect("encode");
     }
     let before = core.wal_stats();
@@ -282,6 +280,38 @@ fn frames_buffered_on_a_connection_are_one_round_each() {
     let after = host.host().wal_stats();
     assert_eq!(after.forced_logs - before.forced_logs, K);
     assert_eq!(after.physical_syncs - before.physical_syncs, K);
+    host.shutdown();
+}
+
+/// An envelope that still arrives from a peer is ignored: no reply, no
+/// transaction, and the next message is answered as if it had not come.
+/// An envelope nested in one is refused by the decoder.
+#[test]
+fn a_batch_envelope_gets_no_reply_and_registers_nothing() {
+    let (core, credential) = seeded_core();
+    let host = ServerHost::spawn(core, Instant::now());
+    let mut peer = TestPeer::attach(&host, 1);
+    peer.send(&Msg::Batch(txn_requests(0, 0, &credential).into()));
+    // `Batch` holding one empty `Batch`, framed by hand: the encoder
+    // writes no nested batch.
+    let nested = [crate::wire::WIRE_VERSION, 15, 1, 0, 0, 0, 15, 0, 0, 0, 0];
+    let mut frame = (nested.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&nested);
+    peer.stream.write_all(&frame).expect("write nested frame");
+    // The first reply is transaction 1's.
+    peer.commit(1, 1, &credential);
+    assert_eq!(peer.got.0, 3, "three replies, all transaction 1's");
+    let edge = host.edge_counters(1).expect("edge");
+    assert_eq!((edge.frames_received, edge.decode_errors), (5, 1));
+    let (active, items) = host
+        .host()
+        .with_core(|core| (core.active_txns(), store_image(core)))
+        .expect("a live host");
+    assert_eq!(active, 0);
+    let value = |item: u64| items[item as usize].1.clone();
+    assert_eq!((value(0), value(1)), (Value::Int(0), Value::Int(1)));
+    let wal = host.host().wal_stats();
+    assert_eq!((wal.forced_logs, wal.physical_syncs), (2, 2));
     host.shutdown();
 }
 

@@ -30,7 +30,9 @@
 //!
 //! [`Msg::Batch`] encodes its inner messages as nested `tag + body`
 //! payloads (no inner length prefix or version byte); nesting a batch
-//! inside a batch is rejected, mirroring the in-process invariant.
+//! inside a batch is rejected. No peer forms a batch any more: the variant
+//! and its tag stay so the wire bytes do not change, and whatever decodes
+//! one ignores it (a server) or counts it as one stale reply (a TM).
 
 use safetx_core::{Msg, ValidationReply, VersionMap};
 use safetx_policy::{
@@ -585,8 +587,8 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg> {
 
 /// Writes one framed message (`u32le` length + payload) to `w`.
 ///
-/// Does not flush: callers batching several messages per round flush once
-/// at the round boundary.
+/// Does not flush: a caller writing several messages in one go flushes
+/// once after the last.
 ///
 /// # Errors
 ///

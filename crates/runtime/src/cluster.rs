@@ -10,11 +10,11 @@
 //! waits of different servers overlap instead of serialising on one TM.
 
 use crate::deployment::{Link, LinkedCluster};
-use crate::fault::{roll_kind, Fabric, Layer, Peer, Verdict};
+use crate::fault::{Fabric, Layer, Peer, Verdict};
 use crate::host::{Host, Outbox, PeerAddr};
 use crate::ClusterConfig;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use safetx_core::{Msg, TmIo};
+use safetx_core::{Msg, MsgKind, TmIo};
 use safetx_types::{ServerId, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,18 +26,13 @@ use std::time::Duration;
 #[derive(Clone)]
 pub struct Addr {
     tx: Sender<(ServerId, Msg)>,
-    /// Process-unique channel identity: reply coalescing groups a round's
-    /// outputs by destination with it.
-    id: u64,
 }
 
 impl Addr {
     /// A fresh reply address and the channel its replies arrive on.
     fn fresh() -> (Addr, Receiver<(ServerId, Msg)>) {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
         let (tx, rx) = unbounded();
-        let id = NEXT.fetch_add(1, Ordering::Relaxed);
-        (Addr { tx, id }, rx)
+        (Addr { tx }, rx)
     }
 
     /// A reply from `server`; a finished coordinator is fine to ignore.
@@ -47,10 +42,6 @@ impl Addr {
 }
 
 impl PeerAddr for Addr {
-    fn key(&self) -> u64 {
-        self.id
-    }
-
     // A coordinator nobody reads: whatever is sent to it dies quietly,
     // exactly like an ack to a coordinator that already moved on.
     fn nobody() -> Addr {
@@ -142,7 +133,7 @@ fn send_faulty(
     put: impl Fn(Msg) + Send + 'static,
 ) {
     let seq = seq.fetch_add(1, Ordering::Relaxed);
-    match fabric.verdict(Layer::Message, from, to, roll_kind(&msg), seq) {
+    match fabric.verdict(Layer::Message, from, to, MsgKind::of(&msg), seq) {
         Verdict::Deliver => put(msg),
         Verdict::Drop => fabric.count(|c| &mut c.faults_dropped),
         Verdict::Duplicate => {

@@ -64,9 +64,9 @@ pub struct ClusterConfig {
     /// set it.
     pub reply_timeout: Option<Duration>,
     /// Simulated cost of one physical WAL sync, slept through but for a
-    /// spun last stretch inside `Wal::force`/group close (as a thread
-    /// blocked on a device waits). `None` makes syncs free, the historical
-    /// behaviour; set it to make sync coalescing visible in wall clock.
+    /// spun last stretch inside `Wal::force` (as a thread blocked on a
+    /// device waits). `None` makes syncs free, the historical behaviour;
+    /// set it to make the device visible in wall clock.
     pub wal_sync_cost: Option<Duration>,
     /// Concurrency mode of every server: strict no-wait 2PL (`Locking`)
     /// or snapshot-read optimistic execution validated at the 2PVC vote

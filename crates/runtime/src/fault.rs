@@ -27,7 +27,7 @@
 //! failing chaos seeds replayable in practice: the fault pattern a seed
 //! produces is stable even though thread timing is not.
 
-use safetx_core::{Msg, MsgKind};
+use safetx_core::MsgKind;
 use safetx_metrics::FaultCounters;
 use safetx_types::ServerId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -274,16 +274,6 @@ pub enum Verdict {
     },
     /// Kill the stream without writing the frame.
     Disconnect,
-}
-
-/// The message kind a send rolls under (a [`Msg::Batch`] envelope rolls
-/// under its first inner message — one send, one roll).
-#[must_use]
-pub fn roll_kind(msg: &Msg) -> MsgKind {
-    match msg {
-        Msg::Batch(inner) => inner.first().map_or(MsgKind::Other, MsgKind::of),
-        other => MsgKind::of(other),
-    }
 }
 
 /// An armed plan plus its fire-once crash flags.

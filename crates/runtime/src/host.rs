@@ -4,7 +4,7 @@
 //! The paper's system model has one kind of cloud server — data, a policy
 //! replica that may lag, a log — reached by TMs over some network. A
 //! [`Host`] is that server, whichever network carries its messages: a
-//! socket link's connection reader runs the round it read
+//! socket link's connection reader serves the message it read
 //! ([`Host::serve`]), the channel link queues each message
 //! ([`Host::deliver`]) for whoever holds the lock, and the control plane —
 //! configure, crash, restart, WAL accounting, in-doubt resolution — is
@@ -32,7 +32,7 @@
 //!   sends only decision resends after a decision.
 
 use crate::fault::{CrashPoint, Fabric};
-use safetx_core::{coalesce_replies, Msg, MsgKind, ServerCore};
+use safetx_core::{Msg, MsgKind, ServerCore};
 use safetx_metrics::WalStats;
 use safetx_types::{ServerId, Timestamp, TxnId};
 use std::collections::VecDeque;
@@ -49,17 +49,13 @@ pub fn now_since(epoch: Instant) -> Timestamp {
 
 /// What a host needs of its link's peer addresses.
 pub trait PeerAddr: Clone {
-    /// Reply-coalescing key: unique among live peers and stable for the
-    /// peer's logical lifetime (the invariant documented on
-    /// [`safetx_core::coalesce_replies`]).
-    fn key(&self) -> u64;
     /// An address whose replies go nowhere: the sender of messages the
     /// control plane feeds a core directly (termination answers), whose
     /// acknowledgments nobody waits for.
     fn nobody() -> Self;
 }
 
-/// Where a queued round's replies go: the link's send to a coordinator.
+/// Where a queued message's replies go: the link's send to a coordinator.
 pub(crate) type Outbox<A> = Box<dyn Fn(&A, Msg) + Send + Sync>;
 
 struct HostState<A> {
@@ -134,8 +130,8 @@ impl<A: PeerAddr> Host<A> {
         self.incarnation.load(Ordering::Relaxed)
     }
 
-    /// Gives the host a queue for [`Host::deliver`], served one message per
-    /// round, the replies going to `outbox` — by the senders, or by the
+    /// Gives the host a queue for [`Host::deliver`], served one message at
+    /// a time, the replies going to `outbox` — by the senders, or by the
     /// `device` thread they only wake, which then calls [`Host::drain`].
     /// Panics when the host has a queue already.
     pub(crate) fn open_queue(&self, outbox: Outbox<A>, device: Option<Thread>) {
@@ -190,64 +186,70 @@ impl<A: PeerAddr> Host<A> {
         out
     }
 
-    /// Serves the queue one message per round until it is empty, dropping
+    /// Serves the queue one message at a time until it is empty, dropping
     /// what was sent to an earlier incarnation.
     fn serve_queue(&self, state: &mut HostState<A>) {
         let Some(queue) = self.queue.get() else {
             return;
         };
         let incarnation = self.incarnation();
-        let mut round = Vec::new();
         loop {
             // Popped in a statement of its own: the queue's lock is a leaf,
-            // free again before the round runs.
+            // free again before the message is served.
             let Some((to, from, msg)) = queue.msgs().pop_front() else {
                 return;
             };
             if to == incarnation {
-                round.push((from, msg));
-                self.run(state, &mut round, |to, msg| (queue.outbox)(to, msg));
+                self.run(state, from, msg, |to, msg| (queue.outbox)(to, msg));
             }
         }
     }
 
-    /// Runs one round on the calling thread: feeds `round` (drained) to
-    /// [`ServerCore::run_round`] and hands every reply to `emit`, one
-    /// coalesced message per destination — first the protocol plane's
-    /// replies, which leave before the round's proof evaluation runs, then
-    /// the replies that evaluation feeds. `emit` runs under the host lock,
-    /// so every peer sees rounds in the order they ran.
+    /// Serves one message on the calling thread: feeds it to
+    /// [`ServerCore::handle`] and hands each reply to `emit` as it is.
+    /// `emit` runs under the host lock, so every peer sees replies in the
+    /// order the messages were served.
     ///
     /// The armed plan's crash points are cut here, for every link:
-    /// `BeforeReceive` kills the server with the matching message (and the
-    /// rest of the round) unprocessed, `AfterReceive` right after
-    /// processing it, `AfterSend` once the matching reply has been emitted
-    /// — the rest of the round dies with the server.
+    /// `BeforeReceive` kills the server with the matching message
+    /// unprocessed, `AfterReceive` once it is handled and its replies are
+    /// out, `AfterSend` once the matching reply has been emitted — the
+    /// replies after it die with the server.
     ///
-    /// Returns `false` when the host is dead — it was already (the round
-    /// is dropped), or a crash point fired in this round.
-    pub fn serve(&self, round: &mut Vec<(A, Msg)>, emit: impl FnMut(&A, Msg)) -> bool {
-        self.locked(|state| self.run(state, round, emit))
+    /// Returns `false` when the host is dead — it was already (the message
+    /// is dropped), or a crash point fired on this message.
+    pub fn serve(&self, from: A, msg: Msg, emit: impl FnMut(&A, Msg)) -> bool {
+        self.locked(|state| self.run(state, from, msg, emit))
     }
 
     /// [`Host::serve`] under a lock already held.
     fn run(
         &self,
         state: &mut HostState<A>,
-        round: &mut Vec<(A, Msg)>,
+        from: A,
+        msg: Msg,
         mut emit: impl FnMut(&A, Msg),
     ) -> bool {
         let Some(core) = state.core.as_mut() else {
-            round.clear();
             return false;
         };
-        let cut = self.fabric.is_armed() && self.cut_at_crash_point(round);
-        let out = core.run_round(now_since(self.epoch), round.drain(..));
-        let mut sent_last = self.emit_until_crash(out.replies, &mut emit);
-        if let Some(deferred) = out.deferred.filter(|_| !sent_last) {
-            sent_last = self.emit_until_crash(deferred.run(now_since(self.epoch)), &mut emit);
+        let armed = self.fabric.is_armed();
+        let crash_at = |point| armed && self.fabric.take_crash(self.server, point);
+        let kind = MsgKind::of(&msg);
+        let mut crashed = crash_at(CrashPoint::BeforeReceive(kind));
+        if !crashed {
+            crashed = crash_at(CrashPoint::AfterReceive(kind));
+            for (to, reply) in core.handle(now_since(self.epoch), from, msg) {
+                // The matching reply — and with it the force the server
+                // already performed — escapes first.
+                let sent = crash_at(CrashPoint::AfterSend(MsgKind::of(&reply)));
+                emit(&to, reply);
+                if sent {
+                    crashed = true;
+                    break;
+                }
+            }
         }
-        let crashed = cut || sent_last;
         if crashed {
             self.crash_locked(state);
         } else if self.fabric.held.load(Ordering::Acquire) == 0
@@ -260,60 +262,7 @@ impl<A: PeerAddr> Host<A> {
         !crashed
     }
 
-    /// Applies the receive-side crash points to a round before the core
-    /// sees it, truncating the round where the server dies.
-    fn cut_at_crash_point(&self, round: &mut Vec<(A, Msg)>) -> bool {
-        // A Batch envelope is by definition its inner messages in order;
-        // flatten so the cut lands at message granularity.
-        let mut flat = Vec::with_capacity(round.len());
-        for (from, msg) in round.drain(..) {
-            match msg {
-                Msg::Batch(inner) => flat.extend(inner.into_iter().map(|m| (from.clone(), m))),
-                other => flat.push((from, other)),
-            }
-        }
-        *round = flat;
-        for (i, (_, msg)) in round.iter().enumerate() {
-            let kind = MsgKind::of(msg);
-            for (point, keep) in [
-                // The matching message dies with the server.
-                (CrashPoint::BeforeReceive(kind), i),
-                (CrashPoint::AfterReceive(kind), i + 1),
-            ] {
-                if self.fabric.take_crash(self.server, point) {
-                    round.truncate(keep);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Emits `outputs`, coalesced per destination, until an `AfterSend`
-    /// crash point fires (`true`): the matching message — and with it the
-    /// force the server already performed — escapes first.
-    fn emit_until_crash(&self, outputs: Vec<(A, Msg)>, emit: &mut impl FnMut(&A, Msg)) -> bool {
-        for (to, msg) in coalesce_replies(outputs, A::key) {
-            let crash_after = self.fabric.is_armed() && {
-                let sent = |kind| {
-                    self.fabric
-                        .take_crash(self.server, CrashPoint::AfterSend(kind))
-                };
-                match &msg {
-                    Msg::Batch(inner) => inner.iter().map(MsgKind::of).any(sent),
-                    other => sent(MsgKind::of(other)),
-                }
-            };
-            emit(&to, msg);
-            if crash_after {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Wipes the volatile state (locks, unprepared transactions, in-flight
-    /// rounds) and parks the core, checkpoint and WAL tail with it, in the
+    /// Wipes the volatile state (locks, unprepared transactions) and parks the core, checkpoint and WAL tail with it, in the
     /// salvage slot.
     fn crash_locked(&self, state: &mut HostState<A>) -> bool {
         let Some(mut core) = state.core.take() else {
@@ -383,20 +332,19 @@ impl<A: PeerAddr> Host<A> {
 
     /// Tells each transaction the live core still holds state for what
     /// `answer(txn, in_doubt)` says happened to it (`None` leaves it
-    /// alone), synchronously and from [`PeerAddr::nobody`]; returns how
-    /// many were told.
+    /// alone), synchronously and from [`PeerAddr::nobody`], one message
+    /// each; returns how many were told.
     pub fn terminate_leftovers(&self, answer: impl Fn(TxnId, bool) -> Option<Msg>) -> usize {
         self.with_core(|core| {
             let in_doubt = core.in_doubt_txns();
-            let msgs: Vec<(A, Msg)> = core
-                .active_txn_ids()
-                .into_iter()
-                .filter_map(|txn| Some((A::nobody(), answer(txn, in_doubt.contains(&txn))?)))
-                .collect();
-            let told = msgs.len();
-            // Decisions and inquiry answers are protocol-plane only: the
-            // round defers nothing, and its acknowledgments go to nobody.
-            let _ = core.run_round(now_since(self.epoch), msgs);
+            let mut told = 0;
+            for txn in core.active_txn_ids() {
+                if let Some(msg) = answer(txn, in_doubt.contains(&txn)) {
+                    // Its acknowledgment goes to nobody.
+                    let _ = core.handle(now_since(self.epoch), A::nobody(), msg);
+                    told += 1;
+                }
+            }
             told
         })
         .unwrap_or(0)

@@ -6,12 +6,12 @@
 //! messages and returns messages, `safetx_core::TmCore` owns the whole
 //! coordinator lifecycle as a pure `step(now, TmEvent) -> Vec<TmEffect>`
 //! machine, and the loops that drive them live in the core too
-//! (`ServerCore::run_round`, `safetx_core::drive_tm`). This crate runs
+//! (`ServerCore::handle`, `safetx_core::drive_tm`). This crate runs
 //! them for real, and every deployment shares what it runs them on:
 //!
 //! * [`Host`] — one cloud server behind a lock, and the queue whoever
-//!   holds the lock serves. Whoever received or sent a round's messages
-//!   runs the round on it; crash, restart (the one `recover_from_wal`
+//!   holds the lock serves. Whoever received or sent a message serves it
+//!   on it; crash, restart (the one `recover_from_wal`
 //!   call site), WAL accounting and leftover termination are plain
 //!   methods under the same lock.
 //! * [`LinkedCluster`] and [`Deployment`] — the control plane (bootstrap,
@@ -66,8 +66,7 @@ pub use deployment::{
     ClusterConfig, DecisionLog, Deployment, ExecutionResult, Link, LinkedCluster, TxnRoute,
 };
 pub use fault::{
-    roll_kind, splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, Layer, Peer,
-    PeerMatch, Verdict,
+    splitmix64, CrashPoint, CrashRule, EdgeRule, Fabric, FaultPlan, Layer, Peer, PeerMatch, Verdict,
 };
 pub use host::{now_since, Host, PeerAddr};
 

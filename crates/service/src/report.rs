@@ -60,7 +60,7 @@ pub struct ServiceStats {
     pub faults: FaultCounters,
     /// Aggregated WAL accounting across the cluster's servers: logical
     /// forced appends (the paper's Table I log metric) and the physical
-    /// device syncs performed for them (fewer under group commit). Sourced
+    /// device syncs performed for them (one each). Sourced
     /// from [`safetx_runtime::Deployment::wal_stats`]; like `faults`, outside
     /// the conservation invariant.
     pub wal: WalStats,

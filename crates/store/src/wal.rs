@@ -16,17 +16,14 @@
 //! # Logical forces vs physical syncs
 //!
 //! The paper's `2n + 1` metric counts *logical* forces: how many times the
-//! protocol demanded a record be durable before proceeding. A real log
-//! device amortizes those demands with **group commit**: every force issued
-//! inside a [`Wal::begin_group`]/[`Wal::end_group`] window is made durable
-//! by a single physical sync at the end of the window. [`Wal::forced_count`]
-//! keeps the paper's per-transaction accounting byte-identical whether or
-//! not grouping is active; [`Wal::physical_sync_count`] counts the actual
-//! device syncs the amortization saves. An optional per-sync cost
-//! ([`Wal::set_sync_cost`]) models the device latency a sync pays, so
-//! benchmarks can show the wall-clock effect of coalescing. The syncing
-//! thread waits it out off the processor, as one blocked in `fsync` does:
-//! it sleeps and spins only the stretch a sleep may overshoot by.
+//! protocol demanded a record be durable before proceeding
+//! ([`Wal::forced_count`]). Each force is made durable by one physical
+//! device sync before [`Wal::force`] returns ([`Wal::physical_sync_count`],
+//! the device's own count, equal to it). An optional per-sync cost
+//! ([`Wal::set_sync_cost`]) models the device latency a sync pays. The
+//! syncing thread waits it out off the processor, as one blocked in
+//! `fsync` does: it sleeps and spins only the stretch a sleep may
+//! overshoot by.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -61,15 +58,8 @@ pub struct WalEntry<R> {
 pub struct Wal<R> {
     entries: VecDeque<WalEntry<R>>,
     forced: u64,
-    /// Physical device syncs performed (≤ `forced`; strictly fewer when
-    /// group commit coalesced forces).
+    /// Physical device syncs performed, one per force.
     physical: u64,
-    /// Open `begin_group` windows (nesting supported; only the outermost
-    /// `end_group` syncs).
-    group_depth: u32,
-    /// A force happened inside the current group window and its sync is
-    /// still owed.
-    pending_sync: bool,
     /// Modeled device latency of one physical sync, in nanoseconds.
     sync_cost_nanos: u64,
 }
@@ -80,8 +70,6 @@ impl<R> Default for Wal<R> {
             entries: VecDeque::new(),
             forced: 0,
             physical: 0,
-            group_depth: 0,
-            pending_sync: false,
             sync_cost_nanos: 0,
         }
     }
@@ -94,42 +82,18 @@ impl<R> Wal<R> {
         Self::default()
     }
 
-    /// Appends a forced (synchronously durable) record. Outside a group
-    /// window the sync happens immediately (one physical sync per force,
-    /// the classic behaviour); inside a window the sync is deferred to
-    /// [`Wal::end_group`]. Either way the logical force count — the
-    /// paper's metric — advances by exactly one.
+    /// Appends a forced (synchronously durable) record: one physical sync,
+    /// performed before this returns, and one more logical force — the
+    /// paper's metric.
     pub fn force(&mut self, record: R) {
         self.entries.push_back(WalEntry {
             record,
             forced: true,
         });
         self.forced += 1;
-        if self.group_depth > 0 {
-            self.pending_sync = true;
-        } else {
-            self.physical_sync();
-        }
-    }
-
-    /// Opens a group-commit window: forces issued until the matching
-    /// [`Wal::end_group`] share one physical sync. Windows nest; only the
-    /// outermost close syncs.
-    pub fn begin_group(&mut self) {
-        self.group_depth += 1;
-    }
-
-    /// Closes a group-commit window. Closing the outermost window performs
-    /// one physical sync covering every force issued inside it (none if no
-    /// force happened). Records forced in the window are durable once this
-    /// returns — callers must not release replies that depend on those
-    /// forces before calling it.
-    pub fn end_group(&mut self) {
-        debug_assert!(self.group_depth > 0, "end_group without begin_group");
-        self.group_depth = self.group_depth.saturating_sub(1);
-        if self.group_depth == 0 && self.pending_sync {
-            self.pending_sync = false;
-            self.physical_sync();
+        self.physical += 1;
+        if self.sync_cost_nanos > 0 {
+            device_wait(Duration::from_nanos(self.sync_cost_nanos));
         }
     }
 
@@ -145,14 +109,6 @@ impl<R> Wal<R> {
     #[must_use]
     pub fn sync_cost(&self) -> Duration {
         Duration::from_nanos(self.sync_cost_nanos)
-    }
-
-    /// One physical device sync: pays the modeled latency and counts it.
-    fn physical_sync(&mut self) {
-        self.physical += 1;
-        if self.sync_cost_nanos > 0 {
-            device_wait(Duration::from_nanos(self.sync_cost_nanos));
-        }
     }
 
     /// Appends a non-forced record (durable eventually; cheap).
@@ -192,15 +148,13 @@ impl<R> Wal<R> {
     }
 
     /// Number of forced appends so far (the paper's log-complexity metric).
-    /// Unaffected by group commit: a coalesced force still counts.
     #[must_use]
     pub fn forced_count(&self) -> u64 {
         self.forced
     }
 
-    /// Number of physical device syncs performed. Equals
-    /// [`Wal::forced_count`] without group commit; strictly smaller when
-    /// any group window coalesced two or more forces.
+    /// Number of physical device syncs performed: one per force, so equal
+    /// to [`Wal::forced_count`].
     #[must_use]
     pub fn physical_sync_count(&self) -> u64 {
         self.physical
@@ -341,86 +295,17 @@ mod tests {
     }
 
     #[test]
-    fn ungrouped_forces_sync_one_to_one() {
+    fn every_force_is_one_physical_sync() {
         let mut wal = Wal::new();
         for i in 0..4 {
             wal.force(i);
+            assert_eq!(wal.physical_sync_count(), wal.forced_count());
         }
         wal.append(99);
         assert_eq!(wal.forced_count(), 4);
-        assert_eq!(wal.physical_sync_count(), 4, "no group: one sync per force");
-    }
-
-    #[test]
-    fn group_commit_coalesces_physical_syncs_without_touching_logical_count() {
-        let mut wal = Wal::new();
-        wal.force(0); // classic force before the window
-        wal.begin_group();
-        wal.force(1);
-        wal.append(2);
-        wal.force(3);
-        wal.force(4);
-        // Nothing synced yet: the window is still open.
-        assert_eq!(wal.physical_sync_count(), 1);
-        wal.end_group();
-        assert_eq!(
-            wal.forced_count(),
-            4,
-            "logical metric unchanged by grouping"
-        );
-        assert_eq!(
-            wal.physical_sync_count(),
-            2,
-            "three grouped forces, one sync"
-        );
-        // Entry durability classes are untouched.
+        assert_eq!(wal.physical_sync_count(), 4, "an append syncs nothing");
         let forced: Vec<bool> = wal.entries().map(|e| e.forced).collect();
-        assert_eq!(forced, vec![true, true, false, true, true]);
-    }
-
-    #[test]
-    fn empty_group_performs_no_sync() {
-        let mut wal: Wal<u8> = Wal::new();
-        wal.begin_group();
-        wal.append(1);
-        wal.end_group();
-        assert_eq!(wal.forced_count(), 0);
-        assert_eq!(wal.physical_sync_count(), 0);
-    }
-
-    #[test]
-    fn nested_groups_sync_once_at_the_outermost_close() {
-        let mut wal = Wal::new();
-        wal.begin_group();
-        wal.force(1);
-        wal.begin_group();
-        wal.force(2);
-        wal.end_group();
-        assert_eq!(wal.physical_sync_count(), 0, "inner close must not sync");
-        wal.end_group();
-        assert_eq!(wal.forced_count(), 2);
-        assert_eq!(wal.physical_sync_count(), 1);
-    }
-
-    #[test]
-    fn sync_cost_is_paid_per_physical_sync() {
-        let mut wal = Wal::new();
-        wal.set_sync_cost(std::time::Duration::from_micros(200));
-        assert_eq!(wal.sync_cost(), std::time::Duration::from_micros(200));
-        let start = std::time::Instant::now();
-        wal.begin_group();
-        for i in 0..8 {
-            wal.force(i);
-        }
-        wal.end_group();
-        let grouped = start.elapsed();
-        assert_eq!(wal.physical_sync_count(), 1);
-        // Eight coalesced forces paid one sync, not eight: well under the
-        // 8 × 200µs an ungrouped log would wait.
-        assert!(
-            grouped < std::time::Duration::from_micros(8 * 200),
-            "group window paid more than one sync: {grouped:?}"
-        );
+        assert_eq!(forced, vec![true, true, true, true, false]);
     }
 
     #[test]
@@ -429,6 +314,7 @@ mod tests {
             let cost = Duration::from_micros(micros);
             let mut wal = Wal::new();
             wal.set_sync_cost(cost);
+            assert_eq!(wal.sync_cost(), cost);
             for i in 0..syncs {
                 let start = Instant::now();
                 wal.force(i);

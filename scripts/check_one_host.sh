@@ -2,8 +2,9 @@
 # One server host, one control plane, one fault plan, one participant
 # path, one benchmark, one coordinator log, one byte schema, shards as a
 # topology, one message per server round, a log device that waits off the
-# processor, one TM driver and no TM-side reader thread: the acceptance
-# greps and the non-test line budgets of the consolidations.
+# processor, one TM driver, no TM-side reader thread and a server round of
+# one message with no envelope, deferred half or group commit: the
+# acceptance greps and the non-test line budgets of the consolidations.
 # Fails on regression.
 #
 # "Non-test" means the lines of a file before its first `#[cfg(test)]`,
@@ -34,7 +35,12 @@
 # inbox per transaction and the counters' settling of late frames cost
 # what deleting the reader threads, their routes and the test-only
 # reconnect methods saved, and fault and edge counters kept as the
-# metrics crate's structs behind a lock paid for the rest).
+# metrics crate's structs behind a lock paid for the rest; a server round
+# of one message — `ServerCore::handle` evaluating a message's proofs in
+# place, each force its own sync, each reply its own send — deleted reply
+# coalescing, the deferred half of a round and the WAL's group-commit
+# window, taking 429, to 19 662, and 83 from the hosting files, to
+# 3 162).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,13 +83,13 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 20091 ] || bad "non-test Rust under crates/*/src is $total lines (budget 20091; 20099 at 607dd11)"
+[ "$total" -le 19662 ] || bad "non-test Rust under crates/*/src is $total lines (budget 19662; 20091 at beed4d6)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
     crates/runtime/src/deployment.rs)
 hosting_total=$(lines "${budget_files[@]}")
-[ "$hosting_total" -le 3245 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3245; 3255 at 607dd11)"
+[ "$hosting_total" -le 3162 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3162; 3245 at beed4d6)"
 
 # One byte schema: each wire type's layout is one `Wire` impl, each stats
 # struct one `counters!` entry, and the frame format is written in one place.
@@ -153,6 +159,21 @@ stale=$(grep -rn 'tm_reader_loop' crates/*/src src tests examples || true)
 n=$(hits 'thread::spawn' crates/net/src/runtime.rs)
 [ "$n" -le 1 ] || bad "non-test crates/net/src/runtime.rs spawns threads in $n places (want 1: the host reader)"
 
+# A server round is one message: no reply envelope is formed, no round
+# has a deferred half, the WAL has no group-commit window and the TM
+# driver feeds one reply at a time. Their names stay out of crates/*/src,
+# comments and tests included; `PeerAddr` has no coalescing key.
+round_of_many='coalesce_replies|DeferredEval|EvalTask|run_round|begin_(wal_)?group|end_(wal_)?group|stale_replies\(|roll_kind'
+stale=$(grep -rnE "$round_of_many" crates/*/src || true)
+[ -z "$stale" ] || { bad "machinery for rounds of many messages is back:"; echo "$stale"; }
+stale=$(grep -nE 'fn key\(' crates/runtime/src/host.rs crates/runtime/src/cluster.rs crates/net/src/runtime.rs || true)
+[ -z "$stale" ] || { bad "PeerAddr has a reply-coalescing key again:"; echo "$stale"; }
+# No peer forms an envelope: the only `Msg::Batch` built outside tests is
+# the decoder's, wire.rs's `15 => Batch(` codec entry (comments aside).
+stale=$(nontest "${crates_src[@]}" src/*.rs examples/*.rs | grep -E 'Msg::Batch\(' |
+    grep -vE '^[^:]*:[[:space:]]*//' || true)
+[ -z "$stale" ] || { bad "a Msg::Batch envelope is built outside the codec:"; echo "$stale"; }
+
 n=$(hits '0x7331' "${hosting[@]}")
 [ "$n" -eq 1 ] || bad "0x7331 appears $n times under crates/runtime crates/net (want 1)"
 for name in splitmix64 now_since; do
@@ -181,16 +202,16 @@ forget=$(nontest crates/core/src/server.rs | grep -A1 'fn forget_decisions' | gr
 n=$(hits 'RuntimeKind::Threaded\(' crates/service/src/service.rs)
 [ "$n" -le 3 ] || bad "RuntimeKind::Threaded( appears $n times in service.rs (want <= 3: one dispatch point)"
 
-# One participant path: `handle` is a round of one, `BatchEval` the only
+# One participant path: `handle` is the only entry point, `BatchEval` the only
 # evaluator, `recover_from_wal` the only recovery, `TwoPvc` the only 2PC
 # coordinator.
 participant_files=(crates/core/src/server.rs crates/core/src/round.rs crates/core/src/data_plane.rs
     crates/core/src/sim_actor.rs crates/core/src/two_pvc.rs crates/txn/src/recovery.rs crates/txn/src/lib.rs)
 participant_total=$(lines "${participant_files[@]}")
-[ "$participant_total" -le 2600 ] || bad "the participant files total $participant_total lines (budget 2600; 3038 at 06d72e5)"
+[ "$participant_total" -le 2337 ] || bad "the participant files total $participant_total lines (budget 2337; 2533 at beed4d6)"
 
 n=$(hits 'Msg::(ExecQuery|PrepareToValidate) \{' crates/core/src/server.rs)
-[ "$n" -eq 0 ] || bad "server.rs handles queries or 2PV contacts outside run_round again ($n arms)"
+[ "$n" -eq 0 ] || bad "server.rs handles queries or 2PV contacts outside round.rs's handle again ($n arms)"
 mapfile -t core_src < <(find crates/core/src -name '*.rs' | sort)
 n=$(hits 'evaluate_proof\(' "${core_src[@]}")
 [ "$n" -eq 0 ] || bad "evaluate_proof( is called $n times under crates/core/src (BatchEval is the only evaluator)"
@@ -210,5 +231,5 @@ stale=$({ nontest "${rust[@]}"; grep -H '' scripts/*.sh .github/workflows/ci.yml
     grep -v '^scripts/check_one_host.sh:bench_gone=' | grep -E "$bench_gone" || true)
 [ -z "$stale" ] || { bad "the second bench system is cited again:"; echo "$stale"; }
 
-[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema, shards as a topology, one message per round, one TM driver, no TM-side reader thread: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
+[ "$fail" -eq 0 ] && echo "one host, one control plane, one fault plan, one participant path, one benchmark, one coordinator log, one byte schema, shards as a topology, one message per round, one TM driver, no TM-side reader thread, no envelope, deferred half or group commit: ok ($total non-test lines under crates/*/src, $hosting_total in the hosting files, $participant_total in the participant files)"
 exit "$fail"

@@ -2,8 +2,9 @@
 //!
 //! Two families of properties:
 //!
-//! * **Identity** — for every [`Msg`] variant (including coalesced
-//!   [`Msg::Batch`] envelopes), `decode(encode(m))` succeeds and
+//! * **Identity** — for every [`Msg`] variant (including [`Msg::Batch`]
+//!   envelopes, which no peer forms but the codec still carries),
+//!   `decode(encode(m))` succeeds and
 //!   re-encodes to the same bytes. `Msg` carries `Arc`-shared payloads
 //!   and no `PartialEq`, so the comparison runs on canonical encodings:
 //!   the encoder is deterministic, so byte equality of encodings is
@@ -384,7 +385,7 @@ fn plain_msg() -> BoxedStrategy<Msg> {
     .boxed()
 }
 
-/// Any message, including a (never nested) coalesced Batch envelope.
+/// Any message, including a (never nested) Batch envelope.
 fn msg() -> BoxedStrategy<Msg> {
     prop_oneof![
         plain_msg(),

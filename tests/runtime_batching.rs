@@ -2,12 +2,13 @@
 //! per round, so each record a participant's WAL forces (2 of Table I's
 //! 2n + 1 per commit) is a physical sync of its own — also under
 //! concurrent load, with the messages of many transactions queued at a
-//! device-backed host — and the service surfaces the same WAL counters,
-//! in its JSON too.
+//! device-backed host, and on the control plane's path, which answers a
+//! host's leftover in-doubt transactions one message each — and the
+//! service surfaces the same WAL counters, in its JSON too.
 
-use safetx_core::{ConsistencyLevel, ProofScheme};
+use safetx_core::{ConsistencyLevel, ProofScheme, TmCrashPoint};
 use safetx_policy::{Atom, Constant, Credential, PolicyBuilder};
-use safetx_runtime::{Cluster, ClusterConfig};
+use safetx_runtime::{Cluster, ClusterConfig, Deployment};
 use safetx_service::{run_closed_loop, RetryPolicy, ServiceConfig, TxnService};
 use safetx_store::Value;
 use safetx_txn::{Operation, QuerySpec, TransactionSpec};
@@ -102,7 +103,7 @@ fn batch_one_performs_one_physical_sync_per_force() {
     assert!(wal.forced_logs > 0, "commits forced nothing?");
     assert_eq!(
         wal.physical_syncs, wal.forced_logs,
-        "a round of one message coalesced forces: {wal}"
+        "forces shared a sync: {wal}"
     );
 }
 
@@ -142,10 +143,52 @@ fn every_force_is_one_physical_sync_under_concurrent_load() {
     assert!(wal.forced_logs > 0, "commits forced nothing? {wal}");
     assert_eq!(
         wal.physical_syncs, wal.forced_logs,
-        "a round of one message coalesced forces: {wal}"
+        "forces shared a sync: {wal}"
     );
     // The service surfaces the same counters.
     assert_eq!(stats.wal, wal);
+}
+
+/// Three coordinators die after forcing their commit decisions, so every
+/// host holds three in-doubt transactions. Resolving them tells each host
+/// its three answers one message at a time: each commit force is one
+/// physical sync, not one sync for the host's three.
+#[test]
+fn resolving_leftovers_syncs_once_per_force() {
+    const LEFTOVERS: u64 = 3;
+    let cluster = build_cluster(
+        ProofScheme::Deferred,
+        ConsistencyLevel::View,
+        None,
+        ITEMS_PER_SERVER,
+    );
+    let cred = member_credential(&cluster);
+    for slot in 0..LEFTOVERS {
+        let spec = spec_for(&cluster, slot);
+        let point = TmCrashPoint::AfterDecisionForce;
+        let run = cluster.execute_with_coordinator_crash(&spec, std::slice::from_ref(&cred), point);
+        assert!(run.is_none(), "the coordinator died");
+    }
+    let before = cluster.wal_stats();
+    assert_eq!(cluster.resolve_in_doubt(), LEFTOVERS as usize * SERVERS);
+    let wal = cluster.wal_stats();
+    assert_eq!(
+        wal.forced_logs - before.forced_logs,
+        LEFTOVERS * SERVERS as u64,
+        "one commit force per leftover: {wal}"
+    );
+    assert_eq!(
+        wal.physical_syncs, wal.forced_logs,
+        "leftovers shared a sync: {wal}"
+    );
+    for s in 0..SERVERS as u64 {
+        for slot in 0..LEFTOVERS {
+            let item = DataItemId::new(s * 1000 + slot);
+            let value =
+                cluster.configure_server(ServerId::new(s), |core| core.store().read_int(item));
+            assert_eq!(value, Some(11), "server {s} item {slot}");
+        }
+    }
 }
 
 #[test]
