@@ -49,7 +49,7 @@ use crate::view::TransactionView;
 use safetx_metrics::ProtocolMetrics;
 use safetx_policy::{AccessCapability, Credential, ProofOfAuthorization};
 use safetx_txn::{CommitVariant, CoordinatorRecord, Decision, QuerySpec, TransactionSpec};
-use safetx_types::{Duration, ServerId, Timestamp, TxnId};
+use safetx_types::{Duration, ServerId, Timestamp, TxnId, UserId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -256,11 +256,12 @@ enum Phase {
 #[derive(Debug)]
 pub struct TmCore {
     config: TmConfig,
-    spec: TransactionSpec,
+    txn: TxnId,
+    user: UserId,
     /// Shared credential payload: built once, refcounted into every
     /// `ExecQuery`/`PrepareToValidate` instead of deep-cloned.
     credentials: Arc<[Credential]>,
-    /// Per-query shared payloads, same rationale.
+    /// The spec's queries, moved in once and shared into every message.
     queries: Arc<[Arc<QuerySpec>]>,
     started_at: Timestamp,
     started: bool,
@@ -314,12 +315,13 @@ impl TmCore {
         credentials: Vec<Credential>,
         now: Timestamp,
     ) -> Self {
-        let txn = spec.id;
-        assert!(!spec.queries.is_empty(), "transaction {txn} has no queries");
-        let queries: Arc<[Arc<QuerySpec>]> = spec.queries.iter().cloned().map(Arc::new).collect();
+        let (txn, user, queries) = (spec.id, spec.user, spec.queries);
+        assert!(!queries.is_empty(), "transaction {txn} has no queries");
+        let queries = queries.into_iter().map(Arc::new).collect();
         TmCore {
             config,
-            spec,
+            txn,
+            user,
             credentials: credentials.into(),
             queries,
             started_at: now,
@@ -346,7 +348,7 @@ impl TmCore {
     /// The transaction this core drives.
     #[must_use]
     pub fn txn(&self) -> TxnId {
-        self.spec.id
+        self.txn
     }
 
     /// True once a [`TmEffect::Finished`] effect has been emitted.
@@ -449,7 +451,7 @@ impl TmCore {
     /// Moves the transaction forward: submit the next query (with the
     /// scheme's pre-step) or start the commit protocol.
     fn advance(&mut self, now: Timestamp, out: &mut Vec<TmEffect>) {
-        if self.next_query >= self.spec.queries.len() {
+        if self.next_query >= self.queries.len() {
             self.start_commit(now, out);
             return;
         }
@@ -459,7 +461,6 @@ impl TmCore {
             let index = self.next_query;
             let query = Arc::clone(&self.queries[index]);
             let involved: BTreeSet<ServerId> = self
-                .spec
                 .queries
                 .iter()
                 .take(index + 1)
@@ -479,9 +480,9 @@ impl TmCore {
                         let new_query =
                             (server == query.server).then(|| (index, Arc::clone(&query)));
                         let msg = Msg::PrepareToValidate {
-                            txn: self.spec.id,
+                            txn: self.txn,
                             new_query,
-                            user: self.spec.user,
+                            user: self.user,
                             credentials: Arc::clone(&self.credentials),
                         };
                         self.send(out, server, msg);
@@ -530,10 +531,10 @@ impl TmCore {
             VersionMap::new()
         };
         let msg = Msg::ExecQuery {
-            txn: self.spec.id,
+            txn: self.txn,
             query_index: index,
             query,
-            user: self.spec.user,
+            user: self.user,
             credentials: Arc::clone(&self.credentials),
             evaluate_proof,
             pin_versions,
@@ -688,7 +689,7 @@ impl TmCore {
                 ValidationAction::SendUpdate(server, targets) => {
                     self.metrics.messages += 1;
                     let msg = Msg::Update {
-                        txn: self.spec.id,
+                        txn: self.txn,
                         targets,
                         in_commit: false,
                     };
@@ -730,9 +731,9 @@ impl TmCore {
     }
 
     fn start_commit(&mut self, now: Timestamp, out: &mut Vec<TmEffect>) {
-        let participants = self.spec.participants();
+        let participants = self.queries.iter().map(|q| q.server).collect();
         let mut pvc = TwoPvc::new(
-            self.spec.id,
+            self.txn,
             participants,
             self.config.consistency,
             self.config.variant,
@@ -775,7 +776,6 @@ impl TmCore {
                 TwoPvcAction::SendPrepareToCommit(server) => {
                     self.metrics.messages += 1;
                     let expected_queries: Vec<usize> = self
-                        .spec
                         .queries
                         .iter()
                         .enumerate()
@@ -783,7 +783,7 @@ impl TmCore {
                         .map(|(i, _)| i)
                         .collect();
                     let msg = Msg::PrepareToCommit {
-                        txn: self.spec.id,
+                        txn: self.txn,
                         validate: self.validate_at_commit(),
                         expected_queries,
                     };
@@ -792,7 +792,7 @@ impl TmCore {
                 TwoPvcAction::SendUpdate(server, targets) => {
                     self.metrics.messages += 1;
                     let msg = Msg::Update {
-                        txn: self.spec.id,
+                        txn: self.txn,
                         targets,
                         in_commit: true,
                     };
@@ -813,7 +813,7 @@ impl TmCore {
                 TwoPvcAction::SendDecision(server, decision) => {
                     self.metrics.messages += 1;
                     let msg = Msg::Decision {
-                        txn: self.spec.id,
+                        txn: self.txn,
                         decision,
                     };
                     self.send(out, server, msg);
@@ -932,7 +932,7 @@ impl TmCore {
     /// follows under the other schemes. The abort reaches it either way.
     fn stall_abort(&mut self, now: Timestamp, reason: AbortReason, out: &mut Vec<TmEffect>) {
         if let Phase::QueryValidation(validation) = &self.phase {
-            let contact = self.spec.queries[self.next_query].server;
+            let contact = self.queries[self.next_query].server;
             if validation
                 .replies()
                 .get(&contact)
@@ -953,7 +953,7 @@ impl TmCore {
             return;
         }
         let record = CoordinatorRecord::Decision {
-            txn: self.spec.id,
+            txn: self.txn,
             decision: Decision::Abort,
         };
         if self.config.variant.coordinator_forces(Decision::Abort) {
@@ -964,7 +964,7 @@ impl TmCore {
         } else {
             out.push(TmEffect::Log(record));
         }
-        let txn = self.spec.id;
+        let txn = self.txn;
         for server in std::mem::take(&mut self.touched) {
             self.metrics.messages += 1;
             let decision = Decision::Abort;
@@ -986,7 +986,7 @@ impl TmCore {
             reason: AbortReason::Failure,
         });
         out.push(TmEffect::Finished(Box::new(TxnTermination {
-            txn: self.spec.id,
+            txn: self.txn,
             started_at: self.started_at,
             finished_at: outcome.at(),
             outcome,

@@ -643,7 +643,13 @@ fn a_waiters_deadline_holds_while_another_worker_reads() {
         waited >= DEADLINE && waited < DEADLINE + Duration::from_secs(2),
         "waited {waited:?} for a {DEADLINE:?} deadline"
     );
-    assert!(reader_held(&link), "the holder still reads");
+    // The holder reads in slices, letting go between them: it has not
+    // finished, and it takes the read half again.
+    assert!(
+        finished.try_recv().is_err(),
+        "txn 1 finished without its ack"
+    );
+    spin_until("the holder reads again", || reader_held(&link));
     ack(&mut srv, 1);
     let (txn, reply, _) = finished
         .recv_timeout(Duration::from_secs(20))

@@ -2,12 +2,13 @@
 //!
 //! [`Cluster`] is the shared control plane ([`LinkedCluster`]) over this
 //! link. A TM is a fresh reply channel; its sends cross the message-level
-//! fault applicator below into the server's [`Host`] queue, and the sender
-//! runs the round itself unless the host is busy — then the lock holder
-//! does ([`Host::deliver`]). Replies go straight into the TM's channel, so
-//! a round trip wakes no thread. Only a host whose WAL sync models a device
-//! (`wal_sync_cost`) keeps a thread, which a send just wakes: the device
-//! waits of different servers overlap instead of serialising on one TM.
+//! fault applicator below into the server's [`Host`], and the sender runs
+//! the round itself, waiting out a brief holder; only a host held past the
+//! bound gets the message queued for its holder ([`Host::deliver`]).
+//! Replies go straight into the TM's channel, so a round trip wakes no
+//! thread unless it was handed off. Only a host whose WAL sync models a
+//! device (`wal_sync_cost`) keeps a thread, which a send just wakes: the
+//! device waits of different servers overlap instead of serialising on one TM.
 
 use crate::deployment::{Link, LinkedCluster};
 use crate::fault::{Fabric, Layer, Peer, Verdict};
@@ -278,6 +279,7 @@ impl ChannelLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::HAND_OFF_SPIN;
     use crate::{CrashPoint, CrashRule, EdgeRule, FaultPlan, PeerMatch, TxnRoute};
     use safetx_core::{
         AbortReason, ConcurrencyMode, ConsistencyLevel, MsgKind, ProofScheme, VersionMap,
@@ -635,6 +637,158 @@ mod tests {
         // `while_held` joined the holder, which served the queue.
         let (from, _) = replies.try_recv().expect("the holder served it");
         assert_eq!(from, ServerId::new(1));
+        cluster.shutdown();
+    }
+
+    /// Runs `body` while a `configure_server` closure holds `server`'s host
+    /// lock spinning, so it lets go a quarter of `HAND_OFF_SPIN` after `body`
+    /// calls `release` (no wake-up between): a send right behind `release`
+    /// meets a lock held briefly. The lock is free once this returns.
+    fn spin_held<R>(cluster: &Cluster, server: ServerId, body: impl FnOnce(&dyn Fn()) -> R) -> R {
+        let (held, go) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                cluster.configure_server(server, |_| {
+                    held.store(true, Ordering::Release);
+                    while !go.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    let until = Instant::now() + HAND_OFF_SPIN / 4;
+                    while Instant::now() < until {
+                        std::hint::spin_loop();
+                    }
+                });
+            });
+            while !held.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            // Let go on a panicking `body` too: the holder never hangs.
+            struct Release<'a>(&'a AtomicBool);
+            impl Drop for Release<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let _release = Release(&go);
+            body(&|| go.store(true, Ordering::Release))
+        })
+    }
+
+    /// The transaction a reply is for.
+    fn reply_txn(msg: &Msg) -> TxnId {
+        match msg {
+            Msg::QueryDone { txn, .. } => *txn,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    /// (waited for, not handed off) A host held for less than
+    /// `HAND_OFF_SPIN` is waited for: the sender serves its own message, so
+    /// the reply is in its channel when `send` returns. Only a send that
+    /// tried for the whole bound may leave its message to the holder — as
+    /// it may when the holder is not running, so the test tries until one
+    /// brief hold was waited for.
+    #[test]
+    fn a_briefly_held_host_is_waited_for_and_served_by_the_sender() {
+        let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        let (me, replies) = Addr::fresh();
+        let net = &cluster.link().net;
+        let mut self_served = 0;
+        for txn in 0..2_000 {
+            let (took, replied) = spin_held(&cluster, ServerId::new(1), |release| {
+                let start = Instant::now();
+                release();
+                net.to_server(&me, ServerId::new(1), exec(txn));
+                (start.elapsed(), replies.try_recv().is_ok())
+            });
+            assert!(
+                replied || took >= HAND_OFF_SPIN,
+                "txn {txn}: handed off after {took:?}"
+            );
+            self_served += usize::from(replied);
+            if txn >= 20 && self_served > 0 {
+                break;
+            }
+            // A queued message is the holder's to answer, before it lets go.
+            let _ = replies.try_recv();
+        }
+        assert!(self_served > 0, "no send was served by its sender");
+        cluster.shutdown();
+    }
+
+    /// (bounded wait) A host held past the bound: the sender tries for
+    /// `HAND_OFF_SPIN`, then queues and returns; the holder serves it.
+    #[test]
+    fn a_send_to_a_host_held_past_the_bound_returns_after_the_bound() {
+        let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        let (me, replies) = Addr::fresh();
+        let net = &cluster.link().net;
+        // Warm: the first send's one-time costs are not the spin.
+        net.to_server(&me, ServerId::new(1), exec(899));
+        assert!(replies.try_recv().is_ok(), "a free host serves its sender");
+        let took = while_held(&cluster, ServerId::new(1), || {
+            let start = Instant::now();
+            net.to_server(&me, ServerId::new(1), exec(900));
+            let took = start.elapsed();
+            assert!(replies.try_recv().is_err(), "served under the holder");
+            took
+        });
+        assert!(
+            took >= HAND_OFF_SPIN && took < HAND_OFF_SPIN + Duration::from_millis(100),
+            "send returned after {took:?}"
+        );
+        let (from, reply) = replies.try_recv().expect("the holder served it");
+        assert_eq!(
+            (from, reply_txn(&reply)),
+            (ServerId::new(1), TxnId::new(900))
+        );
+        cluster.shutdown();
+    }
+
+    /// (deadline holds) Behind a holder that outlasts the reply deadline,
+    /// the transaction aborts as `ServerUnavailable` at that deadline.
+    #[test]
+    fn a_held_host_past_the_reply_deadline_aborts_as_unavailable() {
+        const DEADLINE: Duration = Duration::from_millis(20);
+        let cluster = seeded(Cluster::new(ClusterConfig {
+            servers: 3,
+            reply_timeout: Some(DEADLINE),
+            ..ClusterConfig::default()
+        }));
+        let cred = member_credential(&cluster);
+        let (result, took) = while_held(&cluster, ServerId::new(1), || {
+            let start = Instant::now();
+            let result = cluster.execute(&spec(&cluster), std::slice::from_ref(&cred));
+            (result, start.elapsed())
+        });
+        let reason = result.outcome.abort_reason();
+        assert_eq!(reason, Some(AbortReason::ServerUnavailable));
+        assert!(
+            took >= DEADLINE && took < DEADLINE + Duration::from_secs(2),
+            "aborted after {took:?}"
+        );
+        assert!(cluster.execute(&spec(&cluster), &[cred]).is_commit());
+        cluster.shutdown();
+    }
+
+    /// (FIFO per sender) A message queued behind a holder is answered
+    /// before the same sender's next one, which races the holder's letting
+    /// go: whoever wins serves the queue first.
+    #[test]
+    fn a_queued_message_is_answered_before_the_senders_next() {
+        let cluster = cluster(ProofScheme::Deferred, ConsistencyLevel::View);
+        let (me, replies) = Addr::fresh();
+        let net = &cluster.link().net;
+        for round in 0..100 {
+            let (first, next) = (TxnId::new(2 * round), TxnId::new(2 * round + 1));
+            spin_held(&cluster, ServerId::new(1), |release| {
+                net.to_server(&me, ServerId::new(1), exec(first.index()));
+                release();
+                net.to_server(&me, ServerId::new(1), exec(next.index()));
+            });
+            let order = [0, 1].map(|_| reply_txn(&replies.try_recv().expect("answered").1));
+            assert_eq!(order, [first, next], "round {round}");
+        }
         cluster.shutdown();
     }
 

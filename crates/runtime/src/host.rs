@@ -12,10 +12,11 @@
 //!
 //! The invariants (DESIGN.md §5a):
 //!
-//! * **The holder serves the queue** before its own work, and looks again
+//! * **A brief hold is waited for** ([`HAND_OFF_SPIN`]), a longer one handed
+//!   off. **The holder serves the queue** before its own work, and looks again
 //!   after letting go, serving what queued meanwhile unless a new holder
 //!   has the lock (bound by the same rule): nothing is stranded, no send
-//!   waits for a busy host, and every control-plane call is a fence.
+//!   waits past the bound, and every control-plane call is a fence.
 //! * **One critical section per crash**, whether the harness crashes the
 //!   host or a crash point fires in a round: [`Host::crashed`] is true the
 //!   moment either returns.
@@ -39,7 +40,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread::Thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a sender tries for a held host lock before it leaves its
+/// message to the holder: longer than most rounds, shorter than the sleep
+/// and cross-processor wake-up a hand-off costs (EXPERIMENTS.md).
+pub(crate) const HAND_OFF_SPIN: Duration = Duration::from_micros(20);
 
 /// Protocol time: microseconds since the deployment's epoch.
 #[must_use]
@@ -143,16 +149,26 @@ impl<A: PeerAddr> Host<A> {
         assert!(self.queue.set(queue).is_ok(), "the host's queue is open");
     }
 
-    /// Queues `msg` for the `incarnation` it was sent to and wakes the
-    /// device thread, if any; otherwise the sender serves the queue unless
-    /// the lock is held — the holder does. Panics without a queue.
+    /// Serves `msg`, sent to `incarnation`, on the sender's thread if the
+    /// lock comes free within [`HAND_OFF_SPIN`] — the queue first, so its
+    /// earlier messages keep their order; else queues it for the holder, or
+    /// for the device thread it wakes. Panics without a queue.
     pub(crate) fn deliver(&self, incarnation: u64, from: A, msg: Msg) {
         let queue = self.queue.get().expect("a host opened for delivery");
-        queue.msgs().push_back((incarnation, from, msg));
-        match &queue.device {
-            Some(device) => device.unpark(),
-            None => self.drain(),
+        if let Some(device) = &queue.device {
+            queue.msgs().push_back((incarnation, from, msg));
+            return device.unpark();
         }
+        match self.try_state(HAND_OFF_SPIN) {
+            Some(mut state) => {
+                self.serve_queue(&mut state);
+                if incarnation == self.incarnation() {
+                    self.run(&mut state, from, msg, |to, msg| (queue.outbox)(to, msg));
+                }
+            }
+            None => queue.msgs().push_back((incarnation, from, msg)),
+        }
+        self.drain();
     }
 
     /// Serves the queue until it is empty, unless someone holds the lock
@@ -163,12 +179,23 @@ impl<A: PeerAddr> Host<A> {
             return;
         };
         while !queue.msgs().is_empty() {
-            let mut state = match self.state.try_lock() {
-                Ok(state) => state,
-                Err(TryLockError::WouldBlock) => return,
-                Err(TryLockError::Poisoned(_)) => panic!("host lock (a round panicked)"),
+            let Some(mut state) = self.try_state(Duration::ZERO) else {
+                return;
             };
             self.serve_queue(&mut state);
+        }
+    }
+
+    /// The host lock, if it is free or comes free within `spin`.
+    fn try_state(&self, spin: Duration) -> Option<MutexGuard<'_, HostState<A>>> {
+        let start = Instant::now();
+        loop {
+            match self.state.try_lock() {
+                Ok(state) => return Some(state),
+                Err(TryLockError::WouldBlock) if start.elapsed() < spin => std::hint::spin_loop(),
+                Err(TryLockError::WouldBlock) => return None,
+                Err(TryLockError::Poisoned(_)) => panic!("host lock (a round panicked)"),
+            }
         }
     }
 

@@ -40,7 +40,10 @@
 # place, each force its own sync, each reply its own send — deleted reply
 # coalescing, the deferred half of a round and the WAL's group-commit
 # window, taking 429, to 19 662, and 83 from the hosting files, to
-# 3 162).
+# 3 162; a sender that waits out a brief holder — `Host::deliver` spinning
+# on `try_lock` for up to `HAND_OFF_SPIN` and serving its own message, and
+# `Host::try_state` shared with `drain` — added 28, all of them in the
+# hosting files, to 19 690 and 3 190).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,13 +86,13 @@ mapfile -t hosting < <(find crates/runtime crates/net -name '*.rs' -path '*/src/
 mapfile -t outside_core < <(printf '%s\n' "${all[@]}" | grep -v '^crates/core/')
 
 total=$(lines "${crates_src[@]}")
-[ "$total" -le 19662 ] || bad "non-test Rust under crates/*/src is $total lines (budget 19662; 20091 at beed4d6)"
+[ "$total" -le 19690 ] || bad "non-test Rust under crates/*/src is $total lines (budget 19690; 19662 at e93794f)"
 
 budget_files=(crates/runtime/src/cluster.rs crates/net/src/runtime.rs crates/runtime/src/fault.rs
     crates/net/src/fault.rs crates/service/src/service.rs crates/runtime/src/host.rs
     crates/runtime/src/deployment.rs)
 hosting_total=$(lines "${budget_files[@]}")
-[ "$hosting_total" -le 3162 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3162; 3245 at beed4d6)"
+[ "$hosting_total" -le 3190 ] || bad "hosts, links, control plane and fault plan total $hosting_total lines (budget 3190; 3162 at e93794f)"
 
 # One byte schema: each wire type's layout is one `Wire` impl, each stats
 # struct one `counters!` entry, and the frame format is written in one place.
@@ -134,12 +137,27 @@ stale=$(grep -rnE "$round_gone" crates/*/src src tests examples scripts .github 
     grep -v "^scripts/check_one_host.sh:[0-9]*:round_gone=" || true)
 [ -z "$stale" ] || { bad "the server-round drain limit is back:"; echo "$stale"; }
 
-# The modelled log device waits off the processor: the one spin left in
-# non-test code is the last stretch of `Wal`'s device wait.
+# The modelled log device waits off the processor: the spins left in
+# non-test code are the last stretch of `Wal`'s device wait and a sender
+# trying for a briefly held host lock (`Host::try_state`).
 n=$(hits 'spin_loop' "${all[@]}")
 tail_spin=$(nontest crates/store/src/wal.rs |
     awk '/^[^:]*:fn device_wait\(/ { w = 1 } /^[^:]*:}/ { w = 0 } w && /spin_loop/' | wc -l)
-[ "$n" -eq 1 ] && [ "$tail_spin" -eq 1 ] || bad "spin_loop appears $n times in non-test code, $tail_spin of them in wal.rs's device_wait (want 1 and 1)"
+lock_spin=$(nontest crates/runtime/src/host.rs |
+    awk '/^[^:]*:    fn try_state\(/ { w = 1 } /^[^:]*:    }$/ { w = 0 } w && /spin_loop/' | wc -l)
+[ "$n" -eq 2 ] && [ "$tail_spin" -eq 1 ] && [ "$lock_spin" -eq 1 ] ||
+    bad "spin_loop appears $n times in non-test code, $tail_spin in wal.rs's device_wait and $lock_spin in host.rs's try_state (want 2, 1 and 1)"
+
+# A brief hold is waited for: the spin bound is one stated constant. No
+# `SAFETX_` variable and no `ClusterConfig` field sets it.
+n=$(hits '^[^:]*:pub\(crate\) const HAND_OFF_SPIN: Duration = Duration::from_micros\([0-9]+\);$' crates/runtime/src/host.rs)
+[ "$n" -eq 1 ] || bad "HAND_OFF_SPIN is not one literal constant in host.rs ($n definitions)"
+stale=$(grep -rnE 'SAFETX_[A-Z_]*(SPIN|HAND)|HAND_OFF_SPIN *=' crates/*/src src tests examples benchmark/src scripts .github |
+    grep -vE '^crates/runtime/src/host\.rs:[0-9]+:pub\(crate\) const HAND_OFF_SPIN|^scripts/check_one_host\.sh:' || true)
+[ -z "$stale" ] || { bad "the hand-off spin bound is set from outside host.rs:"; echo "$stale"; }
+stale=$(awk '/^pub struct ClusterConfig \{/ { c = 1 } c && /^}/ { c = 0 } c' crates/runtime/src/deployment.rs |
+    grep -inE 'spin|hand_?off' || true)
+[ -z "$stale" ] || { bad "a ClusterConfig field sets the hand-off spin:"; echo "$stale"; }
 
 # One TM driver: `TmDriver::perform` in tm_loop.rs is the only code that
 # matches a `TmEffect`. tm_core.rs only emits them (its round-trip count
